@@ -1,10 +1,11 @@
 """hzlag: exact moment tables and cross-verification suites for Laguerre
 and Gaussian random-matrix ensembles.
 
-Three independent computation routes — contour-integral residues over an
-exact rational-function field, genus-graded recursions, and brute-force
-Wick pairing enumeration — compute the same quantities and are checked
-against each other with exact equality throughout.
+Three independent computation routes — contour-integral residues, computed
+in closed form as integer Laurent polynomials in w = u - 1, genus-graded
+recursions, and brute-force Wick pairing enumeration — compute the same
+quantities and are checked against each other with exact equality
+throughout.
 """
 
 __version__ = "0.1.0"
@@ -16,6 +17,7 @@ from .exact import (
     RationalFunction,
     TruncSeries,
     UniPoly,
+    WLaurent,
     binom_series,
     gen_binom,
     rat_str,
@@ -49,6 +51,7 @@ from .residues import (
     verify_identity,
     verify_ode,
     verify_t1,
+    weighted_residue,
 )
 from .spectral import (
     NonCancellationError,

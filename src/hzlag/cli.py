@@ -47,17 +47,33 @@ from .residues import (
     verify_t1,
 )
 from .spectral import a_to_C, consistency_identity_check, s_series, vk_series, w11_check, w30_planar_check
-from .wick import complex_wishart_moment, connected_moments, genus_extract, gue_moment
+from .wick import (
+    WISHART_DEGREE_LIMIT,
+    complex_wishart_moment,
+    connected_moments,
+    genus_extract,
+    gue_moment,
+    parse_dimension,
+)
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
-# hard generation bounds (keep runaway requests from consuming the machine)
-GEN_LIMITS = {"gmax": 1000, "nmax": 2000, "rmax2": 400, "k": 64, "order": 4000}
+# hard generation bounds (keep runaway requests from consuming the machine);
+# "fab" bounds eval-fab's --a and --b (A = B = 300 took ~1.2 s and ~21 MB
+# peak RSS on a 2-vCPU VM with Python 3.11)
+GEN_LIMITS = {"gmax": 1000, "nmax": 2000, "rmax2": 400, "k": 64, "order": 4000, "fab": 300}
 
 
 class UsageError(ValueError):
     pass
+
+
+def _check_range(flag: str, value: int, hi: int | None = None) -> None:
+    """Reject an integer option below 0 or above hi (None: no upper bound)."""
+    if value < 0 or (hi is not None and value > hi):
+        span = f"in 0..{hi}" if hi is not None else ">= 0"
+        raise UsageError(f"--{flag} must be {span}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +315,14 @@ SUITES = {
     "constraints": suite_constraints,
 }
 
+# the verify options that set each suite's window
+SUITE_BOUNDS = {
+    "identities": ("amax", "bmax", "nmax"),
+    "odes": ("nmax",),
+    "crosscheck": ("mmax",),
+    "constraints": ("gmax",),
+}
+
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
@@ -346,6 +370,16 @@ def cmd_oracle(args) -> int:
         pattern = tuple(int(p) for p in args.mu.split(","))
     except ValueError as e:
         raise UsageError(f"bad --mu {args.mu!r}") from e
+    if min(pattern) < 1:
+        raise UsageError(f"--mu entries must be positive, got {args.mu!r}")
+    if sum(pattern) > WISHART_DEGREE_LIMIT:
+        raise UsageError(
+            f"--mu total degree {sum(pattern)} exceeds limit {WISHART_DEGREE_LIMIT}")
+    for flag, spec in (("rows", args.rows), ("cols", args.cols)):
+        try:
+            parse_dimension(spec)
+        except ValueError as e:
+            raise UsageError(f"bad --{flag} {spec!r} (expected N, N+k or N-k)") from e
     fn = connected_moments if args.connected else complex_wishart_moment
     print(fn(pattern, args.rows, args.cols))
     return 0
@@ -353,7 +387,16 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    reports = [SUITES[n](args) for n in names]
+    for flag in ("amax", "bmax", "nmax", "gmax", "mmax"):
+        _check_range(flag, getattr(args, flag))
+    if "constraints" in names and args.gmax < 1:
+        raise UsageError(f"suite constraints needs --gmax >= 1, got {args.gmax}")
+    reports = []
+    for n in names:
+        reports.append(SUITES[n](args))
+        if not reports[-1].checks:
+            bounds = " ".join(f"--{b} {getattr(args, b)}" for b in SUITE_BOUNDS[n])
+            raise UsageError(f"suite {n} runs no checks at {bounds}")
     payload = {
         "schema": "hzlag-report/1",
         "tool_version": __version__,
@@ -374,6 +417,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
+    _check_range("k", args.k, hi=GEN_LIMITS["k"])
+    _check_range("order", args.order, hi=GEN_LIMITS["order"])
     if args.which == "vk":
         ser = vk_series(args.k, args.order).series
     else:
@@ -390,11 +435,17 @@ def cmd_series(args) -> int:
 
 
 def cmd_eval_fab(args) -> int:
+    _check_range("a", args.a, hi=GEN_LIMITS["fab"])
+    _check_range("b", args.b, hi=GEN_LIMITS["fab"])
+    if args.at is not None:
+        try:
+            point = Fraction(args.at)
+        except (ValueError, ZeroDivisionError) as e:
+            raise UsageError(f"bad --at {args.at!r} (expected p/q)") from e
     value = fab(args.a, args.b).value
     if args.at is None:
         print(value)
         return 0
-    point = Fraction(args.at)
     try:
         print(rat_str(value(point)))
     except ZeroDivisionError as e:

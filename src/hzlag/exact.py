@@ -20,6 +20,7 @@ __all__ = [
     "PoleAtExpansionPoint",
     "UniPoly",
     "RationalFunction",
+    "WLaurent",
     "TruncSeries",
     "BiSeries",
     "binom_series",
@@ -405,6 +406,155 @@ class RationalFunction:
         if self.den == UniPoly.const(self.var, 1):
             return str(self.num)
         return f"({self.num}) / ({self.den})"
+
+
+class WLaurent:
+    """A rational function of u whose only finite pole is at u = 1, held as
+    a Laurent polynomial in w = u - 1.
+
+    ``terms`` maps each exponent of w to its nonzero coefficient, so
+    "identically zero" is the structural test ``not terms``; no gcd or
+    normalisation is ever needed.  Coefficients stay ``int`` whenever the
+    inputs are integers.  Instances are immutable.  ``derivative`` is d/du
+    (which equals d/dw), calling an instance evaluates it at a point u, and
+    ``str`` prints the reduced rational function of u that
+    ``RationalFunction`` would print.
+    """
+
+    __slots__ = ("terms",)
+    var = "u"
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _coerce(self, other) -> "WLaurent | None":
+        if isinstance(other, WLaurent):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return WLaurent({0: other})
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for e, c in o.terms.items():
+            out[e] = out.get(e, 0) + c
+        return WLaurent(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return WLaurent({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in o.terms.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return WLaurent(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative power of a Laurent polynomial")
+        r = WLaurent({0: 1})
+        for _ in range(e):
+            r = r * self
+        return r
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def derivative(self) -> "WLaurent":
+        return WLaurent({e - 1: e * c for e, c in self.terms.items()})
+
+    def __call__(self, point: Scalar) -> Fraction:
+        w = Fraction(point) - 1
+        if w == 0 and min(self.terms, default=0) < 0:
+            raise ZeroDivisionError(f"pole at {point}")
+        return sum((c * w**e for e, c in self.terms.items()), Fraction(0))
+
+    def compose_inverse(self) -> "WLaurent":
+        """f(1/u), again a function of u.
+
+        1/u - 1 = -w/(w+1), so w^-n becomes (-1)^n (w+1)^n w^-n: a Laurent
+        polynomial in w again, provided f has no positive power of w (one
+        would put a pole at u = 0).
+        """
+        out: dict = {}
+        for e, c in self.terms.items():
+            if e > 0:
+                raise ValueError("f(1/u) has a pole at u = 0")
+            n = -e
+            for i in range(n + 1):
+                out[i - n] = out.get(i - n, 0) + (-1) ** n * c * math.comb(n, i)
+        return WLaurent(out)
+
+    def series_at_zero(self, order: int) -> "TruncSeries":
+        """Taylor series in u at u = 0 (where w = -1) through u^order:
+        w^e = sum_m C(e, m) (-1)^(e-m) u^m for e >= 0, and
+        w^-n = (-1)^n sum_m C(n+m-1, m) u^m for n > 0."""
+        out = [0] * (order + 1)
+        for e, c in self.terms.items():
+            if e >= 0:
+                for m in range(min(e, order) + 1):
+                    out[m] += (-1) ** (e - m) * math.comb(e, m) * c
+            else:
+                for m in range(order + 1):
+                    out[m] += (-1) ** -e * math.comb(m - e - 1, m) * c
+        return TruncSeries(self.var, out)
+
+    def num_den(self) -> tuple[UniPoly, UniPoly]:
+        """Reduced numerator and monic denominator as polynomials in u.
+
+        With d the order of the pole at w = 0, the denominator is
+        (u - 1)^d and the numerator w^d f does not vanish at u = 1, so the
+        pair is already in lowest terms.
+        """
+        lo = min(self.terms, default=0)
+        d = -lo if lo < 0 else 0
+        hi = max(self.terms, default=0)
+        # Taylor shift of the numerator's w-coefficients to u = w + 1
+        a = [self.terms.get(k - d, 0) for k in range(hi + d + 1)]
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] -= a[j + 1]
+        den = [(-1) ** (d - k) * math.comb(d, k) for k in range(d + 1)]
+        return UniPoly(self.var, a), UniPoly(self.var, den)
+
+    def __repr__(self):
+        return f"WLaurent({dict(sorted(self.terms.items()))!r})"
+
+    def __str__(self):
+        num, den = self.num_den()
+        if den.degree == 0:
+            return str(num)
+        return f"({num}) / ({den})"
 
 
 class TruncSeries:

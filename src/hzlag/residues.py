@@ -2,13 +2,16 @@
 
 The central object is
 
-    f_{A,B}(u) = residue at z=0 of (1 + 1/(u+z-1))^A (1 - 1/z)^B,
+    f_{A,B}(u) = residue at z=0 of (1 + 1/(u+z-1))^A (1 - 1/z)^B.
 
-computed by expanding the first factor as a power series in z over the field
-of rational functions in u and pairing it against the explicit binomial
-Laurent expansion of (1 - 1/z)^B.  The same mechanism evaluates the
-rectangular-ensemble integral and the iterated two-point residues, so one
-code path serves every integrand shape in this package.
+Its only pole is at u = 1, so it is an integer Laurent polynomial in
+w = u - 1, and expanding both factors binomially gives its coefficients in
+closed form (``weighted_residue``, which also carries a weight z^k).  The
+rectangular-ensemble integral is expanded the same way.  The identity, ODE
+and reflection checks multiply through by their known denominators, so every
+residual is again a Laurent polynomial in w, zero exactly when it has no
+terms: no step takes a polynomial gcd.  The iterated two-point residues are
+expanded as double series with Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import BiSeries, RationalFunction, TruncSeries, UniPoly, gen_binom, series_of_rational
+from .exact import BiSeries, PoleAtExpansionPoint, RationalFunction, TruncSeries, UniPoly, WLaurent
 from .reports import CheckRecord, record
 
 __all__ = [
@@ -26,6 +29,7 @@ __all__ = [
     "TwoPointValue",
     "fab",
     "fab_generalized",
+    "weighted_residue",
     "two_point_series",
     "exp_mean_series",
     "exp_mean_moments",
@@ -52,81 +56,67 @@ IDENTITY_TAGS = (
 )
 ODE_TAGS = ("DN", "K1", "K2")
 
-
-def _u() -> RationalFunction:
-    return RationalFunction.from_poly(UniPoly.ident(VAR))
-
-
-def _const(c) -> RationalFunction:
-    return RationalFunction.const(VAR, c)
+_W = WLaurent({1: 1})  # w = u - 1
+_U = _W + 1  # u
 
 
-def _u_minus_1_pow(k: int) -> UniPoly:
-    return UniPoly(VAR, [-1, 1]) ** k
+def weighted_residue(A: int, B: int, k: int = 0) -> WLaurent:
+    """Res_{z=0} z^k (1 + 1/(u+z-1))^A (1 - 1/z)^B for A, B, k >= 0.
 
+    With w = u - 1, (1 + 1/(w+z))^A = sum_i C(A,i) (w+z)^-i, where
+    (w+z)^-i = sum_m (-1)^m C(i+m-1, m) w^-(i+m) z^m for i >= 1, and
+    (1 - 1/z)^B = sum_j C(B,j) (-1)^j z^-j.  The z^-1 coefficient pairs
+    m = j - k - 1, which gives the integer Laurent polynomial
 
-@lru_cache(maxsize=None)
-def _ratio_series(a: int, order: int) -> tuple[RationalFunction, ...]:
-    """z-series of ((u+z)/(u+z-1))^a through z^order, coefficients in Q(u).
-
-    (u+z)^a is a polynomial in z; (u+z-1)^-a expands around z=0 as
-    sum_m C(-a, m) (u-1)^(-a-m) z^m.
+        (-1)^(k+1) [C(B,k+1) + sum_{j>k} sum_{i>=1}
+                    C(B,j) C(A,i) C(i+j-k-2, j-k-1) w^-(i+j-k-1)].
     """
-    # coefficient of z^i in (u+z)^a is C(a,i) u^(a-i)
-    p1 = [
-        RationalFunction.from_poly(math.comb(a, i) * UniPoly.ident(VAR) ** (a - i))
-        for i in range(a + 1)
-    ]
-    p2 = [
-        RationalFunction(UniPoly.const(VAR, gen_binom(-a, m)), _u_minus_1_pow(a + m))
-        for m in range(order + 1)
-    ]
-    out = []
-    for j in range(order + 1):
-        s = _const(0)
-        for i in range(min(j, a) + 1):
-            if not p1[i].is_zero:
-                s = s + p1[i] * p2[j - i]
-        out.append(s)
-    return tuple(out)
+    if A < 0 or B < 0 or k < 0:
+        raise ValueError("indices must be nonnegative")
+    sign = (-1) ** (k + 1)
+    terms = {0: sign * math.comb(B, k + 1)}
+    for j in range(k + 1, B + 1):
+        m = j - k - 1
+        cb = sign * math.comb(B, j)
+        for i in range(1, A + 1):
+            terms[-i - m] = terms.get(-i - m, 0) + cb * math.comb(A, i) * math.comb(i + m - 1, m)
+    return WLaurent(terms)
 
 
 @dataclass(frozen=True)
 class FabValue:
-    """f_{A,B}(u) as an exact rational function."""
+    """f_{A,B}(u), exactly, as a Laurent polynomial in w = u - 1."""
 
     A: int
     B: int
-    value: RationalFunction
+    value: WLaurent
 
 
 @lru_cache(maxsize=None)
 def fab(A: int, B: int) -> FabValue:
     """Exact f_{A,B}(u) for nonnegative integers A, B."""
-    if A < 0 or B < 0:
-        raise ValueError("indices must be nonnegative")
-    if B == 0:
-        return FabValue(A, B, _const(0))
-    series = _ratio_series(A, B - 1)
-    res = _const(0)
-    for j in range(1, B + 1):
-        res = res + math.comb(B, j) * (-1) ** j * series[j - 1]
-    return FabValue(A, B, res)
+    return FabValue(A, B, weighted_residue(A, B))
 
 
-def _fab_weighted(A: int, B: int, weight: list[RationalFunction]) -> RationalFunction:
-    """Residue at z=0 of ((u+z)/(u+z-1))^A (1-1/z)^B w(z), w a z-polynomial
-    with coefficients in Q(u) (``weight[i]`` multiplies z^i)."""
-    if B == 0:
-        return _const(0)
-    series = _ratio_series(A, B - 1)
-    res = _const(0)
-    for j in range(1, B + 1):
-        cb = math.comb(B, j) * (-1) ** j
-        for i, w in enumerate(weight):
-            if 0 <= j - 1 - i <= B - 1 and not w.is_zero:
-                res = res + cb * w * series[j - 1 - i]
-    return res
+def _generalized_residue(N: int, k: int) -> WLaurent:
+    """Res_{z=0} (1-z)^{N+k} (z+u)^N / ((z+u-1)^{N+k} z^N), i.e.
+    u * fab_generalized(N, k), as a Laurent polynomial in w = u - 1.
+
+    The coefficient of z^{N-1} pairs (1-z)^{N+k} at z^i1, (z+w+1)^N at z^i2
+    (coefficient C(N,i2) (w+1)^{N-i2}) and (w+z)^-(N+k) at z^i3
+    (coefficient (-1)^i3 C(N+k+i3-1, i3) w^-(N+k+i3)).
+    """
+    terms: dict[int, int] = {}
+    for i1 in range(N):
+        for i2 in range(N - i1):
+            i3 = N - 1 - i1 - i2
+            c = (-1) ** (i1 + i3) * math.comb(N + k, i1) * math.comb(N, i2) \
+                * math.comb(N + k + i3 - 1, i3)
+            p = N - i2
+            for t in range(p + 1):
+                e = t - (N + k + i3)
+                terms[e] = terms.get(e, 0) + c * math.comb(p, t)
+    return WLaurent(terms)
 
 
 def fab_generalized(N: int, k: int) -> RationalFunction:
@@ -137,25 +127,8 @@ def fab_generalized(N: int, k: int) -> RationalFunction:
     """
     if N < 1 or k < 0:
         raise ValueError("need N >= 1, k >= 0")
-    order = N - 1
-    # (1-z)^{N+k}
-    f1 = [_const(gen_binom(N + k, i) * (-1) ** i) for i in range(order + 1)]
-    # (z+u)^N
-    f2 = [RationalFunction.from_poly(math.comb(N, i) * UniPoly.ident(VAR) ** (N - i))
-          for i in range(min(N, order) + 1)]
-    # (z+u-1)^-(N+k)
-    f3 = [
-        RationalFunction(UniPoly.const(VAR, gen_binom(-(N + k), m)), _u_minus_1_pow(N + k + m))
-        for m in range(order + 1)
-    ]
-    res = _const(0)
-    for i1 in range(order + 1):
-        if f1[i1].is_zero:
-            continue
-        for i2 in range(min(len(f2) - 1, order - i1) + 1):
-            i3 = order - i1 - i2
-            res = res + f1[i1] * f2[i2] * f3[i3]
-    return res / _u()
+    num, den = _generalized_residue(N, k).num_den()
+    return RationalFunction(num, den * UniPoly.ident(VAR))
 
 
 def exp_mean_series(N: int, order: int) -> TruncSeries:
@@ -164,8 +137,10 @@ def exp_mean_series(N: int, order: int) -> TruncSeries:
     The contour variable couples to N*H, so the coefficient of u^m is
     N^m <tr H^m> / m!.
     """
-    mean = fab(N, N).value / _u()
-    return series_of_rational(mean, 0, order)
+    s = fab(N, N).value.series_at_zero(order + 1)
+    if s.coefficient(0) != 0:
+        raise PoleAtExpansionPoint(1)
+    return TruncSeries(VAR, s.coeffs[1:])
 
 
 def exp_mean_moments(N: int, mmax: int) -> list[Fraction]:
@@ -245,11 +220,11 @@ def two_point_series(N: int, order: int) -> TwoPointValue:
 # ---------------------------------------------------------------------------
 
 
-def _f(A: int, B: int) -> RationalFunction:
+def _f(A: int, B: int) -> WLaurent:
     return fab(A, B).value
 
 
-def _residual_record(check_id: str, anchor: str, residual: RationalFunction) -> CheckRecord:
+def _residual_record(check_id: str, anchor: str, residual: WLaurent) -> CheckRecord:
     return record(check_id, anchor, residual.is_zero, detail=str(residual))
 
 
@@ -258,13 +233,16 @@ def verify_identity(
 ) -> list[CheckRecord]:
     """Verify one of the f_{A,B} identities over a range of small indices.
 
-    Every check forms the exact rational-function residual and asserts it is
-    structurally zero; no numerical tolerance is involved anywhere.
+    Every check multiplies its identity through by the identity's known
+    denominator (a product of u, u + 1, u - 1 and 2), so the residual is a
+    Laurent polynomial in w = u - 1, and asserts that it is structurally
+    zero; no numerical tolerance is involved anywhere.  A failing check
+    reports that multiplied-through residual.
     """
-    u = _u()
+    u, w = _U, _W
     recs: list[CheckRecord] = []
 
-    def rr(tag: str, idx: str, residual: RationalFunction) -> None:
+    def rr(tag: str, idx: str, residual: WLaurent) -> None:
         recs.append(_residual_record(f"{tag}[{idx}]", tag, residual))
 
     if which == "feat-1":
@@ -289,52 +267,58 @@ def verify_identity(
                     + 4 * _f(A, B)
                 )
                 rr(which, f"A={A},B={B},form=9term", d2 - A * B * nine)
+                # times u (u + 1) (u - 1)
                 frac = (
-                    (_f(A - 1, B) + _f(A, B - 1)) / (u * (u + 1))
-                    + (_f(A + 1, B) + _f(A, B + 1)) / (u * (u - 1))
-                    - 4 * _f(A, B) / ((u + 1) * (u - 1))
+                    w * (_f(A - 1, B) + _f(A, B - 1))
+                    + (u + 1) * (_f(A + 1, B) + _f(A, B + 1))
+                    - 4 * u * _f(A, B)
                 )
-                rr(which, f"A={A},B={B},form=rational", d2 - A * B * frac)
+                rr(which, f"A={A},B={B},form=rational", u * (u + 1) * w * d2 - A * B * frac)
     elif which == "fAB-quad":
         for A in range(1, amax + 1):
             for B in range(1, bmax + 1):
+                # times u - 1
                 rr(which, f"A={A},B={B}",
-                   _f(A, B) + (u + 1) / (u - 1) * _f(A - 1, B - 1)
-                   - u / (u - 1) * (_f(A - 1, B) + _f(A, B - 1)))
+                   w * _f(A, B) + (u + 1) * _f(A - 1, B - 1)
+                   - u * (_f(A - 1, B) + _f(A, B - 1)))
     elif which == "der-3":
         for N in range(1, nmax + 1):
+            # times u (u + 1) (u - 1)
             d2 = _f(N, N).derivative().derivative()
             rhs = N * N * (
-                (2 * _f(N, N - 1) - 1) / (u * (u + 1))
-                + (2 * _f(N, N + 1) + 1) / (u * (u - 1))
-                - 4 * _f(N, N) / ((u + 1) * (u - 1))
+                w * (2 * _f(N, N - 1) - 1)
+                + (u + 1) * (2 * _f(N, N + 1) + 1)
+                - 4 * u * _f(N, N)
             )
-            rr(which, f"N={N}", d2 - rhs)
+            rr(which, f"N={N}", u * (u + 1) * w * d2 - rhs)
     elif which == "id":
         for N in range(1, nmax + 1):
-            res = _fab_weighted(N, N, [u - 1, _const(2)])
+            # residue of ((u+z)/(u+z-1))^N (1-1/z)^N (u - 1 + 2z)
+            res = w * _f(N, N) + 2 * weighted_residue(N, N, 1)
             rr(which, f"N={N}", res + u * N)
     elif which == "feat-2":
         for N in range(1, nmax + 1):
-            lhs = N * (_f(N, N) - _f(N, N - 1))
-            rhs = (1 - u) / _const(2) * _f(N, N).derivative() + _f(N, N) / _const(2) - _const(N) / 2
+            # times 2
+            lhs = 2 * N * (_f(N, N) - _f(N, N - 1))
+            rhs = -w * _f(N, N).derivative() + _f(N, N) - N
             rr(which, f"N={N}", lhs - rhs)
     elif which == "T-5a":
         for N in range(1, nmax + 1):
             res = ((N + 1) * u - 1) * ((u + 1) * _f(N, N) - 2 * u * _f(N + 1, N)) \
-                + (N + 1) * u * (u - 1) * _f(N + 2, N) + N * u
+                + (N + 1) * u * w * _f(N + 2, N) + N * u
             rr(which, f"N={N}", res)
     elif which == "T-5b":
         for N in range(1, nmax + 1):
-            res = ((N + 1) * u - 1) * ((u - 1) * _f(N + 2, N + 2) - 2 * u * _f(N + 2, N + 1)) \
+            res = ((N + 1) * u - 1) * (w * _f(N + 2, N + 2) - 2 * u * _f(N + 2, N + 1)) \
                 + (N + 1) * u * (u + 1) * _f(N + 2, N) - (N + 2) * u
             rr(which, f"N={N}", res)
     elif which == "k2-second-derivative":
         for N in range(1, nmax + 1):
+            # times u (u + 1) (u - 1)
             f = _f(N + 2, N)
-            res = f.derivative().derivative() \
-                - 2 * N * (N + 2) / (u * (u * u - 1)) * (_f(N + 2, N + 1) - _f(N + 1, N)) \
-                + (2 * (N + 1) * u - 2) / (u * (u * u - 1)) * f.derivative()
+            res = u * (u + 1) * w * f.derivative().derivative() \
+                - 2 * N * (N + 2) * (_f(N + 2, N + 1) - _f(N + 1, N)) \
+                + (2 * (N + 1) * u - 2) * f.derivative()
             rr(which, f"N={N}", res)
     else:
         raise ValueError(f"unknown identity tag {which!r}")
@@ -343,41 +327,44 @@ def verify_identity(
 
 def verify_ode(which: str, N: int) -> CheckRecord:
     """Substitute an exact f_{A,B} with its derivatives into one of the three
-    ODEs and assert the residual is structurally zero."""
-    u = _u()
+    ODEs, multiplied through by its known denominator (a product of u,
+    u + 1, u - 1, 2 and (N+1) u - 1), and assert the residual is
+    structurally zero."""
+    u, w = _U, _W
     if which == "DN":
+        # times u (u^2 - 1)
         f = _f(N, N)
         f1, f2 = f.derivative(), f.derivative().derivative()
-        res = f2 + 4 * N / (u * u - 1) * f1 - 2 * N / (u * (u * u - 1)) * f
+        res = u * (u + 1) * w * f2 + 4 * N * u * f1 - 2 * N * f
     elif which == "K1":
+        # times 2 u (u^2 - 1) (u - 1)
         f = _f(N + 1, N)
         f1, f2 = f.derivative(), f.derivative().derivative()
-        lhs = (u * N / (u - 1) + Fraction(1, 2)) * f2
+        lhs = (2 * u * N + w) * u * (u + 1) * w * f2
         rhs = (
-            (-8 * u * u * N * N + (-8 * u * u + 4 * u) * N - (u - 1) * (u - 1))
-            / (2 * u * (u * u - 1) * (u - 1)) * f1
-            + 2 * N * (N + 1) / ((u * u - 1) * (u - 1)) * f
-            - _const(N * (N + 1)) / ((u * u - 1) * (u - 1))
+            (-8 * u * u * N * N + (-8 * u * u + 4 * u) * N - w * w) * f1
+            + 4 * N * (N + 1) * u * f
+            - 2 * N * (N + 1) * u
         )
         res = lhs - rhs
     elif which == "K2":
+        # times u^3 (u^2 - 1)^2 ((N+1) u - 1)
         f = _f(N + 2, N)
         f1 = f.derivative()
         f2 = f1.derivative()
         f3 = f2.derivative()
         f4 = f3.derivative()
         n1 = N + 1
+        u2m1 = (u + 1) * w
         res = (
-            f4
-            + 2 * (3 * u**3 + 2 * n1 * u**2 - u + n1) / (u**2 * (u * u - 1)) * f3
+            u**3 * u2m1**2 * (n1 * u - 1) * f4
+            + 2 * (3 * u**3 + 2 * n1 * u**2 - u + n1) * u * u2m1 * (n1 * u - 1) * f3
             + 2 * (
                 3 * u**5 + 2 * n1 * u**4 - 2 * n1 * n1 * u**3 + 3 * n1 * u**2
                 + (6 * n1 * n1 - 3) * u - 3 * n1
-            ) / (u**3 * (u * u - 1) ** 2) * f2
-            - 2 * n1 * (4 * n1 * u**2 + 8 * N * (N + 2) * u - 10 * n1)
-            / (u**3 * (u * u - 1) ** 2) * f1
-            + 4 * N * n1 * (N + 2) * (u + 2 * n1)
-            / (u**2 * (u * u - 1) ** 2 * (n1 * u - 1)) * (f - 1)
+            ) * (n1 * u - 1) * f2
+            - 2 * n1 * (4 * n1 * u**2 + 8 * N * (N + 2) * u - 10 * n1) * (n1 * u - 1) * f1
+            + 4 * N * n1 * (N + 2) * (u + 2 * n1) * u * (f - 1)
         )
     else:
         raise ValueError(f"unknown ODE tag {which!r}")
@@ -386,7 +373,7 @@ def verify_ode(which: str, N: int) -> CheckRecord:
 
 def verify_t1(N: int, k: int) -> CheckRecord:
     """Check that the rectangular-ensemble residue equals
-    (-1)^(N+k-1) f_{N+k,N}(1/u) as rational functions."""
-    lhs = fab_generalized(N, k)
-    rhs = (-1) ** (N + k - 1) * fab(N + k, N).value.compose_inverse()
+    (-1)^(N+k-1) f_{N+k,N}(1/u), both multiplied by u."""
+    lhs = _generalized_residue(N, k)
+    rhs = (-1) ** (N + k - 1) * _U * fab(N + k, N).value.compose_inverse()
     return _residual_record(f"T-1[N={N},k={k}]", "T-1", lhs - rhs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import TruncSeries, gen_binom
+from .exact import TruncSeries, binom_series
 from .reports import CheckRecord, record
 from .recursions import VTable, consistency_form
 from .wick import connected_moments
@@ -65,9 +65,8 @@ def vk_series(k: int, order: int) -> VBasisElement:
 
 def binom_at_minus4_over_x(alpha: Fraction, order: int) -> TruncSeries:
     """(1 - 4/x)^alpha as a series in 1/x through x^-order."""
-    return TruncSeries(
-        INVX, [gen_binom(alpha, m) * (-4) ** m for m in range(order + 1)]
-    )
+    coeffs = binom_series(alpha, order).coeffs
+    return TruncSeries(INVX, [c * (-4) ** m for m, c in enumerate(coeffs)])
 
 
 def s_series(k: int, beta: int, order: int) -> SBasisElement:

@@ -12,6 +12,8 @@ import hzlag
 from hzlag.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "vk_gmax2.json"
+# eval-fab stdout for 0 <= A, B <= 12: [bare, --at 1/2] per "A,B"
+EVAL_FAB_GOLDEN = pathlib.Path(__file__).parent / "golden" / "eval_fab_ab12.json"
 
 
 @pytest.fixture()
@@ -117,6 +119,61 @@ def test_eval_fab(cache, capsys):
     assert main(["eval-fab", "--a", "2", "--b", "2", "--at", "1/2"]) == 0
     assert capsys.readouterr().out.strip() == "6"
     assert main(["eval-fab", "--a", "2", "--b", "2", "--at", "1"]) == 2  # pole
+
+
+def test_eval_fab_matches_golden(cache, capsys):
+    golden = json.loads(EVAL_FAB_GOLDEN.read_text())
+    assert len(golden) == 13 * 13
+    for key, (bare, at_half) in golden.items():
+        a, b = key.split(",")
+        assert main(["eval-fab", "--a", a, "--b", b]) == 0
+        assert main(["eval-fab", "--a", a, "--b", b, "--at", "1/2"]) == 0
+        assert capsys.readouterr().out == bare + at_half, key
+    assert golden["3,2"][0] == (
+        "(-2*u^4 + 2*u^3 - 3*u^2) / (u^4 - 4*u^3 + 6*u^2 - 4*u + 1)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--mu", "0"],
+    ["oracle", "--mu", "8"],
+    ["oracle", "--mu", "2", "--rows", "M"],
+    ["oracle", "--mu", "2", "--cols", "N+x"],
+    ["eval-fab", "--a", "-1", "--b", "1"],
+    ["eval-fab", "--a", "1", "--b", "1", "--at", "x"],
+    ["eval-fab", "--a", "1", "--b", "1", "--at", "1/0"],
+    ["series", "skb", "--k", "1", "--beta", "0", "--order", "-2"],
+    ["series", "vk", "--k", "-1", "--order", "2"],
+    ["verify", "--gmax", "-1"],
+    ["verify", "--suite", "crosscheck", "--mmax", "-1"],
+    ["verify", "--suite", "constraints", "--gmax", "0"],
+    ["verify", "--suite", "odes", "--nmax", "0"],
+    # over a declared limit: refused before any work starts (none of these
+    # would finish if it were attempted)
+    ["eval-fab", "--a", "1000000000", "--b", "1"],
+    ["eval-fab", "--a", "1", "--b", "1000000000", "--at", "1/2"],
+    ["series", "vk", "--k", "1000000000", "--order", "2"],
+    ["series", "skb", "--k", "1", "--beta", "1", "--order", "1000000000"],
+])
+def test_bad_input_exits_2(cache, capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_limits_are_inclusive(cache, capsys):
+    assert main(["eval-fab", "--a", "300", "--b", "0"]) == 0
+    assert main(["eval-fab", "--a", "0", "--b", "300", "--at", "1/2"]) == 0
+    assert capsys.readouterr().out == "0\n-300\n"
+    assert main(["series", "vk", "--k", "64", "--order", "3"]) == 0
+
+
+def test_verify_empty_suite_exits_2(cache, capsys, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "odes", "--nmax", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: suite odes runs no checks at --nmax 0\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_verify_odes_suite(cache, capsys):

@@ -12,6 +12,7 @@ from hzlag.exact import (
     RationalFunction,
     TruncSeries,
     UniPoly,
+    WLaurent,
     binom_series,
     gen_binom,
     rat_str,
@@ -136,6 +137,54 @@ def test_rational_compose_inverse_pointwise(f):
         except ZeroDivisionError:
             continue
         assert lhs == rhs
+
+
+# -- Laurent polynomials in w = u - 1 ---------------------------------------
+
+
+def w_laurents():
+    return st.dictionaries(
+        st.integers(min_value=-4, max_value=3), st.integers(min_value=-20, max_value=20),
+        max_size=5,
+    ).map(WLaurent)
+
+
+def as_rational(f: WLaurent) -> RationalFunction:
+    return RationalFunction(*f.num_den())
+
+
+@given(w_laurents(), w_laurents())
+def test_w_laurent_matches_rational_function(f, g):
+    # the reference is RationalFunction, which reduces by a gcd
+    rf, rg = as_rational(f), as_rational(g)
+    assert (rf.num, rf.den) == f.num_den()  # num_den is already reduced
+    assert str(f) == str(rf)
+    assert f.is_zero == rf.is_zero
+    assert as_rational(f + g) == rf + rg
+    assert as_rational(f * g) == rf * rg
+    assert as_rational(f - 3) == rf - 3
+    assert as_rational(f.derivative()) == rf.derivative()
+    for x in (Fraction(-3), Fraction(1, 2), Fraction(5, 3)):
+        assert f(x) == rf(x)
+    if max(f.terms, default=0) <= 0:
+        assert as_rational(f.compose_inverse()) == rf.compose_inverse()
+    s = f.series_at_zero(5)
+    assert s.eq_through(series_of_rational(rf, 0, 5), 5)
+
+
+def test_w_laurent_series_is_exact():
+    # w^-3 = -(1 - u)^-3 = -(1 + 3u + 6u^2 + ...), with no float rounding
+    c = 10**30 + 1
+    assert list(WLaurent({-3: c}).series_at_zero(2).coeffs) == [-c, -3 * c, -6 * c]
+
+
+def test_w_laurent_pole_at_one():
+    f = WLaurent({-2: 1, 0: 3})
+    with pytest.raises(ZeroDivisionError):
+        f(1)
+    assert WLaurent({0: 3, 1: 2})(1) == 3
+    with pytest.raises(ValueError):
+        WLaurent({1: 1}).compose_inverse()
 
 
 def test_rational_negative_power():
