@@ -11,18 +11,12 @@ throughout.
 __version__ = "0.1.0"
 
 from .exact import (
-    BiSeries,
     PoleAtExpansionPoint,
-    Rat,
-    RationalFunction,
     TruncSeries,
-    UniPoly,
     WLaurent,
     binom_series,
     gen_binom,
-    rat_str,
     rat_str_explicit,
-    series_of_rational,
 )
 from .recursions import (
     ConstraintError,
@@ -55,8 +49,6 @@ from .residues import (
 )
 from .spectral import (
     NonCancellationError,
-    SBasisElement,
-    VBasisElement,
     a_to_C,
     consistency_identity_check,
     s_series,

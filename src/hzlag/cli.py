@@ -15,11 +15,14 @@ import json
 import math
 import os
 import sys
+import tempfile
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
-from .exact import rat_str, rat_str_explicit
+from .exact import rat_str_explicit
 from .recursions import (
     GaussBTable,
     HalfGenusTable,
@@ -61,18 +64,22 @@ INTERNAL_ERROR = 3
 
 # hard generation bounds (keep runaway requests from consuming the machine);
 # "fab" bounds eval-fab's --a and --b (A = B = 300 took ~1.2 s and ~21 MB
-# peak RSS on a 2-vCPU VM with Python 3.11)
-GEN_LIMITS = {"gmax": 1000, "nmax": 2000, "rmax2": 400, "k": 64, "order": 4000, "fab": 300}
+# peak RSS on a 2-vCPU VM with Python 3.11); "identities" bounds verify's
+# --amax, --bmax and --nmax, whose cost grows about as the fourth power of
+# the bound (all three at 30/40/50/60 took 1.4/2.8/4.5/8.1 s and
+# 25/32/41/55 MB peak RSS for the identities suite, same machine)
+GEN_LIMITS = {"gmax": 1000, "nmax": 2000, "rmax2": 400, "k": 64, "order": 4000, "fab": 300,
+              "identities": 50}
 
 
 class UsageError(ValueError):
     pass
 
 
-def _check_range(flag: str, value: int, hi: int | None = None) -> None:
-    """Reject an integer option below 0 or above hi (None: no upper bound)."""
-    if value < 0 or (hi is not None and value > hi):
-        span = f"in 0..{hi}" if hi is not None else ">= 0"
+def _check_range(flag: str, value: int, hi: int | None = None, lo: int = 0) -> None:
+    """Reject an integer option below lo or above hi (None: no upper bound)."""
+    if value < lo or (hi is not None and value > hi):
+        span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
         raise UsageError(f"--{flag} must be {span}, got {value}")
 
 
@@ -103,7 +110,16 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool) -> bytes:
         return path.read_bytes()
     data = compute()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
+    # write a temporary file next to the entry and rename it into place, so
+    # the entry is either absent or complete, never partly written
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return data
 
 
@@ -111,31 +127,36 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool) -> bytes:
 # table serialization
 # ---------------------------------------------------------------------------
 
-ENSEMBLE_KEYS = {
-    "laguerre": ("g", "n"),
-    "gauss": ("g", "k"),
-    "vk": ("g", "k"),
-    "glag-k1": ("r2", "n"),
+@dataclass(frozen=True)
+class Ensemble:
+    """How `gen` bounds, builds, serializes and reloads one ensemble's table."""
+
+    bounds: tuple[str, ...]  # gen options, in the order build and table take them
+    keys: tuple[str, str]  # the index names of a table entry
+    build: Callable  # bound values -> table
+    table: type  # table(*bound values, entries) rebuilds a table from a payload
+    low: int = 0  # smallest value every bound accepts
+
+
+# each builder is looked up by name when it is called, so a rebinding of the
+# module attribute (perfbench/tracer.py times the builders that way) reaches it
+ENSEMBLES = {
+    "laguerre": Ensemble(("gmax", "nmax"), ("g", "n"),
+                         lambda gmax, nmax: do_norbury_table(gmax, nmax), LagCTable),
+    "gauss": Ensemble(("gmax",), ("g", "k"), lambda gmax: gauss_hz_table(gmax),
+                      GaussBTable, low=1),
+    "vk": Ensemble(("gmax",), ("g", "k"), lambda gmax: vk_table(gmax), VTable),
+    "glag-k1": Ensemble(("rmax2", "nmax"), ("r2", "n"),
+                        lambda rmax2, nmax: glag_k1_table(rmax2, nmax), HalfGenusTable),
 }
 
 
-def build_table(ensemble: str, bounds: dict):
-    if ensemble == "laguerre":
-        return do_norbury_table(bounds["gmax"], bounds["nmax"])
-    if ensemble == "gauss":
-        return gauss_hz_table(bounds["gmax"])
-    if ensemble == "vk":
-        return vk_table(bounds["gmax"])
-    if ensemble == "glag-k1":
-        return glag_k1_table(bounds["rmax2"], bounds["nmax"])
-    raise UsageError(f"unknown ensemble {ensemble!r}")
-
-
 def table_payload(ensemble: str, bounds: dict) -> dict:
-    table = build_table(ensemble, bounds)
-    k1, k2 = ENSEMBLE_KEYS[ensemble]
+    spec = ENSEMBLES[ensemble]
+    table = spec.build(*(bounds[name] for name in spec.bounds))
+    k1, k2 = spec.keys
     entries = [
-        {k1: a, k2: b, "value": rat_str(v)}
+        {k1: a, k2: b, "value": str(v)}
         for (a, b), v in sorted(table.entries.items())
     ]
     return {
@@ -151,7 +172,7 @@ def payload_to_json(payload: dict) -> bytes:
 
 
 def payload_to_csv(payload: dict) -> bytes:
-    k1, k2 = ENSEMBLE_KEYS[payload["ensemble"]]
+    k1, k2 = ENSEMBLES[payload["ensemble"]].keys
     out = io.StringIO()
     out.write(f"{k1},{k2},value\n")
     for e in payload["entries"]:
@@ -162,19 +183,12 @@ def payload_to_csv(payload: dict) -> bytes:
 def payload_to_table(payload: dict):
     """Rebuild a table object from a parsed JSON payload (no revalidation:
     the verify suites re-check constraints on whatever the payload holds)."""
-    ensemble = payload["ensemble"]
-    k1, k2 = ENSEMBLE_KEYS[ensemble]
+    spec = ENSEMBLES[payload["ensemble"]]
+    k1, k2 = spec.keys
     entries = {
         (int(e[k1]), int(e[k2])): Fraction(e["value"]) for e in payload["entries"]
     }
-    b = payload["bounds"]
-    if ensemble == "laguerre":
-        return LagCTable(b["gmax"], b["nmax"], entries)
-    if ensemble == "gauss":
-        return GaussBTable(b["gmax"], entries)
-    if ensemble == "vk":
-        return VTable(b["gmax"], entries)
-    return HalfGenusTable(b["rmax2"], b["nmax"], entries)
+    return spec.table(*(payload["bounds"][name] for name in spec.bounds), entries)
 
 
 def load_table(ensemble: str, bounds: dict, use_cache: bool):
@@ -338,22 +352,12 @@ def _write_out(data: bytes, out: str | None) -> None:
 
 def cmd_gen(args) -> int:
     ensemble = args.ensemble
-    bounds: dict = {}
-    if ensemble in ("laguerre",):
-        bounds = {"gmax": args.gmax, "nmax": args.nmax}
-    elif ensemble in ("gauss", "vk"):
-        bounds = {"gmax": args.gmax}
-    else:
-        bounds = {"rmax2": args.rmax2, "nmax": args.nmax}
-    for key, v in bounds.items():
+    spec = ENSEMBLES[ensemble]
+    bounds = {name: getattr(args, name) for name in spec.bounds}
+    for name, v in bounds.items():
         if v is None:
-            raise UsageError(f"gen {ensemble} requires --{key}")
-        if v > GEN_LIMITS[key if key != "rmax2" else "rmax2"]:
-            raise UsageError(f"--{key} {v} exceeds limit {GEN_LIMITS[key]}")
-        if v < 0:
-            raise UsageError(f"--{key} must be >= 0")
-    if ensemble == "gauss" and bounds["gmax"] < 1:
-        raise UsageError("gen gauss requires --gmax >= 1")
+            raise UsageError(f"gen {ensemble} requires --{name}")
+        _check_range(name, v, hi=GEN_LIMITS[name], lo=spec.low)
     data = cached_bytes(
         "gen", {"ensemble": ensemble, **bounds},
         lambda: payload_to_json(table_payload(ensemble, bounds)),
@@ -387,7 +391,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    for flag in ("amax", "bmax", "nmax", "gmax", "mmax"):
+    for flag in ("amax", "bmax", "nmax"):
+        _check_range(flag, getattr(args, flag), hi=GEN_LIMITS["identities"])
+    for flag in ("gmax", "mmax"):
         _check_range(flag, getattr(args, flag))
     if "constraints" in names and args.gmax < 1:
         raise UsageError(f"suite constraints needs --gmax >= 1, got {args.gmax}")
@@ -420,14 +426,14 @@ def cmd_series(args) -> int:
     _check_range("k", args.k, hi=GEN_LIMITS["k"])
     _check_range("order", args.order, hi=GEN_LIMITS["order"])
     if args.which == "vk":
-        ser = vk_series(args.k, args.order).series
+        ser = vk_series(args.k, args.order)
     else:
         if args.beta is None:
             raise UsageError("series skb requires --beta")
-        ser = s_series(args.k, args.beta, args.order).series
+        ser = s_series(args.k, args.beta, args.order)
     # exponents of x, descending (series exponent m means x^-m)
     items = [
-        {"exponent": -m, "value": rat_str(ser.coefficient(m))}
+        {"exponent": -m, "value": str(ser.coefficient(m))}
         for m in range(ser.offset, ser.order + 1)
     ]
     _write_out((json.dumps(items, indent=2) + "\n").encode(), args.out)
@@ -447,7 +453,7 @@ def cmd_eval_fab(args) -> int:
         print(value)
         return 0
     try:
-        print(rat_str(value(point)))
+        print(value(point))
     except ZeroDivisionError as e:
         raise UsageError(f"f_{{{args.a},{args.b}}} has a pole at {args.at}") from e
     return 0
@@ -464,7 +470,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an exact table")
-    g.add_argument("ensemble", choices=list(ENSEMBLE_KEYS))
+    g.add_argument("ensemble", choices=list(ENSEMBLES))
     g.add_argument("--gmax", type=int)
     g.add_argument("--nmax", type=int)
     g.add_argument("--rmax2", type=int, help="doubled half-genus bound 2r")

@@ -1,39 +1,27 @@
-"""Exact arithmetic substrate: polynomials, rational functions, truncated series.
+"""Exact arithmetic substrate: Laurent polynomials in w = u - 1 and
+truncated series.
 
-Everything is built over ``fractions.Fraction``; there is no floating point
-anywhere in this package.  Half-integer exponents, where they occur, are
-carried as doubled integer indices by the callers.
+Everything is built over ``int`` and ``fractions.Fraction``; there is no
+floating point anywhere in this package.  Half-integer exponents, where they
+occur, are carried as doubled integer indices by the callers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rat = Fraction
 Scalar = Union[Fraction, int]
 
 __all__ = [
-    "Rat",
     "PoleAtExpansionPoint",
-    "UniPoly",
-    "RationalFunction",
     "WLaurent",
     "TruncSeries",
-    "BiSeries",
     "binom_series",
     "gen_binom",
-    "series_of_rational",
-    "rat_str",
     "rat_str_explicit",
 ]
-
-
-def rat_str(q: Fraction) -> str:
-    """Canonical rational string: "p/q", or "p" when the denominator is 1."""
-    return str(q)
 
 
 def rat_str_explicit(q: Fraction) -> str:
@@ -58,356 +46,6 @@ class PoleAtExpansionPoint(ValueError):
         self.pole_order = pole_order
 
 
-class UniPoly:
-    """Dense univariate polynomial with Fraction coefficients.
-
-    Coefficients run from degree 0 upward; the zero polynomial has an empty
-    coefficient tuple.  Instances are immutable.
-    """
-
-    __slots__ = ("var", "coeffs")
-
-    def __init__(self, var: str, coeffs: Iterable[Scalar]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.var = var
-        self.coeffs = tuple(cs)
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def const(cls, var: str, c: Scalar) -> "UniPoly":
-        return cls(var, [c])
-
-    @classmethod
-    def ident(cls, var: str) -> "UniPoly":
-        """The polynomial equal to the variable itself."""
-        return cls(var, [0, 1])
-
-    # -- structure ----------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def _check(self, other: "UniPoly") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-
-    # -- arithmetic ---------------------------------------------------
-    def _coerce(self, other) -> "UniPoly | None":
-        if isinstance(other, UniPoly):
-            self._check(other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly.const(self.var, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return UniPoly(self.var, [self.coefficient(k) + o.coefficient(k) for k in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UniPoly(self.var, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero or o.is_zero:
-            return UniPoly(self.var, [])
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UniPoly(self.var, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        r = UniPoly.const(self.var, 1)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            e >>= 1
-            if e:
-                b = b * b
-        return r
-
-    def __divmod__(self, other: "UniPoly"):
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        d = other.degree
-        lc = other.leading
-        for k in range(len(r) - 1 - d, -1, -1):
-            f = r[k + d] / lc
-            if f == 0:
-                continue
-            q[k] = f
-            for i in range(d + 1):
-                r[k + i] -= f * other.coeffs[i]
-        return UniPoly(self.var, q), UniPoly(self.var, r)
-
-    def __floordiv__(self, other: "UniPoly"):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "UniPoly"):
-        return divmod(self, other)[1]
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.const(self.var, other)
-        return (
-            isinstance(other, UniPoly)
-            and self.var == other.var
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.var, self.coeffs))
-
-    # -- calculus & transforms -----------------------------------------
-    def derivative(self) -> "UniPoly":
-        return UniPoly(self.var, [k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def shift(self, c: Scalar) -> "UniPoly":
-        """Compose with the linear shift var -> var + c (exact, via Horner)."""
-        x_plus_c = UniPoly(self.var, [c, 1])
-        out = UniPoly(self.var, [])
-        for a in reversed(self.coeffs):
-            out = out * x_plus_c + a
-        return out
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        lc = self.leading
-        return UniPoly(self.var, [c / lc for c in self.coeffs])
-
-    def __call__(self, point: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for a in reversed(self.coeffs):
-            acc = acc * point + a
-        return acc
-
-    def valuation(self) -> int:
-        """Order of vanishing at 0 (len(coeffs) for the zero polynomial)."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return len(self.coeffs)
-
-    @staticmethod
-    def gcd(a: "UniPoly", b: "UniPoly") -> "UniPoly":
-        """Monic gcd by the Euclidean algorithm."""
-        a._check(b)
-        while not b.is_zero:
-            r = a % b
-            a, b = b, r.monic()
-        return a.monic() if not a.is_zero else a
-
-    def __repr__(self):
-        return f"UniPoly({self.var!r}, {list(self.coeffs)!r})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                term = rat_str(c)
-            else:
-                mono = self.var if k == 1 else f"{self.var}^{k}"
-                term = mono if c == 1 else (f"-{mono}" if c == -1 else f"{rat_str(c)}*{mono}")
-            parts.append(term)
-        s = parts[0]
-        for t in parts[1:]:
-            s += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return s
-
-
-class RationalFunction:
-    """Quotient of two UniPoly in the same variable, kept in canonical form:
-    reduced fraction with a monic denominator.  "Identically zero" is the
-    structural test ``self.num.is_zero``.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UniPoly, den: UniPoly):
-        num._check(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num = num
-            self.den = UniPoly.const(num.var, 1)
-            return
-        g = UniPoly.gcd(num, den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lc = den.leading
-        if lc != 1:
-            num = num * (Fraction(1) / lc)
-            den = den.monic()
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: UniPoly) -> "RationalFunction":
-        return cls(p, UniPoly.const(p.var, 1))
-
-    @classmethod
-    def const(cls, var: str, c: Scalar) -> "RationalFunction":
-        return cls(UniPoly.const(var, c), UniPoly.const(var, 1))
-
-    @property
-    def var(self) -> str:
-        return self.num.var
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def _coerce(self, other) -> "RationalFunction | None":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, UniPoly):
-            return RationalFunction.from_poly(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.const(self.var, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return RationalFunction(self.den, self.num) ** (-e)
-        r = RationalFunction.const(self.var, 1)
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            e >>= 1
-            if e:
-                b = b * b
-        return r
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def __call__(self, point: Scalar) -> Fraction:
-        d = self.den(point)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {point}")
-        return self.num(point) / d
-
-    def compose_inverse(self) -> "RationalFunction":
-        """The rational function f(1/var), again as a function of var."""
-        d = max(self.num.degree, self.den.degree)
-        rev = lambda p: UniPoly(self.var, [p.coefficient(d - k) for k in range(d + 1)])
-        return RationalFunction(rev(self.num), rev(self.den))
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.den == UniPoly.const(self.var, 1):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-
 class WLaurent:
     """A rational function of u whose only finite pole is at u = 1, held as
     a Laurent polynomial in w = u - 1.
@@ -417,8 +55,7 @@ class WLaurent:
     normalisation is ever needed.  Coefficients stay ``int`` whenever the
     inputs are integers.  Instances are immutable.  ``derivative`` is d/du
     (which equals d/dw), calling an instance evaluates it at a point u, and
-    ``str`` prints the reduced rational function of u that
-    ``RationalFunction`` would print.
+    ``str`` prints it as a reduced fraction of two polynomials in u.
     """
 
     __slots__ = ("terms",)
@@ -529,12 +166,15 @@ class WLaurent:
                     out[m] += (-1) ** -e * math.comb(m - e - 1, m) * c
         return TruncSeries(self.var, out)
 
-    def num_den(self) -> tuple[UniPoly, UniPoly]:
-        """Reduced numerator and monic denominator as polynomials in u.
+    def __repr__(self):
+        return f"WLaurent({dict(sorted(self.terms.items()))!r})"
 
-        With d the order of the pole at w = 0, the denominator is
-        (u - 1)^d and the numerator w^d f does not vanish at u = 1, so the
-        pair is already in lowest terms.
+    def __str__(self):
+        """The reduced fraction num/den of polynomials in u, den monic.
+
+        With d the order of the pole at w = 0, den = (u - 1)^d and the
+        numerator w^d f does not vanish at u = 1, so the pair is already in
+        lowest terms.
         """
         lo = min(self.terms, default=0)
         d = -lo if lo < 0 else 0
@@ -544,17 +184,32 @@ class WLaurent:
         for i in range(len(a) - 1):
             for j in range(len(a) - 2, i - 1, -1):
                 a[j] -= a[j + 1]
+        if d == 0:
+            return _poly_str(self.var, a)
         den = [(-1) ** (d - k) * math.comb(d, k) for k in range(d + 1)]
-        return UniPoly(self.var, a), UniPoly(self.var, den)
+        return f"({_poly_str(self.var, a)}) / ({_poly_str(self.var, den)})"
 
-    def __repr__(self):
-        return f"WLaurent({dict(sorted(self.terms.items()))!r})"
 
-    def __str__(self):
-        num, den = self.num_den()
-        if den.degree == 0:
-            return str(num)
-        return f"({num}) / ({den})"
+def _poly_str(var: str, coeffs: list) -> str:
+    """A polynomial in var, given by its coefficients from degree 0 upward,
+    written from the highest power down, e.g. "-2*u^2 + u - 3/4"."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        if k == 0:
+            term = str(c)
+        else:
+            mono = var if k == 1 else f"{var}^{k}"
+            term = mono if c == 1 else (f"-{mono}" if c == -1 else f"{c}*{mono}")
+        parts.append(term)
+    if not parts:
+        return "0"
+    s = parts[0]
+    for t in parts[1:]:
+        s += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return s
 
 
 class TruncSeries:
@@ -681,64 +336,6 @@ class TruncSeries:
         return f"TruncSeries({self.var!r}, {list(self.coeffs)!r}, offset={self.offset})"
 
 
-@dataclass(frozen=True)
-class BiSeries:
-    """Truncated series in two formal variables.
-
-    ``data`` maps integer exponent pairs to nonzero coefficients; exponents
-    above (order1, order2) are unknown.  When half-integer grading is needed
-    on an axis, the caller stores doubled integer indices there.
-    """
-
-    var1: str
-    var2: str
-    data: dict
-    order1: int
-    order2: int
-
-    def coefficient(self, e1: int, e2: int) -> Fraction:
-        if e1 > self.order1 or e2 > self.order2:
-            raise IndexError(f"({e1},{e2}) beyond truncation ({self.order1},{self.order2})")
-        return self.data.get((e1, e2), Fraction(0))
-
-    def _check(self, other: "BiSeries") -> None:
-        if (self.var1, self.var2) != (other.var1, other.var2):
-            raise ValueError("variable mismatch in BiSeries arithmetic")
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        self._check(other)
-        o1 = min(self.order1, other.order1)
-        o2 = min(self.order2, other.order2)
-        data = {}
-        for k in set(self.data) | set(other.data):
-            if k[0] <= o1 and k[1] <= o2:
-                v = self.data.get(k, Fraction(0)) + other.data.get(k, Fraction(0))
-                if v != 0:
-                    data[k] = v
-        return BiSeries(self.var1, self.var2, data, o1, o2)
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        # truncation assumes both factors have nonnegative valuations
-        self._check(other)
-        o1 = min(self.order1, other.order1)
-        o2 = min(self.order2, other.order2)
-        data = {}
-        for (a1, a2), va in self.data.items():
-            for (b1, b2), vb in other.data.items():
-                e = (a1 + b1, a2 + b2)
-                if e[0] <= o1 and e[1] <= o2:
-                    data[e] = data.get(e, Fraction(0)) + va * vb
-        return BiSeries(self.var1, self.var2, {k: v for k, v in data.items() if v != 0}, o1, o2)
-
-    def scale(self, c: Scalar) -> "BiSeries":
-        c = Fraction(c)
-        return BiSeries(
-            self.var1, self.var2,
-            {k: c * v for k, v in self.data.items() if c * v != 0},
-            self.order1, self.order2,
-        )
-
-
 def binom_series(alpha: Scalar, order: int) -> TruncSeries:
     """Coefficients of (1 + t)**alpha through t**order.
 
@@ -752,47 +349,3 @@ def binom_series(alpha: Scalar, order: int) -> TruncSeries:
     for m in range(order):
         cs.append(cs[-1] * (alpha - m) / (m + 1))
     return TruncSeries("t", cs)
-
-
-def series_of_rational(f: RationalFunction, point, order: int) -> TruncSeries:
-    """Truncated (Laurent) series of a rational function.
-
-    ``point`` is 0 or the string "infinity".  At 0 a pole raises
-    PoleAtExpansionPoint with its order; at infinity the result is a series
-    in 1/var (variable tag "1/<var>") and a Laurent tail is permitted.
-    """
-    var = f.var
-    if point == 0:
-        v_num = f.num.valuation() if not f.num.is_zero else 0
-        v_den = f.den.valuation()
-        if not f.num.is_zero and v_den > v_num:
-            raise PoleAtExpansionPoint(v_den - v_num)
-        if f.num.is_zero:
-            return TruncSeries(var, [0] * (order + 1))
-        num = list(f.num.coeffs[v_den:]) if v_den else list(f.num.coeffs)
-        den = list(f.den.coeffs[v_den:])
-        return TruncSeries(var, _series_div(num, den, order), 0)
-    if point == "infinity":
-        dn, dd = f.num.degree, f.den.degree
-        if f.num.is_zero:
-            return TruncSeries(f"1/{var}", [0] * (order + 1))
-        num = [f.num.coefficient(dn - k) for k in range(dn + 1)]
-        den = [f.den.coefficient(dd - k) for k in range(dd + 1)]
-        off = dd - dn
-        n = order - off + 1
-        if n <= 0:
-            return TruncSeries(f"1/{var}", [0], order)
-        return TruncSeries(f"1/{var}", _series_div(num, den, n - 1), off)
-    raise ValueError("expansion point must be 0 or 'infinity'")
-
-
-def _series_div(num: list, den: list, order: int) -> list:
-    """Power-series quotient num/den through the given order; den[0] != 0."""
-    d0 = den[0]
-    out = []
-    for m in range(order + 1):
-        s = num[m] if m < len(num) else Fraction(0)
-        for k in range(1, min(m, len(den) - 1) + 1):
-            s -= den[k] * out[m - k]
-        out.append(Fraction(s) / d0)
-    return out

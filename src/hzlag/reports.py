@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+__all__ = ["CheckRecord", "RunReport", "record"]
+
 
 @dataclass(frozen=True)
 class CheckRecord:
@@ -39,7 +41,6 @@ class RunReport:
     suite: str
     checks: list[CheckRecord] = field(default_factory=list)
     tool_version: str = ""
-    wall_time: float | None = None  # side channel, never serialized
 
     @property
     def passed(self) -> bool:
@@ -49,9 +50,7 @@ class RunReport:
         self.checks.extend(records)
 
     def sorted(self) -> "RunReport":
-        rep = RunReport(self.suite, sorted(self.checks, key=lambda c: c.id), self.tool_version)
-        rep.wall_time = self.wall_time
-        return rep
+        return RunReport(self.suite, sorted(self.checks, key=lambda c: c.id), self.tool_version)
 
     def to_dict(self) -> dict:
         return {

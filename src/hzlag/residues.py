@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import BiSeries, PoleAtExpansionPoint, RationalFunction, TruncSeries, UniPoly, WLaurent
+from .exact import PoleAtExpansionPoint, TruncSeries, WLaurent
 from .reports import CheckRecord, record
 
 __all__ = [
@@ -98,14 +98,18 @@ def fab(A: int, B: int) -> FabValue:
     return FabValue(A, B, weighted_residue(A, B))
 
 
-def _generalized_residue(N: int, k: int) -> WLaurent:
-    """Res_{z=0} (1-z)^{N+k} (z+u)^N / ((z+u-1)^{N+k} z^N), i.e.
-    u * fab_generalized(N, k), as a Laurent polynomial in w = u - 1.
+def fab_generalized(N: int, k: int) -> WLaurent:
+    """u <tr e^{uH}> for H = B B† with B of shape N x (N+k), exactly, as a
+    Laurent polynomial in w = u - 1.
 
+    It is the residue at z=0 of (1-z)^{N+k} (z+u)^N / ((z+u-1)^{N+k} z^N);
+    the pole has order exactly N, so only z-orders up to N-1 are needed.
     The coefficient of z^{N-1} pairs (1-z)^{N+k} at z^i1, (z+w+1)^N at z^i2
     (coefficient C(N,i2) (w+1)^{N-i2}) and (w+z)^-(N+k) at z^i3
     (coefficient (-1)^i3 C(N+k+i3-1, i3) w^-(N+k+i3)).
     """
+    if N < 1 or k < 0:
+        raise ValueError("need N >= 1, k >= 0")
     terms: dict[int, int] = {}
     for i1 in range(N):
         for i2 in range(N - i1):
@@ -117,18 +121,6 @@ def _generalized_residue(N: int, k: int) -> WLaurent:
                 e = t - (N + k + i3)
                 terms[e] = terms.get(e, 0) + c * math.comb(p, t)
     return WLaurent(terms)
-
-
-def fab_generalized(N: int, k: int) -> RationalFunction:
-    """<tr e^{uH}> for H = B B† with B of shape N x (N+k), exactly.
-
-    Residue at z=0 of (1/u) (1-z)^{N+k} (z+u)^N / ((z+u-1)^{N+k} z^N):
-    the pole has order exactly N, so only z-orders up to N-1 are needed.
-    """
-    if N < 1 or k < 0:
-        raise ValueError("need N >= 1, k >= 0")
-    num, den = _generalized_residue(N, k).num_den()
-    return RationalFunction(num, den * UniPoly.ident(VAR))
 
 
 def exp_mean_series(N: int, order: int) -> TruncSeries:
@@ -157,12 +149,12 @@ class TwoPointValue:
 
     N: int
     total_order: int
-    value: BiSeries
+    value: dict  # (m1, m2) -> nonzero coefficient of u1^m1 u2^m2
 
     def coefficient(self, m1: int, m2: int) -> Fraction:
         if m1 + m2 > self.total_order:
             raise IndexError(f"total degree {m1 + m2} beyond truncation {self.total_order}")
-        return self.value.data.get((m1, m2), Fraction(0))
+        return self.value.get((m1, m2), Fraction(0))
 
 
 def two_point_series(N: int, order: int) -> TwoPointValue:
@@ -212,7 +204,7 @@ def two_point_series(N: int, order: int) -> TwoPointValue:
             if total:
                 data[(a1, a2)] = total / Fraction(N) ** (a1 + a2)
 
-    return TwoPointValue(N, order, BiSeries("u1", "u2", data, order, order))
+    return TwoPointValue(N, order, data)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +366,6 @@ def verify_ode(which: str, N: int) -> CheckRecord:
 def verify_t1(N: int, k: int) -> CheckRecord:
     """Check that the rectangular-ensemble residue equals
     (-1)^(N+k-1) f_{N+k,N}(1/u), both multiplied by u."""
-    lhs = _generalized_residue(N, k)
+    lhs = fab_generalized(N, k)
     rhs = (-1) ** (N + k - 1) * _U * fab(N + k, N).value.compose_inverse()
     return _residual_record(f"T-1[N={N},k={k}]", "T-1", lhs - rhs)

@@ -11,7 +11,6 @@ genuine Laurent series in 1/x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import TruncSeries, binom_series
@@ -21,8 +20,6 @@ from .wick import connected_moments
 
 __all__ = [
     "NonCancellationError",
-    "VBasisElement",
-    "SBasisElement",
     "INVX",
     "binom_at_minus4_over_x",
     "vk_series",
@@ -40,27 +37,10 @@ class NonCancellationError(ValueError):
     """A non-negative power of x failed to cancel in an a-row expansion."""
 
 
-@dataclass(frozen=True)
-class VBasisElement:
-    """v_k = ((x-4)/x)^(k+1/2) as a series in 1/x."""
-
-    k: int
-    series: TruncSeries
-
-
-@dataclass(frozen=True)
-class SBasisElement:
-    """s_{k,beta} = (x-2)^beta (x^2-4x)^(-(2k+3)/2) as a series in 1/x."""
-
-    k: int
-    beta: int
-    series: TruncSeries
-
-
-def vk_series(k: int, order: int) -> VBasisElement:
-    """v_k through x^-order: binom_series(k+1/2) evaluated at t = -4/x."""
-    base = binom_at_minus4_over_x(Fraction(2 * k + 1, 2), order)
-    return VBasisElement(k, base)
+def vk_series(k: int, order: int) -> TruncSeries:
+    """v_k = ((x-4)/x)^(k+1/2) through x^-order: binom_series(k+1/2)
+    evaluated at t = -4/x."""
+    return binom_at_minus4_over_x(Fraction(2 * k + 1, 2), order)
 
 
 def binom_at_minus4_over_x(alpha: Fraction, order: int) -> TruncSeries:
@@ -69,8 +49,8 @@ def binom_at_minus4_over_x(alpha: Fraction, order: int) -> TruncSeries:
     return TruncSeries(INVX, [c * (-4) ** m for m, c in enumerate(coeffs)])
 
 
-def s_series(k: int, beta: int, order: int) -> SBasisElement:
-    """s_{k,beta} through x^-order.
+def s_series(k: int, beta: int, order: int) -> TruncSeries:
+    """s_{k,beta} = (x-2)^beta (x^2-4x)^(-(2k+3)/2) through x^-order.
 
     (x^2-4x)^(-(2k+3)/2) = x^(-(2k+3)) (1-4/x)^(-(2k+3)/2); the beta = 1
     variant multiplies by (x - 2).
@@ -79,12 +59,10 @@ def s_series(k: int, beta: int, order: int) -> SBasisElement:
         raise ValueError("need k >= 0 and beta in {0, 1}")
     j = 2 * k + 3
     if beta == 0:
-        core = binom_at_minus4_over_x(Fraction(-j, 2), order).shift_exp(j)
-        return SBasisElement(k, 0, core.truncate(order))
+        return binom_at_minus4_over_x(Fraction(-j, 2), order).shift_exp(j).truncate(order)
     core = binom_at_minus4_over_x(Fraction(-j, 2), order + 1).shift_exp(j)
-    # x - 2, padded with known zeros so the product keeps core's truncation
-    x_factor = TruncSeries(INVX, [1, -2] + [0] * (order + 2), offset=-1)
-    return SBasisElement(k, 1, (core * x_factor).truncate(order))
+    # times x is a shift by one exponent of 1/x: no dense product is needed
+    return (core.shift_exp(-1) - core * 2).truncate(order)
 
 
 def a_to_C(row: dict[int, Fraction], g: int, order: int) -> list[Fraction]:
@@ -99,7 +77,7 @@ def a_to_C(row: dict[int, Fraction], g: int, order: int) -> list[Fraction]:
     total = TruncSeries(INVX, [const] + [Fraction(0)] * top)
     for k, a in sorted(row.items()):
         if a:
-            total = total + vk_series(k, top).series.scale(a)
+            total = total + vk_series(k, top).scale(a)
     for j in range(2 * g + 1):
         if total.coefficient(j) != 0:
             raise NonCancellationError(
@@ -114,7 +92,7 @@ def w11_check(order: int) -> list[CheckRecord]:
     x^(-3/2)(x-4)^(-5/2), and the expansion of the g = 1 a-row."""
     if order < 4:
         raise ValueError("need order >= 4 (the series starts at x^-4)")
-    s_form = (s_series(1, 1, order).series + s_series(1, 0, order).series.scale(2))
+    s_form = s_series(1, 1, order) + s_series(1, 0, order).scale(2)
     closed = binom_at_minus4_over_x(Fraction(-5, 2), order).shift_exp(4).truncate(order)
     from .recursions import vk_table
 
@@ -144,7 +122,7 @@ def w30_planar_check(m1: int, m2: int, m3: int) -> Fraction:
     if min(m1, m2, m3) < 1:
         raise ValueError("trace exponents must be positive")
     order = max(m1, m2, m3) + 1
-    t = s_series(0, 1, order).series + s_series(0, 0, order).series.scale(2)
+    t = s_series(0, 1, order) + s_series(0, 0, order).scale(2)
     prod = t.coefficient(m1 + 1) * t.coefficient(m2 + 1) * t.coefficient(m3 + 1)
     if prod == 0:
         raise ZeroDivisionError("product coefficient vanishes")

@@ -2,6 +2,7 @@
 serialization formats, and the table cache."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,11 +10,12 @@ import sys
 import pytest
 
 import hzlag
-from hzlag.cli import main
+from hzlag.cli import cache_path, cached_bytes, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "vk_gmax2.json"
 # eval-fab stdout for 0 <= A, B <= 12: [bare, --at 1/2] per "A,B"
 EVAL_FAB_GOLDEN = pathlib.Path(__file__).parent / "golden" / "eval_fab_ab12.json"
+SKB_GOLDEN = pathlib.Path(__file__).parent / "golden" / "series_skb_k3_beta1_order40.json"
 
 
 @pytest.fixture()
@@ -113,6 +115,8 @@ def test_series_vk_json(cache, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert rows[0] == {"exponent": 0, "value": "1"}
     assert rows[1] == {"exponent": -1, "value": "-6"}
+    assert main(["series", "skb", "--k", "3", "--beta", "1", "--order", "40"]) == 0
+    assert capsys.readouterr().out == SKB_GOLDEN.read_text()
 
 
 def test_eval_fab(cache, capsys):
@@ -153,6 +157,9 @@ def test_eval_fab_matches_golden(cache, capsys):
     ["eval-fab", "--a", "1", "--b", "1000000000", "--at", "1/2"],
     ["series", "vk", "--k", "1000000000", "--order", "2"],
     ["series", "skb", "--k", "1", "--beta", "1", "--order", "1000000000"],
+    ["verify", "--suite", "identities", "--amax", "1000000000"],
+    ["verify", "--suite", "identities", "--bmax", "51"],
+    ["verify", "--suite", "odes", "--nmax", "51"],
 ])
 def test_bad_input_exits_2(cache, capsys, argv):
     assert main(argv) == 2
@@ -165,6 +172,11 @@ def test_limits_are_inclusive(cache, capsys):
     assert main(["eval-fab", "--a", "0", "--b", "300", "--at", "1/2"]) == 0
     assert capsys.readouterr().out == "0\n-300\n"
     assert main(["series", "vk", "--k", "64", "--order", "3"]) == 0
+    assert main(["verify", "--suite", "identities",
+                 "--amax", "50", "--bmax", "0", "--nmax", "0"]) == 0
+    assert main(["verify", "--suite", "identities",
+                 "--amax", "0", "--bmax", "50", "--nmax", "0"]) == 0
+    assert main(["verify", "--suite", "odes", "--nmax", "50"]) == 0
 
 
 def test_verify_empty_suite_exits_2(cache, capsys, tmp_path):
@@ -192,7 +204,8 @@ def test_verify_report_out(cache, tmp_path, capsys):
     assert suite["suite"] == "crosscheck"
     assert all(c["status"] == "pass" for c in suite["checks"])
     # reports must be byte-deterministic: no timing or environment fields
-    assert "wall_time" not in json.dumps(rep)
+    assert set(rep) == {"schema", "tool_version", "suites"}
+    assert set(suite) == {"suite", "tool_version", "passed", "checks"}
 
 
 def test_verify_constraints_cache_round_trip(cache, capsys):
@@ -221,6 +234,30 @@ def test_verify_detects_cache_corruption(cache, capsys):
     assert "FAIL" in out
     # bypassing the poisoned cache must pass again
     assert main(["verify", "--suite", "constraints", "--no-cache"]) == 0
+
+
+def test_cache_write_is_atomic(cache, monkeypatch):
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return b"payload"
+
+    def fail(src, dst):
+        raise OSError("simulated failure")
+
+    args = {"ensemble": "test"}
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            cached_bytes("gen", args, compute, True)
+    assert not cache_path("gen", args).exists()
+    assert list(cache.iterdir()) == []  # no temporary file is left behind
+    assert cached_bytes("gen", args, compute, True) == b"payload"
+    assert len(calls) == 2  # the failed write cached nothing
+    assert cache_path("gen", args).read_bytes() == b"payload"
+    assert cached_bytes("gen", args, compute, True) == b"payload"
+    assert len(calls) == 2
 
 
 def test_unknown_arguments_exit_2(cache):
