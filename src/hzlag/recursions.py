@@ -1,12 +1,11 @@
 """Recursion engines for genus-graded moment tables.
 
-Four schemes live here — the Laguerre three-term recursion ("3-t"), the
-closed form for the n = 1 column ("C1g"), the Gaussian moment-coefficient
-recursion ("recurrence"), the v_k coefficient recursion ("rec-v2"), and
-the generalized k = 1 eight-term recursion ("8-t") — plus the two
-operator-equation verifiers that re-derive the
-tables from the differential equations "int-2" and "W1" independently of
-the table-filling code paths.
+The Laguerre three-term recursion ("3-t"), the Gaussian recursion
+("recurrence") and the k = 1 eight-term recursion ("8-t") fill integer
+tables: every entry is an exact integer quotient, checked as it is made.
+The v_k recursion ("rec-v2") works over Fraction.  Also here: the n = 1
+closed form ("C1g") and the operator-equation verifiers "int-2" and "W1",
+which re-derive the tables independently of the table-filling code paths.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import binom_series, gen_binom
+from .exact import gen_binom
 from .reports import CheckRecord, record
 from .wick import MomentPoly, gue_moment
 
@@ -47,6 +46,15 @@ class ConstraintError(ValueError):
 
 class IntegralityError(ValueError):
     """A recursion produced a non-integer entry where integers are forced."""
+
+
+def _exact_div(num: int, den: int, anchor: str, i: int, j: int) -> int:
+    """The quotient num / den of entry (i, j) of `anchor`, or IntegralityError."""
+    q, r = divmod(num, den)
+    if r:
+        raise IntegralityError(
+            f"{anchor} entry ({i}, {j}) = {Fraction(num, den)} is not an integer")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -143,26 +151,25 @@ class HalfGenusTable:
 
 
 def do_norbury_table(gmax: int, nmax: int) -> LagCTable:
-    """Fill C_n^(g) through (gmax, nmax).
-
-    Row g = 0 comes from the closed form 1/2 - (1/2)(1 - 4/x)^(1/2)
-    (Catalan numbers); rows g >= 1 from the three-term relation "3-t":
+    """Fill C_n^(g) through (gmax, nmax) over int via "3-t":
     (n+2g+1) C_n^(g) = (n+2g-2)(n+2g-1)^2 C_n^(g-1) + 2(2n+4g-1) C_{n-1}^(g)
-    with C_0^(g) = 0 for g >= 1.
+    with C_0^(0) = 1 and C_0^(g) = 0 for g >= 1.
+
+    Row g = 0 is the Catalan recurrence (n+1) C_n = 2(2n-1) C_{n-1}, which is
+    the relation with C^(-1) = 0.
     """
     if gmax < 0 or nmax < 0:
         raise ValueError("need gmax, nmax >= 0")
     entries: dict = {}
-    # C_n^(0) = coefficient of x^(-1-n) in 1/2 - (1/2)(1-4/x)^(1/2)
-    half_sqrt = binom_series(Fraction(1, 2), nmax + 1)
-    for n in range(nmax + 1):
-        entries[(0, n)] = -Fraction(1, 2) * half_sqrt.coefficient(n + 1) * (-4) ** (n + 1)
-    for g in range(1, gmax + 1):
-        entries[(g, 0)] = Fraction(0)
+    prev = [0] * (nmax + 1)  # row g - 1; row -1 vanishes
+    for g in range(gmax + 1):
+        row = [1 if g == 0 else 0]
         for n in range(1, nmax + 1):
-            prev_g = (n + 2 * g - 2) * (n + 2 * g - 1) ** 2 * entries[(g - 1, n)]
-            prev_n = 2 * (2 * n + 4 * g - 1) * entries[(g, n - 1)]
-            entries[(g, n)] = (prev_g + prev_n) / (n + 2 * g + 1)
+            s = n + 2 * g
+            num = (s - 2) * (s - 1) ** 2 * prev[n] + 2 * (2 * s - 1) * row[n - 1]
+            row.append(_exact_div(num, s + 1, "3-t", g, n))
+        entries.update(((g, n), v) for n, v in enumerate(row))
+        prev = row
     return LagCTable(gmax, nmax, entries)
 
 
@@ -175,26 +182,23 @@ def c1_closed_form(g: int) -> Fraction:
 
 
 def gauss_hz_table(gmax: int) -> GaussBTable:
-    """Fill the Gaussian coefficients b_k^(g) for 1 <= g <= gmax ("recurrence").
+    """Fill the Gaussian coefficients b_k^(g), 1 <= g <= gmax, over int ("recurrence").
 
     Seed b_k^(1) = delta_{k,0}; then
     (4g+2k+6) b_k^(g+1)
         = (4g+2k+1)(4g+2k+3) [(4g+2k+2) b_k^(g) + 4(4g+2k-1) b_{k-1}^(g)].
-    Aborts with IntegralityError on a non-integer entry, which would signal
-    a wrong seed convention.
+    Every entry is an exact integer quotient; IntegralityError otherwise,
+    which would signal a wrong seed convention.
     """
     if gmax < 1:
         raise ValueError("need gmax >= 1")
-    entries: dict = {(1, 0): Fraction(1)}
+    entries: dict = {(1, 0): 1}
     for g in range(1, gmax):
         for k in range(g + 1):
             s = 4 * g + 2 * k
-            same = (s + 2) * entries.get((g, k), Fraction(0))
-            lower = 4 * (s - 1) * entries.get((g, k - 1), Fraction(0))
-            v = Fraction((s + 1) * (s + 3), s + 6) * (same + lower)
-            if v.denominator != 1:
-                raise IntegralityError(f"b_{k}^({g + 1}) = {v} is not an integer")
-            entries[(g + 1, k)] = v
+            num = (s + 1) * (s + 3) * ((s + 2) * entries.get((g, k), 0)
+                                       + 4 * (s - 1) * entries.get((g, k - 1), 0))
+            entries[(g + 1, k)] = _exact_div(num, s + 6, "recurrence", g + 1, k)
     return GaussBTable(gmax, entries)
 
 
@@ -222,6 +226,11 @@ def consistency_form(row: dict[int, Fraction]) -> Fraction:
     )
 
 
+def asym_moment(row: dict[int, Fraction], r: int) -> Fraction:
+    """The r-th moment sum_k k^r a_k of one a-row ("asym-r")."""
+    return sum(k**r * v for k, v in row.items())
+
+
 def vk_table(gmax: int) -> VTable:
     """Fill a_k^(g) for 0 <= g <= gmax via "rec-v2".
 
@@ -244,7 +253,7 @@ def vk_table(gmax: int) -> VTable:
         if consistency_form(row) != 0:
             raise ConstraintError(f"consistency form nonzero at g={g}")
         for r in range(2 * g + 2):
-            if sum(Fraction(k) ** r * v for k, v in row.items()) != 0:
+            if asym_moment(row, r) != 0:
                 raise ConstraintError(f"asym-r moment r={r} nonzero at g={g}")
         for k, v in row.items():
             entries[(g, k)] = v
@@ -252,45 +261,34 @@ def vk_table(gmax: int) -> VTable:
     return VTable(gmax, entries)
 
 
+# inhomogeneity of "8-t" at (q, n); zero elsewhere
+_8T_RHS = {(0, 0): 2, (1, 0): 1, (1, 1): 2, (2, 1): 2}
+
+
 def glag_k1_table(r2max: int, nmax: int) -> HalfGenusTable:
-    """Fill the fractional-genus table C_n^(r) (q = 2r) via the eight-term
-    relation "8-t", solving in increasing q then increasing subscript m.
+    """Fill the fractional-genus table C_n^(r) (q = 2r) over int via the
+    eight-term relation "8-t", solving in increasing q then increasing subscript m.
 
     The relation for row q references subscript m+1 of rows q-1..q-4, so row
     q is filled internally through nmax + (r2max - q) and trimmed afterwards.
     """
     if r2max < 0 or nmax < 0:
         raise ValueError("need r2max, nmax >= 0")
-    full: dict = {}
-
-    def get(q: int, m: int) -> Fraction:
-        if q < 0 or m < 0:
-            return Fraction(0)
-        return full.get((q, m), Fraction(0))
-
+    full: dict = {}  # missing keys, including negative indices, are zero
     for q in range(r2max + 1):
         for m in range(nmax + (r2max - q) + 1):
             n = m + q  # the relation index; subscripts below are n - q = m
-            rhs = Fraction(0)
-            if q == 0 and n == 0:
-                rhs += 2
-            if q == 1 and n == 0:
-                rhs += 1
-            if q == 1 and n == 1:
-                rhs += 2
-            if q == 2 and n == 1:
-                rhs += 2
             known = (
-                (n + 1) * get(q - 1, m + 1)
-                - 4 * (2 * n - 1) * (get(q, m - 1) + get(q - 1, m))
-                - (n - 1) * (n - 2) * (n - 3) * (2 * get(q - 2, m) + get(q - 3, m + 1))
-                - (n + 1) * (n - 1) * get(q - 2, m + 1)
-                + (n - 1) * (n - 2) * (n - 3) ** 2 * get(q - 4, m + 1)
+                (n + 1) * full.get((q - 1, m + 1), 0)
+                - 4 * (2 * n - 1) * (full.get((q, m - 1), 0) + full.get((q - 1, m), 0))
+                - (n - 1) * (n - 2) * (n - 3)
+                * (2 * full.get((q - 2, m), 0) + full.get((q - 3, m + 1), 0))
+                - (n + 1) * (n - 1) * full.get((q - 2, m + 1), 0)
+                + (n - 1) * (n - 2) * (n - 3) ** 2 * full.get((q - 4, m + 1), 0)
             )
-            full[(q, m)] = (rhs - known) / Fraction(2 * (n + 1))
-    entries = {
-        (q, m): v for (q, m), v in full.items() if q <= r2max and m <= nmax
-    }
+            full[(q, m)] = _exact_div(
+                _8T_RHS.get((q, n), 0) - known, 2 * (n + 1), "8-t", q, m)
+    entries = {(q, m): v for (q, m), v in full.items() if q <= r2max and m <= nmax}
     return HalfGenusTable(r2max, nmax, entries)
 
 

@@ -116,8 +116,8 @@ def w30_planar_check(m1: int, m2: int, m3: int) -> Fraction:
     the coefficient of prod x_i^(-m_i-1) in prod (s_{0,1} + 2 s_{0,0}).
 
     The basis product factorizes, so the product coefficient is a product
-    of one-variable coefficients.  Per the open normalization question the
-    ratio is returned, not asserted.
+    of one-variable coefficients.  With this normalization the ratio is
+    exactly 2 (the crosscheck suite and the tests assert it).
     """
     if min(m1, m2, m3) < 1:
         raise ValueError("trace exponents must be positive")

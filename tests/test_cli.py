@@ -16,6 +16,13 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "vk_gmax2.json"
 # eval-fab stdout for 0 <= A, B <= 12: [bare, --at 1/2] per "A,B"
 EVAL_FAB_GOLDEN = pathlib.Path(__file__).parent / "golden" / "eval_fab_ab12.json"
 SKB_GOLDEN = pathlib.Path(__file__).parent / "golden" / "series_skb_k3_beta1_order40.json"
+# gen JSON of the three integer engines, recorded when they still computed
+# over Fraction
+TABLE_GOLDENS = [
+    (["laguerre", "--gmax", "4", "--nmax", "12"], "laguerre_g4_n12.json"),
+    (["gauss", "--gmax", "8"], "gauss_g8.json"),
+    (["glag-k1", "--rmax2", "6", "--nmax", "10"], "glag_k1_r6_n10.json"),
+]
 
 
 @pytest.fixture()
@@ -57,6 +64,16 @@ def test_gen_laguerre_csv(cache, capsys):
 def test_gen_vk_matches_golden(cache, capsys):
     assert main(["gen", "vk", "--gmax", "2"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("argv,name", TABLE_GOLDENS)
+def test_gen_integer_tables_match_golden(cache, capsys, argv, name):
+    golden = (GOLDEN.parent / name).read_text()
+    assert main(["gen", *argv, "--no-cache"]) == 0
+    assert capsys.readouterr().out == golden
+    assert main(["gen", *argv]) == 0  # computed into the cache
+    assert main(["gen", *argv]) == 0  # read back from it
+    assert capsys.readouterr().out == golden * 2
 
 
 def test_gen_byte_determinism(cache, tmp_path):
@@ -258,6 +275,21 @@ def test_cache_write_is_atomic(cache, monkeypatch):
     assert cache_path("gen", args).read_bytes() == b"payload"
     assert cached_bytes("gen", args, compute, True) == b"payload"
     assert len(calls) == 2
+
+
+def test_unusable_cache_dir_exits_2(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for cache_dir, argv in ((blocker, ["gen", "vk", "--gmax", "1"]),
+                            (blocker / "sub", ["verify", "--suite", "constraints"])):
+        monkeypatch.setenv("HZLAG_CACHE_DIR", str(cache_dir))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot use cache directory {cache_dir} ")
+        assert "--no-cache" in err and err.count("\n") == 1, err
+        assert main([*argv, "--no-cache"]) == 0
+        capsys.readouterr()
+    assert blocker.read_text() == ""
 
 
 def test_unknown_arguments_exit_2(cache):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hzlag import recursions
 from hzlag.recursions import (
     GaussBTable,
     HalfGenusTable,
+    IntegralityError,
     LagCTable,
     c1_closed_form,
     consistency_form,
@@ -47,6 +49,21 @@ def vk():
 @pytest.fixture(scope="module")
 def glag():
     return glag_k1_table(8, 12)
+
+
+# -- integer engines ("3-t", "recurrence", "8-t") ----------------------------
+
+
+def test_integer_engines_build_ints(dn, gauss, glag):
+    for table in (dn, gauss, glag):
+        assert table.entries
+        assert all(type(v) is int for v in table.entries.values())
+
+
+def test_8t_wrong_seed_raises_integrality_error(monkeypatch):
+    monkeypatch.setitem(recursions._8T_RHS, (0, 0), 3)  # true seed 2
+    with pytest.raises(IntegralityError, match=r"^8-t entry \(0, 0\) = 3/2 "):
+        glag_k1_table(2, 3)
 
 
 # -- Laguerre table (anchor "3-t") -------------------------------------------

@@ -89,13 +89,11 @@ def test_w11_check_input_validation():
 
 
 def test_w30_ratio_is_constant():
-    ratios = {
-        w30_planar_check(1, 1, 1),
-        w30_planar_check(2, 1, 1),
-        w30_planar_check(2, 2, 1),
-    }
-    assert len(ratios) == 1
-    assert ratios.pop() == 2
+    # the normalization of w30_planar_check: the ratio is exactly 2
+    triples = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (3, 3, 1),
+               (4, 2, 1), (5, 1, 1)]
+    for t in triples:
+        assert w30_planar_check(*t) == 2, t
 
 
 def test_w30_input_validation():
