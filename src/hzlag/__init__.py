@@ -15,7 +15,6 @@ from .exact import (
     TruncSeries,
     WLaurent,
     binom_series,
-    gen_binom,
     rat_str_explicit,
 )
 from .recursions import (

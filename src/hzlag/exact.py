@@ -19,7 +19,6 @@ __all__ = [
     "WLaurent",
     "TruncSeries",
     "binom_series",
-    "gen_binom",
     "rat_str_explicit",
 ]
 
@@ -27,15 +26,6 @@ __all__ = [
 def rat_str_explicit(q: Fraction) -> str:
     """Rational string with an explicit denominator, e.g. "10/1" (CSV cells)."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def gen_binom(alpha: Scalar, m: int) -> Fraction:
-    """Generalized binomial coefficient alpha-choose-m for rational alpha."""
-    c = Fraction(1)
-    alpha = Fraction(alpha)
-    for i in range(m):
-        c = c * (alpha - i) / (i + 1)
-    return c
 
 
 class PoleAtExpansionPoint(ValueError):

@@ -1,9 +1,9 @@
 """Recursion engines for genus-graded moment tables.
 
 The Laguerre three-term recursion ("3-t"), the Gaussian recursion
-("recurrence") and the k = 1 eight-term recursion ("8-t") fill integer
-tables: every entry is an exact integer quotient, checked as it is made.
-The v_k recursion ("rec-v2") works over Fraction.  Also here: the n = 1
+("recurrence"), the v_k recursion ("rec-v2", stored as A / 2^(8g+1)) and the
+k = 1 eight-term recursion ("8-t") are int kernels: every entry is an exact
+integer quotient, checked by _exact_div as it is made.  Also here: the n = 1
 closed form ("C1g") and the operator-equation verifiers "int-2" and "W1",
 which re-derive the tables independently of the table-filling code paths.
 """
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import gen_binom
 from .reports import CheckRecord, record
 from .wick import MomentPoly, gue_moment
 
@@ -202,61 +201,60 @@ def gauss_hz_table(gmax: int) -> GaussBTable:
     return GaussBTable(gmax, entries)
 
 
-def _rec_v2_rhs(prev: dict[int, Fraction], k: int) -> Fraction:
-    """Right-hand side of the five-term relation "rec-v2" at index k,
-    evaluated on the genus-(g-1) row ``prev`` (missing indices are zero)."""
-    z = Fraction(0)
+def _rec_v2_rhs(prev: dict[int, int], k: int) -> int:
+    """32 times the right-hand side of the five-term relation "rec-v2" at
+    index k, evaluated on the scaled genus-(g-1) row ``prev`` (missing
+    indices are zero)."""
     return (
-        Fraction((2 * k + 7) * (2 * k + 5) * (2 * k + 3), 32) * prev.get(k + 3, z)
-        - Fraction((2 * k + 5) * (2 * k + 3) * (k + 1), 4) * prev.get(k + 2, z)
-        + Fraction(3 * (2 * k + 3) * (2 * k + 1) ** 2, 16) * prev.get(k + 1, z)
-        - Fraction((2 * k + 1) * k * (2 * k - 1), 4) * prev.get(k, z)
-        + Fraction((2 * k - 1) ** 2 * (2 * k - 3), 32) * prev.get(k - 1, z)
+        (2 * k + 7) * (2 * k + 5) * (2 * k + 3) * prev.get(k + 3, 0)
+        - 8 * (2 * k + 5) * (2 * k + 3) * (k + 1) * prev.get(k + 2, 0)
+        + 6 * (2 * k + 3) * (2 * k + 1) ** 2 * prev.get(k + 1, 0)
+        - 8 * (2 * k + 1) * k * (2 * k - 1) * prev.get(k, 0)
+        + (2 * k - 1) ** 2 * (2 * k - 3) * prev.get(k - 1, 0)
     )
 
 
-def consistency_form(row: dict[int, Fraction]) -> Fraction:
-    """The linear form of the "consistency" constraint on one a-row."""
-    z = Fraction(0)
-    return (
-        Fraction(105, 32) * row.get(3, z)
-        - Fraction(15, 4) * row.get(2, z)
-        + Fraction(9, 16) * row.get(1, z)
-        - Fraction(3, 32) * row.get(-1, z)
-    )
+def consistency_form(row: dict) -> Fraction | int:
+    """32 times the linear form of the "consistency" constraint on one a-row
+    (or on a scaled row: the form vanishes on both or on neither)."""
+    return 105 * row.get(3, 0) - 120 * row.get(2, 0) + 18 * row.get(1, 0) - 3 * row.get(-1, 0)
 
 
-def asym_moment(row: dict[int, Fraction], r: int) -> Fraction:
-    """The r-th moment sum_k k^r a_k of one a-row ("asym-r")."""
-    return sum(k**r * v for k, v in row.items())
+def asym_moments(row: dict, rmax: int) -> list:
+    """The moments sum_k k^r a_k of one a-row ("asym-r") for r = 0..rmax,
+    multiplying each coefficient by its k once per step."""
+    vs = list(row.values())
+    moments = [sum(vs)]
+    for _ in range(rmax):
+        vs = [k * v for k, v in zip(row, vs)]
+        moments.append(sum(vs))
+    return moments
 
 
 def vk_table(gmax: int) -> VTable:
     """Fill a_k^(g) for 0 <= g <= gmax via "rec-v2".
 
-    Seed a_k^(0) = -delta_{k,0}/2; for g >= 1 and k != 0 the five-term
-    relation gives 4k a_k^(g); a_0^(g) comes from the "asymptotic" sum rule.
-    The "consistency" and "asym-r" constraint families are then asserted as
-    hard postconditions (ConstraintError on violation).
+    Works over int on the rows A_k^(g) = 2^(8g+1) a_k^(g): seed A_0^(0) = -1;
+    for g >= 1 and k != 0, A_k^(g) = 2 _rec_v2_rhs(row g-1, k) / k (exact);
+    A_0^(g) comes from the "asymptotic" sum rule.  The "consistency" and
+    "asym-r" constraint families are then asserted as hard postconditions
+    (ConstraintError on violation).
     """
     if gmax < 0:
         raise ValueError("need gmax >= 0")
     entries: dict = {(0, 0): Fraction(-1, 2)}
-    prev = {0: Fraction(-1, 2)}
+    prev = {0: -1}
     for g in range(1, gmax + 1):
-        row: dict[int, Fraction] = {}
-        for k in range(-3 * g, g + 1):
-            if k == 0:
-                continue
-            row[k] = _rec_v2_rhs(prev, k) / (4 * k)
+        row = {k: _exact_div(2 * _rec_v2_rhs(prev, k), k, "rec-v2", g, k)
+               for k in range(-3 * g, g + 1) if k}
         row[0] = -sum(row.values())
         if consistency_form(row) != 0:
             raise ConstraintError(f"consistency form nonzero at g={g}")
-        for r in range(2 * g + 2):
-            if asym_moment(row, r) != 0:
+        for r, moment in enumerate(asym_moments(row, 2 * g + 1)):
+            if moment:
                 raise ConstraintError(f"asym-r moment r={r} nonzero at g={g}")
-        for k, v in row.items():
-            entries[(g, k)] = v
+        scale = 2 ** (8 * g + 1)
+        entries.update(((g, k), Fraction(v, scale)) for k, v in row.items())
         prev = row
     return VTable(gmax, entries)
 
@@ -307,22 +305,29 @@ def lag_moment_from_table(table: LagCTable, m: int) -> MomentPoly:
     return MomentPoly(terms)
 
 
+def _inv_sqrt_series(j: int, n: int) -> list[int]:
+    """[t^i] (1-4t)^(-j/2) for i <= n: the j-th power of sum_i C(2i, i) t^i,
+    so each step c_i = 2(j+2i-2) c_(i-1) / i is an exact division."""
+    c = [1]
+    for i in range(1, n + 1):
+        c.append(_exact_div(2 * (j + 2 * i - 2) * c[-1], i, "recurrence-gue", j, i))
+    return c
+
+
 def gauss_genus_coefficients(table: GaussBTable, g: int, mmax: int) -> dict[int, Fraction]:
     """x-series coefficients of sum_k b_k^(g) (x^2-4)^(-(4g+2k+1)/2).
 
     Returns {m: coefficient of x^(-m-1)} for m <= mmax; these are the
     genus-g coefficients of the Gaussian moments.
     """
-    out = {m: Fraction(0) for m in range(mmax + 1)}
+    out = {m: 0 for m in range(mmax + 1)}
     for k in range(g):
         b = table.value(g, k)
-        if b == 0:
-            continue
         j = 4 * g + 2 * k + 1  # (x^2-4)^(-j/2) = x^-j (1 - 4/x^2)^(-j/2)
-        for i in range(0, (mmax + 1 - j) // 2 + 1):
-            m = j + 2 * i - 1
-            if 0 <= m <= mmax:
-                out[m] += b * gen_binom(Fraction(-j, 2), i) * (-4) ** i
+        if b == 0 or j > mmax + 1:
+            continue
+        for i, c in enumerate(_inv_sqrt_series(j, (mmax + 1 - j) // 2)):
+            out[j + 2 * i - 1] += b * c
     return out
 
 

@@ -11,7 +11,7 @@ rectangular-ensemble integral is expanded the same way.  The identity, ODE
 and reflection checks multiply through by their known denominators, so every
 residual is again a Laurent polynomial in w, zero exactly when it has no
 terms: no step takes a polynomial gcd.  The iterated two-point residues are
-expanded as double series with Fraction coefficients.
+expanded as integer double series, divided by N^(m1+m2) once per entry.
 """
 
 from __future__ import annotations
@@ -174,35 +174,35 @@ def two_point_series(N: int, order: int) -> TwoPointValue:
 
     # p[(i, a)] = [z^i u^a] (1-z)^N ((z+u)/(z+u-1))^N, analytic at z=0:
     # ((z+u)/(z+u-1))^N = sum_j C(N-1+j, j) (z+u)^(N+j) * (-1)^N * (-1)^N
-    q: dict[tuple[int, int], Fraction] = {}
+    q: dict[tuple[int, int], int] = {}
     for i in range(imax + 1):
         for a in range(order + 1):
             j = i + a - N
             if j >= 0:
-                q[(i, a)] = Fraction(math.comb(N - 1 + j, j) * math.comb(N + j, a))
-    p: dict[tuple[int, int], Fraction] = {}
+                q[(i, a)] = math.comb(N - 1 + j, j) * math.comb(N + j, a)
+    p: dict[tuple[int, int], int] = {}
     for (i, a), v in q.items():
         for t in range(min(N, imax - i) + 1):
             c = math.comb(N, t) * (-1) ** t
-            p[(i + t, a)] = p.get((i + t, a), Fraction(0)) + c * v
+            p[(i + t, a)] = p.get((i + t, a), 0) + c * v
 
     data: dict[tuple[int, int], Fraction] = {}
     for a1 in range(order + 1):
         for a2 in range(order + 1 - a1):
-            total = Fraction(0)
+            total = 0
             for m1 in range(a1 + 1):
                 for m2 in range(a2 + 1):
                     big_m = m1 + m2 + 2
                     for j in range(N):
-                        inner = p.get((N - 1 - j, a2 - m2), Fraction(0))
+                        inner = p.get((N - 1 - j, a2 - m2), 0)
                         if inner == 0:
                             continue
-                        outer = p.get((N - 1 + big_m + j, a1 - m1), Fraction(0))
+                        outer = p.get((N - 1 + big_m + j, a1 - m1), 0)
                         if outer == 0:
                             continue
                         total += (-1) ** m1 * math.comb(big_m - 1 + j, j) * inner * outer
             if total:
-                data[(a1, a2)] = total / Fraction(N) ** (a1 + a2)
+                data[(a1, a2)] = Fraction(total, N ** (a1 + a2))
 
     return TwoPointValue(N, order, data)
 

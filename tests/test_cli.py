@@ -10,18 +10,20 @@ import sys
 import pytest
 
 import hzlag
-from hzlag.cli import cache_path, cached_bytes, main
+from hzlag.cli import ENSEMBLES, cache_path, cached_bytes, main
+from hzlag.recursions import c1_closed_form
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "vk_gmax2.json"
 # eval-fab stdout for 0 <= A, B <= 12: [bare, --at 1/2] per "A,B"
 EVAL_FAB_GOLDEN = pathlib.Path(__file__).parent / "golden" / "eval_fab_ab12.json"
 SKB_GOLDEN = pathlib.Path(__file__).parent / "golden" / "series_skb_k3_beta1_order40.json"
-# gen JSON of the three integer engines, recorded when they still computed
+# gen JSON of the four integer engines, recorded when they still computed
 # over Fraction
 TABLE_GOLDENS = [
     (["laguerre", "--gmax", "4", "--nmax", "12"], "laguerre_g4_n12.json"),
     (["gauss", "--gmax", "8"], "gauss_g8.json"),
     (["glag-k1", "--rmax2", "6", "--nmax", "10"], "glag_k1_r6_n10.json"),
+    (["vk", "--gmax", "8"], "vk_gmax8.json"),
 ]
 
 
@@ -74,6 +76,21 @@ def test_gen_integer_tables_match_golden(cache, capsys, argv, name):
     assert main(["gen", *argv]) == 0  # computed into the cache
     assert main(["gen", *argv]) == 0  # read back from it
     assert capsys.readouterr().out == golden * 2
+
+
+def test_gen_entries_over_4300_digits(cache, capsys):
+    # C_1^(800) has 4431 digits, over CPython's default int <-> str limit
+    argv = ["gen", "laguerre", "--gmax", "800", "--nmax", "1"]
+    assert main([*argv, "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    values = {(e["g"], e["n"]): e["value"] for e in json.loads(out)["entries"]}
+    assert values[(800, 1)] == str(c1_closed_form(800))
+    assert len(values[(800, 1)]) > 4300
+    assert main(argv) == 0  # computed into the cache
+    assert main(argv) == 0  # read back from it
+    assert capsys.readouterr().out == out * 2
+    assert main([*argv, "--format", "csv"]) == 0
+    assert f"800,1,{values[(800, 1)]}/1\n" in capsys.readouterr().out
 
 
 def test_gen_byte_determinism(cache, tmp_path):
@@ -177,6 +194,7 @@ def test_eval_fab_matches_golden(cache, capsys):
     ["verify", "--suite", "identities", "--amax", "1000000000"],
     ["verify", "--suite", "identities", "--bmax", "51"],
     ["verify", "--suite", "odes", "--nmax", "51"],
+    ["gen", "vk", "--gmax", str(ENSEMBLES["vk"].bounds["gmax"] + 1)],
 ])
 def test_bad_input_exits_2(cache, capsys, argv):
     assert main(argv) == 2

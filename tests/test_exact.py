@@ -1,6 +1,5 @@
 """Property tests for the exact-arithmetic layer."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from hzlag.exact import (
     TruncSeries,
     WLaurent,
     binom_series,
-    gen_binom,
     rat_str_explicit,
 )
 
@@ -31,19 +29,6 @@ def test_rat_str_round_trip(q):
 def test_rat_str_forms():
     assert rat_str_explicit(Fraction(10)) == "10/1"
     assert rat_str_explicit(Fraction(-3, 4)) == "-3/4"
-
-
-# -- generalized binomials --------------------------------------------------
-
-
-@given(small_rationals, st.integers(min_value=1, max_value=8))
-def test_gen_binom_pascal(alpha, m):
-    assert gen_binom(alpha, m) == gen_binom(alpha - 1, m) + gen_binom(alpha - 1, m - 1)
-
-
-@given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
-def test_gen_binom_integer_case(n, m):
-    assert gen_binom(Fraction(n), m) == math.comb(n, m)
 
 
 # -- Laurent polynomials in w = u - 1 ---------------------------------------

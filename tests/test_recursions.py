@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hzlag import recursions
+from hzlag.exact import binom_series
 from hzlag.recursions import (
     GaussBTable,
     HalfGenusTable,
@@ -64,6 +65,18 @@ def test_8t_wrong_seed_raises_integrality_error(monkeypatch):
     monkeypatch.setitem(recursions._8T_RHS, (0, 0), 3)  # true seed 2
     with pytest.raises(IntegralityError, match=r"^8-t entry \(0, 0\) = 3/2 "):
         glag_k1_table(2, 3)
+
+
+def test_rec_v2_perturbed_relation_raises_integrality_error(monkeypatch):
+    true_rhs = recursions._rec_v2_rhs
+    monkeypatch.setattr(recursions, "_rec_v2_rhs", lambda prev, k: true_rhs(prev, k) + 1)
+    with pytest.raises(IntegralityError, match=r"^rec-v2 entry \(1, "):
+        vk_table(2)
+
+
+def test_vk_denominators_divide_scale():
+    for (g, _), v in vk_table(12).entries.items():
+        assert 2 ** (8 * g + 1) % v.denominator == 0
 
 
 # -- Laguerre table (anchor "3-t") -------------------------------------------
@@ -197,6 +210,15 @@ def test_gauss_gue_check_detects_corruption(gauss):
     bad[(2, 1)] = Fraction(147)
     recs = gauss_gue_check(GaussBTable(gauss.gmax, bad), 12)
     assert any(not r.ok for r in recs)
+
+
+def test_gauss_binomial_series_is_exact():
+    # the integer kernel of gauss_genus_coefficients against the Fraction
+    # binomial series: [t^i] (1-4t)^(-j/2) = binom(-j/2, i) (-4)^i
+    for j in range(1, 42, 2):
+        want = binom_series(Fraction(-j, 2), 30)
+        assert recursions._inv_sqrt_series(j, 30) == [
+            want.coefficient(i) * (-4) ** i for i in range(31)]
 
 
 def test_gauss_genus_coefficients_match_pairings(gauss):
