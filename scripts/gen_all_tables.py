@@ -6,6 +6,8 @@ Usage: python3 scripts/gen_all_tables.py [OUTDIR]
 Writes JSON and CSV for each ensemble.  All output is byte-deterministic.
 """
 
+from __future__ import annotations
+
 import pathlib
 import sys
 
@@ -19,14 +21,15 @@ JOBS = [
 ]
 
 
-def main() -> int:
-    outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "tables")
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    outdir = pathlib.Path(argv[0] if argv else "tables")
     outdir.mkdir(parents=True, exist_ok=True)
     for ensemble, bounds in JOBS:
         payload = table_payload(ensemble, bounds)
         stem = ensemble + "-" + "-".join(f"{k}{v}" for k, v in sorted(bounds.items()))
         (outdir / f"{stem}.json").write_bytes(payload_to_json(payload))
-        (outdir / f"{stem}.csv").write_bytes(payload_to_csv(payload))
+        payload_to_csv(payload, str(outdir / f"{stem}.csv"))
         print(f"wrote {stem}.json / {stem}.csv ({len(payload['entries'])} entries)")
     return 0
 

@@ -9,11 +9,13 @@ arguments; wall time is never serialized.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -22,7 +24,6 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .exact import rat_str_explicit
 from .recursions import (
     GaussBTable,
     HalfGenusTable,
@@ -172,17 +173,84 @@ def table_payload(ensemble: str, bounds: dict) -> dict:
     }
 
 
+_ROWS = 4096  # entries serialized per write
+
+
 def payload_to_json(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    """Exactly ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``,
+    encoded; the encoder renders only the fields around the entries, and
+    each entry is written as its fixed block, keys in sorted order."""
+    head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
+                            indent=2).split('"entries": []')
+    entries = payload["entries"]
+    if not entries:
+        return f'{head}"entries": []{tail}\n'.encode()
+    ka, kb = sorted(ENSEMBLES[payload["ensemble"]].keys)
+    # the text before each of an entry's three values, at indent depth 2
+    open_a, open_b, open_v = f'    {{\n      "{ka}": ', f',\n      "{kb}": ', ',\n      "value": '
+    quote = json.encoder.encode_basestring_ascii
+    buf = io.BytesIO()
+    buf.write(f'{head}"entries": [\n'.encode())
+    for i in range(0, len(entries), _ROWS):
+        if i:
+            buf.write(b",\n")
+        buf.write(",\n".join([f'{open_a}{e[ka]}{open_b}{e[kb]}{open_v}{quote(e["value"])}\n    }}'
+                              for e in entries[i:i + _ROWS]]).encode())
+    buf.write(f"\n  ]{tail}\n".encode())
+    return buf.getvalue()
 
 
-def payload_to_csv(payload: dict) -> bytes:
+# a value as the program writes it: str of an int, or of a Fraction in
+# lowest terms whose denominator is not 1
+_VALUE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
+
+
+def _is_value(v) -> bool:
+    m = type(v) is str and _VALUE.fullmatch(v)
+    return bool(m) and (m[2] is None or (m[2] != "1" and math.gcd(int(m[1]), int(m[2])) == 1))
+
+
+class CorruptEntry(ValueError):
+    """A payload entry whose value is not in the form the program writes."""
+
+    def __init__(self, index: int, entry):
+        super().__init__(f"entry {index} {entry!r}")
+        self.index = index
+        self.entry = entry
+
+
+@contextlib.contextmanager
+def _open_out(out: str | None):
+    """The ``--out`` file opened for binary writing, or stdout's byte stream
+    (flushed when done, never closed)."""
+    if out:
+        with open(out, "wb") as f:
+            yield f
+    else:
+        sys.stdout.flush()  # text written before goes first
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
+
+
+def payload_to_csv(payload: dict, out: str | None) -> None:
+    """Write a payload as CSV rows to the file ``out`` (None: stdout).
+
+    Each cell is the entry's value string with an explicit denominator
+    (``v`` if it has one, else ``v + "/1"``), which is
+    ``rat_str_explicit(Fraction(v))`` for every value the program writes.
+    Every value is checked for that form before ``out`` is opened; the first
+    that fails raises CorruptEntry and is never re-normalized.
+    """
+    entries = payload["entries"]
+    for i, e in enumerate(entries):
+        if not _is_value(e.get("value")):
+            raise CorruptEntry(i, e)
     k1, k2 = ENSEMBLES[payload["ensemble"]].keys
-    out = io.StringIO()
-    out.write(f"{k1},{k2},value\n")
-    for e in payload["entries"]:
-        out.write(f"{e[k1]},{e[k2]},{rat_str_explicit(Fraction(e['value']))}\n")
-    return out.getvalue().encode()
+    with _open_out(out) as f:
+        f.write(f"{k1},{k2},value\n".encode())
+        for i in range(0, len(entries), _ROWS):
+            f.write("".join([f"{e[k1]},{e[k2]},{e['value']}{'' if '/' in e['value'] else '/1'}\n"
+                             for e in entries[i:i + _ROWS]]).encode())
 
 
 def payload_to_table(payload: dict):
@@ -196,9 +264,13 @@ def payload_to_table(payload: dict):
     return spec.table(*(payload["bounds"][name] for name in spec.bounds), entries)
 
 
+def _gen_key(ensemble: str, bounds: dict) -> dict:
+    return {"ensemble": ensemble, **bounds}
+
+
 def table_bytes(ensemble: str, bounds: dict, use_cache: bool) -> bytes:
     """The gen JSON of one table, through the cache when enabled."""
-    return cached_bytes("gen", {"ensemble": ensemble, **bounds},
+    return cached_bytes("gen", _gen_key(ensemble, bounds),
                         lambda: payload_to_json(table_payload(ensemble, bounds)), use_cache)
 
 
@@ -349,10 +421,8 @@ SUITE_BOUNDS = {
 
 
 def _write_out(data: bytes, out: str | None) -> None:
-    if out:
-        Path(out).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode())
+    with _open_out(out) as f:
+        f.write(data)
 
 
 def cmd_gen(args) -> int:
@@ -363,10 +433,22 @@ def cmd_gen(args) -> int:
         if v is None:
             raise UsageError(f"gen {ensemble} requires --{name}")
         _check_range(name, v, hi=spec.bounds[name], lo=spec.low)
-    data = table_bytes(ensemble, bounds, not args.no_cache)
-    if args.format == "csv":
-        data = payload_to_csv(json.loads(data))
-    _write_out(data, args.out)
+    use_cache = not args.no_cache
+    data = table_bytes(ensemble, bounds, use_cache)
+    if args.format == "json":
+        _write_out(data, args.out)
+        return 0
+    payload = json.loads(data)
+    del data  # only the parsed entries are kept while the rows are written
+    try:
+        payload_to_csv(payload, args.out)
+    except CorruptEntry as e:
+        if not use_cache:
+            raise
+        raise UsageError(
+            f"corrupt cache entry {cache_path('gen', _gen_key(ensemble, bounds))}: "
+            f"entry {e.index} {json.dumps(e.entry, sort_keys=True)} is not a value "
+            f"this program writes; delete the file or pass --no-cache") from e
     return 0
 
 

@@ -10,6 +10,7 @@ which re-derive the tables independently of the table-filling code paths.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -231,6 +232,26 @@ def asym_moments(row: dict, rmax: int) -> list:
     return moments
 
 
+def asym_first_nonzero(row: dict, rmax: int) -> int | None:
+    """The least r <= rmax whose "asym-r" moment sum_k k^r a_k is nonzero,
+    or None when all of them vanish; the same as the first nonzero index of
+    asym_moments(row, rmax), with integer additions only.
+
+    The moments vanish for all r <= R exactly when (x-1)^(R+1) divides the
+    row polynomial sum_k a_k x^k, and the remainder of the j-th synthetic
+    division by x - 1 is the first that is nonzero exactly when moment j is
+    the first nonzero one.
+    """
+    cs = [row.get(k, 0) for k in range(max(row), min(row) - 1, -1)]  # descending powers
+    for r in range(rmax + 1):
+        if not cs:
+            break  # the zero polynomial: every moment vanishes
+        *cs, remainder = itertools.accumulate(cs)  # quotient and remainder by x - 1
+        if remainder:
+            return r
+    return None
+
+
 def vk_table(gmax: int) -> VTable:
     """Fill a_k^(g) for 0 <= g <= gmax via "rec-v2".
 
@@ -250,9 +271,9 @@ def vk_table(gmax: int) -> VTable:
         row[0] = -sum(row.values())
         if consistency_form(row) != 0:
             raise ConstraintError(f"consistency form nonzero at g={g}")
-        for r, moment in enumerate(asym_moments(row, 2 * g + 1)):
-            if moment:
-                raise ConstraintError(f"asym-r moment r={r} nonzero at g={g}")
+        r = asym_first_nonzero(row, 2 * g + 1)
+        if r is not None:
+            raise ConstraintError(f"asym-r moment r={r} nonzero at g={g}")
         scale = 2 ** (8 * g + 1)
         entries.update(((g, k), Fraction(v, scale)) for k, v in row.items())
         prev = row

@@ -1,29 +1,50 @@
 """End-to-end tests of the command-line interface: determinism, exit codes,
 serialization formats, and the table cache."""
 
+import importlib.util
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hzlag
-from hzlag.cli import ENSEMBLES, cache_path, cached_bytes, main
+from hzlag import cli
+from hzlag.cli import (
+    ENSEMBLES,
+    cache_path,
+    cached_bytes,
+    main,
+    payload_to_csv,
+    payload_to_json,
+    table_payload,
+)
+from hzlag.exact import rat_str_explicit
 from hzlag.recursions import c1_closed_form
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "vk_gmax2.json"
 # eval-fab stdout for 0 <= A, B <= 12: [bare, --at 1/2] per "A,B"
 EVAL_FAB_GOLDEN = pathlib.Path(__file__).parent / "golden" / "eval_fab_ab12.json"
 SKB_GOLDEN = pathlib.Path(__file__).parent / "golden" / "series_skb_k3_beta1_order40.json"
 # gen JSON of the four integer engines, recorded when they still computed
-# over Fraction
-TABLE_GOLDENS = [
+# over Fraction, then their CSV, recorded when each CSV cell was still made
+# by rat_str_explicit(Fraction(value))
+JSON_GOLDENS = [
     (["laguerre", "--gmax", "4", "--nmax", "12"], "laguerre_g4_n12.json"),
     (["gauss", "--gmax", "8"], "gauss_g8.json"),
     (["glag-k1", "--rmax2", "6", "--nmax", "10"], "glag_k1_r6_n10.json"),
     (["vk", "--gmax", "8"], "vk_gmax8.json"),
+]
+TABLE_GOLDENS = [
+    *JSON_GOLDENS,
+    *[([*argv, "--format", "csv"], name.replace(".json", ".csv")) for argv, name in JSON_GOLDENS],
 ]
 
 
@@ -78,6 +99,29 @@ def test_gen_integer_tables_match_golden(cache, capsys, argv, name):
     assert capsys.readouterr().out == golden * 2
 
 
+@pytest.mark.parametrize("bad", ["abc", "2/4", "5/1", "007"])
+def test_gen_csv_names_corrupt_cache_entry(cache, tmp_path, capsys, bad):
+    argv = ["gen", "vk", "--gmax", "2", "--format", "csv"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
+    payload = json.loads(path.read_text())
+    payload["entries"][3]["value"] = bad
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "t.csv"
+    for extra in ([], ["--out", str(out)]):
+        assert main([*argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith(f"error: corrupt cache entry {path}: entry 3 ")
+        assert f'"value": "{bad}"' in err and "--no-cache" in err
+        assert err.count("\n") == 1, err
+    assert not out.exists()
+    assert main([*argv, "--no-cache"]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_gen_entries_over_4300_digits(cache, capsys):
     # C_1^(800) has 4431 digits, over CPython's default int <-> str limit
     argv = ["gen", "laguerre", "--gmax", "800", "--nmax", "1"]
@@ -91,6 +135,62 @@ def test_gen_entries_over_4300_digits(cache, capsys):
     assert capsys.readouterr().out == out * 2
     assert main([*argv, "--format", "csv"]) == 0
     assert f"800,1,{values[(800, 1)]}/1\n" in capsys.readouterr().out
+
+
+def _json_reference(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("rows", [cli._ROWS, 7])
+@pytest.mark.parametrize("ensemble,bounds", [
+    ("laguerre", {"gmax": 4, "nmax": 12}),
+    ("gauss", {"gmax": 8}),
+    ("vk", {"gmax": 4}),
+    ("glag-k1", {"rmax2": 6, "nmax": 10}),
+])
+def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, rows):
+    monkeypatch.setattr(cli, "_ROWS", rows)  # 7: entries span several writes
+    payload = table_payload(ensemble, bounds)
+    assert payload_to_json(payload) == _json_reference(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(ENSEMBLES)),
+       st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300),
+                          st.one_of(st.integers(-10**40, 10**40), st.fractions())),
+                max_size=12))
+def test_table_writers_on_generated_entries(ensemble, rows):
+    spec = ENSEMBLES[ensemble]
+    k1, k2 = spec.keys
+    payload = {
+        "schema": "hzlag-table/1",
+        "ensemble": ensemble,
+        "bounds": {name: 1 for name in spec.bounds},
+        "entries": [{k1: a, k2: b, "value": str(v)} for a, b, v in rows],
+    }
+    assert payload_to_json(payload) == _json_reference(payload)
+    want = "".join(f"{a},{b},{rat_str_explicit(Fraction(v))}\n" for a, b, v in rows)
+    with tempfile.TemporaryDirectory() as d:
+        out = os.path.join(d, "t.csv")
+        payload_to_csv(payload, out)
+        assert pathlib.Path(out).read_text() == f"{k1},{k2},value\n{want}"
+
+
+def test_gen_all_tables_script_matches_gen(cache, tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "gen_all_tables", ROOT / "scripts" / "gen_all_tables.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    outdir = tmp_path / "tables"
+    assert script.main([str(outdir)]) == 0
+    assert len(list(outdir.iterdir())) == 2 * len(script.JOBS)
+    ref = tmp_path / "ref"
+    for ensemble, bounds in script.JOBS:
+        stem = ensemble + "-" + "-".join(f"{k}{v}" for k, v in sorted(bounds.items()))
+        flags = [x for name, v in bounds.items() for x in (f"--{name}", str(v))]
+        for fmt in ("json", "csv"):
+            assert main(["gen", ensemble, *flags, "--format", fmt, "--out", str(ref)]) == 0
+            assert (outdir / f"{stem}.{fmt}").read_bytes() == ref.read_bytes(), stem
 
 
 def test_gen_byte_determinism(cache, tmp_path):

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from hzlag import recursions
 from hzlag.exact import binom_series
 from hzlag.recursions import (
+    ConstraintError,
     GaussBTable,
     HalfGenusTable,
     IntegralityError,
     LagCTable,
+    asym_first_nonzero,
+    asym_moments,
     c1_closed_form,
     consistency_form,
     do_norbury_table,
@@ -71,6 +74,16 @@ def test_rec_v2_perturbed_relation_raises_integrality_error(monkeypatch):
     true_rhs = recursions._rec_v2_rhs
     monkeypatch.setattr(recursions, "_rec_v2_rhs", lambda prev, k: true_rhs(prev, k) + 1)
     with pytest.raises(IntegralityError, match=r"^rec-v2 entry \(1, "):
+        vk_table(2)
+
+
+def test_vk_asym_violation_names_first_nonzero_moment(monkeypatch):
+    # adding k to the relation adds 2 to every A_k with k != 0; A_0 keeps the
+    # row sum at zero, so moment r = 1 is the first that fails
+    true_rhs = recursions._rec_v2_rhs
+    monkeypatch.setattr(recursions, "_rec_v2_rhs", lambda prev, k: true_rhs(prev, k) + k)
+    monkeypatch.setattr(recursions, "consistency_form", lambda row: 0)
+    with pytest.raises(ConstraintError, match=r"^asym-r moment r=1 nonzero at g=1$"):
         vk_table(2)
 
 
@@ -264,6 +277,23 @@ def test_vk_asym_sums_vanish(vk):
         for r in range(2 * g + 2):
             assert sum(Fraction(k) ** r * a if k or r == 0 else Fraction(0)
                        for k, a in row.items()) == 0, (g, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-99, 99), min_size=1, max_size=8),
+       st.integers(-6, 2), st.integers(0, 6))
+def test_asym_first_nonzero_matches_moments(p, low, rmax):
+    # rows P (x-1)^j, k running up from low: asym_first_nonzero names the
+    # first nonzero moment of asym_moments, which is j when P(1) != 0
+    coeffs = p
+    for j in range(rmax + 2):
+        row = {low + i: c for i, c in enumerate(coeffs)}
+        moments = asym_moments(row, rmax)
+        want = next((r for r, m in enumerate(moments) if m), None)
+        assert asym_first_nonzero(row, rmax) == want, (j, row)
+        if sum(p) and j <= rmax:
+            assert want == j
+        coeffs = [a - b for a, b in zip([0, *coeffs], [*coeffs, 0])]  # times x - 1
 
 
 def test_vk_row_sum_zero_positive_genus(vk):
