@@ -6,62 +6,30 @@ in closed form as integer Laurent polynomials in w = u - 1, genus-graded
 recursions, and brute-force Wick pairing enumeration — compute the same
 quantities and are checked against each other with exact equality
 throughout.
+
+Importing the package loads none of its submodules.  ``hzlag.<name>``
+resolves, on use, to the submodule of that name or to the object a
+submodule lists in its ``__all__`` (the lists are disjoint), so
+``from hzlag import fab`` is ``hzlag.residues.fab``.
 """
 
 __version__ = "0.1.0"
 
-from .exact import (
-    PoleAtExpansionPoint,
-    TruncSeries,
-    WLaurent,
-    binom_series,
-    rat_str_explicit,
-)
-from .recursions import (
-    ConstraintError,
-    GaussBTable,
-    HalfGenusTable,
-    IntegralityError,
-    LagCTable,
-    VTable,
-    c1_closed_form,
-    do_norbury_table,
-    gauss_hz_table,
-    glag_k1_table,
-    glag_w1_ode_check,
-    laguerre_ode_check,
-    vk_table,
-)
-from .reports import CheckRecord, RunReport, record
-from .residues import (
-    FabValue,
-    TwoPointValue,
-    exp_mean_moments,
-    exp_mean_series,
-    fab,
-    fab_generalized,
-    two_point_series,
-    verify_identity,
-    verify_ode,
-    verify_t1,
-    weighted_residue,
-)
-from .spectral import (
-    NonCancellationError,
-    a_to_C,
-    consistency_identity_check,
-    s_series,
-    vk_series,
-    w11_check,
-    w30_planar_check,
-)
-from .wick import (
-    DegreeLimitError,
-    GradingError,
-    MomentPoly,
-    complex_wishart_moment,
-    connected_moments,
-    genus_extract,
-    gue_moment,
-    parse_dimension,
-)
+
+def __getattr__(name: str):
+    """PEP 562 lookup of a name this module does not hold; it is never
+    stored here, so the submodule's current binding is what is returned."""
+    if name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    import pkgutil
+
+    submodules = [m.name for m in pkgutil.iter_modules(__path__)]
+    if name in submodules:
+        return importlib.import_module(f"{__name__}.{name}")
+    for sub in submodules:
+        mod = importlib.import_module(f"{__name__}.{sub}")
+        if name in getattr(mod, "__all__", ()):
+            return getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+

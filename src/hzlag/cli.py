@@ -18,47 +18,9 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import Callable
 
 from . import __version__
-from .recursions import (
-    GaussBTable,
-    HalfGenusTable,
-    LagCTable,
-    VTable,
-    asym_moments,
-    do_norbury_table,
-    gauss_gue_check,
-    gauss_hz_table,
-    glag_k1_table,
-    glag_moment_from_table,
-    glag_w1_ode_check,
-    lag_moment_from_table,
-    laguerre_ode_check,
-    vk_table,
-)
-from .reports import RunReport, record
-from .residues import (
-    IDENTITY_TAGS,
-    exp_mean_moments,
-    fab,
-    two_point_series,
-    verify_identity,
-    verify_ode,
-    verify_t1,
-)
-from .spectral import a_to_C, consistency_identity_check, s_series, vk_series, w11_check, w30_planar_check
-from .wick import (
-    WISHART_DEGREE_LIMIT,
-    complex_wishart_moment,
-    connected_moments,
-    genus_extract,
-    gue_moment,
-    parse_dimension,
-)
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -68,8 +30,11 @@ INTERNAL_ERROR = 3
 # peak RSS on a 2-vCPU VM with Python 3.11); "identities" bounds verify's
 # --amax, --bmax and --nmax, whose cost grows about as the fourth power of
 # the bound (all three at 30/40/50/60 took 1.4/2.8/4.5/8.1 s and
-# 25/32/41/55 MB peak RSS for the identities suite, same machine)
-GEN_LIMITS = {"k": 64, "order": 4000, "fab": 300, "identities": 50}
+# 25/32/41/55 MB peak RSS for the identities suite, same machine);
+# "at_digits" bounds the digits of eval-fab's --at p and q (at A = B = 300,
+# p and q of 1/100/200/300 digits took 0.59/0.82/1.39/2.33 s and ~21 MB peak
+# RSS in a fresh process, 2-vCPU VM, Python 3.11.7)
+GEN_LIMITS = {"k": 64, "order": 4000, "fab": 300, "identities": 50, "at_digits": 100}
 
 
 class UsageError(ValueError):
@@ -131,29 +96,42 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool) -> bytes:
 # table serialization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Ensemble:
     """How `gen` bounds, builds, serializes and reloads one ensemble's table."""
 
-    bounds: dict[str, int]  # gen option -> its largest value, in build and table order
-    keys: tuple[str, str]  # the index names of a table entry
-    build: Callable  # bound values -> table
-    table: type  # table(*bound values, entries) rebuilds a table from a payload
-    low: int = 0  # smallest value every bound accepts
+    __slots__ = ("bounds", "keys", "builder", "table_class", "low")
+
+    def __init__(self, bounds: dict[str, int], keys: tuple[str, str], builder: str,
+                 table_class: str, low: int = 0):
+        self.bounds = bounds  # gen option -> its largest value, in build and table order
+        self.keys = keys  # the index names of a table entry
+        self.builder = builder  # bound values -> table
+        self.table_class = table_class  # (*bound values, entries) -> table
+        self.low = low  # smallest value every bound accepts
+
+    def build(self, *bounds):
+        from . import recursions
+        return getattr(recursions, self.builder)(*bounds)
+
+    def table(self, *args):
+        """Rebuild a table from a payload's bound values and entries."""
+        from . import recursions
+        return getattr(recursions, self.table_class)(*args)
 
 
-# each builder is looked up by name when it is called, so a rebinding of the
-# module attribute (perfbench/tracer.py times the builders that way) reaches it;
-# `gen vk --gmax 150` took 7.3 s, 205 MB peak RSS and wrote 39 MB in a fresh
-# process (2-vCPU VM, Python 3.11); the other gen bounds predate calibration
+# each builder and table class is named by a string and looked up in
+# hzlag.recursions when it is called, so importing this module loads no engine
+# and a rebinding of the module attribute (perfbench/tracer.py times the
+# builders that way) reaches it; `gen vk --gmax 150` took 7.3 s, 205 MB peak
+# RSS and wrote 39 MB in a fresh process (2-vCPU VM, Python 3.11); the other
+# gen bounds predate calibration
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"),
-                         lambda gmax, nmax: do_norbury_table(gmax, nmax), LagCTable),
-    "gauss": Ensemble({"gmax": 1000}, ("g", "k"), lambda gmax: gauss_hz_table(gmax),
-                      GaussBTable, low=1),
-    "vk": Ensemble({"gmax": 150}, ("g", "k"), lambda gmax: vk_table(gmax), VTable),
+                         "do_norbury_table", "LagCTable"),
+    "gauss": Ensemble({"gmax": 1000}, ("g", "k"), "gauss_hz_table", "GaussBTable", low=1),
+    "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_table", "VTable"),
     "glag-k1": Ensemble({"rmax2": 400, "nmax": 2000}, ("r2", "n"),
-                        lambda rmax2, nmax: glag_k1_table(rmax2, nmax), HalfGenusTable),
+                        "glag_k1_table", "HalfGenusTable"),
 }
 
 
@@ -165,23 +143,30 @@ def table_payload(ensemble: str, bounds: dict) -> dict:
         {k1: a, k2: b, "value": str(v)}
         for (a, b), v in sorted(table.entries.items())
     ]
-    return {
-        "schema": "hzlag-table/1",
-        "ensemble": ensemble,
-        "bounds": bounds,
-        "entries": entries,
-    }
+    return {**_table_header(ensemble, bounds), "entries": entries}
+
+
+def _table_header(ensemble: str, bounds: dict) -> dict:
+    """The fields of a gen payload besides its entries."""
+    return {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds}
 
 
 _ROWS = 4096  # entries serialized per write
+
+
+def _json_frame(payload: dict) -> tuple[str, str]:
+    """The text payload_to_json writes before and after the entries list,
+    which the payload's other fields fix."""
+    head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
+                            indent=2).split('"entries": []')
+    return head, tail
 
 
 def payload_to_json(payload: dict) -> bytes:
     """Exactly ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``,
     encoded; the encoder renders only the fields around the entries, and
     each entry is written as its fixed block, keys in sorted order."""
-    head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
-                            indent=2).split('"entries": []')
+    head, tail = _json_frame(payload)
     entries = payload["entries"]
     if not entries:
         return f'{head}"entries": []{tail}\n'.encode()
@@ -256,6 +241,8 @@ def payload_to_csv(payload: dict, out: str | None) -> None:
 def payload_to_table(payload: dict):
     """Rebuild a table object from a parsed JSON payload (no revalidation:
     the verify suites re-check constraints on whatever the payload holds)."""
+    from fractions import Fraction
+
     spec = ENSEMBLES[payload["ensemble"]]
     k1, k2 = spec.keys
     entries = {
@@ -274,8 +261,39 @@ def table_bytes(ensemble: str, bounds: dict, use_cache: bool) -> bytes:
                         lambda: payload_to_json(table_payload(ensemble, bounds)), use_cache)
 
 
+def _corrupt_cache(ensemble: str, bounds: dict, what: str) -> UsageError:
+    return UsageError(f"corrupt cache entry {cache_path('gen', _gen_key(ensemble, bounds))}: "
+                      f"{what}; delete the file or pass --no-cache")
+
+
+def table_json(ensemble: str, bounds: dict, use_cache: bool) -> bytes:
+    """table_bytes, with a cached entry checked to begin and end as
+    payload_to_json writes them for these bounds (the entries between are
+    not parsed, so the check costs the same for any table size)."""
+    data = table_bytes(ensemble, bounds, use_cache)
+    if use_cache:
+        head, tail = _json_frame(_table_header(ensemble, bounds))
+        if not (data.startswith(f'{head}"entries": ['.encode())
+                and data.endswith(f"]{tail}\n".encode())):
+            raise _corrupt_cache(ensemble, bounds,
+                                 "it does not begin and end as this program writes it")
+    return data
+
+
+def load_payload(ensemble: str, bounds: dict, use_cache: bool) -> dict:
+    """The parsed gen JSON of one table; a cached entry that does not parse
+    is named as corrupt."""
+    data = table_bytes(ensemble, bounds, use_cache)
+    try:
+        return json.loads(data)
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        if not use_cache:
+            raise
+        raise _corrupt_cache(ensemble, bounds, f"not valid JSON ({e})") from e
+
+
 def load_table(ensemble: str, bounds: dict, use_cache: bool):
-    return payload_to_table(json.loads(table_bytes(ensemble, bounds, use_cache)))
+    return payload_to_table(load_payload(ensemble, bounds, use_cache))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +302,9 @@ def load_table(ensemble: str, bounds: dict, use_cache: bool):
 
 
 def suite_identities(args) -> RunReport:
+    from .reports import RunReport
+    from .residues import IDENTITY_TAGS, verify_identity
+
     rep = RunReport("identities", tool_version=__version__)
     for tag in IDENTITY_TAGS:
         rep.extend(verify_identity(tag, args.amax, args.bmax, args.nmax))
@@ -291,6 +312,9 @@ def suite_identities(args) -> RunReport:
 
 
 def suite_odes(args) -> RunReport:
+    from .reports import RunReport
+    from .residues import verify_ode, verify_t1
+
     rep = RunReport("odes", tool_version=__version__)
     for N in range(1, min(args.nmax, 10) + 1):
         rep.checks.append(verify_ode("DN", N))
@@ -305,6 +329,14 @@ def suite_odes(args) -> RunReport:
 
 
 def suite_crosscheck(args) -> RunReport:
+    from fractions import Fraction
+
+    from .recursions import do_norbury_table, gauss_gue_check, glag_moment_from_table
+    from .reports import RunReport, record
+    from .residues import exp_mean_moments, two_point_series
+    from .spectral import w11_check, w30_planar_check
+    from .wick import complex_wishart_moment, connected_moments, genus_extract
+
     rep = RunReport("crosscheck", tool_version=__version__)
     mmax = min(args.mmax, 6)
     # one-point: residue route vs Wick oracle
@@ -366,6 +398,10 @@ def suite_crosscheck(args) -> RunReport:
 
 
 def suite_constraints(args) -> RunReport:
+    from .recursions import asym_moments, glag_w1_ode_check, laguerre_ode_check
+    from .reports import RunReport, record
+    from .spectral import a_to_C, consistency_identity_check
+
     rep = RunReport("constraints", tool_version=__version__)
     gmax = min(args.gmax, 6)
     vt = load_table("vk", {"gmax": gmax}, args.cache)
@@ -434,25 +470,24 @@ def cmd_gen(args) -> int:
             raise UsageError(f"gen {ensemble} requires --{name}")
         _check_range(name, v, hi=spec.bounds[name], lo=spec.low)
     use_cache = not args.no_cache
-    data = table_bytes(ensemble, bounds, use_cache)
     if args.format == "json":
-        _write_out(data, args.out)
+        _write_out(table_json(ensemble, bounds, use_cache), args.out)
         return 0
-    payload = json.loads(data)
-    del data  # only the parsed entries are kept while the rows are written
+    # only the parsed entries are kept while the rows are written
+    payload = load_payload(ensemble, bounds, use_cache)
     try:
         payload_to_csv(payload, args.out)
     except CorruptEntry as e:
         if not use_cache:
             raise
-        raise UsageError(
-            f"corrupt cache entry {cache_path('gen', _gen_key(ensemble, bounds))}: "
-            f"entry {e.index} {json.dumps(e.entry, sort_keys=True)} is not a value "
-            f"this program writes; delete the file or pass --no-cache") from e
+        raise _corrupt_cache(ensemble, bounds, f"entry {e.index} {json.dumps(e.entry, sort_keys=True)} "
+                             "is not a value this program writes") from e
     return 0
 
 
 def cmd_oracle(args) -> int:
+    from .wick import WISHART_DEGREE_LIMIT, complex_wishart_moment, connected_moments, parse_dimension
+
     try:
         pattern = tuple(int(p) for p in args.mu.split(","))
     except ValueError as e:
@@ -506,6 +541,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .spectral import s_series, vk_series
+
     _check_range("k", args.k, hi=GEN_LIMITS["k"])
     _check_range("order", args.order, hi=GEN_LIMITS["order"])
     if args.which == "vk":
@@ -523,14 +560,33 @@ def cmd_series(args) -> int:
     return 0
 
 
+# an eval-fab --at point: an integer p or a fraction p/q, in ASCII digits
+_POINT = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_point(text: str):
+    """The Fraction an --at point names, its p and q within the digit limit."""
+    from fractions import Fraction
+
+    m = _POINT.fullmatch(text)
+    if not m:
+        raise UsageError(f"bad --at {text!r} (expected p or p/q, in ASCII digits)")
+    p, q = m[2], m[3] or "1"
+    limit = GEN_LIMITS["at_digits"]
+    if max(len(p), len(q)) > limit:
+        raise UsageError(f"--at p and q must have at most {limit} digits each")
+    if int(q) == 0:
+        raise UsageError(f"bad --at {text!r} (zero denominator)")
+    return Fraction(int(m[1] + p), int(q))
+
+
 def cmd_eval_fab(args) -> int:
+    from .residues import fab
+
     _check_range("a", args.a, hi=GEN_LIMITS["fab"])
     _check_range("b", args.b, hi=GEN_LIMITS["fab"])
     if args.at is not None:
-        try:
-            point = Fraction(args.at)
-        except (ValueError, ZeroDivisionError) as e:
-            raise UsageError(f"bad --at {args.at!r} (expected p/q)") from e
+        point = _parse_point(args.at)
     value = fab(args.a, args.b).value
     if args.at is None:
         print(value)

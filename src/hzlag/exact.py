@@ -121,10 +121,29 @@ class WLaurent:
         return WLaurent({e - 1: e * c for e, c in self.terms.items()})
 
     def __call__(self, point: Scalar) -> Fraction:
+        """f at u = point, by Horner's rule over the integers: with w = p/q
+        and L the lcm of the coefficient denominators, the sum over e of
+        (L c_e) p^(e-lo) q^(hi-e) is f(w) L q^hi / p^lo, so one Fraction
+        (one gcd) is made at the end instead of one per term."""
         w = Fraction(point) - 1
-        if w == 0 and min(self.terms, default=0) < 0:
+        if not self.terms:
+            return Fraction(0)
+        lo, hi = min(self.terms), max(self.terms)
+        p, q = w.numerator, w.denominator
+        if p == 0 and lo < 0:
             raise ZeroDivisionError(f"pole at {point}")
-        return sum((c * w**e for e, c in self.terms.items()), Fraction(0))
+        scale = math.lcm(*(c.denominator for c in self.terms.values()))
+        acc, qpow, prev = 0, 1, hi
+        for e in sorted(self.terms, reverse=True):
+            c = self.terms[e]
+            if e != prev:
+                acc *= p ** (prev - e)
+                qpow *= q ** (prev - e)
+                prev = e
+            acc += c.numerator * (scale // c.denominator) * qpow
+        num = acc * p ** max(lo, 0) * q ** max(-hi, 0)
+        den = scale * q ** max(hi, 0) * p ** max(-lo, 0)
+        return Fraction(num, den)
 
     def compose_inverse(self) -> "WLaurent":
         """f(1/u), again a function of u.

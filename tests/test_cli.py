@@ -64,13 +64,35 @@ def run_cli(args, cache_dir):
     the `hzlag` imported here, absolute so the tests run from any directory)
     are passed, besides an empty `PATH`.
     """
+    return subprocess.run([sys.executable, "-m", "hzlag.cli", *args],
+                          capture_output=True, env=_child_env(cache_dir))
+
+
+def _child_env(cache_dir) -> dict:
     src_root = pathlib.Path(hzlag.__file__).resolve().parent.parent
-    return subprocess.run(
-        [sys.executable, "-m", "hzlag.cli", *args],
-        capture_output=True,
-        env={"PATH": "", "PYTHONPATH": str(src_root),
-             "HZLAG_CACHE_DIR": str(cache_dir)},
-    )
+    return {"PATH": "", "PYTHONPATH": str(src_root), "HZLAG_CACHE_DIR": str(cache_dir)}
+
+
+# runs cli.main(ARGV) and writes, as the last line of stderr, the hzlag
+# submodules the process loaded
+_LOADED = """
+import sys
+import hzlag.cli
+try:
+    rc = hzlag.cli.main(sys.argv[1:])
+except SystemExit as e:
+    rc = e.code
+print(*sorted(m for m in sys.modules if m.startswith("hzlag.")), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def loaded_modules(args, cache_dir) -> set:
+    """The hzlag submodules a fresh process loads to run ``hzlag ARGS``."""
+    r = subprocess.run([sys.executable, "-c", _LOADED, *args],
+                       capture_output=True, env=_child_env(cache_dir))
+    assert r.returncode == 0, r.stderr
+    return set(r.stderr.decode().splitlines()[-1].split())
 
 
 def test_gen_laguerre_csv(cache, capsys):
@@ -120,6 +142,49 @@ def test_gen_csv_names_corrupt_cache_entry(cache, tmp_path, capsys, bad):
     assert not out.exists()
     assert main([*argv, "--no-cache"]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_truncated_cache_entry_is_named_corrupt(cache, tmp_path, capsys):
+    argv = ["gen", "vk", "--gmax", "1"]
+    report = tmp_path / "report.json"
+    verify = ["verify", "--suite", "constraints", "--gmax", "1", "--out", str(report)]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    assert main(verify) == 0  # loads the same entry through the cache
+    capsys.readouterr()
+    report.unlink()
+    path = cache_path("gen", {"ensemble": "vk", "gmax": 1})
+    path.write_bytes(path.read_bytes()[:100])
+    # gen JSON checks the entry's two ends, gen CSV and verify parse it
+    for args in (argv, [*argv, "--format", "csv"], verify):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "", args
+        err = captured.err
+        assert err.startswith(f"error: corrupt cache entry {path}: "), err
+        assert err.endswith("; delete the file or pass --no-cache\n") and err.count("\n") == 1, err
+    assert not report.exists()
+    assert main([*argv, "--no-cache"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_gen_json_names_cache_entry_with_foreign_ends(cache, capsys):
+    # a rewritten entry that still parses is not what gen writes: JSON output
+    # copies the cached bytes, so they must begin and end as gen writes them
+    argv = ["gen", "vk", "--gmax", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
+    payload = json.loads(path.read_text())
+    for data in (json.dumps(payload), GOLDEN.read_text().replace('"gmax": 2', '"gmax": 3')):
+        path.write_text(data)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: corrupt cache entry {path}: ")
+    path.write_text(GOLDEN.read_text())
+    assert main(argv) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text()
 
 
 def test_gen_entries_over_4300_digits(cache, capsys):
@@ -295,6 +360,26 @@ def test_eval_fab_matches_golden(cache, capsys):
     ["verify", "--suite", "identities", "--bmax", "51"],
     ["verify", "--suite", "odes", "--nmax", "51"],
     ["gen", "vk", "--gmax", str(ENSEMBLES["vk"].bounds["gmax"] + 1)],
+    # --at is an ASCII integer p or fraction p/q with q > 0, nothing else
+    ["eval-fab", "--a", "1", "--b", "1", "--at", "1/000"],
+    ["eval-fab", "--a", "2", "--b", "2", "--at", " 1_0/3 "],
+    ["eval-fab", "--a", "2", "--b", "2", "--at", "1_0/3"],
+    ["eval-fab", "--a", "2", "--b", "2", "--at", "1/2 "],
+    ["eval-fab", "--a", "2", "--b", "2", "--at", "1e10000000"],
+    ["eval-fab", "--a", "2", "--b", "2", "--at", "0.5"],
+    ["eval-fab", "--a", "2", "--b", "2", "--at", "+1/2"],
+    ["eval-fab", "--a", "2", "--b", "2", "--at", "1/-2"],
+    ["eval-fab", "--a", "2", "--b", "2", "--at", "1//2"],
+    ["eval-fab", "--a", "2", "--b", "2", "--at", "/2"],
+    ["eval-fab", "--a", "2", "--b", "2", "--at", "\u0661/2"],  # ARABIC-INDIC ONE
+    ["eval-fab", "--a", "2", "--b", "2", "--at", ""],
+    # p or q over the digit limit: refused before f_{A,B} is built
+    ["eval-fab", "--a", "300", "--b", "300",
+     "--at", "1" * (cli.GEN_LIMITS["at_digits"] + 1)],
+    ["eval-fab", "--a", "300", "--b", "300",
+     "--at", "1/" + "3" * (cli.GEN_LIMITS["at_digits"] + 1)],
+    ["eval-fab", "--a", "300", "--b", "300",
+     "--at=-" + "7" * (cli.GEN_LIMITS["at_digits"] + 1) + "/3"],
 ])
 def test_bad_input_exits_2(cache, capsys, argv):
     assert main(argv) == 2
@@ -306,6 +391,12 @@ def test_limits_are_inclusive(cache, capsys):
     assert main(["eval-fab", "--a", "300", "--b", "0"]) == 0
     assert main(["eval-fab", "--a", "0", "--b", "300", "--at", "1/2"]) == 0
     assert capsys.readouterr().out == "0\n-300\n"
+    digits = cli.GEN_LIMITS["at_digits"]
+    assert main(["eval-fab", "--a", "1", "--b", "1",
+                 f"--at=-{'9' * digits}/{'1' * digits}"]) == 0
+    # f_{1,1}(u) = -u/(u - 1)
+    point = Fraction(-int("9" * digits), int("1" * digits))
+    assert capsys.readouterr().out == f"{-point / (point - 1)}\n"
     assert main(["series", "vk", "--k", "64", "--order", "3"]) == 0
     assert main(["verify", "--suite", "identities",
                  "--amax", "50", "--bmax", "0", "--nmax", "0"]) == 0
@@ -420,3 +511,14 @@ def test_console_script_entry_point(cache):
     r = run_cli(["--version"], cache)
     assert r.returncode == 0
     assert b"0.1.0" in r.stdout
+
+
+def test_processes_import_only_what_they_run(cache):
+    # a warm gen and --version load no engine: only the cli module itself
+    assert loaded_modules(["--version"], cache) == {"hzlag.cli"}
+    job = ["gen", "vk", "--gmax", "2"]
+    cold = loaded_modules(job, cache)
+    assert "hzlag.recursions" in cold
+    assert not cold & {"hzlag.exact", "hzlag.residues", "hzlag.spectral"}, cold
+    for fmt in ("json", "csv"):
+        assert loaded_modules([*job, "--format", fmt], cache) == {"hzlag.cli"}, fmt

@@ -111,6 +111,25 @@ def test_w_laurent_series_is_exact():
     assert list(WLaurent({-3: c}).series_at_zero(2).coeffs) == [-c, -3 * c, -6 * c]
 
 
+@given(st.dictionaries(st.integers(min_value=-40, max_value=40),
+                       st.one_of(st.integers(-10**30, 10**30), small_rationals),
+                       max_size=12),
+       st.fractions(max_denominator=10**20))
+def test_w_laurent_call_matches_termwise_sum(terms, x):
+    # Horner's rule over integers against the sum of Fraction terms: sparse
+    # and negative exponents, int and Fraction coefficients, the zero
+    # polynomial, and u = 1 (the pole, unless no exponent is negative)
+    f = WLaurent(terms)
+    for u in (x, Fraction(1), Fraction(0), x + 1):
+        if u == 1 and min(f.terms, default=0) < 0:
+            with pytest.raises(ZeroDivisionError):
+                f(u)
+        else:
+            got = f(u)
+            assert type(got) is Fraction and got == at(f, u)
+    assert WLaurent({})(x) == 0
+
+
 def test_w_laurent_pole_at_one():
     f = WLaurent({-2: 1, 0: 3})
     with pytest.raises(ZeroDivisionError):

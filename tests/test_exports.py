@@ -1,23 +1,57 @@
-"""The package's export lists name only what exists."""
+"""The package's export lists name only what exists, and the package
+resolves each of them lazily to the submodule's object."""
 
 import importlib
-import inspect
+import pathlib
 import pkgutil
+import subprocess
+import sys
+
+import pytest
 
 import hzlag
 
 
-def test_exports_resolve():
-    modules = [importlib.import_module(f"hzlag.{m.name}")
-               for m in pkgutil.iter_modules(hzlag.__path__)]
-    exported = {}
-    for mod in modules:
+def _exports() -> dict:
+    """Each name in a submodule's ``__all__`` -> the submodules listing it."""
+    owners: dict = {}
+    for info in pkgutil.iter_modules(hzlag.__path__):
+        mod = importlib.import_module(f"hzlag.{info.name}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name!r}"
-            exported[name] = getattr(mod, name)
-    # every public name of the package is a submodule's export, re-exported as is
-    for name, obj in vars(hzlag).items():
-        if name.startswith("_") or inspect.ismodule(obj):
-            continue
-        assert name in exported, f"hzlag.{name} is exported by no submodule"
-        assert exported[name] is obj, f"hzlag.{name} is not the submodule's object"
+            owners.setdefault(name, []).append(mod)
+    return owners
+
+
+def test_exports_resolve():
+    owners = _exports()
+    assert owners
+    for name, mods in owners.items():
+        assert len(mods) == 1, f"{name!r} is exported by {[m.__name__ for m in mods]}"
+        assert getattr(hzlag, name) is getattr(mods[0], name), f"hzlag.{name}"
+    from hzlag import fab, vk_table
+
+    assert fab is hzlag.residues.fab and vk_table is hzlag.recursions.vk_table
+
+
+def test_submodules_resolve():
+    for info in pkgutil.iter_modules(hzlag.__path__):
+        assert getattr(hzlag, info.name) is sys.modules[f"hzlag.{info.name}"]
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_private", "__wrapped__", "lag_moment"])
+def test_unknown_name_raises(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(hzlag, name)
+    assert not hasattr(hzlag, name)
+
+
+def test_bare_import_loads_no_submodule():
+    src_root = pathlib.Path(hzlag.__file__).resolve().parent.parent
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hzlag; print(hzlag.__version__, *sorted(m for m in sys.modules"
+         " if m.startswith('hzlag.')))"],
+        capture_output=True, env={"PATH": "", "PYTHONPATH": str(src_root)})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.decode().split() == [hzlag.__version__]
