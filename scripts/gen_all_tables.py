@@ -3,7 +3,8 @@
 
 Usage: python3 scripts/gen_all_tables.py [OUTDIR]
 
-Writes JSON and CSV for each ensemble.  All output is byte-deterministic.
+Writes JSON and CSV for each ensemble by running ``hzlag gen`` (uncached),
+so each file is byte for byte what ``gen`` writes.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import pathlib
 import sys
 
-from hzlag.cli import payload_to_csv, payload_to_json, table_payload
+from hzlag.cli import main as hzlag_main
 
 JOBS = [
     ("laguerre", {"gmax": 8, "nmax": 30}),
@@ -26,11 +27,14 @@ def main(argv: list[str] | None = None) -> int:
     outdir = pathlib.Path(argv[0] if argv else "tables")
     outdir.mkdir(parents=True, exist_ok=True)
     for ensemble, bounds in JOBS:
-        payload = table_payload(ensemble, bounds)
         stem = ensemble + "-" + "-".join(f"{k}{v}" for k, v in sorted(bounds.items()))
-        (outdir / f"{stem}.json").write_bytes(payload_to_json(payload))
-        payload_to_csv(payload, str(outdir / f"{stem}.csv"))
-        print(f"wrote {stem}.json / {stem}.csv ({len(payload['entries'])} entries)")
+        flags = [x for name, v in bounds.items() for x in (f"--{name}", str(v))]
+        for fmt in ("json", "csv"):
+            rc = hzlag_main(["gen", ensemble, *flags, "--no-cache",
+                             "--format", fmt, "--out", str(outdir / f"{stem}.{fmt}")])
+            if rc:
+                return rc
+        print(f"wrote {stem}.json / {stem}.csv")
     return 0
 
 

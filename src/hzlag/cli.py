@@ -122,15 +122,18 @@ class Ensemble:
 # each builder and table class is named by a string and looked up in
 # hzlag.recursions when it is called, so importing this module loads no engine
 # and a rebinding of the module attribute (perfbench/tracer.py times the
-# builders that way) reaches it; `gen vk --gmax 150` took 7.3 s, 205 MB peak
-# RSS and wrote 39 MB in a fresh process (2-vCPU VM, Python 3.11); the other
-# gen bounds predate calibration
+# builders that way) reaches it.  The vk, gauss and glag-k1 bounds keep a
+# request within about 200 MB peak RSS; measured with --no-cache, each in a
+# fresh process on one 2-vCPU VM (Python 3.11): `gen vk --gmax 150` took
+# 3.5 s and 141 MB and wrote 39 MB, `gen gauss --gmax 300` 2.5 s, 168 MB and
+# 54 MB (at 400: 7.1 s, 366 MB and 133 MB), `gen glag-k1 --rmax2 240 --nmax
+# 480` 2.8 s, 208 MB and 62 MB.  The laguerre bounds predate calibration.
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"),
                          "do_norbury_table", "LagCTable"),
-    "gauss": Ensemble({"gmax": 1000}, ("g", "k"), "gauss_hz_table", "GaussBTable", low=1),
+    "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_table", "GaussBTable", low=1),
     "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_table", "VTable"),
-    "glag-k1": Ensemble({"rmax2": 400, "nmax": 2000}, ("r2", "n"),
+    "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"),
                         "glag_k1_table", "HalfGenusTable"),
 }
 
@@ -185,23 +188,19 @@ def payload_to_json(payload: dict) -> bytes:
     return buf.getvalue()
 
 
-# a value as the program writes it: str of an int, or of a Fraction in
-# lowest terms whose denominator is not 1
-_VALUE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
-
-
 def _is_value(v) -> bool:
-    m = type(v) is str and _VALUE.fullmatch(v)
-    return bool(m) and (m[2] is None or (m[2] != "1" and math.gcd(int(m[1]), int(m[2])) == 1))
-
-
-class CorruptEntry(ValueError):
-    """A payload entry whose value is not in the form the program writes."""
-
-    def __init__(self, index: int, entry):
-        super().__init__(f"entry {index} {entry!r}")
-        self.index = index
-        self.entry = entry
+    """Whether v is a value as the program writes it: str of an int, or of a
+    Fraction in lowest terms whose denominator is not 1.  Digits are tested
+    with bytes.isdigit (ASCII only), which on the long values of the large
+    tables takes less than half the time of a regex match."""
+    if type(v) is not str or not v.isascii():
+        return False
+    num, slash, den = v.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (digits.encode().isdigit() and (digits[0] != "0" or num == "0")):
+        return False
+    return not slash or (den.encode().isdigit() and den[0] != "0" and den != "1"
+                         and math.gcd(int(num), int(den)) == 1)
 
 
 @contextlib.contextmanager
@@ -223,13 +222,9 @@ def payload_to_csv(payload: dict, out: str | None) -> None:
     Each cell is the entry's value string with an explicit denominator
     (``v`` if it has one, else ``v + "/1"``), which is
     ``rat_str_explicit(Fraction(v))`` for every value the program writes.
-    Every value is checked for that form before ``out`` is opened; the first
-    that fails raises CorruptEntry and is never re-normalized.
+    The payload must be one that load_payload has checked.
     """
     entries = payload["entries"]
-    for i, e in enumerate(entries):
-        if not _is_value(e.get("value")):
-            raise CorruptEntry(i, e)
     k1, k2 = ENSEMBLES[payload["ensemble"]].keys
     with _open_out(out) as f:
         f.write(f"{k1},{k2},value\n".encode())
@@ -239,15 +234,14 @@ def payload_to_csv(payload: dict, out: str | None) -> None:
 
 
 def payload_to_table(payload: dict):
-    """Rebuild a table object from a parsed JSON payload (no revalidation:
-    the verify suites re-check constraints on whatever the payload holds)."""
+    """Rebuild a table object from a payload that load_payload has checked
+    (the values are not re-checked: the verify suites re-check constraints
+    on whatever the payload holds)."""
     from fractions import Fraction
 
     spec = ENSEMBLES[payload["ensemble"]]
     k1, k2 = spec.keys
-    entries = {
-        (int(e[k1]), int(e[k2])): Fraction(e["value"]) for e in payload["entries"]
-    }
+    entries = {(e[k1], e[k2]): Fraction(e["value"]) for e in payload["entries"]}
     return spec.table(*(payload["bounds"][name] for name in spec.bounds), entries)
 
 
@@ -280,16 +274,40 @@ def table_json(ensemble: str, bounds: dict, use_cache: bool) -> bytes:
     return data
 
 
+def _payload_fault(payload, ensemble: str, bounds: dict) -> str | None:
+    """Why a parsed payload is not a gen payload of these bounds, or None:
+    its header fields must be the ones gen writes, and each entry needs int
+    keys and a value in the form the program writes (one pass over the
+    entries)."""
+    if type(payload) is not dict or type(payload.get("entries")) is not list:
+        return "it is not a JSON object with an entries list"
+    if {k: v for k, v in payload.items() if k != "entries"} != _table_header(ensemble, bounds):
+        return "its header is not the one this program writes for these bounds"
+    k1, k2 = ENSEMBLES[ensemble].keys
+    for i, e in enumerate(payload["entries"]):
+        if not (type(e) is dict and type(e.get(k1)) is int and type(e.get(k2)) is int
+                and _is_value(e.get("value"))):
+            return (f"entry {i} {json.dumps(e, sort_keys=True)} "
+                    "is not an entry this program writes")
+    return None
+
+
 def load_payload(ensemble: str, bounds: dict, use_cache: bool) -> dict:
-    """The parsed gen JSON of one table; a cached entry that does not parse
-    is named as corrupt."""
+    """The parsed and checked gen JSON of one table; a cached entry that does
+    not parse, or is not a gen payload of these bounds, is named as corrupt."""
     data = table_bytes(ensemble, bounds, use_cache)
     try:
-        return json.loads(data)
+        payload = json.loads(data)
     except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         if not use_cache:
             raise
         raise _corrupt_cache(ensemble, bounds, f"not valid JSON ({e})") from e
+    fault = _payload_fault(payload, ensemble, bounds)
+    if fault:
+        if not use_cache:
+            raise ValueError(f"gen {ensemble} wrote a payload that fails its check: {fault}")
+        raise _corrupt_cache(ensemble, bounds, fault)
+    return payload
 
 
 def load_table(ensemble: str, bounds: dict, use_cache: bool):
@@ -474,14 +492,7 @@ def cmd_gen(args) -> int:
         _write_out(table_json(ensemble, bounds, use_cache), args.out)
         return 0
     # only the parsed entries are kept while the rows are written
-    payload = load_payload(ensemble, bounds, use_cache)
-    try:
-        payload_to_csv(payload, args.out)
-    except CorruptEntry as e:
-        if not use_cache:
-            raise
-        raise _corrupt_cache(ensemble, bounds, f"entry {e.index} {json.dumps(e.entry, sort_keys=True)} "
-                             "is not a value this program writes") from e
+    payload_to_csv(load_payload(ensemble, bounds, use_cache), args.out)
     return 0
 
 

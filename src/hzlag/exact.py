@@ -2,8 +2,12 @@
 truncated series.
 
 Everything is built over ``int`` and ``fractions.Fraction``; there is no
-floating point anywhere in this package.  Half-integer exponents, where they
-occur, are carried as doubled integer indices by the callers.
+floating point anywhere in this package.  ``WLaurent`` carries the ring
+operations of the residue route.  ``TruncSeries`` only holds known
+coefficients: the code that combines series (the spectral bases, the
+u-series of f_{A,B}) adds their coefficient lists itself.  Half-integer
+exponents, where they occur, are carried as doubled integer indices by the
+callers.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ __all__ = [
     "PoleAtExpansionPoint",
     "WLaurent",
     "TruncSeries",
-    "binom_series",
     "rat_str_explicit",
 ]
 
@@ -226,8 +229,8 @@ class TruncSeries:
 
     ``coeffs[i]`` is the coefficient of var**(offset + i); all exponents
     below ``offset`` are exactly zero, all exponents above ``order`` are
-    unknown.  Arithmetic carries the minimum of the operands' effective
-    truncation orders.
+    unknown.  The coefficients are kept as given (``int`` or ``Fraction``);
+    callers that combine series do so on the coefficient lists.
     """
 
     __slots__ = ("var", "offset", "coeffs")
@@ -235,7 +238,7 @@ class TruncSeries:
     def __init__(self, var: str, coeffs: Iterable[Scalar], offset: int = 0):
         self.var = var
         self.offset = offset
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("a truncated series needs at least one known coefficient")
 
@@ -244,86 +247,16 @@ class TruncSeries:
         """Largest exponent with a known coefficient."""
         return self.offset + len(self.coeffs) - 1
 
-    def valuation(self) -> int:
-        """Exponent of the first nonzero coefficient (order+1 if all zero)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return self.offset + i
-        return self.order + 1
-
-    def coefficient(self, exp: int) -> Fraction:
+    def coefficient(self, exp: int) -> Scalar:
         if exp > self.order:
             raise IndexError(f"coefficient of exponent {exp} beyond truncation {self.order}")
         if exp < self.offset:
-            return Fraction(0)
+            return 0
         return self.coeffs[exp - self.offset]
-
-    def _check(self, other: "TruncSeries") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a scalar is exact to any order; keep self's truncation
-            off = min(self.offset, 0)
-            coeffs = [self.coefficient(e) for e in range(off, self.order + 1)]
-            if self.order >= 0:
-                coeffs[-off] += Fraction(other)
-            return TruncSeries(self.var, coeffs, off)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check(other)
-        order = min(self.order, other.order)
-        off = min(self.offset, other.offset)
-        return TruncSeries(
-            self.var,
-            [self.coefficient(e) + other.coefficient(e) for e in range(off, order + 1)],
-            off,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries(self.var, [-c for c in self.coeffs], self.offset)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncSeries) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c: Scalar) -> "TruncSeries":
-        return TruncSeries(self.var, [Fraction(c) * a for a in self.coeffs], self.offset)
 
     def shift_exp(self, d: int) -> "TruncSeries":
         """Multiply by var**d."""
         return TruncSeries(self.var, self.coeffs, self.offset + d)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check(other)
-        va, vb = self.valuation(), other.valuation()
-        order = min(self.order + vb, other.order + va)
-        off = self.offset + other.offset
-        if order < off:
-            return TruncSeries(self.var, [0], order)
-        out = [Fraction(0)] * (order - off + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            ea = self.offset + i
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                e = ea + other.offset + j
-                if e <= order:
-                    out[e - off] += a * b
-        return TruncSeries(self.var, out, off)
-
-    __rmul__ = __mul__
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
@@ -333,28 +266,5 @@ class TruncSeries:
             return TruncSeries(self.var, [0], order)
         return TruncSeries(self.var, self.coeffs[:n], self.offset)
 
-    def eq_through(self, other: "TruncSeries", order: int) -> bool:
-        """Coefficientwise equality for all exponents <= order."""
-        self._check(other)
-        if order > min(self.order, other.order):
-            raise ValueError("comparison order beyond a truncation")
-        lo = min(self.offset, other.offset)
-        return all(self.coefficient(e) == other.coefficient(e) for e in range(lo, order + 1))
-
     def __repr__(self):
         return f"TruncSeries({self.var!r}, {list(self.coeffs)!r}, offset={self.offset})"
-
-
-def binom_series(alpha: Scalar, order: int) -> TruncSeries:
-    """Coefficients of (1 + t)**alpha through t**order.
-
-    Uses the recurrence c_{m+1} = c_m * (alpha - m) / (m + 1); total for any
-    rational alpha and order >= 0.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    alpha = Fraction(alpha)
-    cs = [Fraction(1)]
-    for m in range(order):
-        cs.append(cs[-1] * (alpha - m) / (m + 1))
-    return TruncSeries("t", cs)

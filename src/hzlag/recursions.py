@@ -4,8 +4,10 @@ The Laguerre three-term recursion ("3-t"), the Gaussian recursion
 ("recurrence"), the v_k recursion ("rec-v2", stored as A / 2^(8g+1)) and the
 k = 1 eight-term recursion ("8-t") are int kernels: every entry is an exact
 integer quotient, checked by _exact_div as it is made.  Also here: the n = 1
-closed form ("C1g") and the operator-equation verifiers "int-2" and "W1",
-which re-derive the tables independently of the table-filling code paths.
+closed form ("C1g"), the operator-equation verifiers "int-2" and "W1",
+which re-derive the tables independently of the table-filling code paths,
+and half_binomial_series, the int kernel for (1-4t)^(s/2) that the Gaussian
+genus reconstruction and the spectral bases share.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "laguerre_ode_check",
     "glag_w1_ode_check",
     "lag_moment_from_table",
+    "half_binomial_series",
     "gauss_genus_coefficients",
     "gauss_gue_check",
     "glag_moment_from_table",
@@ -326,12 +329,18 @@ def lag_moment_from_table(table: LagCTable, m: int) -> MomentPoly:
     return MomentPoly(terms)
 
 
-def _inv_sqrt_series(j: int, n: int) -> list[int]:
-    """[t^i] (1-4t)^(-j/2) for i <= n: the j-th power of sum_i C(2i, i) t^i,
-    so each step c_i = 2(j+2i-2) c_(i-1) / i is an exact division."""
+def half_binomial_series(s: int, n: int) -> list[int]:
+    """[t^i] (1-4t)^(s/2) for i <= n and odd s: a power of sum_i C(2i, i) t^i
+    or of its inverse 1 - 2 sum_i Catalan(i-1) t^i, so every coefficient is
+    an integer and each step c_i = 2(2i-2-s) c_(i-1) / i is an exact
+    division."""
+    if s % 2 == 0:
+        raise ValueError(f"s must be odd, got {s}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     c = [1]
     for i in range(1, n + 1):
-        c.append(_exact_div(2 * (j + 2 * i - 2) * c[-1], i, "recurrence-gue", j, i))
+        c.append(_exact_div(2 * (2 * i - 2 - s) * c[-1], i, "half-binomial", s, i))
     return c
 
 
@@ -347,7 +356,7 @@ def gauss_genus_coefficients(table: GaussBTable, g: int, mmax: int) -> dict[int,
         j = 4 * g + 2 * k + 1  # (x^2-4)^(-j/2) = x^-j (1 - 4/x^2)^(-j/2)
         if b == 0 or j > mmax + 1:
             continue
-        for i, c in enumerate(_inv_sqrt_series(j, (mmax + 1 - j) // 2)):
+        for i, c in enumerate(half_binomial_series(-j, (mmax + 1 - j) // 2)):
             out[j + 2 * i - 1] += b * c
     return out
 

@@ -1,21 +1,24 @@
 """Change-of-variable series on the spectral curve side.
 
-Everything here is a truncated Laurent series in 1/x with exact rational
+Everything here is a truncated Laurent series in 1/x with exact
 coefficients: the v_k basis ((x-4)/x)^(k+1/2), the s_{k,beta} basis
 (x-2)^beta (x^2-4x)^(-(2k+3)/2), the conversion from a_k^(g) rows to
 C_n^(g) coefficients, and the closed-form checks "W11", "W30", and
 "consistency".  Half-integer powers never require algebraic extensions:
 every object handled is x^(-a) (x-4)^(-b) with a+b an integer, hence a
-genuine Laurent series in 1/x.
+genuine Laurent series in 1/x.  Each basis series is (1 - 4/x)^(s/2) for an
+odd s, times a power of x and possibly x - 2, so its coefficients are the
+integers of recursions.half_binomial_series; the checks add coefficient
+lists and never multiply series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import TruncSeries, binom_series
+from .exact import TruncSeries
 from .reports import CheckRecord, record
-from .recursions import VTable, consistency_form
+from .recursions import VTable, consistency_form, half_binomial_series
 from .wick import connected_moments
 
 __all__ = [
@@ -38,31 +41,35 @@ class NonCancellationError(ValueError):
 
 
 def vk_series(k: int, order: int) -> TruncSeries:
-    """v_k = ((x-4)/x)^(k+1/2) through x^-order: binom_series(k+1/2)
-    evaluated at t = -4/x."""
-    return binom_at_minus4_over_x(Fraction(2 * k + 1, 2), order)
+    """v_k = ((x-4)/x)^(k+1/2) = (1 - 4/x)^((2k+1)/2) through x^-order."""
+    return TruncSeries(INVX, half_binomial_series(2 * k + 1, order))
 
 
 def binom_at_minus4_over_x(alpha: Fraction, order: int) -> TruncSeries:
-    """(1 - 4/x)^alpha as a series in 1/x through x^-order."""
-    coeffs = binom_series(alpha, order).coeffs
-    return TruncSeries(INVX, [c * (-4) ** m for m, c in enumerate(coeffs)])
+    """(1 - 4/x)^alpha as a series in 1/x through x^-order, for a
+    half-integer alpha."""
+    alpha = Fraction(alpha)
+    if alpha.denominator != 2:
+        raise ValueError(f"alpha must be a half-integer, got {alpha}")
+    return TruncSeries(INVX, half_binomial_series(alpha.numerator, order))
 
 
 def s_series(k: int, beta: int, order: int) -> TruncSeries:
     """s_{k,beta} = (x-2)^beta (x^2-4x)^(-(2k+3)/2) through x^-order.
 
-    (x^2-4x)^(-(2k+3)/2) = x^(-(2k+3)) (1-4/x)^(-(2k+3)/2); the beta = 1
-    variant multiplies by (x - 2).
+    (x^2-4x)^(-(2k+3)/2) = x^(-j) (1-4/x)^(-j/2) with j = 2k+3, whose
+    coefficient of x^-(j+e) is c_e = [t^e] (1-4t)^(-j/2).  Times x - 2 the
+    series starts one power higher, at x^-(j-1), with coefficients
+    c_e - 2 c_(e-1).
     """
     if k < 0 or beta not in (0, 1):
         raise ValueError("need k >= 0 and beta in {0, 1}")
     j = 2 * k + 3
-    if beta == 0:
-        return binom_at_minus4_over_x(Fraction(-j, 2), order).shift_exp(j).truncate(order)
-    core = binom_at_minus4_over_x(Fraction(-j, 2), order + 1).shift_exp(j)
-    # times x is a shift by one exponent of 1/x: no dense product is needed
-    return (core.shift_exp(-1) - core * 2).truncate(order)
+    lead = j - beta  # the exponent of 1/x of the leading term
+    c = half_binomial_series(-j, max(order - lead, 0))
+    if beta:
+        c = [a - 2 * b for a, b in zip(c, [0, *c])]
+    return TruncSeries(INVX, c, lead).truncate(order)
 
 
 def a_to_C(row: dict[int, Fraction], g: int, order: int) -> list[Fraction]:
@@ -73,17 +80,21 @@ def a_to_C(row: dict[int, Fraction], g: int, order: int) -> list[Fraction]:
     coefficient of x^(-1-2g-n).
     """
     top = 1 + 2 * g + order
-    const = Fraction(1, 2) if g == 0 else Fraction(0)
-    total = TruncSeries(INVX, [const] + [Fraction(0)] * top)
+    total = [Fraction(1, 2) if g == 0 else Fraction(0)] + [Fraction(0)] * top
     for k, a in sorted(row.items()):
         if a:
-            total = total + vk_series(k, top).scale(a)
+            for m, c in enumerate(half_binomial_series(2 * k + 1, top)):
+                total[m] += a * c
     for j in range(2 * g + 1):
-        if total.coefficient(j) != 0:
-            raise NonCancellationError(
-                f"coefficient of x^-{j} is {total.coefficient(j)}, expected 0"
-            )
-    return [total.coefficient(1 + 2 * g + n) for n in range(order + 1)]
+        if total[j] != 0:
+            raise NonCancellationError(f"coefficient of x^-{j} is {total[j]}, expected 0")
+    return total[1 + 2 * g:]
+
+
+def _s_pair_sum(k: int, order: int) -> list[int]:
+    """The coefficients of x^0 .. x^-order of s_{k,1} + 2 s_{k,0}."""
+    s1, s0 = s_series(k, 1, order), s_series(k, 0, order)
+    return [s1.coefficient(m) + 2 * s0.coefficient(m) for m in range(order + 1)]
 
 
 def w11_check(order: int) -> list[CheckRecord]:
@@ -92,19 +103,18 @@ def w11_check(order: int) -> list[CheckRecord]:
     x^(-3/2)(x-4)^(-5/2), and the expansion of the g = 1 a-row."""
     if order < 4:
         raise ValueError("need order >= 4 (the series starts at x^-4)")
-    s_form = s_series(1, 1, order) + s_series(1, 0, order).scale(2)
-    closed = binom_at_minus4_over_x(Fraction(-5, 2), order).shift_exp(4).truncate(order)
+    s_form = _s_pair_sum(1, order)
+    # x^-4 (1 - 4/x)^(-5/2)
+    closed = [0] * 4 + half_binomial_series(-5, order - 4)
     from .recursions import vk_table
 
     c_row = a_to_C(vk_table(1).row(1), 1, order - 3)
     recs = [
-        record(
-            "W11[s-vs-closed]", "W11", s_form.eq_through(closed, order),
-            f"s-basis {list(s_form.coeffs)} closed {list(closed.coeffs)}",
-        )
+        record("W11[s-vs-closed]", "W11", s_form == closed,
+               f"s-basis {s_form[4:]} closed {closed[4:]}")
     ]
     # C_n^(1) is the coefficient of x^-(3+n)
-    arow_ok = all(closed.coefficient(3 + n) == c_row[n] for n in range(order - 2))
+    arow_ok = all(closed[3 + n] == c_row[n] for n in range(order - 2))
     recs.append(
         record("W11[arow-vs-closed]", "W11", arow_ok, f"a-row gave {c_row}")
     )
@@ -122,8 +132,8 @@ def w30_planar_check(m1: int, m2: int, m3: int) -> Fraction:
     if min(m1, m2, m3) < 1:
         raise ValueError("trace exponents must be positive")
     order = max(m1, m2, m3) + 1
-    t = s_series(0, 1, order) + s_series(0, 0, order).scale(2)
-    prod = t.coefficient(m1 + 1) * t.coefficient(m2 + 1) * t.coefficient(m3 + 1)
+    t = _s_pair_sum(0, order)
+    prod = t[m1 + 1] * t[m2 + 1] * t[m3 + 1]
     if prod == 0:
         raise ZeroDivisionError("product coefficient vanishes")
     oracle = connected_moments((m1, m2, m3)).coefficient(-1)

@@ -168,6 +168,54 @@ def test_truncated_cache_entry_is_named_corrupt(cache, tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("data", [
+    "[]",
+    '{"ensemble": "vk", "entries": [{"value": "1"}]}',
+    # the right header, an entry without its int keys
+    GOLDEN.read_text().replace('"g": 0', '"g": "0"', 1).replace('"gmax": 2', '"gmax": 1'),
+])
+def test_cache_entry_that_is_not_a_gen_payload_is_named_corrupt(cache, tmp_path, capsys, data):
+    # it parses as JSON, but gen CSV and verify cannot use it
+    argv = ["gen", "vk", "--gmax", "1", "--format", "csv"]
+    report = tmp_path / "report.json"
+    verify = ["verify", "--suite", "constraints", "--gmax", "1", "--out", str(report)]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    path = cache_path("gen", {"ensemble": "vk", "gmax": 1})
+    path.write_text(data)
+    for args in (argv, [*argv, "--out", str(tmp_path / "t.csv")], verify):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "", args
+        err = captured.err
+        assert err.startswith(f"error: corrupt cache entry {path}: "), err
+        assert err.endswith("; delete the file or pass --no-cache\n") and err.count("\n") == 1, err
+    assert not report.exists() and not (tmp_path / "t.csv").exists()
+    assert main([*argv, "--no-cache"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def _written_value(v) -> bool:
+    """The reference for cli._is_value: v is what str() gives for the
+    Fraction it names."""
+    try:
+        return type(v) is str and str(Fraction(v)) == v
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+@given(st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.fractions().map(str),
+    st.tuples(st.integers(-99, 99), st.integers(-99, 99)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.text("-+/0123456789 .e_\u0661", max_size=8),
+    st.text(max_size=4),
+    st.one_of(st.none(), st.integers(), st.floats()),
+))
+def test_value_check_matches_fraction_round_trip(v):
+    assert cli._is_value(v) == _written_value(v), v
+
+
 def test_gen_json_names_cache_entry_with_foreign_ends(cache, capsys):
     # a rewritten entry that still parses is not what gen writes: JSON output
     # copies the cached bytes, so they must begin and end as gen writes them
@@ -318,6 +366,27 @@ def test_series_vk_json(cache, capsys):
     assert capsys.readouterr().out == SKB_GOLDEN.read_text()
 
 
+# series output where the truncation order is at or just past the leading
+# term (s_{3,1} starts at x^-8, s_{3,0} at x^-9), as {exponent: value}
+SERIES_EDGES = [
+    (["skb", "--k", "3", "--beta", "1", "--order", "7"], {-7: "0"}),
+    (["skb", "--k", "3", "--beta", "1", "--order", "8"], {-8: "1"}),
+    (["skb", "--k", "3", "--beta", "1", "--order", "9"], {-8: "1", -9: "16"}),
+    (["skb", "--k", "3", "--beta", "0", "--order", "8"], {-8: "0"}),
+    (["skb", "--k", "3", "--beta", "0", "--order", "9"], {-9: "1"}),
+    (["skb", "--k", "3", "--beta", "0", "--order", "10"], {-9: "1", -10: "18"}),
+    (["vk", "--k", "0", "--order", "0"], {0: "1"}),
+]
+
+
+@pytest.mark.parametrize("argv,want", SERIES_EDGES)
+def test_series_truncation_edges(cache, capsys, argv, want):
+    assert main(["series", *argv]) == 0
+    out = capsys.readouterr().out
+    items = [{"exponent": e, "value": v} for e, v in want.items()]
+    assert out == json.dumps(items, indent=2) + "\n"
+
+
 def test_eval_fab(cache, capsys):
     assert main(["eval-fab", "--a", "2", "--b", "2", "--at", "1/2"]) == 0
     assert capsys.readouterr().out.strip() == "6"
@@ -360,6 +429,9 @@ def test_eval_fab_matches_golden(cache, capsys):
     ["verify", "--suite", "identities", "--bmax", "51"],
     ["verify", "--suite", "odes", "--nmax", "51"],
     ["gen", "vk", "--gmax", str(ENSEMBLES["vk"].bounds["gmax"] + 1)],
+    ["gen", "gauss", "--gmax", str(ENSEMBLES["gauss"].bounds["gmax"] + 1)],
+    ["gen", "glag-k1", "--rmax2", str(ENSEMBLES["glag-k1"].bounds["rmax2"] + 1), "--nmax", "1"],
+    ["gen", "glag-k1", "--rmax2", "1", "--nmax", str(ENSEMBLES["glag-k1"].bounds["nmax"] + 1)],
     # --at is an ASCII integer p or fraction p/q with q > 0, nothing else
     ["eval-fab", "--a", "1", "--b", "1", "--at", "1/000"],
     ["eval-fab", "--a", "2", "--b", "2", "--at", " 1_0/3 "],

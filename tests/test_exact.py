@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hzlag.exact import (
     TruncSeries,
     WLaurent,
-    binom_series,
     rat_str_explicit,
 )
 
@@ -46,6 +45,15 @@ def at(f: WLaurent, x: Fraction) -> Fraction:
     return sum((c * (x - 1) ** e for e, c in f.terms.items()), Fraction(0))
 
 
+def convolve(a, b) -> list:
+    """The coefficient list of the product of two polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 # a point u = x is also used for f(1/u), so neither x nor 1/x is the pole 1
 POINTS = (Fraction(-3), Fraction(1, 2), Fraction(5, 3), Fraction(-2, 7))
 
@@ -70,8 +78,9 @@ def test_w_laurent_matches_rational_function(f, g):
     # the generators w = -1 + u and 1/w = -(1 + u + u^2 + ...)
     assert list(w.series_at_zero(3).coeffs) == [-1, 1, 0, 0]
     assert list(WLaurent({-1: 1}).series_at_zero(3).coeffs) == [-1, -1, -1, -1]
-    assert (f + g).series_at_zero(5).eq_through(f.series_at_zero(5) + g.series_at_zero(5), 5)
-    assert (f * g).series_at_zero(5).eq_through(f.series_at_zero(5) * g.series_at_zero(5), 5)
+    fs, gs = f.series_at_zero(5).coeffs, g.series_at_zero(5).coeffs
+    assert list((f + g).series_at_zero(5).coeffs) == [a + b for a, b in zip(fs, gs)]
+    assert list((f * g).series_at_zero(5).coeffs) == convolve(fs, gs)[:6]
 
 
 # str(f) for mixed-sign exponents: reduced num/den in u, den = (u - 1)^d
@@ -150,27 +159,9 @@ def test_trunc_series_basics():
     with pytest.raises(IndexError):
         s.coefficient(2)
     assert s.shift_exp(2).coefficient(1) == 1
+    assert type(s.coefficient(0)) is int  # coefficients are kept as given
+    assert s.truncate(0).coeffs == (1, 2)
+    # truncated below its first known exponent: a single known zero
+    assert (s.truncate(-3).offset, s.truncate(-3).coeffs) == (-3, (0,))
     with pytest.raises(ValueError):
         s.truncate(5)
-
-
-@given(st.lists(small_rationals, min_size=1, max_size=6),
-       st.lists(small_rationals, min_size=1, max_size=6))
-def test_trunc_series_mul_matches_poly_product(a, b):
-    sa = TruncSeries("t", a)
-    sb = TruncSeries("t", b)
-    prod = sa * sb
-    # zero leading coefficients let the product's order pass the last power
-    conv = [Fraction(0)] * max(len(a) + len(b) - 1, prod.order + 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            conv[i + j] += x * y
-    for e in range(prod.order + 1):
-        assert prod.coefficient(e) == conv[e]
-
-
-@given(small_rationals, small_rationals, st.integers(min_value=1, max_value=8))
-def test_binom_series_addition_law(a, b, order):
-    lhs = binom_series(a, order) * binom_series(b, order)
-    rhs = binom_series(a + b, order)
-    assert lhs.eq_through(rhs, order)

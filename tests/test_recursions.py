@@ -1,5 +1,6 @@
 """Tests for the four recursion engines and their operator-equation verifiers."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hzlag import recursions
-from hzlag.exact import binom_series
 from hzlag.recursions import (
     ConstraintError,
     GaussBTable,
@@ -226,12 +226,16 @@ def test_gauss_gue_check_detects_corruption(gauss):
 
 
 def test_gauss_binomial_series_is_exact():
-    # the integer kernel of gauss_genus_coefficients against the Fraction
-    # binomial series: [t^i] (1-4t)^(-j/2) = binom(-j/2, i) (-4)^i
-    for j in range(1, 42, 2):
-        want = binom_series(Fraction(-j, 2), 30)
-        assert recursions._inv_sqrt_series(j, 30) == [
-            want.coefficient(i) * (-4) ** i for i in range(31)]
+    # the integer kernel shared by gauss_genus_coefficients (s < 0) and the
+    # v_k basis (s > 0) against the binomial series in Fraction arithmetic:
+    # [t^i] (1-4t)^(s/2) = C(s/2, i) (-4)^i, C(a, i) = a(a-1)...(a-i+1) / i!
+    for s in range(-41, 42, 2):
+        want = [math.prod(Fraction(s, 2) - m for m in range(i)) / math.factorial(i) * (-4) ** i
+                for i in range(31)]
+        assert recursions.half_binomial_series(s, 30) == want, s
+    for s in (-2, 0, 4):
+        with pytest.raises(ValueError):
+            recursions.half_binomial_series(s, 3)
 
 
 def test_gauss_genus_coefficients_match_pairings(gauss):

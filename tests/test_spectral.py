@@ -107,3 +107,11 @@ def test_consistency_identity_check():
     assert all(r.ok for r in recs)
     with pytest.raises(ValueError):
         consistency_identity_check(vk_table(2), 3)
+
+
+def test_binom_at_minus4_over_x_needs_half_integer():
+    # (1 - 4/x)^(3/2) = 1 - 6/x + 6/x^2 + 4/x^3
+    assert list(binom_at_minus4_over_x(Fraction(3, 2), 3).coeffs) == [1, -6, 6, 4]
+    for alpha in (0, 1, Fraction(1, 3), Fraction(-3, 4)):
+        with pytest.raises(ValueError):
+            binom_at_minus4_over_x(alpha, 3)
