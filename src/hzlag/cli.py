@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -99,15 +100,17 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool) -> bytes:
 class Ensemble:
     """How `gen` bounds, builds, serializes and reloads one ensemble's table."""
 
-    __slots__ = ("bounds", "keys", "builder", "table_class", "low")
+    __slots__ = ("bounds", "keys", "domain", "builder", "table_class", "low", "size")
 
-    def __init__(self, bounds: dict[str, int], keys: tuple[str, str], builder: str,
-                 table_class: str, low: int = 0):
+    def __init__(self, bounds: dict[str, int], keys: tuple[str, str], domain, builder: str,
+                 table_class: str, low: int = 0, size=None):
         self.bounds = bounds  # gen option -> its largest value, in build and table order
         self.keys = keys  # the index names of a table entry
+        self.domain = domain  # bound values -> the entries' index pairs, in gen's order
         self.builder = builder  # bound values -> table
         self.table_class = table_class  # (*bound values, entries) -> table
         self.low = low  # smallest value every bound accepts
+        self.size = size  # bound values -> about the bytes of the gen JSON, or None
 
     def build(self, *bounds):
         from . import recursions
@@ -119,21 +122,57 @@ class Ensemble:
         return getattr(recursions, self.table_class)(*args)
 
 
+def _grid(amax: int, bmax: int):
+    """(a, b) for 0 <= a <= amax and 0 <= b <= bmax, in sorted order."""
+    return itertools.product(range(amax + 1), range(bmax + 1))
+
+
+def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
+    """About the size of the gen laguerre JSON (within 6% from 20/40 to
+    1000/21), from the bounds alone, in integer arithmetic.
+
+    For n >= 1, C_n^(g) has about 2n + log2((n+2g)!/n!) bits: the Catalan
+    growth 4^n, and a factor of about (n+2g)^2 per genus step of "3-t".  With
+    F[m] the bit length of m! and S[m] = F[1] + .. + F[m], row g holds
+    about N(N+1) + S[N+2g] - S[2g] - S[N] bits (N = nmax); a bit is
+    log10(2) digits, and an entry's JSON takes ~62 bytes besides its digits.
+    """
+    F, f = [0], 1
+    for m in range(1, nmax + 2 * gmax + 1):
+        f *= m
+        F.append(f.bit_length())
+    S = [0, *itertools.accumulate(F[1:])]
+    bits = sum(nmax * (nmax + 1) + S[nmax + 2 * g] - S[2 * g] - S[nmax] for g in range(gmax + 1))
+    return bits * 30103 // 100000 + 62 * (gmax + 1) * (nmax + 1)
+
+
 # each builder and table class is named by a string and looked up in
 # hzlag.recursions when it is called, so importing this module loads no engine
 # and a rebinding of the module attribute (perfbench/tracer.py times the
-# builders that way) reaches it.  The vk, gauss and glag-k1 bounds keep a
-# request within about 200 MB peak RSS; measured with --no-cache, each in a
-# fresh process on one 2-vCPU VM (Python 3.11): `gen vk --gmax 150` took
-# 3.5 s and 141 MB and wrote 39 MB, `gen gauss --gmax 300` 2.5 s, 168 MB and
-# 54 MB (at 400: 7.1 s, 366 MB and 133 MB), `gen glag-k1 --rmax2 240 --nmax
-# 480` 2.8 s, 208 MB and 62 MB.  The laguerre bounds predate calibration.
+# builders that way) reaches it.  The bounds keep a request within about
+# 200 MB peak RSS; measured with --no-cache, each in a fresh process on one
+# 2-vCPU VM (Python 3.11): `gen vk --gmax 150` took 3.5 s and 141 MB and
+# wrote 39 MB, `gen gauss --gmax 300` 2.5 s, 168 MB and 54 MB (at 400:
+# 7.1 s, 366 MB and 133 MB), `gen glag-k1 --rmax2 240 --nmax 480` 2.8 s,
+# 208 MB and 62 MB.  A laguerre table's peak RSS follows its digits, not
+# its bounds (150/300: 101 MB, 24 MB written; 200/400: 184 and 57; 250/500:
+# 328 and 113; 500/100: 198 and 68; 1000/20: 155 and 55; 800/1: 26 and
+# 1.7), about 25 MB plus 2.6 times the bytes written, so its request is
+# bounded by the estimated size of its JSON, GEN_BYTES; its option bounds
+# only keep that estimate cheap.  The largest accepted requests at gmax
+# 100/200/400/1000 (nmax 962/432/138/21) took 207/199/187/169 MB and 2.0/
+# 2.3/2.7/4.9 s and wrote 64/63/61/58 MB.
+GEN_BYTES = 60_000_000
 ENSEMBLES = {
-    "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"),
-                         "do_norbury_table", "LagCTable"),
-    "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_table", "GaussBTable", low=1),
-    "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_table", "VTable"),
-    "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"),
+    "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), _grid,
+                         "do_norbury_table", "LagCTable", size=_laguerre_json_bytes),
+    "gauss": Ensemble({"gmax": 300}, ("g", "k"),
+                      lambda gmax: ((g, k) for g in range(1, gmax + 1) for k in range(g)),
+                      "gauss_hz_table", "GaussBTable", low=1),
+    "vk": Ensemble({"gmax": 150}, ("g", "k"),
+                   lambda gmax: ((g, k) for g in range(gmax + 1) for k in range(-3 * g, g + 1)),
+                   "vk_table", "VTable"),
+    "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"), _grid,
                         "glag_k1_table", "HalfGenusTable"),
 }
 
@@ -274,21 +313,36 @@ def table_json(ensemble: str, bounds: dict, use_cache: bool) -> bytes:
     return data
 
 
+_END = object()  # pads the shorter of a payload's entries and its domain
+
+
 def _payload_fault(payload, ensemble: str, bounds: dict) -> str | None:
     """Why a parsed payload is not a gen payload of these bounds, or None:
-    its header fields must be the ones gen writes, and each entry needs int
-    keys and a value in the form the program writes (one pass over the
-    entries)."""
+    its header fields must be the ones gen writes, and its entries, in one
+    pass, must carry exactly the index pairs of the ensemble's domain, in
+    order, each with a value in the form the program writes."""
     if type(payload) is not dict or type(payload.get("entries")) is not list:
         return "it is not a JSON object with an entries list"
     if {k: v for k, v in payload.items() if k != "entries"} != _table_header(ensemble, bounds):
         return "its header is not the one this program writes for these bounds"
-    k1, k2 = ENSEMBLES[ensemble].keys
-    for i, e in enumerate(payload["entries"]):
-        if not (type(e) is dict and type(e.get(k1)) is int and type(e.get(k2)) is int
+    spec = ENSEMBLES[ensemble]
+    k1, k2 = spec.keys
+    domain = spec.domain(*(bounds[name] for name in spec.bounds))
+    for i, (e, key) in enumerate(itertools.zip_longest(payload["entries"], domain,
+                                                       fillvalue=_END)):
+        if e is _END:
+            return (f"it ends after {i} entries; the next one this program writes "
+                    f"has {k1} = {key[0]}, {k2} = {key[1]}")
+        if not (type(e) is dict and type(a := e.get(k1)) is int and type(b := e.get(k2)) is int
                 and _is_value(e.get("value"))):
             return (f"entry {i} {json.dumps(e, sort_keys=True)} "
                     "is not an entry this program writes")
+        if (a, b) != key:
+            if key is _END:
+                return (f"entry {i} {json.dumps(e, sort_keys=True)} "
+                        "is past the last entry this program writes for these bounds")
+            return (f"entry {i} {json.dumps(e, sort_keys=True)} is not the one this program "
+                    f"writes there, which has {k1} = {key[0]}, {k2} = {key[1]}")
     return None
 
 
@@ -487,6 +541,11 @@ def cmd_gen(args) -> int:
         if v is None:
             raise UsageError(f"gen {ensemble} requires --{name}")
         _check_range(name, v, hi=spec.bounds[name], lo=spec.low)
+    size = spec.size(*bounds.values()) if spec.size else 0
+    if size > GEN_BYTES:
+        flags = " ".join(f"--{name} {v}" for name, v in bounds.items())
+        raise UsageError(f"gen {ensemble} {flags} would write about {size // 10**6} MB, "
+                         f"over the {GEN_BYTES // 10**6} MB limit")
     use_cache = not args.no_cache
     if args.format == "json":
         _write_out(table_json(ensemble, bounds, use_cache), args.out)
@@ -535,7 +594,7 @@ def cmd_verify(args) -> int:
     payload = {
         "schema": "hzlag-report/1",
         "tool_version": __version__,
-        "suites": [r.sorted().to_dict() for r in reports],
+        "suites": [r.to_dict() for r in reports],
     }
     if args.out:
         Path(args.out).write_bytes(
@@ -562,11 +621,10 @@ def cmd_series(args) -> int:
         if args.beta is None:
             raise UsageError("series skb requires --beta")
         ser = s_series(args.k, args.beta, args.order)
-    # exponents of x, descending (series exponent m means x^-m)
-    items = [
-        {"exponent": -m, "value": str(ser.coefficient(m))}
-        for m in range(ser.offset, ser.order + 1)
-    ]
+    # exponents of x, descending (ser[m] is the coefficient of x^-m), from
+    # the leading term, or only the last one when the series is zero so far
+    first = next((m for m, c in enumerate(ser) if c), args.order)
+    items = [{"exponent": -m, "value": str(ser[m])} for m in range(first, args.order + 1)]
     _write_out((json.dumps(items, indent=2) + "\n").encode(), args.out)
     return 0
 
@@ -598,7 +656,7 @@ def cmd_eval_fab(args) -> int:
     _check_range("b", args.b, hi=GEN_LIMITS["fab"])
     if args.at is not None:
         point = _parse_point(args.at)
-    value = fab(args.a, args.b).value
+    value = fab(args.a, args.b)
     if args.at is None:
         print(value)
         return 0

@@ -1,27 +1,21 @@
-"""Exact arithmetic substrate: Laurent polynomials in w = u - 1 and
-truncated series.
+"""Exact arithmetic substrate: Laurent polynomials in w = u - 1.
 
 Everything is built over ``int`` and ``fractions.Fraction``; there is no
 floating point anywhere in this package.  ``WLaurent`` carries the ring
-operations of the residue route.  ``TruncSeries`` only holds known
-coefficients: the code that combines series (the spectral bases, the
-u-series of f_{A,B}) adds their coefficient lists itself.  Half-integer
-exponents, where they occur, are carried as doubled integer indices by the
-callers.
+operations of the residue route; its Taylor series at u = 0 is a plain list
+of coefficients, as are the spectral bases, so no series type is needed.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Scalar = Union[Fraction, int]
 
 __all__ = [
-    "PoleAtExpansionPoint",
     "WLaurent",
-    "TruncSeries",
     "rat_str_explicit",
 ]
 
@@ -29,14 +23,6 @@ __all__ = [
 def rat_str_explicit(q: Fraction) -> str:
     """Rational string with an explicit denominator, e.g. "10/1" (CSV cells)."""
     return f"{q.numerator}/{q.denominator}"
-
-
-class PoleAtExpansionPoint(ValueError):
-    """Raised when a series expansion is requested at a pole."""
-
-    def __init__(self, pole_order: int):
-        super().__init__(f"expansion point is a pole of order {pole_order}")
-        self.pole_order = pole_order
 
 
 class WLaurent:
@@ -164,8 +150,9 @@ class WLaurent:
                 out[i - n] = out.get(i - n, 0) + (-1) ** n * c * math.comb(n, i)
         return WLaurent(out)
 
-    def series_at_zero(self, order: int) -> "TruncSeries":
-        """Taylor series in u at u = 0 (where w = -1) through u^order:
+    def series_at_zero(self, order: int) -> list:
+        """The coefficients of u^0 .. u^order of the Taylor series at u = 0
+        (where w = -1):
         w^e = sum_m C(e, m) (-1)^(e-m) u^m for e >= 0, and
         w^-n = (-1)^n sum_m C(n+m-1, m) u^m for n > 0."""
         out = [0] * (order + 1)
@@ -176,7 +163,7 @@ class WLaurent:
             else:
                 for m in range(order + 1):
                     out[m] += (-1) ** -e * math.comb(m - e - 1, m) * c
-        return TruncSeries(self.var, out)
+        return out
 
     def __repr__(self):
         return f"WLaurent({dict(sorted(self.terms.items()))!r})"
@@ -222,49 +209,3 @@ def _poly_str(var: str, coeffs: list) -> str:
     for t in parts[1:]:
         s += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
     return s
-
-
-class TruncSeries:
-    """Truncated (Laurent) power series with exact coefficients.
-
-    ``coeffs[i]`` is the coefficient of var**(offset + i); all exponents
-    below ``offset`` are exactly zero, all exponents above ``order`` are
-    unknown.  The coefficients are kept as given (``int`` or ``Fraction``);
-    callers that combine series do so on the coefficient lists.
-    """
-
-    __slots__ = ("var", "offset", "coeffs")
-
-    def __init__(self, var: str, coeffs: Iterable[Scalar], offset: int = 0):
-        self.var = var
-        self.offset = offset
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("a truncated series needs at least one known coefficient")
-
-    @property
-    def order(self) -> int:
-        """Largest exponent with a known coefficient."""
-        return self.offset + len(self.coeffs) - 1
-
-    def coefficient(self, exp: int) -> Scalar:
-        if exp > self.order:
-            raise IndexError(f"coefficient of exponent {exp} beyond truncation {self.order}")
-        if exp < self.offset:
-            return 0
-        return self.coeffs[exp - self.offset]
-
-    def shift_exp(self, d: int) -> "TruncSeries":
-        """Multiply by var**d."""
-        return TruncSeries(self.var, self.coeffs, self.offset + d)
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        n = order - self.offset + 1
-        if n <= 0:
-            return TruncSeries(self.var, [0], order)
-        return TruncSeries(self.var, self.coeffs[:n], self.offset)
-
-    def __repr__(self):
-        return f"TruncSeries({self.var!r}, {list(self.coeffs)!r}, offset={self.offset})"

@@ -49,9 +49,6 @@ class RunReport:
     def extend(self, records: list[CheckRecord]) -> None:
         self.checks.extend(records)
 
-    def sorted(self) -> "RunReport":
-        return RunReport(self.suite, sorted(self.checks, key=lambda c: c.id), self.tool_version)
-
     def to_dict(self) -> dict:
         return {
             "suite": self.suite,

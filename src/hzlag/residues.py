@@ -10,8 +10,10 @@ closed form (``weighted_residue``, which also carries a weight z^k).  The
 rectangular-ensemble integral is expanded the same way.  The identity, ODE
 and reflection checks multiply through by their known denominators, so every
 residual is again a Laurent polynomial in w, zero exactly when it has no
-terms: no step takes a polynomial gcd.  The iterated two-point residues are
-expanded as integer double series, divided by N^(m1+m2) once per entry.
+terms: no step takes a polynomial gcd.  ``fab`` returns that Laurent
+polynomial itself, and the moments are read off its Taylor coefficients at
+u = 0.  The iterated two-point residues are expanded as integer double
+series, divided by N^(m1+m2) once per entry.
 """
 
 from __future__ import annotations
@@ -21,17 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import PoleAtExpansionPoint, TruncSeries, WLaurent
+from .exact import WLaurent
 from .reports import CheckRecord, record
 
 __all__ = [
-    "FabValue",
     "TwoPointValue",
     "fab",
     "fab_generalized",
     "weighted_residue",
     "two_point_series",
-    "exp_mean_series",
     "exp_mean_moments",
     "verify_identity",
     "verify_ode",
@@ -39,8 +39,6 @@ __all__ = [
     "IDENTITY_TAGS",
     "ODE_TAGS",
 ]
-
-VAR = "u"
 
 IDENTITY_TAGS = (
     "feat-1",
@@ -83,19 +81,11 @@ def weighted_residue(A: int, B: int, k: int = 0) -> WLaurent:
     return WLaurent(terms)
 
 
-@dataclass(frozen=True)
-class FabValue:
-    """f_{A,B}(u), exactly, as a Laurent polynomial in w = u - 1."""
-
-    A: int
-    B: int
-    value: WLaurent
-
-
 @lru_cache(maxsize=None)
-def fab(A: int, B: int) -> FabValue:
-    """Exact f_{A,B}(u) for nonnegative integers A, B."""
-    return FabValue(A, B, weighted_residue(A, B))
+def fab(A: int, B: int) -> WLaurent:
+    """Exact f_{A,B}(u) for nonnegative integers A, B, as a Laurent
+    polynomial in w = u - 1."""
+    return weighted_residue(A, B)
 
 
 def fab_generalized(N: int, k: int) -> WLaurent:
@@ -123,23 +113,16 @@ def fab_generalized(N: int, k: int) -> WLaurent:
     return WLaurent(terms)
 
 
-def exp_mean_series(N: int, order: int) -> TruncSeries:
-    """u-series of f_{N,N}(u)/u through u^order.
-
-    The contour variable couples to N*H, so the coefficient of u^m is
-    N^m <tr H^m> / m!.
-    """
-    s = fab(N, N).value.series_at_zero(order + 1)
-    if s.coefficient(0) != 0:
-        raise PoleAtExpansionPoint(1)
-    return TruncSeries(VAR, s.coeffs[1:])
-
-
 def exp_mean_moments(N: int, mmax: int) -> list[Fraction]:
-    """Exact <tr H^m> for m = 0..mmax: m! / N^m times the m-th coefficient
-    of f_{N,N}(u)/u."""
-    s = exp_mean_series(N, mmax)
-    return [math.factorial(m) * s.coefficient(m) / Fraction(N) ** m for m in range(mmax + 1)]
+    """Exact <tr H^m> for m = 0..mmax.
+
+    The contour variable couples to N*H, so the coefficient of u^(m+1) in
+    f_{N,N}(u) is N^m <tr H^m> / m!; its constant term must vanish.
+    """
+    s = fab(N, N).series_at_zero(mmax + 1)
+    if s[0] != 0:
+        raise ValueError(f"f_{{{N},{N}}} does not vanish at u = 0")
+    return [math.factorial(m) * s[m + 1] / Fraction(N) ** m for m in range(mmax + 1)]
 
 
 @dataclass(frozen=True)
@@ -212,10 +195,6 @@ def two_point_series(N: int, order: int) -> TwoPointValue:
 # ---------------------------------------------------------------------------
 
 
-def _f(A: int, B: int) -> WLaurent:
-    return fab(A, B).value
-
-
 def _residual_record(check_id: str, anchor: str, residual: WLaurent) -> CheckRecord:
     return record(check_id, anchor, residual.is_zero, detail=str(residual))
 
@@ -240,30 +219,30 @@ def verify_identity(
     if which == "feat-1":
         for A in range(amax + 1):
             for B in range(bmax + 1):
-                rr(which, f"A={A},B={B}", _f(A, B) - _f(B, A) - (A - B))
+                rr(which, f"A={A},B={B}", fab(A, B) - fab(B, A) - (A - B))
     elif which == "fAB-der":
         for A in range(1, amax + 1):
             for B in range(1, bmax + 1):
-                d = _f(A, B).derivative()
+                d = fab(A, B).derivative()
                 rr(which, f"A={A},B={B},side=A",
-                   d + A * (_f(A - 1, B) - 2 * _f(A, B) + _f(A + 1, B)))
+                   d + A * (fab(A - 1, B) - 2 * fab(A, B) + fab(A + 1, B)))
                 rr(which, f"A={A},B={B},side=B",
-                   d + B * (_f(A, B - 1) - 2 * _f(A, B) + _f(A, B + 1)))
+                   d + B * (fab(A, B - 1) - 2 * fab(A, B) + fab(A, B + 1)))
     elif which == "fAB-der-der":
         for A in range(1, amax + 1):
             for B in range(1, bmax + 1):
-                d2 = _f(A, B).derivative().derivative()
+                d2 = fab(A, B).derivative().derivative()
                 nine = (
-                    _f(A - 1, B - 1) + _f(A - 1, B + 1) + _f(A + 1, B - 1) + _f(A + 1, B + 1)
-                    - 2 * _f(A - 1, B) - 2 * _f(A, B - 1) - 2 * _f(A + 1, B) - 2 * _f(A, B + 1)
-                    + 4 * _f(A, B)
+                    fab(A - 1, B - 1) + fab(A - 1, B + 1) + fab(A + 1, B - 1) + fab(A + 1, B + 1)
+                    - 2 * fab(A - 1, B) - 2 * fab(A, B - 1) - 2 * fab(A + 1, B) - 2 * fab(A, B + 1)
+                    + 4 * fab(A, B)
                 )
                 rr(which, f"A={A},B={B},form=9term", d2 - A * B * nine)
                 # times u (u + 1) (u - 1)
                 frac = (
-                    w * (_f(A - 1, B) + _f(A, B - 1))
-                    + (u + 1) * (_f(A + 1, B) + _f(A, B + 1))
-                    - 4 * u * _f(A, B)
+                    w * (fab(A - 1, B) + fab(A, B - 1))
+                    + (u + 1) * (fab(A + 1, B) + fab(A, B + 1))
+                    - 4 * u * fab(A, B)
                 )
                 rr(which, f"A={A},B={B},form=rational", u * (u + 1) * w * d2 - A * B * frac)
     elif which == "fAB-quad":
@@ -271,45 +250,45 @@ def verify_identity(
             for B in range(1, bmax + 1):
                 # times u - 1
                 rr(which, f"A={A},B={B}",
-                   w * _f(A, B) + (u + 1) * _f(A - 1, B - 1)
-                   - u * (_f(A - 1, B) + _f(A, B - 1)))
+                   w * fab(A, B) + (u + 1) * fab(A - 1, B - 1)
+                   - u * (fab(A - 1, B) + fab(A, B - 1)))
     elif which == "der-3":
         for N in range(1, nmax + 1):
             # times u (u + 1) (u - 1)
-            d2 = _f(N, N).derivative().derivative()
+            d2 = fab(N, N).derivative().derivative()
             rhs = N * N * (
-                w * (2 * _f(N, N - 1) - 1)
-                + (u + 1) * (2 * _f(N, N + 1) + 1)
-                - 4 * u * _f(N, N)
+                w * (2 * fab(N, N - 1) - 1)
+                + (u + 1) * (2 * fab(N, N + 1) + 1)
+                - 4 * u * fab(N, N)
             )
             rr(which, f"N={N}", u * (u + 1) * w * d2 - rhs)
     elif which == "id":
         for N in range(1, nmax + 1):
             # residue of ((u+z)/(u+z-1))^N (1-1/z)^N (u - 1 + 2z)
-            res = w * _f(N, N) + 2 * weighted_residue(N, N, 1)
+            res = w * fab(N, N) + 2 * weighted_residue(N, N, 1)
             rr(which, f"N={N}", res + u * N)
     elif which == "feat-2":
         for N in range(1, nmax + 1):
             # times 2
-            lhs = 2 * N * (_f(N, N) - _f(N, N - 1))
-            rhs = -w * _f(N, N).derivative() + _f(N, N) - N
+            lhs = 2 * N * (fab(N, N) - fab(N, N - 1))
+            rhs = -w * fab(N, N).derivative() + fab(N, N) - N
             rr(which, f"N={N}", lhs - rhs)
     elif which == "T-5a":
         for N in range(1, nmax + 1):
-            res = ((N + 1) * u - 1) * ((u + 1) * _f(N, N) - 2 * u * _f(N + 1, N)) \
-                + (N + 1) * u * w * _f(N + 2, N) + N * u
+            res = ((N + 1) * u - 1) * ((u + 1) * fab(N, N) - 2 * u * fab(N + 1, N)) \
+                + (N + 1) * u * w * fab(N + 2, N) + N * u
             rr(which, f"N={N}", res)
     elif which == "T-5b":
         for N in range(1, nmax + 1):
-            res = ((N + 1) * u - 1) * (w * _f(N + 2, N + 2) - 2 * u * _f(N + 2, N + 1)) \
-                + (N + 1) * u * (u + 1) * _f(N + 2, N) - (N + 2) * u
+            res = ((N + 1) * u - 1) * (w * fab(N + 2, N + 2) - 2 * u * fab(N + 2, N + 1)) \
+                + (N + 1) * u * (u + 1) * fab(N + 2, N) - (N + 2) * u
             rr(which, f"N={N}", res)
     elif which == "k2-second-derivative":
         for N in range(1, nmax + 1):
             # times u (u + 1) (u - 1)
-            f = _f(N + 2, N)
+            f = fab(N + 2, N)
             res = u * (u + 1) * w * f.derivative().derivative() \
-                - 2 * N * (N + 2) * (_f(N + 2, N + 1) - _f(N + 1, N)) \
+                - 2 * N * (N + 2) * (fab(N + 2, N + 1) - fab(N + 1, N)) \
                 + (2 * (N + 1) * u - 2) * f.derivative()
             rr(which, f"N={N}", res)
     else:
@@ -325,12 +304,12 @@ def verify_ode(which: str, N: int) -> CheckRecord:
     u, w = _U, _W
     if which == "DN":
         # times u (u^2 - 1)
-        f = _f(N, N)
+        f = fab(N, N)
         f1, f2 = f.derivative(), f.derivative().derivative()
         res = u * (u + 1) * w * f2 + 4 * N * u * f1 - 2 * N * f
     elif which == "K1":
         # times 2 u (u^2 - 1) (u - 1)
-        f = _f(N + 1, N)
+        f = fab(N + 1, N)
         f1, f2 = f.derivative(), f.derivative().derivative()
         lhs = (2 * u * N + w) * u * (u + 1) * w * f2
         rhs = (
@@ -341,7 +320,7 @@ def verify_ode(which: str, N: int) -> CheckRecord:
         res = lhs - rhs
     elif which == "K2":
         # times u^3 (u^2 - 1)^2 ((N+1) u - 1)
-        f = _f(N + 2, N)
+        f = fab(N + 2, N)
         f1 = f.derivative()
         f2 = f1.derivative()
         f3 = f2.derivative()
@@ -367,5 +346,5 @@ def verify_t1(N: int, k: int) -> CheckRecord:
     """Check that the rectangular-ensemble residue equals
     (-1)^(N+k-1) f_{N+k,N}(1/u), both multiplied by u."""
     lhs = fab_generalized(N, k)
-    rhs = (-1) ** (N + k - 1) * _U * fab(N + k, N).value.compose_inverse()
+    rhs = (-1) ** (N + k - 1) * _U * fab(N + k, N).compose_inverse()
     return _residual_record(f"T-1[N={N},k={k}]", "T-1", lhs - rhs)

@@ -1,30 +1,28 @@
 """Change-of-variable series on the spectral curve side.
 
-Everything here is a truncated Laurent series in 1/x with exact
-coefficients: the v_k basis ((x-4)/x)^(k+1/2), the s_{k,beta} basis
-(x-2)^beta (x^2-4x)^(-(2k+3)/2), the conversion from a_k^(g) rows to
-C_n^(g) coefficients, and the closed-form checks "W11", "W30", and
-"consistency".  Half-integer powers never require algebraic extensions:
-every object handled is x^(-a) (x-4)^(-b) with a+b an integer, hence a
-genuine Laurent series in 1/x.  Each basis series is (1 - 4/x)^(s/2) for an
-odd s, times a power of x and possibly x - 2, so its coefficients are the
-integers of recursions.half_binomial_series; the checks add coefficient
-lists and never multiply series.
+Everything here is a series in 1/x with exact coefficients, held as the
+plain list of the coefficients of x^0, x^-1, .. x^-order: the v_k basis
+((x-4)/x)^(k+1/2), the s_{k,beta} basis (x-2)^beta (x^2-4x)^(-(2k+3)/2),
+the conversion from a_k^(g) rows to C_n^(g) coefficients, and the
+closed-form checks "W11", "W30", and "consistency".  Half-integer powers
+never require algebraic extensions: every object handled is
+x^(-a) (x-4)^(-b) with a+b an integer, hence a genuine Laurent series in
+1/x.  Each basis series is (1 - 4/x)^(s/2) for an odd s, times a power of x
+and possibly x - 2, so its coefficients are the integers of
+recursions.half_binomial_series; the checks add coefficient lists and never
+multiply series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import TruncSeries
 from .reports import CheckRecord, record
 from .recursions import VTable, consistency_form, half_binomial_series
 from .wick import connected_moments
 
 __all__ = [
     "NonCancellationError",
-    "INVX",
-    "binom_at_minus4_over_x",
     "vk_series",
     "s_series",
     "a_to_C",
@@ -33,43 +31,34 @@ __all__ = [
     "consistency_identity_check",
 ]
 
-INVX = "1/x"  # series variable: exponent m means the coefficient of x^(-m)
-
-
 class NonCancellationError(ValueError):
     """A non-negative power of x failed to cancel in an a-row expansion."""
 
 
-def vk_series(k: int, order: int) -> TruncSeries:
-    """v_k = ((x-4)/x)^(k+1/2) = (1 - 4/x)^((2k+1)/2) through x^-order."""
-    return TruncSeries(INVX, half_binomial_series(2 * k + 1, order))
+def vk_series(k: int, order: int) -> list[int]:
+    """The coefficients of x^0 .. x^-order of
+    v_k = ((x-4)/x)^(k+1/2) = (1 - 4/x)^((2k+1)/2)."""
+    return half_binomial_series(2 * k + 1, order)
 
 
-def binom_at_minus4_over_x(alpha: Fraction, order: int) -> TruncSeries:
-    """(1 - 4/x)^alpha as a series in 1/x through x^-order, for a
-    half-integer alpha."""
-    alpha = Fraction(alpha)
-    if alpha.denominator != 2:
-        raise ValueError(f"alpha must be a half-integer, got {alpha}")
-    return TruncSeries(INVX, half_binomial_series(alpha.numerator, order))
-
-
-def s_series(k: int, beta: int, order: int) -> TruncSeries:
-    """s_{k,beta} = (x-2)^beta (x^2-4x)^(-(2k+3)/2) through x^-order.
+def s_series(k: int, beta: int, order: int) -> list[int]:
+    """The coefficients of x^0 .. x^-order of
+    s_{k,beta} = (x-2)^beta (x^2-4x)^(-(2k+3)/2).
 
     (x^2-4x)^(-(2k+3)/2) = x^(-j) (1-4/x)^(-j/2) with j = 2k+3, whose
     coefficient of x^-(j+e) is c_e = [t^e] (1-4t)^(-j/2).  Times x - 2 the
     series starts one power higher, at x^-(j-1), with coefficients
-    c_e - 2 c_(e-1).
+    c_e - 2 c_(e-1); the coefficients above the leading term are zero.
     """
     if k < 0 or beta not in (0, 1):
         raise ValueError("need k >= 0 and beta in {0, 1}")
-    j = 2 * k + 3
-    lead = j - beta  # the exponent of 1/x of the leading term
-    c = half_binomial_series(-j, max(order - lead, 0))
+    lead = 2 * k + 3 - beta  # the exponent of 1/x of the leading term
+    if order < lead:
+        return [0] * (order + 1)
+    c = half_binomial_series(-2 * k - 3, order - lead)
     if beta:
         c = [a - 2 * b for a, b in zip(c, [0, *c])]
-    return TruncSeries(INVX, c, lead).truncate(order)
+    return [0] * lead + c
 
 
 def a_to_C(row: dict[int, Fraction], g: int, order: int) -> list[Fraction]:
@@ -93,8 +82,7 @@ def a_to_C(row: dict[int, Fraction], g: int, order: int) -> list[Fraction]:
 
 def _s_pair_sum(k: int, order: int) -> list[int]:
     """The coefficients of x^0 .. x^-order of s_{k,1} + 2 s_{k,0}."""
-    s1, s0 = s_series(k, 1, order), s_series(k, 0, order)
-    return [s1.coefficient(m) + 2 * s0.coefficient(m) for m in range(order + 1)]
+    return [a + 2 * b for a, b in zip(s_series(k, 1, order), s_series(k, 0, order))]
 
 
 def w11_check(order: int) -> list[CheckRecord]:

@@ -168,21 +168,46 @@ def test_truncated_cache_entry_is_named_corrupt(cache, tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+def _with_entries(edit):
+    """A corruption that parses the cached entry, edits its entries list in
+    place and writes it back."""
+    def corrupt(text: str) -> str:
+        payload = json.loads(text)
+        edit(payload["entries"])
+        return json.dumps(payload)
+    return corrupt
+
+
+VK1 = ["vk", "--gmax", "1"]
+LAGUERRE_5_20 = ["laguerre", "--gmax", "5", "--nmax", "20"]
+
+
 @pytest.mark.parametrize("data", [
     "[]",
     '{"ensemble": "vk", "entries": [{"value": "1"}]}',
     # the right header, an entry without its int keys
     GOLDEN.read_text().replace('"g": 0', '"g": "0"', 1).replace('"gmax": 2', '"gmax": 1'),
+    # (gen job, corruption of its cached entry): the right header over the
+    # entries of other bounds (the g = 2 rows), an entry repeated or missing
+    pytest.param((VK1, lambda text: GOLDEN.read_text().replace('"gmax": 2', '"gmax": 1')),
+                 id="vk-rows-past-gmax"),
+    pytest.param((VK1, _with_entries(lambda entries: entries.append(entries[-1]))),
+                 id="vk-last-entry-twice"),
+    pytest.param((VK1, _with_entries(lambda entries: entries.pop())), id="vk-last-entry-missing"),
+    pytest.param((LAGUERRE_5_20, _with_entries(lambda entries: entries.pop(30))),
+                 id="laguerre-entry-30-missing"),
 ])
 def test_cache_entry_that_is_not_a_gen_payload_is_named_corrupt(cache, tmp_path, capsys, data):
     # it parses as JSON, but gen CSV and verify cannot use it
-    argv = ["gen", "vk", "--gmax", "1", "--format", "csv"]
+    job, corrupt = (VK1, lambda text: data) if type(data) is str else data
+    argv = ["gen", *job, "--format", "csv"]
     report = tmp_path / "report.json"
     verify = ["verify", "--suite", "constraints", "--gmax", "1", "--out", str(report)]
     assert main(argv) == 0
     want = capsys.readouterr().out
-    path = cache_path("gen", {"ensemble": "vk", "gmax": 1})
-    path.write_text(data)
+    bounds = {job[i][2:]: int(job[i + 1]) for i in range(1, len(job), 2)}
+    path = cache_path("gen", {"ensemble": job[0], **bounds})
+    path.write_text(corrupt(path.read_text()))
     for args in (argv, [*argv, "--out", str(tmp_path / "t.csv")], verify):
         assert main(args) == 2, args
         captured = capsys.readouterr()
@@ -193,6 +218,16 @@ def test_cache_entry_that_is_not_a_gen_payload_is_named_corrupt(cache, tmp_path,
     assert not report.exists() and not (tmp_path / "t.csv").exists()
     assert main([*argv, "--no-cache"]) == 0
     assert capsys.readouterr().out == want
+
+
+def test_domains_are_the_keys_gen_writes():
+    # each ensemble's domain lists its table's keys in gen's order
+    for ensemble, bounds in (("laguerre", {"gmax": 3, "nmax": 5}), ("gauss", {"gmax": 6}),
+                             ("vk", {"gmax": 4}), ("glag-k1", {"rmax2": 5, "nmax": 3})):
+        spec = ENSEMBLES[ensemble]
+        k1, k2 = spec.keys
+        keys = [(e[k1], e[k2]) for e in table_payload(ensemble, bounds)["entries"]]
+        assert list(spec.domain(*bounds.values())) == keys, ensemble
 
 
 def _written_value(v) -> bool:
@@ -452,11 +487,25 @@ def test_eval_fab_matches_golden(cache, capsys):
      "--at", "1/" + "3" * (cli.GEN_LIMITS["at_digits"] + 1)],
     ["eval-fab", "--a", "300", "--b", "300",
      "--at=-" + "7" * (cli.GEN_LIMITS["at_digits"] + 1) + "/3"],
+    # within the laguerre option bounds, but over cli.GEN_BYTES: refused
+    # before the table is built (200/432 is accepted)
+    ["gen", "laguerre", "--gmax", "1000", "--nmax", "2000"],
+    ["gen", "laguerre", "--gmax", "200", "--nmax", "433", "--format", "csv"],
 ])
 def test_bad_input_exits_2(cache, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_laguerre_size_estimate(cache, capsys):
+    # within 6% of the bytes gen writes, and 200/432 is the largest table
+    # gen laguerre writes at gmax 200 (it takes ~200 MB peak RSS)
+    for bounds in ({"gmax": 20, "nmax": 40}, {"gmax": 800, "nmax": 1}, {"gmax": 60, "nmax": 2}):
+        size = len(cli.table_bytes("laguerre", bounds, False))
+        assert abs(cli._laguerre_json_bytes(*bounds.values()) - size) < 0.06 * size, bounds
+    assert cli._laguerre_json_bytes(200, 432) <= cli.GEN_BYTES < cli._laguerre_json_bytes(200, 433)
+    assert cli._laguerre_json_bytes(150, 300) <= cli.GEN_BYTES
 
 
 def test_limits_are_inclusive(cache, capsys):

@@ -10,9 +10,7 @@ import hzlag.residues as residues
 from hzlag.exact import WLaurent
 from hzlag.residues import (
     IDENTITY_TAGS,
-    FabValue,
     exp_mean_moments,
-    exp_mean_series,
     fab,
     fab_generalized,
     two_point_series,
@@ -25,27 +23,28 @@ from hzlag.wick import complex_wishart_moment, connected_moments
 
 
 def test_fab_trivial_cases():
-    assert fab(0, 0).value.is_zero
-    assert fab(3, 0).value.is_zero  # no pole at z = 0 without the B factor
-    assert fab(2, 2).value(Fraction(1, 2)) == 6
+    assert fab(0, 0).is_zero
+    assert fab(3, 0).is_zero  # no pole at z = 0 without the B factor
+    assert fab(2, 2)(Fraction(1, 2)) == 6
     with pytest.raises(ZeroDivisionError):
-        fab(2, 2).value(1)  # the only pole of f_{A,B} is at u = 1
+        fab(2, 2)(1)  # the only pole of f_{A,B} is at u = 1
 
 
 def test_fab_symmetric_small():
     # f_{1,1}(u) = -u/(u-1): residue of (1 - 1/z)(1 + 1/(u+z-1)) at z = 0
-    f = fab(1, 1).value
+    f = fab(1, 1)
     for x in (Fraction(2), Fraction(3), Fraction(-1)):
         assert f(x) == -x / (x - 1)
 
 
 def test_exp_mean_series_scaling():
-    # the raw u-coefficient carries N^m: m! * c_m = N^m <tr H^m>
+    # the raw u-coefficient carries N^m: m! * [u^(m+1)] f_{N,N} = N^m <tr H^m>
     N = 3
-    s = exp_mean_series(N, 5)
+    s = fab(N, N).series_at_zero(6)
     moms = exp_mean_moments(N, 5)
+    assert s[0] == 0
     for m in range(6):
-        assert math.factorial(m) * s.coefficient(m) == Fraction(N) ** m * moms[m]
+        assert math.factorial(m) * s[m + 1] == Fraction(N) ** m * moms[m]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
@@ -117,12 +116,12 @@ def test_fab_generalized_matches_rectangular_wick(N, k):
     # power of u up, and up to the overall sign (-1)^(N+k) carried by the
     # residue normalization
     s = fab_generalized(N, k).series_at_zero(5)
-    assert s.coefficient(0) == 0
+    assert s[0] == 0
     cols = "N" if k == 0 else f"N+{k}"
     sign = (-1) ** (N + k)
     for m in range(5):
         want = complex_wishart_moment((m,), "N", cols)(N) if m else Fraction(N)
-        got = sign * math.factorial(m) * s.coefficient(m + 1) / Fraction(N) ** m
+        got = sign * math.factorial(m) * s[m + 1] / Fraction(N) ** m
         assert got == want
 
 
@@ -185,7 +184,7 @@ def _generalized_at(u, N, k):
 def test_fab_matches_direct_residue(u):
     for A in range(9):
         for B in range(9):
-            assert fab(A, B).value(u) == _residue_at(u, A, B), (A, B)
+            assert fab(A, B)(u) == _residue_at(u, A, B), (A, B)
             for k in (1, 2):
                 assert weighted_residue(A, B, k)(u) == _residue_at(u, A, B, k), (A, B, k)
     for N in range(1, 5):
@@ -201,7 +200,7 @@ def test_mutated_fab_fails_every_check(monkeypatch):
 
     def mutated(A, B):
         f = real(A, B)
-        return FabValue(A, B, f.value + WLaurent({-1: 1})) if (A, B) in bad else f
+        return f + WLaurent({-1: 1}) if (A, B) in bad else f
 
     monkeypatch.setattr(residues, "fab", mutated)
 
@@ -215,3 +214,18 @@ def test_mutated_fab_fails_every_check(monkeypatch):
     for rec in (verify_ode("DN", 3), verify_ode("K1", 2), verify_ode("K2", 1),
                 verify_t1(3, 0), verify_t1(2, 1), verify_t1(1, 2)):
         assert caught(rec), rec.id
+
+
+def test_exp_mean_moments_needs_f_to_vanish_at_zero(monkeypatch):
+    # the same extra w^-1 term gives f_{3,3} the constant term -1 at u = 0
+    real = residues.fab
+
+    def mutated(A, B):
+        f = real(A, B)
+        return f + WLaurent({-1: 1}) if (A, B) == (3, 3) else f
+
+    want = exp_mean_moments(2, 4)
+    monkeypatch.setattr(residues, "fab", mutated)
+    assert exp_mean_moments(2, 4) == want
+    with pytest.raises(ValueError, match="vanish at u = 0"):
+        exp_mean_moments(3, 4)
