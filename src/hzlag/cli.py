@@ -61,19 +61,38 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "hzlag"
 
 
+# the layout of an entry; part of the cache key, so entries of another
+# layout are recomputed, not read (2: the sha256 line before the bytes)
+CACHE_FORMAT = 2
+
+
 def cache_path(kind: str, args: dict) -> Path:
-    key = json.dumps({"tool": __version__, "kind": kind, "args": args}, sort_keys=True)
+    key = json.dumps({"tool": __version__, "format": CACHE_FORMAT, "kind": kind, "args": args},
+                     sort_keys=True)
     digest = hashlib.sha256(key.encode()).hexdigest()[:32]
     return cache_dir() / f"{kind}-{digest}.json"
 
 
 def cached_bytes(kind: str, args: dict, compute, use_cache: bool) -> bytes:
-    """Return compute() (bytes), reading/writing the cache when enabled."""
+    """Return compute() (bytes), reading/writing the cache when enabled.
+
+    An entry is the sha256 hex digest of the bytes, a newline, then the
+    bytes.  A read returns the bytes only when they match the digest, and
+    names the entry as corrupt otherwise."""
     if not use_cache:
         return compute()
     path = cache_path(kind, args)
-    if path.exists():
-        return path.read_bytes()
+    try:
+        f = open(path, "rb", buffering=0)
+    except (FileNotFoundError, NotADirectoryError):  # no entry yet
+        pass
+    else:
+        with f:  # unbuffered: the bytes after the digest line are read once, into one object
+            line, data = f.read(65), f.readall()
+        if line != hashlib.sha256(data).hexdigest().encode() + b"\n":
+            raise UsageError(f"corrupt cache entry {path}: it does not begin with the sha256 "
+                             "digest of the rest; delete the file or pass --no-cache")
+        return data
     data = compute()
     # write a temporary file next to the entry and rename it into place, so
     # the entry is either absent or complete, never partly written
@@ -85,6 +104,7 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool) -> bytes:
             f"cannot use cache directory {path.parent} ({e.strerror}); pass --no-cache") from e
     try:
         with os.fdopen(fd, "wb") as f:
+            f.write(hashlib.sha256(data).hexdigest().encode() + b"\n")
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -100,13 +120,12 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool) -> bytes:
 class Ensemble:
     """How `gen` bounds, builds, serializes and reloads one ensemble's table."""
 
-    __slots__ = ("bounds", "keys", "domain", "builder", "table_class", "low", "size")
+    __slots__ = ("bounds", "keys", "builder", "table_class", "low", "size")
 
-    def __init__(self, bounds: dict[str, int], keys: tuple[str, str], domain, builder: str,
+    def __init__(self, bounds: dict[str, int], keys: tuple[str, str], builder: str,
                  table_class: str, low: int = 0, size=None):
         self.bounds = bounds  # gen option -> its largest value, in build and table order
         self.keys = keys  # the index names of a table entry
-        self.domain = domain  # bound values -> the entries' index pairs, in gen's order
         self.builder = builder  # bound values -> table
         self.table_class = table_class  # (*bound values, entries) -> table
         self.low = low  # smallest value every bound accepts
@@ -120,11 +139,6 @@ class Ensemble:
         """Rebuild a table from a payload's bound values and entries."""
         from . import recursions
         return getattr(recursions, self.table_class)(*args)
-
-
-def _grid(amax: int, bmax: int):
-    """(a, b) for 0 <= a <= amax and 0 <= b <= bmax, in sorted order."""
-    return itertools.product(range(amax + 1), range(bmax + 1))
 
 
 def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
@@ -164,16 +178,12 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # 2.3/2.7/4.9 s and wrote 64/63/61/58 MB.
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
-    "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), _grid,
-                         "do_norbury_table", "LagCTable", size=_laguerre_json_bytes),
-    "gauss": Ensemble({"gmax": 300}, ("g", "k"),
-                      lambda gmax: ((g, k) for g in range(1, gmax + 1) for k in range(g)),
-                      "gauss_hz_table", "GaussBTable", low=1),
-    "vk": Ensemble({"gmax": 150}, ("g", "k"),
-                   lambda gmax: ((g, k) for g in range(gmax + 1) for k in range(-3 * g, g + 1)),
-                   "vk_table", "VTable"),
-    "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"), _grid,
-                        "glag_k1_table", "HalfGenusTable"),
+    "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_table",
+                         "LagCTable", size=_laguerre_json_bytes),
+    "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_table", "GaussBTable", low=1),
+    "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_table", "VTable"),
+    "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"), "glag_k1_table",
+                        "HalfGenusTable"),
 }
 
 
@@ -185,61 +195,34 @@ def table_payload(ensemble: str, bounds: dict) -> dict:
         {k1: a, k2: b, "value": str(v)}
         for (a, b), v in sorted(table.entries.items())
     ]
-    return {**_table_header(ensemble, bounds), "entries": entries}
-
-
-def _table_header(ensemble: str, bounds: dict) -> dict:
-    """The fields of a gen payload besides its entries."""
-    return {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds}
+    return {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds, "entries": entries}
 
 
 _ROWS = 4096  # entries serialized per write
 
 
-def _json_frame(payload: dict) -> tuple[str, str]:
-    """The text payload_to_json writes before and after the entries list,
-    which the payload's other fields fix."""
-    head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
-                            indent=2).split('"entries": []')
-    return head, tail
-
-
 def payload_to_json(payload: dict) -> bytes:
     """Exactly ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``,
     encoded; the encoder renders only the fields around the entries, and
-    each entry is written as its fixed block, keys in sorted order."""
-    head, tail = _json_frame(payload)
+    each entry is written as its fixed block, keys in sorted order.  A value
+    is str of an int or a Fraction, which JSON quoting leaves as it is."""
+    head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
+                            indent=2).split('"entries": []')
     entries = payload["entries"]
     if not entries:
         return f'{head}"entries": []{tail}\n'.encode()
     ka, kb = sorted(ENSEMBLES[payload["ensemble"]].keys)
     # the text before each of an entry's three values, at indent depth 2
-    open_a, open_b, open_v = f'    {{\n      "{ka}": ', f',\n      "{kb}": ', ',\n      "value": '
-    quote = json.encoder.encode_basestring_ascii
+    open_a, open_b, open_v = f'    {{\n      "{ka}": ', f',\n      "{kb}": ', ',\n      "value": "'
     buf = io.BytesIO()
     buf.write(f'{head}"entries": [\n'.encode())
     for i in range(0, len(entries), _ROWS):
         if i:
             buf.write(b",\n")
-        buf.write(",\n".join([f'{open_a}{e[ka]}{open_b}{e[kb]}{open_v}{quote(e["value"])}\n    }}'
+        buf.write(",\n".join([f'{open_a}{e[ka]}{open_b}{e[kb]}{open_v}{e["value"]}"\n    }}'
                               for e in entries[i:i + _ROWS]]).encode())
     buf.write(f"\n  ]{tail}\n".encode())
     return buf.getvalue()
-
-
-def _is_value(v) -> bool:
-    """Whether v is a value as the program writes it: str of an int, or of a
-    Fraction in lowest terms whose denominator is not 1.  Digits are tested
-    with bytes.isdigit (ASCII only), which on the long values of the large
-    tables takes less than half the time of a regex match."""
-    if type(v) is not str or not v.isascii():
-        return False
-    num, slash, den = v.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    if not (digits.encode().isdigit() and (digits[0] != "0" or num == "0")):
-        return False
-    return not slash or (den.encode().isdigit() and den[0] != "0" and den != "1"
-                         and math.gcd(int(num), int(den)) == 1)
 
 
 @contextlib.contextmanager
@@ -247,7 +230,11 @@ def _open_out(out: str | None):
     """The ``--out`` file opened for binary writing, or stdout's byte stream
     (flushed when done, never closed)."""
     if out:
-        with open(out, "wb") as f:
+        try:
+            f = open(out, "wb")
+        except OSError as e:
+            raise UsageError(f"cannot write --out {out} ({e.strerror})") from e
+        with f:
             yield f
     else:
         sys.stdout.flush()  # text written before goes first
@@ -255,27 +242,44 @@ def _open_out(out: str | None):
         sys.stdout.buffer.flush()
 
 
-def payload_to_csv(payload: dict, out: str | None) -> None:
-    """Write a payload as CSV rows to the file ``out`` (None: stdout).
+_PIECE = 1 << 18  # bytes of gen JSON converted to CSV per write
 
-    Each cell is the entry's value string with an explicit denominator
-    (``v`` if it has one, else ``v + "/1"``), which is
-    ``rat_str_explicit(Fraction(v))`` for every value the program writes.
-    The payload must be one that load_payload has checked.
+
+def payload_to_csv(data: bytes, ensemble: str, out: str | None) -> None:
+    """Write the gen JSON bytes of one table (as payload_to_json writes
+    them) as CSV rows to the file ``out`` (None: stdout).
+
+    Each entry is the five lines "{", its two keys in sorted order, its
+    value and "}".  A row holds the keys in the ensemble's order and the
+    value with an explicit denominator (``v`` if it has one, else
+    ``v + "/1"``), which is ``rat_str_explicit(Fraction(v))``.  The bytes
+    are converted a piece of about _PIECE bytes at a time, cut between two
+    entries, so only one piece's rows are held at once.
     """
-    entries = payload["entries"]
-    k1, k2 = ENSEMBLES[payload["ensemble"]].keys
+    k1, k2 = ENSEMBLES[ensemble].keys
+    # offsets of k1's and k2's lines in an entry, and where their values start
+    l1, l2 = (1, 2) if k1 < k2 else (2, 1)
+    p1, p2 = len(k1) + 10, len(k2) + 10  # '      "k": '
     with _open_out(out) as f:
         f.write(f"{k1},{k2},value\n".encode())
-        for i in range(0, len(entries), _ROWS):
-            f.write("".join([f"{e[k1]},{e[k2]},{e['value']}{'' if '/' in e['value'] else '/1'}\n"
-                             for e in entries[i:i + _ROWS]]).encode())
+        start = data.find(b'"entries": [\n')
+        if start < 0:  # '"entries": []'
+            return
+        i, end = start + 14, data.rindex(b"\n  ]")
+        while i < end:
+            j = data.find(b"},\n", i + _PIECE, end)
+            j = end if j < 0 else j + 1
+            lines = data[i:j].decode().split("\n")
+            f.write("".join([f"{a[p1:-1]},{b[p2:-1]},{v[16:-1]}{'' if '/' in v else '/1'}\n"
+                             for a, b, v in zip(lines[l1::5], lines[l2::5], lines[3::5])])
+                    .encode())
+            i = j + 2
 
 
 def payload_to_table(payload: dict):
-    """Rebuild a table object from a payload that load_payload has checked
-    (the values are not re-checked: the verify suites re-check constraints
-    on whatever the payload holds)."""
+    """Rebuild a table object from a parsed gen payload (the values are not
+    re-checked: the verify suites re-check constraints on whatever the
+    payload holds)."""
     from fractions import Fraction
 
     spec = ENSEMBLES[payload["ensemble"]]
@@ -284,88 +288,14 @@ def payload_to_table(payload: dict):
     return spec.table(*(payload["bounds"][name] for name in spec.bounds), entries)
 
 
-def _gen_key(ensemble: str, bounds: dict) -> dict:
-    return {"ensemble": ensemble, **bounds}
-
-
 def table_bytes(ensemble: str, bounds: dict, use_cache: bool) -> bytes:
     """The gen JSON of one table, through the cache when enabled."""
-    return cached_bytes("gen", _gen_key(ensemble, bounds),
+    return cached_bytes("gen", {"ensemble": ensemble, **bounds},
                         lambda: payload_to_json(table_payload(ensemble, bounds)), use_cache)
 
 
-def _corrupt_cache(ensemble: str, bounds: dict, what: str) -> UsageError:
-    return UsageError(f"corrupt cache entry {cache_path('gen', _gen_key(ensemble, bounds))}: "
-                      f"{what}; delete the file or pass --no-cache")
-
-
-def table_json(ensemble: str, bounds: dict, use_cache: bool) -> bytes:
-    """table_bytes, with a cached entry checked to begin and end as
-    payload_to_json writes them for these bounds (the entries between are
-    not parsed, so the check costs the same for any table size)."""
-    data = table_bytes(ensemble, bounds, use_cache)
-    if use_cache:
-        head, tail = _json_frame(_table_header(ensemble, bounds))
-        if not (data.startswith(f'{head}"entries": ['.encode())
-                and data.endswith(f"]{tail}\n".encode())):
-            raise _corrupt_cache(ensemble, bounds,
-                                 "it does not begin and end as this program writes it")
-    return data
-
-
-_END = object()  # pads the shorter of a payload's entries and its domain
-
-
-def _payload_fault(payload, ensemble: str, bounds: dict) -> str | None:
-    """Why a parsed payload is not a gen payload of these bounds, or None:
-    its header fields must be the ones gen writes, and its entries, in one
-    pass, must carry exactly the index pairs of the ensemble's domain, in
-    order, each with a value in the form the program writes."""
-    if type(payload) is not dict or type(payload.get("entries")) is not list:
-        return "it is not a JSON object with an entries list"
-    if {k: v for k, v in payload.items() if k != "entries"} != _table_header(ensemble, bounds):
-        return "its header is not the one this program writes for these bounds"
-    spec = ENSEMBLES[ensemble]
-    k1, k2 = spec.keys
-    domain = spec.domain(*(bounds[name] for name in spec.bounds))
-    for i, (e, key) in enumerate(itertools.zip_longest(payload["entries"], domain,
-                                                       fillvalue=_END)):
-        if e is _END:
-            return (f"it ends after {i} entries; the next one this program writes "
-                    f"has {k1} = {key[0]}, {k2} = {key[1]}")
-        if not (type(e) is dict and type(a := e.get(k1)) is int and type(b := e.get(k2)) is int
-                and _is_value(e.get("value"))):
-            return (f"entry {i} {json.dumps(e, sort_keys=True)} "
-                    "is not an entry this program writes")
-        if (a, b) != key:
-            if key is _END:
-                return (f"entry {i} {json.dumps(e, sort_keys=True)} "
-                        "is past the last entry this program writes for these bounds")
-            return (f"entry {i} {json.dumps(e, sort_keys=True)} is not the one this program "
-                    f"writes there, which has {k1} = {key[0]}, {k2} = {key[1]}")
-    return None
-
-
-def load_payload(ensemble: str, bounds: dict, use_cache: bool) -> dict:
-    """The parsed and checked gen JSON of one table; a cached entry that does
-    not parse, or is not a gen payload of these bounds, is named as corrupt."""
-    data = table_bytes(ensemble, bounds, use_cache)
-    try:
-        payload = json.loads(data)
-    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
-        if not use_cache:
-            raise
-        raise _corrupt_cache(ensemble, bounds, f"not valid JSON ({e})") from e
-    fault = _payload_fault(payload, ensemble, bounds)
-    if fault:
-        if not use_cache:
-            raise ValueError(f"gen {ensemble} wrote a payload that fails its check: {fault}")
-        raise _corrupt_cache(ensemble, bounds, fault)
-    return payload
-
-
 def load_table(ensemble: str, bounds: dict, use_cache: bool):
-    return payload_to_table(load_payload(ensemble, bounds, use_cache))
+    return payload_to_table(json.loads(table_bytes(ensemble, bounds, use_cache)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +476,11 @@ def cmd_gen(args) -> int:
         flags = " ".join(f"--{name} {v}" for name, v in bounds.items())
         raise UsageError(f"gen {ensemble} {flags} would write about {size // 10**6} MB, "
                          f"over the {GEN_BYTES // 10**6} MB limit")
-    use_cache = not args.no_cache
+    data = table_bytes(ensemble, bounds, not args.no_cache)
     if args.format == "json":
-        _write_out(table_json(ensemble, bounds, use_cache), args.out)
-        return 0
-    # only the parsed entries are kept while the rows are written
-    payload_to_csv(load_payload(ensemble, bounds, use_cache), args.out)
+        _write_out(data, args.out)
+    else:
+        payload_to_csv(data, ensemble, args.out)
     return 0
 
 
@@ -597,9 +526,7 @@ def cmd_verify(args) -> int:
         "suites": [r.to_dict() for r in reports],
     }
     if args.out:
-        Path(args.out).write_bytes(
-            (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-        )
+        _write_out((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode(), args.out)
     ok = True
     for r in reports:
         fails = r.failures()

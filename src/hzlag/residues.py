@@ -89,8 +89,9 @@ def fab(A: int, B: int) -> WLaurent:
 
 
 def fab_generalized(N: int, k: int) -> WLaurent:
-    """u <tr e^{uH}> for H = B B† with B of shape N x (N+k), exactly, as a
-    Laurent polynomial in w = u - 1.
+    """(-1)^(N+k) u <tr e^{u B B†}> for B of shape N x (N+k) with independent
+    unit-variance complex Gaussian entries, exactly, as a Laurent polynomial
+    in w = u - 1: the coefficient of u^(p+1) is (-1)^(N+k) E tr (B B†)^p / p!.
 
     It is the residue at z=0 of (1-z)^{N+k} (z+u)^N / ((z+u-1)^{N+k} z^N);
     the pole has order exactly N, so only z-orders up to N-1 are needed.

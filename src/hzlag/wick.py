@@ -265,16 +265,6 @@ def connected_moments(
     return total
 
 
-def _pairings(items: list):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for i in range(len(rest)):
-        for tail in _pairings(rest[:i] + rest[i + 1 :]):
-            yield [(first, rest[i])] + tail
-
-
 @lru_cache(maxsize=None)
 def gue_moment(m: int) -> MomentPoly:
     """Exact <tr H^m> for the GUE with E[H_ab H_cd] = delta_ad delta_bc / N.
@@ -289,15 +279,21 @@ def gue_moment(m: int) -> MomentPoly:
     if m == 0:
         return MomentPoly.symbol()
     gamma = _trace_successor((m,))
-    total: dict[int, Fraction] = {}
-    for matching in _pairings(list(range(m))):
-        alpha = [0] * m
-        for a, b in matching:
+    alpha = [0] * m  # the matching being built, as an involution
+    counts = [0] * (m // 2 + 2)  # loops -> number of matchings
+
+    def match(free: list[int]) -> None:
+        if not free:
+            counts[_cycle_count([gamma[b] for b in alpha])] += 1
+            return
+        a = free[0]
+        for i in range(1, len(free)):
+            b = free[i]
             alpha[a], alpha[b] = b, a
-        loops = _cycle_count([gamma[alpha[t]] for t in range(m)])
-        e = loops - m // 2
-        total[e] = total.get(e, Fraction(0)) + 1
-    return MomentPoly(total)
+            match(free[1:i] + free[i + 1:])
+
+    match(list(range(m)))
+    return MomentPoly({loops - m // 2: c for loops, c in enumerate(counts)})
 
 
 def genus_extract(p: MomentPoly, s: int) -> dict[int, Fraction]:

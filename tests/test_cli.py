@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: determinism, exit codes,
 serialization formats, and the table cache."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -95,6 +96,40 @@ def loaded_modules(args, cache_dir) -> set:
     return set(r.stderr.decode().splitlines()[-1].split())
 
 
+def _with_digest(body: bytes) -> bytes:
+    """A cache entry holding ``body``: its sha256 line, then the bytes."""
+    return hashlib.sha256(body).hexdigest().encode() + b"\n" + body
+
+
+def _rewrite_body(path, edit):
+    """Replace the text after a cache entry's digest line by edit(that text),
+    keeping the digest line, so the entry no longer matches it."""
+    digest, body = path.read_text().split("\n", 1)
+    path.write_text(f"{digest}\n{edit(body)}")
+
+
+def _with_entries(edit):
+    """A corruption that parses the cached JSON, edits its entries list in
+    place and writes it back."""
+    def corrupt(text: str) -> str:
+        payload = json.loads(text)
+        edit(payload["entries"])
+        return json.dumps(payload)
+    return corrupt
+
+
+def _assert_named_corrupt(path, commands, capsys):
+    """Each command exits 2, prints nothing to stdout and one line naming
+    ``path`` as a corrupt cache entry to stderr."""
+    for args in commands:
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "", args
+        err = captured.err
+        assert err.startswith(f"error: corrupt cache entry {path}: "), err
+        assert err.endswith("; delete the file or pass --no-cache\n") and err.count("\n") == 1, err
+
+
 def test_gen_laguerre_csv(cache, capsys):
     assert main(["gen", "laguerre", "--gmax", "3", "--nmax", "10",
                  "--format", "csv"]) == 0
@@ -127,18 +162,9 @@ def test_gen_csv_names_corrupt_cache_entry(cache, tmp_path, capsys, bad):
     assert main(argv) == 0
     want = capsys.readouterr().out
     path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
-    payload = json.loads(path.read_text())
-    payload["entries"][3]["value"] = bad
-    path.write_text(json.dumps(payload))
+    _rewrite_body(path, _with_entries(lambda entries: entries[3].update(value=bad)))
     out = tmp_path / "t.csv"
-    for extra in ([], ["--out", str(out)]):
-        assert main([*argv, *extra]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        err = captured.err
-        assert err.startswith(f"error: corrupt cache entry {path}: entry 3 ")
-        assert f'"value": "{bad}"' in err and "--no-cache" in err
-        assert err.count("\n") == 1, err
+    _assert_named_corrupt(path, (argv, [*argv, "--out", str(out)]), capsys)
     assert not out.exists()
     assert main([*argv, "--no-cache"]) == 0
     assert capsys.readouterr().out == want
@@ -155,30 +181,16 @@ def test_truncated_cache_entry_is_named_corrupt(cache, tmp_path, capsys):
     report.unlink()
     path = cache_path("gen", {"ensemble": "vk", "gmax": 1})
     path.write_bytes(path.read_bytes()[:100])
-    # gen JSON checks the entry's two ends, gen CSV and verify parse it
-    for args in (argv, [*argv, "--format", "csv"], verify):
-        assert main(args) == 2, args
-        captured = capsys.readouterr()
-        assert captured.out == "", args
-        err = captured.err
-        assert err.startswith(f"error: corrupt cache entry {path}: "), err
-        assert err.endswith("; delete the file or pass --no-cache\n") and err.count("\n") == 1, err
+    _assert_named_corrupt(path, (argv, [*argv, "--format", "csv"], verify), capsys)
     assert not report.exists()
     assert main([*argv, "--no-cache"]) == 0
     assert capsys.readouterr().out == want
 
 
-def _with_entries(edit):
-    """A corruption that parses the cached entry, edits its entries list in
-    place and writes it back."""
-    def corrupt(text: str) -> str:
-        payload = json.loads(text)
-        edit(payload["entries"])
-        return json.dumps(payload)
-    return corrupt
-
-
 VK1 = ["vk", "--gmax", "1"]
+# --out placeholders that test_bad_input_exits_2 replaces by paths under its
+# temporary directory
+OUT_IN_MISSING_DIR, OUT_DIR = "<missing-dir>/x", "<dir>"
 LAGUERRE_5_20 = ["laguerre", "--gmax", "5", "--nmax", "20"]
 
 
@@ -198,7 +210,7 @@ LAGUERRE_5_20 = ["laguerre", "--gmax", "5", "--nmax", "20"]
                  id="laguerre-entry-30-missing"),
 ])
 def test_cache_entry_that_is_not_a_gen_payload_is_named_corrupt(cache, tmp_path, capsys, data):
-    # it parses as JSON, but gen CSV and verify cannot use it
+    # it parses as JSON, but it is not the bytes of the entry's digest line
     job, corrupt = (VK1, lambda text: data) if type(data) is str else data
     argv = ["gen", *job, "--format", "csv"]
     report = tmp_path / "report.json"
@@ -207,67 +219,101 @@ def test_cache_entry_that_is_not_a_gen_payload_is_named_corrupt(cache, tmp_path,
     want = capsys.readouterr().out
     bounds = {job[i][2:]: int(job[i + 1]) for i in range(1, len(job), 2)}
     path = cache_path("gen", {"ensemble": job[0], **bounds})
-    path.write_text(corrupt(path.read_text()))
-    for args in (argv, [*argv, "--out", str(tmp_path / "t.csv")], verify):
-        assert main(args) == 2, args
-        captured = capsys.readouterr()
-        assert captured.out == "", args
-        err = captured.err
-        assert err.startswith(f"error: corrupt cache entry {path}: "), err
-        assert err.endswith("; delete the file or pass --no-cache\n") and err.count("\n") == 1, err
+    _rewrite_body(path, corrupt)
+    _assert_named_corrupt(path, (argv, [*argv, "--out", str(tmp_path / "t.csv")], verify), capsys)
     assert not report.exists() and not (tmp_path / "t.csv").exists()
     assert main([*argv, "--no-cache"]) == 0
     assert capsys.readouterr().out == want
 
 
-def test_domains_are_the_keys_gen_writes():
-    # each ensemble's domain lists its table's keys in gen's order
-    for ensemble, bounds in (("laguerre", {"gmax": 3, "nmax": 5}), ("gauss", {"gmax": 6}),
-                             ("vk", {"gmax": 4}), ("glag-k1", {"rmax2": 5, "nmax": 3})):
-        spec = ENSEMBLES[ensemble]
-        k1, k2 = spec.keys
-        keys = [(e[k1], e[k2]) for e in table_payload(ensemble, bounds)["entries"]]
-        assert list(spec.domain(*bounds.values())) == keys, ensemble
-
-
-def _written_value(v) -> bool:
-    """The reference for cli._is_value: v is what str() gives for the
-    Fraction it names."""
-    try:
-        return type(v) is str and str(Fraction(v)) == v
-    except (ValueError, ZeroDivisionError):
-        return False
-
-
-@given(st.one_of(
-    st.integers(-10**30, 10**30).map(str),
-    st.fractions().map(str),
-    st.tuples(st.integers(-99, 99), st.integers(-99, 99)).map(lambda t: f"{t[0]}/{t[1]}"),
-    st.text("-+/0123456789 .e_\u0661", max_size=8),
-    st.text(max_size=4),
-    st.one_of(st.none(), st.integers(), st.floats()),
-))
-def test_value_check_matches_fraction_round_trip(v):
-    assert cli._is_value(v) == _written_value(v), v
-
-
 def test_gen_json_names_cache_entry_with_foreign_ends(cache, capsys):
     # a rewritten entry that still parses is not what gen writes: JSON output
-    # copies the cached bytes, so they must begin and end as gen writes them
+    # copies the cached bytes, so they must be the ones of the digest line
     argv = ["gen", "vk", "--gmax", "2"]
     assert main(argv) == 0
     capsys.readouterr()
     path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
-    payload = json.loads(path.read_text())
-    for data in (json.dumps(payload), GOLDEN.read_text().replace('"gmax": 2', '"gmax": 3')):
-        path.write_text(data)
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: corrupt cache entry {path}: ")
-    path.write_text(GOLDEN.read_text())
+    for edit in (lambda text: json.dumps(json.loads(text)),
+                 lambda text: GOLDEN.read_text().replace('"gmax": 2', '"gmax": 3')):
+        _rewrite_body(path, edit)
+        _assert_named_corrupt(path, (argv,), capsys)
+    path.write_bytes(_with_digest(GOLDEN.read_bytes()))
     assert main(argv) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda digest, body: body, id="no-digest-line"),
+    pytest.param(lambda digest, body: b"", id="empty"),
+    pytest.param(lambda digest, body: digest.upper() + b"\n" + body, id="upper-case-digest"),
+    pytest.param(lambda digest, body: digest[:-1] + b"\n" + body, id="short-digest"),
+    pytest.param(lambda digest, body: digest + b"\r\n" + body, id="crlf"),
+    pytest.param(lambda digest, body: digest + b"\n" + body + b"\n", id="extra-newline"),
+])
+def test_entry_that_does_not_match_its_digest_line_is_named_corrupt(cache, tmp_path, capsys,
+                                                                    edit):
+    argv = ["gen", *VK1]
+    report = tmp_path / "report.json"
+    verify = ["verify", "--suite", "constraints", "--gmax", "1", "--out", str(report)]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    path = cache_path("gen", {"ensemble": "vk", "gmax": 1})
+    path.write_bytes(edit(*path.read_bytes().split(b"\n", 1)))
+    out = tmp_path / "t.out"
+    _assert_named_corrupt(path, (argv, [*argv, "--out", str(out)], [*argv, "--format", "csv"],
+                                 [*argv, "--format", "csv", "--out", str(out)], verify), capsys)
+    assert not out.exists() and not report.exists()
+    assert main([*argv, "--no-cache"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_entry_of_the_previous_cache_format_is_recomputed(cache, capsys):
+    # before the digest line, an entry was the JSON alone, under a key
+    # without the format field; it is never read
+    args = {"ensemble": "vk", "gmax": 2}
+    key = json.dumps({"tool": hzlag.__version__, "kind": "gen", "args": args}, sort_keys=True)
+    old = cache / f"gen-{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
+    stale = GOLDEN.read_text().replace('"value": "-1/2"', '"value": "-3/2"', 1)
+    assert stale != GOLDEN.read_text()
+    cache.mkdir()
+    old.write_text(stale)
+    csv = ["gen", "vk", "--gmax", "2", "--format", "csv"]
+    assert main([*csv, "--no-cache"]) == 0
+    want = GOLDEN.read_text() + capsys.readouterr().out
+    assert main(["gen", "vk", "--gmax", "2"]) == 0
+    assert main(csv) == 0
+    assert capsys.readouterr().out == want
+    assert cache_path("gen", args) != old
+    assert cache_path("gen", args).read_bytes() == _with_digest(GOLDEN.read_bytes())
+    assert old.read_text() == stale
+
+
+@pytest.mark.parametrize("piece", [1, 300])
+def test_csv_is_converted_piece_by_piece(cache, capsys, monkeypatch, piece):
+    # 1: every piece is one entry; 300: a few entries each
+    monkeypatch.setattr(cli, "_PIECE", piece)
+    for argv, name in TABLE_GOLDENS[len(JSON_GOLDENS):]:
+        assert main(["gen", *argv]) == 0  # computed into the cache
+        assert main(["gen", *argv]) == 0  # read back from it
+        assert capsys.readouterr().out == (GOLDEN.parent / name).read_text() * 2, name
+
+
+def test_warm_reads_leave_the_cache_unchanged(cache, tmp_path, capsys):
+    jobs = [["gen", *VK1], ["gen", *VK1, "--format", "csv"], ["gen", *LAGUERRE_5_20],
+            ["verify", "--suite", "constraints", "--gmax", "1"]]
+    for argv in jobs:
+        assert main(argv) == 0
+    for f in cache.iterdir():  # an earlier mtime, so a rewrite would show
+        os.utime(f, ns=(10**18, 10**18))
+
+    def state():
+        return {f.name: (f.stat().st_size, f.stat().st_mtime_ns) for f in cache.iterdir()}
+
+    before = state()
+    assert len(before) == 5  # vk 1, laguerre 5/20 and 3/10, glag-k1 4/8, gauss 1
+    for argv in jobs:
+        assert main(argv) == 0
+    assert state() == before
 
 
 def test_gen_entries_over_4300_digits(cache, capsys):
@@ -320,7 +366,7 @@ def test_table_writers_on_generated_entries(ensemble, rows):
     want = "".join(f"{a},{b},{rat_str_explicit(Fraction(v))}\n" for a, b, v in rows)
     with tempfile.TemporaryDirectory() as d:
         out = os.path.join(d, "t.csv")
-        payload_to_csv(payload, out)
+        payload_to_csv(payload_to_json(payload), ensemble, out)
         assert pathlib.Path(out).read_text() == f"{k1},{k2},value\n{want}"
 
 
@@ -491,11 +537,24 @@ def test_eval_fab_matches_golden(cache, capsys):
     # before the table is built (200/432 is accepted)
     ["gen", "laguerre", "--gmax", "1000", "--nmax", "2000"],
     ["gen", "laguerre", "--gmax", "200", "--nmax", "433", "--format", "csv"],
+    # an --out that cannot be opened for writing: a file in a missing
+    # directory, or a directory
+    *[[*argv, "--out", out] for out in (OUT_IN_MISSING_DIR, OUT_DIR) for argv in (
+        ["gen", *VK1], ["gen", *VK1, "--no-cache"], ["gen", *VK1, "--format", "csv"],
+        ["verify", "--suite", "odes", "--nmax", "1"],
+        ["series", "vk", "--k", "1", "--order", "2"])],
 ])
 def test_bad_input_exits_2(cache, capsys, argv):
+    where = {OUT_IN_MISSING_DIR: str(cache.parent / "missing" / "x"), OUT_DIR: str(cache.parent)}
+    argv = [where.get(a, a) for a in argv]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if "--out" in argv:
+        assert err.startswith(f"error: cannot write --out {argv[-1]} ("), err
+    assert not (cache.parent / "missing").exists()
 
 
 def test_laguerre_size_estimate(cache, capsys):
@@ -566,21 +625,29 @@ def test_verify_constraints_cache_round_trip(cache, capsys):
 
 
 def test_verify_detects_cache_corruption(cache, capsys):
-    assert main(["verify", "--suite", "constraints"]) == 0
+    verify = ["verify", "--suite", "constraints"]
+    assert main(verify) == 0
     capsys.readouterr()
-    corrupted = 0
+    poisoned = []
     for f in cache.iterdir():
-        payload = json.loads(f.read_text())
+        digest, body = f.read_bytes().split(b"\n", 1)
+        payload = json.loads(body)
         if payload["ensemble"] == "laguerre":
+            # a wrong table under its own digest, as an engine bug would write it
             payload["entries"][5]["value"] = "99999"
-            f.write_text(json.dumps(payload))
-            corrupted += 1
-    assert corrupted
-    assert main(["verify", "--suite", "constraints"]) == 1
+            wrong = payload_to_json(payload)
+            f.write_bytes(_with_digest(wrong))
+            poisoned.append((f, digest, wrong))
+    assert poisoned
+    assert main(verify) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+    # the same bytes under the digest of the right ones are named corrupt
+    for f, digest, wrong in poisoned:
+        f.write_bytes(digest + b"\n" + wrong)
+    _assert_named_corrupt(poisoned[0][0], (verify,), capsys)
     # bypassing the poisoned cache must pass again
-    assert main(["verify", "--suite", "constraints", "--no-cache"]) == 0
+    assert main([*verify, "--no-cache"]) == 0
 
 
 def test_cache_write_is_atomic(cache, monkeypatch):
@@ -602,7 +669,7 @@ def test_cache_write_is_atomic(cache, monkeypatch):
     assert list(cache.iterdir()) == []  # no temporary file is left behind
     assert cached_bytes("gen", args, compute, True) == b"payload"
     assert len(calls) == 2  # the failed write cached nothing
-    assert cache_path("gen", args).read_bytes() == b"payload"
+    assert cache_path("gen", args).read_bytes() == _with_digest(b"payload")
     assert cached_bytes("gen", args, compute, True) == b"payload"
     assert len(calls) == 2
 

@@ -112,9 +112,8 @@ def test_t1_rectangular_reflection(N, k):
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_fab_generalized_matches_rectangular_wick(N, k):
-    # the u-series of u <tr e^{uH}> encodes the rectangular moments one
-    # power of u up, and up to the overall sign (-1)^(N+k) carried by the
-    # residue normalization
+    # the coefficient of u^(m+1) is (-1)^(N+k) E tr (B B†)^m / m!, and the
+    # oracle's moments are those of H = B B† / N
     s = fab_generalized(N, k).series_at_zero(5)
     assert s[0] == 0
     cols = "N" if k == 0 else f"N+{k}"

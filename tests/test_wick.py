@@ -69,6 +69,8 @@ def test_gue_moment_small_values():
     assert gue_moment(4) == MomentPoly.parse("2*N + N^-1")
     assert gue_moment(6) == MomentPoly.parse("5*N + 10*N^-1")
     assert gue_moment(8) == MomentPoly.parse("14*N + 70*N^-1 + 21*N^-3")
+    assert gue_moment(10) == MomentPoly.parse("42*N + 420*N^-1 + 483*N^-3")
+    assert gue_moment(12) == MomentPoly.parse("132*N + 2310*N^-1 + 6468*N^-3 + 1485*N^-5")
 
 
 def test_gue_moment_planar_part_is_catalan():
