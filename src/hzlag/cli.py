@@ -73,27 +73,53 @@ def cache_path(kind: str, args: dict) -> Path:
     return cache_dir() / f"{kind}-{digest}.json"
 
 
-def cached_bytes(kind: str, args: dict, compute, use_cache: bool) -> bytes:
-    """Return compute() (bytes), reading/writing the cache when enabled.
-
-    An entry is the sha256 hex digest of the bytes, a newline, then the
-    bytes.  A read returns the bytes only when they match the digest, and
-    names the entry as corrupt otherwise."""
-    if not use_cache:
-        return compute()
-    path = cache_path(kind, args)
+def _read_entry(path: Path) -> bytes | None:
+    """The bytes of the cache entry at path, checked against its digest
+    line, or None when there is no entry."""
     try:
         f = open(path, "rb", buffering=0)
     except (FileNotFoundError, NotADirectoryError):  # no entry yet
-        pass
-    else:
-        with f:  # unbuffered: the bytes after the digest line are read once, into one object
-            line, data = f.read(65), f.readall()
-        if line != hashlib.sha256(data).hexdigest().encode() + b"\n":
-            raise UsageError(f"corrupt cache entry {path}: it does not begin with the sha256 "
-                             "digest of the rest; delete the file or pass --no-cache")
+        return None
+    except OSError as e:  # a directory or an unreadable file in its place
+        raise UsageError(f"cannot use cache entry {path} ({e.strerror}); pass --no-cache") from e
+    with f:  # unbuffered: the bytes after the digest line are read once, into one object
+        line, data = f.read(65), f.readall()
+    if line != hashlib.sha256(data).hexdigest().encode() + b"\n":
+        raise UsageError(f"corrupt cache entry {path}: it does not begin with the sha256 "
+                         "digest of the rest; delete the file or pass --no-cache")
+    return data
+
+
+class _HashingSink:
+    """A binary sink that passes each write on to f and feeds it to a sha256."""
+
+    __slots__ = ("f", "sha")
+
+    def __init__(self, f):
+        self.f, self.sha = f, hashlib.sha256()
+
+    def write(self, b: bytes) -> int:
+        self.sha.update(b)
+        return self.f.write(b)
+
+
+def cached_bytes(kind: str, args: dict, compute, use_cache: bool) -> bytes:
+    """The bytes compute(sink) writes to a binary sink, through the cache
+    when enabled.
+
+    An entry is the sha256 hex digest of the bytes, a newline, then the
+    bytes.  A read returns the bytes only when they match the digest, and
+    names the entry as corrupt otherwise.  On a miss, compute streams into
+    the entry's temporary file, and the entry is then read back like a hit,
+    so the bytes are held once, after compute's own data is gone."""
+    if not use_cache:
+        buf = io.BytesIO()
+        compute(buf)
+        return buf.getvalue()
+    path = cache_path(kind, args)
+    data = _read_entry(path)
+    if data is not None:
         return data
-    data = compute()
     # write a temporary file next to the entry and rename it into place, so
     # the entry is either absent or complete, never partly written
     try:
@@ -104,13 +130,16 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool) -> bytes:
             f"cannot use cache directory {path.parent} ({e.strerror}); pass --no-cache") from e
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(hashlib.sha256(data).hexdigest().encode() + b"\n")
-            f.write(data)
+            f.write(b"0" * 64 + b"\n")  # the digest line's place, filled in below
+            sink = _HashingSink(f)
+            compute(sink)
+            f.seek(0)
+            f.write(sink.sha.hexdigest().encode())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    return data
+    return _read_entry(path)
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +192,24 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # each builder and table class is named by a string and looked up in
 # hzlag.recursions when it is called, so importing this module loads no engine
 # and a rebinding of the module attribute (perfbench/tracer.py times the
-# builders that way) reaches it.  The bounds keep a request within about
-# 200 MB peak RSS; measured with --no-cache, each in a fresh process on one
-# 2-vCPU VM (Python 3.11): `gen vk --gmax 150` took 3.5 s and 141 MB and
-# wrote 39 MB, `gen gauss --gmax 300` 2.5 s, 168 MB and 54 MB (at 400:
-# 7.1 s, 366 MB and 133 MB), `gen glag-k1 --rmax2 240 --nmax 480` 2.8 s,
-# 208 MB and 62 MB.  A laguerre table's peak RSS follows its digits, not
-# its bounds (150/300: 101 MB, 24 MB written; 200/400: 184 and 57; 250/500:
-# 328 and 113; 500/100: 198 and 68; 1000/20: 155 and 55; 800/1: 26 and
-# 1.7), about 25 MB plus 2.6 times the bytes written, so its request is
-# bounded by the estimated size of its JSON, GEN_BYTES; its option bounds
-# only keep that estimate cheap.  The largest accepted requests at gmax
-# 100/200/400/1000 (nmax 962/432/138/21) took 207/199/187/169 MB and 2.0/
-# 2.3/2.7/4.9 s and wrote 64/63/61/58 MB.
+# builders that way) reaches it.  The bounds were set to keep a request
+# within about 200 MB peak RSS while every entry was held as an int, a
+# string and JSON bytes at once.  Now the ints are streamed into the cache
+# entry a block at a time and the entry is read back once, so peak RSS is
+# about the larger of the ints plus one block and the entry's bytes.
+# Measured each in a fresh process on one 2-vCPU VM (Python 3.11.7), peak
+# RSS cached / --no-cache (which holds the bytes in memory as it writes
+# them): `gen vk --gmax 150` took 2.0 s, 74 / 97 MB and wrote 39 MB, `gen
+# gauss --gmax 300` 1.8 s, 101 / 117 MB and 54 MB, `gen glag-k1 --rmax2 240
+# --nmax 480` 1.8 s, 101 / 143 MB and 62 MB.  A laguerre table's peak RSS
+# follows its digits, not its bounds (150/300: 55 / 70 MB, 24 MB written;
+# 200/400: 97 / 123 and 57), about 25 MB plus 1.2 to 1.8 times the bytes
+# written (1.7 to 1.9 with --no-cache), so its request is bounded by the
+# estimated size of its JSON, GEN_BYTES; its option bounds only keep that
+# estimate cheap.  The largest accepted requests at gmax 100/200/400/1000
+# (nmax 962/432/138/21) took 101/100/118/126 MB (138/132/128/131 with
+# --no-cache) and 1.6/1.6/2.1/4.1 s and wrote 64/63/61/58 MB; the entries
+# of high genus make a block large, hence the last two.
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_table",
@@ -188,41 +222,52 @@ ENSEMBLES = {
 
 
 def table_payload(ensemble: str, bounds: dict) -> dict:
+    """The header of one table's gen JSON and its entries, as sorted
+    ``((k1, k2), value)`` items (a value is an int or a Fraction)."""
     spec = ENSEMBLES[ensemble]
     table = spec.build(*(bounds[name] for name in spec.bounds))
-    k1, k2 = spec.keys
-    entries = [
-        {k1: a, k2: b, "value": str(v)}
-        for (a, b), v in sorted(table.entries.items())
-    ]
-    return {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds, "entries": entries}
+    return {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds,
+            "entries": sorted(table.entries.items())}
 
 
 _ROWS = 4096  # entries serialized per write
 
 
-def payload_to_json(payload: dict) -> bytes:
-    """Exactly ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``,
-    encoded; the encoder renders only the fields around the entries, and
-    each entry is written as its fixed block, keys in sorted order.  A value
-    is str of an int or a Fraction, which JSON quoting leaves as it is."""
+def payload_to_json(payload: dict, f) -> None:
+    """Write ``json.dumps(P, sort_keys=True, indent=2) + "\n"``, encoded, to
+    the binary sink f, where P is the payload with each entry ``((a, b), v)``
+    as ``{k1: a, k2: b, "value": str(v)}``.
+
+    The encoder renders only the fields around the entries.  The entries
+    are written _ROWS at a time, each as its fixed block with the keys in
+    sorted order, so only one block's strings are held at once.  A value is
+    an int or a Fraction, whose str JSON quoting leaves as it is."""
     head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
                             indent=2).split('"entries": []')
     entries = payload["entries"]
     if not entries:
-        return f'{head}"entries": []{tail}\n'.encode()
-    ka, kb = sorted(ENSEMBLES[payload["ensemble"]].keys)
+        f.write(f'{head}"entries": []{tail}\n'.encode())
+        return
+    k1, k2 = ENSEMBLES[payload["ensemble"]].keys
+    ia, ib = (0, 1) if k1 < k2 else (1, 0)  # where the sorted keys sit in an entry's index
     # the text before each of an entry's three values, at indent depth 2
-    open_a, open_b, open_v = f'    {{\n      "{ka}": ', f',\n      "{kb}": ', ',\n      "value": "'
-    buf = io.BytesIO()
-    buf.write(f'{head}"entries": [\n'.encode())
+    open_a = f'    {{\n      "{min(k1, k2)}": '
+    open_b, open_v = f',\n      "{max(k1, k2)}": ', ',\n      "value": "'
+    f.write(f'{head}"entries": [\n'.encode())
     for i in range(0, len(entries), _ROWS):
         if i:
-            buf.write(b",\n")
-        buf.write(",\n".join([f'{open_a}{e[ka]}{open_b}{e[kb]}{open_v}{e["value"]}"\n    }}'
-                              for e in entries[i:i + _ROWS]]).encode())
-    buf.write(f"\n  ]{tail}\n".encode())
-    return buf.getvalue()
+            f.write(b",\n")
+        f.write(",\n".join([f'{open_a}{k[ia]}{open_b}{k[ib]}{open_v}{v!s}"\n    }}'
+                             for k, v in entries[i:i + _ROWS]]).encode())
+    f.write(f"\n  ]{tail}\n".encode())
+
+
+def _open_file(out: str, mode: str):
+    """The ``--out`` file opened in mode, or a usage error naming it."""
+    try:
+        return open(out, mode)
+    except OSError as e:
+        raise UsageError(f"cannot write --out {out} ({e.strerror})") from e
 
 
 @contextlib.contextmanager
@@ -230,11 +275,7 @@ def _open_out(out: str | None):
     """The ``--out`` file opened for binary writing, or stdout's byte stream
     (flushed when done, never closed)."""
     if out:
-        try:
-            f = open(out, "wb")
-        except OSError as e:
-            raise UsageError(f"cannot write --out {out} ({e.strerror})") from e
-        with f:
+        with _open_file(out, "wb") as f:
             yield f
     else:
         sys.stdout.flush()  # text written before goes first
@@ -291,7 +332,7 @@ def payload_to_table(payload: dict):
 def table_bytes(ensemble: str, bounds: dict, use_cache: bool) -> bytes:
     """The gen JSON of one table, through the cache when enabled."""
     return cached_bytes("gen", {"ensemble": ensemble, **bounds},
-                        lambda: payload_to_json(table_payload(ensemble, bounds)), use_cache)
+                        lambda f: payload_to_json(table_payload(ensemble, bounds), f), use_cache)
 
 
 def load_table(ensemble: str, bounds: dict, use_cache: bool):
@@ -514,6 +555,13 @@ def cmd_verify(args) -> int:
         _check_range(flag, getattr(args, flag))
     if "constraints" in names and args.gmax < 1:
         raise UsageError(f"suite constraints needs --gmax >= 1, got {args.gmax}")
+    if args.out:
+        # an --out that cannot be written fails before any suite runs; the
+        # check changes no file, and removes the one it creates
+        existed = os.path.lexists(args.out)
+        _open_file(args.out, "ab").close()
+        if not existed:
+            os.unlink(args.out)
     reports = []
     for n in names:
         reports.append(SUITES[n](args))

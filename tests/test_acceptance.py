@@ -2,6 +2,7 @@
 throughout, with a wall-clock budget for each.  Every test prints a single
 pass/fail line tagged with the check anchors it certifies."""
 
+import io
 import math
 import pathlib
 import time
@@ -62,7 +63,9 @@ def _gate(name: str, budget: float, work):
 
 def test_criterion_01_vk_table_golden():
     def work():
-        data = payload_to_json(table_payload("vk", {"gmax": 2}))
+        buf = io.BytesIO()
+        payload_to_json(table_payload("vk", {"gmax": 2}), buf)
+        data = buf.getvalue()
         assert data == GOLDEN.read_bytes(), "vk gmax=2 output differs from golden"
 
     _gate("criterion-01 [rec-v2]", 1.0, work)

@@ -3,6 +3,7 @@ serialization formats, and the table cache."""
 
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -332,10 +333,32 @@ def test_gen_entries_over_4300_digits(cache, capsys):
 
 
 def _json_reference(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    """The gen JSON of a payload whose entries are ``((a, b), value)``
+    items, as json.dumps renders it with each entry's value as a string."""
+    k1, k2 = ENSEMBLES[payload["ensemble"]].keys
+    entries = [{k1: a, k2: b, "value": str(v)} for (a, b), v in payload["entries"]]
+    return (json.dumps({**payload, "entries": entries}, sort_keys=True, indent=2)
+            + "\n").encode()
 
 
-@pytest.mark.parametrize("rows", [cli._ROWS, 7])
+class _RecordingSink:
+    """A binary sink that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, b: bytes) -> int:
+        self.writes.append(bytes(b))
+        return len(b)
+
+
+def _json_bytes(payload: dict) -> bytes:
+    buf = io.BytesIO()
+    payload_to_json(payload, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("rows", [cli._ROWS, 7, 1])
 @pytest.mark.parametrize("ensemble,bounds", [
     ("laguerre", {"gmax": 4, "nmax": 12}),
     ("gauss", {"gmax": 8}),
@@ -343,9 +366,26 @@ def _json_reference(payload: dict) -> bytes:
     ("glag-k1", {"rmax2": 6, "nmax": 10}),
 ])
 def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, rows):
-    monkeypatch.setattr(cli, "_ROWS", rows)  # 7: entries span several writes
+    monkeypatch.setattr(cli, "_ROWS", rows)  # 7 and 1: entries span several writes
     payload = table_payload(ensemble, bounds)
-    assert payload_to_json(payload) == _json_reference(payload)
+    assert _json_bytes(payload) == _json_reference(payload)
+    # the entries are written a block of at most `rows` of them at a time
+    sink = _RecordingSink()
+    payload_to_json(payload, sink)
+    assert b"".join(sink.writes) == _json_reference(payload)
+    n = len(payload["entries"])
+    per_write = [w.count(b'"value": ') for w in sink.writes]
+    assert max(per_write) == min(rows, n)
+    assert sum(c > 0 for c in per_write) == -(-n // rows)
+
+
+def test_table_payload_holds_no_strings():
+    payload = table_payload("vk", {"gmax": 2})
+    assert set(payload) == {"schema", "ensemble", "bounds", "entries"}
+    keys = [k for k, _ in payload["entries"]]
+    assert keys == sorted(keys)
+    assert all(type(a) is int and type(b) is int and type(v) in (int, Fraction)
+               for (a, b), v in payload["entries"])
 
 
 @settings(max_examples=100, deadline=None)
@@ -360,13 +400,14 @@ def test_table_writers_on_generated_entries(ensemble, rows):
         "schema": "hzlag-table/1",
         "ensemble": ensemble,
         "bounds": {name: 1 for name in spec.bounds},
-        "entries": [{k1: a, k2: b, "value": str(v)} for a, b, v in rows],
+        "entries": [((a, b), v) for a, b, v in rows],
     }
-    assert payload_to_json(payload) == _json_reference(payload)
+    data = _json_bytes(payload)
+    assert data == _json_reference(payload)
     want = "".join(f"{a},{b},{rat_str_explicit(Fraction(v))}\n" for a, b, v in rows)
     with tempfile.TemporaryDirectory() as d:
         out = os.path.join(d, "t.csv")
-        payload_to_csv(payload_to_json(payload), ensemble, out)
+        payload_to_csv(data, ensemble, out)
         assert pathlib.Path(out).read_text() == f"{k1},{k2},value\n{want}"
 
 
@@ -594,6 +635,25 @@ def test_verify_empty_suite_exits_2(cache, capsys, tmp_path):
     assert not out.exists()
 
 
+def test_verify_out_fails_before_any_suite_runs(cache, tmp_path, capsys, monkeypatch):
+    ran = []
+    bad = tmp_path / "missing" / "r.json"
+    with monkeypatch.context() as m:
+        m.setitem(cli.SUITES, "odes", lambda args: ran.append(args))
+        for suite in ("odes", "all"):
+            assert main(["verify", "--suite", suite, "--out", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write --out {bad} (") and err.count("\n") == 1
+    assert ran == []
+    assert not bad.parent.exists()
+    # a writable --out is left as it was when the run then exits 2
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    assert main(["verify", "--suite", "odes", "--nmax", "0", "--out", str(kept)]) == 2
+    assert kept.read_text() == "earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.json"]
+
+
 def test_verify_odes_suite(cache, capsys):
     assert main(["verify", "--suite", "odes"]) == 0
     out = capsys.readouterr().out
@@ -635,7 +695,7 @@ def test_verify_detects_cache_corruption(cache, capsys):
         if payload["ensemble"] == "laguerre":
             # a wrong table under its own digest, as an engine bug would write it
             payload["entries"][5]["value"] = "99999"
-            wrong = payload_to_json(payload)
+            wrong = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
             f.write_bytes(_with_digest(wrong))
             poisoned.append((f, digest, wrong))
     assert poisoned
@@ -653,9 +713,10 @@ def test_verify_detects_cache_corruption(cache, capsys):
 def test_cache_write_is_atomic(cache, monkeypatch):
     calls = []
 
-    def compute():
+    def compute(f):
         calls.append(1)
-        return b"payload"
+        f.write(b"pay")
+        f.write(b"load")
 
     def fail(src, dst):
         raise OSError("simulated failure")
@@ -672,6 +733,64 @@ def test_cache_write_is_atomic(cache, monkeypatch):
     assert cache_path("gen", args).read_bytes() == _with_digest(b"payload")
     assert cached_bytes("gen", args, compute, True) == b"payload"
     assert len(calls) == 2
+    assert cached_bytes("gen", args, compute, False) == b"payload"
+    assert len(calls) == 3  # --no-cache computes into memory
+
+
+def test_cache_write_that_fails_midway_leaves_nothing(cache):
+    # a compute that raises after it has streamed part of the entry
+    args = {"ensemble": "test"}
+    calls = []
+
+    def broken(f):
+        calls.append(1)
+        f.write(b'{\n  "bounds": ')
+        raise RuntimeError("engine failure")
+
+    for _ in range(2):  # the second call computes again
+        with pytest.raises(RuntimeError):
+            cached_bytes("gen", args, broken, True)
+        assert list(cache.iterdir()) == []
+    assert len(calls) == 2
+    assert cached_bytes("gen", args, lambda f: f.write(b"payload"), True) == b"payload"
+    assert cache_path("gen", args).read_bytes() == _with_digest(b"payload")
+
+
+def test_gen_streams_a_table_into_its_cache_entry(cache, monkeypatch, capsys):
+    # gen writes the table into the entry in blocks, and serves the entry
+    monkeypatch.setattr(cli, "_ROWS", 7)
+    assert main(["gen", "vk", "--gmax", "2"]) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text()
+    path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
+    assert path.read_bytes() == _with_digest(GOLDEN.read_bytes())
+    assert [f.name for f in cache.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("how", ["directory", "permission"])
+def test_unreadable_cache_entry_exits_2(cache, tmp_path, capsys, monkeypatch, how):
+    path = cache_path("gen", {"ensemble": "vk", "gmax": 1})
+    path.mkdir(parents=True)  # a directory where the entry belongs
+    if how == "permission":  # file modes do not stop a superuser, so the refusal is simulated
+        def guarded_open(file, *args, **kwargs):
+            if pathlib.Path(file) == path:
+                raise PermissionError(13, "Permission denied", str(file))
+            return open(file, *args, **kwargs)
+        monkeypatch.setattr(cli, "open", guarded_open, raising=False)
+    report = tmp_path / "report.json"
+    out = tmp_path / "t.out"
+    gen = ["gen", *VK1]
+    for argv in (gen, [*gen, "--out", str(out)], [*gen, "--format", "csv"],
+                 ["verify", "--suite", "constraints", "--gmax", "1", "--out", str(report)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        err = captured.err
+        assert err.startswith(f"error: cannot use cache entry {path} "), err
+        assert err.endswith("; pass --no-cache\n") and err.count("\n") == 1, err
+    assert not out.exists() and not report.exists()
+    assert main([*gen, "--no-cache"]) == 0
+    assert capsys.readouterr().out
+    assert path.is_dir() and not any(path.iterdir())
 
 
 def test_unusable_cache_dir_exits_2(tmp_path, monkeypatch, capsys):
