@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -73,21 +72,36 @@ def cache_path(kind: str, args: dict) -> Path:
     return cache_dir() / f"{kind}-{digest}.json"
 
 
-def _read_entry(path: Path) -> bytes | None:
-    """The bytes of the cache entry at path, checked against its digest
-    line, or None when there is no entry."""
+_CHUNK = 1 << 20  # bytes of a cache entry read per call, to hash it or copy it out
+
+
+def _read_entry(path: Path):
+    """The cache entry at path, opened, checked against its digest line and
+    positioned just after that line, or None when there is no entry.
+
+    The bytes after the digest line are hashed _CHUNK at a time; on a
+    mismatch the entry is named as corrupt before any of it is served."""
     try:
         f = open(path, "rb", buffering=0)
     except (FileNotFoundError, NotADirectoryError):  # no entry yet
         return None
     except OSError as e:  # a directory or an unreadable file in its place
         raise UsageError(f"cannot use cache entry {path} ({e.strerror}); pass --no-cache") from e
-    with f:  # unbuffered: the bytes after the digest line are read once, into one object
-        line, data = f.read(65), f.readall()
-    if line != hashlib.sha256(data).hexdigest().encode() + b"\n":
-        raise UsageError(f"corrupt cache entry {path}: it does not begin with the sha256 "
-                         "digest of the rest; delete the file or pass --no-cache")
-    return data
+    try:
+        line, sha = f.read(65), hashlib.sha256()
+        while chunk := f.read(_CHUNK):
+            sha.update(chunk)
+        if line != sha.hexdigest().encode() + b"\n":
+            raise UsageError(f"corrupt cache entry {path}: it does not begin with the sha256 "
+                             "digest of the rest; delete the file or pass --no-cache")
+        # the bytes served are read through the same descriptor after the
+        # check; an entry is only ever replaced by os.replace, never
+        # rewritten in place, so they are the bytes just hashed
+        f.seek(len(line))
+    except BaseException:
+        f.close()
+        raise
+    return f
 
 
 class _HashingSink:
@@ -103,23 +117,35 @@ class _HashingSink:
         return self.f.write(b)
 
 
-def cached_bytes(kind: str, args: dict, compute, use_cache: bool) -> bytes:
+def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
     """The bytes compute(sink) writes to a binary sink, through the cache
-    when enabled.
+    when enabled, as an open binary file positioned at their start, for the
+    caller to read and close (``with cached_bytes(...) as f``).
 
     An entry is the sha256 hex digest of the bytes, a newline, then the
-    bytes.  A read returns the bytes only when they match the digest, and
-    names the entry as corrupt otherwise.  On a miss, compute streams into
-    the entry's temporary file, and the entry is then read back like a hit,
-    so the bytes are held once, after compute's own data is gone."""
+    bytes.  It is opened only when its bytes match the digest, and named as
+    corrupt otherwise.  On a miss, compute streams into the entry's
+    temporary file, and the entry is then opened like a hit; with the cache
+    off, compute streams into an anonymous temporary file.  No path holds
+    the bytes in memory.  (perfbench/tracer.py counts cache hits and misses
+    by this name, and by whether compute runs inside the call.)"""
     if not use_cache:
-        buf = io.BytesIO()
-        compute(buf)
-        return buf.getvalue()
+        try:
+            f = tempfile.TemporaryFile()
+        except OSError as e:
+            raise UsageError(f"cannot create a temporary file for --no-cache ({e.strerror}); "
+                             "set TMPDIR to a writable directory") from e
+        try:
+            compute(f)
+            f.seek(0)
+        except BaseException:
+            f.close()
+            raise
+        return f
     path = cache_path(kind, args)
-    data = _read_entry(path)
-    if data is not None:
-        return data
+    f = _read_entry(path)
+    if f is not None:
+        return f
     # write a temporary file next to the entry and rename it into place, so
     # the entry is either absent or complete, never partly written
     try:
@@ -195,21 +221,21 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # builders that way) reaches it.  The bounds were set to keep a request
 # within about 200 MB peak RSS while every entry was held as an int, a
 # string and JSON bytes at once.  Now the ints are streamed into the cache
-# entry a block at a time and the entry is read back once, so peak RSS is
-# about the larger of the ints plus one block and the entry's bytes.
-# Measured each in a fresh process on one 2-vCPU VM (Python 3.11.7), peak
-# RSS cached / --no-cache (which holds the bytes in memory as it writes
-# them): `gen vk --gmax 150` took 2.0 s, 74 / 97 MB and wrote 39 MB, `gen
-# gauss --gmax 300` 1.8 s, 101 / 117 MB and 54 MB, `gen glag-k1 --rmax2 240
-# --nmax 480` 1.8 s, 101 / 143 MB and 62 MB.  A laguerre table's peak RSS
-# follows its digits, not its bounds (150/300: 55 / 70 MB, 24 MB written;
-# 200/400: 97 / 123 and 57), about 25 MB plus 1.2 to 1.8 times the bytes
-# written (1.7 to 1.9 with --no-cache), so its request is bounded by the
-# estimated size of its JSON, GEN_BYTES; its option bounds only keep that
-# estimate cheap.  The largest accepted requests at gmax 100/200/400/1000
-# (nmax 962/432/138/21) took 101/100/118/126 MB (138/132/128/131 with
-# --no-cache) and 1.6/1.6/2.1/4.1 s and wrote 64/63/61/58 MB; the entries
-# of high genus make a block large, hence the last two.
+# entry (with --no-cache, into a temporary file) a block of about _BLOCK
+# bytes at a time, and that file is hashed and served _CHUNK bytes at a
+# time, so the JSON is never held whole: peak RSS is about 20 MB of
+# interpreter plus the ints and one block, and a warm gen takes about 20 MB
+# whatever the table.  Measured each in a fresh process on one 2-vCPU VM
+# (Python 3.11.7), peak RSS cached and --no-cache alike: `gen vk --gmax 150`
+# took 2.6 s, 50 MB and wrote 39 MB, `gen gauss --gmax 300` 2.0 s, 52 MB
+# and 54 MB, `gen glag-k1 --rmax2 240 --nmax 480` 1.8 s, 88 MB and 62 MB.
+# A laguerre table's peak RSS follows its digits, not its bounds (150/300:
+# 38 MB, 24 MB written; 200/400: 58 MB and 57), about 20 MB plus 0.5 to 0.8
+# times the bytes written, so its request is bounded by the estimated size
+# of its JSON, GEN_BYTES; its option bounds only keep that estimate cheap.
+# The largest accepted requests at gmax 100/200/400/1000 (nmax
+# 962/432/138/21) took 67/62/56/48 MB and 1.7/1.8/2.4/4.5 s and wrote
+# 64/63/61/58 MB.
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_table",
@@ -230,7 +256,7 @@ def table_payload(ensemble: str, bounds: dict) -> dict:
             "entries": sorted(table.entries.items())}
 
 
-_ROWS = 4096  # entries serialized per write
+_BLOCK = 1 << 18  # bytes of entries serialized per write
 
 
 def payload_to_json(payload: dict, f) -> None:
@@ -238,10 +264,12 @@ def payload_to_json(payload: dict, f) -> None:
     the binary sink f, where P is the payload with each entry ``((a, b), v)``
     as ``{k1: a, k2: b, "value": str(v)}``.
 
-    The encoder renders only the fields around the entries.  The entries
-    are written _ROWS at a time, each as its fixed block with the keys in
-    sorted order, so only one block's strings are held at once.  A value is
-    an int or a Fraction, whose str JSON quoting leaves as it is."""
+    The encoder renders only the fields around the entries.  Each entry is
+    rendered as its fixed block with the keys in sorted order, and the
+    entries are written a block at a time: a block ends at the first entry
+    that brings it to _BLOCK bytes, so only one block's strings are held at
+    once.  A value is an int or a Fraction, whose str JSON quoting leaves as
+    it is."""
     head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
                             indent=2).split('"entries": []')
     entries = payload["entries"]
@@ -254,11 +282,17 @@ def payload_to_json(payload: dict, f) -> None:
     open_a = f'    {{\n      "{min(k1, k2)}": '
     open_b, open_v = f',\n      "{max(k1, k2)}": ', ',\n      "value": "'
     f.write(f'{head}"entries": [\n'.encode())
-    for i in range(0, len(entries), _ROWS):
-        if i:
-            f.write(b",\n")
-        f.write(",\n".join([f'{open_a}{k[ia]}{open_b}{k[ib]}{open_v}{v!s}"\n    }}'
-                             for k, v in entries[i:i + _ROWS]]).encode())
+    block, size, sep = [], 0, ""  # an entry's text starts with the separator before it
+    for k, v in entries:
+        text = f'{sep}{open_a}{k[ia]}{open_b}{k[ib]}{open_v}{v!s}"\n    }}'
+        block.append(text)
+        size += len(text)
+        sep = ",\n"
+        if size >= _BLOCK:
+            f.write("".join(block).encode())
+            block, size = [], 0
+    if block:
+        f.write("".join(block).encode())
     f.write(f"\n  ]{tail}\n".encode())
 
 
@@ -283,38 +317,49 @@ def _open_out(out: str | None):
         sys.stdout.buffer.flush()
 
 
-_PIECE = 1 << 18  # bytes of gen JSON converted to CSV per write
+_PIECE = 1 << 18  # bytes of gen JSON read per piece converted to CSV
 
 
-def payload_to_csv(data: bytes, ensemble: str, out: str | None) -> None:
-    """Write the gen JSON bytes of one table (as payload_to_json writes
-    them) as CSV rows to the file ``out`` (None: stdout).
+def payload_to_csv(src, ensemble: str, out: str | None) -> None:
+    """Write the gen JSON of one table (as payload_to_json writes it), read
+    from the binary file src, as CSV rows to the file ``out`` (None:
+    stdout).
 
     Each entry is the five lines "{", its two keys in sorted order, its
     value and "}".  A row holds the keys in the ensemble's order and the
     value with an explicit denominator (``v`` if it has one, else
-    ``v + "/1"``), which is ``rat_str_explicit(Fraction(v))``.  The bytes
-    are converted a piece of about _PIECE bytes at a time, cut between two
-    entries, so only one piece's rows are held at once.
+    ``v + "/1"``), which is ``rat_str_explicit(Fraction(v))``.  src is read
+    _PIECE bytes at a time; what is held is converted up to its last entry
+    boundary, and the rest is carried into the next piece, so only about
+    one piece's rows are held at once.
     """
     k1, k2 = ENSEMBLES[ensemble].keys
     # offsets of k1's and k2's lines in an entry, and where their values start
     l1, l2 = (1, 2) if k1 < k2 else (2, 1)
     p1, p2 = len(k1) + 10, len(k2) + 10  # '      "k": '
+
+    def rows(entries: bytes) -> bytes:  # from an entry's "{" to a later entry's "}"
+        lines = entries.decode().split("\n")
+        return "".join([f"{a[p1:-1]},{b[p2:-1]},{v[16:-1]}{'' if '/' in v else '/1'}\n"
+                        for a, b, v in zip(lines[l1::5], lines[l2::5], lines[3::5])]).encode()
+
     with _open_out(out) as f:
         f.write(f"{k1},{k2},value\n".encode())
-        start = data.find(b'"entries": [\n')
-        if start < 0:  # '"entries": []'
+        data = b""  # read the header, up to the line after '"entries": ['
+        while (start := data.find(b'"entries": [')) < 0 or len(data) < start + 14:
+            if not (piece := src.read(_PIECE)):
+                break
+            data += piece
+        if start < 0 or data[start + 12:start + 13] == b"]":  # '"entries": []'
             return
-        i, end = start + 14, data.rindex(b"\n  ]")
-        while i < end:
-            j = data.find(b"},\n", i + _PIECE, end)
-            j = end if j < 0 else j + 1
-            lines = data[i:j].decode().split("\n")
-            f.write("".join([f"{a[p1:-1]},{b[p2:-1]},{v[16:-1]}{'' if '/' in v else '/1'}\n"
-                             for a, b, v in zip(lines[l1::5], lines[l2::5], lines[3::5])])
-                    .encode())
-            i = j + 2
+        data = data[start + 14:]
+        while piece := src.read(_PIECE):
+            data += piece
+            cut = data.rfind(b"},\n")
+            if cut >= 0:
+                f.write(rows(data[:cut + 1]))
+                data = data[cut + 3:]
+        f.write(rows(data[:data.rindex(b"\n  ]")]))
 
 
 def payload_to_table(payload: dict):
@@ -329,14 +374,16 @@ def payload_to_table(payload: dict):
     return spec.table(*(payload["bounds"][name] for name in spec.bounds), entries)
 
 
-def table_bytes(ensemble: str, bounds: dict, use_cache: bool) -> bytes:
-    """The gen JSON of one table, through the cache when enabled."""
+def table_bytes(ensemble: str, bounds: dict, use_cache: bool):
+    """The gen JSON of one table, through the cache when enabled, as an open
+    binary file (see cached_bytes)."""
     return cached_bytes("gen", {"ensemble": ensemble, **bounds},
                         lambda f: payload_to_json(table_payload(ensemble, bounds), f), use_cache)
 
 
 def load_table(ensemble: str, bounds: dict, use_cache: bool):
-    return payload_to_table(json.loads(table_bytes(ensemble, bounds, use_cache)))
+    with table_bytes(ensemble, bounds, use_cache) as f:
+        return payload_to_table(json.load(f))
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +564,13 @@ def cmd_gen(args) -> int:
         flags = " ".join(f"--{name} {v}" for name, v in bounds.items())
         raise UsageError(f"gen {ensemble} {flags} would write about {size // 10**6} MB, "
                          f"over the {GEN_BYTES // 10**6} MB limit")
-    data = table_bytes(ensemble, bounds, not args.no_cache)
-    if args.format == "json":
-        _write_out(data, args.out)
-    else:
-        payload_to_csv(data, ensemble, args.out)
+    with table_bytes(ensemble, bounds, not args.no_cache) as src:
+        if args.format == "csv":
+            payload_to_csv(src, ensemble, args.out)
+        else:
+            with _open_out(args.out) as f:
+                while chunk := src.read(_CHUNK):
+                    f.write(chunk)
     return 0
 
 

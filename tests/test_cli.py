@@ -289,14 +289,100 @@ def test_entry_of_the_previous_cache_format_is_recomputed(cache, capsys):
     assert old.read_text() == stale
 
 
-@pytest.mark.parametrize("piece", [1, 300])
+@pytest.mark.parametrize("piece", [1, 60, 300])
 def test_csv_is_converted_piece_by_piece(cache, capsys, monkeypatch, piece):
-    # 1: every piece is one entry; 300: a few entries each
+    # 1: every piece is one byte; 60: the first piece ends inside the JSON
+    # header; 300: a few entries each
     monkeypatch.setattr(cli, "_PIECE", piece)
     for argv, name in TABLE_GOLDENS[len(JSON_GOLDENS):]:
+        header = (GOLDEN.parent / name.replace(".csv", ".json")).read_bytes()
+        assert piece == 300 or header.index(b'"entries": [') + 14 > piece
         assert main(["gen", *argv]) == 0  # computed into the cache
         assert main(["gen", *argv]) == 0  # read back from it
         assert capsys.readouterr().out == (GOLDEN.parent / name).read_text() * 2, name
+
+
+class _ReadLog:
+    """A file that passes every call on to f and logs the size of each read."""
+
+    def __init__(self, f, sizes: list):
+        self.f, self.sizes = f, sizes
+
+    def read(self, *size):
+        self.sizes.append(size[0] if size else None)
+        return self.f.read(*size)
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def test_warm_gen_reads_its_entry_in_bounded_pieces(cache, capsys, monkeypatch):
+    for argv, name in TABLE_GOLDENS:
+        assert main(["gen", *argv]) == 0  # computed into the cache
+    capsys.readouterr()
+    sizes = []
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _ReadLog(open(*a, **k), sizes),
+                        raising=False)
+    monkeypatch.setattr(cli, "_CHUNK", 128)
+    monkeypatch.setattr(cli, "_PIECE", 100)
+    for argv, name in TABLE_GOLDENS:
+        sizes.clear()
+        assert main(["gen", *argv]) == 0
+        golden = (GOLDEN.parent / name).read_text()
+        assert capsys.readouterr().out == golden, name
+        # the digest line, the JSON hashed 128 bytes at a time, then the JSON
+        # served 128 (JSON) or 100 (CSV) bytes at a time; each pass ends at
+        # an empty read
+        size = len((GOLDEN.parent / name.replace(".csv", ".json")).read_bytes())
+        serve = 100 if "csv" in argv else 128
+        assert sizes == [65, *[128] * (-(-size // 128) + 1),
+                         *[serve] * (-(-size // serve) + 1)], name
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda entry: entry[:-1] + b"?", id="wrong-last-byte"),
+    pytest.param(lambda entry: entry[:-1], id="last-byte-missing"),
+    pytest.param(lambda entry: entry[:65 + 3 * 128], id="cut-at-a-chunk-boundary"),
+    pytest.param(lambda entry: entry[:30], id="cut-in-the-digest-line"),
+])
+def test_entry_of_several_chunks_that_fails_its_digest_writes_nothing(cache, tmp_path, capsys,
+                                                                      monkeypatch, edit):
+    monkeypatch.setattr(cli, "_CHUNK", 128)
+    argv = ["gen", "vk", "--gmax", "8"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path = cache_path("gen", {"ensemble": "vk", "gmax": 8})
+    entry = path.read_bytes()
+    assert len(entry) > 100 * 128
+    path.write_bytes(edit(entry))
+    out = tmp_path / "t.out"
+    _assert_named_corrupt(path, (argv, [*argv, "--out", str(out)], [*argv, "--format", "csv"],
+                                 [*argv, "--format", "csv", "--out", str(out)]), capsys)
+    assert not out.exists()
+
+
+def test_no_cache_without_a_usable_temporary_directory_exits_2(cache, tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    out, report = tmp_path / "t.out", tmp_path / "report.json"
+    gen = ["gen", *VK1, "--no-cache"]
+    for argv in (gen, [*gen, "--format", "csv", "--out", str(out)],
+                 ["verify", "--suite", "constraints", "--gmax", "1", "--no-cache",
+                  "--out", str(report)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        err = captured.err
+        assert err.startswith("error: cannot create a temporary file for --no-cache ("), err
+        assert err.count("\n") == 1, err
+    assert not out.exists() and not report.exists()
+    assert not cache.exists()
 
 
 def test_warm_reads_leave_the_cache_unchanged(cache, tmp_path, capsys):
@@ -358,25 +444,34 @@ def _json_bytes(payload: dict) -> bytes:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("rows", [cli._ROWS, 7, 1])
+@pytest.mark.parametrize("block", [4096, 500, 1])
 @pytest.mark.parametrize("ensemble,bounds", [
     ("laguerre", {"gmax": 4, "nmax": 12}),
     ("gauss", {"gmax": 8}),
     ("vk", {"gmax": 4}),
     ("glag-k1", {"rmax2": 6, "nmax": 10}),
 ])
-def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, rows):
-    monkeypatch.setattr(cli, "_ROWS", rows)  # 7 and 1: entries span several writes
+def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, block):
+    # 4096 bytes: gauss and vk in one block, laguerre and glag-k1 in two; 500:
+    # a few entries per block; 1: one entry per block
+    monkeypatch.setattr(cli, "_BLOCK", block)
     payload = table_payload(ensemble, bounds)
     assert _json_bytes(payload) == _json_reference(payload)
-    # the entries are written a block of at most `rows` of them at a time
     sink = _RecordingSink()
     payload_to_json(payload, sink)
     assert b"".join(sink.writes) == _json_reference(payload)
-    n = len(payload["entries"])
-    per_write = [w.count(b'"value": ') for w in sink.writes]
-    assert max(per_write) == min(rows, n)
-    assert sum(c > 0 for c in per_write) == -(-n // rows)
+    # the header, one block of entries per write, then the footer
+    head, *blocks, foot = sink.writes
+    assert head.endswith(b'"entries": [\n') and foot.startswith(b"\n  ]")
+    assert b'"value": ' not in head + foot
+    assert sum(b.count(b'"value": ') for b in blocks) == len(payload["entries"])
+    # a block ends at the first entry that brings it to `block` bytes: every
+    # block but the last reaches it, and none does before its last entry
+    # (the ",\n" before an entry counts as the entry's)
+    for i, b in enumerate(blocks):
+        assert b.startswith(b",\n    {" if i else b"    {") and b.endswith(b"\n    }")
+        assert max(b.rfind(b",\n    {"), 0) < block
+        assert len(b) >= block or i == len(blocks) - 1
 
 
 def test_table_payload_holds_no_strings():
@@ -407,7 +502,7 @@ def test_table_writers_on_generated_entries(ensemble, rows):
     want = "".join(f"{a},{b},{rat_str_explicit(Fraction(v))}\n" for a, b, v in rows)
     with tempfile.TemporaryDirectory() as d:
         out = os.path.join(d, "t.csv")
-        payload_to_csv(data, ensemble, out)
+        payload_to_csv(io.BytesIO(data), ensemble, out)
         assert pathlib.Path(out).read_text() == f"{k1},{k2},value\n{want}"
 
 
@@ -602,7 +697,8 @@ def test_laguerre_size_estimate(cache, capsys):
     # within 6% of the bytes gen writes, and 200/432 is the largest table
     # gen laguerre writes at gmax 200 (it takes ~200 MB peak RSS)
     for bounds in ({"gmax": 20, "nmax": 40}, {"gmax": 800, "nmax": 1}, {"gmax": 60, "nmax": 2}):
-        size = len(cli.table_bytes("laguerre", bounds, False))
+        with cli.table_bytes("laguerre", bounds, False) as f:
+            size = len(f.read())
         assert abs(cli._laguerre_json_bytes(*bounds.values()) - size) < 0.06 * size, bounds
     assert cli._laguerre_json_bytes(200, 432) <= cli.GEN_BYTES < cli._laguerre_json_bytes(200, 433)
     assert cli._laguerre_json_bytes(150, 300) <= cli.GEN_BYTES
@@ -710,6 +806,12 @@ def test_verify_detects_cache_corruption(cache, capsys):
     assert main([*verify, "--no-cache"]) == 0
 
 
+def _served(args: dict, compute, use_cache: bool = True) -> bytes:
+    """The bytes cached_bytes serves for a gen entry keyed by args."""
+    with cached_bytes("gen", args, compute, use_cache) as f:
+        return f.read()
+
+
 def test_cache_write_is_atomic(cache, monkeypatch):
     calls = []
 
@@ -725,16 +827,17 @@ def test_cache_write_is_atomic(cache, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(os, "replace", fail)
         with pytest.raises(OSError):
-            cached_bytes("gen", args, compute, True)
+            _served(args, compute)
     assert not cache_path("gen", args).exists()
     assert list(cache.iterdir()) == []  # no temporary file is left behind
-    assert cached_bytes("gen", args, compute, True) == b"payload"
+    assert _served(args, compute) == b"payload"
     assert len(calls) == 2  # the failed write cached nothing
     assert cache_path("gen", args).read_bytes() == _with_digest(b"payload")
-    assert cached_bytes("gen", args, compute, True) == b"payload"
+    assert _served(args, compute) == b"payload"
     assert len(calls) == 2
-    assert cached_bytes("gen", args, compute, False) == b"payload"
-    assert len(calls) == 3  # --no-cache computes into memory
+    assert _served(args, compute, False) == b"payload"
+    assert len(calls) == 3  # --no-cache computes into a temporary file
+    assert [f.name for f in cache.iterdir()] == [cache_path("gen", args).name]
 
 
 def test_cache_write_that_fails_midway_leaves_nothing(cache):
@@ -749,16 +852,16 @@ def test_cache_write_that_fails_midway_leaves_nothing(cache):
 
     for _ in range(2):  # the second call computes again
         with pytest.raises(RuntimeError):
-            cached_bytes("gen", args, broken, True)
+            _served(args, broken)
         assert list(cache.iterdir()) == []
     assert len(calls) == 2
-    assert cached_bytes("gen", args, lambda f: f.write(b"payload"), True) == b"payload"
+    assert _served(args, lambda f: f.write(b"payload")) == b"payload"
     assert cache_path("gen", args).read_bytes() == _with_digest(b"payload")
 
 
 def test_gen_streams_a_table_into_its_cache_entry(cache, monkeypatch, capsys):
     # gen writes the table into the entry in blocks, and serves the entry
-    monkeypatch.setattr(cli, "_ROWS", 7)
+    monkeypatch.setattr(cli, "_BLOCK", 300)
     assert main(["gen", "vk", "--gmax", "2"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
     path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
