@@ -125,10 +125,12 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
     An entry is the sha256 hex digest of the bytes, a newline, then the
     bytes.  It is opened only when its bytes match the digest, and named as
     corrupt otherwise.  On a miss, compute streams into the entry's
-    temporary file, and the entry is then opened like a hit; with the cache
-    off, compute streams into an anonymous temporary file.  No path holds
-    the bytes in memory.  (perfbench/tracer.py counts cache hits and misses
-    by this name, and by whether compute runs inside the call.)"""
+    temporary file, hashed as it is written; that file is renamed into place
+    and served through the descriptor that wrote it, so its bytes are not
+    read back to be hashed again.  With the cache off, compute streams into
+    an anonymous temporary file.  No path holds the bytes in memory.
+    (perfbench/tracer.py counts cache hits and misses by this name, and by
+    whether compute runs inside the call.)"""
     if not use_cache:
         try:
             f = tempfile.TemporaryFile()
@@ -154,18 +156,20 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
     except OSError as e:
         raise UsageError(
             f"cannot use cache directory {path.parent} ({e.strerror}); pass --no-cache") from e
+    f = os.fdopen(fd, "w+b")
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(b"0" * 64 + b"\n")  # the digest line's place, filled in below
-            sink = _HashingSink(f)
-            compute(sink)
-            f.seek(0)
-            f.write(sink.sha.hexdigest().encode())
+        f.write(b"0" * 64 + b"\n")  # the digest line's place, filled in below
+        sink = _HashingSink(f)
+        compute(sink)
+        f.seek(0)
+        f.write(sink.sha.hexdigest().encode())
+        f.seek(65)  # past the digest line, which this flushes; the bytes are served from here
         os.replace(tmp, path)
     except BaseException:
+        f.close()
         os.unlink(tmp)
         raise
-    return _read_entry(path)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +177,23 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
 # ---------------------------------------------------------------------------
 
 class Ensemble:
-    """How `gen` bounds, builds, serializes and reloads one ensemble's table."""
+    """How `gen` bounds, generates, serializes and reloads one ensemble's table."""
 
-    __slots__ = ("bounds", "keys", "builder", "table_class", "low", "size")
+    __slots__ = ("bounds", "keys", "engine", "table_class", "low", "size")
 
-    def __init__(self, bounds: dict[str, int], keys: tuple[str, str], builder: str,
+    def __init__(self, bounds: dict[str, int], keys: tuple[str, str], engine: str,
                  table_class: str, low: int = 0, size=None):
-        self.bounds = bounds  # gen option -> its largest value, in build and table order
+        self.bounds = bounds  # gen option -> its largest value, in engine and table order
         self.keys = keys  # the index names of a table entry
-        self.builder = builder  # bound values -> table
+        self.engine = engine  # bound values -> the table's items, one row at a time
         self.table_class = table_class  # (*bound values, entries) -> table
         self.low = low  # smallest value every bound accepts
         self.size = size  # bound values -> about the bytes of the gen JSON, or None
 
-    def build(self, *bounds):
+    def items(self, *bounds):
+        """The table's ``((k1, k2), value)`` items in sorted key order, as an iterator."""
         from . import recursions
-        return getattr(recursions, self.builder)(*bounds)
+        return getattr(recursions, self.engine)(*bounds)
 
     def table(self, *args):
         """Rebuild a table from a payload's bound values and entries."""
@@ -215,45 +220,44 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
     return bits * 30103 // 100000 + 62 * (gmax + 1) * (nmax + 1)
 
 
-# each builder and table class is named by a string and looked up in
-# hzlag.recursions when it is called, so importing this module loads no engine
-# and a rebinding of the module attribute (perfbench/tracer.py times the
-# builders that way) reaches it.  The bounds were set to keep a request
-# within about 200 MB peak RSS while every entry was held as an int, a
-# string and JSON bytes at once.  Now the ints are streamed into the cache
-# entry (with --no-cache, into a temporary file) a block of about _BLOCK
-# bytes at a time, and that file is hashed and served _CHUNK bytes at a
-# time, so the JSON is never held whole: peak RSS is about 20 MB of
-# interpreter plus the ints and one block, and a warm gen takes about 20 MB
-# whatever the table.  Measured each in a fresh process on one 2-vCPU VM
-# (Python 3.11.7), peak RSS cached and --no-cache alike: `gen vk --gmax 150`
-# took 2.6 s, 50 MB and wrote 39 MB, `gen gauss --gmax 300` 2.0 s, 52 MB
-# and 54 MB, `gen glag-k1 --rmax2 240 --nmax 480` 1.8 s, 88 MB and 62 MB.
-# A laguerre table's peak RSS follows its digits, not its bounds (150/300:
-# 38 MB, 24 MB written; 200/400: 58 MB and 57), about 20 MB plus 0.5 to 0.8
-# times the bytes written, so its request is bounded by the estimated size
-# of its JSON, GEN_BYTES; its option bounds only keep that estimate cheap.
-# The largest accepted requests at gmax 100/200/400/1000 (nmax
-# 962/432/138/21) took 67/62/56/48 MB and 1.7/1.8/2.4/4.5 s and wrote
-# 64/63/61/58 MB.
+# each engine and table class is named by a string and looked up in
+# hzlag.recursions when it is called, so importing this module loads no
+# engine.  The bounds were set to keep a request within about 200 MB peak
+# RSS while every entry was held as an int, a string and JSON bytes at once.
+# Now an engine yields the table a row at a time, holding only the rows its
+# relation reads (one for "3-t", "recurrence" and "rec-v2", four for "8-t"),
+# each row is streamed into the cache entry (with --no-cache, into a
+# temporary file) a block of about _BLOCK bytes at a time, and that file is
+# served _CHUNK bytes at a time, so no table is ever held whole: peak RSS is
+# about 20 MB of interpreter plus the rows the relation reads and one
+# block, and a warm gen takes about 20 MB whatever the table.  Time, not
+# memory, now bounds each request.  Measured each in a fresh process on one
+# 2-vCPU VM (Python 3.11.7), peak RSS cached and --no-cache alike:
+# `gen vk --gmax 150` took 2.7 s, 23 MB and wrote 39 MB, `gen gauss --gmax
+# 300` 2.2 s, 23 MB and 54 MB, `gen glag-k1 --rmax2 240 --nmax 480` 2.0 s,
+# 23 MB and 62 MB.  A laguerre table's time and size follow its digits, not
+# its bounds, so its request is bounded by the estimated size of its JSON,
+# GEN_BYTES; its option bounds only keep that estimate cheap.  The largest
+# accepted requests at gmax 100/200/400/1000 (nmax 962/432/138/21) took
+# 22 to 23 MB and 1.8/1.8/2.4/5.0 s and wrote 64/63/61/58 MB.
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
-    "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_table",
+    "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
                          "LagCTable", size=_laguerre_json_bytes),
-    "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_table", "GaussBTable", low=1),
-    "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_table", "VTable"),
-    "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"), "glag_k1_table",
+    "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_items", "GaussBTable", low=1),
+    "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_items", "VTable"),
+    "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"), "glag_k1_items",
                         "HalfGenusTable"),
 }
 
 
 def table_payload(ensemble: str, bounds: dict) -> dict:
-    """The header of one table's gen JSON and its entries, as sorted
-    ``((k1, k2), value)`` items (a value is an int or a Fraction)."""
+    """The header of one table's gen JSON and its entries, as an iterator
+    over sorted ``((k1, k2), value)`` items (a value is an int or a
+    Fraction) that the engine makes as they are read."""
     spec = ENSEMBLES[ensemble]
-    table = spec.build(*(bounds[name] for name in spec.bounds))
     return {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds,
-            "entries": sorted(table.entries.items())}
+            "entries": spec.items(*(bounds[name] for name in spec.bounds))}
 
 
 _BLOCK = 1 << 18  # bytes of entries serialized per write
@@ -268,12 +272,13 @@ def payload_to_json(payload: dict, f) -> None:
     rendered as its fixed block with the keys in sorted order, and the
     entries are written a block at a time: a block ends at the first entry
     that brings it to _BLOCK bytes, so only one block's strings are held at
-    once.  A value is an int or a Fraction, whose str JSON quoting leaves as
-    it is."""
+    once.  The entries are a list or an iterator, read once; a value is an
+    int or a Fraction, whose str JSON quoting leaves as it is."""
     head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
                             indent=2).split('"entries": []')
-    entries = payload["entries"]
-    if not entries:
+    entries = iter(payload["entries"])
+    first = next(entries, None)  # an entry is a pair, never None
+    if first is None:
         f.write(f'{head}"entries": []{tail}\n'.encode())
         return
     k1, k2 = ENSEMBLES[payload["ensemble"]].keys
@@ -283,7 +288,7 @@ def payload_to_json(payload: dict, f) -> None:
     open_b, open_v = f',\n      "{max(k1, k2)}": ', ',\n      "value": "'
     f.write(f'{head}"entries": [\n'.encode())
     block, size, sep = [], 0, ""  # an entry's text starts with the separator before it
-    for k, v in entries:
+    for k, v in itertools.chain((first,), entries):
         text = f'{sep}{open_a}{k[ia]}{open_b}{k[ib]}{open_v}{v!s}"\n    }}'
         block.append(text)
         size += len(text)

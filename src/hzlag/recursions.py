@@ -27,10 +27,14 @@ __all__ = [
     "GaussBTable",
     "VTable",
     "HalfGenusTable",
+    "do_norbury_items",
     "do_norbury_table",
     "c1_closed_form",
+    "gauss_hz_items",
     "gauss_hz_table",
+    "vk_items",
     "vk_table",
+    "glag_k1_items",
     "glag_k1_table",
     "laguerre_ode_check",
     "glag_w1_ode_check",
@@ -153,17 +157,17 @@ class HalfGenusTable:
 # ---------------------------------------------------------------------------
 
 
-def do_norbury_table(gmax: int, nmax: int) -> LagCTable:
-    """Fill C_n^(g) through (gmax, nmax) over int via "3-t":
+def do_norbury_items(gmax: int, nmax: int):
+    """Yield ((g, n), C_n^(g)) through (gmax, nmax) in sorted key order, over
+    int via "3-t":
     (n+2g+1) C_n^(g) = (n+2g-2)(n+2g-1)^2 C_n^(g-1) + 2(2n+4g-1) C_{n-1}^(g)
     with C_0^(0) = 1 and C_0^(g) = 0 for g >= 1.
 
     Row g = 0 is the Catalan recurrence (n+1) C_n = 2(2n-1) C_{n-1}, which is
-    the relation with C^(-1) = 0.
+    the relation with C^(-1) = 0.  Only row g - 1 is held while row g is made.
     """
     if gmax < 0 or nmax < 0:
         raise ValueError("need gmax, nmax >= 0")
-    entries: dict = {}
     prev = [0] * (nmax + 1)  # row g - 1; row -1 vanishes
     for g in range(gmax + 1):
         row = [1 if g == 0 else 0]
@@ -171,9 +175,13 @@ def do_norbury_table(gmax: int, nmax: int) -> LagCTable:
             s = n + 2 * g
             num = (s - 2) * (s - 1) ** 2 * prev[n] + 2 * (2 * s - 1) * row[n - 1]
             row.append(_exact_div(num, s + 1, "3-t", g, n))
-        entries.update(((g, n), v) for n, v in enumerate(row))
+        yield from (((g, n), v) for n, v in enumerate(row))
         prev = row
-    return LagCTable(gmax, nmax, entries)
+
+
+def do_norbury_table(gmax: int, nmax: int) -> LagCTable:
+    """The table of do_norbury_items(gmax, nmax)."""
+    return LagCTable(gmax, nmax, dict(do_norbury_items(gmax, nmax)))
 
 
 def c1_closed_form(g: int) -> Fraction:
@@ -184,25 +192,33 @@ def c1_closed_form(g: int) -> Fraction:
     return Fraction(2**g * math.factorial(g) * dfact, g + 1)
 
 
-def gauss_hz_table(gmax: int) -> GaussBTable:
-    """Fill the Gaussian coefficients b_k^(g), 1 <= g <= gmax, over int ("recurrence").
+def gauss_hz_items(gmax: int):
+    """Yield ((g, k), b_k^(g)) for 1 <= g <= gmax, 0 <= k < g in sorted key
+    order, over int ("recurrence").
 
     Seed b_k^(1) = delta_{k,0}; then
     (4g+2k+6) b_k^(g+1)
         = (4g+2k+1)(4g+2k+3) [(4g+2k+2) b_k^(g) + 4(4g+2k-1) b_{k-1}^(g)].
     Every entry is an exact integer quotient; IntegralityError otherwise,
-    which would signal a wrong seed convention.
+    which would signal a wrong seed convention.  Only row g is held while
+    row g + 1 is made.
     """
     if gmax < 1:
         raise ValueError("need gmax >= 1")
-    entries: dict = {(1, 0): 1}
+    row = [1]  # row g = 1
+    yield (1, 0), 1
     for g in range(1, gmax):
+        prev, row = [0, *row, 0], []  # b_(-1)^(g) = b_g^(g) = 0, so b_k^(g) is prev[k + 1]
         for k in range(g + 1):
             s = 4 * g + 2 * k
-            num = (s + 1) * (s + 3) * ((s + 2) * entries.get((g, k), 0)
-                                       + 4 * (s - 1) * entries.get((g, k - 1), 0))
-            entries[(g + 1, k)] = _exact_div(num, s + 6, "recurrence", g + 1, k)
-    return GaussBTable(gmax, entries)
+            num = (s + 1) * (s + 3) * ((s + 2) * prev[k + 1] + 4 * (s - 1) * prev[k])
+            row.append(_exact_div(num, s + 6, "recurrence", g + 1, k))
+        yield from (((g + 1, k), v) for k, v in enumerate(row))
+
+
+def gauss_hz_table(gmax: int) -> GaussBTable:
+    """The table of gauss_hz_items(gmax)."""
+    return GaussBTable(gmax, dict(gauss_hz_items(gmax)))
 
 
 def _rec_v2_rhs(prev: dict[int, int], k: int) -> int:
@@ -255,18 +271,20 @@ def asym_first_nonzero(row: dict, rmax: int) -> int | None:
     return None
 
 
-def vk_table(gmax: int) -> VTable:
-    """Fill a_k^(g) for 0 <= g <= gmax via "rec-v2".
+def vk_items(gmax: int):
+    """Yield ((g, k), a_k^(g)) for 0 <= g <= gmax in sorted key order, via
+    "rec-v2".
 
     Works over int on the rows A_k^(g) = 2^(8g+1) a_k^(g): seed A_0^(0) = -1;
     for g >= 1 and k != 0, A_k^(g) = 2 _rec_v2_rhs(row g-1, k) / k (exact);
     A_0^(g) comes from the "asymptotic" sum rule.  The "consistency" and
-    "asym-r" constraint families are then asserted as hard postconditions
-    (ConstraintError on violation).
+    "asym-r" constraint families are asserted on each row before it is
+    yielded, as hard postconditions (ConstraintError on violation).  Only
+    row g - 1 is held while row g is made.
     """
     if gmax < 0:
         raise ValueError("need gmax >= 0")
-    entries: dict = {(0, 0): Fraction(-1, 2)}
+    yield (0, 0), Fraction(-1, 2)
     prev = {0: -1}
     for g in range(1, gmax + 1):
         row = {k: _exact_div(2 * _rec_v2_rhs(prev, k), k, "rec-v2", g, k)
@@ -278,40 +296,52 @@ def vk_table(gmax: int) -> VTable:
         if r is not None:
             raise ConstraintError(f"asym-r moment r={r} nonzero at g={g}")
         scale = 2 ** (8 * g + 1)
-        entries.update(((g, k), Fraction(v, scale)) for k, v in row.items())
+        yield from (((g, k), Fraction(row[k], scale)) for k in range(-3 * g, g + 1))
         prev = row
-    return VTable(gmax, entries)
+
+
+def vk_table(gmax: int) -> VTable:
+    """The table of vk_items(gmax)."""
+    return VTable(gmax, dict(vk_items(gmax)))
 
 
 # inhomogeneity of "8-t" at (q, n); zero elsewhere
 _8T_RHS = {(0, 0): 2, (1, 0): 1, (1, 1): 2, (2, 1): 2}
 
 
-def glag_k1_table(r2max: int, nmax: int) -> HalfGenusTable:
-    """Fill the fractional-genus table C_n^(r) (q = 2r) over int via the
-    eight-term relation "8-t", solving in increasing q then increasing subscript m.
+def glag_k1_items(r2max: int, nmax: int):
+    """Yield ((q, n), C_n^(r)) (q = 2r) through (r2max, nmax) in sorted key
+    order, over int via the eight-term relation "8-t", solving in increasing
+    q then increasing subscript m.
 
     The relation for row q references subscript m+1 of rows q-1..q-4, so row
-    q is filled internally through nmax + (r2max - q) and trimmed afterwards.
+    q is filled through nmax + (r2max - q) and yielded trimmed to nmax; only
+    rows q-4..q-1 are held while row q is made.
     """
     if r2max < 0 or nmax < 0:
         raise ValueError("need r2max, nmax >= 0")
-    full: dict = {}  # missing keys, including negative indices, are zero
+    # rows q-4..q-1; the rows q < 0 vanish and are read through m = nmax + r2max + 1
+    rows = [[0] * (nmax + r2max + 2) for _ in range(4)]
     for q in range(r2max + 1):
+        r4, r3, r2, r1 = rows
+        row = []
         for m in range(nmax + (r2max - q) + 1):
             n = m + q  # the relation index; subscripts below are n - q = m
             known = (
-                (n + 1) * full.get((q - 1, m + 1), 0)
-                - 4 * (2 * n - 1) * (full.get((q, m - 1), 0) + full.get((q - 1, m), 0))
-                - (n - 1) * (n - 2) * (n - 3)
-                * (2 * full.get((q - 2, m), 0) + full.get((q - 3, m + 1), 0))
-                - (n + 1) * (n - 1) * full.get((q - 2, m + 1), 0)
-                + (n - 1) * (n - 2) * (n - 3) ** 2 * full.get((q - 4, m + 1), 0)
+                (n + 1) * r1[m + 1]
+                - 4 * (2 * n - 1) * ((row[m - 1] if m else 0) + r1[m])
+                - (n - 1) * (n - 2) * (n - 3) * (2 * r2[m] + r3[m + 1])
+                - (n + 1) * (n - 1) * r2[m + 1]
+                + (n - 1) * (n - 2) * (n - 3) ** 2 * r4[m + 1]
             )
-            full[(q, m)] = _exact_div(
-                _8T_RHS.get((q, n), 0) - known, 2 * (n + 1), "8-t", q, m)
-    entries = {(q, m): v for (q, m), v in full.items() if q <= r2max and m <= nmax}
-    return HalfGenusTable(r2max, nmax, entries)
+            row.append(_exact_div(_8T_RHS.get((q, n), 0) - known, 2 * (n + 1), "8-t", q, m))
+        yield from (((q, m), row[m]) for m in range(nmax + 1))
+        rows = [r3, r2, r1, row]
+
+
+def glag_k1_table(r2max: int, nmax: int) -> HalfGenusTable:
+    """The table of glag_k1_items(r2max, nmax)."""
+    return HalfGenusTable(r2max, nmax, dict(glag_k1_items(r2max, nmax)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hzlag
-from hzlag import cli
+from hzlag import cli, recursions
 from hzlag.cli import (
     ENSEMBLES,
     cache_path,
@@ -28,7 +29,7 @@ from hzlag.cli import (
     table_payload,
 )
 from hzlag.exact import rat_str_explicit
-from hzlag.recursions import c1_closed_form
+from hzlag.recursions import IntegralityError, c1_closed_form
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "vk_gmax2.json"
@@ -345,6 +346,24 @@ def test_warm_gen_reads_its_entry_in_bounded_pieces(cache, capsys, monkeypatch):
                          *[serve] * (-(-size // serve) + 1)], name
 
 
+def test_cold_gen_serves_its_new_entry_without_reading_it_back(cache, capsys, monkeypatch):
+    # a miss hashes the bytes as they are written and serves them through the
+    # descriptor that wrote them: _read_entry opens no entry to read it back
+    sizes = []
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _ReadLog(open(*a, **k), sizes),
+                        raising=False)
+    for argv, name in TABLE_GOLDENS:
+        for f in cache.glob("*"):
+            f.unlink()  # each request is a miss
+        sizes.clear()
+        assert main(["gen", *argv]) == 0
+        assert capsys.readouterr().out == (GOLDEN.parent / name).read_text(), name
+        assert sizes == [], name
+        assert main(["gen", *argv]) == 0  # a hit still checks the digest first
+        assert capsys.readouterr().out == (GOLDEN.parent / name).read_text(), name
+        assert sizes[0] == 65, name
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda entry: entry[:-1] + b"?", id="wrong-last-byte"),
     pytest.param(lambda entry: entry[:-1], id="last-byte-missing"),
@@ -455,11 +474,16 @@ def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, block
     # 4096 bytes: gauss and vk in one block, laguerre and glag-k1 in two; 500:
     # a few entries per block; 1: one entry per block
     monkeypatch.setattr(cli, "_BLOCK", block)
-    payload = table_payload(ensemble, bounds)
-    assert _json_bytes(payload) == _json_reference(payload)
+    streamed = table_payload(ensemble, bounds)
+    # the entries are an iterator that can be read once; take them as a list
+    # once, to render and count them several times
+    payload = {**streamed, "entries": list(streamed["entries"])}
+    want = _json_reference(payload)
+    assert _json_bytes(payload) == want
+    assert _json_bytes(table_payload(ensemble, bounds)) == want  # rendered from the iterator
     sink = _RecordingSink()
     payload_to_json(payload, sink)
-    assert b"".join(sink.writes) == _json_reference(payload)
+    assert b"".join(sink.writes) == want
     # the header, one block of entries per write, then the footer
     head, *blocks, foot = sink.writes
     assert head.endswith(b'"entries": [\n') and foot.startswith(b"\n  ]")
@@ -477,10 +501,44 @@ def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, block
 def test_table_payload_holds_no_strings():
     payload = table_payload("vk", {"gmax": 2})
     assert set(payload) == {"schema", "ensemble", "bounds", "entries"}
-    keys = [k for k, _ in payload["entries"]]
+    entries = list(payload["entries"])  # an iterator: read it once
+    assert len(entries) == 15  # row g holds k = -3g..g: 1, 5 and 9 entries
+    keys = [k for k, _ in entries]
     assert keys == sorted(keys)
     assert all(type(a) is int and type(b) is int and type(v) in (int, Fraction)
-               for (a, b), v in payload["entries"])
+               for (a, b), v in entries)
+
+
+class _CountingSink:
+    """A binary sink that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, b: bytes) -> int:
+        self.size += len(b)
+        return len(b)
+
+
+@pytest.mark.parametrize("ensemble,bounds", [
+    ("laguerre", {"gmax": 60, "nmax": 120}),
+    ("glag-k1", {"rmax2": 60, "nmax": 120}),
+    ("gauss", {"gmax": 80}),
+])
+def test_gen_json_is_made_holding_only_a_few_rows(monkeypatch, ensemble, bounds):
+    # the engine yields its table a row at a time and keeps only the rows its
+    # relation reads, so the Python objects alive at once stay far below the
+    # bytes written (whole tables held as ints took 1.0 to 1.8 times them);
+    # hzlag.recursions is imported with this file, so its import is not traced
+    monkeypatch.setattr(cli, "_BLOCK", 4096)
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        payload_to_json(table_payload(ensemble, bounds), sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * sink.size, (peak, sink.size)
 
 
 @settings(max_examples=100, deadline=None)
@@ -695,7 +753,7 @@ def test_bad_input_exits_2(cache, capsys, argv):
 
 def test_laguerre_size_estimate(cache, capsys):
     # within 6% of the bytes gen writes, and 200/432 is the largest table
-    # gen laguerre writes at gmax 200 (it takes ~200 MB peak RSS)
+    # gen laguerre writes at gmax 200
     for bounds in ({"gmax": 20, "nmax": 40}, {"gmax": 800, "nmax": 1}, {"gmax": 60, "nmax": 2}):
         with cli.table_bytes("laguerre", bounds, False) as f:
             size = len(f.read())
@@ -867,6 +925,52 @@ def test_gen_streams_a_table_into_its_cache_entry(cache, monkeypatch, capsys):
     path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
     assert path.read_bytes() == _with_digest(GOLDEN.read_bytes())
     assert [f.name for f in cache.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no-cache"])
+def test_engine_error_in_a_late_row_serves_nothing(cache, tmp_path, capsys, monkeypatch,
+                                                    no_cache):
+    # blocks of the early rows are written before row 8 fails its exact
+    # division; the error still comes before any byte is served
+    monkeypatch.setattr(cli, "_BLOCK", 300)
+    true_div = recursions._exact_div
+
+    def failing(num, den, anchor, i, j):
+        if anchor == "3-t" and i == 8:
+            raise IntegralityError(f"3-t entry ({i}, {j}) failed on purpose")
+        return true_div(num, den, anchor, i, j)
+
+    monkeypatch.setattr(recursions, "_exact_div", failing)
+    written = []  # the size of each write the JSON made before the error
+    true_to_json = cli.payload_to_json
+
+    class _Counted:
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, b: bytes) -> int:
+            written.append(len(b))
+            return self.f.write(b)
+
+    monkeypatch.setattr(cli, "payload_to_json", lambda payload, f: true_to_json(payload, _Counted(f)))
+    temporaries = []  # the files --no-cache computes into
+    true_temporary = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda: temporaries.append(true_temporary()) or temporaries[-1])
+    out = tmp_path / "t.out"
+    gen = ["gen", "laguerre", "--gmax", "9", "--nmax", "12", *(["--no-cache"] if no_cache else [])]
+    for argv in (gen, [*gen, "--out", str(out)], [*gen, "--format", "csv"],
+                 [*gen, "--format", "csv", "--out", str(out)]):
+        written.clear()
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "internal error: IntegralityError: 3-t entry (8, 1) failed on purpose\n"
+        assert len(written) > 10 and sum(written) > 8 * 13 * 60, argv  # the header and rows 0..7
+        assert not out.exists()
+        assert list(cache.glob("*")) == []  # neither an entry nor a temporary file
+    assert len(temporaries) == (4 if no_cache else 0)
+    assert all(f.closed for f in temporaries)
 
 
 @pytest.mark.parametrize("how", ["directory", "permission"])

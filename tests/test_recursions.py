@@ -18,16 +18,20 @@ from hzlag.recursions import (
     asym_moments,
     c1_closed_form,
     consistency_form,
+    do_norbury_items,
     do_norbury_table,
     gauss_genus_coefficients,
     gauss_gue_check,
+    gauss_hz_items,
     gauss_hz_table,
+    glag_k1_items,
     glag_k1_table,
     glag_moment_from_table,
     glag_series_coefficient,
     glag_w1_ode_check,
     lag_moment_from_table,
     laguerre_ode_check,
+    vk_items,
     vk_table,
 )
 from hzlag.wick import complex_wishart_moment, genus_extract, gue_moment
@@ -53,6 +57,22 @@ def vk():
 @pytest.fixture(scope="module")
 def glag():
     return glag_k1_table(8, 12)
+
+
+# -- engines: rows yielded in sorted key order -------------------------------
+
+
+@pytest.mark.parametrize("items,table,bounds", [
+    (do_norbury_items, do_norbury_table, [(0, 0), (0, 7), (5, 0), (6, 11), (11, 4)]),
+    (gauss_hz_items, gauss_hz_table, [(1,), (2,), (9,)]),
+    (vk_items, vk_table, [(0,), (1,), (7,)]),
+    (glag_k1_items, glag_k1_table, [(0, 0), (0, 6), (5, 0), (3, 2), (9, 12)]),
+], ids=["3-t", "recurrence", "rec-v2", "8-t"])
+def test_engine_yields_its_table_in_sorted_key_order(items, table, bounds):
+    for b in bounds:
+        keys = [k for k, _ in items(*b)]
+        assert all(a < c for a, c in zip(keys, keys[1:])), b  # strictly increasing
+        assert dict(items(*b)) == table(*b).entries, b
 
 
 # -- integer engines ("3-t", "recurrence", "8-t") ----------------------------
