@@ -179,21 +179,26 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
 class Ensemble:
     """How `gen` bounds, generates, serializes and reloads one ensemble's table."""
 
-    __slots__ = ("bounds", "keys", "engine", "table_class", "low", "size")
+    __slots__ = ("bounds", "keys", "engine", "table_class", "low", "size", "base10")
 
     def __init__(self, bounds: dict[str, int], keys: tuple[str, str], engine: str,
-                 table_class: str, low: int = 0, size=None):
+                 table_class: str, low: int = 0, size=None, base10: bool = False):
         self.bounds = bounds  # gen option -> its largest value, in engine and table order
         self.keys = keys  # the index names of a table entry
         self.engine = engine  # bound values -> the table's items, one row at a time
         self.table_class = table_class  # (*bound values, entries) -> table
         self.low = low  # smallest value every bound accepts
         self.size = size  # bound values -> about the bytes of the gen JSON, or None
+        self.base10 = base10  # the engine runs over exact Decimal (one=Decimal(1)), not int
 
     def items(self, *bounds):
         """The table's ``((k1, k2), value)`` items in sorted key order, as an iterator."""
         from . import recursions
-        return getattr(recursions, self.engine)(*bounds)
+        engine = getattr(recursions, self.engine)
+        if not self.base10:
+            return engine(*bounds)
+        from decimal import Decimal
+        return engine(*bounds, one=Decimal(1))
 
     def table(self, *args):
         """Rebuild a table from a payload's bound values and entries."""
@@ -231,20 +236,31 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # served _CHUNK bytes at a time, so no table is ever held whole: peak RSS is
 # about 20 MB of interpreter plus the rows the relation reads and one
 # block, and a warm gen takes about 20 MB whatever the table.  Time, not
-# memory, now bounds each request.  Measured each in a fresh process on one
-# 2-vCPU VM (Python 3.11.7), peak RSS cached and --no-cache alike:
-# `gen vk --gmax 150` took 2.7 s, 23 MB and wrote 39 MB, `gen gauss --gmax
-# 300` 2.2 s, 23 MB and 54 MB, `gen glag-k1 --rmax2 240 --nmax 480` 2.0 s,
-# 23 MB and 62 MB.  A laguerre table's time and size follow its digits, not
-# its bounds, so its request is bounded by the estimated size of its JSON,
-# GEN_BYTES; its option bounds only keep that estimate cheap.  The largest
-# accepted requests at gmax 100/200/400/1000 (nmax 962/432/138/21) took
-# 22 to 23 MB and 1.8/1.8/2.4/5.0 s and wrote 64/63/61/58 MB.
+# memory, now bounds each request.
+#
+# base10 engines run over exact Decimal: a laguerre or gauss entry runs to
+# a thousand digits and more, and str() of an int is quadratic in its
+# digits, str() of a Decimal linear.  In-process, the engine plus str() of
+# every entry took 0.19 s over Decimal against 0.36 s over int at laguerre
+# 150/300, and 0.11 against 0.29 s at gauss 200.  glag-k1 stays on int:
+# its "8-t" entries are shorter, and over Decimal it took 0.21 s against
+# 0.16 s at 120/240; vk's entries are Fractions.
+#
+# Measured cold, each in a fresh process, on one 2-vCPU VM (Python
+# 3.11.7): `gen vk --gmax 150` took 2.6-2.9 s, 23 MB peak RSS and wrote
+# 39 MB, `gen gauss --gmax 300` 0.9 s, 23 MB and 54 MB, `gen glag-k1
+# --rmax2 240 --nmax 480` 1.8 s, 23 MB and 62 MB.  A laguerre table's time
+# and size follow its digits, not its bounds, so its request is bounded by
+# the estimated size of its JSON, GEN_BYTES; its option bounds only keep
+# that estimate cheap.  The largest accepted requests at gmax
+# 100/200/400/1000 (nmax 962/432/138/21) took 23 MB and 0.9/1.0/0.8/0.7 s
+# and wrote 64/63/61/58 MB.
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
-                         "LagCTable", size=_laguerre_json_bytes),
-    "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_items", "GaussBTable", low=1),
+                         "LagCTable", size=_laguerre_json_bytes, base10=True),
+    "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_items", "GaussBTable", low=1,
+                      base10=True),
     "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_items", "VTable"),
     "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"), "glag_k1_items",
                         "HalfGenusTable"),
@@ -253,8 +269,8 @@ ENSEMBLES = {
 
 def table_payload(ensemble: str, bounds: dict) -> dict:
     """The header of one table's gen JSON and its entries, as an iterator
-    over sorted ``((k1, k2), value)`` items (a value is an int or a
-    Fraction) that the engine makes as they are read."""
+    over sorted ``((k1, k2), value)`` items (a value is an int, an integral
+    Decimal or a Fraction) that the engine makes as they are read."""
     spec = ENSEMBLES[ensemble]
     return {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds,
             "entries": spec.items(*(bounds[name] for name in spec.bounds))}
@@ -273,7 +289,8 @@ def payload_to_json(payload: dict, f) -> None:
     entries are written a block at a time: a block ends at the first entry
     that brings it to _BLOCK bytes, so only one block's strings are held at
     once.  The entries are a list or an iterator, read once; a value is an
-    int or a Fraction, whose str JSON quoting leaves as it is."""
+    int, an integral Decimal (str gives its digits, without an exponent) or
+    a Fraction, whose str JSON quoting leaves as it is."""
     head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
                             indent=2).split('"entries": []')
     entries = iter(payload["entries"])
@@ -307,6 +324,17 @@ def _open_file(out: str, mode: str):
         return open(out, mode)
     except OSError as e:
         raise UsageError(f"cannot write --out {out} ({e.strerror})") from e
+
+
+def _check_out(out: str | None) -> None:
+    """Raise the usage error of _open_file when ``--out`` cannot be opened
+    for writing, before any work starts.  The probe opens it for appending,
+    so an existing file is left as it was, and removes a file it created."""
+    if out:
+        existed = os.path.lexists(out)
+        _open_file(out, "ab").close()
+        if not existed:
+            os.unlink(out)
 
 
 @contextlib.contextmanager
@@ -569,6 +597,7 @@ def cmd_gen(args) -> int:
         flags = " ".join(f"--{name} {v}" for name, v in bounds.items())
         raise UsageError(f"gen {ensemble} {flags} would write about {size // 10**6} MB, "
                          f"over the {GEN_BYTES // 10**6} MB limit")
+    _check_out(args.out)
     with table_bytes(ensemble, bounds, not args.no_cache) as src:
         if args.format == "csv":
             payload_to_csv(src, ensemble, args.out)
@@ -609,13 +638,7 @@ def cmd_verify(args) -> int:
         _check_range(flag, getattr(args, flag))
     if "constraints" in names and args.gmax < 1:
         raise UsageError(f"suite constraints needs --gmax >= 1, got {args.gmax}")
-    if args.out:
-        # an --out that cannot be written fails before any suite runs; the
-        # check changes no file, and removes the one it creates
-        existed = os.path.lexists(args.out)
-        _open_file(args.out, "ab").close()
-        if not existed:
-            os.unlink(args.out)
+    _check_out(args.out)
     reports = []
     for n in names:
         reports.append(SUITES[n](args))

@@ -2,16 +2,22 @@
 
 The Laguerre three-term recursion ("3-t"), the Gaussian recursion
 ("recurrence"), the v_k recursion ("rec-v2", stored as A / 2^(8g+1)) and the
-k = 1 eight-term recursion ("8-t") are int kernels: every entry is an exact
-integer quotient, checked by _exact_div as it is made.  Also here: the n = 1
-closed form ("C1g"), the operator-equation verifiers "int-2" and "W1",
-which re-derive the tables independently of the table-filling code paths,
-and half_binomial_series, the int kernel for (1-4t)^(s/2) that the Gaussian
-genus reconstruction and the spectral bases share.
+k = 1 eight-term recursion ("8-t") are exact integer kernels: every entry is
+an exact integer quotient, checked by _exact_div as it is made.  "3-t" and
+"recurrence" run over the ring of a unit they are given: int by default, or
+decimal.Decimal(1), whose entries are made in base-10 limbs so that str() of
+one is linear in its digits (str() of an int is quadratic).  A Decimal row
+is made in the context _EXACT, where an operation that would round raises.
+Also here: the n = 1 closed form ("C1g"), the operator-equation verifiers
+"int-2" and "W1", which re-derive the tables independently of the
+table-filling code paths, and half_binomial_series, the int kernel for
+(1-4t)^(s/2) that the Gaussian genus reconstruction and the spectral bases
+share.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,13 +61,22 @@ class IntegralityError(ValueError):
     """A recursion produced a non-integer entry where integers are forced."""
 
 
-def _exact_div(num: int, den: int, anchor: str, i: int, j: int) -> int:
-    """The quotient num / den of entry (i, j) of `anchor`, or IntegralityError."""
+def _exact_div(num, den: int, anchor: str, i: int, j: int):
+    """The quotient num / den of entry (i, j) of `anchor`, or IntegralityError;
+    num is an int or an integral Decimal, and the quotient is of its type."""
     q, r = divmod(num, den)
     if r:
         raise IntegralityError(
-            f"{anchor} entry ({i}, {j}) = {Fraction(num, den)} is not an integer")
+            f"{anchor} entry ({i}, {j}) = {Fraction(num) / den} is not an integer")
     return q
+
+
+# the context a Decimal engine row is made in: every digit of an entry is
+# kept (MAX_PREC digits), and an operation that would round or fail raises
+# instead, so a Decimal entry is exact or is not made
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+                                decimal.DivisionByZero])
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +172,27 @@ class HalfGenusTable:
 # ---------------------------------------------------------------------------
 
 
-def do_norbury_items(gmax: int, nmax: int):
+def do_norbury_items(gmax: int, nmax: int, one=1):
     """Yield ((g, n), C_n^(g)) through (gmax, nmax) in sorted key order, over
-    int via "3-t":
+    the ring of ``one`` (int, or an exact Decimal) via "3-t":
     (n+2g+1) C_n^(g) = (n+2g-2)(n+2g-1)^2 C_n^(g-1) + 2(2n+4g-1) C_{n-1}^(g)
     with C_0^(0) = 1 and C_0^(g) = 0 for g >= 1.
 
     Row g = 0 is the Catalan recurrence (n+1) C_n = 2(2n-1) C_{n-1}, which is
     the relation with C^(-1) = 0.  Only row g - 1 is held while row g is made.
+    Each row is made in the context _EXACT and yielded after it is left, so
+    the caller's decimal context is the current one between yields.
     """
     if gmax < 0 or nmax < 0:
         raise ValueError("need gmax, nmax >= 0")
     prev = [0] * (nmax + 1)  # row g - 1; row -1 vanishes
     for g in range(gmax + 1):
-        row = [1 if g == 0 else 0]
-        for n in range(1, nmax + 1):
-            s = n + 2 * g
-            num = (s - 2) * (s - 1) ** 2 * prev[n] + 2 * (2 * s - 1) * row[n - 1]
-            row.append(_exact_div(num, s + 1, "3-t", g, n))
+        with decimal.localcontext(_EXACT):
+            row = [one if g == 0 else 0 * one]
+            for n in range(1, nmax + 1):
+                s = n + 2 * g
+                num = (s - 2) * (s - 1) ** 2 * prev[n] + 2 * (2 * s - 1) * row[n - 1]
+                row.append(_exact_div(num, s + 1, "3-t", g, n))
         yield from (((g, n), v) for n, v in enumerate(row))
         prev = row
 
@@ -192,27 +210,29 @@ def c1_closed_form(g: int) -> Fraction:
     return Fraction(2**g * math.factorial(g) * dfact, g + 1)
 
 
-def gauss_hz_items(gmax: int):
+def gauss_hz_items(gmax: int, one=1):
     """Yield ((g, k), b_k^(g)) for 1 <= g <= gmax, 0 <= k < g in sorted key
-    order, over int ("recurrence").
+    order, over the ring of ``one`` (int, or an exact Decimal)
+    ("recurrence").
 
     Seed b_k^(1) = delta_{k,0}; then
     (4g+2k+6) b_k^(g+1)
         = (4g+2k+1)(4g+2k+3) [(4g+2k+2) b_k^(g) + 4(4g+2k-1) b_{k-1}^(g)].
     Every entry is an exact integer quotient; IntegralityError otherwise,
     which would signal a wrong seed convention.  Only row g is held while
-    row g + 1 is made.
+    row g + 1 is made, in the context _EXACT, as in do_norbury_items.
     """
     if gmax < 1:
         raise ValueError("need gmax >= 1")
-    row = [1]  # row g = 1
-    yield (1, 0), 1
+    row = [one]  # row g = 1
+    yield (1, 0), one
     for g in range(1, gmax):
         prev, row = [0, *row, 0], []  # b_(-1)^(g) = b_g^(g) = 0, so b_k^(g) is prev[k + 1]
-        for k in range(g + 1):
-            s = 4 * g + 2 * k
-            num = (s + 1) * (s + 3) * ((s + 2) * prev[k + 1] + 4 * (s - 1) * prev[k])
-            row.append(_exact_div(num, s + 6, "recurrence", g + 1, k))
+        with decimal.localcontext(_EXACT):
+            for k in range(g + 1):
+                s = 4 * g + 2 * k
+                num = (s + 1) * (s + 3) * ((s + 2) * prev[k + 1] + 4 * (s - 1) * prev[k])
+                row.append(_exact_div(num, s + 6, "recurrence", g + 1, k))
         yield from (((g + 1, k), v) for k, v in enumerate(row))
 
 

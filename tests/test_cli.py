@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: determinism, exit codes,
 serialization formats, and the table cache."""
 
+import decimal
 import hashlib
 import importlib.util
 import io
@@ -77,7 +78,7 @@ def _child_env(cache_dir) -> dict:
 
 
 # runs cli.main(ARGV) and writes, as the last line of stderr, the hzlag
-# submodules the process loaded
+# submodules the process loaded, and decimal if it loaded that
 _LOADED = """
 import sys
 import hzlag.cli
@@ -85,13 +86,15 @@ try:
     rc = hzlag.cli.main(sys.argv[1:])
 except SystemExit as e:
     rc = e.code
-print(*sorted(m for m in sys.modules if m.startswith("hzlag.")), file=sys.stderr)
+print(*sorted(m for m in sys.modules if m.startswith("hzlag.") or m == "decimal"),
+      file=sys.stderr)
 sys.exit(rc)
 """
 
 
 def loaded_modules(args, cache_dir) -> set:
-    """The hzlag submodules a fresh process loads to run ``hzlag ARGS``."""
+    """The hzlag submodules, and decimal if it is one of them, that a fresh
+    process loads to run ``hzlag ARGS``."""
     r = subprocess.run([sys.executable, "-c", _LOADED, *args],
                        capture_output=True, env=_child_env(cache_dir))
     assert r.returncode == 0, r.stderr
@@ -156,6 +159,43 @@ def test_gen_integer_tables_match_golden(cache, capsys, argv, name):
     assert main(["gen", *argv]) == 0  # computed into the cache
     assert main(["gen", *argv]) == 0  # read back from it
     assert capsys.readouterr().out == golden * 2
+
+
+# the gen requests of the two ensembles whose engines run over Decimal
+DECIMAL_GOLDENS = [(argv, name) for argv, name in JSON_GOLDENS
+                   if ENSEMBLES[argv[0]].base10]
+
+
+def test_decimal_engines_are_the_laguerre_and_gauss_ones():
+    assert [argv[0] for argv, _ in DECIMAL_GOLDENS] == ["laguerre", "gauss"]
+
+
+@pytest.mark.parametrize("argv,name", DECIMAL_GOLDENS)
+def test_gen_in_a_callers_low_precision_context_writes_golden_bytes(cache, capsys, argv, name):
+    # a caller's context that would round every entry to 5 digits, silently
+    golden = (GOLDEN.parent / name).read_text()
+    with decimal.localcontext(decimal.Context(prec=5, traps=[])) as caller:
+        for extra in (["--no-cache"], [], []):  # computed, into the cache, read back
+            assert main(["gen", *argv, *extra]) == 0
+            assert capsys.readouterr().out == golden
+            assert decimal.getcontext() is caller and caller.prec == 5
+
+
+@pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no-cache"])
+@pytest.mark.parametrize("argv,name", DECIMAL_GOLDENS)
+def test_decimal_entry_beyond_the_precision_raises(cache, capsys, monkeypatch, argv, name,
+                                                   no_cache):
+    # with 10 digits of precision the entries of these tables (up to 17 and
+    # 23 digits) cannot be made exactly: the engine raises, it does not round
+    exact = recursions._EXACT.copy()
+    exact.prec = 10
+    monkeypatch.setattr(recursions, "_EXACT", exact)
+    assert main(["gen", *argv, *(["--no-cache"] if no_cache else [])]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.split(":")[0] == "internal error", captured.err
+    assert captured.err.split(":")[1].strip() in {"Inexact", "Rounded", "InvalidOperation"}
+    assert not cache.exists() or list(cache.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", ["abc", "2/4", "5/1", "007"])
@@ -808,6 +848,35 @@ def test_verify_out_fails_before_any_suite_runs(cache, tmp_path, capsys, monkeyp
     assert [p.name for p in tmp_path.iterdir()] == ["kept.json"]
 
 
+@pytest.mark.parametrize("extra", [[], ["--no-cache"], ["--format", "csv"]],
+                         ids=["json", "no-cache", "csv"])
+def test_gen_out_fails_before_the_engine_runs(cache, tmp_path, capsys, monkeypatch, extra):
+    ran = []
+    monkeypatch.setattr(recursions, "do_norbury_items", lambda *a, **k: ran.append(a) or iter(()))
+    temporaries = []  # the files --no-cache would compute into
+    true_temporary = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda: temporaries.append(true_temporary()) or temporaries[-1])
+    gen = ["gen", *LAGUERRE_5_20, *extra]
+    for bad in (tmp_path / "missing" / "t.json", tmp_path):
+        assert main([*gen, "--out", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith(f"error: cannot write --out {bad} (") and err.count("\n") == 1, err
+    assert ran == [] and temporaries == []
+    assert not cache.exists()  # neither an entry nor a temporary file
+    # a writable --out is left as it was when the engine then fails
+    monkeypatch.setattr(recursions, "do_norbury_items", lambda *a, **k: iter([((0, 0), 1 / 0)]))
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier table\n")
+    assert main([*gen, "--out", str(kept)]) == 3
+    assert capsys.readouterr().err == "internal error: ZeroDivisionError: division by zero\n"
+    assert kept.read_text() == "earlier table\n"
+    assert sorted(p.name for p in tmp_path.iterdir() if p != cache) == ["kept.json"]
+    assert not cache.exists() or list(cache.iterdir()) == []
+
+
 def test_verify_odes_suite(cache, capsys):
     assert main(["verify", "--suite", "odes"]) == 0
     out = capsys.readouterr().out
@@ -1028,11 +1097,13 @@ def test_console_script_entry_point(cache):
 
 
 def test_processes_import_only_what_they_run(cache):
-    # a warm gen and --version load no engine: only the cli module itself
+    # a warm gen and --version load no engine and not decimal: only the cli
+    # module itself; a cold gen of a Decimal engine loads decimal
     assert loaded_modules(["--version"], cache) == {"hzlag.cli"}
-    job = ["gen", "vk", "--gmax", "2"]
-    cold = loaded_modules(job, cache)
-    assert "hzlag.recursions" in cold
-    assert not cold & {"hzlag.exact", "hzlag.residues", "hzlag.spectral"}, cold
-    for fmt in ("json", "csv"):
-        assert loaded_modules([*job, "--format", fmt], cache) == {"hzlag.cli"}, fmt
+    for job in (["gen", "vk", "--gmax", "2"], ["gen", *LAGUERRE_5_20]):
+        cold = loaded_modules(job, cache)
+        assert "hzlag.recursions" in cold
+        assert not cold & {"hzlag.exact", "hzlag.residues", "hzlag.spectral"}, cold
+        for fmt in ("json", "csv"):
+            assert loaded_modules([*job, "--format", fmt], cache) == {"hzlag.cli"}, (job, fmt)
+    assert "decimal" in cold

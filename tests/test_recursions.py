@@ -1,7 +1,10 @@
 """Tests for the four recursion engines and their operator-equation verifiers."""
 
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,7 @@ from hzlag.recursions import (
 from hzlag.wick import complex_wishart_moment, genus_extract, gue_moment
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
+ONE = Decimal(1)  # the unit of the Decimal runs of "3-t" and "recurrence"
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +71,10 @@ def glag():
     (gauss_hz_items, gauss_hz_table, [(1,), (2,), (9,)]),
     (vk_items, vk_table, [(0,), (1,), (7,)]),
     (glag_k1_items, glag_k1_table, [(0, 0), (0, 6), (5, 0), (3, 2), (9, 12)]),
-], ids=["3-t", "recurrence", "rec-v2", "8-t"])
+    (partial(do_norbury_items, one=ONE), do_norbury_table,
+     [(0, 0), (0, 7), (5, 0), (6, 11), (11, 4)]),
+    (partial(gauss_hz_items, one=ONE), gauss_hz_table, [(1,), (2,), (9,)]),
+], ids=["3-t", "recurrence", "rec-v2", "8-t", "3-t-Decimal", "recurrence-Decimal"])
 def test_engine_yields_its_table_in_sorted_key_order(items, table, bounds):
     for b in bounds:
         keys = [k for k, _ in items(*b)]
@@ -82,6 +89,49 @@ def test_integer_engines_build_ints(dn, gauss, glag):
     for table in (dn, gauss, glag):
         assert table.entries
         assert all(type(v) is int for v in table.entries.values())
+
+
+def _assert_same_run(int_items, decimal_items):
+    """The two runs yield the same keys and, entry by entry, the same str();
+    the int run's strings have no exponent and no signed zero, so neither
+    has the Decimal run's."""
+    a, b = list(int_items), list(decimal_items)
+    assert [k for k, _ in a] == [k for k, _ in b]
+    assert [str(v) for _, v in a] == [str(v) for _, v in b]
+    assert all(type(v) is int for _, v in a) and all(type(v) is Decimal for _, v in b)
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 5, 40])
+@pytest.mark.parametrize("gmax", [0, 1, 2, 7])
+def test_3t_decimal_run_matches_int_run(gmax, nmax):
+    _assert_same_run(do_norbury_items(gmax, nmax), do_norbury_items(gmax, nmax, one=ONE))
+
+
+def test_recurrence_decimal_run_matches_int_run():
+    for gmax in range(1, 41):
+        _assert_same_run(gauss_hz_items(gmax), gauss_hz_items(gmax, one=ONE))
+
+
+@pytest.mark.parametrize("one", [1, ONE], ids=["int", "Decimal"])
+@pytest.mark.parametrize("items,bounds", [(do_norbury_items, (4, 6)), (gauss_hz_items, (6,))],
+                         ids=["3-t", "recurrence"])
+def test_engine_leaves_the_callers_context_current_between_rows(items, bounds, one):
+    with decimal.localcontext(decimal.Context(prec=5, traps=[])) as caller:
+        rows = items(*bounds, one=one)
+        for _ in rows:
+            assert decimal.getcontext() is caller
+            assert caller.prec == 5 and not any(caller.traps.values())
+
+
+def test_3t_decimal_run_names_a_non_integer_entry(monkeypatch):
+    # one more than the true numerator of C_3^(2), whose divisor is n + 2g + 1 = 8
+    want = Fraction(8 * do_norbury_table(2, 3).value(2, 3) + 1, 8)
+    true_div = recursions._exact_div
+    monkeypatch.setattr(recursions, "_exact_div", lambda num, den, anchor, i, j:
+                        true_div(num + ((i, j) == (2, 3)), den, anchor, i, j))
+    with pytest.raises(IntegralityError,
+                       match=rf"^3-t entry \(2, 3\) = {want} is not an integer$"):
+        list(do_norbury_items(2, 3, one=ONE))
 
 
 def test_8t_wrong_seed_raises_integrality_error(monkeypatch):
