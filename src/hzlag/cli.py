@@ -177,16 +177,15 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
 # ---------------------------------------------------------------------------
 
 class Ensemble:
-    """How `gen` bounds, generates, serializes and reloads one ensemble's table."""
+    """How `gen` bounds, generates and serializes one ensemble's table."""
 
-    __slots__ = ("bounds", "keys", "engine", "table_class", "low", "size", "base10")
+    __slots__ = ("bounds", "keys", "engine", "low", "size", "base10")
 
     def __init__(self, bounds: dict[str, int], keys: tuple[str, str], engine: str,
-                 table_class: str, low: int = 0, size=None, base10: bool = False):
-        self.bounds = bounds  # gen option -> its largest value, in engine and table order
+                 low: int = 0, size=None, base10: bool = False):
+        self.bounds = bounds  # gen option -> its largest value, in engine and Table.bounds order
         self.keys = keys  # the index names of a table entry
         self.engine = engine  # bound values -> the table's items, one row at a time
-        self.table_class = table_class  # (*bound values, entries) -> table
         self.low = low  # smallest value every bound accepts
         self.size = size  # bound values -> about the bytes of the gen JSON, or None
         self.base10 = base10  # the engine runs over exact Decimal (one=Decimal(1)), not int
@@ -199,11 +198,6 @@ class Ensemble:
             return engine(*bounds)
         from decimal import Decimal
         return engine(*bounds, one=Decimal(1))
-
-    def table(self, *args):
-        """Rebuild a table from a payload's bound values and entries."""
-        from . import recursions
-        return getattr(recursions, self.table_class)(*args)
 
 
 def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
@@ -225,10 +219,11 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
     return bits * 30103 // 100000 + 62 * (gmax + 1) * (nmax + 1)
 
 
-# each engine and table class is named by a string and looked up in
-# hzlag.recursions when it is called, so importing this module loads no
-# engine.  The bounds were set to keep a request within about 200 MB peak
-# RSS while every entry was held as an int, a string and JSON bytes at once.
+# each engine is named by a string and looked up in hzlag.recursions when
+# it is called, so importing this module loads no engine; a reloaded table
+# is a recursions.Table whatever its ensemble.  The bounds were set to keep
+# a request within about 200 MB peak RSS while every entry was held as an
+# int, a string and JSON bytes at once; they are unchanged since.
 # Now an engine yields the table a row at a time, holding only the rows its
 # relation reads (one for "3-t", "recurrence" and "rec-v2", four for "8-t"),
 # each row is streamed into the cache entry (with --no-cache, into a
@@ -258,12 +253,10 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
-                         "LagCTable", size=_laguerre_json_bytes, base10=True),
-    "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_items", "GaussBTable", low=1,
-                      base10=True),
-    "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_items", "VTable"),
-    "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"), "glag_k1_items",
-                        "HalfGenusTable"),
+                         size=_laguerre_json_bytes, base10=True),
+    "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_items", low=1, base10=True),
+    "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_items"),
+    "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"), "glag_k1_items"),
 }
 
 
@@ -396,15 +389,18 @@ def payload_to_csv(src, ensemble: str, out: str | None) -> None:
 
 
 def payload_to_table(payload: dict):
-    """Rebuild a table object from a parsed gen payload (the values are not
-    re-checked: the verify suites re-check constraints on whatever the
-    payload holds)."""
+    """Rebuild a recursions.Table from a parsed gen payload (the values are
+    not re-checked: the verify suites re-check constraints on whatever the
+    payload holds).  The bounds are taken in the ensemble's index order, not
+    the header's, which is sorted by name."""
     from fractions import Fraction
+
+    from .recursions import Table
 
     spec = ENSEMBLES[payload["ensemble"]]
     k1, k2 = spec.keys
     entries = {(e[k1], e[k2]): Fraction(e["value"]) for e in payload["entries"]}
-    return spec.table(*(payload["bounds"][name] for name in spec.bounds), entries)
+    return Table(tuple(payload["bounds"][name] for name in spec.bounds), entries)
 
 
 def table_bytes(ensemble: str, bounds: dict, use_cache: bool):
@@ -521,7 +517,8 @@ def suite_crosscheck(args) -> RunReport:
 
 
 def suite_constraints(args) -> RunReport:
-    from .recursions import asym_moments, glag_w1_ode_check, laguerre_ode_check
+    from .recursions import (asym_moments, glag_w1_ode_check, integrality_violations,
+                             laguerre_ode_check)
     from .reports import RunReport, record
     from .spectral import a_to_C, consistency_identity_check
 
@@ -547,11 +544,12 @@ def suite_constraints(args) -> RunReport:
     rep.extend(laguerre_ode_check(load_table("laguerre", {"gmax": 3, "nmax": 10}, args.cache)))
     rep.extend(glag_w1_ode_check(load_table("glag-k1", {"rmax2": 4, "nmax": 8}, args.cache)))
     # integrality expectations
-    for name, table in (
-        ("laguerre", dn),
-        ("gauss", load_table("gauss", {"gmax": min(args.gmax, 8)}, args.cache)),
+    for name, entries in (
+        # the n = 0 column is the seed C_0^(g) = (1, 0, 0, ...), not a count, so it is exempt
+        ("laguerre", {key: v for key, v in dn.entries.items() if key[1] >= 1}),
+        ("gauss", load_table("gauss", {"gmax": min(args.gmax, 8)}, args.cache).entries),
     ):
-        bad = table.integrality_violations()
+        bad = integrality_violations(entries)
         rep.checks.append(
             record(f"integrality[{name}]", "C1g", not bad, f"violations {bad[:5]}")
         )

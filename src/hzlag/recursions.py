@@ -20,7 +20,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .reports import CheckRecord, record
@@ -29,10 +29,8 @@ from .wick import MomentPoly, gue_moment
 __all__ = [
     "ConstraintError",
     "IntegralityError",
-    "LagCTable",
-    "GaussBTable",
-    "VTable",
-    "HalfGenusTable",
+    "Table",
+    "integrality_violations",
     "do_norbury_items",
     "do_norbury_table",
     "c1_closed_form",
@@ -85,86 +83,38 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
 
 
 @dataclass(frozen=True)
-class LagCTable:
-    """Laguerre genus-graded moment coefficients (g, n) -> C_n^(g)."""
+class Table:
+    """An exact recursion table (i, j) -> value.
 
-    gmax: int
-    nmax: int
-    entries: dict = field(default_factory=dict)
-
-    def value(self, g: int, n: int) -> Fraction:
-        if n < 0 or g < 0:
-            return Fraction(0)
-        if g > self.gmax or n > self.nmax:
-            raise KeyError(f"(g={g}, n={n}) outside table bounds")
-        return self.entries[(g, n)]
-
-    def integrality_violations(self) -> list[tuple[int, int]]:
-        """Entries with g >= 0, n >= 1 that are not positive integers."""
-        return [
-            (g, n)
-            for (g, n), v in sorted(self.entries.items())
-            if n >= 1 and (v.denominator != 1 or v <= 0)
-        ]
-
-
-@dataclass(frozen=True)
-class GaussBTable:
-    """Gaussian genus-graded coefficients (g, k) -> b_k^(g), 1 <= g, 0 <= k < g."""
-
-    gmax: int
-    entries: dict = field(default_factory=dict)
-
-    def value(self, g: int, k: int) -> Fraction:
-        if k < 0 or k >= g:
-            return Fraction(0)
-        if g < 1 or g > self.gmax:
-            raise KeyError(f"(g={g}, k={k}) outside table bounds")
-        return self.entries[(g, k)]
-
-    def integrality_violations(self) -> list[tuple[int, int]]:
-        return [
-            (g, k)
-            for (g, k), v in sorted(self.entries.items())
-            if v.denominator != 1 or v <= 0
-        ]
-
-
-@dataclass(frozen=True)
-class VTable:
-    """v_k-basis coefficients (g, k) -> a_k^(g), -3g <= k <= g."""
-
-    gmax: int
-    entries: dict = field(default_factory=dict)
-
-    def value(self, g: int, k: int) -> Fraction:
-        if g < 0 or g > self.gmax:
-            raise KeyError(f"g={g} outside table bounds")
-        return self.entries.get((g, k), Fraction(0))
-
-    def row(self, g: int) -> dict[int, Fraction]:
-        if g < 0 or g > self.gmax:
-            raise KeyError(f"g={g} outside table bounds")
-        return {k: v for (gg, k), v in self.entries.items() if gg == g}
-
-
-@dataclass(frozen=True)
-class HalfGenusTable:
-    """Fractional-genus coefficients (2r, n) -> C_n^(r) for the k = 1 ensemble.
-
-    The first index is the doubled half-integer genus q = 2r.
+    ``bounds`` holds the largest value of each bounded index, in index order
+    (the Gaussian and v_k tables bound only the first).  A key with no entry
+    reads as 0 when no index is above its bound, and raises KeyError when one
+    is: the entries are made through the bounds, so a missing key inside them
+    lies outside the relation's support.
     """
 
-    r2max: int
-    nmax: int
-    entries: dict = field(default_factory=dict)
+    bounds: tuple[int, ...]
+    entries: dict
 
-    def value(self, q: int, n: int) -> Fraction:
-        if q < 0 or n < 0:
-            return Fraction(0)
-        if q > self.r2max or n > self.nmax:
-            raise KeyError(f"(2r={q}, n={n}) outside table bounds")
-        return self.entries[(q, n)]
+    def value(self, i: int, j: int):
+        try:
+            return self.entries[(i, j)]
+        except KeyError:
+            if any(x > b for x, b in zip((i, j), self.bounds)):
+                raise KeyError(f"({i}, {j}) outside table bounds {self.bounds}") from None
+            return 0
+
+    def row(self, i: int) -> dict:
+        """{j: value} of the entries with first index i."""
+        row = {j: v for (ii, j), v in self.entries.items() if ii == i}
+        if not row:
+            raise KeyError(f"no row {i} in the table")
+        return row
+
+
+def integrality_violations(entries: dict) -> list[tuple[int, int]]:
+    """The keys, sorted, whose value is not a positive integer."""
+    return sorted(k for k, v in entries.items() if v.denominator != 1 or v <= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +147,9 @@ def do_norbury_items(gmax: int, nmax: int, one=1):
         prev = row
 
 
-def do_norbury_table(gmax: int, nmax: int) -> LagCTable:
+def do_norbury_table(gmax: int, nmax: int) -> Table:
     """The table of do_norbury_items(gmax, nmax)."""
-    return LagCTable(gmax, nmax, dict(do_norbury_items(gmax, nmax)))
+    return Table((gmax, nmax), dict(do_norbury_items(gmax, nmax)))
 
 
 def c1_closed_form(g: int) -> Fraction:
@@ -236,9 +186,9 @@ def gauss_hz_items(gmax: int, one=1):
         yield from (((g + 1, k), v) for k, v in enumerate(row))
 
 
-def gauss_hz_table(gmax: int) -> GaussBTable:
+def gauss_hz_table(gmax: int) -> Table:
     """The table of gauss_hz_items(gmax)."""
-    return GaussBTable(gmax, dict(gauss_hz_items(gmax)))
+    return Table((gmax,), dict(gauss_hz_items(gmax)))
 
 
 def _rec_v2_rhs(prev: dict[int, int], k: int) -> int:
@@ -320,9 +270,9 @@ def vk_items(gmax: int):
         prev = row
 
 
-def vk_table(gmax: int) -> VTable:
+def vk_table(gmax: int) -> Table:
     """The table of vk_items(gmax)."""
-    return VTable(gmax, dict(vk_items(gmax)))
+    return Table((gmax,), dict(vk_items(gmax)))
 
 
 # inhomogeneity of "8-t" at (q, n); zero elsewhere
@@ -359,9 +309,9 @@ def glag_k1_items(r2max: int, nmax: int):
         rows = [r3, r2, r1, row]
 
 
-def glag_k1_table(r2max: int, nmax: int) -> HalfGenusTable:
+def glag_k1_table(r2max: int, nmax: int) -> Table:
     """The table of glag_k1_items(r2max, nmax)."""
-    return HalfGenusTable(r2max, nmax, dict(glag_k1_items(r2max, nmax)))
+    return Table((r2max, nmax), dict(glag_k1_items(r2max, nmax)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +319,9 @@ def glag_k1_table(r2max: int, nmax: int) -> HalfGenusTable:
 # ---------------------------------------------------------------------------
 
 
-def lag_moment_from_table(table: LagCTable, m: int) -> MomentPoly:
+def lag_moment_from_table(table: Table, m: int) -> MomentPoly:
     """<tr H^m> for the square ensemble as sum_g C_{m-2g}^(g) N^(1-2g)."""
-    terms: dict = {}
-    for g in range(m // 2 + 1):
-        if g > table.gmax or m - 2 * g > table.nmax:
-            raise KeyError(f"moment {m} needs entries outside table bounds")
-        terms[1 - 2 * g] = table.value(g, m - 2 * g)
-    return MomentPoly(terms)
+    return MomentPoly({1 - 2 * g: table.value(g, m - 2 * g) for g in range(m // 2 + 1)})
 
 
 def half_binomial_series(s: int, n: int) -> list[int]:
@@ -394,7 +339,7 @@ def half_binomial_series(s: int, n: int) -> list[int]:
     return c
 
 
-def gauss_genus_coefficients(table: GaussBTable, g: int, mmax: int) -> dict[int, Fraction]:
+def gauss_genus_coefficients(table: Table, g: int, mmax: int) -> dict[int, Fraction]:
     """x-series coefficients of sum_k b_k^(g) (x^2-4)^(-(4g+2k+1)/2).
 
     Returns {m: coefficient of x^(-m-1)} for m <= mmax; these are the
@@ -411,11 +356,11 @@ def gauss_genus_coefficients(table: GaussBTable, g: int, mmax: int) -> dict[int,
     return out
 
 
-def gauss_gue_check(table: GaussBTable, mmax: int) -> list[CheckRecord]:
+def gauss_gue_check(table: Table, mmax: int) -> list[CheckRecord]:
     """Compare the reconstructed x-series against the pairing-oracle GUE
     moments, genus by genus, for all even m <= mmax."""
     recs = []
-    gtop = min(table.gmax, mmax // 2)
+    gtop = min(table.bounds[0], mmax // 2)
     for g in range(1, gtop + 1):
         series = gauss_genus_coefficients(table, g, mmax)
         ok, detail = True, ""
@@ -428,27 +373,16 @@ def gauss_gue_check(table: GaussBTable, mmax: int) -> list[CheckRecord]:
     return recs
 
 
-def glag_moment_from_table(table: HalfGenusTable, m: int) -> MomentPoly:
+def glag_moment_from_table(table: Table, m: int) -> MomentPoly:
     """<tr H^m> for the k = 1 rectangular ensemble: sum_q C_{m-q}^(q/2) N^(1-q)."""
-    terms: dict = {}
-    for q in range(m + 1):
-        if q > table.r2max or m - q > table.nmax:
-            raise KeyError(f"moment {m} needs entries outside table bounds")
-        v = table.value(q, m - q)
-        if v:
-            terms[1 - q] = v
-    return MomentPoly(terms)
+    return MomentPoly({1 - q: table.value(q, m - q) for q in range(m + 1)})
 
 
-def glag_series_coefficient(table: HalfGenusTable, e: int) -> MomentPoly:
+def glag_series_coefficient(table: Table, e: int) -> MomentPoly:
     """Coefficient of x^(-e) in the fractional-genus expansion, as a Laurent
     polynomial in N (exponent -q for the row q = 2r term)."""
-    terms: dict = {}
-    for q in range(min(e - 1, table.r2max) + 1):
-        v = table.value(q, e - 1 - q)
-        if v:
-            terms[-q] = v
-    return MomentPoly(terms)
+    return MomentPoly({-q: table.value(q, e - 1 - q)
+                       for q in range(min(e - 1, table.bounds[0]) + 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +390,7 @@ def glag_series_coefficient(table: HalfGenusTable, e: int) -> MomentPoly:
 # ---------------------------------------------------------------------------
 
 
-def laguerre_ode_check(table: LagCTable) -> list[CheckRecord]:
+def laguerre_ode_check(table: Table) -> list[CheckRecord]:
     """Apply the two operator blocks of "int-2" to the series
     W_1' = -sum N^(-2g) C_n^(g) (n+2g+1) x^(-2-2g-n) and assert every
     collected (N-power, x-power) coefficient that the table determines
@@ -479,9 +413,10 @@ def laguerre_ode_check(table: LagCTable) -> list[CheckRecord]:
         bump((-2 * g + 1, e), c * (4 * e - 6))
 
     recs = []
-    for g in range(table.gmax + 1):
+    gmax, nmax = table.bounds
+    for g in range(gmax + 1):
         p = -2 * g + 1
-        for n in range(table.nmax + 1):
+        for n in range(nmax + 1):
             e = 1 + 2 * g + n
             resid = acc.pop((p, e), Fraction(0))
             recs.append(
@@ -507,11 +442,12 @@ _W1_BLOCKS = (
 _W1_RHS = {(-2, 0): Fraction(2), (-1, 0): Fraction(1), (-1, 1): Fraction(2), (0, 1): Fraction(2)}
 
 
-def glag_w1_ode_check(table: HalfGenusTable) -> list[CheckRecord]:
+def glag_w1_ode_check(table: Table) -> list[CheckRecord]:
     """Apply the five N-graded operator blocks of "W1" to the double series
     W_1 = sum_q N^(-q) C_n^(q/2) x^(-1-q-n) and assert equality with the
     inhomogeneity 2N^2 + N + (2N+2)/x at every slot the table determines."""
     acc: dict[tuple[int, int], Fraction] = {}
+    r2max, nmax = table.bounds
     for (q, n), cval in table.entries.items():
         if cval == 0:
             continue
@@ -525,13 +461,13 @@ def glag_w1_ode_check(table: HalfGenusTable) -> list[CheckRecord]:
         for dq, de, _ in _W1_BLOCKS:
             q, e = Q - dq, E - de
             n = e - 1 - q
-            if q >= 0 and n >= 0 and (q > table.r2max or n > table.nmax):
+            if q >= 0 and n >= 0 and (q > r2max or n > nmax):
                 return False
         return True
 
     recs = []
-    for Q in range(-2, table.r2max + 1):
-        for E in range(0, table.nmax + Q + 3):
+    for Q in range(-2, r2max + 1):
+        for E in range(0, nmax + Q + 3):
             if not determined(Q, E):
                 continue
             got = acc.pop((Q, E), Fraction(0))

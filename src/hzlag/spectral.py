@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .reports import CheckRecord, record
-from .recursions import VTable, consistency_form, half_binomial_series
+from .recursions import Table, consistency_form, half_binomial_series
 from .wick import connected_moments
 
 __all__ = [
@@ -128,11 +128,11 @@ def w30_planar_check(m1: int, m2: int, m3: int) -> Fraction:
     return oracle / prod
 
 
-def consistency_identity_check(table: VTable, gmax: int) -> list[CheckRecord]:
+def consistency_identity_check(table: Table, gmax: int) -> list[CheckRecord]:
     """Assert the "consistency" linear form vanishes on every a-row
     through gmax (the coefficient-wise content of the exact contour
     identity on the one-loop mean, order by order in 1/N)."""
-    if gmax > table.gmax:
+    if gmax > table.bounds[0]:
         raise ValueError("table does not reach the requested gmax")
     recs = []
     for g in range(gmax + 1):

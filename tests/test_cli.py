@@ -907,6 +907,21 @@ def test_verify_constraints_cache_round_trip(cache, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("use_cache", [True, False], ids=["cache", "no-cache"])
+@pytest.mark.parametrize("ensemble,bounds,build", [
+    ("laguerre", {"gmax": 3, "nmax": 10}, recursions.do_norbury_table),
+    ("gauss", {"gmax": 6}, recursions.gauss_hz_table),
+    ("vk", {"gmax": 4}, recursions.vk_table),
+    # rmax2 != nmax, and the header lists the bounds sorted, nmax first
+    ("glag-k1", {"rmax2": 5, "nmax": 8}, recursions.glag_k1_table),
+], ids=["laguerre", "gauss", "vk", "glag-k1"])
+def test_load_table_equals_the_builders_table(cache, ensemble, bounds, build, use_cache):
+    want = build(*bounds.values())
+    assert cli.load_table(ensemble, bounds, use_cache) == want
+    assert cli.load_table(ensemble, bounds, use_cache) == want  # a hit, when cached
+    assert any(cache.iterdir()) if use_cache else not cache.exists()
+
+
 def test_verify_detects_cache_corruption(cache, capsys):
     verify = ["verify", "--suite", "constraints"]
     assert main(verify) == 0

@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 from hzlag import recursions
 from hzlag.recursions import (
     ConstraintError,
-    GaussBTable,
-    HalfGenusTable,
     IntegralityError,
-    LagCTable,
+    Table,
     asym_first_nonzero,
     asym_moments,
     c1_closed_form,
@@ -32,6 +30,7 @@ from hzlag.recursions import (
     glag_moment_from_table,
     glag_series_coefficient,
     glag_w1_ode_check,
+    integrality_violations,
     lag_moment_from_table,
     laguerre_ode_check,
     vk_items,
@@ -80,6 +79,38 @@ def test_engine_yields_its_table_in_sorted_key_order(items, table, bounds):
         keys = [k for k, _ in items(*b)]
         assert all(a < c for a, c in zip(keys, keys[1:])), b  # strictly increasing
         assert dict(items(*b)) == table(*b).entries, b
+
+
+# -- Table reads: a missing key is 0 unless an index is above its bound ------
+
+
+_READS = [  # (builder, its bounds, method, index, the read: a value or KeyError)
+    (do_norbury_table, (8, 30), "value", (3, -1), 0),
+    (do_norbury_table, (8, 30), "value", (9, 0), KeyError),
+    (do_norbury_table, (8, 30), "value", (0, 31), KeyError),
+    (do_norbury_table, (8, 30), "value", (9, -1), KeyError),  # was 0
+    (gauss_hz_table, (8,), "value", (3, -1), 0),
+    (gauss_hz_table, (8,), "value", (3, 3), 0),  # k >= g vanishes
+    (gauss_hz_table, (8,), "value", (9, 9), KeyError),  # was 0
+    (vk_table, (6,), "row", (7,), KeyError),
+    (vk_table, (6,), "value", (-1, 0), 0),  # was KeyError
+    (glag_k1_table, (8, 12), "value", (0, -1), 0),
+    (glag_k1_table, (8, 12), "value", (-1, 0), 0),
+    (glag_k1_table, (8, 12), "value", (-1, 13), KeyError),  # was 0
+]
+
+
+@pytest.mark.parametrize("table,bounds,read,index,want", _READS, ids=[
+    f"{t.__name__}.{read}({','.join(map(str, index))})" for t, _, read, index, _ in _READS])
+def test_table_reads_outside_the_entries(table, bounds, read, index, want):
+    t = table(*bounds)
+    assert t.bounds == bounds
+    assert index not in t.entries
+    if want is KeyError:
+        with pytest.raises(KeyError):
+            getattr(t, read)(*index)
+    else:
+        assert getattr(t, read)(*index) == want
 
 
 # -- integer engines ("3-t", "recurrence", "8-t") ----------------------------
@@ -194,7 +225,8 @@ def test_dn_c1_closed_form():
 
 
 def test_dn_positive_integers(dn):
-    assert dn.integrality_violations() == []
+    # the n = 0 column is the seed (1, 0, 0, ...)
+    assert integrality_violations({k: v for k, v in dn.entries.items() if k[1] >= 1}) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,14 +237,6 @@ def test_dn_three_term_relation(g, n):
     rhs = (n + 2 * g - 2) * (n + 2 * g - 1) ** 2 * t.value(g - 1, n)
     rhs += 2 * (2 * n + 4 * g - 1) * t.value(g, n - 1)
     assert lhs == rhs
-
-
-def test_dn_index_conventions(dn):
-    assert dn.value(3, -1) == 0
-    with pytest.raises(KeyError):
-        dn.value(9, 0)
-    with pytest.raises(KeyError):
-        dn.value(0, 31)
 
 
 def test_lag_moments_match_wick(dn):
@@ -236,15 +260,17 @@ def test_laguerre_ode_check_passes(dn):
 def test_laguerre_ode_check_detects_corruption(dn):
     bad = dict(dn.entries)
     bad[(1, 2)] = Fraction(11)  # true value 10
-    recs = laguerre_ode_check(LagCTable(dn.gmax, dn.nmax, bad))
+    recs = laguerre_ode_check(Table(dn.bounds, bad))
     assert any(not r.ok for r in recs)
 
 
 def test_integrality_violations_surface():
-    t = LagCTable(1, 2, {(0, 0): Fraction(1), (0, 1): Fraction(1),
-                         (0, 2): Fraction(2), (1, 0): Fraction(0),
-                         (1, 1): Fraction(1), (1, 2): Fraction(21, 2)})
-    assert t.integrality_violations() == [(1, 2)]
+    entries = {(0, 0): Fraction(1), (0, 1): Fraction(1), (0, 2): Fraction(2),
+               (1, 0): Fraction(0), (1, 1): Fraction(0), (1, 2): Fraction(21, 2)}
+    assert integrality_violations(entries) == [(1, 0), (1, 1), (1, 2)]
+    # as the constraints suite reads a laguerre table: the seed column n = 0 is exempt
+    assert integrality_violations({k: v for k, v in entries.items() if k[1] >= 1}) == [
+        (1, 1), (1, 2)]
 
 
 # -- Gaussian table (anchor "recurrence") -------------------------------------
@@ -264,10 +290,8 @@ def test_gauss_top_entry_g6():
     assert t.value(6, 5) == 386078943500250
 
 
-def test_gauss_value_conventions(gauss):
-    assert gauss.value(3, -1) == 0
-    assert gauss.value(3, 3) == 0  # k >= g vanishes
-    assert gauss.integrality_violations() == []
+def test_gauss_positive_integers(gauss):
+    assert integrality_violations(gauss.entries) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,7 +315,7 @@ def test_gauss_gue_check_passes(gauss):
 def test_gauss_gue_check_detects_corruption(gauss):
     bad = dict(gauss.entries)
     bad[(2, 1)] = Fraction(147)
-    recs = gauss_gue_check(GaussBTable(gauss.gmax, bad), 12)
+    recs = gauss_gue_check(Table(gauss.bounds, bad), 12)
     assert any(not r.ok for r in recs)
 
 
@@ -336,8 +360,6 @@ def test_vk_row_bounds(vk):
     for g in range(7):
         ks = sorted(vk.row(g).keys())
         assert min(ks) >= -3 * g and max(ks) <= g
-    with pytest.raises(KeyError):
-        vk.row(7)
 
 
 def test_vk_consistency_form(vk):
@@ -403,11 +425,6 @@ def test_glag_series_matches_moments(glag):
             assert n * c(n) == m(n)
 
 
-def test_glag_value_conventions(glag):
-    assert glag.value(0, -1) == 0
-    assert glag.value(-1, 0) == 0
-
-
 def test_glag_w1_ode_check_passes(glag):
     recs = glag_w1_ode_check(glag)
     assert recs
@@ -419,5 +436,5 @@ def test_glag_w1_ode_check_detects_corruption(glag):
     key = (2, 1)
     assert key in bad
     bad[key] = bad[key] + 1
-    recs = glag_w1_ode_check(HalfGenusTable(glag.r2max, glag.nmax, bad))
+    recs = glag_w1_ode_check(Table(glag.bounds, bad))
     assert any(not r.ok for r in recs)
