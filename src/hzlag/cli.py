@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -192,8 +193,9 @@ class Ensemble:
 
     def items(self, *bounds):
         """The table's ``((k1, k2), value)`` items in sorted key order, as an iterator."""
-        from . import recursions
-        engine = getattr(recursions, self.engine)
+        # by its full name: ``from . import recursions`` would go through
+        # hzlag.__getattr__, which lists the package directory
+        engine = getattr(importlib.import_module(".recursions", __package__), self.engine)
         if not self.base10:
             return engine(*bounds)
         from decimal import Decimal

@@ -20,7 +20,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .reports import CheckRecord, record
@@ -82,19 +82,18 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(namedtuple("Table", "bounds entries")):
     """An exact recursion table (i, j) -> value.
 
     ``bounds`` holds the largest value of each bounded index, in index order
-    (the Gaussian and v_k tables bound only the first).  A key with no entry
-    reads as 0 when no index is above its bound, and raises KeyError when one
-    is: the entries are made through the bounds, so a missing key inside them
-    lies outside the relation's support.
+    (the Gaussian and v_k tables bound only the first); ``entries`` is the
+    dict of values.  A key with no entry reads as 0 when no index is above
+    its bound, and raises KeyError when one is: the entries are made through
+    the bounds, so a missing key inside them lies outside the relation's
+    support.
     """
 
-    bounds: tuple[int, ...]
-    entries: dict
+    __slots__ = ()
 
     def value(self, i: int, j: int):
         try:

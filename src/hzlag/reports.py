@@ -2,24 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 __all__ = ["CheckRecord", "RunReport", "record"]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(namedtuple("CheckRecord", "id anchor status detail", defaults=("",))):
     """Outcome of a single verification check.
 
     ``anchor`` is the short tag of the identity / recursion being checked
-    (e.g. "feat-1", "3-t"); ``detail`` carries the residual or diff when the
-    check fails, as a string.
+    (e.g. "feat-1", "3-t"); ``status`` is "pass" or "fail"; ``detail``
+    carries the residual or diff when the check fails, as a string.
     """
 
-    id: str
-    anchor: str
-    status: str  # "pass" | "fail"
-    detail: str = ""
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -30,7 +26,6 @@ def record(check_id: str, anchor: str, ok: bool, detail: str = "") -> CheckRecor
     return CheckRecord(check_id, anchor, "pass" if ok else "fail", detail if not ok else "")
 
 
-@dataclass
 class RunReport:
     """A suite's worth of check records; byte-reproducible serialization.
 
@@ -38,9 +33,13 @@ class RunReport:
     produce identical bytes.
     """
 
-    suite: str
-    checks: list[CheckRecord] = field(default_factory=list)
-    tool_version: str = ""
+    __slots__ = ("suite", "checks", "tool_version")
+
+    def __init__(self, suite: str, checks: list[CheckRecord] | None = None,
+                 tool_version: str = ""):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+        self.tool_version = tool_version
 
     @property
     def passed(self) -> bool:

@@ -19,7 +19,7 @@ series, divided by N^(m1+m2) once per entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -126,14 +126,12 @@ def exp_mean_moments(N: int, mmax: int) -> list[Fraction]:
     return [math.factorial(m) * s[m + 1] / Fraction(N) ** m for m in range(mmax + 1)]
 
 
-@dataclass(frozen=True)
-class TwoPointValue:
+class TwoPointValue(namedtuple("TwoPointValue", "N total_order value")):
     """Connected <tr e^{u1 H} tr e^{u2 H}> as a bivariate series, truncated
-    at the given total order in (u1, u2)."""
+    at the given total order in (u1, u2); ``value`` maps (m1, m2) to the
+    nonzero coefficient of u1^m1 u2^m2."""
 
-    N: int
-    total_order: int
-    value: dict  # (m1, m2) -> nonzero coefficient of u1^m1 u2^m2
+    __slots__ = ()
 
     def coefficient(self, m1: int, m2: int) -> Fraction:
         if m1 + m2 > self.total_order:

@@ -125,7 +125,7 @@ def w30_planar_check(m1: int, m2: int, m3: int) -> Fraction:
     if prod == 0:
         raise ZeroDivisionError("product coefficient vanishes")
     oracle = connected_moments((m1, m2, m3)).coefficient(-1)
-    return oracle / prod
+    return Fraction(oracle, prod)
 
 
 def consistency_identity_check(table: Table, gmax: int) -> list[CheckRecord]:

@@ -2,14 +2,18 @@
 
 Multi-trace moments of complex rectangular Gaussian matrices (H = B B†, the
 Laguerre/Wishart family) are summed over all m! contraction bijections; GUE
-moments over all (m-1)!! pairings.  Loop counting is pure permutation cycle
-traversal, so these oracles are independent of every piece of algebra they
-are used to check.
+moments over all (m-1)!! pairings.  Every pairing and bijection is visited,
+in place, by a depth-first walk that sets one contraction at a time; each
+contraction links the loop permutation as chains (``_Chains``), a link that
+returns to the start of its own chain closes a loop, and backtracking undoes
+it, so each step counts loops in O(1).  The loop histogram of a pattern and
+each Wishart moment are memoized.  No step uses the recursions, residues or
+spectral curves, so these oracles are independent of every piece of algebra
+they are used to check.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -41,21 +45,30 @@ class GradingError(ValueError):
     """A moment exponent falls off the genus grading N^(2-2g-s)."""
 
 
+def _exact(c) -> int | Fraction:
+    """``c`` as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class MomentPoly:
-    """Laurent polynomial in the dimension symbol N with exact coefficients."""
+    """Laurent polynomial in the dimension symbol N with exact coefficients:
+    an int where the coefficient is integral, a Fraction elsewhere."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {e: Fraction(c) for e, c in (terms or {}).items() if c != 0}
+        self.terms = {e: _exact(c) for e, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def const(cls, c) -> "MomentPoly":
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def symbol(cls) -> "MomentPoly":
-        return cls({1: Fraction(1)})
+        return cls({1: 1})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -64,7 +77,7 @@ class MomentPoly:
             return NotImplemented
         t = dict(self.terms)
         for e, c in other.terms.items():
-            t[e] = t.get(e, Fraction(0)) + c
+            t[e] = t.get(e, 0) + c
         return MomentPoly(t)
 
     __radd__ = __add__
@@ -85,7 +98,7 @@ class MomentPoly:
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                t[e1 + e2] = t.get(e1 + e2, Fraction(0)) + c1 * c2
+                t[e1 + e2] = t.get(e1 + e2, 0) + c1 * c2
         return MomentPoly(t)
 
     __rmul__ = __mul__
@@ -100,8 +113,8 @@ class MomentPoly:
         """Multiply by N**d."""
         return MomentPoly({e + d: c for e, c in self.terms.items()})
 
-    def coefficient(self, e: int) -> Fraction:
-        return self.terms.get(e, Fraction(0))
+    def coefficient(self, e: int) -> int | Fraction:
+        return self.terms.get(e, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -149,7 +162,7 @@ class MomentPoly:
                 exp = int(tail.lstrip("^").replace("m", "-")) if tail else 1
             else:
                 coef, exp = piece, 0
-            terms[exp] = terms.get(exp, Fraction(0)) + sign * Fraction(coef)
+            terms[exp] = terms.get(exp, 0) + sign * Fraction(coef)
         return cls(terms)
 
     def __repr__(self):
@@ -169,7 +182,7 @@ def parse_dimension(spec: Dimension) -> MomentPoly:
     if not m:
         raise ValueError(f"cannot parse dimension spec {spec!r}")
     k = int(m.group(2) or 0) * (-1 if m.group(1) == "-" else 1)
-    return MomentPoly({1: Fraction(1), 0: Fraction(k)}) if k else MomentPoly.symbol()
+    return MomentPoly({1: 1, 0: k}) if k else MomentPoly.symbol()
 
 
 def _trace_successor(pattern: Sequence[int]) -> list[int]:
@@ -182,17 +195,42 @@ def _trace_successor(pattern: Sequence[int]) -> list[int]:
     return succ
 
 
-def _cycle_count(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    n = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            n += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return n
+class _Chains:
+    """A permutation of 0..m-1 built one link at a time, counting its cycles.
+
+    The links set so far split 0..m-1 into chains x -> phi(x) -> ...; for a
+    chain from s to e, ``head[e] = s`` and ``tail[s] = e`` (entries of
+    elements inside a chain are stale).  Setting phi(u) = v joins the chain
+    ending at u to the chain starting at v, or closes one loop when v starts
+    u's own chain.  Both are O(1), and ``unlink`` undoes the last link.
+    """
+
+    __slots__ = ("head", "tail", "undo")
+
+    def __init__(self, m: int):
+        self.head = list(range(m))
+        self.tail = list(range(m))
+        self.undo: list = []
+
+    def link(self, u: int, v: int) -> int:
+        """Set phi(u) = v, for u with no image and v with no preimage yet;
+        return the number of loops this closes (0 or 1)."""
+        s = self.head[u]
+        if s == v:
+            self.undo.append(None)
+            return 1
+        e = self.tail[v]
+        self.tail[s] = e
+        self.head[e] = s
+        self.undo.append((s, u, e, v))
+        return 0
+
+    def unlink(self) -> None:
+        joined = self.undo.pop()
+        if joined is not None:
+            s, u, e, v = joined
+            self.tail[s] = u
+            self.head[e] = v
 
 
 @lru_cache(maxsize=None)
@@ -201,15 +239,27 @@ def _wishart_loop_counts(pattern: tuple[int, ...]) -> tuple[tuple[int, int, int]
 
     Row loops are cycles of gamma∘sigma, column loops cycles of sigma, where
     gamma is the product of trace cycles and sigma the pairing bijection.
+    sigma is built position by position from the values still free.
     """
     m = sum(pattern)
     gamma = _trace_successor(pattern)
+    row, col = _Chains(m), _Chains(m)
+    free = list(range(m))  # free[t:] are the values sigma(0..t-1) has not taken
     hist: dict[tuple[int, int], int] = {}
-    for sigma in itertools.permutations(range(m)):
-        rows = _cycle_count([gamma[sigma[t]] for t in range(m)])
-        cols = _cycle_count(sigma)
-        key = (rows, cols)
-        hist[key] = hist.get(key, 0) + 1
+
+    def place(t: int, rows: int, cols: int) -> None:
+        if t == m:
+            hist[rows, cols] = hist.get((rows, cols), 0) + 1
+            return
+        for i in range(t, m):
+            v = free[i]
+            free[i], free[t] = free[t], v
+            place(t + 1, rows + row.link(t, gamma[v]), cols + col.link(t, v))
+            row.unlink()
+            col.unlink()
+            free[t], free[i] = free[i], v
+
+    place(0, 0, 0)
     return tuple((r, c, n) for (r, c), n in sorted(hist.items()))
 
 
@@ -219,19 +269,30 @@ def complex_wishart_moment(
     """Exact <prod_i tr (B B†)^{m_i}> for complex Gaussian B of shape rows x cols.
 
     Every entry has second moment 1/N; each of the m! Wick bijections
-    contributes N^-m * rows^(#row loops) * cols^(#column loops).
+    contributes N^-m * rows^(#row loops) * cols^(#column loops).  The result
+    is shared between calls with the same sorted pattern and dimensions,
+    so it must not be changed.
     """
-    pattern = tuple(int(p) for p in pattern)
+    pattern = tuple(sorted(int(p) for p in pattern))
     if any(p < 1 for p in pattern):
         raise ValueError("trace exponents must be positive")
     m = sum(pattern)
     if m > WISHART_DEGREE_LIMIT:
         raise DegreeLimitError(f"total degree {m} exceeds limit {WISHART_DEGREE_LIMIT}")
+    return _wishart_moment(pattern, rows, cols)
+
+
+# typed: an int ``rows`` is a numeric dimension, so 3 and MomentPoly.const(3),
+# which compare equal, must not share an entry; 128 entries hold every key a
+# verify run uses (20 at the defaults) and bound what a dimension sweep keeps
+@lru_cache(maxsize=128, typed=True)
+def _wishart_moment(pattern: tuple[int, ...], rows: Dimension, cols: Dimension) -> MomentPoly:
     r_poly = parse_dimension(rows)
     c_poly = parse_dimension(cols)
     total = MomentPoly()
-    for r, c, count in _wishart_loop_counts(tuple(sorted(pattern))):
+    for r, c, count in _wishart_loop_counts(pattern):
         total = total + (r_poly**r) * (c_poly**c) * count
+    m = sum(pattern)
     if isinstance(rows, int):
         # numeric dimensions: the weight parameter N equals the row count
         return total * Fraction(1, rows**m)
@@ -279,30 +340,38 @@ def gue_moment(m: int) -> MomentPoly:
     if m == 0:
         return MomentPoly.symbol()
     gamma = _trace_successor((m,))
-    alpha = [0] * m  # the matching being built, as an involution
+    faces = _Chains(m)  # gamma∘alpha, alpha the matching being built
+    head = faces.head
+    free = list(range(m))  # free[k:] are the points not matched yet
     counts = [0] * (m // 2 + 2)  # loops -> number of matchings
 
-    def match(free: list[int]) -> None:
-        if not free:
-            counts[_cycle_count([gamma[b] for b in alpha])] += 1
+    def match(k: int, loops: int) -> None:
+        a = free[k]
+        if k == m - 2:
+            # two open chains are left, ending at a and at b and starting at
+            # gamma(a) and gamma(b): the pair (a, b) closes both when a's
+            # starts at gamma(b), else it joins them into one loop
+            counts[loops + (2 if head[a] == gamma[free[k + 1]] else 1)] += 1
             return
-        a = free[0]
-        for i in range(1, len(free)):
+        for i in range(k + 1, m):
             b = free[i]
-            alpha[a], alpha[b] = b, a
-            match(free[1:i] + free[i + 1:])
+            free[i], free[k + 1] = free[k + 1], b
+            match(k + 2, loops + faces.link(a, gamma[b]) + faces.link(b, gamma[a]))
+            faces.unlink()
+            faces.unlink()
+            free[k + 1], free[i] = free[i], b
 
-    match(list(range(m)))
+    match(0, 0)
     return MomentPoly({loops - m // 2: c for loops, c in enumerate(counts)})
 
 
-def genus_extract(p: MomentPoly, s: int) -> dict[int, Fraction]:
+def genus_extract(p: MomentPoly, s: int) -> dict[int, int | Fraction]:
     """Read off the genus expansion: g -> coefficient of N^(2-2g-s).
 
     Raises GradingError if any exponent sits off the grading (which would
     signal a normalization bug upstream).
     """
-    out: dict[int, Fraction] = {}
+    out: dict[int, int | Fraction] = {}
     for e, c in p.terms.items():
         num = 2 - s - e
         if num % 2 or num < 0:

@@ -77,24 +77,30 @@ def _child_env(cache_dir) -> dict:
     return {"PATH": "", "PYTHONPATH": str(src_root), "HZLAG_CACHE_DIR": str(cache_dir)}
 
 
+# modules outside hzlag that the probe reports: decimal, which only the
+# Decimal engines need, and three that no process should load (dataclasses
+# also loads inspect, ast, dis and tokenize; pkgutil is what a lookup through
+# hzlag.__getattr__ loads)
+_REPORTED = ("decimal", "dataclasses", "inspect", "pkgutil")
+
 # runs cli.main(ARGV) and writes, as the last line of stderr, the hzlag
-# submodules the process loaded, and decimal if it loaded that
-_LOADED = """
+# submodules the process loaded and those of _REPORTED that it loaded
+_LOADED = f"""
 import sys
 import hzlag.cli
 try:
     rc = hzlag.cli.main(sys.argv[1:])
 except SystemExit as e:
     rc = e.code
-print(*sorted(m for m in sys.modules if m.startswith("hzlag.") or m == "decimal"),
+print(*sorted(m for m in sys.modules if m.startswith("hzlag.") or m in {_REPORTED!r}),
       file=sys.stderr)
 sys.exit(rc)
 """
 
 
 def loaded_modules(args, cache_dir) -> set:
-    """The hzlag submodules, and decimal if it is one of them, that a fresh
-    process loads to run ``hzlag ARGS``."""
+    """The hzlag submodules, and the modules of _REPORTED among them, that
+    a fresh process loads to run ``hzlag ARGS``."""
     r = subprocess.run([sys.executable, "-c", _LOADED, *args],
                        capture_output=True, env=_child_env(cache_dir))
     assert r.returncode == 0, r.stderr
@@ -1113,12 +1119,16 @@ def test_console_script_entry_point(cache):
 
 def test_processes_import_only_what_they_run(cache):
     # a warm gen and --version load no engine and not decimal: only the cli
-    # module itself; a cold gen of a Decimal engine loads decimal
+    # module itself; a cold gen of a Decimal engine loads decimal; no process
+    # loads dataclasses, inspect or pkgutil
+    never = {"dataclasses", "inspect", "pkgutil"}
     assert loaded_modules(["--version"], cache) == {"hzlag.cli"}
     for job in (["gen", "vk", "--gmax", "2"], ["gen", *LAGUERRE_5_20]):
         cold = loaded_modules(job, cache)
         assert "hzlag.recursions" in cold
-        assert not cold & {"hzlag.exact", "hzlag.residues", "hzlag.spectral"}, cold
+        assert not cold & {"hzlag.exact", "hzlag.residues", "hzlag.spectral", *never}, cold
         for fmt in ("json", "csv"):
             assert loaded_modules([*job, "--format", fmt], cache) == {"hzlag.cli"}, (job, fmt)
     assert "decimal" in cold
+    checks = loaded_modules(["verify", "--suite", "constraints"], cache)
+    assert "hzlag.recursions" in checks and not checks & never, checks

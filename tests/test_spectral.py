@@ -86,11 +86,14 @@ def test_w11_check_input_validation():
 
 
 def test_w30_ratio_is_constant():
-    # the normalization of w30_planar_check: the ratio is exactly 2
+    # the normalization of w30_planar_check: the ratio is exactly 2, as a
+    # Fraction (an int oracle coefficient over an int product must not
+    # become a float)
     triples = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (3, 3, 1),
                (4, 2, 1), (5, 1, 1)]
     for t in triples:
-        assert w30_planar_check(*t) == 2, t
+        ratio = w30_planar_check(*t)
+        assert ratio == 2 and type(ratio) is Fraction, (t, ratio)
 
 
 def test_w30_input_validation():

@@ -1,5 +1,6 @@
 """Tests for the brute-force pairing/bijection oracles."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hzlag.wick import (
     gue_moment,
     parse_dimension,
 )
+from hzlag.wick import _trace_successor, _wishart_loop_counts, _wishart_moment
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -50,12 +52,89 @@ def test_moment_poly_evaluation_homomorphism(p, n):
     assert q(n) == p(n) * p(n) - p(n)
 
 
+def test_coefficients_are_int_unless_fractional():
+    p = MomentPoly({2: Fraction(4, 2), 1: Fraction(1, 3), 0: 5})
+    assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+    assert p.coefficient(-7) == 0 and type(p.coefficient(-7)) is int
+    assert all(type(c) is int for c in (gue_moment(8) * MomentPoly.parse("N - 3")).terms.values())
+    assert all(type(c) is int for c in MomentPoly.parse("14*N + 10*N^-1").terms.values())
+    assert complex_wishart_moment((3,), 3, 3) == MomentPoly.const(Fraction(46, 3))
+    q = MomentPoly.parse("1/2*N + 1/2*N")
+    assert q == MomentPoly.symbol() and type(q.coefficient(1)) is int
+    assert hash(q) == hash(MomentPoly({1: Fraction(1)}))
+
+
 def test_parse_dimension():
     assert parse_dimension("N")(3) == 3
     assert parse_dimension("N+1")(3) == 4
     assert parse_dimension(5)(3) == 5
     with pytest.raises(ValueError):
         parse_dimension("M+1")
+
+
+# -- reference enumerators: plain cycle traversal ---------------------------
+
+
+def cycle_count(perm) -> int:
+    seen = [False] * len(perm)
+    n = 0
+    for i in range(len(perm)):
+        if not seen[i]:
+            n += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return n
+
+
+def reference_wishart_counts(pattern) -> tuple:
+    """(row loops, column loops, count) over every bijection sigma, by
+    counting the cycles of gamma∘sigma and of sigma afresh for each one."""
+    gamma = _trace_successor(pattern)
+    hist = {}
+    for sigma in itertools.permutations(range(sum(pattern))):
+        key = (cycle_count([gamma[s] for s in sigma]), cycle_count(sigma))
+        hist[key] = hist.get(key, 0) + 1
+    return tuple((r, c, n) for (r, c), n in sorted(hist.items()))
+
+
+def reference_gue_moment(m: int) -> MomentPoly:
+    """sum over every pairing alpha of N^(cycles of gamma∘alpha - m/2)."""
+    gamma = _trace_successor((m,))
+    hist = {}
+
+    def match(free, alpha):
+        if not free:
+            loops = cycle_count([gamma[alpha[a]] for a in range(m)])
+            hist[loops - m // 2] = hist.get(loops - m // 2, 0) + 1
+            return
+        for b in free[1:]:
+            match([x for x in free[1:] if x != b], {**alpha, free[0]: b, b: free[0]})
+
+    match(list(range(m)), {})
+    return MomentPoly(hist)
+
+
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first, *rest)
+
+
+@pytest.mark.parametrize("pattern", [tuple(sorted(p)) for d in range(1, 7) for p in partitions(d)],
+                         ids=str)
+def test_wishart_loop_counts_match_cycle_traversal(pattern):
+    assert _wishart_loop_counts(pattern) == reference_wishart_counts(pattern)
+
+
+@pytest.mark.parametrize("m", range(2, 13, 2))
+def test_gue_moment_matches_cycle_traversal(m):
+    assert gue_moment(m) == reference_gue_moment(m)
 
 
 # -- GUE pairing oracle ------------------------------------------------------
@@ -82,6 +161,10 @@ def test_gue_moment_total_count():
     # at N = 1 every pairing contributes 1: (2m-1)!!
     for m in range(1, 8):
         assert gue_moment(2 * m)(1) == math.prod(range(1, 2 * m, 2))
+
+
+def test_gue_moment_14():
+    assert gue_moment(14) == MomentPoly.parse("429*N + 12012*N^-1 + 66066*N^-3 + 56628*N^-5")
 
 
 def test_gue_degree_limit():
@@ -130,6 +213,34 @@ def test_wishart_numeric_rows_match_symbolic():
         sym = complex_wishart_moment((m,), "N", "N")
         for n in (1, 2, 3):
             assert complex_wishart_moment((m,), n, n) == MomentPoly.const(sym(n))
+
+
+def test_wishart_memo():
+    assert complex_wishart_moment((2, 1)) == complex_wishart_moment((1, 2))
+    assert complex_wishart_moment([1, 2]) is complex_wishart_moment((2, 1))
+    # an int dimension is numeric (N = rows); a constant polynomial is a
+    # symbolic dimension that does not scale with N, and the two compare
+    # equal, so they must not share a memo entry, whichever comes first (their
+    # hashes differ, so only a typed memo keeps that when they collide)
+    assert _wishart_moment.cache_parameters()["typed"]
+    three = MomentPoly.const(3)
+    for first in (3, three):
+        _wishart_moment.cache_clear()
+        complex_wishart_moment((2, 1), first, first)
+        assert complex_wishart_moment((2, 1), 3, 3) == MomentPoly.const(22)
+        assert complex_wishart_moment((2, 1), three, three) == MomentPoly.parse("594*N^-3")
+        assert complex_wishart_moment((3,), 3, 3) == MomentPoly.const(Fraction(46, 3))
+        assert complex_wishart_moment((3,), three, three) == MomentPoly.parse("414*N^-3")
+
+
+def test_wishart_memo_result_is_not_changed_by_later_calls():
+    p = complex_wishart_moment((2, 1), "N", "N+1")
+    before = str(p), dict(p.terms)
+    p * p + p - 3
+    connected_moments((2, 1), "N", "N+1")
+    complex_wishart_moment((1, 2), "N", "N+1").shift_exponent(2)
+    assert (str(p), p.terms) == before
+    assert complex_wishart_moment((2, 1), "N", "N+1") == MomentPoly.parse(before[0])
 
 
 # -- connected moments --------------------------------------------------------
