@@ -3,9 +3,9 @@ and Gaussian random-matrix ensembles.
 
 Three independent computation routes — contour-integral residues, computed
 in closed form as integer Laurent polynomials in w = u - 1, genus-graded
-recursions, and brute-force Wick pairing enumeration — compute the same
-quantities and are checked against each other with exact equality
-throughout.
+recursions, and Wick contractions counted by Tutte's loop equations —
+compute the same quantities and are checked against each other with exact
+equality throughout.
 
 Importing the package loads none of its submodules.  ``hzlag.<name>``
 resolves, on use, to the submodule of that name or to the object a

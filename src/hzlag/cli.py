@@ -609,7 +609,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .wick import WISHART_DEGREE_LIMIT, complex_wishart_moment, connected_moments, parse_dimension
+    from .wick import DegreeLimitError, complex_wishart_moment, connected_moments, parse_dimension
 
     try:
         pattern = tuple(int(p) for p in args.mu.split(","))
@@ -617,16 +617,17 @@ def cmd_oracle(args) -> int:
         raise UsageError(f"bad --mu {args.mu!r}") from e
     if min(pattern) < 1:
         raise UsageError(f"--mu entries must be positive, got {args.mu!r}")
-    if sum(pattern) > WISHART_DEGREE_LIMIT:
-        raise UsageError(
-            f"--mu total degree {sum(pattern)} exceeds limit {WISHART_DEGREE_LIMIT}")
     for flag, spec in (("rows", args.rows), ("cols", args.cols)):
         try:
             parse_dimension(spec)
         except ValueError as e:
             raise UsageError(f"bad --{flag} {spec!r} (expected N, N+k or N-k)") from e
     fn = connected_moments if args.connected else complex_wishart_moment
-    print(fn(pattern, args.rows, args.cols))
+    try:
+        moment = fn(pattern, args.rows, args.cols)
+    except DegreeLimitError as e:
+        raise UsageError(f"--mu {e}") from e
+    print(moment)
     return 0
 
 
@@ -739,7 +740,7 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--no-cache", action="store_true")
     g.set_defaults(fn=cmd_gen)
 
-    o = sub.add_parser("oracle", help="brute-force Wick moment")
+    o = sub.add_parser("oracle", help="exact Wick moment by loop equations")
     o.add_argument("--mu", required=True, help="comma-separated trace exponents")
     o.add_argument("--rows", default="N")
     o.add_argument("--cols", default="N")

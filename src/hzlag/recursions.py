@@ -209,15 +209,17 @@ def consistency_form(row: dict) -> Fraction | int:
     return 105 * row.get(3, 0) - 120 * row.get(2, 0) + 18 * row.get(1, 0) - 3 * row.get(-1, 0)
 
 
-def asym_moments(row: dict, rmax: int) -> list:
+def asym_moments(row: dict, rmax: int) -> list[Fraction]:
     """The moments sum_k k^r a_k of one a-row ("asym-r") for r = 0..rmax,
-    multiplying each coefficient by its k once per step."""
-    vs = list(row.values())
+    multiplying each coefficient by its k once per step, over int on
+    den * row, den the least common denominator."""
+    den = math.lcm(*(v.denominator for v in row.values()))
+    vs = [v.numerator * (den // v.denominator) for v in row.values()]
     moments = [sum(vs)]
     for _ in range(rmax):
         vs = [k * v for k, v in zip(row, vs)]
         moments.append(sum(vs))
-    return moments
+    return [Fraction(s, den) for s in moments]
 
 
 def asym_first_nonzero(row: dict, rmax: int) -> int | None:

@@ -15,6 +15,7 @@ multiply series.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .reports import CheckRecord, record
@@ -69,15 +70,19 @@ def a_to_C(row: dict[int, Fraction], g: int, order: int) -> list[Fraction]:
     coefficient of x^(-1-2g-n).
     """
     top = 1 + 2 * g + order
-    total = [Fraction(1, 2) if g == 0 else Fraction(0)] + [Fraction(0)] * top
+    # work over int on den * row, den the least common denominator
+    den = math.lcm(2 if g == 0 else 1, *(a.denominator for a in row.values()))
+    total = [den // 2 if g == 0 else 0] + [0] * top
     for k, a in sorted(row.items()):
         if a:
-            for m, c in enumerate(half_binomial_series(2 * k + 1, top)):
-                total[m] += a * c
+            scaled = a.numerator * (den // a.denominator)
+            vk = half_binomial_series(2 * k + 1, top)
+            total = [t + scaled * c for t, c in zip(total, vk)]
     for j in range(2 * g + 1):
         if total[j] != 0:
-            raise NonCancellationError(f"coefficient of x^-{j} is {total[j]}, expected 0")
-    return total[1 + 2 * g:]
+            raise NonCancellationError(
+                f"coefficient of x^-{j} is {Fraction(total[j], den)}, expected 0")
+    return [Fraction(t, den) for t in total[1 + 2 * g:]]
 
 
 def _s_pair_sum(k: int, order: int) -> list[int]:

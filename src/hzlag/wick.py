@@ -1,15 +1,19 @@
-"""Brute-force moment oracles via Wick pairing enumeration.
+"""Exact Gaussian moment oracles by Tutte's loop equations.
 
 Multi-trace moments of complex rectangular Gaussian matrices (H = B B†, the
-Laguerre/Wishart family) are summed over all m! contraction bijections; GUE
-moments over all (m-1)!! pairings.  Every pairing and bijection is visited,
-in place, by a depth-first walk that sets one contraction at a time; each
-contraction links the loop permutation as chains (``_Chains``), a link that
-returns to the start of its own chain closes a loop, and backtracking undoes
-it, so each step counts loops in O(1).  The loop histogram of a pattern and
-each Wishart moment are memoized.  No step uses the recursions, residues or
-spectral curves, so these oracles are independent of every piece of algebra
-they are used to check.
+Laguerre/Wishart family) and GUE moments are sums over Wick contractions,
+each weighted by the loops of matrix indices it closes.  The histogram of
+loop counts over all contractions of a trace pattern comes from contracting
+one matrix of its largest trace with every partner (Tutte 1962, "A census
+of planar maps"; Eynard, *Counting Surfaces*, ch. 3): a partner in the same
+trace splits it in two, a partner in another trace merges the two, and a
+trace of length 0 is a closed loop.  Each histogram is memoized on the
+sorted pattern, so a query costs one step per smaller pattern instead of
+one per contraction, and each Wishart moment is memoized too.  No step uses
+the recursions, residues or spectral curves, so these oracles are
+independent of every piece of algebra they are used to check;
+tests/test_wick.py pins them to plain enumerations of every bijection and
+pairing.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ __all__ = [
     "MomentPoly",
     "WISHART_DEGREE_LIMIT",
     "GUE_DEGREE_LIMIT",
+    "CONNECTED_TRACE_LIMIT",
     "complex_wishart_moment",
     "connected_moments",
     "gue_moment",
@@ -33,12 +38,19 @@ __all__ = [
     "parse_dimension",
 ]
 
-WISHART_DEGREE_LIMIT = 7
-GUE_DEGREE_LIMIT = 16
+# Each limit is set so that its slowest query takes about 1 s or less in a
+# fresh process (whole process, median of 5; 2-vCPU VM, Python 3.11.7):
+# `hzlag oracle --mu 1,1,2,3,8,9`, the degree-24 pattern that reaches the
+# most smaller patterns, 0.99 s, and --mu 24 0.80 s; gue_moment(44) 0.86 s
+# (48: 2.1 s).  connected_moments sums over the Bell(#traces) partitions of
+# its traces: --mu 1,1,2,3,4,6,7 --connected --cols N+1 took 0.93 s.
+WISHART_DEGREE_LIMIT = 24
+GUE_DEGREE_LIMIT = 44
+CONNECTED_TRACE_LIMIT = 7
 
 
 class DegreeLimitError(ValueError):
-    """Total trace degree exceeds the enumeration limit."""
+    """A moment query is over its degree or trace-count limit."""
 
 
 class GradingError(ValueError):
@@ -126,6 +138,9 @@ class MomentPoly:
         return isinstance(other, MomentPoly) and self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes like the number it equals (the zero polynomial like 0)
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __call__(self, n_value) -> Fraction:
@@ -185,82 +200,63 @@ def parse_dimension(spec: Dimension) -> MomentPoly:
     return MomentPoly({1: 1, 0: k}) if k else MomentPoly.symbol()
 
 
-def _trace_successor(pattern: Sequence[int]) -> list[int]:
-    """Cyclic successor within each trace block, positions 0..m-1 laid out contiguously."""
-    succ = []
-    start = 0
-    for length in pattern:
-        succ.extend(list(range(start + 1, start + length)) + [start])
-        start += length
-    return succ
-
-
-class _Chains:
-    """A permutation of 0..m-1 built one link at a time, counting its cycles.
-
-    The links set so far split 0..m-1 into chains x -> phi(x) -> ...; for a
-    chain from s to e, ``head[e] = s`` and ``tail[s] = e`` (entries of
-    elements inside a chain are stale).  Setting phi(u) = v joins the chain
-    ending at u to the chain starting at v, or closes one loop when v starts
-    u's own chain.  Both are O(1), and ``unlink`` undoes the last link.
-    """
-
-    __slots__ = ("head", "tail", "undo")
-
-    def __init__(self, m: int):
-        self.head = list(range(m))
-        self.tail = list(range(m))
-        self.undo: list = []
-
-    def link(self, u: int, v: int) -> int:
-        """Set phi(u) = v, for u with no image and v with no preimage yet;
-        return the number of loops this closes (0 or 1)."""
-        s = self.head[u]
-        if s == v:
-            self.undo.append(None)
-            return 1
-        e = self.tail[v]
-        self.tail[s] = e
-        self.head[e] = s
-        self.undo.append((s, u, e, v))
-        return 0
-
-    def unlink(self) -> None:
-        joined = self.undo.pop()
-        if joined is not None:
-            s, u, e, v = joined
-            self.tail[s] = u
-            self.head[e] = v
+def _pattern(rest: list[int], *parts: int) -> tuple[int, ...]:
+    """The sorted trace pattern of ``rest`` and the nonzero ``parts``."""
+    return tuple(sorted(rest + [p for p in parts if p]))
 
 
 @lru_cache(maxsize=None)
-def _wishart_loop_counts(pattern: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """Histogram of (row-loops, column-loops) over all m! contraction bijections.
+def _loop_counts(pattern: tuple[int, ...], d: int) -> tuple[tuple[int, int, int], ...]:
+    """Histogram of (row loops, column loops) over all Wick contractions of
+    a sorted pattern of positive trace lengths: d = 1 for the Wishart traces
+    t(a) = tr (B B†)^a, d = 2 for the GUE traces tr H^a, whose loops are all
+    counted as rows.
 
-    Row loops are cycles of gamma∘sigma, column loops cycles of sigma, where
-    gamma is the product of trace cycles and sigma the pairing bijection.
-    sigma is built position by position from the values still free.
+    Contracting the first matrix of the largest trace t(a) with each partner
+    gives Tutte's loop equation, with t_N(0) = N a row loop:
+      d = 1:  <t(a) P> = sum_{l=1..a} <t_M(l-1) t_N(a-l) P>
+                         + sum_i b_i <t(a+b_i-1) P / t(b_i)>,
+              and t_M(0) = M a column loop;
+      d = 2:  <t(a) P> = sum_{j=0..a-2} <t(j) t(a-2-j) P>
+                         + sum_i b_i <t(a+b_i-2) P / t(b_i)>.
+    A split leaves the same pattern as its mirror image, so the splits into
+    two nonempty traces are taken in pairs.
     """
-    m = sum(pattern)
-    gamma = _trace_successor(pattern)
-    row, col = _Chains(m), _Chains(m)
-    free = list(range(m))  # free[t:] are the values sigma(0..t-1) has not taken
+    if not pattern:
+        return ((0, 0, 1),)
+    *rest, a = pattern
     hist: dict[tuple[int, int], int] = {}
 
-    def place(t: int, rows: int, cols: int) -> None:
-        if t == m:
-            hist[rows, cols] = hist.get((rows, cols), 0) + 1
-            return
-        for i in range(t, m):
-            v = free[i]
-            free[i], free[t] = free[t], v
-            place(t + 1, rows + row.link(t, gamma[v]), cols + col.link(t, v))
-            row.unlink()
-            col.unlink()
-            free[t], free[i] = free[i], v
+    def add(sub: tuple[int, ...], rows: int, cols: int, mult: int) -> None:
+        for r, c, n in _loop_counts(sub, d):
+            key = (r + rows, c + cols)
+            hist[key] = hist.get(key, 0) + mult * n
 
-    place(0, 0, 0)
+    # a split leaves a left piece t_M(x) or t(x) and a right piece t_N(y) or
+    # t(y), x + y = a - d; an empty right piece closes a row loop, an empty
+    # left one a column loop (d = 1) or a row loop (d = 2)
+    left_rows, left_cols = (0, 1) if d == 1 else (1, 0)
+    if a == d:  # both pieces empty
+        add(tuple(rest), 1 + left_rows, left_cols, 1)
+    elif a > d:  # one piece empty
+        sub = _pattern(rest, a - d)
+        add(sub, 1, 0, 1)
+        add(sub, left_rows, left_cols, 1)
+    for x in range(1, (a - d) // 2 + 1):  # two nonempty pieces, x and its mirror
+        add(_pattern(rest, x, a - d - x), 0, 0, 1 if 2 * x == a - d else 2)
+    for i, b in enumerate(rest):
+        if i == 0 or rest[i - 1] != b:  # the b * #{j: b_j = b} partners in traces of length b
+            add(_pattern(rest[:i] + rest[i + 1:], a + b - d), int(a + b == d), 0,
+                b * rest.count(b))
     return tuple((r, c, n) for (r, c), n in sorted(hist.items()))
+
+
+def _wishart_loop_counts(pattern: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """((row loops, column loops, count), ...) over all m! contraction
+    bijections sigma of the sorted pattern: the row loops are the cycles of
+    gamma∘sigma, gamma the product of the trace cycles, and the column loops
+    the cycles of sigma."""
+    return _loop_counts(pattern, 1)
 
 
 def complex_wishart_moment(
@@ -282,17 +278,26 @@ def complex_wishart_moment(
     return _wishart_moment(pattern, rows, cols)
 
 
+def _powers(spec: Dimension, n: int) -> list[MomentPoly]:
+    """[d^0, .., d^n] for the polynomial d of a dimension spec."""
+    d = parse_dimension(spec)
+    out = [MomentPoly.const(1)]
+    for _ in range(n):
+        out.append(out[-1] * d)
+    return out
+
+
 # typed: an int ``rows`` is a numeric dimension, so 3 and MomentPoly.const(3),
 # which compare equal, must not share an entry; 128 entries hold every key a
 # verify run uses (20 at the defaults) and bound what a dimension sweep keeps
 @lru_cache(maxsize=128, typed=True)
 def _wishart_moment(pattern: tuple[int, ...], rows: Dimension, cols: Dimension) -> MomentPoly:
-    r_poly = parse_dimension(rows)
-    c_poly = parse_dimension(cols)
+    m = sum(pattern)
+    # row and column loops are cycles of permutations of m points
+    r_pow, c_pow = _powers(rows, m), _powers(cols, m)
     total = MomentPoly()
     for r, c, count in _wishart_loop_counts(pattern):
-        total = total + (r_poly**r) * (c_poly**c) * count
-    m = sum(pattern)
+        total = total + r_pow[r] * c_pow[c] * count
     if isinstance(rows, int):
         # numeric dimensions: the weight parameter N equals the row count
         return total * Fraction(1, rows**m)
@@ -316,6 +321,8 @@ def connected_moments(
     """Connected (cumulant) multi-trace moment via Moebius inversion over
     set partitions of the trace factors."""
     pattern = list(pattern)
+    if len(pattern) > CONNECTED_TRACE_LIMIT:
+        raise DegreeLimitError(f"{len(pattern)} traces exceed limit {CONNECTED_TRACE_LIMIT}")
     total = MomentPoly()
     for part in _set_partitions(list(range(len(pattern)))):
         sign = (-1) ** (len(part) - 1) * math.factorial(len(part) - 1)
@@ -339,30 +346,7 @@ def gue_moment(m: int) -> MomentPoly:
         raise DegreeLimitError(f"degree {m} exceeds limit {GUE_DEGREE_LIMIT}")
     if m == 0:
         return MomentPoly.symbol()
-    gamma = _trace_successor((m,))
-    faces = _Chains(m)  # gamma∘alpha, alpha the matching being built
-    head = faces.head
-    free = list(range(m))  # free[k:] are the points not matched yet
-    counts = [0] * (m // 2 + 2)  # loops -> number of matchings
-
-    def match(k: int, loops: int) -> None:
-        a = free[k]
-        if k == m - 2:
-            # two open chains are left, ending at a and at b and starting at
-            # gamma(a) and gamma(b): the pair (a, b) closes both when a's
-            # starts at gamma(b), else it joins them into one loop
-            counts[loops + (2 if head[a] == gamma[free[k + 1]] else 1)] += 1
-            return
-        for i in range(k + 1, m):
-            b = free[i]
-            free[i], free[k + 1] = free[k + 1], b
-            match(k + 2, loops + faces.link(a, gamma[b]) + faces.link(b, gamma[a]))
-            faces.unlink()
-            faces.unlink()
-            free[k + 1], free[i] = free[i], b
-
-    match(0, 0)
-    return MomentPoly({loops - m // 2: c for loops, c in enumerate(counts)})
+    return MomentPoly({loops - m // 2: n for loops, _, n in _loop_counts((m,), 2)})
 
 
 def genus_extract(p: MomentPoly, s: int) -> dict[int, int | Fraction]:

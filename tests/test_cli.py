@@ -31,6 +31,7 @@ from hzlag.cli import (
 )
 from hzlag.exact import rat_str_explicit
 from hzlag.recursions import IntegralityError, c1_closed_form
+from hzlag.wick import CONNECTED_TRACE_LIMIT, WISHART_DEGREE_LIMIT
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "vk_gmax2.json"
@@ -728,7 +729,7 @@ def test_eval_fab_matches_golden(cache, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["oracle", "--mu", "0"],
-    ["oracle", "--mu", "8"],
+    ["oracle", "--mu", str(WISHART_DEGREE_LIMIT + 1)],
     ["oracle", "--mu", "2", "--rows", "M"],
     ["oracle", "--mu", "2", "--cols", "N+x"],
     ["eval-fab", "--a", "-1", "--b", "1"],
@@ -753,6 +754,7 @@ def test_eval_fab_matches_golden(cache, capsys):
     ["gen", "gauss", "--gmax", str(ENSEMBLES["gauss"].bounds["gmax"] + 1)],
     ["gen", "glag-k1", "--rmax2", str(ENSEMBLES["glag-k1"].bounds["rmax2"] + 1), "--nmax", "1"],
     ["gen", "glag-k1", "--rmax2", "1", "--nmax", str(ENSEMBLES["glag-k1"].bounds["nmax"] + 1)],
+    ["oracle", "--mu", ",".join(["1"] * (CONNECTED_TRACE_LIMIT + 1)), "--connected"],
     # --at is an ASCII integer p or fraction p/q with q > 0, nothing else
     ["eval-fab", "--a", "1", "--b", "1", "--at", "1/000"],
     ["eval-fab", "--a", "2", "--b", "2", "--at", " 1_0/3 "],

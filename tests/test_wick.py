@@ -1,4 +1,6 @@
-"""Tests for the brute-force pairing/bijection oracles."""
+"""Tests for the loop-equation Wick oracles, against plain enumerations of
+every bijection and pairing where those are feasible and against independent
+closed forms and recursions up to the degree limits above that."""
 
 import itertools
 import math
@@ -8,7 +10,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hzlag.recursions import (
+    do_norbury_table,
+    glag_k1_table,
+    glag_moment_from_table,
+    lag_moment_from_table,
+)
 from hzlag.wick import (
+    CONNECTED_TRACE_LIMIT,
+    GUE_DEGREE_LIMIT,
+    WISHART_DEGREE_LIMIT,
     DegreeLimitError,
     GradingError,
     MomentPoly,
@@ -18,9 +29,11 @@ from hzlag.wick import (
     gue_moment,
     parse_dimension,
 )
-from hzlag.wick import _trace_successor, _wishart_loop_counts, _wishart_moment
+from hzlag.wick import _wishart_loop_counts, _wishart_moment
 
-CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
+
+def catalan(n: int) -> int:
+    return math.comb(2 * n, n) // (n + 1)
 
 
 # -- MomentPoly algebra and string round trip -------------------------------
@@ -64,6 +77,15 @@ def test_coefficients_are_int_unless_fractional():
     assert hash(q) == hash(MomentPoly({1: Fraction(1)}))
 
 
+def test_constant_hashes_like_its_value():
+    # equal objects hash equal, so a constant and its number are one key
+    assert len({MomentPoly.const(3), 3}) == 1
+    assert MomentPoly.const(3) in {3: 1}
+    assert MomentPoly.const(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert hash(MomentPoly()) == hash(0) and MomentPoly() in {0}
+    assert hash(MomentPoly.parse("6/3")) == hash(2)
+
+
 def test_parse_dimension():
     assert parse_dimension("N")(3) == 3
     assert parse_dimension("N+1")(3) == 4
@@ -73,6 +95,16 @@ def test_parse_dimension():
 
 
 # -- reference enumerators: plain cycle traversal ---------------------------
+
+
+def _trace_successor(pattern) -> list[int]:
+    """Cyclic successor within each trace block, positions 0..m-1 laid out contiguously."""
+    succ = []
+    start = 0
+    for length in pattern:
+        succ.extend(list(range(start + 1, start + length)) + [start])
+        start += length
+    return succ
 
 
 def cycle_count(perm) -> int:
@@ -126,13 +158,13 @@ def partitions(n: int, largest: int | None = None):
             yield (first, *rest)
 
 
-@pytest.mark.parametrize("pattern", [tuple(sorted(p)) for d in range(1, 7) for p in partitions(d)],
+@pytest.mark.parametrize("pattern", [tuple(sorted(p)) for d in range(1, 8) for p in partitions(d)],
                          ids=str)
 def test_wishart_loop_counts_match_cycle_traversal(pattern):
     assert _wishart_loop_counts(pattern) == reference_wishart_counts(pattern)
 
 
-@pytest.mark.parametrize("m", range(2, 13, 2))
+@pytest.mark.parametrize("m", range(2, 15, 2))
 def test_gue_moment_matches_cycle_traversal(m):
     assert gue_moment(m) == reference_gue_moment(m)
 
@@ -153,13 +185,13 @@ def test_gue_moment_small_values():
 
 
 def test_gue_moment_planar_part_is_catalan():
-    for m in range(1, 8):
-        assert gue_moment(2 * m).coefficient(1) == CATALAN[m]
+    for m in range(1, GUE_DEGREE_LIMIT // 2 + 1):
+        assert gue_moment(2 * m).coefficient(1) == catalan(m)
 
 
 def test_gue_moment_total_count():
     # at N = 1 every pairing contributes 1: (2m-1)!!
-    for m in range(1, 8):
+    for m in range(1, GUE_DEGREE_LIMIT // 2 + 1):
         assert gue_moment(2 * m)(1) == math.prod(range(1, 2 * m, 2))
 
 
@@ -167,12 +199,27 @@ def test_gue_moment_14():
     assert gue_moment(14) == MomentPoly.parse("429*N + 12012*N^-1 + 66066*N^-3 + 56628*N^-5")
 
 
+def test_gue_moment_matches_harer_zagier_to_the_limit():
+    # gue_moment(2n) = sum_g eps_g(n) N^(1-2g), where
+    # (n+1) eps_g(n) = 2(2n-1) eps_g(n-1) + (n-1)(2n-1)(2n-3) eps_{g-1}(n-2)
+    eps = {(0, 0): 1}
+    for n in range(1, GUE_DEGREE_LIMIT // 2 + 1):
+        for g in range(n // 2 + 1):
+            rhs = 2 * (2 * n - 1) * eps.get((g, n - 1), 0)
+            rhs += (n - 1) * (2 * n - 1) * (2 * n - 3) * eps.get((g - 1, n - 2), 0)
+            assert rhs % (n + 1) == 0
+            eps[g, n] = rhs // (n + 1)
+        want = MomentPoly({1 - 2 * g: eps[g, n] for g in range(n // 2 + 1)})
+        assert gue_moment(2 * n) == want, n
+
+
 def test_gue_degree_limit():
+    assert gue_moment(GUE_DEGREE_LIMIT + 1).is_zero  # odd: zero at any degree
     with pytest.raises(DegreeLimitError):
-        gue_moment(18)
+        gue_moment(GUE_DEGREE_LIMIT + 2)
 
 
-# -- complex Wishart bijection oracle ----------------------------------------
+# -- complex Wishart oracle --------------------------------------------------
 
 
 def test_wishart_square_small_values():
@@ -184,15 +231,25 @@ def test_wishart_square_small_values():
 
 def test_wishart_gamma_collapse():
     # at rows = cols = 1 the trace moment is m!
-    for m in range(1, 7):
+    for m in range(1, WISHART_DEGREE_LIMIT + 1):
         assert complex_wishart_moment((m,), 1, 1) == MomentPoly.const(
             Fraction(math.factorial(m))
         )
 
 
 def test_wishart_planar_catalan():
-    for m in range(1, 8):
-        assert complex_wishart_moment((m,), "N", "N").coefficient(1) == CATALAN[m]
+    for m in range(1, WISHART_DEGREE_LIMIT + 1):
+        assert complex_wishart_moment((m,), "N", "N").coefficient(1) == catalan(m)
+
+
+def test_wishart_matches_recursion_tables_to_the_limit():
+    # square: the "3-t" table; N x (N+1): the "8-t" table
+    m_top = WISHART_DEGREE_LIMIT
+    dn = do_norbury_table(m_top // 2, m_top)
+    glag = glag_k1_table(m_top, m_top)
+    for m in range(1, m_top + 1):
+        assert complex_wishart_moment((m,), "N", "N") == lag_moment_from_table(dn, m), m
+        assert complex_wishart_moment((m,), "N", "N+1") == glag_moment_from_table(glag, m), m
 
 
 def test_wishart_rectangular():
@@ -203,9 +260,9 @@ def test_wishart_rectangular():
 
 def test_wishart_degree_limit():
     with pytest.raises(DegreeLimitError):
-        complex_wishart_moment((8,), "N", "N")
+        complex_wishart_moment((WISHART_DEGREE_LIMIT + 1,), "N", "N")
     with pytest.raises(DegreeLimitError):
-        complex_wishart_moment((4, 4), "N", "N")
+        complex_wishart_moment((4, WISHART_DEGREE_LIMIT - 3), "N", "N")
 
 
 def test_wishart_numeric_rows_match_symbolic():
@@ -220,8 +277,8 @@ def test_wishart_memo():
     assert complex_wishart_moment([1, 2]) is complex_wishart_moment((2, 1))
     # an int dimension is numeric (N = rows); a constant polynomial is a
     # symbolic dimension that does not scale with N, and the two compare
-    # equal, so they must not share a memo entry, whichever comes first (their
-    # hashes differ, so only a typed memo keeps that when they collide)
+    # equal and hash equal, so they must not share a memo entry, whichever
+    # comes first, and only a typed memo keeps them apart
     assert _wishart_moment.cache_parameters()["typed"]
     three = MomentPoly.const(3)
     for first in (3, three):
@@ -249,6 +306,13 @@ def test_wishart_memo_result_is_not_changed_by_later_calls():
 def test_connected_single_trace_is_full_moment():
     for m in range(1, 6):
         assert connected_moments((m,)) == complex_wishart_moment((m,), "N", "N")
+
+
+def test_connected_trace_limit():
+    ones = (1,) * CONNECTED_TRACE_LIMIT
+    assert connected_moments(ones)(1) == math.factorial(CONNECTED_TRACE_LIMIT - 1)
+    with pytest.raises(DegreeLimitError):
+        connected_moments(ones + (1,))
 
 
 def test_connected_small_values():
