@@ -1,9 +1,11 @@
-"""Exact arithmetic substrate: Laurent polynomials in w = u - 1.
+"""Exact arithmetic substrate: Laurent polynomials in one variable.
 
 Everything is built over ``int`` and ``fractions.Fraction``; there is no
-floating point anywhere in this package.  ``WLaurent`` carries the ring
-operations of the residue route; its Taylor series at u = 0 is a plain list
-of coefficients, as are the spectral bases, so no series type is needed.
+floating point anywhere in this package.  ``Laurent`` is the one ring both
+routes stand on: ``WLaurent``, a Laurent polynomial in w = u - 1, carries
+the residue route, and ``wick.MomentPoly``, one in the dimension N, the Wick
+oracles.  A Taylor series at u = 0 is a plain list of coefficients, as are
+the spectral bases, so no series type is needed.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Union
 Scalar = Union[Fraction, int]
 
 __all__ = [
+    "Laurent",
     "WLaurent",
     "rat_str_explicit",
 ]
@@ -25,102 +28,117 @@ def rat_str_explicit(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-class WLaurent:
-    """A rational function of u whose only finite pole is at u = 1, held as
-    a Laurent polynomial in w = u - 1.
+def _exact(c) -> Scalar:
+    """``c`` as an int when it is integral, else as a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
-    ``terms`` maps each exponent of w to its nonzero coefficient, so
-    "identically zero" is the structural test ``not terms``; no gcd or
-    normalisation is ever needed.  Coefficients stay ``int`` whenever the
-    inputs are integers.  Instances are immutable.  ``derivative`` is d/du
-    (which equals d/dw), calling an instance evaluates it at a point u, and
-    ``str`` prints it as a reduced fraction of two polynomials in u.
+
+class Laurent:
+    """A Laurent polynomial in the variable ``var`` with exact coefficients.
+
+    ``terms`` maps each exponent to its nonzero coefficient, an int where it
+    is integral and a Fraction elsewhere, so "identically zero" is the
+    structural test ``not terms``.  Instances are immutable.  Arithmetic
+    mixes an instance with an int, a Fraction or an instance of its own
+    class, never with another subclass; a constant equals and hashes like
+    the number it is.  Calling an instance evaluates it at a value of its
+    variable.
     """
 
     __slots__ = ("terms",)
-    var = "u"
+    var = "x"
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+        self.terms = {e: c if type(c) is int else _exact(c)
+                      for e, c in (terms or {}).items() if c}
+
+    @classmethod
+    def const(cls, c):
+        return cls({0: c})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _coerce(self, other) -> "WLaurent | None":
-        if isinstance(other, WLaurent):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return WLaurent({0: other})
-        return None
+    def coefficient(self, e: int) -> Scalar:
+        return self.terms.get(e, 0)
+
+    def shift_exponent(self, d: int):
+        """Multiply by var**d."""
+        return type(self)({e + d: c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         out = dict(self.terms)
-        for e, c in o.terms.items():
-            out[e] = out.get(e, 0) + c
-        return WLaurent(out)
+        if type(other) is type(self):
+            for e, c in other.terms.items():
+                out[e] = out.get(e, 0) + c
+        elif isinstance(other, (int, Fraction)):
+            out[0] = out.get(0, 0) + other
+        else:
+            return NotImplemented
+        return type(self)(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WLaurent({e: -c for e, c in self.terms.items()})
+        return type(self)({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if type(other) is type(self) or isinstance(other, (int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is type(self):
+            out: dict = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        elif isinstance(other, (int, Fraction)):
+            out = {e: c * other for e, c in self.terms.items()}
+        else:
             return NotImplemented
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return WLaurent(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
+    def __pow__(self, n: int):
+        if n < 0:
             raise ValueError("negative power of a Laurent polynomial")
-        r = WLaurent({0: 1})
-        for _ in range(e):
-            r = r * self
-        return r
+        out = type(self)({0: 1})
+        for _ in range(n):
+            out = out * self
+        return out
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({0: other} if other else {})
+        if type(other) is not type(self):
             return NotImplemented
-        return self.terms == o.terms
+        return self.terms == other.terms
 
     def __hash__(self):
+        # a constant hashes like the number it equals (the zero polynomial like 0)
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
-    def derivative(self) -> "WLaurent":
-        return WLaurent({e - 1: e * c for e, c in self.terms.items()})
-
-    def __call__(self, point: Scalar) -> Fraction:
-        """f at u = point, by Horner's rule over the integers: with w = p/q
-        and L the lcm of the coefficient denominators, the sum over e of
-        (L c_e) p^(e-lo) q^(hi-e) is f(w) L q^hi / p^lo, so one Fraction
+    def __call__(self, x: Scalar) -> Fraction:
+        """The value at var = x, by Horner's rule over the integers: with
+        x = p/q and L the lcm of the coefficient denominators, the sum over e
+        of (L c_e) p^(e-lo) q^(hi-e) is f(x) L q^hi / p^lo, so one Fraction
         (one gcd) is made at the end instead of one per term."""
-        w = Fraction(point) - 1
+        x = Fraction(x)
         if not self.terms:
             return Fraction(0)
         lo, hi = min(self.terms), max(self.terms)
-        p, q = w.numerator, w.denominator
+        p, q = x.numerator, x.denominator
         if p == 0 and lo < 0:
-            raise ZeroDivisionError(f"pole at {point}")
+            raise ZeroDivisionError("evaluation at a pole")
         scale = math.lcm(*(c.denominator for c in self.terms.values()))
         acc, qpow, prev = 0, 1, hi
         for e in sorted(self.terms, reverse=True):
@@ -133,6 +151,32 @@ class WLaurent:
         num = acc * p ** max(lo, 0) * q ** max(-hi, 0)
         den = scale * q ** max(hi, 0) * p ** max(-lo, 0)
         return Fraction(num, den)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(sorted(self.terms.items()))!r})"
+
+    def __str__(self):
+        return _poly_str(self.var, self.terms)
+
+
+class WLaurent(Laurent):
+    """A rational function of u whose only finite pole is at u = 1, held as
+    a Laurent polynomial in w = u - 1.
+
+    ``derivative`` is d/du (which equals d/dw), calling an instance
+    evaluates it at a point u, and ``str`` prints it as a reduced fraction
+    of two polynomials in u.
+    """
+
+    __slots__ = ()
+    var = "u"
+
+    def derivative(self) -> "WLaurent":
+        return WLaurent({e - 1: e * c for e, c in self.terms.items()})
+
+    def __call__(self, point: Scalar) -> Fraction:
+        """f at u = point, that is at w = point - 1."""
+        return super().__call__(Fraction(point) - 1)
 
     def compose_inverse(self) -> "WLaurent":
         """f(1/u), again a function of u.
@@ -165,9 +209,6 @@ class WLaurent:
                     out[m] += (-1) ** -e * math.comb(m - e - 1, m) * c
         return out
 
-    def __repr__(self):
-        return f"WLaurent({dict(sorted(self.terms.items()))!r})"
-
     def __str__(self):
         """The reduced fraction num/den of polynomials in u, den monic.
 
@@ -183,18 +224,19 @@ class WLaurent:
         for i in range(len(a) - 1):
             for j in range(len(a) - 2, i - 1, -1):
                 a[j] -= a[j + 1]
+        num = _poly_str(self.var, dict(enumerate(a)))
         if d == 0:
-            return _poly_str(self.var, a)
-        den = [(-1) ** (d - k) * math.comb(d, k) for k in range(d + 1)]
-        return f"({_poly_str(self.var, a)}) / ({_poly_str(self.var, den)})"
+            return num
+        den = {k: (-1) ** (d - k) * math.comb(d, k) for k in range(d + 1)}
+        return f"({num}) / ({_poly_str(self.var, den)})"
 
 
-def _poly_str(var: str, coeffs: list) -> str:
-    """A polynomial in var, given by its coefficients from degree 0 upward,
-    written from the highest power down, e.g. "-2*u^2 + u - 3/4"."""
+def _poly_str(var: str, terms: dict) -> str:
+    """The Laurent polynomial {exponent: coefficient} in var, written from
+    the highest power down, e.g. "-2*u^2 + u - 3/4" or "14*N + 10*N^-1"."""
     parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
+    for k in sorted(terms, reverse=True):
+        c = terms[k]
         if c == 0:
             continue
         if k == 0:

@@ -37,7 +37,6 @@ __all__ = [
     "verify_ode",
     "verify_t1",
     "IDENTITY_TAGS",
-    "ODE_TAGS",
 ]
 
 IDENTITY_TAGS = (
@@ -52,7 +51,6 @@ IDENTITY_TAGS = (
     "T-5b",
     "k2-second-derivative",
 )
-ODE_TAGS = ("DN", "K1", "K2")
 
 _W = WLaurent({1: 1})  # w = u - 1
 _U = _W + 1  # u

@@ -9,8 +9,10 @@ of planar maps"; Eynard, *Counting Surfaces*, ch. 3): a partner in the same
 trace splits it in two, a partner in another trace merges the two, and a
 trace of length 0 is a closed loop.  Each histogram is memoized on the
 sorted pattern, so a query costs one step per smaller pattern instead of
-one per contraction, and each Wishart moment is memoized too.  No step uses
-the recursions, residues or spectral curves, so these oracles are
+one per contraction, and each Wishart moment is memoized too.  A moment is
+a ``MomentPoly``, the ``exact.Laurent`` ring in the dimension N; that
+arithmetic layer is the only module imported.  No step uses the
+recursions, residues or spectral curves, so these oracles are
 independent of every piece of algebra they are used to check;
 tests/test_wick.py pins them to plain enumerations of every bijection and
 pairing.
@@ -23,6 +25,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
+
+from .exact import Laurent
 
 __all__ = [
     "DegreeLimitError",
@@ -57,111 +61,15 @@ class GradingError(ValueError):
     """A moment exponent falls off the genus grading N^(2-2g-s)."""
 
 
-def _exact(c) -> int | Fraction:
-    """``c`` as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+class MomentPoly(Laurent):
+    """Laurent polynomial in the dimension symbol N with exact coefficients."""
 
-
-class MomentPoly:
-    """Laurent polynomial in the dimension symbol N with exact coefficients:
-    an int where the coefficient is integral, a Fraction elsewhere."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {e: _exact(c) for e, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def const(cls, c) -> "MomentPoly":
-        return cls({0: c})
+    __slots__ = ()
+    var = "N"
 
     @classmethod
     def symbol(cls) -> "MomentPoly":
         return cls({1: 1})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MomentPoly.const(other)
-        if not isinstance(other, MomentPoly):
-            return NotImplemented
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, 0) + c
-        return MomentPoly(t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MomentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MomentPoly.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MomentPoly({e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, MomentPoly):
-            return NotImplemented
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                t[e1 + e2] = t.get(e1 + e2, 0) + c1 * c2
-        return MomentPoly(t)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = MomentPoly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def shift_exponent(self, d: int) -> "MomentPoly":
-        """Multiply by N**d."""
-        return MomentPoly({e + d: c for e, c in self.terms.items()})
-
-    def coefficient(self, e: int) -> int | Fraction:
-        return self.terms.get(e, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MomentPoly.const(other)
-        return isinstance(other, MomentPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        # a constant hashes like the number it equals (the zero polynomial like 0)
-        if self.terms.keys() <= {0}:
-            return hash(self.terms.get(0, 0))
-        return hash(frozenset(self.terms.items()))
-
-    def __call__(self, n_value) -> Fraction:
-        return sum((c * Fraction(n_value) ** e for e, c in self.terms.items()), Fraction(0))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                mono = "N" if e == 1 else f"N^{e}"
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            parts.append((c < 0, body))
-        out = ("-" if parts[0][0] else "") + parts[0][1]
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
 
     @classmethod
     def parse(cls, text: str) -> "MomentPoly":
@@ -179,9 +87,6 @@ class MomentPoly:
                 coef, exp = piece, 0
             terms[exp] = terms.get(exp, 0) + sign * Fraction(coef)
         return cls(terms)
-
-    def __repr__(self):
-        return f"MomentPoly({self.terms!r})"
 
 
 Dimension = Union[int, str, MomentPoly]
@@ -207,10 +112,13 @@ def _pattern(rest: list[int], *parts: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _loop_counts(pattern: tuple[int, ...], d: int) -> tuple[tuple[int, int, int], ...]:
-    """Histogram of (row loops, column loops) over all Wick contractions of
-    a sorted pattern of positive trace lengths: d = 1 for the Wishart traces
-    t(a) = tr (B B†)^a, d = 2 for the GUE traces tr H^a, whose loops are all
-    counted as rows.
+    """Histogram ((row loops, column loops, count), ...) over all Wick
+    contractions of a sorted pattern of positive trace lengths: d = 1 for
+    the Wishart traces t(a) = tr (B B†)^a, d = 2 for the GUE traces tr H^a,
+    whose loops are all counted as rows.  For d = 1 a contraction is a
+    bijection sigma of the m matrices; its row loops are the cycles of
+    gamma∘sigma, gamma the product of the trace cycles, and its column loops
+    the cycles of sigma.
 
     Contracting the first matrix of the largest trace t(a) with each partner
     gives Tutte's loop equation, with t_N(0) = N a row loop:
@@ -251,14 +159,6 @@ def _loop_counts(pattern: tuple[int, ...], d: int) -> tuple[tuple[int, int, int]
     return tuple((r, c, n) for (r, c), n in sorted(hist.items()))
 
 
-def _wishart_loop_counts(pattern: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """((row loops, column loops, count), ...) over all m! contraction
-    bijections sigma of the sorted pattern: the row loops are the cycles of
-    gamma∘sigma, gamma the product of the trace cycles, and the column loops
-    the cycles of sigma."""
-    return _loop_counts(pattern, 1)
-
-
 def complex_wishart_moment(
     pattern: Sequence[int], rows: Dimension = "N", cols: Dimension = "N"
 ) -> MomentPoly:
@@ -296,7 +196,7 @@ def _wishart_moment(pattern: tuple[int, ...], rows: Dimension, cols: Dimension) 
     # row and column loops are cycles of permutations of m points
     r_pow, c_pow = _powers(rows, m), _powers(cols, m)
     total = MomentPoly()
-    for r, c, count in _wishart_loop_counts(pattern):
+    for r, c, count in _loop_counts(pattern, 1):
         total = total + r_pow[r] * c_pow[c] * count
     if isinstance(rows, int):
         # numeric dimensions: the weight parameter N equals the row count

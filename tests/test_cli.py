@@ -1121,14 +1121,15 @@ def test_console_script_entry_point(cache):
 
 def test_processes_import_only_what_they_run(cache):
     # a warm gen and --version load no engine and not decimal: only the cli
-    # module itself; a cold gen of a Decimal engine loads decimal; no process
-    # loads dataclasses, inspect or pkgutil
+    # module itself; a cold gen loads the recursions (and through wick the
+    # exact arithmetic layer) but no residue or spectral code, and a Decimal
+    # engine loads decimal; no process loads dataclasses, inspect or pkgutil
     never = {"dataclasses", "inspect", "pkgutil"}
     assert loaded_modules(["--version"], cache) == {"hzlag.cli"}
     for job in (["gen", "vk", "--gmax", "2"], ["gen", *LAGUERRE_5_20]):
         cold = loaded_modules(job, cache)
         assert "hzlag.recursions" in cold
-        assert not cold & {"hzlag.exact", "hzlag.residues", "hzlag.spectral", *never}, cold
+        assert not cold & {"hzlag.residues", "hzlag.spectral", *never}, cold
         for fmt in ("json", "csv"):
             assert loaded_modules([*job, "--format", fmt], cache) == {"hzlag.cli"}, (job, fmt)
     assert "decimal" in cold

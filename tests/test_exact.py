@@ -1,5 +1,6 @@
 """Property tests for the exact-arithmetic layer."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hzlag.exact import WLaurent, rat_str_explicit
+from hzlag.wick import MomentPoly
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -123,16 +125,19 @@ def test_w_laurent_series_is_exact():
 def test_w_laurent_call_matches_termwise_sum(terms, x):
     # Horner's rule over integers against the sum of Fraction terms: sparse
     # and negative exponents, int and Fraction coefficients, the zero
-    # polynomial, and u = 1 (the pole, unless no exponent is negative)
-    f = WLaurent(terms)
-    for u in (x, Fraction(1), Fraction(0), x + 1):
-        if u == 1 and min(f.terms, default=0) < 0:
-            with pytest.raises(ZeroDivisionError):
-                f(u)
-        else:
-            got = f(u)
-            assert type(got) is Fraction and got == at(f, u)
-    assert WLaurent({})(x) == 0
+    # polynomial, and the pole, unless no exponent is negative; the shared
+    # code evaluates a WLaurent at u = w + 1 (pole u = 1) and a MomentPoly
+    # at N itself (pole N = 0)
+    for f, pole in ((WLaurent(terms), 1), (MomentPoly(terms), 0)):
+        for v in (x, Fraction(1), Fraction(0), x + 1):
+            if v == pole and min(f.terms, default=0) < 0:
+                with pytest.raises(ZeroDivisionError):
+                    f(v)
+            else:
+                got = f(v)
+                assert type(got) is Fraction
+                assert got == sum((c * (v - pole) ** e for e, c in f.terms.items()), Fraction(0))
+        assert type(f)()(x) == 0
 
 
 def test_w_laurent_pole_at_one():
@@ -142,3 +147,25 @@ def test_w_laurent_pole_at_one():
     assert WLaurent({0: 3, 1: 2})(1) == 3
     with pytest.raises(ValueError):
         WLaurent({1: 1}).compose_inverse()
+
+
+# -- the shared ring: WLaurent and wick.MomentPoly ----------------------------
+
+
+def test_w_laurent_constant_hashes_like_its_value():
+    # equal objects hash equal, so a constant and its number are one key
+    assert len({WLaurent({0: 3}), 3}) == 1
+    assert WLaurent({}) in {0} and hash(WLaurent({})) == hash(0)
+    assert WLaurent({0: Fraction(1, 2)}) in {Fraction(1, 2)}
+    two = WLaurent({0: Fraction(6, 3)})
+    assert two in {2: 1} and type(two.coefficient(0)) is int
+
+
+def test_w_laurent_and_moment_poly_do_not_mix():
+    n, w = MomentPoly.symbol(), WLaurent({1: 1})
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((n, w), (w, n)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert not n == w and n != w
+    assert not MomentPoly.const(3) == WLaurent({0: 3})

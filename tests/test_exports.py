@@ -42,7 +42,7 @@ def test_unknown_name_raises(name):
 
 
 def test_bare_import_loads_no_submodule():
-    # and naming a submodule loads that one alone
+    # and naming a submodule loads that one and what it imports alone
     src_root = pathlib.Path(hzlag.__file__).resolve().parent.parent
     loaded = "sorted(m for m in sys.modules if m.startswith('hzlag.'))"
     r = subprocess.run(
@@ -50,4 +50,4 @@ def test_bare_import_loads_no_submodule():
          f"import sys, hzlag; print({loaded}); print(hzlag.wick.__name__, {loaded})"],
         capture_output=True, env={"PATH": "", "PYTHONPATH": str(src_root)})
     assert r.returncode == 0, r.stderr
-    assert r.stdout.decode().splitlines() == ["[]", "hzlag.wick ['hzlag.wick']"]
+    assert r.stdout.decode().splitlines() == ["[]", "hzlag.wick ['hzlag.exact', 'hzlag.wick']"]

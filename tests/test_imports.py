@@ -83,3 +83,49 @@ def test_unused_import_is_found():
         "    return json\n"
     )
     assert unused_imports(source) == ["2: os", "7: json"]
+
+
+# The package graph of the modules below cli: the residue route and the Wick
+# oracles share only the arithmetic layer ``exact``, and no route imports the
+# residues; a new edge between routes has to be made here on purpose.
+PACKAGE_GRAPH = {
+    "exact": set(),
+    "reports": set(),
+    "residues": {"exact", "reports"},
+    "recursions": {"reports", "wick"},
+    "spectral": {"recursions", "reports", "wick"},
+    "wick": {"exact"},
+}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a source imports, at module level or inside
+    functions, relatively or by the name hzlag."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("hzlag")):
+            path = node.module.split(".") if node.module else []
+            path = path if node.level else path[1:]
+            out |= {path[0]} if path else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("hzlag.")}
+    return out
+
+
+def test_package_import_graph():
+    src = ROOT / "src" / "hzlag"
+    graph = {name: package_imports((src / f"{name}.py").read_text()) for name in PACKAGE_GRAPH}
+    assert graph == PACKAGE_GRAPH
+
+
+def test_package_imports_are_found():
+    source = (
+        "from .exact import Laurent\n"
+        "from . import reports\n"
+        "import hzlag.wick\n"
+        "from hzlag.spectral import a_to_C\n"
+        "def f():\n"
+        "    from .residues import fab\n"
+        "    return fab\n"
+    )
+    assert package_imports(source) == {"exact", "reports", "wick", "spectral", "residues"}

@@ -29,7 +29,7 @@ from hzlag.wick import (
     gue_moment,
     parse_dimension,
 )
-from hzlag.wick import _wishart_loop_counts, _wishart_moment
+from hzlag.wick import _loop_counts, _wishart_moment
 
 
 def catalan(n: int) -> int:
@@ -161,7 +161,7 @@ def partitions(n: int, largest: int | None = None):
 @pytest.mark.parametrize("pattern", [tuple(sorted(p)) for d in range(1, 8) for p in partitions(d)],
                          ids=str)
 def test_wishart_loop_counts_match_cycle_traversal(pattern):
-    assert _wishart_loop_counts(pattern) == reference_wishart_counts(pattern)
+    assert _loop_counts(pattern, 1) == reference_wishart_counts(pattern)
 
 
 @pytest.mark.parametrize("m", range(2, 15, 2))
