@@ -34,7 +34,10 @@ INTERNAL_ERROR = 3
 # 25/32/41/55 MB peak RSS for the identities suite, same machine);
 # "at_digits" bounds the digits of eval-fab's --at p and q (at A = B = 300,
 # p and q of 1/100/200/300 digits took 0.59/0.82/1.39/2.33 s and ~21 MB peak
-# RSS in a fresh process, 2-vCPU VM, Python 3.11.7)
+# RSS in a fresh process, 2-vCPU VM, Python 3.11.7), and of the shift k of
+# oracle's --rows and --cols N+k or N-k (--mu 12,12 took 0.8-1.0 s at 100
+# digits and 13 s at 2,000; the slowest query found at 100 digits, --mu
+# 1,2,3,3,4,5,6 --connected, took 5.7 s, same machine)
 GEN_LIMITS = {"k": 64, "order": 4000, "fab": 300, "identities": 50, "at_digits": 100}
 
 
@@ -73,14 +76,22 @@ def cache_path(kind: str, args: dict) -> Path:
     return cache_dir() / f"{kind}-{digest}.json"
 
 
-_CHUNK = 1 << 20  # bytes of a cache entry read per call, to hash it or copy it out
+# bytes per step of the gen pipe: each read of a cache entry, to hash it or
+# to copy it out, each block of JSON written and each piece of JSON
+# converted to CSV.  A step's transient buffers (the bytes, their text, its
+# lines, the rows made) scale with it, and so does peak RSS: VmHWM of a
+# warm CSV gen of the benchmark's tables over its import floor, 2-vCPU VM,
+# Python 3.11.7, was 2.5-3.9 MB with 1 MiB reads and 256 KiB blocks and
+# pieces, 1.3-1.5 MB at 128 KiB, 0.5-0.6 MB at 64 KiB and 0.25-0.35 MB at
+# 32 KiB, with warm gen times within noise of each other
+_BUF = 1 << 16
 
 
 def _read_entry(path: Path):
     """The cache entry at path, opened, checked against its digest line and
     positioned just after that line, or None when there is no entry.
 
-    The bytes after the digest line are hashed _CHUNK at a time; on a
+    The bytes after the digest line are hashed _BUF at a time; on a
     mismatch the entry is named as corrupt before any of it is served."""
     try:
         f = open(path, "rb", buffering=0)
@@ -90,7 +101,7 @@ def _read_entry(path: Path):
         raise UsageError(f"cannot use cache entry {path} ({e.strerror}); pass --no-cache") from e
     try:
         line, sha = f.read(65), hashlib.sha256()
-        while chunk := f.read(_CHUNK):
+        while chunk := f.read(_BUF):
             sha.update(chunk)
         if line != sha.hexdigest().encode() + b"\n":
             raise UsageError(f"corrupt cache entry {path}: it does not begin with the sha256 "
@@ -229,11 +240,11 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # Now an engine yields the table a row at a time, holding only the rows its
 # relation reads (one for "3-t", "recurrence" and "rec-v2", four for "8-t"),
 # each row is streamed into the cache entry (with --no-cache, into a
-# temporary file) a block of about _BLOCK bytes at a time, and that file is
-# served _CHUNK bytes at a time, so no table is ever held whole: peak RSS is
-# about 20 MB of interpreter plus the rows the relation reads and one
-# block, and a warm gen takes about 20 MB whatever the table.  Time, not
-# memory, now bounds each request.
+# temporary file) a block of about _BUF bytes at a time, and that file is
+# served _BUF bytes at a time, so no table is ever held whole: peak RSS
+# (VmHWM, as scripts/peak_rss.py reads it) is the import floor of about
+# 19 MB plus the rows the relation reads and a few buffers of _BUF bytes.
+# Time, not memory, now bounds each request.
 #
 # base10 engines run over exact Decimal: a laguerre or gauss entry runs to
 # a thousand digits and more, and str() of an int is quadratic in its
@@ -244,14 +255,16 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # 0.16 s at 120/240; vk's entries are Fractions.
 #
 # Measured cold, each in a fresh process, on one 2-vCPU VM (Python
-# 3.11.7): `gen vk --gmax 150` took 2.6-2.9 s, 23 MB peak RSS and wrote
-# 39 MB, `gen gauss --gmax 300` 0.9 s, 23 MB and 54 MB, `gen glag-k1
-# --rmax2 240 --nmax 480` 1.8 s, 23 MB and 62 MB.  A laguerre table's time
-# and size follow its digits, not its bounds, so its request is bounded by
-# the estimated size of its JSON, GEN_BYTES; its option bounds only keep
-# that estimate cheap.  The largest accepted requests at gmax
-# 100/200/400/1000 (nmax 962/432/138/21) took 23 MB and 0.9/1.0/0.8/0.7 s
-# and wrote 64/63/61/58 MB.
+# 3.11.7): `gen vk --gmax 150` took 2.3 s, 21.0 MB VmHWM and wrote 39 MB,
+# `gen gauss --gmax 300` 0.6 s, 20.4 MB and 54 MB, `gen glag-k1 --rmax2 240
+# --nmax 480` 1.4 s, 20.9 MB and 62 MB.  A laguerre table's time and size
+# follow its digits, not its bounds, so its request is bounded by the
+# estimated size of its JSON, GEN_BYTES; its option bounds only keep that
+# estimate cheap.  The largest accepted requests at gmax 100/200/400/1000
+# (nmax 962/432/138/21) took 21.0/20.6/20.2/20.2 MB and 0.7/0.7/0.7/0.6 s
+# and wrote 64/63/61/58 MB.  Each of these seven peaked 0.9-1.7 MB over
+# its import floor cold, with --no-cache too, and 0.5-0.7 MB as a warm CSV
+# gen.
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
@@ -271,9 +284,6 @@ def table_payload(ensemble: str, bounds: dict) -> dict:
             "entries": spec.items(*(bounds[name] for name in spec.bounds))}
 
 
-_BLOCK = 1 << 18  # bytes of entries serialized per write
-
-
 def payload_to_json(payload: dict, f) -> None:
     """Write ``json.dumps(P, sort_keys=True, indent=2) + "\n"``, encoded, to
     the binary sink f, where P is the payload with each entry ``((a, b), v)``
@@ -282,7 +292,7 @@ def payload_to_json(payload: dict, f) -> None:
     The encoder renders only the fields around the entries.  Each entry is
     rendered as its fixed block with the keys in sorted order, and the
     entries are written a block at a time: a block ends at the first entry
-    that brings it to _BLOCK bytes, so only one block's strings are held at
+    that brings it to _BUF bytes, so only one block's strings are held at
     once.  The entries are a list or an iterator, read once; a value is an
     int, an integral Decimal (str gives its digits, without an exponent) or
     a Fraction, whose str JSON quoting leaves as it is."""
@@ -305,7 +315,7 @@ def payload_to_json(payload: dict, f) -> None:
         block.append(text)
         size += len(text)
         sep = ",\n"
-        if size >= _BLOCK:
+        if size >= _BUF:
             f.write("".join(block).encode())
             block, size = [], 0
     if block:
@@ -345,9 +355,6 @@ def _open_out(out: str | None):
         sys.stdout.buffer.flush()
 
 
-_PIECE = 1 << 18  # bytes of gen JSON read per piece converted to CSV
-
-
 def payload_to_csv(src, ensemble: str, out: str | None) -> None:
     """Write the gen JSON of one table (as payload_to_json writes it), read
     from the binary file src, as CSV rows to the file ``out`` (None:
@@ -357,7 +364,7 @@ def payload_to_csv(src, ensemble: str, out: str | None) -> None:
     value and "}".  A row holds the keys in the ensemble's order and the
     value with an explicit denominator (``v`` if it has one, else
     ``v + "/1"``), which is ``rat_str_explicit(Fraction(v))``.  src is read
-    _PIECE bytes at a time; what is held is converted up to its last entry
+    _BUF bytes at a time; what is held is converted up to its last entry
     boundary, and the rest is carried into the next piece, so only about
     one piece's rows are held at once.
     """
@@ -375,13 +382,13 @@ def payload_to_csv(src, ensemble: str, out: str | None) -> None:
         f.write(f"{k1},{k2},value\n".encode())
         data = b""  # read the header, up to the line after '"entries": ['
         while (start := data.find(b'"entries": [')) < 0 or len(data) < start + 14:
-            if not (piece := src.read(_PIECE)):
+            if not (piece := src.read(_BUF)):
                 break
             data += piece
         if start < 0 or data[start + 12:start + 13] == b"]":  # '"entries": []'
             return
         data = data[start + 14:]
-        while piece := src.read(_PIECE):
+        while piece := src.read(_BUF):
             data += piece
             cut = data.rfind(b"},\n")
             if cut >= 0:
@@ -603,7 +610,7 @@ def cmd_gen(args) -> int:
             payload_to_csv(src, ensemble, args.out)
         else:
             with _open_out(args.out) as f:
-                while chunk := src.read(_CHUNK):
+                while chunk := src.read(_BUF):
                     f.write(chunk)
     return 0
 
@@ -617,7 +624,11 @@ def cmd_oracle(args) -> int:
         raise UsageError(f"bad --mu {args.mu!r}") from e
     if min(pattern) < 1:
         raise UsageError(f"--mu entries must be positive, got {args.mu!r}")
+    limit = GEN_LIMITS["at_digits"]
     for flag, spec in (("rows", args.rows), ("cols", args.cols)):
+        # counted as written, before the shift is parsed
+        if max(map(len, re.findall(r"\d+", spec)), default=0) > limit:
+            raise UsageError("--%s shift k must have at most %d digits" % (flag, limit))
         try:
             parse_dimension(spec)
         except ValueError as e:

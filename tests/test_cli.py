@@ -341,7 +341,7 @@ def test_entry_of_the_previous_cache_format_is_recomputed(cache, capsys):
 def test_csv_is_converted_piece_by_piece(cache, capsys, monkeypatch, piece):
     # 1: every piece is one byte; 60: the first piece ends inside the JSON
     # header; 300: a few entries each
-    monkeypatch.setattr(cli, "_PIECE", piece)
+    monkeypatch.setattr(cli, "_BUF", piece)
     for argv, name in TABLE_GOLDENS[len(JSON_GOLDENS):]:
         header = (GOLDEN.parent / name.replace(".csv", ".json")).read_bytes()
         assert piece == 300 or header.index(b'"entries": [') + 14 > piece
@@ -377,20 +377,18 @@ def test_warm_gen_reads_its_entry_in_bounded_pieces(cache, capsys, monkeypatch):
     sizes = []
     monkeypatch.setattr(cli, "open", lambda *a, **k: _ReadLog(open(*a, **k), sizes),
                         raising=False)
-    monkeypatch.setattr(cli, "_CHUNK", 128)
-    monkeypatch.setattr(cli, "_PIECE", 100)
-    for argv, name in TABLE_GOLDENS:
-        sizes.clear()
-        assert main(["gen", *argv]) == 0
-        golden = (GOLDEN.parent / name).read_text()
-        assert capsys.readouterr().out == golden, name
-        # the digest line, the JSON hashed 128 bytes at a time, then the JSON
-        # served 128 (JSON) or 100 (CSV) bytes at a time; each pass ends at
-        # an empty read
-        size = len((GOLDEN.parent / name.replace(".csv", ".json")).read_bytes())
-        serve = 100 if "csv" in argv else 128
-        assert sizes == [65, *[128] * (-(-size // 128) + 1),
-                         *[serve] * (-(-size // serve) + 1)], name
+    for buf in (100, 128):
+        monkeypatch.setattr(cli, "_BUF", buf)
+        for argv, name in TABLE_GOLDENS:
+            sizes.clear()
+            assert main(["gen", *argv]) == 0
+            golden = (GOLDEN.parent / name).read_text()
+            assert capsys.readouterr().out == golden, name
+            # the digest line, the JSON hashed buf bytes at a time, then the
+            # JSON served (as JSON or CSV) buf bytes at a time; each pass
+            # ends at an empty read
+            size = len((GOLDEN.parent / name.replace(".csv", ".json")).read_bytes())
+            assert sizes == [65, *[buf] * (2 * (-(-size // buf) + 1))], (buf, name)
 
 
 def test_cold_gen_serves_its_new_entry_without_reading_it_back(cache, capsys, monkeypatch):
@@ -419,7 +417,7 @@ def test_cold_gen_serves_its_new_entry_without_reading_it_back(cache, capsys, mo
 ])
 def test_entry_of_several_chunks_that_fails_its_digest_writes_nothing(cache, tmp_path, capsys,
                                                                       monkeypatch, edit):
-    monkeypatch.setattr(cli, "_CHUNK", 128)
+    monkeypatch.setattr(cli, "_BUF", 128)
     argv = ["gen", "vk", "--gmax", "8"]
     assert main(argv) == 0
     capsys.readouterr()
@@ -520,7 +518,7 @@ def _json_bytes(payload: dict) -> bytes:
 def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, block):
     # 4096 bytes: gauss and vk in one block, laguerre and glag-k1 in two; 500:
     # a few entries per block; 1: one entry per block
-    monkeypatch.setattr(cli, "_BLOCK", block)
+    monkeypatch.setattr(cli, "_BUF", block)
     streamed = table_payload(ensemble, bounds)
     # the entries are an iterator that can be read once; take them as a list
     # once, to render and count them several times
@@ -577,7 +575,7 @@ def test_gen_json_is_made_holding_only_a_few_rows(monkeypatch, ensemble, bounds)
     # relation reads, so the Python objects alive at once stay far below the
     # bytes written (whole tables held as ints took 1.0 to 1.8 times them);
     # hzlag.recursions is imported with this file, so its import is not traced
-    monkeypatch.setattr(cli, "_BLOCK", 4096)
+    monkeypatch.setattr(cli, "_BUF", 4096)
     sink = _CountingSink()
     tracemalloc.start()
     try:
@@ -626,6 +624,27 @@ def test_gen_all_tables_script_matches_gen(cache, tmp_path, capsys):
         for fmt in ("json", "csv"):
             assert main(["gen", ensemble, *flags, "--format", fmt, "--out", str(ref)]) == 0
             assert (outdir / f"{stem}.{fmt}").read_bytes() == ref.read_bytes(), stem
+
+
+def test_gen_peaks_near_its_import_floor(tmp_path):
+    # a cold gen and a warm CSV gen of a 7 MB table, each in a fresh child
+    # that reads its own VmHWM after importing hzlag.cli and at the end: the
+    # table is never held whole, and the pipe's buffers stay small (with
+    # 1 MiB and 256 KiB buffers both peaked 3-4 MB over the floor).  The
+    # wait4 ru_maxrss of a child starts at its parent's RSS, so it cannot
+    # show this.
+    spec = importlib.util.spec_from_file_location("peak_rss", ROOT / "scripts" / "peak_rss.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    job = ["gen", "laguerre", "--gmax", "100", "--nmax", "200"]
+    cold = script.measure(job, tmp_path)
+    if cold is None:
+        pytest.skip("no VmHWM in /proc/self/status")
+    (entry,) = tmp_path.iterdir()
+    assert entry.stat().st_size >= 4 << 20
+    warm = script.measure([*job, "--format", "csv"], tmp_path)
+    for name, (floor, peak) in (("cold", cold), ("warm csv", warm)):
+        assert peak - floor <= 1.5 * 1024, (name, floor, peak)  # KiB
 
 
 def test_gen_byte_determinism(cache, tmp_path):
@@ -785,6 +804,10 @@ def test_eval_fab_matches_golden(cache, capsys):
         ["gen", *VK1], ["gen", *VK1, "--no-cache"], ["gen", *VK1, "--format", "csv"],
         ["verify", "--suite", "odes", "--nmax", "1"],
         ["series", "vk", "--k", "1", "--order", "2"])],
+    # an oracle dimension shift k over the digit limit: refused before it is
+    # parsed (--mu 12,12 with 2,000-digit shifts took 13 s)
+    ["oracle", "--mu", "12,12", "--rows", "N+" + "9" * (cli.GEN_LIMITS["at_digits"] + 1)],
+    ["oracle", "--mu", "1", "--cols", "N - 0" + "1" * cli.GEN_LIMITS["at_digits"]],
 ])
 def test_bad_input_exits_2(cache, capsys, argv):
     where = {OUT_IN_MISSING_DIR: str(cache.parent / "missing" / "x"), OUT_DIR: str(cache.parent)}
@@ -820,6 +843,9 @@ def test_limits_are_inclusive(cache, capsys):
     # f_{1,1}(u) = -u/(u - 1)
     point = Fraction(-int("9" * digits), int("1" * digits))
     assert capsys.readouterr().out == f"{-point / (point - 1)}\n"
+    k = "9" * digits
+    assert main(["oracle", "--mu", "1", "--rows", f"N+{k}", "--cols", f"N-{k}"]) == 0
+    assert capsys.readouterr().out == f"N - {int(k) ** 2}*N^-1\n"  # (N+k)(N-k)/N
     assert main(["series", "vk", "--k", "64", "--order", "3"]) == 0
     assert main(["verify", "--suite", "identities",
                  "--amax", "50", "--bmax", "0", "--nmax", "0"]) == 0
@@ -1011,7 +1037,7 @@ def test_cache_write_that_fails_midway_leaves_nothing(cache):
 
 def test_gen_streams_a_table_into_its_cache_entry(cache, monkeypatch, capsys):
     # gen writes the table into the entry in blocks, and serves the entry
-    monkeypatch.setattr(cli, "_BLOCK", 300)
+    monkeypatch.setattr(cli, "_BUF", 300)
     assert main(["gen", "vk", "--gmax", "2"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
     path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
@@ -1024,7 +1050,7 @@ def test_engine_error_in_a_late_row_serves_nothing(cache, tmp_path, capsys, monk
                                                     no_cache):
     # blocks of the early rows are written before row 8 fails its exact
     # division; the error still comes before any byte is served
-    monkeypatch.setattr(cli, "_BLOCK", 300)
+    monkeypatch.setattr(cli, "_BUF", 300)
     true_div = recursions._exact_div
 
     def failing(num, den, anchor, i, j):
