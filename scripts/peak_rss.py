@@ -6,8 +6,11 @@ Usage: python3 scripts/peak_rss.py
 Each measurement runs ``hzlag.cli.main(ARGV)`` in a fresh child with this
 checkout's ``src`` on PYTHONPATH and stdout sent to /dev/null.  The child
 reads its own VmHWM (the high-water RSS in /proc/self/status) twice: right
-after ``import hzlag.cli``, its import floor, and after main returns, its
-peak.  The script prints an import-only child's floor, then, for each job of
+after it imports ``hzlag.cli`` and the modules a cold gen loads besides
+(``hzlag.recursions`` and ``decimal``), its import floor, and after main
+returns, its peak.  Those modules took about 0.6 MB of VmHWM; a warm gen loads
+neither, and its peak over the floor moved by less than 0.1 MB with them.
+The script prints an import-only child's floor, then, for each job of
 ``perfbench/run.py``'s GEN_JOBS, the peak of a cold JSON gen (on an empty
 cache), a warm JSON gen and a warm CSV gen (on the cache the cold one
 filled), each with its excess over its own child's floor.  MB is 2^20 bytes,
@@ -32,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # runs cli.main(ARGV), when ARGV is given, and writes to stderr, as its last
-# line, the VmHWM in KiB after the import and at the end ("None" if absent)
+# line, the VmHWM in KiB after the imports and at the end ("None" if absent)
 _CHILD = """
 import sys
 
@@ -47,6 +50,7 @@ def vmhwm():
     return None
 
 import hzlag.cli
+import decimal, hzlag.recursions
 floor = vmhwm()
 rc = hzlag.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(floor, vmhwm(), file=sys.stderr)

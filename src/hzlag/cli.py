@@ -37,7 +37,7 @@ INTERNAL_ERROR = 3
 # RSS in a fresh process, 2-vCPU VM, Python 3.11.7), and of the shift k of
 # oracle's --rows and --cols N+k or N-k (--mu 12,12 took 0.8-1.0 s at 100
 # digits and 13 s at 2,000; the slowest query found at 100 digits, --mu
-# 1,2,3,3,4,5,6 --connected, took 5.7 s, same machine)
+# 1,1,1,1,2,2,3,3,4,6 --connected, took 1.0-1.6 s by scripts/oracle_limits.py)
 GEN_LIMITS = {"k": 64, "order": 4000, "fab": 300, "identities": 50, "at_digits": 100}
 
 
@@ -459,26 +459,25 @@ def suite_odes(args) -> RunReport:
 def suite_crosscheck(args) -> RunReport:
     from fractions import Fraction
 
-    from .recursions import do_norbury_table, gauss_gue_check, glag_moment_from_table
+    from .recursions import gauss_gue_check, glag_moment_from_table
     from .reports import RunReport, record
     from .residues import exp_mean_moments, two_point_series
     from .spectral import w11_check, w30_planar_check
     from .wick import complex_wishart_moment, connected_moments, genus_extract
 
     rep = RunReport("crosscheck", tool_version=__version__)
-    mmax = min(args.mmax, 6)
     # one-point: residue route vs Wick oracle
     for N in range(1, 6):
-        mom = exp_mean_moments(N, mmax)
-        for m in range(mmax + 1):
+        mom = exp_mean_moments(N, args.mmax)
+        for m in range(args.mmax + 1):
             want = complex_wishart_moment((m,))(N) if m else Fraction(N)
             rep.checks.append(
                 record(f"rep-N-wick[N={N},m={m}]", "rep-N", mom[m] == want,
                        f"residue {mom[m]} wick {want}")
             )
     # genus grading of the symbolic oracle vs the recursion table
-    dn = do_norbury_table(3, mmax)
-    for m in range(1, mmax + 1):
+    dn = load_table("laguerre", {"gmax": 3, "nmax": args.mmax}, args.cache)
+    for m in range(1, args.mmax + 1):
         ge = genus_extract(complex_wishart_moment((m,)), 1)
         ok = all(dn.value(g, m - 2 * g) == c for g, c in ge.items())
         rep.checks.append(record(f"3-t-wick[m={m}]", "3-t", ok, f"grading {ge}"))
@@ -556,7 +555,7 @@ def suite_constraints(args) -> RunReport:
     for name, entries in (
         # the n = 0 column is the seed C_0^(g) = (1, 0, 0, ...), not a count, so it is exempt
         ("laguerre", {key: v for key, v in dn.entries.items() if key[1] >= 1}),
-        ("gauss", load_table("gauss", {"gmax": min(args.gmax, 8)}, args.cache).entries),
+        ("gauss", load_table("gauss", {"gmax": args.gmax}, args.cache).entries),
     ):
         bad = integrality_violations(entries)
         rep.checks.append(
@@ -646,8 +645,11 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for flag in ("amax", "bmax", "nmax"):
         _check_range(flag, getattr(args, flag), hi=GEN_LIMITS["identities"])
-    for flag in ("gmax", "mmax"):
-        _check_range(flag, getattr(args, flag))
+    # the widest windows the crosscheck and constraints suites have: a larger
+    # value would run the same checks (the constraints suite's vk table stops
+    # at gmax 6 and its gauss table at 8)
+    _check_range("mmax", args.mmax, hi=6)
+    _check_range("gmax", args.gmax, hi=8)
     if "constraints" in names and args.gmax < 1:
         raise UsageError(f"suite constraints needs --gmax >= 1, got {args.gmax}")
     _check_out(args.out)

@@ -9,17 +9,18 @@ of planar maps"; Eynard, *Counting Surfaces*, ch. 3): a partner in the same
 trace splits it in two, a partner in another trace merges the two, and a
 trace of length 0 is a closed loop.  Each histogram is memoized on the
 sorted pattern, so a query costs one step per smaller pattern instead of
-one per contraction, and each Wishart moment is memoized too.  A moment is
-a ``MomentPoly``, the ``exact.Laurent`` ring in the dimension N; that
+one per contraction, and each Wishart moment is memoized too; connected
+moments come from them by the moment-cumulant recursion.  A moment is a
+``MomentPoly``, the ``exact.Laurent`` ring in the dimension N; that
 arithmetic layer is the only module imported.  No step uses the
-recursions, residues or spectral curves, so these oracles are
-independent of every piece of algebra they are used to check;
-tests/test_wick.py pins them to plain enumerations of every bijection and
-pairing.
+recursions, residues or spectral curves, so these oracles are independent
+of every piece of algebra they are used to check; tests/test_wick.py pins
+them to plain enumerations of every bijection, pairing and set partition.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -34,7 +35,6 @@ __all__ = [
     "MomentPoly",
     "WISHART_DEGREE_LIMIT",
     "GUE_DEGREE_LIMIT",
-    "CONNECTED_TRACE_LIMIT",
     "complex_wishart_moment",
     "connected_moments",
     "gue_moment",
@@ -46,15 +46,14 @@ __all__ = [
 # fresh process (whole process, median of 5; 2-vCPU VM, Python 3.11.7):
 # `hzlag oracle --mu 1,1,2,3,8,9`, the degree-24 pattern that reaches the
 # most smaller patterns, 0.99 s, and --mu 24 0.80 s; gue_moment(44) 0.86 s
-# (48: 2.1 s).  connected_moments sums over the Bell(#traces) partitions of
-# its traces: --mu 1,1,2,3,4,6,7 --connected --cols N+1 took 0.93 s.
+# (48: 2.1 s).  The Wishart limit alone bounds connected_moments: the slowest
+# found over every partition of 24, 1,1,1,1,2,3,4,5,6 at cols N+1, 0.9-1.1 s.
 WISHART_DEGREE_LIMIT = 24
 GUE_DEGREE_LIMIT = 44
-CONNECTED_TRACE_LIMIT = 7
 
 
 class DegreeLimitError(ValueError):
-    """A moment query is over its degree or trace-count limit."""
+    """A moment query is over its degree limit."""
 
 
 class GradingError(ValueError):
@@ -178,59 +177,59 @@ def complex_wishart_moment(
     return _wishart_moment(pattern, rows, cols)
 
 
-def _powers(spec: Dimension, n: int) -> list[MomentPoly]:
-    """[d^0, .., d^n] for the polynomial d of a dimension spec."""
-    d = parse_dimension(spec)
-    out = [MomentPoly.const(1)]
-    for _ in range(n):
-        out.append(out[-1] * d)
-    return out
-
-
 # typed: an int ``rows`` is a numeric dimension, so 3 and MomentPoly.const(3),
-# which compare equal, must not share an entry; 128 entries hold every key a
-# verify run uses (20 at the defaults) and bound what a dimension sweep keeps
-@lru_cache(maxsize=128, typed=True)
+# which compare equal, must not share an entry; 256 entries hold one connected
+# query, which reads every sub-pattern: at most 224 at degree <= 24 (1^6 2^3 3 4 5)
+@lru_cache(maxsize=256, typed=True)
 def _wishart_moment(pattern: tuple[int, ...], rows: Dimension, cols: Dimension) -> MomentPoly:
     m = sum(pattern)
-    # row and column loops are cycles of permutations of m points
-    r_pow, c_pow = _powers(rows, m), _powers(cols, m)
-    total = MomentPoly()
-    for r, c, count in _loop_counts(pattern, 1):
-        total = total + r_pow[r] * c_pow[c] * count
+    # sum of count * rows^r * cols^c by Horner's rule in cols for each r,
+    # then in rows, one multiplication by a one- or two-term polynomial a step
+    col_poly = parse_dimension(cols)
+    by_rows = itertools.groupby(_loop_counts(pattern, 1), key=lambda t: t[0])
+    total = _horner({r: _horner({c: n for _, c, n in hist}, col_poly) for r, hist in by_rows},
+                    parse_dimension(rows))
     if isinstance(rows, int):
         # numeric dimensions: the weight parameter N equals the row count
         return total * Fraction(1, rows**m)
     return total.shift_exponent(-m)
 
 
-def _set_partitions(items: list):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
+def _horner(coefficients: dict, x: MomentPoly) -> MomentPoly:
+    """sum over e of coefficients[e] * x^e, for e >= 0."""
+    total = MomentPoly()
+    for e in range(max(coefficients), -1, -1):
+        total = total * x + coefficients.get(e, 0)
+    return total
 
 
 def connected_moments(
     pattern: Sequence[int], rows: Dimension = "N", cols: Dimension = "N"
 ) -> MomentPoly:
-    """Connected (cumulant) multi-trace moment via Moebius inversion over
-    set partitions of the trace factors."""
-    pattern = list(pattern)
-    if len(pattern) > CONNECTED_TRACE_LIMIT:
-        raise DegreeLimitError(f"{len(pattern)} traces exceed limit {CONNECTED_TRACE_LIMIT}")
-    total = MomentPoly()
-    for part in _set_partitions(list(range(len(pattern)))):
-        sign = (-1) ** (len(part) - 1) * math.factorial(len(part) - 1)
-        prod = MomentPoly.const(sign)
-        for block in part:
-            prod = prod * complex_wishart_moment([pattern[i] for i in block], rows, cols)
-        total = total + prod
-    return total
+    """Connected (cumulant) moment <prod_i tr (B B†)^{m_i}>_c, by the
+    moment-cumulant recursion k(S) = m(S) - sum_{B ∋ s, B ⊊ S} k(B) m(S - B)
+    on a trace s of S, m the full moment, over the index subsets B holding s:
+    a product of binomials counts those that give one sub-multiset B.  s has
+    the fewest copies in S, which leaves the fewest B; k is memoized on
+    sorted sub-multisets for the query."""
+    pattern = tuple(sorted(int(p) for p in pattern))
+    if not pattern:
+        raise ValueError("a connected moment needs at least one trace")
+
+    @lru_cache(maxsize=None)
+    def cumulant(S: tuple[int, ...]) -> MomentPoly:
+        values = sorted(set(S), key=lambda v: (S.count(v), v))  # s first
+        n = [S.count(v) for v in values]
+        total = complex_wishart_moment(S, rows, cols)
+        # B holds b[i] copies of values[i]; the last b, n itself, is S
+        for b in list(itertools.product(range(1, n[0] + 1), *(range(k + 1) for k in n[1:])))[:-1]:
+            ways = math.comb(n[0] - 1, b[0] - 1) * math.prod(map(math.comb, n[1:], b[1:]))
+            B = tuple(sorted(v for v, j in zip(values, b) for _ in range(j)))
+            rest = [v for v, k, j in zip(values, n, b) for _ in range(k - j)]
+            total = total - cumulant(B) * complex_wishart_moment(rest, rows, cols) * ways
+        return total
+
+    return cumulant(pattern)
 
 
 @lru_cache(maxsize=None)

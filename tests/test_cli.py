@@ -31,7 +31,7 @@ from hzlag.cli import (
 )
 from hzlag.exact import rat_str_explicit
 from hzlag.recursions import IntegralityError, c1_closed_form
-from hzlag.wick import CONNECTED_TRACE_LIMIT, WISHART_DEGREE_LIMIT
+from hzlag.wick import WISHART_DEGREE_LIMIT
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "vk_gmax2.json"
@@ -628,11 +628,11 @@ def test_gen_all_tables_script_matches_gen(cache, tmp_path, capsys):
 
 def test_gen_peaks_near_its_import_floor(tmp_path):
     # a cold gen and a warm CSV gen of a 7 MB table, each in a fresh child
-    # that reads its own VmHWM after importing hzlag.cli and at the end: the
-    # table is never held whole, and the pipe's buffers stay small (with
-    # 1 MiB and 256 KiB buffers both peaked 3-4 MB over the floor).  The
-    # wait4 ru_maxrss of a child starts at its parent's RSS, so it cannot
-    # show this.
+    # that reads its own VmHWM after importing hzlag.cli and the engines and
+    # at the end: the table is never held whole, and the pipe's buffers stay
+    # small (with 1 MiB and 256 KiB buffers both peaked 3-4 MB over the
+    # floor).  The wait4 ru_maxrss of a child starts at its parent's RSS, so
+    # it cannot show this.
     spec = importlib.util.spec_from_file_location("peak_rss", ROOT / "scripts" / "peak_rss.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -686,11 +686,14 @@ def test_oracle_outputs(cache, capsys):
     assert main(["oracle", "--mu", "4"]) == 0
     assert main(["oracle", "--mu", "1,1,1", "--connected"]) == 0
     assert main(["oracle", "--mu", "3", "--rows", "N", "--cols", "N+1"]) == 0
+    # eight traces: no trace-count cap, only the degree limit
+    assert main(["oracle", "--mu", "1,1,1,1,1,1,1,2", "--connected", "--cols", "N+1"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == [
         "14*N + 10*N^-1",
         "2*N^-1",
         "5*N + 10 + 7*N^-1 + 2*N^-2",
+        "80640*N^-6 + 120960*N^-7 + 40320*N^-8",
     ]
 
 
@@ -773,7 +776,9 @@ def test_eval_fab_matches_golden(cache, capsys):
     ["gen", "gauss", "--gmax", str(ENSEMBLES["gauss"].bounds["gmax"] + 1)],
     ["gen", "glag-k1", "--rmax2", str(ENSEMBLES["glag-k1"].bounds["rmax2"] + 1), "--nmax", "1"],
     ["gen", "glag-k1", "--rmax2", "1", "--nmax", str(ENSEMBLES["glag-k1"].bounds["nmax"] + 1)],
-    ["oracle", "--mu", ",".join(["1"] * (CONNECTED_TRACE_LIMIT + 1)), "--connected"],
+    # over the widest window the suite has: a larger value would change nothing
+    ["verify", "--suite", "crosscheck", "--mmax", "7"],
+    ["verify", "--suite", "constraints", "--gmax", "9"],
     # --at is an ASCII integer p or fraction p/q with q > 0, nothing else
     ["eval-fab", "--a", "1", "--b", "1", "--at", "1/000"],
     ["eval-fab", "--a", "2", "--b", "2", "--at", " 1_0/3 "],
@@ -852,6 +857,8 @@ def test_limits_are_inclusive(cache, capsys):
     assert main(["verify", "--suite", "identities",
                  "--amax", "0", "--bmax", "50", "--nmax", "0"]) == 0
     assert main(["verify", "--suite", "odes", "--nmax", "50"]) == 0
+    assert main(["verify", "--suite", "crosscheck", "--mmax", "6"]) == 0
+    assert main(["verify", "--suite", "constraints", "--gmax", "8"]) == 0
 
 
 def test_verify_empty_suite_exits_2(cache, capsys, tmp_path):
@@ -980,6 +987,23 @@ def test_verify_detects_cache_corruption(cache, capsys):
     _assert_named_corrupt(poisoned[0][0], (verify,), capsys)
     # bypassing the poisoned cache must pass again
     assert main([*verify, "--no-cache"]) == 0
+
+
+def test_crosscheck_reads_its_3t_table_through_the_cache(cache, capsys):
+    bounds = {"gmax": 3, "nmax": 6}
+    buf = io.BytesIO()
+    payload_to_json(table_payload("laguerre", bounds), buf)
+    payload = json.loads(buf.getvalue())
+    (entry,) = [e for e in payload["entries"] if (e["g"], e["n"]) == (1, 2)]
+    entry["value"] = str(int(entry["value"]) + 1)  # C_2^(1), read at m = 4
+    wrong = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    path = cache_path("gen", {"ensemble": "laguerre", **bounds})
+    path.parent.mkdir(parents=True)
+    path.write_bytes(_with_digest(wrong))
+    assert main(["verify", "--suite", "crosscheck"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    failed = {line.split()[1] for line in out if line.startswith("  FAIL ")}
+    assert failed == {"3-t-wick[m=4]", "gamma-collapse[m=4]"}, out
 
 
 def _served(args: dict, compute, use_cache: bool = True) -> bytes:

@@ -17,7 +17,6 @@ from hzlag.recursions import (
     lag_moment_from_table,
 )
 from hzlag.wick import (
-    CONNECTED_TRACE_LIMIT,
     GUE_DEGREE_LIMIT,
     WISHART_DEGREE_LIMIT,
     DegreeLimitError,
@@ -308,11 +307,62 @@ def test_connected_single_trace_is_full_moment():
         assert connected_moments((m,)) == complex_wishart_moment((m,), "N", "N")
 
 
-def test_connected_trace_limit():
-    ones = (1,) * CONNECTED_TRACE_LIMIT
-    assert connected_moments(ones)(1) == math.factorial(CONNECTED_TRACE_LIMIT - 1)
+def test_connected_ones_are_exponential_cumulants():
+    # at rows = cols = 1, tr(B B†) = |b|^2 is exponential with mean 1, whose
+    # n-th cumulant is (n-1)!; no trace-count cap stops n = 24
+    for n in range(1, WISHART_DEGREE_LIMIT + 1):
+        assert connected_moments((1,) * n)(1) == math.factorial(n - 1), n
     with pytest.raises(DegreeLimitError):
-        connected_moments(ones + (1,))
+        connected_moments((1,) * (WISHART_DEGREE_LIMIT + 1))
+    with pytest.raises(ValueError):
+        connected_moments(())
+
+
+def _set_partitions(items: list):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def reference_connected_moments(pattern, rows, cols) -> MomentPoly:
+    """Moebius inversion over the set partitions of the trace factors:
+    sum over partitions P of (-1)^(|P|-1) (|P|-1)! prod_{blocks} <block>."""
+    total = MomentPoly()
+    for part in _set_partitions(list(range(len(pattern)))):
+        prod = MomentPoly.const((-1) ** (len(part) - 1) * math.factorial(len(part) - 1))
+        for block in part:
+            prod = prod * complex_wishart_moment([pattern[i] for i in block], rows, cols)
+        total = total + prod
+    return total
+
+
+SMALL_PATTERNS = [tuple(sorted(p)) for d in range(1, 13) for p in partitions(d)]
+
+
+@pytest.mark.parametrize("rows,cols", [("N", "N"), ("N", "N+1"), ("N", "N-1"),
+                                       (1, 1), (2, 2), (3, 3)], ids=str)
+def test_connected_matches_moebius_sum(rows, cols):
+    for pattern in SMALL_PATTERNS:
+        if len(pattern) <= 7:
+            got = connected_moments(pattern, rows, cols)
+            assert got == reference_connected_moments(pattern, rows, cols), pattern
+
+
+@pytest.mark.parametrize("pattern", [
+    *SMALL_PATTERNS,
+    # degree 24, 8 to 14 traces; 1^6 2^3 3 4 5 has the most sub-patterns
+    (1, 1, 2, 2, 3, 4, 5, 6), (1, 1, 1, 2, 2, 3, 3, 5, 6), (1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 4, 5),
+    (1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4), (1,) * 10 + (2, 3, 4, 5),
+], ids=str)
+def test_connected_moments_lie_on_the_genus_grading(pattern):
+    # at rows = cols = N a connected moment of s traces is a sum over
+    # connected surfaces, so it lies on N^(2-2g-s) with g >= 0
+    assert genus_extract(connected_moments(pattern), len(pattern))
 
 
 def test_connected_small_values():
