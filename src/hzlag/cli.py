@@ -262,9 +262,10 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # estimated size of its JSON, GEN_BYTES; its option bounds only keep that
 # estimate cheap.  The largest accepted requests at gmax 100/200/400/1000
 # (nmax 962/432/138/21) took 21.0/20.6/20.2/20.2 MB and 0.7/0.7/0.7/0.6 s
-# and wrote 64/63/61/58 MB.  Each of these seven peaked 0.9-1.7 MB over
-# its import floor cold, with --no-cache too, and 0.5-0.7 MB as a warm CSV
-# gen.
+# and wrote 64/63/61/58 MB.  Each of these seven peaked 0.6-1.7 MB over
+# its import floor cold, with --no-cache too.  As a warm CSV gen these and
+# the benchmark tables read 0.6-1.5 MB over it by scripts/peak_rss.py (0.6-0.9
+# MB in one set of runs, 1.0-1.5 MB in others on the same VM).
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
@@ -429,49 +430,37 @@ def load_table(ensemble: str, bounds: dict, use_cache: bool):
 # ---------------------------------------------------------------------------
 
 
-def suite_identities(args) -> RunReport:
-    from .reports import RunReport
+def suite_identities(args) -> list[CheckRecord]:
     from .residues import IDENTITY_TAGS, verify_identity
 
-    rep = RunReport("identities", tool_version=__version__)
-    for tag in IDENTITY_TAGS:
-        rep.extend(verify_identity(tag, args.amax, args.bmax, args.nmax))
-    return rep
+    return [c for tag in IDENTITY_TAGS
+            for c in verify_identity(tag, args.amax, args.bmax, args.nmax)]
 
 
-def suite_odes(args) -> RunReport:
-    from .reports import RunReport
+def suite_odes(args) -> list[CheckRecord]:
     from .residues import verify_ode, verify_t1
 
-    rep = RunReport("odes", tool_version=__version__)
-    for N in range(1, min(args.nmax, 10) + 1):
-        rep.checks.append(verify_ode("DN", N))
-    for N in range(1, min(args.nmax, 8) + 1):
-        rep.checks.append(verify_ode("K1", N))
-    for N in range(1, min(args.nmax, 6) + 1):
-        rep.checks.append(verify_ode("K2", N))
-    for N in range(1, min(args.nmax, 6) + 1):
-        for k in range(3):
-            rep.checks.append(verify_t1(N, k))
-    return rep
+    return [c for N in range(1, args.nmax + 1)
+            for c in (verify_ode("DN", N), verify_ode("K1", N), verify_ode("K2", N),
+                      *(verify_t1(N, k) for k in range(3)))]
 
 
-def suite_crosscheck(args) -> RunReport:
+def suite_crosscheck(args) -> list[CheckRecord]:
     from fractions import Fraction
 
     from .recursions import gauss_gue_check, glag_moment_from_table
-    from .reports import RunReport, record
+    from .reports import record
     from .residues import exp_mean_moments, two_point_series
     from .spectral import w11_check, w30_planar_check
     from .wick import complex_wishart_moment, connected_moments, genus_extract
 
-    rep = RunReport("crosscheck", tool_version=__version__)
+    checks = []
     # one-point: residue route vs Wick oracle
     for N in range(1, 6):
         mom = exp_mean_moments(N, args.mmax)
         for m in range(args.mmax + 1):
             want = complex_wishart_moment((m,))(N) if m else Fraction(N)
-            rep.checks.append(
+            checks.append(
                 record(f"rep-N-wick[N={N},m={m}]", "rep-N", mom[m] == want,
                        f"residue {mom[m]} wick {want}")
             )
@@ -480,9 +469,9 @@ def suite_crosscheck(args) -> RunReport:
     for m in range(1, args.mmax + 1):
         ge = genus_extract(complex_wishart_moment((m,)), 1)
         ok = all(dn.value(g, m - 2 * g) == c for g, c in ge.items())
-        rep.checks.append(record(f"3-t-wick[m={m}]", "3-t", ok, f"grading {ge}"))
+        checks.append(record(f"3-t-wick[m={m}]", "3-t", ok, f"grading {ge}"))
         total = sum(dn.value(g, m - 2 * g) for g in range(m // 2 + 1))
-        rep.checks.append(
+        checks.append(
             record(f"gamma-collapse[m={m}]", "rep-N",
                    total == math.factorial(m), f"sum {total}")
         )
@@ -503,41 +492,40 @@ def suite_crosscheck(args) -> RunReport:
                 if got != want:
                     ok, detail = False, f"(m1={m1},m2={m2}): {got} vs {want}"
                     break
-        rep.checks.append(record(f"W2-wick[N={N}]", "W2", ok, detail))
+        checks.append(record(f"W2-wick[N={N}]", "W2", ok, detail))
     # Gaussian branch vs pairing oracle
-    rep.extend(gauss_gue_check(load_table("gauss", {"gmax": 3}, args.cache), 12))
+    checks += gauss_gue_check(load_table("gauss", {"gmax": 3}, args.cache), 12)
     # rectangular k = 1 branch vs Wick oracle
     ht = load_table("glag-k1", {"rmax2": 5, "nmax": 8}, args.cache)
     for m in range(1, 6):
         got = glag_moment_from_table(ht, m)
         want = complex_wishart_moment((m,), "N", "N+1")
-        rep.checks.append(
+        checks.append(
             record(f"8-t-wick[m={m}]", "8-t", got == want, f"table {got} wick {want}")
         )
     # closed forms
-    rep.extend(w11_check(7))
+    checks += w11_check(7)
     ratios = {t: w30_planar_check(*t) for t in ((1, 1, 1), (2, 1, 1), (2, 2, 1))}
-    rep.checks.append(
+    checks.append(
         record("W30[constant-ratio]", "W30", all(r == 2 for r in ratios.values()),
                f"ratios {ratios}")
     )
-    return rep
+    return checks
 
 
-def suite_constraints(args) -> RunReport:
+def suite_constraints(args) -> list[CheckRecord]:
     from .recursions import (asym_moments, glag_w1_ode_check, integrality_violations,
                              laguerre_ode_check)
-    from .reports import RunReport, record
+    from .reports import record
     from .spectral import a_to_C, consistency_identity_check
 
-    rep = RunReport("constraints", tool_version=__version__)
     gmax = min(args.gmax, 6)
     vt = load_table("vk", {"gmax": gmax}, args.cache)
-    rep.extend(consistency_identity_check(vt, gmax))
+    checks = consistency_identity_check(vt, gmax)
     for g in range(1, gmax + 1):
         row = vt.row(g)
         for r, s in enumerate(asym_moments(row, 2 * g + 1)):
-            rep.checks.append(
+            checks.append(
                 record(f"asym-r[g={g},r={r}]", "asym-r", s == 0, f"moment {s}")
             )
     # a-row expansion vs three-term recursion table
@@ -545,12 +533,12 @@ def suite_constraints(args) -> RunReport:
     for g in range(min(gmax, 5) + 1):
         cs = a_to_C(vt.row(g), g, 20)
         ok = all(cs[n] == dn.value(g, n) for n in range(21))
-        rep.checks.append(
+        checks.append(
             record(f"a-to-C[g={g}]", "rec-v2", ok, f"row expansion {cs[:6]}...")
         )
     # operator-equation verifiers
-    rep.extend(laguerre_ode_check(load_table("laguerre", {"gmax": 3, "nmax": 10}, args.cache)))
-    rep.extend(glag_w1_ode_check(load_table("glag-k1", {"rmax2": 4, "nmax": 8}, args.cache)))
+    checks += laguerre_ode_check(load_table("laguerre", {"gmax": 3, "nmax": 10}, args.cache))
+    checks += glag_w1_ode_check(load_table("glag-k1", {"rmax2": 4, "nmax": 8}, args.cache))
     # integrality expectations
     for name, entries in (
         # the n = 0 column is the seed C_0^(g) = (1, 0, 0, ...), not a count, so it is exempt
@@ -558,10 +546,10 @@ def suite_constraints(args) -> RunReport:
         ("gauss", load_table("gauss", {"gmax": args.gmax}, args.cache).entries),
     ):
         bad = integrality_violations(entries)
-        rep.checks.append(
+        checks.append(
             record(f"integrality[{name}]", "C1g", not bad, f"violations {bad[:5]}")
         )
-    return rep
+    return checks
 
 
 SUITES = {
@@ -653,27 +641,26 @@ def cmd_verify(args) -> int:
     if "constraints" in names and args.gmax < 1:
         raise UsageError(f"suite constraints needs --gmax >= 1, got {args.gmax}")
     _check_out(args.out)
-    reports = []
+    runs = []
     for n in names:
-        reports.append(SUITES[n](args))
-        if not reports[-1].checks:
+        checks = sorted(SUITES[n](args), key=lambda c: c.id)
+        if not checks:
             bounds = " ".join(f"--{b} {getattr(args, b)}" for b in SUITE_BOUNDS[n])
             raise UsageError(f"suite {n} runs no checks at {bounds}")
-    payload = {
-        "schema": "hzlag-report/1",
-        "tool_version": __version__,
-        "suites": [r.to_dict() for r in reports],
-    }
+        runs.append((n, checks))
     if args.out:
+        suites = [{"suite": n, "tool_version": __version__, "passed": all(c.ok for c in checks),
+                   "checks": [c._asdict() for c in checks]} for n, checks in runs]
+        payload = {"schema": "hzlag-report/1", "tool_version": __version__, "suites": suites}
         _write_out((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode(), args.out)
-    ok = True
-    for r in reports:
-        fails = r.failures()
-        print(f"suite {r.suite}: {len(r.checks)} checks, {len(fails)} failures")
-        for c in sorted(fails, key=lambda c: c.id):
+    failed = False
+    for n, checks in runs:
+        fails = [c for c in checks if not c.ok]
+        print(f"suite {n}: {len(checks)} checks, {len(fails)} failures")
+        for c in fails:
             print(f"  FAIL {c.id} anchor={c.anchor} {c.detail}")
-            ok = False
-    return 0 if ok else 1
+        failed = failed or bool(fails)
+    return 1 if failed else 0
 
 
 def cmd_series(args) -> int:
@@ -762,11 +749,22 @@ def make_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=[*SUITES, "all"], default="all")
-    v.add_argument("--amax", type=int, default=10)
-    v.add_argument("--bmax", type=int, default=10)
-    v.add_argument("--nmax", type=int, default=10)
-    v.add_argument("--gmax", type=int, default=6)
-    v.add_argument("--mmax", type=int, default=6)
+    # %-formatted, not f-strings: compiling these as f-strings raised the
+    # VmHWM of an import of hzlag.cli without cached bytecode by 0.2 MB
+    top = GEN_LIMITS["identities"]
+    v.add_argument("--amax", type=int, default=10,
+                   help="largest A of the identities suite's f_{A,B}, at most %d" % top)
+    v.add_argument("--bmax", type=int, default=10,
+                   help="largest B of the identities suite's f_{A,B}, at most %d" % top)
+    v.add_argument("--nmax", type=int, default=10,
+                   help="largest N of the identities suite and of each odes check "
+                        "(DN, K1, K2, T-1), at most %d" % top)
+    v.add_argument("--gmax", type=int, default=6,
+                   help="largest genus of the constraints suite's vk and gauss tables, "
+                        "1 to 8 (vk stops at 6)")
+    v.add_argument("--mmax", type=int, default=6,
+                   help="largest moment m of the crosscheck suite's rep-N-wick, 3-t-wick "
+                        "and gamma-collapse checks, at most 6")
     v.add_argument("--no-cache", dest="cache", action="store_false")
     v.add_argument("--out")
     v.set_defaults(fn=cmd_verify)

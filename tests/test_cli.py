@@ -647,6 +647,28 @@ def test_gen_peaks_near_its_import_floor(tmp_path):
         assert peak - floor <= 1.5 * 1024, (name, floor, peak)  # KiB
 
 
+def test_benchmark_pins_hold(cache, tmp_path):
+    # every output the benchmark checks, made in-process from its own
+    # arguments (each gen table cold as JSON, then from its cache as CSV),
+    # against the benchmark's pins, so a moved byte fails here first
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())
+    ops = [bench.gen_argv(job, fmt) for job in bench.GEN_JOBS for fmt in ("json", "csv")]
+    ops.append(bench.VERIFY_ARGS)
+    assert sorted(map(bench.pin_key, ops)) == sorted(pins)
+    out = tmp_path / "out"
+    for argv in ops:
+        pin = pins[bench.pin_key(argv)]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pin["sha256"], argv
+    # the last output is the verify report
+    checks = [c for s in json.loads(out.read_text())["suites"] for c in s["checks"]]
+    assert len(checks) == pins[bench.pin_key(bench.VERIFY_ARGS)]["items"] == 512
+    assert all(c["status"] == "pass" for c in checks)
+
+
 def test_gen_byte_determinism(cache, tmp_path):
     a = run_cli(["gen", "glag-k1", "--rmax2", "4", "--nmax", "6"], cache)
     b = run_cli(["gen", "glag-k1", "--rmax2", "4", "--nmax", "6"], cache)
@@ -919,9 +941,10 @@ def test_gen_out_fails_before_the_engine_runs(cache, tmp_path, capsys, monkeypat
 
 
 def test_verify_odes_suite(cache, capsys):
-    assert main(["verify", "--suite", "odes"]) == 0
-    out = capsys.readouterr().out
-    assert "suite odes:" in out and "0 failures" in out
+    # DN, K1, K2 and T-1 at k = 0, 1, 2 for each N up to --nmax (10 by default)
+    for flags, nmax in (([], 10), (["--nmax", "4"], 4), (["--nmax", "50"], 50)):
+        assert main(["verify", "--suite", "odes", *flags]) == 0
+        assert capsys.readouterr().out == f"suite odes: {6 * nmax} checks, 0 failures\n"
 
 
 def test_verify_report_out(cache, tmp_path, capsys):

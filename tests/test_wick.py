@@ -163,6 +163,22 @@ def test_wishart_loop_counts_match_cycle_traversal(pattern):
     assert _loop_counts(pattern, 1) == reference_wishart_counts(pattern)
 
 
+SMALL_PATTERNS = [tuple(sorted(p)) for d in range(1, 13) for p in partitions(d)]
+
+
+@pytest.mark.parametrize("patterns", [
+    SMALL_PATTERNS,
+    [(1, 1, 2, 3, 8, 9), (12, 12), (24,), (1, 1, 1, 1, 2, 3, 4, 5, 6)],
+], ids=["degree-1-12", "degree-24"])
+def test_wishart_loop_counts_are_symmetric_in_rows_and_columns(patterns):
+    # sum over sigma of x^c(sigma) y^c(gamma sigma) is symmetric in x and y
+    # (its character formula is), while Tutte's equation closes row and
+    # column loops by different terms, so the symmetry checks the recursion
+    for pattern in patterns:
+        hist = _loop_counts(pattern, 1)
+        assert sorted((c, r, n) for r, c, n in hist) == list(hist), pattern
+
+
 @pytest.mark.parametrize("m", range(2, 15, 2))
 def test_gue_moment_matches_cycle_traversal(m):
     assert gue_moment(m) == reference_gue_moment(m)
@@ -339,9 +355,6 @@ def reference_connected_moments(pattern, rows, cols) -> MomentPoly:
             prod = prod * complex_wishart_moment([pattern[i] for i in block], rows, cols)
         total = total + prod
     return total
-
-
-SMALL_PATTERNS = [tuple(sorted(p)) for d in range(1, 13) for p in partitions(d)]
 
 
 @pytest.mark.parametrize("rows,cols", [("N", "N"), ("N", "N+1"), ("N", "N-1"),
