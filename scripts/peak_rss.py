@@ -1,20 +1,23 @@
 #!/usr/bin/env python3
-"""Print the peak RSS of ``hzlag gen`` on each of the benchmark's gen jobs.
+"""Print the peak RSS of ``hzlag gen`` on each of the benchmark's gen jobs,
+and of the benchmark's verify run.
 
 Usage: python3 scripts/peak_rss.py
 
 Each measurement runs ``hzlag.cli.main(ARGV)`` in a fresh child with this
 checkout's ``src`` on PYTHONPATH and stdout sent to /dev/null.  The child
 reads its own VmHWM (the high-water RSS in /proc/self/status) twice: right
-after it imports ``hzlag.cli`` and the modules a cold gen loads besides
-(``hzlag.recursions`` and ``decimal``), its import floor, and after main
-returns, its peak.  Those modules took about 0.6 MB of VmHWM; a warm gen loads
-neither, and its peak over the floor moved by less than 0.1 MB with them.
+after it imports ``hzlag.cli`` and the modules every cold gen loads besides
+(``hzlag.engines`` and ``decimal``), its import floor, and after main
+returns, its peak.  A warm gen loads neither module; a cold vk gen also
+loads ``fractions``, which counts towards its excess over the floor.
 The script prints an import-only child's floor, then, for each job of
 ``perfbench/run.py``'s GEN_JOBS, the peak of a cold JSON gen (on an empty
 cache), a warm JSON gen and a warm CSV gen (on the cache the cold one
-filled), each with its excess over its own child's floor.  MB is 2^20 bytes,
-as in the benchmark.
+filled), each with its excess over its own child's floor, and last the
+peak of ``hzlag VERIFY_ARGS --out FILE`` on an empty cache, VERIFY_ARGS
+being the benchmark's verify-all run.  MB is 2^20 bytes, as in the
+benchmark.
 
 The ``ru_maxrss`` that ``wait4`` reports is no use here: exec keeps the
 high-water RSS of the image it replaces, and a child spawned through fork or
@@ -50,7 +53,7 @@ def vmhwm():
     return None
 
 import hzlag.cli
-import decimal, hzlag.recursions
+import decimal, hzlag.engines
 floor = vmhwm()
 rc = hzlag.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(floor, vmhwm(), file=sys.stderr)
@@ -71,12 +74,12 @@ def measure(argv: list[str], cache: Path) -> tuple[int, int] | None:
     return None if peak == "None" else (int(floor), int(peak))
 
 
-def gen_jobs() -> list[list[str]]:
-    """The benchmark's gen jobs, read from perfbench/run.py."""
+def benchmark():
+    """perfbench/run.py as a module, for its GEN_JOBS and VERIFY_ARGS."""
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    return run.GEN_JOBS
+    return run
 
 
 def _mb(kib: int) -> str:
@@ -90,13 +93,18 @@ def main() -> int:
             print("no VmHWM in /proc/self/status", file=sys.stderr)
             return 1
         print(f"import floor  {_mb(base[0])}")
-        for i, job in enumerate(gen_jobs()):
+        run = benchmark()
+        for i, job in enumerate(run.GEN_JOBS):
             print(" ".join(job))
             cache = Path(d) / f"cache-{i}"
             for label, fmt in (("cold json", "json"), ("warm json", "json"),
                                ("warm csv", "csv")):
                 floor, peak = measure(["gen", *job, "--format", fmt], cache)
                 print(f"  {label:<11} {_mb(peak)}  (+{(peak - floor) / 1024:.2f} over its floor)")
+        print(" ".join(run.VERIFY_ARGS))
+        argv = [*run.VERIFY_ARGS, "--out", str(Path(d) / "report.json")]
+        floor, peak = measure(argv, Path(d) / "cache-verify")
+        print(f"  {'verify-all':<11} {_mb(peak)}  (+{(peak - floor) / 1024:.2f} over its floor)")
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import importlib
 import itertools
@@ -203,10 +204,10 @@ class Ensemble:
         self.base10 = base10  # the engine runs over exact Decimal (one=Decimal(1)), not int
 
     def items(self, *bounds):
-        """The table's ``((k1, k2), value)`` items in sorted key order, as an iterator."""
-        # by its full name: ``from . import recursions`` would go through
+        """The table's rows ``(i, j0, values)`` in sorted key order, as an iterator."""
+        # by its full name: ``from . import engines`` would go through
         # hzlag.__getattr__, which lists the package directory
-        engine = getattr(importlib.import_module(".recursions", __package__), self.engine)
+        engine = getattr(importlib.import_module(".engines", __package__), self.engine)
         if not self.base10:
             return engine(*bounds)
         from decimal import Decimal
@@ -232,40 +233,43 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
     return bits * 30103 // 100000 + 62 * (gmax + 1) * (nmax + 1)
 
 
-# each engine is named by a string and looked up in hzlag.recursions when
-# it is called, so importing this module loads no engine; a reloaded table
-# is a recursions.Table whatever its ensemble.  The bounds were set to keep
-# a request within about 200 MB peak RSS while every entry was held as an
-# int, a string and JSON bytes at once; they are unchanged since.
+# each engine is named by a string and looked up in hzlag.engines when it
+# is called, so importing this module loads no engine, and a cold gen loads
+# no verifier or oracle; a reloaded table is a recursions.Table whatever its
+# ensemble.  The bounds were set to keep a request within about 200 MB peak
+# RSS while every entry was held as an int, a string and JSON bytes at once;
+# they are unchanged since.
 # Now an engine yields the table a row at a time, holding only the rows its
-# relation reads (one for "3-t", "recurrence" and "rec-v2", four for "8-t"),
-# each row is streamed into the cache entry (with --no-cache, into a
-# temporary file) a block of about _BUF bytes at a time, and that file is
-# served _BUF bytes at a time, so no table is ever held whole: peak RSS
-# (VmHWM, as scripts/peak_rss.py reads it) is the import floor of about
-# 19 MB plus the rows the relation reads and a few buffers of _BUF bytes.
-# Time, not memory, now bounds each request.
+# relation reads (one for "3-t", "recurrence" and "rec-v2", four for "8-t")
+# and its relation's coefficients, each row is streamed into the cache
+# entry (with --no-cache, into a temporary file) a block of about _BUF bytes
+# at a time, and that file is served _BUF bytes at a time, so no table is
+# ever held whole: peak RSS (VmHWM, as scripts/peak_rss.py reads it) is the
+# import floor of about 19 MB plus those rows and coefficients and a few
+# buffers of _BUF bytes.  Time, not memory, now bounds each request.
 #
 # base10 engines run over exact Decimal: a laguerre or gauss entry runs to
 # a thousand digits and more, and str() of an int is quadratic in its
 # digits, str() of a Decimal linear.  In-process, the engine plus str() of
-# every entry took 0.19 s over Decimal against 0.36 s over int at laguerre
-# 150/300, and 0.11 against 0.29 s at gauss 200.  glag-k1 stays on int:
-# its "8-t" entries are shorter, and over Decimal it took 0.21 s against
-# 0.16 s at 120/240; vk's entries are Fractions.
+# every entry took 0.16 s over Decimal against 0.31 s over int at laguerre
+# 150/300, and 0.09 against 0.26 s at gauss 200 (medians of 5).  glag-k1
+# stays on int: its "8-t" entries are shorter, and over Decimal it took
+# 0.21 s against 0.16 s at 120/240; vk's entries are Fractions.
 #
-# Measured cold, each in a fresh process, on one 2-vCPU VM (Python
-# 3.11.7): `gen vk --gmax 150` took 2.3 s, 21.0 MB VmHWM and wrote 39 MB,
-# `gen gauss --gmax 300` 0.6 s, 20.4 MB and 54 MB, `gen glag-k1 --rmax2 240
-# --nmax 480` 1.4 s, 20.9 MB and 62 MB.  A laguerre table's time and size
-# follow its digits, not its bounds, so its request is bounded by the
-# estimated size of its JSON, GEN_BYTES; its option bounds only keep that
-# estimate cheap.  The largest accepted requests at gmax 100/200/400/1000
-# (nmax 962/432/138/21) took 21.0/20.6/20.2/20.2 MB and 0.7/0.7/0.7/0.6 s
-# and wrote 64/63/61/58 MB.  Each of these seven peaked 0.6-1.7 MB over
-# its import floor cold, with --no-cache too.  As a warm CSV gen these and
-# the benchmark tables read 0.6-1.5 MB over it by scripts/peak_rss.py (0.6-0.9
-# MB in one set of runs, 1.0-1.5 MB in others on the same VM).
+# Measured cold, each in a fresh process without cached bytecode, on one
+# 2-vCPU VM (Python 3.11.7; medians of 5, in two sets of runs at different
+# machine loads): `gen vk --gmax 150` took 2.0-2.6 s, 21.0 MB VmHWM and
+# wrote 39 MB, `gen gauss --gmax 300` 0.4-0.6 s, 20.2 MB and 54 MB, `gen
+# glag-k1 --rmax2 240 --nmax 480` 1.0-1.2 s, 20.6 MB and 62 MB.  A laguerre
+# table's time and size follow its digits, not its bounds, so its request
+# is bounded by the estimated size of its JSON, GEN_BYTES; its option
+# bounds only keep that estimate cheap.  The largest accepted requests at
+# gmax 100/200/400/1000 (nmax 962/432/138/21) took 21.0/20.4/20.1/20.3 MB
+# and 0.5-0.6 s each, and wrote 64/63/61/58 MB.  Each of these seven peaked
+# 0.8-1.7 MB over its import floor cold, with --no-cache too.  As a warm
+# CSV gen these and the benchmark tables read 0.6-1.5 MB over it by
+# scripts/peak_rss.py (0.6-0.9 MB in one set of runs, 1.0-1.5 MB in others
+# on the same VM).
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
@@ -287,38 +291,70 @@ def table_payload(ensemble: str, bounds: dict) -> dict:
 
 def payload_to_json(payload: dict, f) -> None:
     """Write ``json.dumps(P, sort_keys=True, indent=2) + "\n"``, encoded, to
-    the binary sink f, where P is the payload with each entry ``((a, b), v)``
-    as ``{k1: a, k2: b, "value": str(v)}``.
+    the binary sink f, where P is the payload with its entries, given as
+    rows ``(i, j0, values)``, written out one entry ``{k1: i, k2: j, "value":
+    str(v)}`` per value v, j counting up from j0.
 
-    The encoder renders only the fields around the entries.  Each entry is
-    rendered as its fixed block with the keys in sorted order, and the
-    entries are written a block at a time: a block ends at the first entry
-    that brings it to _BUF bytes, so only one block's strings are held at
-    once.  The entries are a list or an iterator, read once; a value is an
-    int, an integral Decimal (str gives its digits, without an exponent) or
-    a Fraction, whose str JSON quoting leaves as it is."""
+    The encoder renders only the fields around the entries.  A row is
+    rendered in slices, each by one str.join over four pieces per entry: the
+    row's constant prefix (the end of the entry before, and the start of
+    this one), the cached string of j, the row's constant text between j and
+    the value, and str(v); a constant suffix closes the slice.  The slices
+    are written a block at a time: a block ends at the first slice that
+    brings it to _BUF bytes, and a slice is sized to fill the room left in
+    its block, so a block holds about _BUF bytes however long a row is (a
+    laguerre row runs to 1.45 MB of JSON at the limits).  The rows are a
+    list or an iterator, read once; a value is an int, an integral Decimal
+    (str gives its digits, without an exponent) or a Fraction, whose str
+    JSON quoting leaves as it is."""
     head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
                             indent=2).split('"entries": []')
-    entries = iter(payload["entries"])
-    first = next(entries, None)  # an entry is a pair, never None
-    if first is None:
+    k1, k2 = ENSEMBLES[payload["ensemble"]].keys
+    lo, hi = sorted((k1, k2))  # an entry's keys in the order they are written
+    block, size, opened = [], 0, False
+    k, per = 1, _BUF  # the entries in the slice before and the bytes of its last one
+    base, names = 0, []  # names[j - base] is str(j)
+    for i, j0, values in payload["entries"]:
+        if not values:
+            continue
+        if not opened:
+            f.write(f'{head}"entries": [\n'.encode())
+            opened, sep = True, ""
+        if j0 < base or j0 + len(values) > base + len(names):
+            top = max(base + len(names), j0 + len(values))
+            base = min(base, j0)
+            names = [str(j) for j in range(base, top)]
+        # an entry is start + str(j) + middle + str(v) + '"\n    }'
+        if lo == k1:  # the row index is written first
+            start, middle = f'    {{\n      "{lo}": {i},\n      "{hi}": ', ',\n      "value": "'
+        else:
+            start, middle = f'    {{\n      "{lo}": ', f',\n      "{hi}": {i},\n      "value": "'
+        glue = '"\n    },\n' + start
+        a = 0
+        while a < len(values):
+            # the room left in the block if its entries were as long as the
+            # last one before, and at most twice the entries of the slice
+            # before, since entries grow along a row (a laguerre row's from a
+            # few bytes to over a kilobyte)
+            k = max(1, min(2 * k, (_BUF - size) // per))
+            part = values[a:a + k]
+            n = len(part)
+            pieces = [glue, "", middle, ""] * n
+            pieces[0] = sep + start
+            pieces[1::4] = names[j0 + a - base:j0 + a - base + n]
+            pieces[3::4] = map(str, part)
+            pieces.append('"\n    }')
+            text = "".join(pieces)
+            per = len(glue) + len(pieces[-4]) + len(middle) + len(pieces[-2])  # its last entry
+            block.append(text)
+            size += len(text)
+            sep, a = ",\n", a + n
+            if size >= _BUF:
+                f.write("".join(block).encode())
+                block, size = [], 0
+    if not opened:
         f.write(f'{head}"entries": []{tail}\n'.encode())
         return
-    k1, k2 = ENSEMBLES[payload["ensemble"]].keys
-    ia, ib = (0, 1) if k1 < k2 else (1, 0)  # where the sorted keys sit in an entry's index
-    # the text before each of an entry's three values, at indent depth 2
-    open_a = f'    {{\n      "{min(k1, k2)}": '
-    open_b, open_v = f',\n      "{max(k1, k2)}": ', ',\n      "value": "'
-    f.write(f'{head}"entries": [\n'.encode())
-    block, size, sep = [], 0, ""  # an entry's text starts with the separator before it
-    for k, v in itertools.chain((first,), entries):
-        text = f'{sep}{open_a}{k[ia]}{open_b}{k[ib]}{open_v}{v!s}"\n    }}'
-        block.append(text)
-        size += len(text)
-        sep = ",\n"
-        if size >= _BUF:
-            f.write("".join(block).encode())
-            block, size = [], 0
     if block:
         f.write("".join(block).encode())
     f.write(f"\n  ]{tail}\n".encode())
@@ -343,17 +379,52 @@ def _check_out(out: str | None) -> None:
             os.unlink(out)
 
 
+class _Sink:
+    """The binary stream of the ``--out`` file (out is its name) or of
+    stdout (out is None), on which a failed write is a usage error naming
+    it.  A broken pipe is not a failure: the reader has stopped."""
+
+    __slots__ = ("f", "out")
+
+    def __init__(self, f, out: str | None):
+        self.f, self.out = f, out
+
+    def write(self, b: bytes) -> int:
+        return self.run(self.f.write, b)
+
+    def run(self, call, *args):
+        """call(*args), with an OSError other than a broken pipe raised as a
+        usage error."""
+        try:
+            return call(*args)
+        except OSError as e:
+            if self.out is None:
+                # what could not be written may still be buffered: point
+                # stdout at the null device, so the flush at exit cannot fail
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, self.f.fileno())
+                os.close(devnull)
+            if isinstance(e, BrokenPipeError):
+                raise
+            target = f"--out {self.out}" if self.out else "to stdout"
+            raise UsageError(f"cannot write {target} ({e.strerror})") from e
+
+
 @contextlib.contextmanager
 def _open_out(out: str | None):
     """The ``--out`` file opened for binary writing, or stdout's byte stream
-    (flushed when done, never closed)."""
-    if out:
-        with _open_file(out, "wb") as f:
-            yield f
-    else:
-        sys.stdout.flush()  # text written before goes first
-        yield sys.stdout.buffer
-        sys.stdout.buffer.flush()
+    (flushed when done, never closed), as a _Sink."""
+    f = _open_file(out, "wb") if out else sys.stdout.buffer
+    sink = _Sink(f, out)
+    try:
+        if not out:
+            sink.run(sys.stdout.flush)  # text written before goes first
+        yield sink
+        sink.run(f.close if out else f.flush)
+    finally:
+        if out:  # after an error, closing cannot fail with a second one
+            with contextlib.suppress(OSError):
+                f.close()
 
 
 def payload_to_csv(src, ensemble: str, out: str | None) -> None:
@@ -625,7 +696,7 @@ def cmd_oracle(args) -> int:
         moment = fn(pattern, args.rows, args.cols)
     except DegreeLimitError as e:
         raise UsageError(f"--mu {e}") from e
-    print(moment)
+    _write_out(f"{moment}\n".encode(), None)
     return 0
 
 
@@ -653,13 +724,13 @@ def cmd_verify(args) -> int:
                    "checks": [c._asdict() for c in checks]} for n, checks in runs]
         payload = {"schema": "hzlag-report/1", "tool_version": __version__, "suites": suites}
         _write_out((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode(), args.out)
-    failed = False
+    lines, failed = [], False
     for n, checks in runs:
         fails = [c for c in checks if not c.ok]
-        print(f"suite {n}: {len(checks)} checks, {len(fails)} failures")
-        for c in fails:
-            print(f"  FAIL {c.id} anchor={c.anchor} {c.detail}")
+        lines.append(f"suite {n}: {len(checks)} checks, {len(fails)} failures\n")
+        lines += [f"  FAIL {c.id} anchor={c.anchor} {c.detail}\n" for c in fails]
         failed = failed or bool(fails)
+    _write_out("".join(lines).encode(), None)
     return 1 if failed else 0
 
 
@@ -710,13 +781,11 @@ def cmd_eval_fab(args) -> int:
     if args.at is not None:
         point = _parse_point(args.at)
     value = fab(args.a, args.b)
-    if args.at is None:
-        print(value)
-        return 0
     try:
-        print(value(point))
+        text = f"{value if args.at is None else value(point)}\n"
     except ZeroDivisionError as e:
         raise UsageError(f"f_{{{args.a},{args.b}}} has a pole at {args.at}") from e
+    _write_out(text.encode(), None)
     return 0
 
 
@@ -803,5 +872,17 @@ def main(argv: list[str] | None = None) -> int:
         return INTERNAL_ERROR
 
 
+def entry() -> int:
+    """The ``hzlag`` command: main() on the process's arguments.  Its
+    objects are then moved out of the collector's reach, so that shutdown
+    does not sweep the import graph's cycles a process is about to drop
+    anyway; main() itself leaves the collector alone for in-process
+    callers."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .engines import consistency_form
 from .reports import CheckRecord, record
-from .recursions import Table, consistency_form, half_binomial_series
+from .recursions import Table, half_binomial_series
 from .wick import connected_moments
 
 __all__ = [

@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface: determinism, exit codes,
 serialization formats, and the table cache."""
 
+import ast
 import decimal
+import gc
 import hashlib
 import importlib.util
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hzlag
-from hzlag import cli, recursions
+from hzlag import cli, engines, recursions
 from hzlag.cli import (
     ENSEMBLES,
     cache_path,
@@ -79,10 +82,10 @@ def _child_env(cache_dir) -> dict:
 
 
 # modules outside hzlag that the probe reports: decimal, which only the
-# Decimal engines need, and three that no process should load (dataclasses
-# also loads inspect, ast, dis and tokenize; pkgutil is what a lookup through
-# hzlag.__getattr__ loads)
-_REPORTED = ("decimal", "dataclasses", "inspect", "pkgutil")
+# engines need, fractions, which only the vk engine needs, and three
+# that no process should load (dataclasses also loads inspect, ast, dis and
+# tokenize; pkgutil is what a lookup through hzlag.__getattr__ loads)
+_REPORTED = ("decimal", "fractions", "dataclasses", "inspect", "pkgutil")
 
 # runs cli.main(ARGV) and writes, as the last line of stderr, the hzlag
 # submodules the process loaded and those of _REPORTED that it loaded
@@ -194,9 +197,9 @@ def test_decimal_entry_beyond_the_precision_raises(cache, capsys, monkeypatch, a
                                                    no_cache):
     # with 10 digits of precision the entries of these tables (up to 17 and
     # 23 digits) cannot be made exactly: the engine raises, it does not round
-    exact = recursions._EXACT.copy()
+    exact = engines._EXACT.copy()
     exact.prec = 10
-    monkeypatch.setattr(recursions, "_EXACT", exact)
+    monkeypatch.setattr(engines, "_EXACT", exact)
     assert main(["gen", *argv, *(["--no-cache"] if no_cache else [])]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -237,6 +240,7 @@ def test_truncated_cache_entry_is_named_corrupt(cache, tmp_path, capsys):
 
 
 VK1 = ["vk", "--gmax", "1"]
+VK2 = ["vk", "--gmax", "2"]
 # --out placeholders that test_bad_input_exits_2 replaces by paths under its
 # temporary directory
 OUT_IN_MISSING_DIR, OUT_DIR = "<missing-dir>/x", "<dir>"
@@ -483,10 +487,12 @@ def test_gen_entries_over_4300_digits(cache, capsys):
 
 
 def _json_reference(payload: dict) -> bytes:
-    """The gen JSON of a payload whose entries are ``((a, b), value)``
-    items, as json.dumps renders it with each entry's value as a string."""
+    """The gen JSON of a payload whose entries are rows ``(i, j0, values)``,
+    as json.dumps renders it with one entry per value, the value as a
+    string."""
     k1, k2 = ENSEMBLES[payload["ensemble"]].keys
-    entries = [{k1: a, k2: b, "value": str(v)} for (a, b), v in payload["entries"]]
+    entries = [{k1: i, k2: j, "value": str(v)}
+               for i, j0, values in payload["entries"] for j, v in enumerate(values, j0)]
     return (json.dumps({**payload, "entries": entries}, sort_keys=True, indent=2)
             + "\n").encode()
 
@@ -533,25 +539,43 @@ def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, block
     head, *blocks, foot = sink.writes
     assert head.endswith(b'"entries": [\n') and foot.startswith(b"\n  ]")
     assert b'"value": ' not in head + foot
-    assert sum(b.count(b'"value": ') for b in blocks) == len(payload["entries"])
-    # a block ends at the first entry that brings it to `block` bytes: every
-    # block but the last reaches it, and none does before its last entry
-    # (the ",\n" before an entry counts as the entry's)
+    assert sum(b.count(b'"value": ') for b in blocks) == sum(len(v) for _, _, v in payload["entries"])
+    # a block ends at the first slice of a row that brings it to `block`
+    # bytes, and a slice is sized to the room left in its block at the
+    # length of the entry before it: every block but the last reaches
+    # `block`, and none runs two entries past it (the ",\n" before an entry
+    # counts as the entry's)
+    longest = max(map(len, b"".join(blocks).split(b",\n"))) + 2
     for i, b in enumerate(blocks):
         assert b.startswith(b",\n    {" if i else b"    {") and b.endswith(b"\n    }")
-        assert max(b.rfind(b",\n    {"), 0) < block
         assert len(b) >= block or i == len(blocks) - 1
+        assert len(b) < block + 2 * longest, (len(b), longest)
+
+
+def test_a_long_row_is_written_in_slices():
+    # a laguerre row runs to 1.3 MB of JSON at nmax 2000; it is rendered and
+    # written a slice at a time, each write near _BUF bytes (the first rows'
+    # entries grow from 58 to 1,275 bytes, so a slice sized from the entry
+    # before it overshoots its room by up to about a quarter)
+    payload = table_payload("laguerre", {"gmax": 2, "nmax": 2000})
+    payload["entries"] = list(payload["entries"])
+    sink = _RecordingSink()
+    payload_to_json(payload, sink)
+    assert b"".join(sink.writes) == _json_reference(payload)
+    head, *blocks, foot = sink.writes
+    assert len(blocks) > 3 * 1_000_000 // cli._BUF
+    assert all(len(b) < 1.5 * cli._BUF for b in blocks)
+    assert all(len(b) >= cli._BUF for b in blocks[:-1])
 
 
 def test_table_payload_holds_no_strings():
     payload = table_payload("vk", {"gmax": 2})
     assert set(payload) == {"schema", "ensemble", "bounds", "entries"}
-    entries = list(payload["entries"])  # an iterator: read it once
-    assert len(entries) == 15  # row g holds k = -3g..g: 1, 5 and 9 entries
-    keys = [k for k, _ in entries]
-    assert keys == sorted(keys)
-    assert all(type(a) is int and type(b) is int and type(v) in (int, Fraction)
-               for (a, b), v in entries)
+    rows = list(payload["entries"])  # an iterator of rows: read it once
+    # row g holds k = -3g..g: 1, 5 and 9 entries
+    assert [(g, k0, len(values)) for g, k0, values in rows] == [(0, 0, 1), (1, -3, 5), (2, -6, 9)]
+    assert all(type(g) is int and type(k0) is int and type(values) is list
+               and all(type(v) in (int, Fraction) for v in values) for g, k0, values in rows)
 
 
 class _CountingSink:
@@ -589,8 +613,9 @@ def test_gen_json_is_made_holding_only_a_few_rows(monkeypatch, ensemble, bounds)
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(ENSEMBLES)),
        st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300),
-                          st.one_of(st.integers(-10**40, 10**40), st.fractions())),
-                max_size=12))
+                          st.lists(st.one_of(st.integers(-10**40, 10**40), st.fractions()),
+                                   max_size=5)),
+                max_size=6))
 def test_table_writers_on_generated_entries(ensemble, rows):
     spec = ENSEMBLES[ensemble]
     k1, k2 = spec.keys
@@ -598,11 +623,12 @@ def test_table_writers_on_generated_entries(ensemble, rows):
         "schema": "hzlag-table/1",
         "ensemble": ensemble,
         "bounds": {name: 1 for name in spec.bounds},
-        "entries": [((a, b), v) for a, b, v in rows],
+        "entries": rows,
     }
     data = _json_bytes(payload)
     assert data == _json_reference(payload)
-    want = "".join(f"{a},{b},{rat_str_explicit(Fraction(v))}\n" for a, b, v in rows)
+    want = "".join(f"{a},{b},{rat_str_explicit(Fraction(v))}\n"
+                   for a, b0, values in rows for b, v in enumerate(values, b0))
     with tempfile.TemporaryDirectory() as d:
         out = os.path.join(d, "t.csv")
         payload_to_csv(io.BytesIO(data), ensemble, out)
@@ -915,7 +941,7 @@ def test_verify_out_fails_before_any_suite_runs(cache, tmp_path, capsys, monkeyp
                          ids=["json", "no-cache", "csv"])
 def test_gen_out_fails_before_the_engine_runs(cache, tmp_path, capsys, monkeypatch, extra):
     ran = []
-    monkeypatch.setattr(recursions, "do_norbury_items", lambda *a, **k: ran.append(a) or iter(()))
+    monkeypatch.setattr(engines, "do_norbury_items", lambda *a, **k: ran.append(a) or iter(()))
     temporaries = []  # the files --no-cache would compute into
     true_temporary = tempfile.TemporaryFile
     monkeypatch.setattr(tempfile, "TemporaryFile",
@@ -930,7 +956,7 @@ def test_gen_out_fails_before_the_engine_runs(cache, tmp_path, capsys, monkeypat
     assert ran == [] and temporaries == []
     assert not cache.exists()  # neither an entry nor a temporary file
     # a writable --out is left as it was when the engine then fails
-    monkeypatch.setattr(recursions, "do_norbury_items", lambda *a, **k: iter([((0, 0), 1 / 0)]))
+    monkeypatch.setattr(engines, "do_norbury_items", lambda *a, **k: iter([(0, 0, [1 / 0])]))
     kept = tmp_path / "kept.json"
     kept.write_text("earlier table\n")
     assert main([*gen, "--out", str(kept)]) == 3
@@ -1098,14 +1124,14 @@ def test_engine_error_in_a_late_row_serves_nothing(cache, tmp_path, capsys, monk
     # blocks of the early rows are written before row 8 fails its exact
     # division; the error still comes before any byte is served
     monkeypatch.setattr(cli, "_BUF", 300)
-    true_div = recursions._exact_div
+    true_div = engines._exact_div
 
     def failing(num, den, anchor, i, j):
         if anchor == "3-t" and i == 8:
             raise IntegralityError(f"3-t entry ({i}, {j}) failed on purpose")
         return true_div(num, den, anchor, i, j)
 
-    monkeypatch.setattr(recursions, "_exact_div", failing)
+    monkeypatch.setattr(engines, "_exact_div", failing)
     written = []  # the size of each write the JSON made before the error
     true_to_json = cli.payload_to_json
 
@@ -1190,21 +1216,90 @@ def test_console_script_entry_point(cache):
     r = run_cli(["--version"], cache)
     assert r.returncode == 0
     assert b"0.1.0" in r.stdout
+    r = run_cli(["gen", "vk"], cache)  # a usage error
+    assert r.returncode == 2 and r.stderr == b"error: gen vk requires --gmax\n", r.stderr
+    r = run_cli(["verify", "bogus"], cache)  # an argparse usage error
+    assert r.returncode == 2 and r.stderr.startswith(b"usage: hzlag"), r.stderr
+
+
+def test_console_script_and_module_run_the_same_entry():
+    # [project.scripts] hzlag names the function that ``python -m hzlag.cli``
+    # runs, and that function is not main, which leaves the collector alone
+    scripts = re.search(r"\[project\.scripts\]\n(?:.*\n)*?hzlag = \"([^\"]+)\"",
+                        (ROOT / "pyproject.toml").read_text())
+    module, func = scripts[1].split(":")
+    assert module == "hzlag.cli"
+    tree = ast.parse((ROOT / "src" / "hzlag" / "cli.py").read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block.body) == f"sys.exit({func}())"
+    assert func != "main" and callable(getattr(cli, func))
+
+
+def test_main_leaves_the_collector_alone(cache, capsys):
+    frozen = gc.get_freeze_count()
+    for argv in (["--version"], ["gen", "vk", "--gmax", "1"], ["gen", "vk"]):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert gc.get_freeze_count() == frozen, argv
+    capsys.readouterr()
+
+
+_FULL = pathlib.Path("/dev/full")
+needs_full = pytest.mark.skipif(not _FULL.exists(), reason="no /dev/full")
+
+
+@needs_full
+@pytest.mark.parametrize("argv", [
+    ["gen", *VK2],
+    ["gen", *VK2, "--format", "csv"],
+    ["gen", *VK2, "--no-cache"],
+    ["verify", "--suite", "odes", "--nmax", "1"],
+    ["series", "vk", "--k", "1", "--order", "3"],
+], ids=["gen-json", "gen-csv", "gen-no-cache", "verify", "series"])
+def test_out_on_a_full_device_exits_2(cache, capsys, argv):
+    assert main([*argv, "--out", str(_FULL)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write --out {_FULL} (No space left on device)\n"
+    assert captured.out == ""
+
+
+@needs_full
+@pytest.mark.parametrize("argv", [
+    ["gen", *VK2],
+    ["gen", *VK2, "--format", "csv"],
+    ["verify", "--suite", "odes", "--nmax", "1"],
+    ["series", "vk", "--k", "1", "--order", "3"],
+    ["oracle", "--mu", "2"],
+    ["eval-fab", "--a", "1", "--b", "1"],
+], ids=["gen-json", "gen-csv", "verify", "series", "oracle", "eval-fab"])
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_stdout_on_a_full_device_exits_2(cache, argv, buffered):
+    env = _child_env(cache)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open(_FULL, "wb") as full:
+        r = subprocess.run([sys.executable, "-m", "hzlag.cli", *argv], stdout=full,
+                           stderr=subprocess.PIPE, env=env)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == b"error: cannot write to stdout (No space left on device)\n"
 
 
 def test_processes_import_only_what_they_run(cache):
     # a warm gen and --version load no engine and not decimal: only the cli
-    # module itself; a cold gen loads the recursions (and through wick the
-    # exact arithmetic layer) but no residue or spectral code, and a Decimal
-    # engine loads decimal; no process loads dataclasses, inspect or pkgutil
+    # module itself; a cold gen loads the engines and decimal alone, none of
+    # the verifiers, oracles, arithmetic or check records, and only vk loads
+    # fractions; no process loads dataclasses, inspect or pkgutil
     never = {"dataclasses", "inspect", "pkgutil"}
     assert loaded_modules(["--version"], cache) == {"hzlag.cli"}
-    for job in (["gen", "vk", "--gmax", "2"], ["gen", *LAGUERRE_5_20]):
+    for job in (["gen", "vk", "--gmax", "2"], ["gen", *LAGUERRE_5_20], ["gen", "gauss", "--gmax", "5"],
+                ["gen", "glag-k1", "--rmax2", "3", "--nmax", "4"]):
         cold = loaded_modules(job, cache)
-        assert "hzlag.recursions" in cold
-        assert not cold & {"hzlag.residues", "hzlag.spectral", *never}, cold
+        assert cold - {"fractions"} == {"hzlag.cli", "hzlag.engines", "decimal"}, (job, cold)
+        assert ("fractions" in cold) == (job[1] == "vk"), (job, cold)
         for fmt in ("json", "csv"):
             assert loaded_modules([*job, "--format", fmt], cache) == {"hzlag.cli"}, (job, fmt)
-    assert "decimal" in cold
     checks = loaded_modules(["verify", "--suite", "constraints"], cache)
     assert "hzlag.recursions" in checks and not checks & never, checks

@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hzlag import recursions
+from hzlag import engines, recursions
+from hzlag.engines import asym_first_nonzero, consistency_form
 from hzlag.recursions import (
     ConstraintError,
     IntegralityError,
     Table,
-    asym_first_nonzero,
     asym_moments,
     c1_closed_form,
-    consistency_form,
     do_norbury_items,
     do_norbury_table,
     gauss_genus_coefficients,
@@ -40,6 +39,11 @@ from hzlag.wick import complex_wishart_moment, genus_extract, gue_moment
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 ONE = Decimal(1)  # the unit of the Decimal runs of "3-t" and "recurrence"
+
+
+def _flat(rows):
+    """The ((i, j), value) items of an engine's rows (i, j0, values), in order."""
+    return [((i, j), v) for i, j0, values in rows for j, v in enumerate(values, j0)]
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +80,23 @@ def glag():
 ], ids=["3-t", "recurrence", "rec-v2", "8-t", "3-t-Decimal", "recurrence-Decimal"])
 def test_engine_yields_its_table_in_sorted_key_order(items, table, bounds):
     for b in bounds:
-        keys = [k for k, _ in items(*b)]
+        rows = list(items(*b))
+        # one nonempty list per row, the rows in increasing order
+        assert all(type(values) is list and values for _, _, values in rows), b
+        assert [i for i, _, _ in rows] == sorted({i for i, _, _ in rows}), b
+        keys = [k for k, _ in _flat(rows)]
         assert all(a < c for a, c in zip(keys, keys[1:])), b  # strictly increasing
-        assert dict(items(*b)) == table(*b).entries, b
+        assert dict(_flat(items(*b))) == table(*b).entries, b
+
+
+def test_engine_rows_start_at_their_least_second_index():
+    # "3-t" and "8-t" rows start at n = 0, "recurrence" rows at k = 0 and
+    # "rec-v2" row g at k = -3g
+    assert [(i, j0, len(v)) for i, j0, v in do_norbury_items(2, 3)] == [(0, 0, 4), (1, 0, 4),
+                                                                       (2, 0, 4)]
+    assert [(i, j0, len(v)) for i, j0, v in gauss_hz_items(3)] == [(1, 0, 1), (2, 0, 2), (3, 0, 3)]
+    assert [(i, j0, len(v)) for i, j0, v in vk_items(2)] == [(0, 0, 1), (1, -3, 5), (2, -6, 9)]
+    assert [(i, j0, len(v)) for i, j0, v in glag_k1_items(1, 2)] == [(0, 0, 3), (1, 0, 3)]
 
 
 # -- Table reads: a missing key is 0 unless an index is above its bound ------
@@ -126,7 +144,7 @@ def _assert_same_run(int_items, decimal_items):
     """The two runs yield the same keys and, entry by entry, the same str();
     the int run's strings have no exponent and no signed zero, so neither
     has the Decimal run's."""
-    a, b = list(int_items), list(decimal_items)
+    a, b = _flat(int_items), _flat(decimal_items)
     assert [k for k, _ in a] == [k for k, _ in b]
     assert [str(v) for _, v in a] == [str(v) for _, v in b]
     assert all(type(v) is int for _, v in a) and all(type(v) is Decimal for _, v in b)
@@ -157,8 +175,8 @@ def test_engine_leaves_the_callers_context_current_between_rows(items, bounds, o
 def test_3t_decimal_run_names_a_non_integer_entry(monkeypatch):
     # one more than the true numerator of C_3^(2), whose divisor is n + 2g + 1 = 8
     want = Fraction(8 * do_norbury_table(2, 3).value(2, 3) + 1, 8)
-    true_div = recursions._exact_div
-    monkeypatch.setattr(recursions, "_exact_div", lambda num, den, anchor, i, j:
+    true_div = engines._exact_div
+    monkeypatch.setattr(engines, "_exact_div", lambda num, den, anchor, i, j:
                         true_div(num + ((i, j) == (2, 3)), den, anchor, i, j))
     with pytest.raises(IntegralityError,
                        match=rf"^3-t entry \(2, 3\) = {want} is not an integer$"):
@@ -166,14 +184,14 @@ def test_3t_decimal_run_names_a_non_integer_entry(monkeypatch):
 
 
 def test_8t_wrong_seed_raises_integrality_error(monkeypatch):
-    monkeypatch.setitem(recursions._8T_RHS, (0, 0), 3)  # true seed 2
+    monkeypatch.setitem(engines._8T_RHS, (0, 0), 3)  # true seed 2
     with pytest.raises(IntegralityError, match=r"^8-t entry \(0, 0\) = 3/2 "):
         glag_k1_table(2, 3)
 
 
 def test_rec_v2_perturbed_relation_raises_integrality_error(monkeypatch):
-    true_rhs = recursions._rec_v2_rhs
-    monkeypatch.setattr(recursions, "_rec_v2_rhs", lambda prev, k: true_rhs(prev, k) + 1)
+    true_rhs = engines._rec_v2_rhs
+    monkeypatch.setattr(engines, "_rec_v2_rhs", lambda prev, k: true_rhs(prev, k) + 1)
     with pytest.raises(IntegralityError, match=r"^rec-v2 entry \(1, "):
         vk_table(2)
 
@@ -181,9 +199,9 @@ def test_rec_v2_perturbed_relation_raises_integrality_error(monkeypatch):
 def test_vk_asym_violation_names_first_nonzero_moment(monkeypatch):
     # adding k to the relation adds 2 to every A_k with k != 0; A_0 keeps the
     # row sum at zero, so moment r = 1 is the first that fails
-    true_rhs = recursions._rec_v2_rhs
-    monkeypatch.setattr(recursions, "_rec_v2_rhs", lambda prev, k: true_rhs(prev, k) + k)
-    monkeypatch.setattr(recursions, "consistency_form", lambda row: 0)
+    true_rhs = engines._rec_v2_rhs
+    monkeypatch.setattr(engines, "_rec_v2_rhs", lambda prev, k: true_rhs(prev, k) + k)
+    monkeypatch.setattr(engines, "consistency_form", lambda row: 0)
     with pytest.raises(ConstraintError, match=r"^asym-r moment r=1 nonzero at g=1$"):
         vk_table(2)
 
