@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -78,8 +79,8 @@ def cache_path(kind: str, args: dict) -> Path:
 
 
 # bytes per step of the gen pipe: each read of a cache entry, to hash it or
-# to copy it out, each block of JSON written and each piece of JSON
-# converted to CSV.  A step's transient buffers (the bytes, their text, its
+# to copy it out or read it back as CSV rows or a table, and each block of
+# JSON written.  A step's transient buffers (the bytes, their text, its
 # lines, the rows made) scale with it, and so does peak RSS: VmHWM of a
 # warm CSV gen of the benchmark's tables over its import floor, 2-vCPU VM,
 # Python 3.11.7, was 2.5-3.9 MB with 1 MiB reads and 256 KiB blocks and
@@ -235,18 +236,14 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 
 # each engine is named by a string and looked up in hzlag.engines when it
 # is called, so importing this module loads no engine, and a cold gen loads
-# no verifier or oracle; a reloaded table is a recursions.Table whatever its
-# ensemble.  The bounds were set to keep a request within about 200 MB peak
-# RSS while every entry was held as an int, a string and JSON bytes at once;
-# they are unchanged since.
-# Now an engine yields the table a row at a time, holding only the rows its
-# relation reads (one for "3-t", "recurrence" and "rec-v2", four for "8-t")
-# and its relation's coefficients, each row is streamed into the cache
-# entry (with --no-cache, into a temporary file) a block of about _BUF bytes
-# at a time, and that file is served _BUF bytes at a time, so no table is
-# ever held whole: peak RSS (VmHWM, as scripts/peak_rss.py reads it) is the
-# import floor of about 19 MB plus those rows and coefficients and a few
-# buffers of _BUF bytes.  Time, not memory, now bounds each request.
+# no verifier or oracle.  The bounds were set to keep a request within about
+# 200 MB peak RSS while every entry was held as an int, a string and JSON
+# bytes at once; they are unchanged since.  Now an engine yields the table a
+# row at a time, holding only the rows its relation reads (one for "3-t",
+# "recurrence" and "rec-v2", four for "8-t") and its relation's
+# coefficients; the rows are streamed into the cache entry (with --no-cache,
+# a temporary file) and read back from it _BUF bytes at a time, so no table
+# is ever held whole, and time, not memory, bounds each request.
 #
 # base10 engines run over exact Decimal: a laguerre or gauss entry runs to
 # a thousand digits and more, and str() of an int is quadratic in its
@@ -256,20 +253,14 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # stays on int: its "8-t" entries are shorter, and over Decimal it took
 # 0.21 s against 0.16 s at 120/240; vk's entries are Fractions.
 #
-# Measured cold, each in a fresh process without cached bytecode, on one
-# 2-vCPU VM (Python 3.11.7; medians of 5, in two sets of runs at different
-# machine loads): `gen vk --gmax 150` took 2.0-2.6 s, 21.0 MB VmHWM and
-# wrote 39 MB, `gen gauss --gmax 300` 0.4-0.6 s, 20.2 MB and 54 MB, `gen
-# glag-k1 --rmax2 240 --nmax 480` 1.0-1.2 s, 20.6 MB and 62 MB.  A laguerre
-# table's time and size follow its digits, not its bounds, so its request
-# is bounded by the estimated size of its JSON, GEN_BYTES; its option
-# bounds only keep that estimate cheap.  The largest accepted requests at
-# gmax 100/200/400/1000 (nmax 962/432/138/21) took 21.0/20.4/20.1/20.3 MB
-# and 0.5-0.6 s each, and wrote 64/63/61/58 MB.  Each of these seven peaked
-# 0.8-1.7 MB over its import floor cold, with --no-cache too.  As a warm
-# CSV gen these and the benchmark tables read 0.6-1.5 MB over it by
-# scripts/peak_rss.py (0.6-0.9 MB in one set of runs, 1.0-1.5 MB in others
-# on the same VM).
+# A laguerre table's time and size follow its digits, not its bounds, so its
+# request is bounded by the estimated size of its JSON, GEN_BYTES; its option
+# bounds only keep that estimate cheap.  Each largest accepted request (vk
+# 150, gauss 300, glag-k1 240/480, laguerre 100/962, 200/432, 400/138 and
+# 1000/21; 39-64 MB written) took 0.4-2.6 s (README gives each) and 20.1-21.0
+# MB VmHWM cold, 0.8-1.7 MB over its import floor, without cached bytecode
+# (2-vCPU VM, Python 3.11.7, medians of 5).  With it, as scripts/peak_rss.py
+# runs, the benchmark tables read 0.7-1.6 MB over it cold, 0.9-1.5 MB warm CSV.
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
@@ -281,9 +272,9 @@ ENSEMBLES = {
 
 
 def table_payload(ensemble: str, bounds: dict) -> dict:
-    """The header of one table's gen JSON and its entries, as an iterator
-    over sorted ``((k1, k2), value)`` items (a value is an int, an integral
-    Decimal or a Fraction) that the engine makes as they are read."""
+    """The header of one table's gen JSON and its entries, as the engine's
+    iterator over rows ``(i, j0, values)`` (a value is an int, an integral
+    Decimal or a Fraction), made as they are read."""
     spec = ENSEMBLES[ensemble]
     return {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds,
             "entries": spec.items(*(bounds[name] for name in spec.bounds))}
@@ -427,61 +418,52 @@ def _open_out(out: str | None):
                 f.close()
 
 
+def _entry_pieces(src):
+    """The entries of the gen JSON read from the binary file src, as bytes
+    pieces, each a run of whole entries from an entry's "{" to a later
+    entry's "}": src is read _BUF bytes at a time, each read is cut at its
+    last entry boundary, and the rest is carried into the next piece."""
+    data = b""  # read the header, up to the line after '"entries": ['
+    while (start := data.find(b'"entries": [')) < 0 or len(data) < start + 14:
+        if not (chunk := src.read(_BUF)):
+            break
+        data += chunk
+    if start < 0 or data[start + 12:start + 13] == b"]":  # '"entries": []'
+        return
+    reads = itertools.chain([data[start + 14:]], iter(lambda: src.read(_BUF), b""))
+    data = b""  # the start of an entry not yet whole
+    for chunk in reads:
+        cut = chunk.rfind(b"},\n")
+        if cut < 0:
+            data += chunk
+        else:
+            yield data + chunk[:cut + 1]
+            data = chunk[cut + 3:]
+    yield data[:data.rindex(b"\n  ]")]
+
+
+def _entry_fields(piece: bytes, keys: tuple[str, str]):
+    """The texts of the keys, in the order of keys, and of the value of each
+    entry of a piece of _entry_pieces, as an iterator of triples.  An entry
+    is five lines: "{", its keys in sorted order ('      "k": i,'), its
+    value ('      "value": "v"') and "}"; a text ends one before its line."""
+    lines = piece.decode().split("\n")
+    # (line in the entry, column where the text starts) of each key and the value
+    spots = [(sorted(keys).index(k) + 1, len(k) + 10) for k in keys] + [(3, 16)]
+    return zip(*(map(itemgetter(slice(col, -1)), lines[line::5]) for line, col in spots))
+
+
 def payload_to_csv(src, ensemble: str, out: str | None) -> None:
-    """Write the gen JSON of one table (as payload_to_json writes it), read
-    from the binary file src, as CSV rows to the file ``out`` (None:
-    stdout).
-
-    Each entry is the five lines "{", its two keys in sorted order, its
-    value and "}".  A row holds the keys in the ensemble's order and the
-    value with an explicit denominator (``v`` if it has one, else
-    ``v + "/1"``), which is ``rat_str_explicit(Fraction(v))``.  src is read
-    _BUF bytes at a time; what is held is converted up to its last entry
-    boundary, and the rest is carried into the next piece, so only about
-    one piece's rows are held at once.
-    """
-    k1, k2 = ENSEMBLES[ensemble].keys
-    # offsets of k1's and k2's lines in an entry, and where their values start
-    l1, l2 = (1, 2) if k1 < k2 else (2, 1)
-    p1, p2 = len(k1) + 10, len(k2) + 10  # '      "k": '
-
-    def rows(entries: bytes) -> bytes:  # from an entry's "{" to a later entry's "}"
-        lines = entries.decode().split("\n")
-        return "".join([f"{a[p1:-1]},{b[p2:-1]},{v[16:-1]}{'' if '/' in v else '/1'}\n"
-                        for a, b, v in zip(lines[l1::5], lines[l2::5], lines[3::5])]).encode()
-
+    """Write the gen JSON of one table, read from the binary file src a
+    piece of _entry_pieces at a time, as CSV rows to the file ``out`` (None:
+    stdout): the keys in the ensemble's order, then the value with an
+    explicit denominator, ``rat_str_explicit(Fraction(v))``."""
+    keys = ENSEMBLES[ensemble].keys
     with _open_out(out) as f:
-        f.write(f"{k1},{k2},value\n".encode())
-        data = b""  # read the header, up to the line after '"entries": ['
-        while (start := data.find(b'"entries": [')) < 0 or len(data) < start + 14:
-            if not (piece := src.read(_BUF)):
-                break
-            data += piece
-        if start < 0 or data[start + 12:start + 13] == b"]":  # '"entries": []'
-            return
-        data = data[start + 14:]
-        while piece := src.read(_BUF):
-            data += piece
-            cut = data.rfind(b"},\n")
-            if cut >= 0:
-                f.write(rows(data[:cut + 1]))
-                data = data[cut + 3:]
-        f.write(rows(data[:data.rindex(b"\n  ]")]))
-
-
-def payload_to_table(payload: dict):
-    """Rebuild a recursions.Table from a parsed gen payload (the values are
-    not re-checked: the verify suites re-check constraints on whatever the
-    payload holds).  The bounds are taken in the ensemble's index order, not
-    the header's, which is sorted by name."""
-    from fractions import Fraction
-
-    from .recursions import Table
-
-    spec = ENSEMBLES[payload["ensemble"]]
-    k1, k2 = spec.keys
-    entries = {(e[k1], e[k2]): Fraction(e["value"]) for e in payload["entries"]}
-    return Table(tuple(payload["bounds"][name] for name in spec.bounds), entries)
+        f.write(f"{keys[0]},{keys[1]},value\n".encode())
+        for piece in _entry_pieces(src):
+            f.write("".join([f"{a},{b},{v}{'' if '/' in v else '/1'}\n"
+                             for a, b, v in _entry_fields(piece, keys)]).encode())
 
 
 def table_bytes(ensemble: str, bounds: dict, use_cache: bool):
@@ -492,8 +474,21 @@ def table_bytes(ensemble: str, bounds: dict, use_cache: bool):
 
 
 def load_table(ensemble: str, bounds: dict, use_cache: bool):
+    """The recursions.Table of one table, read from its gen JSON (see
+    table_bytes) a piece of _entry_pieces at a time, with int values, and a
+    Fraction where a value has a denominator.  The values are not re-checked:
+    the verify suites re-check constraints on whatever the entry holds."""
+    from fractions import Fraction
+
+    from .recursions import Table
+
+    spec = ENSEMBLES[ensemble]
+    entries = {}
     with table_bytes(ensemble, bounds, use_cache) as f:
-        return payload_to_table(json.load(f))
+        for piece in _entry_pieces(f):
+            for i, j, v in _entry_fields(piece, spec.keys):
+                entries[int(i), int(j)] = Fraction(v) if "/" in v else int(v)
+    return Table(tuple(bounds[name] for name in spec.bounds), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +647,9 @@ def _write_out(data: bytes, out: str | None) -> None:
 def cmd_gen(args) -> int:
     ensemble = args.ensemble
     spec = ENSEMBLES[ensemble]
+    for name in ("gmax", "nmax", "rmax2"):
+        if name not in spec.bounds and getattr(args, name) is not None:
+            raise UsageError(f"gen {ensemble} takes no --{name}")
     bounds = {name: getattr(args, name) for name in spec.bounds}
     for name, v in bounds.items():
         if v is None:
@@ -740,6 +738,8 @@ def cmd_series(args) -> int:
     _check_range("k", args.k, hi=GEN_LIMITS["k"])
     _check_range("order", args.order, hi=GEN_LIMITS["order"])
     if args.which == "vk":
+        if args.beta is not None:
+            raise UsageError("series vk takes no --beta")
         ser = vk_series(args.k, args.order)
     else:
         if args.beta is None:

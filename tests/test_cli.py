@@ -16,6 +16,7 @@ import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -629,10 +630,38 @@ def test_table_writers_on_generated_entries(ensemble, rows):
     assert data == _json_reference(payload)
     want = "".join(f"{a},{b},{rat_str_explicit(Fraction(v))}\n"
                    for a, b0, values in rows for b, v in enumerate(values, b0))
-    with tempfile.TemporaryDirectory() as d:
-        out = os.path.join(d, "t.csv")
-        payload_to_csv(io.BytesIO(data), ensemble, out)
-        assert pathlib.Path(out).read_text() == f"{k1},{k2},value\n{want}"
+    # load_table reads ints, and Fractions only where there is a denominator
+    table = {(a, b): int(v) if v.denominator == 1 else Fraction(v)
+             for a, b0, values in rows for b, v in enumerate(values, b0)}
+    # whole in one read, and in reads of 7 bytes, which cut entries anywhere
+    for buf in (cli._BUF, 7):
+        with (mock.patch.object(cli, "_BUF", buf), tempfile.TemporaryDirectory() as d,
+              mock.patch.dict(os.environ, {"HZLAG_CACHE_DIR": d})):
+            out = os.path.join(d, "t.csv")
+            payload_to_csv(io.BytesIO(data), ensemble, out)
+            assert pathlib.Path(out).read_text() == f"{k1},{k2},value\n{want}"
+            cache_path("gen", {"ensemble": ensemble, **payload["bounds"]}).write_bytes(
+                _with_digest(data))
+            got = cli.load_table(ensemble, payload["bounds"], True)
+        assert got.bounds == (1,) * len(spec.bounds) and got.entries == table
+        assert [type(v) for v in got.entries.values()] == [type(v) for v in table.values()]
+
+
+def test_load_table_holds_little_besides_the_table(cache):
+    # the entry (1.56 MB) is read a piece at a time, so the peak stays within
+    # a few pieces of the table returned, where a parse of the whole entry
+    # would hold several times its size
+    bounds = {"gmax": 60, "nmax": 120}
+    cli.table_bytes("laguerre", bounds, True).close()
+    assert cache_path("gen", {"ensemble": "laguerre", **bounds}).stat().st_size > 1_500_000
+    tracemalloc.start()
+    try:
+        table = cli.load_table("laguerre", bounds, True)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.entries) == 61 * 121
+    assert peak - size <= 8 * cli._BUF, (peak, size)
 
 
 def test_gen_all_tables_script_matches_gen(cache, tmp_path, capsys):
@@ -659,16 +688,21 @@ def test_gen_peaks_near_its_import_floor(tmp_path):
     # small (with 1 MiB and 256 KiB buffers both peaked 3-4 MB over the
     # floor).  The wait4 ru_maxrss of a child starts at its parent's RSS, so
     # it cannot show this.
+    # Both children read their bytecode from one cache that measure fills
+    # first: cached bytecode lowers the floor, not the peak, so this is the
+    # state with the least room under the bound, whether or not the checkout
+    # has a __pycache__.
     spec = importlib.util.spec_from_file_location("peak_rss", ROOT / "scripts" / "peak_rss.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     job = ["gen", "laguerre", "--gmax", "100", "--nmax", "200"]
-    cold = script.measure(job, tmp_path)
+    cache, pycache = tmp_path / "cache", tmp_path / "pycache"
+    cold = script.measure(job, cache, pycache)
     if cold is None:
         pytest.skip("no VmHWM in /proc/self/status")
-    (entry,) = tmp_path.iterdir()
+    (entry,) = cache.iterdir()
     assert entry.stat().st_size >= 4 << 20
-    warm = script.measure([*job, "--format", "csv"], tmp_path)
+    warm = script.measure([*job, "--format", "csv"], cache, pycache)
     for name, (floor, peak) in (("cold", cold), ("warm csv", warm)):
         assert peak - floor <= 1.5 * 1024, (name, floor, peak)  # KiB
 
@@ -861,6 +895,12 @@ def test_eval_fab_matches_golden(cache, capsys):
     # parsed (--mu 12,12 with 2,000-digit shifts took 13 s)
     ["oracle", "--mu", "12,12", "--rows", "N+" + "9" * (cli.GEN_LIMITS["at_digits"] + 1)],
     ["oracle", "--mu", "1", "--cols", "N - 0" + "1" * cli.GEN_LIMITS["at_digits"]],
+    # a bound or option the ensemble or series does not have
+    ["gen", "gauss", "--gmax", "2", "--nmax", "5"],
+    ["gen", "vk", "--gmax", "1", "--rmax2", "4"],
+    ["gen", "laguerre", "--gmax", "1", "--nmax", "1", "--rmax2", "3"],
+    ["gen", "glag-k1", "--rmax2", "1", "--nmax", "1", "--gmax", "2"],
+    ["series", "vk", "--k", "1", "--order", "2", "--beta", "1"],
 ])
 def test_bad_input_exits_2(cache, capsys, argv):
     where = {OUT_IN_MISSING_DIR: str(cache.parent / "missing" / "x"), OUT_DIR: str(cache.parent)}

@@ -5,6 +5,7 @@ closed forms and recursions up to the degree limits above that."""
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -177,6 +178,96 @@ def test_wishart_loop_counts_are_symmetric_in_rows_and_columns(patterns):
     for pattern in patterns:
         hist = _loop_counts(pattern, 1)
         assert sorted((c, r, n) for r, c, n in hist) == list(hist), pattern
+
+
+# -- reference: the Frobenius / Jucys-Murphy character formula ------------
+#
+# sum over sigma of x^c(sigma) y^c(gamma sigma)
+#   = (1/m!) sum over lambda |- m of f_lambda chi^lambda(mu)
+#            prod over the cells of lambda of (x + content) (y + content),
+# gamma of cycle type mu (Hanlon-Stanley-Stembridge 1992, Jackson 1988,
+# Zagier 1995).  It is representation theory, so it shares nothing with
+# Tutte's equation.
+
+
+@lru_cache(maxsize=None)
+def _standard_tableaux(shape) -> int:
+    """f_lambda, by the hook length formula."""
+    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = math.prod(r - j + cols[j] - i - 1 for i, r in enumerate(shape) for j in range(r))
+    return math.factorial(sum(shape)) // hooks
+
+
+@lru_cache(maxsize=None)
+def _character(beads: tuple, mu: tuple) -> int:
+    """chi^lambda(mu) by Murnaghan-Nakayama, lambda given by its bead set
+    (lambda_i + k - 1 - i over its k parts) and mu sorted: removing a rim
+    hook of length r moves a bead b to the free position b - r >= 0, with
+    the sign (-1)^(beads strictly between them)."""
+    if not mu:
+        return 1
+    *rest, r = mu
+    total = 0
+    for b in beads:
+        if b >= r and b - r not in beads:
+            sign = (-1) ** sum(1 for c in beads if b - r < c < b)
+            moved = tuple(sorted([c for c in beads if c != b] + [b - r]))
+            total += sign * _character(moved, tuple(rest))
+    return total
+
+
+@lru_cache(maxsize=None)
+def _content_polynomial(shape) -> list[int]:
+    """The coefficients, lowest first, of the product over the cells (i, j)
+    of the shape of (x + j - i)."""
+    poly = [1]
+    for i, r in enumerate(shape):
+        for j in range(r):
+            poly = [(j - i) * a + b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+def frobenius_wishart_counts(pattern) -> dict:
+    """{(row loops, column loops): count} over every bijection sigma, by the
+    character formula: column loops are the power of x, row loops of y."""
+    m = sum(pattern)
+    mu = tuple(sorted(pattern))
+    acc = [[0] * (m + 1) for _ in range(m + 1)]  # acc[rows][cols], times m!
+    for shape in partitions(m):
+        k = len(shape)
+        weight = _standard_tableaux(shape) * _character(
+            tuple(sorted(r + k - 1 - i for i, r in enumerate(shape))), mu)
+        if weight:
+            poly = [(e, a) for e, a in enumerate(_content_polynomial(shape)) if a]
+            for c, a in poly:
+                for r, b in poly:
+                    acc[r][c] += weight * a * b
+    counts = {}
+    for r, row in enumerate(acc):
+        for c, v in enumerate(row):
+            n, rem = divmod(v, math.factorial(m))
+            assert rem == 0, (pattern, r, c)
+            if n:
+                counts[r, c] = n
+    return counts
+
+
+def test_character_formula_by_hand():
+    # mu = (2): sigma = id has 2 column loops and 1 row loop, the
+    # transposition 1 and 2: x^2 y + x y^2; mu = (1, 1): (xy)^2 + xy
+    assert frobenius_wishart_counts((2,)) == {(1, 2): 1, (2, 1): 1}
+    assert frobenius_wishart_counts((1, 1)) == {(2, 2): 1, (1, 1): 1}
+    assert [_character((1, 2), mu) for mu in ((1, 1), (2,))] == [1, -1]  # lambda = (1, 1)
+
+
+@pytest.mark.parametrize("patterns", [
+    SMALL_PATTERNS,
+    [(1, 1, 2, 3, 8, 9), (12, 12), (24,)],
+], ids=["degree-1-12", "degree-24"])
+def test_wishart_loop_counts_match_the_character_formula(patterns):
+    for pattern in patterns:
+        hist = {(r, c): n for r, c, n in _loop_counts(pattern, 1)}
+        assert hist == frobenius_wishart_counts(pattern), pattern
 
 
 @pytest.mark.parametrize("m", range(2, 15, 2))
