@@ -495,6 +495,11 @@ def load_table(ensemble: str, bounds: dict, use_cache: bool):
 # verification suites
 # ---------------------------------------------------------------------------
 
+# the widest windows the crosscheck and constraints suites have: a larger
+# --mmax or --gmax would run the same checks (the constraints suite's gauss
+# table follows --gmax, and its vk table stops at VK_GMAX)
+MMAX_TOP, GMAX_TOP, VK_GMAX = 6, 8, 6
+
 
 def suite_identities(args) -> list[CheckRecord]:
     from .residues import IDENTITY_TAGS, verify_identity
@@ -504,10 +509,10 @@ def suite_identities(args) -> list[CheckRecord]:
 
 
 def suite_odes(args) -> list[CheckRecord]:
-    from .residues import verify_ode, verify_t1
+    from .residues import ODE_TAGS, verify_ode, verify_t1
 
     return [c for N in range(1, args.nmax + 1)
-            for c in (verify_ode("DN", N), verify_ode("K1", N), verify_ode("K2", N),
+            for c in (*(verify_ode(tag, N) for tag in ODE_TAGS),
                       *(verify_t1(N, k) for k in range(3)))]
 
 
@@ -585,7 +590,7 @@ def suite_constraints(args) -> list[CheckRecord]:
     from .reports import record
     from .spectral import a_to_C, consistency_identity_check
 
-    gmax = min(args.gmax, 6)
+    gmax = min(args.gmax, VK_GMAX)
     vt = load_table("vk", {"gmax": gmax}, args.cache)
     checks = consistency_identity_check(vt, gmax)
     for g in range(1, gmax + 1):
@@ -647,7 +652,7 @@ def _write_out(data: bytes, out: str | None) -> None:
 def cmd_gen(args) -> int:
     ensemble = args.ensemble
     spec = ENSEMBLES[ensemble]
-    for name in ("gmax", "nmax", "rmax2"):
+    for name in dict.fromkeys(n for other in ENSEMBLES.values() for n in other.bounds):
         if name not in spec.bounds and getattr(args, name) is not None:
             raise UsageError(f"gen {ensemble} takes no --{name}")
     bounds = {name: getattr(args, name) for name in spec.bounds}
@@ -702,11 +707,8 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for flag in ("amax", "bmax", "nmax"):
         _check_range(flag, getattr(args, flag), hi=GEN_LIMITS["identities"])
-    # the widest windows the crosscheck and constraints suites have: a larger
-    # value would run the same checks (the constraints suite's vk table stops
-    # at gmax 6 and its gauss table at 8)
-    _check_range("mmax", args.mmax, hi=6)
-    _check_range("gmax", args.gmax, hi=8)
+    _check_range("mmax", args.mmax, hi=MMAX_TOP)
+    _check_range("gmax", args.gmax, hi=GMAX_TOP)
     if "constraints" in names and args.gmax < 1:
         raise UsageError(f"suite constraints needs --gmax >= 1, got {args.gmax}")
     _check_out(args.out)
@@ -830,10 +832,10 @@ def make_parser() -> argparse.ArgumentParser:
                         "(DN, K1, K2, T-1), at most %d" % top)
     v.add_argument("--gmax", type=int, default=6,
                    help="largest genus of the constraints suite's vk and gauss tables, "
-                        "1 to 8 (vk stops at 6)")
+                        "1 to %d (vk stops at %d)" % (GMAX_TOP, VK_GMAX))
     v.add_argument("--mmax", type=int, default=6,
                    help="largest moment m of the crosscheck suite's rep-N-wick, 3-t-wick "
-                        "and gamma-collapse checks, at most 6")
+                        "and gamma-collapse checks, at most %d" % MMAX_TOP)
     v.add_argument("--no-cache", dest="cache", action="store_false")
     v.add_argument("--out")
     v.set_defaults(fn=cmd_verify)

@@ -116,12 +116,13 @@ def glag_k1_table(r2max: int, nmax: int) -> Table:
     return Table((r2max, nmax), _entries(glag_k1_items(r2max, nmax)))
 
 
-def c1_closed_form(g: int) -> Fraction:
-    """Closed form 2^g g! (2g-1)!! / (g+1) for the n = 1 column ("C1g")."""
+def c1_closed_form(g: int) -> int:
+    """Closed form 2^g g! (2g-1)!! / (g+1) for the n = 1 column ("C1g"): the
+    count C_1^(g), so the division is exact."""
     if g < 0:
         raise ValueError("need g >= 0")
     dfact = math.prod(range(1, 2 * g, 2))
-    return Fraction(2**g * math.factorial(g) * dfact, g + 1)
+    return _exact_div(2**g * math.factorial(g) * dfact, g + 1, "C1g", g, 1)
 
 
 def asym_moments(row: dict, rmax: int) -> list[Fraction]:
@@ -213,44 +214,16 @@ def glag_series_coefficient(table: Table, e: int) -> MomentPoly:
 # ---------------------------------------------------------------------------
 
 
-def laguerre_ode_check(table: Table) -> list[CheckRecord]:
-    """Apply the two operator blocks of "int-2" to the series
-    W_1' = -sum N^(-2g) C_n^(g) (n+2g+1) x^(-2-2g-n) and assert every
-    collected (N-power, x-power) coefficient that the table determines
-    vanishes.  This re-derives "3-t" independently of the table filler.
-    """
-    acc: dict[tuple[int, int], Fraction] = {}
+# An operator block is (q shift, e shift, coefficient as a function of e):
+# applied to the term N^-q x^-e it gives coefficient(e) N^-(q + q shift)
+# x^-(e + e shift); each is derived by applying the displayed differential
+# operator to x^-e.
+_INT2_BLOCKS = (
+    (1, 1, lambda e: e * (e - 1) * (e - 2)),             # 1/N: -x^2 d^3 - 6x d^2 - 6 d
+    (-1, -1, lambda e: 2 - e),                           # N:   x^2 d + 2x
+    (-1, 0, lambda e: 4 * e - 6),                        # N:   -4x d - 6
+)
 
-    def bump(key: tuple[int, int], v: Fraction) -> None:
-        acc[key] = acc.get(key, Fraction(0)) + v
-
-    for (g, n), cval in table.entries.items():
-        c = -cval * (n + 2 * g + 1)
-        if c == 0:
-            continue
-        e = 2 + 2 * g + n
-        # -(1/N)[x^2 d^3 + 6x d^2 + 6 d] x^-e = e(e-1)(e-2) x^-(e+1) / N
-        bump((-2 * g - 1, e + 1), c * e * (e - 1) * (e - 2))
-        # N[x^2 d + 2x - 4x d - 6] x^-e = N[(2-e) x^-(e-1) + (4e-6) x^-e]
-        bump((-2 * g + 1, e - 1), c * (2 - e))
-        bump((-2 * g + 1, e), c * (4 * e - 6))
-
-    recs = []
-    gmax, nmax = table.bounds
-    for g in range(gmax + 1):
-        p = -2 * g + 1
-        for n in range(nmax + 1):
-            e = 1 + 2 * g + n
-            resid = acc.pop((p, e), Fraction(0))
-            recs.append(
-                record(f"int-2[g={g},n={n}]", "int-2", resid == 0, f"residual {resid}")
-            )
-    return recs
-
-
-# operator blocks of "W1": N-power shift, x-exponent shift, coefficient as a
-# function of the source exponent e (term x^-e); derived by applying each
-# displayed differential operator to x^-e.
 _W1_BLOCKS = (
     (-2, -1, lambda e: 2 * e),                           # N^2: -2x^2 d
     (-2, 0, lambda e: 4 - 8 * e),                        # N^2: 8x d + 4
@@ -262,22 +235,46 @@ _W1_BLOCKS = (
     (2, 2, lambda e: e * (e + 1) * (e - 1) ** 2),        # 1/N^2
 )
 
-_W1_RHS = {(-2, 0): Fraction(2), (-1, 0): Fraction(1), (-1, 1): Fraction(2), (0, 1): Fraction(2)}
+_W1_RHS = {(-2, 0): 2, (-1, 0): 1, (-1, 1): 2, (0, 1): 2}
+
+
+def _collect(terms, blocks) -> dict[tuple[int, int], int]:
+    """{(q, e): coefficient of N^-q x^-e} of the blocks applied to the
+    terms (q, e, coefficient), summed over int."""
+    acc: dict[tuple[int, int], int] = {}
+    for q, e, c in terms:
+        for dq, de, coeff in blocks:
+            key = (q + dq, e + de)
+            acc[key] = acc.get(key, 0) + c * coeff(e)
+    return acc
+
+
+def laguerre_ode_check(table: Table) -> list[CheckRecord]:
+    """Apply the two operator blocks of "int-2" to the series
+    W_1' = -sum N^(-2g) C_n^(g) (n+2g+1) x^(-2-2g-n) and assert every
+    collected (N-power, x-power) coefficient that the table determines
+    vanishes.  This re-derives "3-t" independently of the table filler.
+    """
+    acc = _collect(((2 * g, 2 + 2 * g + n, -cval * (n + 2 * g + 1))
+                    for (g, n), cval in table.entries.items()), _INT2_BLOCKS)
+    recs = []
+    gmax, nmax = table.bounds
+    for g in range(gmax + 1):
+        for n in range(nmax + 1):
+            resid = acc.get((2 * g - 1, 1 + 2 * g + n), 0)
+            recs.append(
+                record(f"int-2[g={g},n={n}]", "int-2", resid == 0, f"residual {resid}")
+            )
+    return recs
 
 
 def glag_w1_ode_check(table: Table) -> list[CheckRecord]:
     """Apply the five N-graded operator blocks of "W1" to the double series
     W_1 = sum_q N^(-q) C_n^(q/2) x^(-1-q-n) and assert equality with the
     inhomogeneity 2N^2 + N + (2N+2)/x at every slot the table determines."""
-    acc: dict[tuple[int, int], Fraction] = {}
+    acc = _collect(((q, 1 + q + n, cval) for (q, n), cval in table.entries.items()),
+                   _W1_BLOCKS)
     r2max, nmax = table.bounds
-    for (q, n), cval in table.entries.items():
-        if cval == 0:
-            continue
-        e = 1 + q + n
-        for dq, de, coeff in _W1_BLOCKS:
-            key = (q + dq, e + de)
-            acc[key] = acc.get(key, Fraction(0)) + cval * coeff(e)
 
     def determined(Q: int, E: int) -> bool:
         # every in-range source feeding slot (Q, E) must lie inside the table
@@ -293,8 +290,8 @@ def glag_w1_ode_check(table: Table) -> list[CheckRecord]:
         for E in range(0, nmax + Q + 3):
             if not determined(Q, E):
                 continue
-            got = acc.pop((Q, E), Fraction(0))
-            want = _W1_RHS.get((Q, E), Fraction(0))
+            got = acc.get((Q, E), 0)
+            want = _W1_RHS.get((Q, E), 0)
             recs.append(
                 record(
                     f"W1[q={Q},e={E}]", "W1", got == want,

@@ -37,20 +37,8 @@ __all__ = [
     "verify_ode",
     "verify_t1",
     "IDENTITY_TAGS",
+    "ODE_TAGS",
 ]
-
-IDENTITY_TAGS = (
-    "feat-1",
-    "fAB-der",
-    "fAB-der-der",
-    "fAB-quad",
-    "der-3",
-    "id",
-    "feat-2",
-    "T-5a",
-    "T-5b",
-    "k2-second-derivative",
-)
 
 _W = WLaurent({1: 1})  # w = u - 1
 _U = _W + 1  # u
@@ -196,10 +184,128 @@ def _residual_record(check_id: str, anchor: str, residual: WLaurent) -> CheckRec
     return record(check_id, anchor, residual.is_zero, detail=str(residual))
 
 
+# The (A, B) identities map their tag to the least A and B and to the
+# residuals at (A, B), each with the suffix of its check id; the N identities
+# and the ODEs map their tag to the residual at N.  A comment names the
+# denominator a residual is multiplied through by, where it is not 1.
+
+
+def _fab_der(A: int, B: int):
+    d = fab(A, B).derivative()
+    return ((",side=A", d + A * (fab(A - 1, B) - 2 * fab(A, B) + fab(A + 1, B))),
+            (",side=B", d + B * (fab(A, B - 1) - 2 * fab(A, B) + fab(A, B + 1))))
+
+
+def _fab_der_der(A: int, B: int):
+    u, w = _U, _W
+    d2 = fab(A, B).derivative().derivative()
+    nine = (
+        fab(A - 1, B - 1) + fab(A - 1, B + 1) + fab(A + 1, B - 1) + fab(A + 1, B + 1)
+        - 2 * fab(A - 1, B) - 2 * fab(A, B - 1) - 2 * fab(A + 1, B) - 2 * fab(A, B + 1)
+        + 4 * fab(A, B)
+    )
+    # times u (u + 1) (u - 1)
+    frac = (
+        w * (fab(A - 1, B) + fab(A, B - 1))
+        + (u + 1) * (fab(A + 1, B) + fab(A, B + 1))
+        - 4 * u * fab(A, B)
+    )
+    return ((",form=9term", d2 - A * B * nine),
+            (",form=rational", u * (u + 1) * w * d2 - A * B * frac))
+
+
+_AB_IDENTITIES = {
+    "feat-1": (0, lambda A, B: (("", fab(A, B) - fab(B, A) - (A - B)),)),
+    "fAB-der": (1, _fab_der),
+    "fAB-der-der": (1, _fab_der_der),
+    # times u - 1
+    "fAB-quad": (1, lambda A, B: (("", _W * fab(A, B) + (_U + 1) * fab(A - 1, B - 1)
+                                       - _U * (fab(A - 1, B) + fab(A, B - 1))),)),
+}
+
+
+def _k2_second_derivative(N: int) -> WLaurent:
+    # times u (u + 1) (u - 1)
+    u, w = _U, _W
+    f = fab(N + 2, N)
+    return u * (u + 1) * w * f.derivative().derivative() \
+        - 2 * N * (N + 2) * (fab(N + 2, N + 1) - fab(N + 1, N)) \
+        + (2 * (N + 1) * u - 2) * f.derivative()
+
+
+_N_IDENTITIES = {
+    # times u (u + 1) (u - 1)
+    "der-3": lambda N: _U * (_U + 1) * _W * fab(N, N).derivative().derivative() - N * N * (
+        _W * (2 * fab(N, N - 1) - 1) + (_U + 1) * (2 * fab(N, N + 1) + 1) - 4 * _U * fab(N, N)),
+    # residue of ((u+z)/(u+z-1))^N (1-1/z)^N (u - 1 + 2z)
+    "id": lambda N: _W * fab(N, N) + 2 * weighted_residue(N, N, 1) + _U * N,
+    # times 2
+    "feat-2": lambda N: 2 * N * (fab(N, N) - fab(N, N - 1))
+        + _W * fab(N, N).derivative() - fab(N, N) + N,
+    "T-5a": lambda N: ((N + 1) * _U - 1) * ((_U + 1) * fab(N, N) - 2 * _U * fab(N + 1, N))
+        + (N + 1) * _U * _W * fab(N + 2, N) + N * _U,
+    "T-5b": lambda N: ((N + 1) * _U - 1) * (_W * fab(N + 2, N + 2) - 2 * _U * fab(N + 2, N + 1))
+        + (N + 1) * _U * (_U + 1) * fab(N + 2, N) - (N + 2) * _U,
+    "k2-second-derivative": _k2_second_derivative,
+}
+
+IDENTITY_TAGS = (*_AB_IDENTITIES, *_N_IDENTITIES)
+
+
+def _ode_dn(N: int) -> WLaurent:
+    # times u (u^2 - 1)
+    u, w = _U, _W
+    f = fab(N, N)
+    f1, f2 = f.derivative(), f.derivative().derivative()
+    return u * (u + 1) * w * f2 + 4 * N * u * f1 - 2 * N * f
+
+
+def _ode_k1(N: int) -> WLaurent:
+    # times 2 u (u^2 - 1) (u - 1)
+    u, w = _U, _W
+    f = fab(N + 1, N)
+    f1, f2 = f.derivative(), f.derivative().derivative()
+    lhs = (2 * u * N + w) * u * (u + 1) * w * f2
+    rhs = (
+        (-8 * u * u * N * N + (-8 * u * u + 4 * u) * N - w * w) * f1
+        + 4 * N * (N + 1) * u * f
+        - 2 * N * (N + 1) * u
+    )
+    return lhs - rhs
+
+
+def _ode_k2(N: int) -> WLaurent:
+    # times u^3 (u^2 - 1)^2 ((N+1) u - 1)
+    u, w = _U, _W
+    f = fab(N + 2, N)
+    f1 = f.derivative()
+    f2 = f1.derivative()
+    f3 = f2.derivative()
+    f4 = f3.derivative()
+    n1 = N + 1
+    u2m1 = (u + 1) * w
+    return (
+        u**3 * u2m1**2 * (n1 * u - 1) * f4
+        + 2 * (3 * u**3 + 2 * n1 * u**2 - u + n1) * u * u2m1 * (n1 * u - 1) * f3
+        + 2 * (
+            3 * u**5 + 2 * n1 * u**4 - 2 * n1 * n1 * u**3 + 3 * n1 * u**2
+            + (6 * n1 * n1 - 3) * u - 3 * n1
+        ) * (n1 * u - 1) * f2
+        - 2 * n1 * (4 * n1 * u**2 + 8 * N * (N + 2) * u - 10 * n1) * (n1 * u - 1) * f1
+        + 4 * N * n1 * (N + 2) * (u + 2 * n1) * u * (f - 1)
+    )
+
+
+_ODES = {"DN": _ode_dn, "K1": _ode_k1, "K2": _ode_k2}
+
+ODE_TAGS = tuple(_ODES)
+
+
 def verify_identity(
     which: str, amax: int = 10, bmax: int = 10, nmax: int = 10
 ) -> list[CheckRecord]:
-    """Verify one of the f_{A,B} identities over a range of small indices.
+    """Verify one of the f_{A,B} identities over a range of small indices:
+    A, B up to amax, bmax for an (A, B) identity, N up to nmax for an N one.
 
     Every check multiplies its identity through by the identity's known
     denominator (a product of u, u + 1, u - 1 and 2), so the residual is a
@@ -207,136 +313,26 @@ def verify_identity(
     zero; no numerical tolerance is involved anywhere.  A failing check
     reports that multiplied-through residual.
     """
-    u, w = _U, _W
-    recs: list[CheckRecord] = []
-
-    def rr(tag: str, idx: str, residual: WLaurent) -> None:
-        recs.append(_residual_record(f"{tag}[{idx}]", tag, residual))
-
-    if which == "feat-1":
-        for A in range(amax + 1):
-            for B in range(bmax + 1):
-                rr(which, f"A={A},B={B}", fab(A, B) - fab(B, A) - (A - B))
-    elif which == "fAB-der":
-        for A in range(1, amax + 1):
-            for B in range(1, bmax + 1):
-                d = fab(A, B).derivative()
-                rr(which, f"A={A},B={B},side=A",
-                   d + A * (fab(A - 1, B) - 2 * fab(A, B) + fab(A + 1, B)))
-                rr(which, f"A={A},B={B},side=B",
-                   d + B * (fab(A, B - 1) - 2 * fab(A, B) + fab(A, B + 1)))
-    elif which == "fAB-der-der":
-        for A in range(1, amax + 1):
-            for B in range(1, bmax + 1):
-                d2 = fab(A, B).derivative().derivative()
-                nine = (
-                    fab(A - 1, B - 1) + fab(A - 1, B + 1) + fab(A + 1, B - 1) + fab(A + 1, B + 1)
-                    - 2 * fab(A - 1, B) - 2 * fab(A, B - 1) - 2 * fab(A + 1, B) - 2 * fab(A, B + 1)
-                    + 4 * fab(A, B)
-                )
-                rr(which, f"A={A},B={B},form=9term", d2 - A * B * nine)
-                # times u (u + 1) (u - 1)
-                frac = (
-                    w * (fab(A - 1, B) + fab(A, B - 1))
-                    + (u + 1) * (fab(A + 1, B) + fab(A, B + 1))
-                    - 4 * u * fab(A, B)
-                )
-                rr(which, f"A={A},B={B},form=rational", u * (u + 1) * w * d2 - A * B * frac)
-    elif which == "fAB-quad":
-        for A in range(1, amax + 1):
-            for B in range(1, bmax + 1):
-                # times u - 1
-                rr(which, f"A={A},B={B}",
-                   w * fab(A, B) + (u + 1) * fab(A - 1, B - 1)
-                   - u * (fab(A - 1, B) + fab(A, B - 1)))
-    elif which == "der-3":
-        for N in range(1, nmax + 1):
-            # times u (u + 1) (u - 1)
-            d2 = fab(N, N).derivative().derivative()
-            rhs = N * N * (
-                w * (2 * fab(N, N - 1) - 1)
-                + (u + 1) * (2 * fab(N, N + 1) + 1)
-                - 4 * u * fab(N, N)
-            )
-            rr(which, f"N={N}", u * (u + 1) * w * d2 - rhs)
-    elif which == "id":
-        for N in range(1, nmax + 1):
-            # residue of ((u+z)/(u+z-1))^N (1-1/z)^N (u - 1 + 2z)
-            res = w * fab(N, N) + 2 * weighted_residue(N, N, 1)
-            rr(which, f"N={N}", res + u * N)
-    elif which == "feat-2":
-        for N in range(1, nmax + 1):
-            # times 2
-            lhs = 2 * N * (fab(N, N) - fab(N, N - 1))
-            rhs = -w * fab(N, N).derivative() + fab(N, N) - N
-            rr(which, f"N={N}", lhs - rhs)
-    elif which == "T-5a":
-        for N in range(1, nmax + 1):
-            res = ((N + 1) * u - 1) * ((u + 1) * fab(N, N) - 2 * u * fab(N + 1, N)) \
-                + (N + 1) * u * w * fab(N + 2, N) + N * u
-            rr(which, f"N={N}", res)
-    elif which == "T-5b":
-        for N in range(1, nmax + 1):
-            res = ((N + 1) * u - 1) * (w * fab(N + 2, N + 2) - 2 * u * fab(N + 2, N + 1)) \
-                + (N + 1) * u * (u + 1) * fab(N + 2, N) - (N + 2) * u
-            rr(which, f"N={N}", res)
-    elif which == "k2-second-derivative":
-        for N in range(1, nmax + 1):
-            # times u (u + 1) (u - 1)
-            f = fab(N + 2, N)
-            res = u * (u + 1) * w * f.derivative().derivative() \
-                - 2 * N * (N + 2) * (fab(N + 2, N + 1) - fab(N + 1, N)) \
-                + (2 * (N + 1) * u - 2) * f.derivative()
-            rr(which, f"N={N}", res)
-    else:
-        raise ValueError(f"unknown identity tag {which!r}")
-    return recs
+    if which in _AB_IDENTITIES:
+        low, residuals = _AB_IDENTITIES[which]
+        return [_residual_record(f"{which}[A={A},B={B}{suffix}]", which, res)
+                for A in range(low, amax + 1) for B in range(low, bmax + 1)
+                for suffix, res in residuals(A, B)]
+    if which in _N_IDENTITIES:
+        residual = _N_IDENTITIES[which]
+        return [_residual_record(f"{which}[N={N}]", which, residual(N))
+                for N in range(1, nmax + 1)]
+    raise ValueError(f"unknown identity tag {which!r}")
 
 
 def verify_ode(which: str, N: int) -> CheckRecord:
-    """Substitute an exact f_{A,B} with its derivatives into one of the three
+    """Substitute an exact f_{A,B} with its derivatives into one of the
     ODEs, multiplied through by its known denominator (a product of u,
     u + 1, u - 1, 2 and (N+1) u - 1), and assert the residual is
     structurally zero."""
-    u, w = _U, _W
-    if which == "DN":
-        # times u (u^2 - 1)
-        f = fab(N, N)
-        f1, f2 = f.derivative(), f.derivative().derivative()
-        res = u * (u + 1) * w * f2 + 4 * N * u * f1 - 2 * N * f
-    elif which == "K1":
-        # times 2 u (u^2 - 1) (u - 1)
-        f = fab(N + 1, N)
-        f1, f2 = f.derivative(), f.derivative().derivative()
-        lhs = (2 * u * N + w) * u * (u + 1) * w * f2
-        rhs = (
-            (-8 * u * u * N * N + (-8 * u * u + 4 * u) * N - w * w) * f1
-            + 4 * N * (N + 1) * u * f
-            - 2 * N * (N + 1) * u
-        )
-        res = lhs - rhs
-    elif which == "K2":
-        # times u^3 (u^2 - 1)^2 ((N+1) u - 1)
-        f = fab(N + 2, N)
-        f1 = f.derivative()
-        f2 = f1.derivative()
-        f3 = f2.derivative()
-        f4 = f3.derivative()
-        n1 = N + 1
-        u2m1 = (u + 1) * w
-        res = (
-            u**3 * u2m1**2 * (n1 * u - 1) * f4
-            + 2 * (3 * u**3 + 2 * n1 * u**2 - u + n1) * u * u2m1 * (n1 * u - 1) * f3
-            + 2 * (
-                3 * u**5 + 2 * n1 * u**4 - 2 * n1 * n1 * u**3 + 3 * n1 * u**2
-                + (6 * n1 * n1 - 3) * u - 3 * n1
-            ) * (n1 * u - 1) * f2
-            - 2 * n1 * (4 * n1 * u**2 + 8 * N * (N + 2) * u - 10 * n1) * (n1 * u - 1) * f1
-            + 4 * N * n1 * (N + 2) * (u + 2 * n1) * u * (f - 1)
-        )
-    else:
+    if which not in _ODES:
         raise ValueError(f"unknown ODE tag {which!r}")
-    return _residual_record(f"ode-{which}[N={N}]", which, res)
+    return _residual_record(f"ode-{which}[N={N}]", which, _ODES[which](N))
 
 
 def verify_t1(N: int, k: int) -> CheckRecord:

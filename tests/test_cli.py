@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: determinism, exit codes,
 serialization formats, and the table cache."""
 
+import argparse
 import ast
 import decimal
 import gc
@@ -35,6 +36,7 @@ from hzlag.cli import (
 )
 from hzlag.exact import rat_str_explicit
 from hzlag.recursions import IntegralityError, c1_closed_form
+from hzlag.residues import IDENTITY_TAGS, ODE_TAGS
 from hzlag.wick import WISHART_DEGREE_LIMIT
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -1011,6 +1013,13 @@ def test_verify_odes_suite(cache, capsys):
     for flags, nmax in (([], 10), (["--nmax", "4"], 4), (["--nmax", "50"], 50)):
         assert main(["verify", "--suite", "odes", *flags]) == 0
         assert capsys.readouterr().out == f"suite odes: {6 * nmax} checks, 0 failures\n"
+
+
+def test_suites_emit_exactly_the_registered_tags():
+    # the identities and odes suites run each registered check and no other
+    args = argparse.Namespace(amax=1, bmax=1, nmax=1)
+    assert {c.anchor for c in cli.suite_identities(args)} == set(IDENTITY_TAGS)
+    assert {c.anchor for c in cli.suite_odes(args)} == {*ODE_TAGS, "T-1"}
 
 
 def test_verify_report_out(cache, tmp_path, capsys):

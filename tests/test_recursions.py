@@ -236,6 +236,7 @@ def test_dn_c1_closed_form():
     table = do_norbury_table(12, 1)
     for g in range(13):
         assert table.value(g, 1) == c1_closed_form(g)
+    assert type(c1_closed_form(40)) is int
     assert c1_closed_form(0) == 1
     assert c1_closed_form(1) == 1
     assert c1_closed_form(2) == 8

@@ -102,6 +102,13 @@ def test_odes_structurally_zero(which, nmax):
         assert rec.ok, rec.detail
 
 
+def test_unknown_tags_raise():
+    with pytest.raises(ValueError, match="unknown identity tag 'nope'"):
+        verify_identity("nope")
+    with pytest.raises(ValueError, match="unknown ODE tag 'nope'"):
+        verify_ode("nope", 1)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_t1_rectangular_reflection(N, k):
