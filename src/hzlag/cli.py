@@ -28,19 +28,16 @@ from . import __version__
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
-# hard bounds besides gen's (keep runaway requests from consuming the machine);
-# "fab" bounds eval-fab's --a and --b (A = B = 300 took ~1.2 s and ~21 MB
-# peak RSS on a 2-vCPU VM with Python 3.11); "identities" bounds verify's
-# --amax, --bmax and --nmax, whose cost grows about as the fourth power of
-# the bound (all three at 30/40/50/60 took 1.4/2.8/4.5/8.1 s and
-# 25/32/41/55 MB peak RSS for the identities suite, same machine);
+# hard bounds besides gen's and verify's (keep runaway requests from
+# consuming the machine); "fab" bounds eval-fab's --a and --b (A = B = 300
+# took ~1.2 s and ~21 MB peak RSS on a 2-vCPU VM with Python 3.11);
 # "at_digits" bounds the digits of eval-fab's --at p and q (at A = B = 300,
 # p and q of 1/100/200/300 digits took 0.59/0.82/1.39/2.33 s and ~21 MB peak
 # RSS in a fresh process, 2-vCPU VM, Python 3.11.7), and of the shift k of
 # oracle's --rows and --cols N+k or N-k (--mu 12,12 took 0.8-1.0 s at 100
 # digits and 13 s at 2,000; the slowest query found at 100 digits, --mu
 # 1,1,1,1,2,2,3,3,4,6 --connected, took 1.0-1.6 s by scripts/oracle_limits.py)
-GEN_LIMITS = {"k": 64, "order": 4000, "fab": 300, "identities": 50, "at_digits": 100}
+GEN_LIMITS = {"k": 64, "order": 4000, "fab": 300, "at_digits": 100}
 
 
 class UsageError(ValueError):
@@ -495,10 +492,23 @@ def load_table(ensemble: str, bounds: dict, use_cache: bool):
 # verification suites
 # ---------------------------------------------------------------------------
 
-# the widest windows the crosscheck and constraints suites have: a larger
-# --mmax or --gmax would run the same checks (the constraints suite's gauss
-# table follows --gmax, and its vk table stops at VK_GMAX)
-MMAX_TOP, GMAX_TOP, VK_GMAX = 6, 8, 6
+# verify's window options, in --help order: option -> (default, least and
+# largest value, what it bounds for --help, the suites whose window it
+# sets).  The identities suite's cost grows about as the fourth power of
+# --amax, --bmax and --nmax: all three at 30/40/50 took 0.8/2.0/3.2 s and
+# 22.6/27.7/35.9 MB VmHWM (medians of 3 fresh processes with --no-cache,
+# 2-vCPU VM, Python 3.11.7).  The constraints suite's vk and gauss tables
+# follow --gmax; the crosscheck suite's laguerre table stops at genus 3, so
+# from --mmax 8 on it would lack rows
+VERIFY_WINDOWS = {
+    "amax": (10, 0, 50, "largest A of the identities suite's f_{A,B}", ("identities",)),
+    "bmax": (10, 0, 50, "largest B of the identities suite's f_{A,B}", ("identities",)),
+    "nmax": (10, 0, 50, "largest N of the identities and odes suites", ("identities", "odes")),
+    "gmax": (6, 0, 8, "largest genus of the constraints suite's vk and gauss tables "
+                      "(that suite needs 1 or more)", ("constraints",)),
+    "mmax": (6, 0, 6, "largest moment m of the crosscheck suite's rep-N-wick, 3-t-wick "
+                      "and gamma-collapse checks", ("crosscheck",)),
+}
 
 
 def suite_identities(args) -> list[CheckRecord]:
@@ -590,10 +600,9 @@ def suite_constraints(args) -> list[CheckRecord]:
     from .reports import record
     from .spectral import a_to_C, consistency_identity_check
 
-    gmax = min(args.gmax, VK_GMAX)
-    vt = load_table("vk", {"gmax": gmax}, args.cache)
-    checks = consistency_identity_check(vt, gmax)
-    for g in range(1, gmax + 1):
+    vt = load_table("vk", {"gmax": args.gmax}, args.cache)
+    checks = consistency_identity_check(vt, args.gmax)
+    for g in range(1, args.gmax + 1):
         row = vt.row(g)
         for r, s in enumerate(asym_moments(row, 2 * g + 1)):
             checks.append(
@@ -601,7 +610,7 @@ def suite_constraints(args) -> list[CheckRecord]:
             )
     # a-row expansion vs three-term recursion table
     dn = load_table("laguerre", {"gmax": 5, "nmax": 20}, args.cache)
-    for g in range(min(gmax, 5) + 1):
+    for g in range(min(args.gmax, 5) + 1):
         cs = a_to_C(vt.row(g), g, 20)
         ok = all(cs[n] == dn.value(g, n) for n in range(21))
         checks.append(
@@ -628,14 +637,6 @@ SUITES = {
     "odes": suite_odes,
     "crosscheck": suite_crosscheck,
     "constraints": suite_constraints,
-}
-
-# the verify options that set each suite's window
-SUITE_BOUNDS = {
-    "identities": ("amax", "bmax", "nmax"),
-    "odes": ("nmax",),
-    "crosscheck": ("mmax",),
-    "constraints": ("gmax",),
 }
 
 
@@ -705,10 +706,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    for flag in ("amax", "bmax", "nmax"):
-        _check_range(flag, getattr(args, flag), hi=GEN_LIMITS["identities"])
-    _check_range("mmax", args.mmax, hi=MMAX_TOP)
-    _check_range("gmax", args.gmax, hi=GMAX_TOP)
+    for flag, (_, lo, hi, *_) in VERIFY_WINDOWS.items():
+        _check_range(flag, getattr(args, flag), hi=hi, lo=lo)
     if "constraints" in names and args.gmax < 1:
         raise UsageError(f"suite constraints needs --gmax >= 1, got {args.gmax}")
     _check_out(args.out)
@@ -716,7 +715,8 @@ def cmd_verify(args) -> int:
     for n in names:
         checks = sorted(SUITES[n](args), key=lambda c: c.id)
         if not checks:
-            bounds = " ".join(f"--{b} {getattr(args, b)}" for b in SUITE_BOUNDS[n])
+            bounds = " ".join(f"--{b} {getattr(args, b)}"
+                              for b, (*_, suites) in VERIFY_WINDOWS.items() if n in suites)
             raise UsageError(f"suite {n} runs no checks at {bounds}")
         runs.append((n, checks))
     if args.out:
@@ -820,22 +820,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", choices=[*SUITES, "all"], default="all")
-    # %-formatted, not f-strings: compiling these as f-strings raised the
-    # VmHWM of an import of hzlag.cli without cached bytecode by 0.2 MB
-    top = GEN_LIMITS["identities"]
-    v.add_argument("--amax", type=int, default=10,
-                   help="largest A of the identities suite's f_{A,B}, at most %d" % top)
-    v.add_argument("--bmax", type=int, default=10,
-                   help="largest B of the identities suite's f_{A,B}, at most %d" % top)
-    v.add_argument("--nmax", type=int, default=10,
-                   help="largest N of the identities suite and of each odes check "
-                        "(DN, K1, K2, T-1), at most %d" % top)
-    v.add_argument("--gmax", type=int, default=6,
-                   help="largest genus of the constraints suite's vk and gauss tables, "
-                        "1 to %d (vk stops at %d)" % (GMAX_TOP, VK_GMAX))
-    v.add_argument("--mmax", type=int, default=6,
-                   help="largest moment m of the crosscheck suite's rep-N-wick, 3-t-wick "
-                        "and gamma-collapse checks, at most %d" % MMAX_TOP)
+    # %-formatted: as f-strings, the help texts raised the VmHWM of an
+    # import of hzlag.cli without cached bytecode by 0.2 MB
+    for flag, (default, lo, hi, what, _) in VERIFY_WINDOWS.items():
+        v.add_argument("--" + flag, type=int, default=default,
+                       help="%s, %d to %d (default %d)" % (what, lo, hi, default))
     v.add_argument("--no-cache", dest="cache", action="store_false")
     v.add_argument("--out")
     v.set_defaults(fn=cmd_verify)

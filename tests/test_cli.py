@@ -36,6 +36,7 @@ from hzlag.cli import (
 )
 from hzlag.exact import rat_str_explicit
 from hzlag.recursions import IntegralityError, c1_closed_form
+from hzlag.reports import record
 from hzlag.residues import IDENTITY_TAGS, ODE_TAGS
 from hzlag.wick import WISHART_DEGREE_LIMIT
 
@@ -958,6 +959,65 @@ def test_verify_empty_suite_exits_2(cache, capsys, tmp_path):
     assert captured.err == "error: suite odes runs no checks at --nmax 0\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+# the error of each suite that runs no checks at the CLI defaults: it names
+# the options that set the suite's window
+EMPTY_SUITE_ERRORS = {
+    "identities": "error: suite identities runs no checks at --amax 10 --bmax 10 --nmax 10\n",
+    "odes": "error: suite odes runs no checks at --nmax 10\n",
+    "crosscheck": "error: suite crosscheck runs no checks at --mmax 6\n",
+    "constraints": "error: suite constraints runs no checks at --gmax 6\n",
+}
+
+
+@pytest.mark.parametrize("flag,default,cap,suites", [
+    ("amax", 10, 50, ("identities",)),
+    ("bmax", 10, 50, ("identities",)),
+    ("nmax", 10, 50, ("identities", "odes")),
+    ("gmax", 6, 8, ("constraints",)),
+    ("mmax", 6, 6, ("crosscheck",)),
+])
+def test_verify_window_options(cache, capsys, monkeypatch, flag, default, cap, suites):
+    assert list(cli.VERIFY_WINDOWS) == ["amax", "bmax", "nmax", "gmax", "mmax"]
+    assert cli.VERIFY_WINDOWS[flag][:3] == (default, 0, cap)
+    assert cli.VERIFY_WINDOWS[flag][4] == suites
+    # the range check alone decides: each suite is a stub with one passing check
+    ran = []
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, lambda args, name=name: ran.append(name) or [
+            record(f"stub[{name}]", "stub", True, "")])
+    assert main(["verify", f"--{flag}", str(cap)]) == 0
+    assert ran == list(cli.SUITES)
+    capsys.readouterr()
+    for bad in (cap + 1, -1):
+        assert main(["verify", f"--{flag}", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: --{flag} must be in 0..{cap}, got {bad}\n"
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps at the terminal width
+    shown = text[text.index(f"--{flag} {flag.upper()} "):]
+    shown = shown[:shown.index(" --", 2)]  # up to the next option
+    assert shown.endswith(f", 0 to {cap} (default {default})"), shown
+    # a suite that runs no checks names its window options
+    for name in suites:
+        monkeypatch.setitem(cli.SUITES, name, lambda args: [])
+        assert main(["verify", "--suite", name]) == 2
+        assert capsys.readouterr().err == EMPTY_SUITE_ERRORS[name]
+
+
+def test_verify_constraints_follows_gmax(cache, tmp_path, capsys):
+    # the vk table of the constraints suite follows --gmax to its cap
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "constraints", "--gmax", "8", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "suite constraints: 210 checks, 0 failures\n"
+    ids = {c["id"] for c in json.loads(out.read_text())["suites"][0]["checks"]}
+    assert {"consistency[g=8]", "asym-r[g=8,r=17]"} <= ids
+    # at --gmax 6 (the default) the report keeps the bytes it had while vk
+    # stopped at genus 6
+    assert main(["verify", "--suite", "constraints", "--gmax", "6", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "279174c3a66608e098d050dfafb5a01d6a5e7ee3279dcbc7e1e45a824b2cf262")
 
 
 def test_verify_out_fails_before_any_suite_runs(cache, tmp_path, capsys, monkeypatch):
