@@ -5,10 +5,11 @@ hzlag.engines, which yields each table a row at a time; this module
 re-exports them and their error classes, and builds a whole Table from
 their rows.  Also here: the n = 1 closed form ("C1g"), the operator-equation
 verifiers "int-2" and "W1", which re-derive the tables independently of the
-table-filling code paths, the moment reconstructions the oracle
-cross-checks read, and half_binomial_series, the int kernel for
-(1-4t)^(s/2) that the Gaussian genus reconstruction and the spectral bases
-share.
+table-filling code paths, the Gaussian genus reconstruction, and
+half_binomial_series, the int kernel for (1-4t)^(s/2) that the Gaussian
+genus reconstruction and the spectral bases share.  Nothing here reads the
+Wick oracles: the crosscheck suite of hzlag.cli compares the tables with
+them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from fractions import Fraction
 from .engines import (ConstraintError, IntegralityError, _exact_div, do_norbury_items,
                       gauss_hz_items, glag_k1_items, vk_items)
 from .reports import CheckRecord, record
-from .wick import MomentPoly, gue_moment
 
 __all__ = [
     "ConstraintError",
@@ -38,12 +38,8 @@ __all__ = [
     "glag_k1_table",
     "laguerre_ode_check",
     "glag_w1_ode_check",
-    "lag_moment_from_table",
     "half_binomial_series",
     "gauss_genus_coefficients",
-    "gauss_gue_check",
-    "glag_moment_from_table",
-    "glag_series_coefficient",
 ]
 
 
@@ -139,13 +135,8 @@ def asym_moments(row: dict, rmax: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# reconstructions used by the oracle cross-checks
+# the half-binomial kernel and the Gaussian genus reconstruction
 # ---------------------------------------------------------------------------
-
-
-def lag_moment_from_table(table: Table, m: int) -> MomentPoly:
-    """<tr H^m> for the square ensemble as sum_g C_{m-2g}^(g) N^(1-2g)."""
-    return MomentPoly({1 - 2 * g: table.value(g, m - 2 * g) for g in range(m // 2 + 1)})
 
 
 def half_binomial_series(s: int, n: int) -> list[int]:
@@ -178,35 +169,6 @@ def gauss_genus_coefficients(table: Table, g: int, mmax: int) -> dict[int, Fract
         for i, c in enumerate(half_binomial_series(-j, (mmax + 1 - j) // 2)):
             out[j + 2 * i - 1] += b * c
     return out
-
-
-def gauss_gue_check(table: Table, mmax: int) -> list[CheckRecord]:
-    """Compare the reconstructed x-series against the pairing-oracle GUE
-    moments, genus by genus, for all even m <= mmax."""
-    recs = []
-    gtop = min(table.bounds[0], mmax // 2)
-    for g in range(1, gtop + 1):
-        series = gauss_genus_coefficients(table, g, mmax)
-        ok, detail = True, ""
-        for m in range(0, mmax + 1):
-            want = gue_moment(m).coefficient(1 - 2 * g)
-            if series[m] != want:
-                ok, detail = False, f"m={m}: table {series[m]} oracle {want}"
-                break
-        recs.append(record(f"recurrence-gue[g={g}]", "recurrence", ok, detail))
-    return recs
-
-
-def glag_moment_from_table(table: Table, m: int) -> MomentPoly:
-    """<tr H^m> for the k = 1 rectangular ensemble: sum_q C_{m-q}^(q/2) N^(1-q)."""
-    return MomentPoly({1 - q: table.value(q, m - q) for q in range(m + 1)})
-
-
-def glag_series_coefficient(table: Table, e: int) -> MomentPoly:
-    """Coefficient of x^(-e) in the fractional-genus expansion, as a Laurent
-    polynomial in N (exponent -q for the row q = 2r term)."""
-    return MomentPoly({-q: table.value(q, e - 1 - q)
-                       for q in range(min(e - 1, table.bounds[0]) + 1)})
 
 
 # ---------------------------------------------------------------------------

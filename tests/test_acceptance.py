@@ -12,13 +12,10 @@ from hzlag.cli import payload_to_json, table_payload
 from hzlag.recursions import (
     c1_closed_form,
     do_norbury_table,
-    gauss_gue_check,
+    gauss_genus_coefficients,
     gauss_hz_table,
     glag_k1_table,
-    glag_moment_from_table,
-    glag_series_coefficient,
     glag_w1_ode_check,
-    lag_moment_from_table,
     vk_table,
 )
 from hzlag.residues import (
@@ -33,9 +30,10 @@ from hzlag.spectral import (
     a_to_C,
     consistency_identity_check,
     w11_check,
-    w30_planar_check,
+    w30_basis_coefficient,
 )
 from hzlag.wick import (
+    MomentPoly,
     complex_wishart_moment,
     connected_moments,
     genus_extract,
@@ -122,7 +120,10 @@ def test_criterion_05_one_point_oracle_equivalence():
                 ge = genus_extract(oracle, 1)
                 for g, c in ge.items():
                     assert dn.value(g, m - 2 * g) == c, f"genus m={m} g={g}"
-                assert lag_moment_from_table(dn, m) == oracle, f"table m={m}"
+                # <tr H^m> = sum_g C_{m-2g}^(g) N^(1-2g)
+                table = MomentPoly({1 - 2 * g: dn.value(g, m - 2 * g)
+                                    for g in range(m // 2 + 1)})
+                assert table == oracle, f"table m={m}"
 
     _gate("criterion-05 [rep-N, 3-t]", 60.0, work)
 
@@ -156,15 +157,15 @@ def test_criterion_07_fractional_genus_branch():
             4: {0: 5, 1: 10, 2: 7, 3: 2},
             5: {0: 14, 1: 35, 2: 40, 3: 25, 4: 6},
         }
+        # the coefficient of x^-e N^-q is C_{e-1-q}^(q/2)
         for e, coeffs in expected.items():
-            got = glag_series_coefficient(table, e)
-            for q in range(6):
-                assert got.coefficient(-q) == coeffs.get(q, 0), f"x^-{e} N^-{q}"
-            assert got(1) == math.factorial(e), f"x^-{e} at N=1"
+            got = [table.value(q, e - 1 - q) for q in range(6)]
+            assert got == [coeffs.get(q, 0) for q in range(6)], f"x^-{e}"
+            assert sum(got) == math.factorial(e), f"x^-{e} at N=1"
+        # <tr H^m> = sum_q C_{m-q}^(q/2) N^(1-q)
         for m in range(1, 6):
-            assert glag_moment_from_table(table, m) == complex_wishart_moment(
-                (m,), "N", "N+1"
-            ), f"moment m={m}"
+            assert MomentPoly({1 - q: table.value(q, m - q) for q in range(m + 1)}) == (
+                complex_wishart_moment((m,), "N", "N+1")), f"moment m={m}"
         recs = glag_w1_ode_check(table)
         bad = [r.id for r in recs if not r.ok]
         assert recs and not bad, f"W1: {bad[:3]}"
@@ -177,9 +178,11 @@ def test_criterion_08_gaussian_branch():
         table = gauss_hz_table(6)
         assert [table.value(2, k) for k in range(2)] == [21, 105], "genus-2 row"
         assert genus_extract(gue_moment(8), 1)[2] == 21, "eps_2(8)"
-        recs = gauss_gue_check(table, 12)
-        bad = [r.id for r in recs if not r.ok]
-        assert recs and not bad, f"recurrence-gue: {bad[:3]}"
+        for g in range(1, 7):
+            series = gauss_genus_coefficients(table, g, 12)
+            for m in range(13):
+                want = gue_moment(m).coefficient(1 - 2 * g)
+                assert series[m] == want, f"recurrence-gue g={g} m={m}"
 
     _gate("criterion-08 [recurrence]", 30.0, work)
 
@@ -207,12 +210,11 @@ def test_criterion_09_constraint_families():
 def test_criterion_10_closed_form_checks():
     def work():
         ratios = {
-            w30_planar_check(1, 1, 1),
-            w30_planar_check(2, 1, 1),
-            w30_planar_check(2, 2, 1),
+            Fraction(connected_moments(t).coefficient(-1), w30_basis_coefficient(*t))
+            for t in ((1, 1, 1), (2, 1, 1), (2, 2, 1))
         }
         assert len(ratios) == 1, f"W30 ratios differ: {sorted(ratios)}"
-        recs = w11_check(7)
+        recs = w11_check(vk_table(1).row(1), 7)
         bad = [r.id for r in recs if not r.ok]
         assert recs and not bad, f"W11: {bad}"
 

@@ -1147,21 +1147,70 @@ def test_verify_detects_cache_corruption(cache, capsys):
     assert main([*verify, "--no-cache"]) == 0
 
 
-def test_crosscheck_reads_its_3t_table_through_the_cache(cache, capsys):
-    bounds = {"gmax": 3, "nmax": 6}
+def _cache_wrong_table(ensemble: str, bounds: dict, values: dict):
+    """Cache the gen JSON of one table with the value texts {(i, j): text}
+    in place of the right ones, under its own digest, as an engine bug
+    would write it; return the entry's path."""
     buf = io.BytesIO()
-    payload_to_json(table_payload("laguerre", bounds), buf)
+    payload_to_json(table_payload(ensemble, bounds), buf)
     payload = json.loads(buf.getvalue())
-    (entry,) = [e for e in payload["entries"] if (e["g"], e["n"]) == (1, 2)]
-    entry["value"] = str(int(entry["value"]) + 1)  # C_2^(1), read at m = 4
-    wrong = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-    path = cache_path("gen", {"ensemble": "laguerre", **bounds})
-    path.parent.mkdir(parents=True)
-    path.write_bytes(_with_digest(wrong))
-    assert main(["verify", "--suite", "crosscheck"]) == 1
-    out = capsys.readouterr().out.splitlines()
-    failed = {line.split()[1] for line in out if line.startswith("  FAIL ")}
-    assert failed == {"3-t-wick[m=4]", "gamma-collapse[m=4]"}, out
+    i, j = ENSEMBLES[ensemble].keys
+    assert values.keys() <= {(entry[i], entry[j]) for entry in payload["entries"]}
+    for entry in payload["entries"]:
+        entry["value"] = values.get((entry[i], entry[j]), entry["value"])
+    path = cache_path("gen", {"ensemble": ensemble, **bounds})
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(_with_digest((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()))
+    return path
+
+
+def _failures(argv: list[str], capsys) -> dict:
+    """{id: detail} of the checks that fail in ``hzlag verify ARGV``, which
+    must exit 1."""
+    assert main(["verify", *argv]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line.split(" ", 5)[3:] for line in lines if line.startswith("  FAIL ")]
+    return {check_id: detail for check_id, _, detail in fails}
+
+
+def test_crosscheck_reads_its_3t_table_through_the_cache(cache, capsys):
+    # C_2^(1) = 10, read at m = 4
+    _cache_wrong_table("laguerre", {"gmax": 3, "nmax": 6}, {(1, 2): "11"})
+    failed = _failures(["--suite", "crosscheck"], capsys)
+    assert set(failed) == {"3-t-wick[m=4]", "gamma-collapse[m=4]"}, failed
+
+
+def test_crosscheck_reads_its_gauss_and_glag_tables_through_the_cache(cache, capsys):
+    # b_1^(2) = 105 of "recurrence", read from m = 10 on, and C_1^(1) = 7 of
+    # "8-t" (row q = 2), read at m = 3
+    _cache_wrong_table("gauss", {"gmax": 3}, {(2, 1): "147"})
+    _cache_wrong_table("glag-k1", {"rmax2": 5, "nmax": 8}, {(2, 1): "11"})
+    assert _failures(["--suite", "crosscheck"], capsys) == {
+        "recurrence-gue[g=2]": "m=10: table 525 oracle 483",
+        "8-t-wick[m=3]": "table 5*N + 10 + 11*N^-1 + 2*N^-2 wick 5*N + 10 + 7*N^-1 + 2*N^-2",
+    }
+
+
+def test_cached_a_row_that_does_not_cancel_fails_its_checks(cache, capsys):
+    # a_{-3}^(1) = 1/256 as 7/8 leaves a constant term in the g = 1 row's
+    # expansion: a-to-C (constraints) and W11 (crosscheck, from the vk table
+    # of gmax 1) fail with that as their detail, as do the row's asym-r moments
+    text = "coefficient of x^-0 is 223/256, expected 0"
+    _cache_wrong_table("vk", {"gmax": 6}, {(1, -3): "7/8"})
+    failed = _failures(["--suite", "constraints"], capsys)
+    assert set(failed) == {"a-to-C[g=1]", *(f"asym-r[g=1,r={r}]" for r in range(4))}, failed
+    assert failed["a-to-C[g=1]"] == text
+    _cache_wrong_table("vk", {"gmax": 1}, {(1, -3): "7/8"})
+    assert _failures(["--suite", "crosscheck"], capsys) == {"W11[arow-vs-closed]": text}
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", "", "1/x"])
+def test_cached_value_that_is_not_a_number_is_named_corrupt(cache, capsys, bad):
+    # under its own digest, so only reading the value can tell
+    verify = ["verify", "--suite", "constraints"]
+    path = _cache_wrong_table("laguerre", {"gmax": 5, "nmax": 20}, {(1, 2): bad})
+    _assert_named_corrupt(path, (verify,), capsys)
+    assert main([*verify, "--no-cache"]) == 0
 
 
 def _served(args: dict, compute, use_cache: bool = True) -> bytes:
@@ -1412,3 +1461,9 @@ def test_processes_import_only_what_they_run(cache):
             assert loaded_modules([*job, "--format", fmt], cache) == {"hzlag.cli"}, (job, fmt)
     checks = loaded_modules(["verify", "--suite", "constraints"], cache)
     assert "hzlag.recursions" in checks and not checks & never, checks
+    # the Wick oracles and their arithmetic are for the crosscheck and
+    # oracle commands alone
+    series = loaded_modules(["series", "vk", "--k", "2", "--order", "5"], cache)
+    for loaded in (checks, series):
+        assert "hzlag.spectral" in loaded, loaded
+        assert not loaded & {"hzlag.wick", "hzlag.exact"}, loaded

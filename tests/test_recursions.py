@@ -21,21 +21,17 @@ from hzlag.recursions import (
     do_norbury_items,
     do_norbury_table,
     gauss_genus_coefficients,
-    gauss_gue_check,
     gauss_hz_items,
     gauss_hz_table,
     glag_k1_items,
     glag_k1_table,
-    glag_moment_from_table,
-    glag_series_coefficient,
     glag_w1_ode_check,
     integrality_violations,
-    lag_moment_from_table,
     laguerre_ode_check,
     vk_items,
     vk_table,
 )
-from hzlag.wick import complex_wishart_moment, genus_extract, gue_moment
+from hzlag.wick import MomentPoly, complex_wishart_moment, genus_extract, gue_moment
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 ONE = Decimal(1)  # the unit of the Decimal runs of "3-t" and "recurrence"
@@ -259,8 +255,10 @@ def test_dn_three_term_relation(g, n):
 
 
 def test_lag_moments_match_wick(dn):
+    # <tr H^m> = sum_g C_{m-2g}^(g) N^(1-2g)
     for m in range(1, 7):
-        assert lag_moment_from_table(dn, m) == complex_wishart_moment((m,), "N", "N")
+        table = MomentPoly({1 - 2 * g: dn.value(g, m - 2 * g) for g in range(m // 2 + 1)})
+        assert table == complex_wishart_moment((m,), "N", "N")
 
 
 def test_lag_genus_extract_matches_table(dn):
@@ -325,17 +323,24 @@ def test_gauss_five_factor_relation(g, k):
     assert lhs == rhs
 
 
-def test_gauss_gue_check_passes(gauss):
-    recs = gauss_gue_check(gauss, 12)
-    assert recs
-    assert all(r.ok for r in recs)
+def _gue_mismatches(table: Table, gmax: int, mmax: int) -> list[tuple[int, int]]:
+    """The (g, m) whose genus-g reconstruction from the table differs from
+    the pairing oracle's coefficient of N^(1-2g) in <tr H^m>."""
+    return [(g, m) for g in range(1, gmax + 1)
+            for m, c in gauss_genus_coefficients(table, g, mmax).items()
+            if c != gue_moment(m).coefficient(1 - 2 * g)]
 
 
-def test_gauss_gue_check_detects_corruption(gauss):
+def test_gauss_genus_coefficients_match_gue(gauss):
+    assert _gue_mismatches(gauss, 6, 12) == []
+
+
+def test_gauss_genus_coefficients_see_corruption(gauss):
+    # b_1^(2) = 105 feeds x^-(4g+2k+1) = x^-11 and below, the coefficients
+    # x^-(m+1) of m = 10 and 12
     bad = dict(gauss.entries)
     bad[(2, 1)] = Fraction(147)
-    recs = gauss_gue_check(Table(gauss.bounds, bad), 12)
-    assert any(not r.ok for r in recs)
+    assert _gue_mismatches(Table(gauss.bounds, bad), 6, 12) == [(2, 10), (2, 12)]
 
 
 def test_gauss_binomial_series_is_exact():
@@ -420,28 +425,17 @@ def test_vk_row_sum_zero_positive_genus(vk):
 
 
 def test_glag_moments_match_rectangular_wick(glag):
+    # <tr H^m> = sum_q C_{m-q}^(q/2) N^(1-q)
     for m in range(1, 6):
-        assert glag_moment_from_table(glag, m) == complex_wishart_moment(
-            (m,), "N", "N+1"
-        )
+        table = MomentPoly({1 - q: glag.value(q, m - q) for q in range(m + 1)})
+        assert table == complex_wishart_moment((m,), "N", "N+1")
 
 
 def test_glag_series_x5_coefficient(glag):
-    c = glag_series_coefficient(glag, 5)
-    assert {q: c.coefficient(-q) for q in range(5)} == {
-        0: Fraction(14), 1: Fraction(35), 2: Fraction(40),
-        3: Fraction(25), 4: Fraction(6),
-    }
-    assert c(1) == 120  # N = 1 collapse: Gamma(5)
-
-
-def test_glag_series_matches_moments(glag):
-    # coefficient of x^-e, times N, is the (e-1)-th trace moment
-    for e in range(1, 7):
-        c = glag_series_coefficient(glag, e)
-        m = glag_moment_from_table(glag, e - 1)
-        for n in (1, 2, 3, 5):
-            assert n * c(n) == m(n)
+    # the coefficient of x^-5 N^-q is C_{4-q}^(q/2)
+    c = {q: glag.value(q, 4 - q) for q in range(5)}
+    assert c == {0: 14, 1: 35, 2: 40, 3: 25, 4: 6}
+    assert sum(c.values()) == 120  # N = 1 collapse: Gamma(5)
 
 
 def test_glag_w1_ode_check_passes(glag):

@@ -12,8 +12,9 @@ from hzlag.spectral import (
     s_series,
     vk_series,
     w11_check,
-    w30_planar_check,
+    w30_basis_coefficient,
 )
+from hzlag.wick import connected_moments
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -73,32 +74,47 @@ def test_a_to_C_detects_non_cancellation():
 
 
 def test_w11_check_passes():
-    recs = w11_check(7)
+    recs = w11_check(vk_table(1).row(1), 7)
     assert len(recs) == 2
     assert all(r.ok for r in recs)
     # the closed form expands to 1, 10, 70, 420 at x^-4 .. x^-7
     assert half_binomial_series(-5, 3) == [1, 10, 70, 420]
 
 
+def test_w11_check_fails_a_wrong_row():
+    # a row that expands, but to the wrong series, and one whose expansion
+    # does not cancel, which fails with the NonCancellationError's text
+    row = dict(vk_table(1).row(1))
+    scaled = {k: 2 * a for k, a in row.items()}
+    s_rec, a_rec = w11_check(scaled, 7)
+    assert s_rec.ok and not a_rec.ok
+    assert a_rec.detail == f"a-row gave {[2 * c for c in a_to_C(row, 1, 4)]}"
+    row[-3] = Fraction(7, 8)
+    s_rec, a_rec = w11_check(row, 7)
+    assert s_rec.ok and not a_rec.ok
+    assert a_rec.detail == "coefficient of x^-0 is 223/256, expected 0"
+
+
 def test_w11_check_input_validation():
     with pytest.raises(ValueError):
-        w11_check(3)
+        w11_check(vk_table(1).row(1), 3)
 
 
 def test_w30_ratio_is_constant():
-    # the normalization of w30_planar_check: the ratio is exactly 2, as a
-    # Fraction (an int oracle coefficient over an int product must not
-    # become a float)
+    # the normalization of w30_basis_coefficient: the Wick oracle's leading
+    # connected three-trace coefficient is exactly twice it, and it is an
+    # int (so the crosscheck suite's ratio is an exact Fraction)
     triples = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (3, 3, 1),
                (4, 2, 1), (5, 1, 1)]
     for t in triples:
-        ratio = w30_planar_check(*t)
-        assert ratio == 2 and type(ratio) is Fraction, (t, ratio)
+        basis = w30_basis_coefficient(*t)
+        assert type(basis) is int, (t, basis)
+        assert connected_moments(t).coefficient(-1) == 2 * basis, (t, basis)
 
 
 def test_w30_input_validation():
     with pytest.raises(ValueError):
-        w30_planar_check(0, 1, 1)
+        w30_basis_coefficient(0, 1, 1)
 
 
 def test_consistency_identity_check():

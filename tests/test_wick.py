@@ -11,12 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hzlag.recursions import (
-    do_norbury_table,
-    glag_k1_table,
-    glag_moment_from_table,
-    lag_moment_from_table,
-)
+from hzlag.recursions import do_norbury_table, glag_k1_table
 from hzlag.wick import (
     GUE_DEGREE_LIMIT,
     WISHART_DEGREE_LIMIT,
@@ -349,13 +344,16 @@ def test_wishart_planar_catalan():
 
 
 def test_wishart_matches_recursion_tables_to_the_limit():
-    # square: the "3-t" table; N x (N+1): the "8-t" table
+    # square: the "3-t" table, <tr H^m> = sum_g C_{m-2g}^(g) N^(1-2g);
+    # N x (N+1): the "8-t" table, <tr H^m> = sum_q C_{m-q}^(q/2) N^(1-q)
     m_top = WISHART_DEGREE_LIMIT
     dn = do_norbury_table(m_top // 2, m_top)
     glag = glag_k1_table(m_top, m_top)
     for m in range(1, m_top + 1):
-        assert complex_wishart_moment((m,), "N", "N") == lag_moment_from_table(dn, m), m
-        assert complex_wishart_moment((m,), "N", "N+1") == glag_moment_from_table(glag, m), m
+        square = MomentPoly({1 - 2 * g: dn.value(g, m - 2 * g) for g in range(m // 2 + 1)})
+        rectangular = MomentPoly({1 - q: glag.value(q, m - q) for q in range(m + 1)})
+        assert complex_wishart_moment((m,), "N", "N") == square, m
+        assert complex_wishart_moment((m,), "N", "N+1") == rectangular, m
 
 
 def test_wishart_rectangular():
