@@ -190,13 +190,14 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
 class Ensemble:
     """How `gen` bounds, generates and serializes one ensemble's table."""
 
-    __slots__ = ("bounds", "keys", "engine", "low", "size", "base10")
+    __slots__ = ("bounds", "keys", "engine", "shape", "low", "size", "base10")
 
-    def __init__(self, bounds: dict[str, int], keys: tuple[str, str], engine: str,
+    def __init__(self, bounds: dict[str, int], keys: tuple[str, str], engine: str, shape,
                  low: int = 0, size=None, base10: bool = False):
         self.bounds = bounds  # gen option -> its largest value, in engine and Table.bounds order
         self.keys = keys  # the index names of a table entry
         self.engine = engine  # bound values -> the table's items, one row at a time
+        self.shape = shape  # bound values -> {i: range of j}, the keys of every entry
         self.low = low  # smallest value every bound accepts
         self.size = size  # bound values -> about the bytes of the gen JSON, or None
         self.base10 = base10  # the engine runs over exact Decimal (one=Decimal(1)), not int
@@ -261,10 +262,14 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
+                         lambda gmax, nmax: {g: range(nmax + 1) for g in range(gmax + 1)},
                          size=_laguerre_json_bytes, base10=True),
-    "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_items", low=1, base10=True),
-    "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_items"),
-    "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"), "glag_k1_items"),
+    "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_items",
+                      lambda gmax: {g: range(g) for g in range(1, gmax + 1)}, low=1, base10=True),
+    "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_items",
+                   lambda gmax: {g: range(-3 * g, g + 1) for g in range(gmax + 1)}),
+    "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"), "glag_k1_items",
+                        lambda rmax2, nmax: {q: range(nmax + 1) for q in range(rmax2 + 1)}),
 }
 
 
@@ -470,31 +475,52 @@ def table_bytes(ensemble: str, bounds: dict, use_cache: bool):
                         lambda f: payload_to_json(table_payload(ensemble, bounds), f), use_cache)
 
 
+def _shape_fault(shape: dict, entries: dict, count: int) -> str | None:
+    """Why the keys of entries, parsed from count entries, are not those of
+    shape ({i: range of j}), each once, or None when they are."""
+    for key in entries:
+        if key[1] not in shape.get(key[0], ()):
+            return f"its key {key} is out of range"
+    if count > len(entries):
+        return "its entries repeat a key"
+    if len(entries) < sum(map(len, shape.values())):
+        key = next((i, j) for i, js in shape.items() for j in js if (i, j) not in entries)
+        return f"its key {key} is missing"
+    return None
+
+
 def load_table(ensemble: str, bounds: dict, use_cache: bool):
     """The recursions.Table of one table, read from its gen JSON (see
     table_bytes) a piece of _entry_pieces at a time, with int values, and a
     Fraction where a value has a denominator.  The values are not re-checked:
     the verify suites re-check constraints on whatever the entry holds.  A
-    cache entry whose keys or values do not parse as numbers is named as
-    corrupt."""
+    cache entry whose keys or values do not parse as numbers, or whose keys
+    are not those of the ensemble's shape, each once, is named as corrupt."""
     from fractions import Fraction
 
     from .recursions import Table
 
     spec = ENSEMBLES[ensemble]
-    entries = {}
+    bound_values = tuple(bounds[name] for name in spec.bounds)
+    entries, count = {}, 0
     with table_bytes(ensemble, bounds, use_cache) as f:
         try:
             for piece in _entry_pieces(f):
                 for i, j, v in _entry_fields(piece, spec.keys):
                     entries[int(i), int(j)] = Fraction(v) if "/" in v else int(v)
+                    count += 1
         except (ValueError, ZeroDivisionError) as e:
             if not use_cache:
                 raise
-            path = cache_path("gen", {"ensemble": ensemble, **bounds})
-            raise UsageError(f"corrupt cache entry {path}: its entries do not parse as numbers "
-                             f"({e}); delete the file or pass --no-cache") from e
-    return Table(tuple(bounds[name] for name in spec.bounds), entries)
+            fault = f"its entries do not parse as numbers ({e})"
+        else:
+            fault = _shape_fault(spec.shape(*bound_values), entries, count)
+    if fault and not use_cache:  # the engine's own table
+        raise ValueError(f"{ensemble} table {bounds}: {fault}")
+    if fault:
+        path = cache_path("gen", {"ensemble": ensemble, **bounds})
+        raise UsageError(f"corrupt cache entry {path}: {fault}; delete the file or pass --no-cache")
+    return Table(bound_values, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +562,13 @@ def suite_odes(args) -> list[CheckRecord]:
 
 
 def suite_crosscheck(args) -> list[CheckRecord]:
+    """Where the routes meet: one list of comparisons, walked by one loop.
+
+    A comparison is ``(check id, anchor, (route, reference), cells)``, a
+    cell ``(where, route value, reference value)``.  It passes when every
+    cell agrees; otherwise its detail is the first differing cell, ``where:
+    route X reference Y``, without ``where: `` when where is empty.  Cells
+    are lists: a generator would bind the loop variables late."""
     from fractions import Fraction
 
     from .recursions import gauss_genus_coefficients
@@ -545,73 +578,52 @@ def suite_crosscheck(args) -> list[CheckRecord]:
     from .wick import (MomentPoly, complex_wishart_moment, connected_moments, genus_extract,
                        gue_moment)
 
-    checks = []
-    # one-point: residue route vs Wick oracle
-    for N in range(1, 6):
-        mom = exp_mean_moments(N, args.mmax)
-        for m in range(args.mmax + 1):
-            want = complex_wishart_moment((m,))(N) if m else Fraction(N)
-            checks.append(
-                record(f"rep-N-wick[N={N},m={m}]", "rep-N", mom[m] == want,
-                       f"residue {mom[m]} wick {want}")
-            )
+    mmax, fact = args.mmax, math.factorial
+    wick = {m: complex_wishart_moment((m,)) for m in range(1, mmax + 1)}
+    comparisons = [  # one point: residue route vs Wick oracle
+        (f"rep-N-wick[N={N},m={m}]", "rep-N", ("residue", "wick"),
+         [("", mom[m], wick[m](N) if m else Fraction(N))])
+        for N in range(1, 6) for mom in [exp_mean_moments(N, mmax)] for m in range(mmax + 1)]
     # genus grading of the symbolic oracle vs the recursion table
-    dn = load_table("laguerre", {"gmax": 3, "nmax": args.mmax}, args.cache)
-    for m in range(1, args.mmax + 1):
-        ge = genus_extract(complex_wishart_moment((m,)), 1)
-        ok = all(dn.value(g, m - 2 * g) == c for g, c in ge.items())
-        checks.append(record(f"3-t-wick[m={m}]", "3-t", ok, f"grading {ge}"))
-        total = sum(dn.value(g, m - 2 * g) for g in range(m // 2 + 1))
-        checks.append(
-            record(f"gamma-collapse[m={m}]", "rep-N",
-                   total == math.factorial(m), f"sum {total}")
-        )
-    # two-point: residue route vs connected Wick oracle
-    for N in range(1, 4):
-        tp = two_point_series(N, 5)
-        ok, detail = True, ""
-        for m1 in range(6):
-            for m2 in range(6 - m1):
-                if m1 == m2 == 0:
-                    continue
-                got = tp.coefficient(m1, m2)
-                if min(m1, m2) == 0:
-                    want = Fraction(0)  # connected part against tr(1) vanishes
-                else:
-                    want = connected_moments((m1, m2))(N) / (
-                        math.factorial(m1) * math.factorial(m2))
-                if got != want:
-                    ok, detail = False, f"(m1={m1},m2={m2}): {got} vs {want}"
-                    break
-        checks.append(record(f"W2-wick[N={N}]", "W2", ok, detail))
+    dn = load_table("laguerre", {"gmax": 3, "nmax": mmax}, args.cache)
+    for m in range(1, mmax + 1):
+        comparisons += [
+            (f"3-t-wick[m={m}]", "3-t", ("table", "wick"),
+             [(f"g={g}", dn.value(g, m - 2 * g), c)
+              for g, c in genus_extract(wick[m], 1).items()]),
+            (f"gamma-collapse[m={m}]", "rep-N", ("sum", "m!"),
+             [("", sum(dn.value(g, m - 2 * g) for g in range(m // 2 + 1)), fact(m))])]
+    # two-point: residue route vs connected Wick oracle (0 where an m is 0)
+    pairs = [(m1, m2) for m1 in range(6) for m2 in range(6 - m1) if m1 or m2]
+    comparisons += [
+        (f"W2-wick[N={N}]", "W2", ("residue", "wick"),
+         [(f"m1={m1},m2={m2}", tp.coefficient(m1, m2),
+           connected_moments((m1, m2))(N) / (fact(m1) * fact(m2)) if m1 and m2 else 0)
+          for m1, m2 in pairs])
+        for N in range(1, 4) for tp in [two_point_series(N, 5)]]
     # Gaussian branch vs pairing oracle, genus by genus, for m <= 12
     gt = load_table("gauss", {"gmax": 3}, args.cache)
-    for g in range(1, 4):
-        series = gauss_genus_coefficients(gt, g, 12)
-        ok, detail = True, ""
-        for m in range(13):
-            want = gue_moment(m).coefficient(1 - 2 * g)
-            if series[m] != want:
-                ok, detail = False, f"m={m}: table {series[m]} oracle {want}"
-                break
-        checks.append(record(f"recurrence-gue[g={g}]", "recurrence", ok, detail))
+    comparisons += [
+        (f"recurrence-gue[g={g}]", "recurrence", ("table", "oracle"),
+         [(f"m={m}", series[m], gue_moment(m).coefficient(1 - 2 * g)) for m in range(13)])
+        for g in range(1, 4) for series in [gauss_genus_coefficients(gt, g, 12)]]
     # rectangular k = 1 branch vs Wick oracle: <tr H^m> = sum_q C_{m-q}^(q/2) N^(1-q)
     ht = load_table("glag-k1", {"rmax2": 5, "nmax": 8}, args.cache)
-    for m in range(1, 6):
-        got = MomentPoly({1 - q: ht.value(q, m - q) for q in range(m + 1)})
-        want = complex_wishart_moment((m,), "N", "N+1")
-        checks.append(
-            record(f"8-t-wick[m={m}]", "8-t", got == want, f"table {got} wick {want}")
-        )
-    # closed forms; W30 is the oracle's leading connected three-trace
-    # coefficient over the basis product's
-    checks += w11_check(load_table("vk", {"gmax": 1}, args.cache).row(1), 7)
-    ratios = {t: Fraction(connected_moments(t).coefficient(-1), w30_basis_coefficient(*t))
-              for t in ((1, 1, 1), (2, 1, 1), (2, 2, 1))}
-    checks.append(
-        record("W30[constant-ratio]", "W30", all(r == 2 for r in ratios.values()),
-               f"ratios {ratios}")
-    )
+    comparisons += [
+        (f"8-t-wick[m={m}]", "8-t", ("table", "wick"),
+         [("", MomentPoly({1 - q: ht.value(q, m - q) for q in range(m + 1)}),
+           complex_wishart_moment((m,), "N", "N+1"))])
+        for m in range(1, 6)]
+    # W30: the oracle's leading connected three-trace coefficient over the basis product's
+    comparisons.append(
+        ("W30[constant-ratio]", "W30", ("ratio", "expected"),
+         [(f"m={t}", Fraction(connected_moments(t).coefficient(-1), w30_basis_coefficient(*t)), 2)
+          for t in ((1, 1, 1), (2, 1, 1), (2, 2, 1))]))
+    checks = w11_check(load_table("vk", {"gmax": 1}, args.cache).row(1), 7)
+    for check_id, anchor, (route, reference), cells in comparisons:
+        bad = [f"{where}{': ' if where else ''}{route} {got} {reference} {want}"
+               for where, got, want in cells if got != want]
+        checks.append(record(check_id, anchor, not bad, *bad[:1]))
     return checks
 
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hzlag
-from hzlag import cli, engines, recursions
+from hzlag import cli, engines, recursions, residues, spectral
 from hzlag.cli import (
     ENSEMBLES,
     cache_path,
@@ -619,20 +619,22 @@ def test_gen_json_is_made_holding_only_a_few_rows(monkeypatch, ensemble, bounds)
        st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300),
                           st.lists(st.one_of(st.integers(-10**40, 10**40), st.fractions()),
                                    max_size=5)),
-                max_size=6))
-def test_table_writers_on_generated_entries(ensemble, rows):
+                max_size=6),
+       st.booleans())
+def test_table_writers_on_generated_entries(ensemble, rows, shaped):
     spec = ENSEMBLES[ensemble]
     k1, k2 = spec.keys
-    payload = {
-        "schema": "hzlag-table/1",
-        "ensemble": ensemble,
-        "bounds": {name: 1 for name in spec.bounds},
-        "entries": rows,
-    }
+    bounds = {name: 1 for name in spec.bounds}
+    shape = spec.shape(*bounds.values())
+    if shaped:  # the values laid out in the keys of a table of these bounds, padded with 0
+        values = iter([v for *_, vs in rows for v in vs])
+        rows = [(i, js.start, [next(values, 0) for _ in js]) for i, js in shape.items()]
+    payload = {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds, "entries": rows}
     data = _json_bytes(payload)
     assert data == _json_reference(payload)
     want = "".join(f"{a},{b},{rat_str_explicit(Fraction(v))}\n"
                    for a, b0, values in rows for b, v in enumerate(values, b0))
+    keys = sorted((a, b) for a, b0, values in rows for b in range(b0, b0 + len(values)))
     # load_table reads ints, and Fractions only where there is a denominator
     table = {(a, b): int(v) if v.denominator == 1 else Fraction(v)
              for a, b0, values in rows for b, v in enumerate(values, b0)}
@@ -643,9 +645,13 @@ def test_table_writers_on_generated_entries(ensemble, rows):
             out = os.path.join(d, "t.csv")
             payload_to_csv(io.BytesIO(data), ensemble, out)
             assert pathlib.Path(out).read_text() == f"{k1},{k2},value\n{want}"
-            cache_path("gen", {"ensemble": ensemble, **payload["bounds"]}).write_bytes(
-                _with_digest(data))
-            got = cli.load_table(ensemble, payload["bounds"], True)
+            cache_path("gen", {"ensemble": ensemble, **bounds}).write_bytes(_with_digest(data))
+            # an entry is read only when it holds each key of the bounds' shape once
+            if keys != sorted((i, j) for i, js in shape.items() for j in js):
+                with pytest.raises(cli.UsageError, match="^corrupt cache entry .*: its "):
+                    cli.load_table(ensemble, bounds, True)
+                continue
+            got = cli.load_table(ensemble, bounds, True)
         assert got.bounds == (1,) * len(spec.bounds) and got.entries == table
         assert [type(v) for v in got.entries.values()] == [type(v) for v in table.values()]
 
@@ -682,6 +688,23 @@ def test_gen_all_tables_script_matches_gen(cache, tmp_path, capsys):
         for fmt in ("json", "csv"):
             assert main(["gen", ensemble, *flags, "--format", fmt, "--out", str(ref)]) == 0
             assert (outdir / f"{stem}.{fmt}").read_bytes() == ref.read_bytes(), stem
+
+
+def test_bench_script_workloads_are_valid_requests():
+    # scripts/bench.py runs each workload in fresh processes; its argv must
+    # name options the CLI accepts, within their bounds
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert {state for _, state in script.WORKLOADS.values()} == {"cold", "warm"}
+    for argv, _ in script.WORKLOADS.values():
+        args = cli.make_parser().parse_args(argv)
+        if args.command == "verify":
+            for flag, (_, lo, hi, *_) in cli.VERIFY_WINDOWS.items():
+                assert lo <= getattr(args, flag) <= hi, argv
+        else:
+            spec = ENSEMBLES[args.ensemble]
+            assert all(getattr(args, b) <= top for b, top in spec.bounds.items()), argv
 
 
 def test_gen_peaks_near_its_import_floor(tmp_path):
@@ -1176,8 +1199,30 @@ def _failures(argv: list[str], capsys) -> dict:
 def test_crosscheck_reads_its_3t_table_through_the_cache(cache, capsys):
     # C_2^(1) = 10, read at m = 4
     _cache_wrong_table("laguerre", {"gmax": 3, "nmax": 6}, {(1, 2): "11"})
-    failed = _failures(["--suite", "crosscheck"], capsys)
-    assert set(failed) == {"3-t-wick[m=4]", "gamma-collapse[m=4]"}, failed
+    assert _failures(["--suite", "crosscheck"], capsys) == {
+        "3-t-wick[m=4]": "g=1: table 11 wick 10",
+        "gamma-collapse[m=4]": "sum 25 m! 24",
+    }
+
+
+@pytest.mark.parametrize("owner,name,wrap,want", [
+    # <tr H^3> at N = 2 one too large on the residue route
+    (residues, "exp_mean_moments",
+     lambda f: lambda N, mmax: [v + (N == 2 and m == 3) for m, v in enumerate(f(N, mmax))],
+     {"rep-N-wick[N=2,m=3]": "residue 23/2 wick 21/2"}),
+    # two cells of N = 3 one too large: the detail names the first
+    (residues.TwoPointValue, "coefficient",
+     lambda f: lambda tp, m1, m2: f(tp, m1, m2) + (tp.N == 3 and (m1, m2) in {(1, 2), (2, 2)}),
+     {"W2-wick[N=3]": "m1=1,m2=2: residue 3 wick 2"}),
+    (spectral, "w30_basis_coefficient",
+     lambda f: lambda *t: f(*t) * (3 if t == (2, 1, 1) else 1),
+     {"W30[constant-ratio]": "m=(2, 1, 1): ratio 2/3 expected 2"}),
+], ids=["rep-N-wick", "W2-wick", "W30"])
+def test_crosscheck_names_the_first_differing_cell(cache, capsys, monkeypatch, owner, name, wrap,
+                                                   want):
+    # the suite imports the route functions when it runs, so it sees the patch
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    assert _failures(["--suite", "crosscheck"], capsys) == want
 
 
 def test_crosscheck_reads_its_gauss_and_glag_tables_through_the_cache(cache, capsys):
@@ -1211,6 +1256,75 @@ def test_cached_value_that_is_not_a_number_is_named_corrupt(cache, capsys, bad):
     path = _cache_wrong_table("laguerre", {"gmax": 5, "nmax": 20}, {(1, 2): bad})
     _assert_named_corrupt(path, (verify,), capsys)
     assert main([*verify, "--no-cache"]) == 0
+
+
+# the cache entries a default `verify --suite all` reads: (the suite that
+# reads it, ensemble, bounds)
+VERIFY_ALL_ENTRIES = [
+    ("crosscheck", "laguerre", {"gmax": 3, "nmax": 6}),
+    ("crosscheck", "gauss", {"gmax": 3}),
+    ("crosscheck", "glag-k1", {"rmax2": 5, "nmax": 8}),
+    ("crosscheck", "vk", {"gmax": 1}),
+    ("constraints", "vk", {"gmax": 6}),
+    ("constraints", "laguerre", {"gmax": 5, "nmax": 20}),
+    ("constraints", "laguerre", {"gmax": 3, "nmax": 10}),
+    ("constraints", "glag-k1", {"rmax2": 4, "nmax": 8}),
+    ("constraints", "gauss", {"gmax": 6}),
+]
+
+# mutations of an entry list e, keyed by i and j, at its middle entry m, that
+# leave a key missing, repeated or out of range
+_SHAPE_MUTATIONS = {
+    "drop-entry": lambda e, i, j, m: e[:m] + e[m + 1:],
+    "drop-row": lambda e, i, j, m: [x for x in e if x[i] != e[m][i]],
+    "duplicate-key": lambda e, i, j, m: e[:m + 1] + e[m:],
+    "key-out-of-range": lambda e, i, j, m: [*e[:m], {**e[m], j: 1000}, *e[m + 1:]],
+    "truncate": lambda e, i, j, m: e[:m],
+}
+
+
+def test_verify_all_reads_the_entries_of_the_mutation_matrix(cache, capsys):
+    assert main(["verify"]) == 0
+    assert set(cache.iterdir()) == {cache_path("gen", {"ensemble": ensemble, **bounds})
+                                    for _, ensemble, bounds in VERIFY_ALL_ENTRIES}
+
+
+@pytest.mark.parametrize("suite,ensemble,bounds", VERIFY_ALL_ENTRIES,
+                         ids=[f"{s}-{e}-{'-'.join(map(str, b.values()))}"
+                              for s, e, b in VERIFY_ALL_ENTRIES])
+def test_mutated_cache_entry_fails_checks_or_is_named_corrupt(cache, capsys, suite, ensemble,
+                                                             bounds):
+    # each mutation is written under its own digest, so only reading the
+    # entry can tell: a mis-shaped entry or an unparsable value is named as
+    # corrupt (exit 2); a wrong number fails checks or goes unread (exit 1 or 0)
+    verify = ["verify", "--suite", suite]
+    assert main(verify) == 0
+    capsys.readouterr()
+    path = cache_path("gen", {"ensemble": ensemble, **bounds})
+    payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
+    entries, (i, j) = payload["entries"], ENSEMBLES[ensemble].keys
+    m = len(entries) // 2
+
+    def run(mutated: list) -> tuple[int, str]:
+        body = json.dumps({**payload, "entries": mutated}, sort_keys=True, indent=2) + "\n"
+        path.write_bytes(_with_digest(body.encode()))
+        rc = main(verify)
+        err = capsys.readouterr().err
+        assert rc != 3 and "internal error" not in err, err
+        return rc, err
+
+    def with_value(v: str) -> list:
+        return [*entries[:m], {**entries[m], "value": v}, *entries[m + 1:]]
+
+    named = f"error: corrupt cache entry {path}: "
+    for how, mutate in _SHAPE_MUTATIONS.items():
+        rc, err = run(mutate(entries, i, j, m))
+        assert rc == 2 and err.startswith(named), (how, err)
+    for bad in ("abc", "1/0", ""):
+        rc, err = run(with_value(bad))
+        assert rc == 2 and err.startswith(named), (bad, err)
+    for wrong in {"0", "-1", "7/8"} - {entries[m]["value"]}:
+        assert run(with_value(wrong))[0] in (0, 1), wrong
 
 
 def _served(args: dict, compute, use_cache: bool = True) -> bytes:
