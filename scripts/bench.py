@@ -3,7 +3,7 @@
 workloads that take seconds, each run in a fresh process, written to
 ``BENCH_<short-sha>.json`` at the root of this checkout.
 
-Usage: python3 scripts/bench.py [--against REV] [--runs N] [--out FILE]
+Usage: python3 scripts/bench.py [--against REV] [--runs N]
 
 The workloads (WORKLOADS) are chosen to run long enough that the arithmetic
 kernels and the table engines show, and interpreter start-up (about 30 ms)
@@ -114,7 +114,6 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--against", metavar="REV", help="also measure this commit's tree")
     p.add_argument("--runs", type=int, default=10, help="timed runs of each workload (default 10)")
-    p.add_argument("--out", help="file to write (default BENCH_<short-sha>.json in the checkout)")
     args = p.parse_args(argv)
     if args.runs < 1:
         p.error("--runs must be 1 or more")
@@ -144,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
                       for name, (argv, state) in WORKLOADS.items()},
         "results": {role: tree.summary() for role, tree in trees.items()},
     }
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{sha}.json"
+    out = ROOT / f"BENCH_{sha}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     for metric, stats in report["results"]["commit"].items():
         line = f"{metric:<40} {stats['median']:8.4f}"

@@ -513,10 +513,8 @@ def load_table(ensemble: str, bounds: dict, use_cache: bool):
             if not use_cache:
                 raise
             fault = f"its entries do not parse as numbers ({e})"
-        else:
-            fault = _shape_fault(spec.shape(*bound_values), entries, count)
-    if fault and not use_cache:  # the engine's own table
-        raise ValueError(f"{ensemble} table {bounds}: {fault}")
+        else:  # with --no-cache the table is the engine's own
+            fault = use_cache and _shape_fault(spec.shape(*bound_values), entries, count)
     if fault:
         path = cache_path("gen", {"ensemble": ensemble, **bounds})
         raise UsageError(f"corrupt cache entry {path}: {fault}; delete the file or pass --no-cache")

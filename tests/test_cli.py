@@ -614,6 +614,26 @@ def test_gen_json_is_made_holding_only_a_few_rows(monkeypatch, ensemble, bounds)
     assert peak < 0.4 * sink.size, (peak, sink.size)
 
 
+# bounds whose shapes hold keys of two digits (and vk's, negative keys), so
+# that a shaped table exercises load_table's reading of them
+_SHAPED_BOUNDS = {"laguerre": (1, 11), "gauss": (11,), "vk": (4,), "glag-k1": (1, 11)}
+# the error of an entry whose values parse but whose keys are not its shape's
+_SHAPE_FAULT = (r"^corrupt cache entry .*: its (key \(-?\d+, -?\d+\) is (out of range|missing)"
+                r"|entries repeat a key);")
+
+
+@pytest.mark.parametrize("ensemble,bounds", [
+    (e, b) for e, bs in {"laguerre": [(0, 0), (2, 5), (4, 1)], "gauss": [(1,), (2,), (5,)],
+                         "vk": [(0,), (1,), (4,)], "glag-k1": [(0, 0), (3, 4), (1, 7)]}.items()
+    for b in bs])
+def test_ensemble_shape_is_the_keys_its_engine_yields(ensemble, bounds):
+    # load_table checks a cached entry's keys against ENSEMBLES' shape, which
+    # restates the rows each engine in hzlag.engines yields
+    spec = ENSEMBLES[ensemble]
+    assert {i: range(j0, j0 + len(vs)) for i, j0, vs in spec.items(*bounds)} == \
+        spec.shape(*bounds)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(ENSEMBLES)),
        st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300),
@@ -624,7 +644,7 @@ def test_gen_json_is_made_holding_only_a_few_rows(monkeypatch, ensemble, bounds)
 def test_table_writers_on_generated_entries(ensemble, rows, shaped):
     spec = ENSEMBLES[ensemble]
     k1, k2 = spec.keys
-    bounds = {name: 1 for name in spec.bounds}
+    bounds = dict(zip(spec.bounds, _SHAPED_BOUNDS[ensemble]))
     shape = spec.shape(*bounds.values())
     if shaped:  # the values laid out in the keys of a table of these bounds, padded with 0
         values = iter([v for *_, vs in rows for v in vs])
@@ -648,11 +668,11 @@ def test_table_writers_on_generated_entries(ensemble, rows, shaped):
             cache_path("gen", {"ensemble": ensemble, **bounds}).write_bytes(_with_digest(data))
             # an entry is read only when it holds each key of the bounds' shape once
             if keys != sorted((i, j) for i, js in shape.items() for j in js):
-                with pytest.raises(cli.UsageError, match="^corrupt cache entry .*: its "):
+                with pytest.raises(cli.UsageError, match=_SHAPE_FAULT):
                     cli.load_table(ensemble, bounds, True)
                 continue
             got = cli.load_table(ensemble, bounds, True)
-        assert got.bounds == (1,) * len(spec.bounds) and got.entries == table
+        assert got.bounds == tuple(bounds.values()) and got.entries == table
         assert [type(v) for v in got.entries.values()] == [type(v) for v in table.values()]
 
 
