@@ -6,10 +6,13 @@ workloads that take seconds, each run in a fresh process, written to
 Usage: python3 scripts/bench.py [--against REV] [--runs N]
 
 The workloads (WORKLOADS) are chosen to run long enough that the arithmetic
-kernels and the table engines show, and interpreter start-up (about 30 ms)
-does not: the identities suite at 30/30/30 and 40/40/40, cold gen of the
-vk table at 150 and of the laguerre table at 150/300, a warm CSV of that
-laguerre table, and the crosscheck suite.  Each timed run is ``python -m hzlag.cli ARGV``
+kernels, the table engines and the Wick oracles show, and interpreter
+start-up (about 30 ms) does not: the identities suite at 30/30/30 and
+40/40/40, cold gen of the vk table at 150 and of the laguerre table at
+150/300, a warm CSV of that laguerre table, the crosscheck suite, and the
+four slowest ``oracle`` queries at its limits that README states, one with
+shifts of the most digits --rows and --cols accept.  Each timed run is
+``python -m hzlag.cli ARGV``
 with stdout sent to /dev/null, PYTHONPATH set to a tree's ``src`` (so a
 tree's source is measured, never an installed copy), its own
 HZLAG_CACHE_DIR (emptied before each run of a cold workload, filled before
@@ -48,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 LAGUERRE = ["gen", "laguerre", "--gmax", "150", "--nmax", "300"]
+SHIFT = "9" * 100  # the most digits oracle accepts in a --rows/--cols shift
 # name -> (hzlag arguments, cache state: "cold" is empty at each run,
 # "warm" is filled once before the first)
 WORKLOADS = {
@@ -57,6 +61,16 @@ WORKLOADS = {
     "gen-laguerre-150-300-cold": (LAGUERRE, "cold"),
     "gen-laguerre-150-300-warm-csv": ([*LAGUERRE, "--format", "csv"], "warm"),
     "crosscheck": (["verify", "--suite", "crosscheck"], "cold"),
+    # the degree-24 query, the degree-24 pattern whose loop equation reaches
+    # the most smaller patterns, and the slowest connected queries found
+    # over every partition of 24 with two or more traces
+    "oracle-24": (["oracle", "--mu", "24"], "cold"),
+    "oracle-1,1,2,3,8,9": (["oracle", "--mu", "1,1,2,3,8,9"], "cold"),
+    "oracle-connected-N+1": (
+        ["oracle", "--mu", "1,1,1,1,2,3,4,5,6", "--connected", "--cols", "N+1"], "cold"),
+    "oracle-connected-shift-100": (
+        ["oracle", "--mu", "1,1,1,1,2,2,3,3,4,6", "--connected", "--rows", f"N+{SHIFT}",
+         "--cols", f"N-{SHIFT}"], "cold"),
 }
 
 

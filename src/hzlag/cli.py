@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import tempfile
+from collections import namedtuple
 from operator import itemgetter
 from pathlib import Path
 
@@ -36,7 +37,8 @@ INTERNAL_ERROR = 3
 # RSS in a fresh process, 2-vCPU VM, Python 3.11.7), and of the shift k of
 # oracle's --rows and --cols N+k or N-k (--mu 12,12 took 0.8-1.0 s at 100
 # digits and 13 s at 2,000; the slowest query found at 100 digits, --mu
-# 1,1,1,1,2,2,3,3,4,6 --connected, took 1.0-1.6 s by scripts/oracle_limits.py)
+# 1,1,1,1,2,2,3,3,4,6 --connected, takes 0.42 s as the oracle-connected-shift-100
+# workload of scripts/bench.py, median of 5 fresh processes)
 GEN_LIMITS = {"k": 64, "order": 4000, "fab": 300, "at_digits": 100}
 
 
@@ -44,11 +46,10 @@ class UsageError(ValueError):
     pass
 
 
-def _check_range(flag: str, value: int, hi: int | None = None, lo: int = 0) -> None:
-    """Reject an integer option below lo or above hi (None: no upper bound)."""
-    if value < lo or (hi is not None and value > hi):
-        span = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
-        raise UsageError(f"--{flag} must be {span}, got {value}")
+def _check_range(flag: str, value: int, hi: int, lo: int = 0) -> None:
+    """Reject an integer option below lo or above hi."""
+    if not lo <= value <= hi:
+        raise UsageError(f"--{flag} must be in {lo}..{hi}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -544,35 +545,67 @@ VERIFY_WINDOWS = {
 }
 
 
-def suite_identities(args) -> list[CheckRecord]:
-    from .residues import IDENTITY_TAGS, verify_identity
+class CheckRecord(namedtuple("CheckRecord", "id anchor status detail", defaults=("",))):
+    """Outcome of a single verification check.
 
-    return [c for tag in IDENTITY_TAGS
-            for c in verify_identity(tag, args.amax, args.bmax, args.nmax)]
+    ``anchor`` is the short tag of the identity / recursion being checked
+    (e.g. "feat-1", "3-t"); ``status`` is "pass" or "fail"; ``detail``
+    names the first differing cell when the check fails, as a string.
+    """
+
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "pass"
 
 
-def suite_odes(args) -> list[CheckRecord]:
-    from .residues import ODE_TAGS, verify_ode, verify_t1
-
-    return [c for N in range(1, args.nmax + 1)
-            for c in (*(verify_ode(tag, N) for tag in ODE_TAGS),
-                      *(verify_t1(N, k) for k in range(3)))]
-
-
-def suite_crosscheck(args) -> list[CheckRecord]:
-    """Where the routes meet: one list of comparisons, walked by one loop.
+def judge(comparisons) -> list[CheckRecord]:
+    """The check record of each comparison of a suite, in order.
 
     A comparison is ``(check id, anchor, (route, reference), cells)``, a
     cell ``(where, route value, reference value)``.  It passes when every
     cell agrees; otherwise its detail is the first differing cell, ``where:
     route X reference Y``, without ``where: `` when where is empty.  Cells
-    are lists: a generator would bind the loop variables late."""
+    are lists: a generator would bind the suite's loop variables late.  The
+    route modules return values, and only this loop judges them."""
+    checks = []
+    for check_id, anchor, (route, reference), cells in comparisons:
+        bad = [f"{where}{': ' if where else ''}{route} {got} {reference} {want}"
+               for where, got, want in cells if got != want]
+        checks.append(CheckRecord(check_id, anchor, "fail" if bad else "pass", *bad[:1]))
+    return checks
+
+
+def _zero(check_id: str, anchor: str, what: str, value):
+    """The comparison of one value, named what, with 0."""
+    return check_id, anchor, (what, "expected"), [("", value, 0)]
+
+
+def suite_identities(args) -> list[CheckRecord]:
+    from .residues import IDENTITY_TAGS, identity_residuals
+
+    return judge([_zero(check_id, tag, "residual", res) for tag in IDENTITY_TAGS
+                  for check_id, res in identity_residuals(tag, args.amax, args.bmax, args.nmax)])
+
+
+def suite_odes(args) -> list[CheckRecord]:
+    from .residues import ODE_TAGS, ode_residual, t1_residual
+
+    ns = range(1, args.nmax + 1)
+    return judge([_zero(f"ode-{tag}[N={N}]", tag, "residual", ode_residual(tag, N))
+                  for N in ns for tag in ODE_TAGS]
+                 + [_zero(f"T-1[N={N},k={k}]", "T-1", "residual", t1_residual(N, k))
+                    for N in ns for k in range(3)])
+
+
+def suite_crosscheck(args) -> list[CheckRecord]:
+    """Where the routes meet: one list of comparisons (see judge)."""
     from fractions import Fraction
 
-    from .recursions import gauss_genus_coefficients
-    from .reports import record
+    from .recursions import gauss_genus_coefficients, half_binomial_series
     from .residues import exp_mean_moments, two_point_series
-    from .spectral import w11_check, w30_basis_coefficient
+    from .spectral import a_row_series, s_series, w30_basis_coefficient
     from .wick import (MomentPoly, complex_wishart_moment, connected_moments, genus_extract,
                        gue_moment)
 
@@ -617,53 +650,53 @@ def suite_crosscheck(args) -> list[CheckRecord]:
         ("W30[constant-ratio]", "W30", ("ratio", "expected"),
          [(f"m={t}", Fraction(connected_moments(t).coefficient(-1), w30_basis_coefficient(*t)), 2)
           for t in ((1, 1, 1), (2, 1, 1), (2, 2, 1))]))
-    checks = w11_check(load_table("vk", {"gmax": 1}, args.cache).row(1), 7)
-    for check_id, anchor, (route, reference), cells in comparisons:
-        bad = [f"{where}{': ' if where else ''}{route} {got} {reference} {want}"
-               for where, got, want in cells if got != want]
-        checks.append(record(check_id, anchor, not bad, *bad[:1]))
-    return checks
+    # W11: s_{1,1} + 2 s_{1,0} and the expansion of the g = 1 a-row, through
+    # x^-7, vs the closed form x^-4 (1 - 4/x)^(-5/2)
+    closed = [0] * 4 + half_binomial_series(-5, 3)
+    s_form = [a + 2 * b for a, b in zip(s_series(1, 1, 7), s_series(1, 0, 7))]
+    a_row = a_row_series(load_table("vk", {"gmax": 1}, args.cache).row(1), 1, 7)
+    comparisons += [
+        (f"W11[{name}-vs-closed]", "W11", (route, "closed"),
+         [(f"x^-{e}", v, c) for e, (v, c) in enumerate(zip(series, closed))])
+        for name, route, series in (("s", "s-basis", s_form), ("arow", "a-row", a_row))]
+    return judge(comparisons)
 
 
 def suite_constraints(args) -> list[CheckRecord]:
-    from .recursions import (asym_moments, glag_w1_ode_check, integrality_violations,
-                             laguerre_ode_check)
-    from .reports import record
-    from .spectral import NonCancellationError, a_to_C, consistency_identity_check
+    from .engines import consistency_form
+    from .recursions import asym_moments, int2_residuals, integrality_violations, w1_slots
+    from .spectral import a_row_series
 
     vt = load_table("vk", {"gmax": args.gmax}, args.cache)
-    checks = consistency_identity_check(vt, args.gmax)
-    for g in range(1, args.gmax + 1):
-        row = vt.row(g)
-        for r, s in enumerate(asym_moments(row, 2 * g + 1)):
-            checks.append(
-                record(f"asym-r[g={g},r={r}]", "asym-r", s == 0, f"moment {s}")
-            )
-    # a-row expansion vs three-term recursion table
+    comparisons = [_zero(f"consistency[g={g}]", "consistency", "form", consistency_form(vt.row(g)))
+                   for g in range(args.gmax + 1)]
+    comparisons += [_zero(f"asym-r[g={g},r={r}]", "asym-r", "moment", s)
+                    for g in range(1, args.gmax + 1)
+                    for r, s in enumerate(asym_moments(vt.row(g), 2 * g + 1))]
+    # a-row expansion vs three-term recursion table: the coefficients of x^0
+    # .. x^-2g cancel, and C_n^(g) is that of x^(-1-2g-n)
     dn = load_table("laguerre", {"gmax": 5, "nmax": 20}, args.cache)
-    for g in range(min(args.gmax, 5) + 1):
-        try:
-            cs = a_to_C(vt.row(g), g, 20)
-        except NonCancellationError as e:
-            ok, detail = False, str(e)
-        else:
-            ok = all(cs[n] == dn.value(g, n) for n in range(21))
-            detail = f"row expansion {cs[:6]}..."
-        checks.append(record(f"a-to-C[g={g}]", "rec-v2", ok, detail))
-    # operator-equation verifiers
-    checks += laguerre_ode_check(load_table("laguerre", {"gmax": 3, "nmax": 10}, args.cache))
-    checks += glag_w1_ode_check(load_table("glag-k1", {"rmax2": 4, "nmax": 8}, args.cache))
+    comparisons += [
+        (f"a-to-C[g={g}]", "rec-v2", ("a-row", "table"),
+         [(f"x^-{e}", v, dn.value(g, e - 1 - 2 * g) if e > 2 * g else 0)
+          for e, v in enumerate(a_row_series(vt.row(g), g, 21 + 2 * g))])
+        for g in range(min(args.gmax, 5) + 1)]
+    # operator equations
+    int2 = int2_residuals(load_table("laguerre", {"gmax": 3, "nmax": 10}, args.cache))
+    comparisons += [_zero(f"int-2[g={g},n={n}]", "int-2", "residual", r)
+                    for (g, n), r in int2.items()]
+    w1 = w1_slots(load_table("glag-k1", {"rmax2": 4, "nmax": 8}, args.cache))
+    comparisons += [(f"W1[q={q},e={e}]", "W1", ("collected", "expected"), [("", got, want)])
+                    for (q, e), (got, want) in w1.items()]
     # integrality expectations
     for name, entries in (
         # the n = 0 column is the seed C_0^(g) = (1, 0, 0, ...), not a count, so it is exempt
         ("laguerre", {key: v for key, v in dn.entries.items() if key[1] >= 1}),
         ("gauss", load_table("gauss", {"gmax": args.gmax}, args.cache).entries),
     ):
-        bad = integrality_violations(entries)
-        checks.append(
-            record(f"integrality[{name}]", "C1g", not bad, f"violations {bad[:5]}")
-        )
-    return checks
+        comparisons.append((f"integrality[{name}]", "C1g", ("violations", "expected"),
+                            [("", integrality_violations(entries)[:5], [])]))
+    return judge(comparisons)
 
 
 SUITES = {
@@ -714,16 +747,16 @@ def cmd_gen(args) -> int:
 def cmd_oracle(args) -> int:
     from .wick import DegreeLimitError, complex_wishart_moment, connected_moments, parse_dimension
 
-    try:
-        pattern = tuple(int(p) for p in args.mu.split(","))
-    except ValueError as e:
-        raise UsageError(f"bad --mu {args.mu!r}") from e
+    # ASCII digits only: int() would also read "1_0" and other scripts' digits
+    if not re.fullmatch(r"[0-9]+(?:,[0-9]+)*", args.mu):
+        raise UsageError(f"bad --mu {args.mu!r}")
+    pattern = tuple(map(int, args.mu.split(",")))
     if min(pattern) < 1:
         raise UsageError(f"--mu entries must be positive, got {args.mu!r}")
     limit = GEN_LIMITS["at_digits"]
     for flag, spec in (("rows", args.rows), ("cols", args.cols)):
         # counted as written, before the shift is parsed
-        if max(map(len, re.findall(r"\d+", spec)), default=0) > limit:
+        if max(map(len, re.findall(r"[0-9]+", spec)), default=0) > limit:
             raise UsageError("--%s shift k must have at most %d digits" % (flag, limit))
         try:
             parse_dimension(spec)

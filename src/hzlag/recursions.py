@@ -1,13 +1,15 @@
-"""Genus-graded moment tables and the checks that read them.
+"""Genus-graded moment tables and the values the table checks compare.
 
 The four table engines ("3-t", "recurrence", "rec-v2" and "8-t") live in
 hzlag.engines, which yields each table a row at a time; this module
 re-exports them and their error classes, and builds a whole Table from
-their rows.  Also here: the n = 1 closed form ("C1g"), the operator-equation
-verifiers "int-2" and "W1", which re-derive the tables independently of the
+their rows.  Also here: the n = 1 closed form ("C1g"), the operator
+equations "int-2" and "W1", which re-derive the tables independently of the
 table-filling code paths, the Gaussian genus reconstruction, and
 half_binomial_series, the int kernel for (1-4t)^(s/2) that the Gaussian
-genus reconstruction and the spectral bases share.  Nothing here reads the
+genus reconstruction and the spectral bases share.  The operator equations
+return their collected coefficients, not verdicts: the constraints suite of
+hzlag.cli judges them and makes the check records.  Nothing here reads the
 Wick oracles: the crosscheck suite of hzlag.cli compares the tables with
 them.
 """
@@ -20,7 +22,6 @@ from fractions import Fraction
 
 from .engines import (ConstraintError, IntegralityError, _exact_div, do_norbury_items,
                       gauss_hz_items, glag_k1_items, vk_items)
-from .reports import CheckRecord, record
 
 __all__ = [
     "ConstraintError",
@@ -36,8 +37,8 @@ __all__ = [
     "vk_table",
     "glag_k1_items",
     "glag_k1_table",
-    "laguerre_ode_check",
-    "glag_w1_ode_check",
+    "int2_residuals",
+    "w1_slots",
     "half_binomial_series",
     "gauss_genus_coefficients",
 ]
@@ -172,7 +173,7 @@ def gauss_genus_coefficients(table: Table, g: int, mmax: int) -> dict[int, Fract
 
 
 # ---------------------------------------------------------------------------
-# operator-equation verifiers
+# operator equations
 # ---------------------------------------------------------------------------
 
 
@@ -211,29 +212,25 @@ def _collect(terms, blocks) -> dict[tuple[int, int], int]:
     return acc
 
 
-def laguerre_ode_check(table: Table) -> list[CheckRecord]:
-    """Apply the two operator blocks of "int-2" to the series
-    W_1' = -sum N^(-2g) C_n^(g) (n+2g+1) x^(-2-2g-n) and assert every
-    collected (N-power, x-power) coefficient that the table determines
-    vanishes.  This re-derives "3-t" independently of the table filler.
+def int2_residuals(table: Table) -> dict[tuple[int, int], int]:
+    """{(g, n): residual} for g, n within the table's bounds: the collected
+    coefficient of N^(1-2g) x^-(1+2g+n) of the two operator blocks of
+    "int-2" applied to the series W_1' = -sum N^(-2g) C_n^(g) (n+2g+1)
+    x^(-2-2g-n).  Each vanishes when the table satisfies the equation; this
+    re-derives "3-t" independently of the table filler.
     """
     acc = _collect(((2 * g, 2 + 2 * g + n, -cval * (n + 2 * g + 1))
                     for (g, n), cval in table.entries.items()), _INT2_BLOCKS)
-    recs = []
     gmax, nmax = table.bounds
-    for g in range(gmax + 1):
-        for n in range(nmax + 1):
-            resid = acc.get((2 * g - 1, 1 + 2 * g + n), 0)
-            recs.append(
-                record(f"int-2[g={g},n={n}]", "int-2", resid == 0, f"residual {resid}")
-            )
-    return recs
+    return {(g, n): acc.get((2 * g - 1, 1 + 2 * g + n), 0)
+            for g in range(gmax + 1) for n in range(nmax + 1)}
 
 
-def glag_w1_ode_check(table: Table) -> list[CheckRecord]:
-    """Apply the five N-graded operator blocks of "W1" to the double series
-    W_1 = sum_q N^(-q) C_n^(q/2) x^(-1-q-n) and assert equality with the
-    inhomogeneity 2N^2 + N + (2N+2)/x at every slot the table determines."""
+def w1_slots(table: Table) -> dict[tuple[int, int], tuple[int, int]]:
+    """{(Q, E): (collected, expected)} of the five N-graded operator blocks
+    of "W1" applied to the double series W_1 = sum_q N^(-q) C_n^(q/2)
+    x^(-1-q-n), against the inhomogeneity 2N^2 + N + (2N+2)/x, at every slot
+    (N^-Q, x^-E) that the table determines."""
     acc = _collect(((q, 1 + q + n, cval) for (q, n), cval in table.entries.items()),
                    _W1_BLOCKS)
     r2max, nmax = table.bounds
@@ -247,17 +244,5 @@ def glag_w1_ode_check(table: Table) -> list[CheckRecord]:
                 return False
         return True
 
-    recs = []
-    for Q in range(-2, r2max + 1):
-        for E in range(0, nmax + Q + 3):
-            if not determined(Q, E):
-                continue
-            got = acc.get((Q, E), 0)
-            want = _W1_RHS.get((Q, E), 0)
-            recs.append(
-                record(
-                    f"W1[q={Q},e={E}]", "W1", got == want,
-                    f"collected {got} expected {want}",
-                )
-            )
-    return recs
+    return {(Q, E): (acc.get((Q, E), 0), _W1_RHS.get((Q, E), 0))
+            for Q in range(-2, r2max + 1) for E in range(0, nmax + Q + 3) if determined(Q, E)}

@@ -8,9 +8,11 @@ Its only pole is at u = 1, so it is an integer Laurent polynomial in
 w = u - 1, and expanding both factors binomially gives its coefficients in
 closed form (``weighted_residue``, which also carries a weight z^k).  The
 rectangular-ensemble integral is expanded the same way.  The identity, ODE
-and reflection checks multiply through by their known denominators, so every
-residual is again a Laurent polynomial in w, zero exactly when it has no
-terms: no step takes a polynomial gcd.  ``fab`` returns that Laurent
+and reflection residuals are multiplied through by their known denominators,
+so every residual is again a Laurent polynomial in w, zero exactly when it
+has no terms: no step takes a polynomial gcd.  This module returns the
+residuals; the identities and odes suites of hzlag.cli judge them, and make
+the check records.  ``fab`` returns that Laurent
 polynomial itself, and the moments are read off its Taylor coefficients at
 u = 0.  The iterated two-point residues are expanded as integer double
 series, divided by N^(m1+m2) once per entry.
@@ -24,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import WLaurent
-from .reports import CheckRecord, record
 
 __all__ = [
     "TwoPointValue",
@@ -33,9 +34,9 @@ __all__ = [
     "weighted_residue",
     "two_point_series",
     "exp_mean_moments",
-    "verify_identity",
-    "verify_ode",
-    "verify_t1",
+    "identity_residuals",
+    "ode_residual",
+    "t1_residual",
     "IDENTITY_TAGS",
     "ODE_TAGS",
 ]
@@ -176,12 +177,8 @@ def two_point_series(N: int, order: int) -> TwoPointValue:
 
 
 # ---------------------------------------------------------------------------
-# identity and ODE verification
+# identity and ODE residuals
 # ---------------------------------------------------------------------------
-
-
-def _residual_record(check_id: str, anchor: str, residual: WLaurent) -> CheckRecord:
-    return record(check_id, anchor, residual.is_zero, detail=str(residual))
 
 
 # The (A, B) identities map their tag to the least A and B and to the
@@ -301,43 +298,40 @@ _ODES = {"DN": _ode_dn, "K1": _ode_k1, "K2": _ode_k2}
 ODE_TAGS = tuple(_ODES)
 
 
-def verify_identity(
+def identity_residuals(
     which: str, amax: int = 10, bmax: int = 10, nmax: int = 10
-) -> list[CheckRecord]:
-    """Verify one of the f_{A,B} identities over a range of small indices:
-    A, B up to amax, bmax for an (A, B) identity, N up to nmax for an N one.
+) -> list[tuple[str, WLaurent]]:
+    """The residuals of one of the f_{A,B} identities over a range of small
+    indices, each with its check id: A, B up to amax, bmax for an (A, B)
+    identity, N up to nmax for an N one.
 
-    Every check multiplies its identity through by the identity's known
-    denominator (a product of u, u + 1, u - 1 and 2), so the residual is a
-    Laurent polynomial in w = u - 1, and asserts that it is structurally
-    zero; no numerical tolerance is involved anywhere.  A failing check
-    reports that multiplied-through residual.
+    Every residual is the identity multiplied through by its known
+    denominator (a product of u, u + 1, u - 1 and 2), so it is a Laurent
+    polynomial in w = u - 1, and the identity holds exactly when it is
+    structurally zero; no numerical tolerance is involved anywhere.
     """
     if which in _AB_IDENTITIES:
         low, residuals = _AB_IDENTITIES[which]
-        return [_residual_record(f"{which}[A={A},B={B}{suffix}]", which, res)
+        return [(f"{which}[A={A},B={B}{suffix}]", res)
                 for A in range(low, amax + 1) for B in range(low, bmax + 1)
                 for suffix, res in residuals(A, B)]
     if which in _N_IDENTITIES:
         residual = _N_IDENTITIES[which]
-        return [_residual_record(f"{which}[N={N}]", which, residual(N))
-                for N in range(1, nmax + 1)]
+        return [(f"{which}[N={N}]", residual(N)) for N in range(1, nmax + 1)]
     raise ValueError(f"unknown identity tag {which!r}")
 
 
-def verify_ode(which: str, N: int) -> CheckRecord:
-    """Substitute an exact f_{A,B} with its derivatives into one of the
-    ODEs, multiplied through by its known denominator (a product of u,
-    u + 1, u - 1, 2 and (N+1) u - 1), and assert the residual is
-    structurally zero."""
+def ode_residual(which: str, N: int) -> WLaurent:
+    """The residual of an exact f_{A,B} with its derivatives substituted
+    into one of the ODEs, multiplied through by its known denominator (a
+    product of u, u + 1, u - 1, 2 and (N+1) u - 1): structurally zero
+    exactly when the ODE holds."""
     if which not in _ODES:
         raise ValueError(f"unknown ODE tag {which!r}")
-    return _residual_record(f"ode-{which}[N={N}]", which, _ODES[which](N))
+    return _ODES[which](N)
 
 
-def verify_t1(N: int, k: int) -> CheckRecord:
-    """Check that the rectangular-ensemble residue equals
-    (-1)^(N+k-1) f_{N+k,N}(1/u), both multiplied by u."""
-    lhs = fab_generalized(N, k)
-    rhs = (-1) ** (N + k - 1) * _U * fab(N + k, N).compose_inverse()
-    return _residual_record(f"T-1[N={N},k={k}]", "T-1", lhs - rhs)
+def t1_residual(N: int, k: int) -> WLaurent:
+    """The rectangular-ensemble residue minus (-1)^(N+k-1) f_{N+k,N}(1/u),
+    both multiplied by u: zero exactly when the reflection "T-1" holds."""
+    return fab_generalized(N, k) - (-1) ** (N + k - 1) * _U * fab(N + k, N).compose_inverse()

@@ -97,7 +97,7 @@ def parse_dimension(spec: Dimension) -> MomentPoly:
         return spec
     if isinstance(spec, int):
         return MomentPoly.const(spec)
-    m = re.fullmatch(r"\s*N\s*(?:([+-])\s*(\d+))?\s*", spec)
+    m = re.fullmatch(r"\s*N\s*(?:([+-])\s*([0-9]+))?\s*", spec)
     if not m:
         raise ValueError(f"cannot parse dimension spec {spec!r}")
     k = int(m.group(2) or 0) * (-1 if m.group(1) == "-" else 1)

@@ -9,29 +9,26 @@ import time
 from fractions import Fraction
 
 from hzlag.cli import payload_to_json, table_payload
+from hzlag.engines import consistency_form
 from hzlag.recursions import (
     c1_closed_form,
     do_norbury_table,
     gauss_genus_coefficients,
     gauss_hz_table,
     glag_k1_table,
-    glag_w1_ode_check,
+    half_binomial_series,
     vk_table,
+    w1_slots,
 )
 from hzlag.residues import (
     IDENTITY_TAGS,
     exp_mean_moments,
+    identity_residuals,
+    ode_residual,
+    t1_residual,
     two_point_series,
-    verify_identity,
-    verify_ode,
-    verify_t1,
 )
-from hzlag.spectral import (
-    a_to_C,
-    consistency_identity_check,
-    w11_check,
-    w30_basis_coefficient,
-)
+from hzlag.spectral import a_row_series, s_series, w30_basis_coefficient
 from hzlag.wick import (
     MomentPoly,
     complex_wishart_moment,
@@ -85,9 +82,9 @@ def test_criterion_02_laguerre_table_structure():
 def test_criterion_03_fab_identities():
     def work():
         for tag in IDENTITY_TAGS:
-            recs = verify_identity(tag, amax=10, bmax=10, nmax=10)
-            bad = [r.id for r in recs if not r.ok]
-            assert not bad, f"{tag}: {bad[:3]}"
+            residuals = identity_residuals(tag, amax=10, bmax=10, nmax=10)
+            bad = [check_id for check_id, r in residuals if not r.is_zero]
+            assert residuals and not bad, f"{tag}: {bad[:3]}"
 
     _gate("criterion-03 [feat-1 .. k2-second-derivative]", 60.0, work)
 
@@ -96,12 +93,12 @@ def test_criterion_04_odes_and_reflection():
     def work():
         for which, top in (("DN", 10), ("K1", 8), ("K2", 6)):
             for N in range(1, top + 1):
-                rec = verify_ode(which, N)
-                assert rec.ok, f"{which} N={N}: {rec.detail}"
+                res = ode_residual(which, N)
+                assert res.is_zero, f"{which} N={N}: {res}"
         for N in range(1, 7):
             for k in range(3):
-                rec = verify_t1(N, k)
-                assert rec.ok, f"T-1 N={N} k={k}: {rec.detail}"
+                res = t1_residual(N, k)
+                assert res.is_zero, f"T-1 N={N} k={k}: {res}"
 
     _gate("criterion-04 [DN, K1, K2, T-1]", 120.0, work)
 
@@ -166,9 +163,9 @@ def test_criterion_07_fractional_genus_branch():
         for m in range(1, 6):
             assert MomentPoly({1 - q: table.value(q, m - q) for q in range(m + 1)}) == (
                 complex_wishart_moment((m,), "N", "N+1")), f"moment m={m}"
-        recs = glag_w1_ode_check(table)
-        bad = [r.id for r in recs if not r.ok]
-        assert recs and not bad, f"W1: {bad[:3]}"
+        slots = w1_slots(table)
+        bad = [slot for slot, (got, want) in slots.items() if got != want]
+        assert slots and not bad, f"W1: {bad[:3]}"
 
     _gate("criterion-07 [8-t, W1]", 60.0, work)
 
@@ -190,8 +187,8 @@ def test_criterion_08_gaussian_branch():
 def test_criterion_09_constraint_families():
     def work():
         table = vk_table(6)
-        recs = consistency_identity_check(table, 6)
-        assert all(r.ok for r in recs), "consistency"
+        for g in range(7):
+            assert consistency_form(table.row(g)) == 0, f"consistency at g={g}"
         for g in range(1, 7):
             row = table.row(g)
             for r in range(2 * g + 2):
@@ -200,8 +197,9 @@ def test_criterion_09_constraint_families():
                 assert s == 0, f"asym-{r} at g={g}: {s}"
         dn = do_norbury_table(5, 20)
         for g in range(6):
-            got = a_to_C(table.row(g), g, 20)
-            want = [dn.value(g, n) for n in range(21)]
+            # x^0 .. x^-2g cancel, and C_n^(g) is the coefficient of x^(-1-2g-n)
+            got = a_row_series(table.row(g), g, 21 + 2 * g)
+            want = [0] * (2 * g + 1) + [dn.value(g, n) for n in range(21)]
             assert got == want, f"a-to-C at g={g}"
 
     _gate("criterion-09 [asym, consistency, a-to-C]", 30.0, work)
@@ -214,9 +212,13 @@ def test_criterion_10_closed_form_checks():
             for t in ((1, 1, 1), (2, 1, 1), (2, 2, 1))
         }
         assert len(ratios) == 1, f"W30 ratios differ: {sorted(ratios)}"
-        recs = w11_check(vk_table(1).row(1), 7)
-        bad = [r.id for r in recs if not r.ok]
-        assert recs and not bad, f"W11: {bad}"
+        # s_{1,1} + 2 s_{1,0} and the g = 1 a-row's expansion equal
+        # x^-4 (1 - 4/x)^(-5/2) through x^-7
+        closed = [0] * 4 + half_binomial_series(-5, 3)
+        s_form = [a + 2 * b for a, b in zip(s_series(1, 1, 7), s_series(1, 0, 7))]
+        assert s_form == closed, f"W11[s-vs-closed]: {s_form}"
+        a_row = a_row_series(vk_table(1).row(1), 1, 7)
+        assert a_row == closed, f"W11[arow-vs-closed]: {a_row}"
 
     _gate("criterion-10 [W30, W11]", 30.0, work)
 

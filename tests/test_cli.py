@@ -34,9 +34,8 @@ from hzlag.cli import (
     payload_to_json,
     table_payload,
 )
-from hzlag.exact import rat_str_explicit
+from hzlag.exact import WLaurent, rat_str_explicit
 from hzlag.recursions import IntegralityError, c1_closed_form
-from hzlag.reports import record
 from hzlag.residues import IDENTITY_TAGS, ODE_TAGS
 from hzlag.wick import WISHART_DEGREE_LIMIT
 
@@ -717,14 +716,20 @@ def test_bench_script_workloads_are_valid_requests():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert {state for _, state in script.WORKLOADS.values()} == {"cold", "warm"}
+    shifts = []  # the digits of each oracle dimension shift
     for argv, _ in script.WORKLOADS.values():
         args = cli.make_parser().parse_args(argv)
         if args.command == "verify":
             for flag, (_, lo, hi, *_) in cli.VERIFY_WINDOWS.items():
                 assert lo <= getattr(args, flag) <= hi, argv
+        elif args.command == "oracle":
+            assert sum(map(int, args.mu.split(","))) <= WISHART_DEGREE_LIMIT, argv
+            shifts += [len(k) for k in re.findall("[0-9]+", args.rows + args.cols)]
         else:
             spec = ENSEMBLES[args.ensemble]
             assert all(getattr(args, b) <= top for b, top in spec.bounds.items()), argv
+    # the oracle queries include one at the digit limit of the shifts
+    assert max(shifts) == cli.GEN_LIMITS["at_digits"], shifts
 
 
 def test_gen_peaks_near_its_import_floor(tmp_path):
@@ -827,6 +832,19 @@ def test_oracle_outputs(cache, capsys):
 
 def test_oracle_bad_mu(cache):
     assert main(["oracle", "--mu", "x"]) == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("mu", "1_0"), ("mu", "\u0663"), ("mu", "2,\u0661"), ("mu", "+4"), ("mu", " 4"),
+    ("rows", "N+\u0663"), ("cols", "N-\u0661\u0662"), ("rows", "N+1_0"),
+], ids=["underscore", "arabic-indic", "arabic-indic-part", "plus", "space", "rows-arabic-indic",
+        "cols-arabic-indic", "rows-underscore"])
+def test_oracle_reads_only_ascii_digits(cache, capsys, flag, value):
+    # int() reads "1_0" as 10 and the digits of other scripts as digits
+    argv = ["oracle", "--mu", value] if flag == "mu" else ["oracle", "--mu", "2", f"--{flag}", value]
+    assert main(argv) == 2
+    hint = "" if flag == "mu" else " (expected N, N+k or N-k)"
+    assert capsys.readouterr() == ("", f"error: bad --{flag} {value!r}{hint}\n")
 
 
 def test_series_vk_json(cache, capsys):
@@ -1029,7 +1047,7 @@ def test_verify_window_options(cache, capsys, monkeypatch, flag, default, cap, s
     ran = []
     for name in cli.SUITES:
         monkeypatch.setitem(cli.SUITES, name, lambda args, name=name: ran.append(name) or [
-            record(f"stub[{name}]", "stub", True, "")])
+            cli.CheckRecord(f"stub[{name}]", "stub", "pass")])
     assert main(["verify", f"--{flag}", str(cap)]) == 0
     assert ran == list(cli.SUITES)
     capsys.readouterr()
@@ -1257,16 +1275,75 @@ def test_crosscheck_reads_its_gauss_and_glag_tables_through_the_cache(cache, cap
 
 
 def test_cached_a_row_that_does_not_cancel_fails_its_checks(cache, capsys):
-    # a_{-3}^(1) = 1/256 as 7/8 leaves a constant term in the g = 1 row's
-    # expansion: a-to-C (constraints) and W11 (crosscheck, from the vk table
-    # of gmax 1) fail with that as their detail, as do the row's asym-r moments
-    text = "coefficient of x^-0 is 223/256, expected 0"
+    # a_{-3}^(1) = 1/256 as 7/8 adds 223/256 to the constant term of the g = 1
+    # row's expansion: a-to-C (constraints) and W11 (crosscheck, from the vk
+    # table of gmax 1) fail at x^-0, and each asym-r moment r of the row
+    # moves by 223/256 (-3)^r
     _cache_wrong_table("vk", {"gmax": 6}, {(1, -3): "7/8"})
-    failed = _failures(["--suite", "constraints"], capsys)
-    assert set(failed) == {"a-to-C[g=1]", *(f"asym-r[g=1,r={r}]" for r in range(4))}, failed
-    assert failed["a-to-C[g=1]"] == text
+    assert _failures(["--suite", "constraints"], capsys) == {
+        "a-to-C[g=1]": "x^-0: a-row 223/256 table 0",
+        **{f"asym-r[g=1,r={r}]": f"moment {Fraction(223, 256) * (-3) ** r} expected 0"
+           for r in range(4)},
+    }
     _cache_wrong_table("vk", {"gmax": 1}, {(1, -3): "7/8"})
-    assert _failures(["--suite", "crosscheck"], capsys) == {"W11[arow-vs-closed]": text}
+    assert _failures(["--suite", "crosscheck"], capsys) == {
+        "W11[arow-vs-closed]": "x^-0: a-row 223/256 closed 0"}
+
+
+# one wrong value in each kind of comparison: (verify arguments, owner and
+# name of the value function the suite imports, a wrapper making one value
+# wrong, {id: detail} of the one failing check)
+_WRONG_VALUES = {
+    "identities": (
+        ["--suite", "identities", "--amax", "2", "--bmax", "2", "--nmax", "2"],
+        residues, "identity_residuals",
+        lambda f: lambda tag, *bounds: [
+            (i, r + WLaurent({-1: 1}) if i == "fAB-quad[A=2,B=1]" else r)
+            for i, r in f(tag, *bounds)],
+        {"fAB-quad[A=2,B=1]": "residual (1) / (u - 1) expected 0"}),
+    "odes": (
+        ["--suite", "odes", "--nmax", "2"], residues, "ode_residual",
+        lambda f: lambda tag, N: f(tag, N) + 3 * ((tag, N) == ("K1", 2)),
+        {"ode-K1[N=2]": "residual 3 expected 0"}),
+    "T-1": (
+        ["--suite", "odes", "--nmax", "2"], residues, "t1_residual",
+        lambda f: lambda N, k: f(N, k) - WLaurent({1: 2}) * ((N, k) == (1, 2)),
+        {"T-1[N=1,k=2]": "residual -2*u + 2 expected 0"}),
+    "a-to-C": (
+        ["--suite", "constraints"], spectral, "a_row_series",
+        lambda f: lambda row, g, order: [v + (g == 2 and e == 9)
+                                         for e, v in enumerate(f(row, g, order))],
+        {"a-to-C[g=2]": "x^-9: a-row 20791 table 20790"}),
+    "int-2": (
+        ["--suite", "constraints"], recursions, "int2_residuals",
+        lambda f: lambda table: {**f(table), (1, 3): 5},
+        {"int-2[g=1,n=3]": "residual 5 expected 0"}),
+    "W1": (
+        ["--suite", "constraints"], recursions, "w1_slots",
+        lambda f: lambda table: {**f(table), (-1, 1): (3, 2)},
+        {"W1[q=-1,e=1]": "collected 3 expected 2"}),
+    "consistency": (
+        ["--suite", "constraints"], engines, "consistency_form",
+        lambda f: lambda row: f(row) + (min(row) == -6),
+        {"consistency[g=2]": "form 1 expected 0"}),
+    "W11": (
+        ["--suite", "crosscheck"], spectral, "a_row_series",
+        lambda f: lambda row, g, order: [v + (e == 5) for e, v in enumerate(f(row, g, order))],
+        {"W11[arow-vs-closed]": "x^-5: a-row 11 closed 10"}),
+}
+
+
+@pytest.mark.parametrize("kind", _WRONG_VALUES)
+def test_every_suite_names_the_first_differing_cell(cache, capsys, monkeypatch, kind):
+    # the suites hand their comparisons to cli.judge; a wrong value from the
+    # function a suite imports fails exactly its own check, with the loop's
+    # detail.  The cache is filled first: the vk engine calls
+    # consistency_form too.
+    argv, owner, name, wrap, want = _WRONG_VALUES[kind]
+    assert main(["verify", *argv]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    assert _failures(argv, capsys) == want
 
 
 @pytest.mark.parametrize("bad", ["abc", "1/0", "", "1/x"])

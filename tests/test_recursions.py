@@ -25,11 +25,11 @@ from hzlag.recursions import (
     gauss_hz_table,
     glag_k1_items,
     glag_k1_table,
-    glag_w1_ode_check,
+    int2_residuals,
     integrality_violations,
-    laguerre_ode_check,
     vk_items,
     vk_table,
+    w1_slots,
 )
 from hzlag.wick import MomentPoly, complex_wishart_moment, genus_extract, gue_moment
 
@@ -269,16 +269,17 @@ def test_lag_genus_extract_matches_table(dn):
 
 
 def test_laguerre_ode_check_passes(dn):
-    recs = laguerre_ode_check(dn)
-    assert recs
-    assert all(r.ok for r in recs)
+    residuals = int2_residuals(dn)
+    gmax, nmax = dn.bounds
+    assert set(residuals) == {(g, n) for g in range(gmax + 1) for n in range(nmax + 1)}
+    assert all(r == 0 for r in residuals.values())
 
 
 def test_laguerre_ode_check_detects_corruption(dn):
     bad = dict(dn.entries)
     bad[(1, 2)] = Fraction(11)  # true value 10
-    recs = laguerre_ode_check(Table(dn.bounds, bad))
-    assert any(not r.ok for r in recs)
+    residuals = int2_residuals(Table(dn.bounds, bad))
+    assert any(r != 0 for r in residuals.values())
 
 
 def test_integrality_violations_surface():
@@ -439,9 +440,9 @@ def test_glag_series_x5_coefficient(glag):
 
 
 def test_glag_w1_ode_check_passes(glag):
-    recs = glag_w1_ode_check(glag)
-    assert recs
-    assert all(r.ok for r in recs)
+    slots = w1_slots(glag)
+    assert slots
+    assert all(got == want for got, want in slots.values())
 
 
 def test_glag_w1_ode_check_detects_corruption(glag):
@@ -449,5 +450,5 @@ def test_glag_w1_ode_check_detects_corruption(glag):
     key = (2, 1)
     assert key in bad
     bad[key] = bad[key] + 1
-    recs = glag_w1_ode_check(Table(glag.bounds, bad))
-    assert any(not r.ok for r in recs)
+    slots = w1_slots(Table(glag.bounds, bad))
+    assert any(got != want for got, want in slots.values())

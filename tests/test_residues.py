@@ -13,10 +13,10 @@ from hzlag.residues import (
     exp_mean_moments,
     fab,
     fab_generalized,
+    identity_residuals,
+    ode_residual,
+    t1_residual,
     two_point_series,
-    verify_identity,
-    verify_ode,
-    verify_t1,
     weighted_residue,
 )
 from hzlag.wick import complex_wishart_moment, connected_moments
@@ -89,31 +89,31 @@ def test_two_point_truncation_guard():
 
 @pytest.mark.parametrize("tag", IDENTITY_TAGS)
 def test_identities_small_window(tag):
-    recs = verify_identity(tag, amax=12, bmax=12, nmax=12)
-    assert recs, tag
-    bad = [r for r in recs if not r.ok]
+    residuals = identity_residuals(tag, amax=12, bmax=12, nmax=12)
+    assert residuals, tag
+    bad = [(check_id, str(r)) for check_id, r in residuals if not r.is_zero]
     assert not bad, bad
 
 
 @pytest.mark.parametrize("which,nmax", [("DN", 5), ("K1", 5), ("K2", 4)])
 def test_odes_structurally_zero(which, nmax):
     for N in range(1, nmax + 1):
-        rec = verify_ode(which, N)
-        assert rec.ok, rec.detail
+        res = ode_residual(which, N)
+        assert res.is_zero, (N, str(res))
 
 
 def test_unknown_tags_raise():
     with pytest.raises(ValueError, match="unknown identity tag 'nope'"):
-        verify_identity("nope")
+        identity_residuals("nope")
     with pytest.raises(ValueError, match="unknown ODE tag 'nope'"):
-        verify_ode("nope", 1)
+        ode_residual("nope", 1)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_t1_rectangular_reflection(N, k):
-    rec = verify_t1(N, k)
-    assert rec.ok, rec.detail
+    res = t1_residual(N, k)
+    assert res.is_zero, str(res)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -210,16 +210,12 @@ def test_mutated_fab_fails_every_check(monkeypatch):
 
     monkeypatch.setattr(residues, "fab", mutated)
 
-    def caught(rec):
-        return rec.status == "fail" and rec.detail not in ("", "0")
-
     for tag in IDENTITY_TAGS:
-        recs = verify_identity(tag, amax=4, bmax=4, nmax=4)
-        assert any(caught(r) for r in recs), tag
-        assert all(caught(r) for r in recs if not r.ok), tag
-    for rec in (verify_ode("DN", 3), verify_ode("K1", 2), verify_ode("K2", 1),
-                verify_t1(3, 0), verify_t1(2, 1), verify_t1(1, 2)):
-        assert caught(rec), rec.id
+        residuals = identity_residuals(tag, amax=4, bmax=4, nmax=4)
+        assert any(not r.is_zero for _, r in residuals), tag
+    for res in (ode_residual("DN", 3), ode_residual("K1", 2), ode_residual("K2", 1),
+                t1_residual(3, 0), t1_residual(2, 1), t1_residual(1, 2)):
+        assert not res.is_zero
 
 
 def test_exp_mean_moments_needs_f_to_vanish_at_zero(monkeypatch):

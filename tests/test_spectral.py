@@ -1,19 +1,12 @@
-"""Tests for the spectral-curve series bridges and closed-form checks."""
+"""Tests for the spectral-curve series and the closed forms they are checked against."""
 
 from fractions import Fraction
 
 import pytest
 
+from hzlag.engines import consistency_form
 from hzlag.recursions import do_norbury_table, half_binomial_series, vk_table
-from hzlag.spectral import (
-    NonCancellationError,
-    a_to_C,
-    consistency_identity_check,
-    s_series,
-    vk_series,
-    w11_check,
-    w30_basis_coefficient,
-)
+from hzlag.spectral import a_row_series, s_series, vk_series, w30_basis_coefficient
 from hzlag.wick import connected_moments
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
@@ -54,50 +47,49 @@ def test_s_series_input_validation():
 
 
 def test_a_to_C_genus_zero_gives_catalan():
+    # 1/2 + a-row of g = 0: the coefficient of x^-(1+n) is Catalan(n)
     row = vk_table(0).row(0)
-    assert a_to_C(row, 0, 7) == [Fraction(c) for c in CATALAN]
+    assert a_row_series(row, 0, 8) == [0] + [Fraction(c) for c in CATALAN]
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_a_to_C_matches_three_term_table(g):
+    # x^0 .. x^-2g cancel, and C_n^(g) is the coefficient of x^(-1-2g-n)
     table = vk_table(g)
     dn = do_norbury_table(g, 12)
-    got = a_to_C(table.row(g), g, 12)
-    assert got == [dn.value(g, n) for n in range(13)]
+    got = a_row_series(table.row(g), g, 13 + 2 * g)
+    assert got == [0] * (2 * g + 1) + [dn.value(g, n) for n in range(13)]
 
 
 def test_a_to_C_detects_non_cancellation():
     row = dict(vk_table(1).row(1))
     row[0] += Fraction(1, 512)
-    with pytest.raises(NonCancellationError):
-        a_to_C(row, 1, 5)
+    assert a_row_series(row, 1, 5)[:3] != [0, 0, 0]
+
+
+# s_{1,1} + 2 s_{1,0} and x^-4 (1 - 4/x)^(-5/2), the two sides of "W11", through x^-7
+def _w11_sides():
+    s_form = [a + 2 * b for a, b in zip(s_series(1, 1, 7), s_series(1, 0, 7))]
+    return s_form, [0] * 4 + half_binomial_series(-5, 3)
 
 
 def test_w11_check_passes():
-    recs = w11_check(vk_table(1).row(1), 7)
-    assert len(recs) == 2
-    assert all(r.ok for r in recs)
+    s_form, closed = _w11_sides()
+    assert s_form == closed
+    assert a_row_series(vk_table(1).row(1), 1, 7) == closed
     # the closed form expands to 1, 10, 70, 420 at x^-4 .. x^-7
-    assert half_binomial_series(-5, 3) == [1, 10, 70, 420]
+    assert closed == [0, 0, 0, 0, 1, 10, 70, 420]
 
 
 def test_w11_check_fails_a_wrong_row():
     # a row that expands, but to the wrong series, and one whose expansion
-    # does not cancel, which fails with the NonCancellationError's text
+    # does not cancel: a_{-3}^(1) = 1/256 as 7/8 leaves 223/256 at x^0
+    _, closed = _w11_sides()
     row = dict(vk_table(1).row(1))
     scaled = {k: 2 * a for k, a in row.items()}
-    s_rec, a_rec = w11_check(scaled, 7)
-    assert s_rec.ok and not a_rec.ok
-    assert a_rec.detail == f"a-row gave {[2 * c for c in a_to_C(row, 1, 4)]}"
+    assert a_row_series(scaled, 1, 7) == [2 * c for c in closed] != closed
     row[-3] = Fraction(7, 8)
-    s_rec, a_rec = w11_check(row, 7)
-    assert s_rec.ok and not a_rec.ok
-    assert a_rec.detail == "coefficient of x^-0 is 223/256, expected 0"
-
-
-def test_w11_check_input_validation():
-    with pytest.raises(ValueError):
-        w11_check(vk_table(1).row(1), 3)
+    assert a_row_series(row, 1, 7)[0] == Fraction(223, 256)
 
 
 def test_w30_ratio_is_constant():
@@ -118,8 +110,10 @@ def test_w30_input_validation():
 
 
 def test_consistency_identity_check():
-    recs = consistency_identity_check(vk_table(6), 6)
-    assert len(recs) == 7
-    assert all(r.ok for r in recs)
-    with pytest.raises(ValueError):
-        consistency_identity_check(vk_table(2), 3)
+    # the "consistency" form vanishes on every a-row through g = 6, and not
+    # on a row with one coefficient changed
+    table = vk_table(6)
+    assert all(consistency_form(table.row(g)) == 0 for g in range(7))
+    row = dict(table.row(3))
+    row[3] += 1
+    assert consistency_form(row) == 105
