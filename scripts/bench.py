@@ -1,25 +1,40 @@
 #!/usr/bin/env python3
-"""Record the performance trajectory: the wall and CPU time of hzlag
-workloads that take seconds, each run in a fresh process, written to
+"""Record the performance trajectory: the wall time, CPU time and peak RSS
+of hzlag workloads, each run in a fresh process, written to
 ``BENCH_<short-sha>.json`` at the root of this checkout.
 
 Usage: python3 scripts/bench.py [--against REV] [--runs N]
 
-The workloads (WORKLOADS) are chosen to run long enough that the arithmetic
-kernels, the table engines and the Wick oracles show, and interpreter
-start-up (about 30 ms) does not: the identities suite at 30/30/30 and
-40/40/40, cold gen of the vk table at 150 and of the laguerre table at
-150/300, a warm CSV of that laguerre table, the crosscheck suite, and the
-four slowest ``oracle`` queries at its limits that README states, one with
-shifts of the most digits --rows and --cols accept.  Each timed run is
-``python -m hzlag.cli ARGV``
-with stdout sent to /dev/null, PYTHONPATH set to a tree's ``src`` (so a
-tree's source is measured, never an installed copy), its own
-HZLAG_CACHE_DIR (emptied before each run of a cold workload, filled before
-the first run of a warm one) and its bytecode under one
+The workloads (WORKLOADS) are of two kinds.  Some run long enough that the
+arithmetic kernels, the table engines and the Wick oracles show, and
+interpreter start-up (about 30 ms) does not: the identities suite at
+30/30/30 and 40/40/40, a cold gen of the vk table at 150, the crosscheck
+suite, and the four slowest ``oracle`` queries at the limits that README
+states, one with shifts of the most digits --rows and --cols accept.  The
+others are the operations of ``perfbench/run.py``, the regression gate, read
+from it: each table of its GEN_JOBS as a cold JSON gen (on an empty cache),
+a warm JSON gen and a warm CSV gen, and its verify-all run, VERIFY_ARGS.
+
+Each run (``measure``) is a child ``python -c _CHILD ARGV`` that imports
+``decimal``, ``hzlag.cli`` and ``hzlag.engines``, reads its own VmHWM (the
+high-water RSS in /proc/self/status; the import floor), runs
+``hzlag.cli.entry()`` as ``python -m hzlag.cli ARGV`` does, and reads its
+VmHWM again (the peak).  Its stdout goes to /dev/null, PYTHONPATH is a
+tree's ``src`` (so a tree's source is measured, never an installed copy), it
+has its own HZLAG_CACHE_DIR (emptied before each run of a cold workload,
+filled before the first run of a warm one) and its bytecode under one
 PYTHONPYCACHEPREFIX per tree, written by an untimed run of each workload
 first.  wall_s is the time from start to exit as this script sees it;
-cpu_s is the child's user plus system time.
+cpu_s is the child's user plus system time; floor_mb and peak_mb are the
+two VmHWM readings, in MB of 2^20 bytes.  The up-front imports add about
+2 ms to a warm gen, which loads neither module otherwise.
+
+The ``ru_maxrss`` that ``wait4`` reports is no use for memory here: exec
+keeps the high-water RSS of the image it replaces, and a child spawned
+through fork or vfork replaces a copy of its parent, so the figure cannot
+fall below the parent's own RSS.  VmHWM starts again at exec.  Where
+/proc/self/status has no VmHWM (outside Linux), floor_mb and peak_mb are
+None and no memory samples are recorded.
 
 With ``--against REV``, REV's tree is exported (``git archive``) into a
 temporary directory and measured alongside this checkout's working tree:
@@ -34,6 +49,7 @@ script with exit 1.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -50,7 +66,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-LAGUERRE = ["gen", "laguerre", "--gmax", "150", "--nmax", "300"]
+
+def _perfbench():
+    """perfbench/run.py as a module, for its GEN_JOBS, gen_argv and VERIFY_ARGS."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
+PERFBENCH = _perfbench()
 SHIFT = "9" * 100  # the most digits oracle accepts in a --rows/--cols shift
 # name -> (hzlag arguments, cache state: "cold" is empty at each run,
 # "warm" is filled once before the first)
@@ -58,8 +83,12 @@ WORKLOADS = {
     **{f"identities-{n}": ("verify --suite identities --amax {0} --bmax {0} --nmax {0}"
                            .format(n).split(), "cold") for n in (30, 40)},
     "gen-vk-150-cold": (["gen", "vk", "--gmax", "150"], "cold"),
-    "gen-laguerre-150-300-cold": (LAGUERRE, "cold"),
-    "gen-laguerre-150-300-warm-csv": ([*LAGUERRE, "--format", "csv"], "warm"),
+    **{"-".join(["gen", *(a for a in job if not a.startswith("--")), label]):
+       (PERFBENCH.gen_argv(job, fmt), state)
+       for job in PERFBENCH.GEN_JOBS
+       for label, fmt, state in (("cold", "json", "cold"), ("warm", "json", "warm"),
+                                 ("warm-csv", "csv", "warm"))},
+    "verify-all": (PERFBENCH.VERIFY_ARGS, "cold"),
     "crosscheck": (["verify", "--suite", "crosscheck"], "cold"),
     # the degree-24 query, the degree-24 pattern whose loop equation reaches
     # the most smaller patterns, and the slowest connected queries found
@@ -72,6 +101,49 @@ WORKLOADS = {
         ["oracle", "--mu", "1,1,1,1,2,2,3,3,4,6", "--connected", "--rows", f"N+{SHIFT}",
          "--cols", f"N-{SHIFT}"], "cold"),
 }
+
+# runs hzlag.cli.entry() on ARGV and writes to stderr, as its last line, the
+# VmHWM in KiB after the imports and at the end ("None" if absent)
+_CHILD = """
+import sys
+
+def vmhwm():
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+import decimal, hzlag.cli, hzlag.engines
+floor = vmhwm()
+rc = hzlag.cli.entry()
+print(floor, vmhwm(), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def measure(argv: list[str], src: Path, cache: Path, pycache: Path) -> dict:
+    """wall_s, cpu_s, floor_mb and peak_mb (None where the child finds no
+    VmHWM) of one fresh child that runs ``hzlag ARGV`` from the tree src,
+    with HZLAG_CACHE_DIR=cache and its bytecode cached under pycache.  A
+    nonzero exit raises RuntimeError."""
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(src),
+           "HZLAG_CACHE_DIR": str(cache), "PYTHONPYCACHEPREFIX": str(pycache)}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    r = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if r.returncode:
+        raise RuntimeError(f"hzlag {' '.join(argv)} on {src} exited {r.returncode}: {r.stderr}")
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    floor, peak = (None if kib == "None" else int(kib) / 1024
+                   for kib in r.stderr.splitlines()[-1].split())
+    return {"wall_s": round(wall, 4), "cpu_s": round(cpu, 4), "floor_mb": floor, "peak_mb": peak}
 
 
 def git(*args: str) -> str:
@@ -102,22 +174,11 @@ class Tree:
         cache = self.scratch / f"cache-{name}"
         if state == "cold":
             shutil.rmtree(cache, ignore_errors=True)
-        env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": str(self.src),
-               "HZLAG_CACHE_DIR": str(cache),
-               "PYTHONPYCACHEPREFIX": str(self.scratch / "pycache")}
-        before = resource.getrusage(resource.RUSAGE_CHILDREN)
-        start = time.perf_counter()
-        r = subprocess.run([sys.executable, "-m", "hzlag.cli", *argv], env=env,
-                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-        wall = time.perf_counter() - start
-        after = resource.getrusage(resource.RUSAGE_CHILDREN)
-        if r.returncode:
-            raise RuntimeError(f"hzlag {' '.join(argv)} on {self.src} exited {r.returncode}: "
-                               f"{r.stderr.decode(errors='replace')}")
+        sample = measure(argv, self.src, cache, self.scratch / "pycache")
         if timed:
-            cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-            self.samples.setdefault(f"{name}.wall_s", []).append(round(wall, 4))
-            self.samples.setdefault(f"{name}.cpu_s", []).append(round(cpu, 4))
+            for metric, value in sample.items():
+                if value is not None:
+                    self.samples.setdefault(f"{name}.{metric}", []).append(value)
 
     def summary(self) -> dict:
         return {metric: {"samples": xs, "median": round(statistics.median(xs), 4), "n": len(xs)}
@@ -160,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{sha}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     for metric, stats in report["results"]["commit"].items():
-        line = f"{metric:<40} {stats['median']:8.4f}"
+        line = f"{metric:<44} {stats['median']:8.4f}"
         if against:
             line += f"  {against} {report['results']['against'][metric]['median']:8.4f}"
         print(line)

@@ -256,10 +256,11 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # request is bounded by the estimated size of its JSON, GEN_BYTES; its option
 # bounds only keep that estimate cheap.  Each largest accepted request (vk
 # 150, gauss 300, glag-k1 240/480, laguerre 100/962, 200/432, 400/138 and
-# 1000/21; 39-64 MB written) took 0.4-2.6 s (README gives each) and 20.1-21.0
-# MB VmHWM cold, 0.8-1.7 MB over its import floor, without cached bytecode
-# (2-vCPU VM, Python 3.11.7, medians of 5).  With it, as scripts/peak_rss.py
-# runs, the benchmark tables read 0.7-1.6 MB over it cold, 0.9-1.5 MB warm CSV.
+# 1000/21; 39-64 MB written) took 0.23-1.03 s (README gives each) and
+# 19.6-20.5 MB VmHWM cold, 1.6-2.5 MB over its import floor, as
+# scripts/bench.py measures, with cached bytecode (2-vCPU VM, Python 3.11.7,
+# medians of 5).  There the benchmark tables read 0.7-1.5 MB over it cold,
+# 0.8-1.4 MB warm CSV.
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
@@ -366,7 +367,7 @@ def _check_out(out: str | None) -> None:
     """Raise the usage error of _open_file when ``--out`` cannot be opened
     for writing, before any work starts.  The probe opens it for appending,
     so an existing file is left as it was, and removes a file it created."""
-    if out:
+    if out is not None:
         existed = os.path.lexists(out)
         _open_file(out, "ab").close()
         if not existed:
@@ -400,7 +401,7 @@ class _Sink:
                 os.close(devnull)
             if isinstance(e, BrokenPipeError):
                 raise
-            target = f"--out {self.out}" if self.out else "to stdout"
+            target = f"--out {self.out}" if self.out is not None else "to stdout"
             raise UsageError(f"cannot write {target} ({e.strerror})") from e
 
 
@@ -408,15 +409,15 @@ class _Sink:
 def _open_out(out: str | None):
     """The ``--out`` file opened for binary writing, or stdout's byte stream
     (flushed when done, never closed), as a _Sink."""
-    f = _open_file(out, "wb") if out else sys.stdout.buffer
+    f = _open_file(out, "wb") if out is not None else sys.stdout.buffer
     sink = _Sink(f, out)
     try:
-        if not out:
+        if out is None:
             sink.run(sys.stdout.flush)  # text written before goes first
         yield sink
-        sink.run(f.close if out else f.flush)
+        sink.run(f.close if out is not None else f.flush)
     finally:
-        if out:  # after an error, closing cannot fail with a second one
+        if out is not None:  # after an error, closing cannot fail with a second one
             with contextlib.suppress(OSError):
                 f.close()
 
@@ -786,7 +787,7 @@ def cmd_verify(args) -> int:
                               for b, (*_, suites) in VERIFY_WINDOWS.items() if n in suites)
             raise UsageError(f"suite {n} runs no checks at {bounds}")
         runs.append((n, checks))
-    if args.out:
+    if args.out is not None:
         suites = [{"suite": n, "tool_version": __version__, "passed": all(c.ok for c in checks),
                    "checks": [c._asdict() for c in checks]} for n, checks in runs]
         payload = {"schema": "hzlag-report/1", "tool_version": __version__, "suites": suites}
@@ -806,13 +807,14 @@ def cmd_series(args) -> int:
 
     _check_range("k", args.k, hi=GEN_LIMITS["k"])
     _check_range("order", args.order, hi=GEN_LIMITS["order"])
+    if args.which == "vk" and args.beta is not None:
+        raise UsageError("series vk takes no --beta")
+    if args.which == "skb" and args.beta is None:
+        raise UsageError("series skb requires --beta")
+    _check_out(args.out)
     if args.which == "vk":
-        if args.beta is not None:
-            raise UsageError("series vk takes no --beta")
         ser = vk_series(args.k, args.order)
     else:
-        if args.beta is None:
-            raise UsageError("series skb requires --beta")
         ser = s_series(args.k, args.beta, args.order)
     # exponents of x, descending (ser[m] is the coefficient of x^-m), from
     # the leading term, or only the last one when the series is zero so far

@@ -716,6 +716,15 @@ def test_bench_script_workloads_are_valid_requests():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert {state for _, state in script.WORKLOADS.values()} == {"cold", "warm"}
+    # no request is listed twice, and every operation of the benchmark is
+    # listed: each gen table cold as JSON, warm as JSON and CSV, and verify-all
+    listed = [(tuple(argv), state) for argv, state in script.WORKLOADS.values()]
+    assert len(set(listed)) == len(listed)
+    run = script.PERFBENCH
+    for job in run.GEN_JOBS:
+        for fmt, state in (("json", "cold"), ("json", "warm"), ("csv", "warm")):
+            assert (tuple(run.gen_argv(job, fmt)), state) in listed, (job, fmt, state)
+    assert (tuple(run.VERIFY_ARGS), "cold") in listed
     shifts = []  # the digits of each oracle dimension shift
     for argv, _ in script.WORKLOADS.values():
         args = cli.make_parser().parse_args(argv)
@@ -734,28 +743,28 @@ def test_bench_script_workloads_are_valid_requests():
 
 def test_gen_peaks_near_its_import_floor(tmp_path):
     # a cold gen and a warm CSV gen of a 7 MB table, each in a fresh child
-    # that reads its own VmHWM after importing hzlag.cli and the engines and
-    # at the end: the table is never held whole, and the pipe's buffers stay
-    # small (with 1 MiB and 256 KiB buffers both peaked 3-4 MB over the
-    # floor).  The wait4 ru_maxrss of a child starts at its parent's RSS, so
-    # it cannot show this.
-    # Both children read their bytecode from one cache that measure fills
-    # first: cached bytecode lowers the floor, not the peak, so this is the
-    # state with the least room under the bound, whether or not the checkout
-    # has a __pycache__.
-    spec = importlib.util.spec_from_file_location("peak_rss", ROOT / "scripts" / "peak_rss.py")
+    # of scripts/bench.py that reads its own VmHWM after importing hzlag.cli
+    # and the engines and at the end: the table is never held whole, and the
+    # pipe's buffers stay small (with 1 MiB and 256 KiB buffers both peaked
+    # 3-4 MB over the floor).  The wait4 ru_maxrss of a child starts at its
+    # parent's RSS, so it cannot show this.
+    # Both children read their bytecode from one cache that an untimed first
+    # run fills, as bench.py does: cached bytecode lowers the floor, not the
+    # peak, so this is the state with the least room under the bound, whether
+    # or not the checkout has a __pycache__.
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     job = ["gen", "laguerre", "--gmax", "100", "--nmax", "200"]
-    cache, pycache = tmp_path / "cache", tmp_path / "pycache"
-    cold = script.measure(job, cache, pycache)
-    if cold is None:
+    src, cache, pycache = ROOT / "src", tmp_path / "cache", tmp_path / "pycache"
+    if script.measure(job, src, tmp_path / "prime", pycache)["peak_mb"] is None:
         pytest.skip("no VmHWM in /proc/self/status")
+    cold = script.measure(job, src, cache, pycache)
     (entry,) = cache.iterdir()
     assert entry.stat().st_size >= 4 << 20
-    warm = script.measure([*job, "--format", "csv"], cache, pycache)
-    for name, (floor, peak) in (("cold", cold), ("warm csv", warm)):
-        assert peak - floor <= 1.5 * 1024, (name, floor, peak)  # KiB
+    warm = script.measure([*job, "--format", "csv"], src, cache, pycache)
+    for name, m in (("cold", cold), ("warm csv", warm)):
+        assert m["peak_mb"] - m["floor_mb"] <= 1.5, (name, m)  # MiB
 
 
 def test_benchmark_pins_hold(cache, tmp_path):
@@ -950,8 +959,8 @@ def test_eval_fab_matches_golden(cache, capsys):
     ["gen", "laguerre", "--gmax", "1000", "--nmax", "2000"],
     ["gen", "laguerre", "--gmax", "200", "--nmax", "433", "--format", "csv"],
     # an --out that cannot be opened for writing: a file in a missing
-    # directory, or a directory
-    *[[*argv, "--out", out] for out in (OUT_IN_MISSING_DIR, OUT_DIR) for argv in (
+    # directory, a directory, or the empty name
+    *[[*argv, "--out", out] for out in (OUT_IN_MISSING_DIR, OUT_DIR, "") for argv in (
         ["gen", *VK1], ["gen", *VK1, "--no-cache"], ["gen", *VK1, "--format", "csv"],
         ["verify", "--suite", "odes", "--nmax", "1"],
         ["series", "vk", "--k", "1", "--order", "2"])],
