@@ -19,8 +19,9 @@ Each run (``measure``) is a child ``python -c _CHILD ARGV`` that imports
 ``decimal``, ``hzlag.cli`` and ``hzlag.engines``, reads its own VmHWM (the
 high-water RSS in /proc/self/status; the import floor), runs
 ``hzlag.cli.entry()`` as ``python -m hzlag.cli ARGV`` does, and reads its
-VmHWM again (the peak).  Its stdout goes to /dev/null, PYTHONPATH is a
-tree's ``src`` (so a tree's source is measured, never an installed copy), it
+VmHWM again (the peak).  Its stdout goes to /dev/null, its working
+directory and PYTHONPATH are a tree's ``src`` (so a tree's source is
+measured, never an installed copy or the caller's directory), it
 has its own HZLAG_CACHE_DIR (emptied before each run of a cold workload,
 filled before the first run of a warm one) and its bytecode under one
 PYTHONPYCACHEPREFIX per tree, written by an untimed run of each workload
@@ -66,16 +67,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-
-def _perfbench():
-    """perfbench/run.py as a module, for its GEN_JOBS, gen_argv and VERIFY_ARGS."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    return run
-
-
-PERFBENCH = _perfbench()
+# perfbench/run.py as a module, for its GEN_JOBS, gen_argv and VERIFY_ARGS
+_spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+PERFBENCH = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(PERFBENCH)
 SHIFT = "9" * 100  # the most digits oracle accepts in a --rows/--cols shift
 # name -> (hzlag arguments, cache state: "cold" is empty at each run,
 # "warm" is filled once before the first)
@@ -103,7 +98,8 @@ WORKLOADS = {
 }
 
 # runs hzlag.cli.entry() on ARGV and writes to stderr, as its last line, the
-# VmHWM in KiB after the imports and at the end ("None" if absent)
+# VmHWM in KiB after the imports and at the end, however it exits ("None"
+# if absent)
 _CHILD = """
 import sys
 
@@ -119,9 +115,10 @@ def vmhwm():
 
 import decimal, hzlag.cli, hzlag.engines
 floor = vmhwm()
-rc = hzlag.cli.entry()
-print(floor, vmhwm(), file=sys.stderr)
-sys.exit(rc)
+try:
+    sys.exit(hzlag.cli.entry())
+finally:
+    print(floor, vmhwm(), file=sys.stderr)
 """
 
 
@@ -134,7 +131,8 @@ def measure(argv: list[str], src: Path, cache: Path, pycache: Path) -> dict:
            "HZLAG_CACHE_DIR": str(cache), "PYTHONPYCACHEPREFIX": str(pycache)}
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     start = time.perf_counter()
-    r = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+    # cwd=src: -c puts the working directory first on sys.path
+    r = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env, cwd=src,
                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
