@@ -76,25 +76,30 @@ def cache_path(kind: str, args: dict) -> Path:
     return cache_dir() / f"{kind}-{digest}.json"
 
 
-# bytes per step of the gen pipe: each read of a cache entry, to hash it or
-# to copy it out or read it back as CSV rows or a table, and each block of
-# JSON written.  A step's transient buffers (the bytes, their text, its
-# lines, the rows made) scale with it, and so does peak RSS: VmHWM of a
-# warm CSV gen of the benchmark's tables over its import floor, 2-vCPU VM,
-# Python 3.11.7, was 2.5-3.9 MB with 1 MiB reads and 256 KiB blocks and
-# pieces, 1.3-1.5 MB at 128 KiB, 0.5-0.6 MB at 64 KiB and 0.25-0.35 MB at
-# 32 KiB, with warm gen times within noise of each other
+# bytes per read of a cache entry: to hash it, to copy it out, and as the
+# readlines hint that serves it as CSV rows or a table.  A read's transient
+# buffers (the bytes, their lines, the rows made) scale with it, and so does
+# peak RSS: VmHWM of a warm CSV gen of the benchmark's tables over its
+# import floor, 2-vCPU VM, Python 3.11.7, was 2.5-3.9 MB with 1 MiB reads,
+# 1.3-1.5 MB at 128 KiB, 0.5-0.6 MB at 64 KiB and 0.25-0.35 MB at 32 KiB,
+# with warm gen times within noise of each other
 _BUF = 1 << 16
 
 
+def _corrupt(path, fault: str) -> UsageError:
+    """The usage error that names the cache entry at path as corrupt."""
+    return UsageError(f"corrupt cache entry {path}: {fault}; delete the file or pass --no-cache")
+
+
 def _read_entry(path: Path):
-    """The cache entry at path, opened, checked against its digest line and
-    positioned just after that line, or None when there is no entry.
+    """The cache entry at path, opened as a buffered binary file, checked
+    against its digest line and positioned just after that line, or None
+    when there is no entry.
 
     The bytes after the digest line are hashed _BUF at a time; on a
     mismatch the entry is named as corrupt before any of it is served."""
     try:
-        f = open(path, "rb", buffering=0)
+        f = open(path, "rb")
     except (FileNotFoundError, NotADirectoryError):  # no entry yet
         return None
     except OSError as e:  # a directory or an unreadable file in its place
@@ -104,8 +109,7 @@ def _read_entry(path: Path):
         while chunk := f.read(_BUF):
             sha.update(chunk)
         if line != sha.hexdigest().encode() + b"\n":
-            raise UsageError(f"corrupt cache entry {path}: it does not begin with the sha256 "
-                             "digest of the rest; delete the file or pass --no-cache")
+            raise _corrupt(path, "it does not begin with the sha256 digest of the rest")
         # the bytes served are read through the same descriptor after the
         # check; an entry is only ever replaced by os.replace, never
         # rewritten in place, so they are the bytes just hashed
@@ -241,8 +245,9 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # row at a time, holding only the rows its relation reads (one for "3-t",
 # "recurrence" and "rec-v2", four for "8-t") and its relation's
 # coefficients; the rows are streamed into the cache entry (with --no-cache,
-# a temporary file) and read back from it _BUF bytes at a time, so no table
-# is ever held whole, and time, not memory, bounds each request.
+# a temporary file) _SLICE entries at a time and read back from it a
+# readlines(_BUF) at a time, so no table is ever held whole, and time, not
+# memory, bounds each request.
 #
 # base10 engines run over exact Decimal: a laguerre or gauss entry runs to
 # a thousand digits and more, and str() of an int is quadratic in its
@@ -256,11 +261,12 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # request is bounded by the estimated size of its JSON, GEN_BYTES; its option
 # bounds only keep that estimate cheap.  Each largest accepted request (vk
 # 150, gauss 300, glag-k1 240/480, laguerre 100/962, 200/432, 400/138 and
-# 1000/21; 39-64 MB written) took 0.23-1.03 s (README gives each) and
-# 19.6-20.5 MB VmHWM cold, 1.6-2.5 MB over its import floor, as
-# scripts/bench.py measures, with cached bytecode (2-vCPU VM, Python 3.11.7,
-# medians of 5).  There the benchmark tables read 0.7-1.5 MB over it cold,
-# 0.8-1.4 MB warm CSV.
+# 1000/21; 39-64 MB written) took 0.24-1.04 s (README gives each) and
+# peaked at 19.8-20.4 MB VmHWM as a cold JSON gen, 1.8-2.4 MB over its
+# import floor, and at 19.3-19.5 MB, 1.3-1.5 MB over it, as a warm CSV gen,
+# as scripts/bench.py measures, with cached bytecode (2-vCPU VM, Python
+# 3.11.7, medians of 5).  There the benchmark tables read 0.7-1.5 MB over
+# it cold, 0.8-1.4 MB warm CSV.
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
@@ -284,6 +290,13 @@ def table_payload(ensemble: str, bounds: dict) -> dict:
             "entries": spec.items(*(bounds[name] for name in spec.bounds))}
 
 
+# entries per write of the gen JSON: a row is rendered and written in slices
+# of at most this many entries, each made by one str.join, so a write holds
+# about _SLICE entries' bytes however long a row is (a laguerre row runs to
+# 1.45 MB of JSON at the limits, and its entries to thousands of digits)
+_SLICE = 64
+
+
 def payload_to_json(payload: dict, f) -> None:
     """Write ``json.dumps(P, sort_keys=True, indent=2) + "\n"``, encoded, to
     the binary sink f, where P is the payload with its entries, given as
@@ -291,68 +304,37 @@ def payload_to_json(payload: dict, f) -> None:
     str(v)}`` per value v, j counting up from j0.
 
     The encoder renders only the fields around the entries.  A row is
-    rendered in slices, each by one str.join over four pieces per entry: the
-    row's constant prefix (the end of the entry before, and the start of
-    this one), the cached string of j, the row's constant text between j and
-    the value, and str(v); a constant suffix closes the slice.  The slices
-    are written a block at a time: a block ends at the first slice that
-    brings it to _BUF bytes, and a slice is sized to fill the room left in
-    its block, so a block holds about _BUF bytes however long a row is (a
-    laguerre row runs to 1.45 MB of JSON at the limits).  The rows are a
-    list or an iterator, read once; a value is an int, an integral Decimal
-    (str gives its digits, without an exponent) or a Fraction, whose str
-    JSON quoting leaves as it is."""
+    written in slices of at most _SLICE of its entries, one write each, and
+    a slice is one str.join over four pieces per entry: the row's constant
+    prefix (the end of the entry before, and the start of this one), str(j),
+    the row's constant text between j and the value, and str(v); a constant
+    suffix closes the slice.  The rows are a list or an iterator, read once;
+    a value is an int, an integral Decimal (str gives its digits, without an
+    exponent) or a Fraction, whose str JSON quoting leaves as it is."""
     head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
                             indent=2).split('"entries": []')
     k1, k2 = ENSEMBLES[payload["ensemble"]].keys
-    lo, hi = sorted((k1, k2))  # an entry's keys in the order they are written
-    block, size, opened = [], 0, False
-    k, per = 1, _BUF  # the entries in the slice before and the bytes of its last one
-    base, names = 0, []  # names[j - base] is str(j)
+    # an entry's text up to its value: its keys in sorted order, with \1 in
+    # place of the row index i and \0 in place of j
+    form = "    {\n" + "".join('      "%s": %s,\n' % (k, "\1" if k == k1 else "\0")
+                               for k in sorted((k1, k2))) + '      "value": "'
+    sep = ""  # what comes before the next entry: "" until the list opens
     for i, j0, values in payload["entries"]:
-        if not values:
-            continue
-        if not opened:
-            f.write(f'{head}"entries": [\n'.encode())
-            opened, sep = True, ""
-        if j0 < base or j0 + len(values) > base + len(names):
-            top = max(base + len(names), j0 + len(values))
-            base = min(base, j0)
-            names = [str(j) for j in range(base, top)]
         # an entry is start + str(j) + middle + str(v) + '"\n    }'
-        if lo == k1:  # the row index is written first
-            start, middle = f'    {{\n      "{lo}": {i},\n      "{hi}": ', ',\n      "value": "'
-        else:
-            start, middle = f'    {{\n      "{lo}": ', f',\n      "{hi}": {i},\n      "value": "'
+        start, middle = form.replace("\1", str(i)).split("\0")
         glue = '"\n    },\n' + start
-        a = 0
-        while a < len(values):
-            # the room left in the block if its entries were as long as the
-            # last one before, and at most twice the entries of the slice
-            # before, since entries grow along a row (a laguerre row's from a
-            # few bytes to over a kilobyte)
-            k = max(1, min(2 * k, (_BUF - size) // per))
-            part = values[a:a + k]
-            n = len(part)
-            pieces = [glue, "", middle, ""] * n
+        for a in range(0, len(values), _SLICE):
+            if not sep:
+                f.write(f'{head}"entries": [\n'.encode())
+            part = values[a:a + _SLICE]
+            pieces = [glue, "", middle, ""] * len(part)
             pieces[0] = sep + start
-            pieces[1::4] = names[j0 + a - base:j0 + a - base + n]
+            pieces[1::4] = map(str, range(j0 + a, j0 + a + len(part)))
             pieces[3::4] = map(str, part)
             pieces.append('"\n    }')
-            text = "".join(pieces)
-            per = len(glue) + len(pieces[-4]) + len(middle) + len(pieces[-2])  # its last entry
-            block.append(text)
-            size += len(text)
-            sep, a = ",\n", a + n
-            if size >= _BUF:
-                f.write("".join(block).encode())
-                block, size = [], 0
-    if not opened:
-        f.write(f'{head}"entries": []{tail}\n'.encode())
-        return
-    if block:
-        f.write("".join(block).encode())
-    f.write(f"\n  ]{tail}\n".encode())
+            f.write("".join(pieces).encode())
+            sep = ",\n"
+    f.write((f"\n  ]{tail}\n" if sep else f'{head}"entries": []{tail}\n').encode())
 
 
 def _open_file(out: str, mode: str):
@@ -422,52 +404,57 @@ def _open_out(out: str | None):
                 f.close()
 
 
-def _entry_pieces(src):
-    """The entries of the gen JSON read from the binary file src, as bytes
-    pieces, each a run of whole entries from an entry's "{" to a later
-    entry's "}": src is read _BUF bytes at a time, each read is cut at its
-    last entry boundary, and the rest is carried into the next piece."""
-    data = b""  # read the header, up to the line after '"entries": ['
-    while (start := data.find(b'"entries": [')) < 0 or len(data) < start + 14:
-        if not (chunk := src.read(_BUF)):
-            break
-        data += chunk
-    if start < 0 or data[start + 12:start + 13] == b"]":  # '"entries": []'
-        return
-    reads = itertools.chain([data[start + 14:]], iter(lambda: src.read(_BUF), b""))
-    data = b""  # the start of an entry not yet whole
-    for chunk in reads:
-        cut = chunk.rfind(b"},\n")
-        if cut < 0:
-            data += chunk
-        else:
-            yield data + chunk[:cut + 1]
-            data = chunk[cut + 3:]
-    yield data[:data.rindex(b"\n  ]")]
+# the lines of the gen JSON that open its entry list, empty or not, and
+# the first of the three that close it after the last entry
+_OPEN, _EMPTY, _CLOSE = b'  "entries": [\n', b'  "entries": [],\n', b"  ],\n"
 
 
-def _entry_fields(piece: bytes, keys: tuple[str, str]):
-    """The texts of the keys, in the order of keys, and of the value of each
-    entry of a piece of _entry_pieces, as an iterator of triples.  An entry
+def _entry_groups(src):
+    """The entries of the gen JSON read from the binary file src, as lists
+    of lines, each holding whole entries of five lines: src is read by
+    readlines(_BUF), and the last three lines read are held back, since
+    they close the payload if src ends there.  A cache entry whose list
+    does not open and close as gen writes it is named as corrupt."""
+    held, opened = [], False  # the lines not yet served; whether the list is open
+    for chunk in iter(lambda: src.readlines(_BUF), []):
+        held += chunk
+        if not opened and _OPEN in held:
+            del held[:held.index(_OPEN) + 1]
+            opened = True
+        if opened and (n := (len(held) - 3) // 5 * 5) > 0:
+            yield held[:n]
+            del held[:n]
+    if not opened:  # an empty list opens and closes on the first of the last three lines
+        held = held[-3:]
+    if len(held) != 3 or held[0] != (_CLOSE if opened else _EMPTY):
+        raise _corrupt(src.name, "its entry list does not open and close as gen writes it")
+
+
+def _entry_fields(lines: list, keys: tuple[str, str]) -> list:
+    """The texts of the keys, in the order of keys, and of the values of the
+    entries in a list of _entry_groups, as three lists of bytes.  An entry
     is five lines: "{", its keys in sorted order ('      "k": i,'), its
-    value ('      "value": "v"') and "}"; a text ends one before its line."""
-    lines = piece.decode().split("\n")
+    value ('      "value": "v"') and "}"; a text ends two bytes before its
+    line does."""
     # (line in the entry, column where the text starts) of each key and the value
     spots = [(sorted(keys).index(k) + 1, len(k) + 10) for k in keys] + [(3, 16)]
-    return zip(*(map(itemgetter(slice(col, -1)), lines[line::5]) for line, col in spots))
+    return [list(map(itemgetter(slice(col, -2)), lines[line::5])) for line, col in spots]
 
 
 def payload_to_csv(src, ensemble: str, out: str | None) -> None:
     """Write the gen JSON of one table, read from the binary file src a
-    piece of _entry_pieces at a time, as CSV rows to the file ``out`` (None:
+    list of _entry_groups at a time, as CSV rows to the file ``out`` (None:
     stdout): the keys in the ensemble's order, then the value with an
     explicit denominator, ``rat_str_explicit(Fraction(v))``."""
     keys = ENSEMBLES[ensemble].keys
     with _open_out(out) as f:
         f.write(f"{keys[0]},{keys[1]},value\n".encode())
-        for piece in _entry_pieces(src):
-            f.write("".join([f"{a},{b},{v}{'' if '/' in v else '/1'}\n"
-                             for a, b, v in _entry_fields(piece, keys)]).encode())
+        for lines in _entry_groups(src):
+            i, j, values = _entry_fields(lines, keys)
+            row = [b","] * (6 * len(values))  # i, j, the value and the line's end
+            row[0::6], row[2::6], row[4::6] = i, j, values
+            row[5::6] = [b"\n" if b"/" in v else b"/1\n" for v in values]
+            f.write(b"".join(row))
 
 
 def table_bytes(ensemble: str, bounds: dict, use_cache: bool):
@@ -493,7 +480,7 @@ def _shape_fault(shape: dict, entries: dict, count: int) -> str | None:
 
 def load_table(ensemble: str, bounds: dict, use_cache: bool):
     """The recursions.Table of one table, read from its gen JSON (see
-    table_bytes) a piece of _entry_pieces at a time, with int values, and a
+    table_bytes) a list of _entry_groups at a time, with int values, and a
     Fraction where a value has a denominator.  The values are not re-checked:
     the verify suites re-check constraints on whatever the entry holds.  A
     cache entry whose keys or values do not parse as numbers, or whose keys
@@ -507,19 +494,18 @@ def load_table(ensemble: str, bounds: dict, use_cache: bool):
     entries, count = {}, 0
     with table_bytes(ensemble, bounds, use_cache) as f:
         try:
-            for piece in _entry_pieces(f):
-                for i, j, v in _entry_fields(piece, spec.keys):
-                    entries[int(i), int(j)] = Fraction(v) if "/" in v else int(v)
+            for lines in _entry_groups(f):
+                for i, j, v in zip(*_entry_fields(lines, spec.keys)):
+                    entries[int(i), int(j)] = Fraction(v.decode()) if b"/" in v else int(v)
                     count += 1
         except (ValueError, ZeroDivisionError) as e:
-            if not use_cache:
+            if not use_cache or isinstance(e, UsageError):  # one named by _entry_groups
                 raise
             fault = f"its entries do not parse as numbers ({e})"
         else:  # with --no-cache the table is the engine's own
             fault = use_cache and _shape_fault(spec.shape(*bound_values), entries, count)
     if fault:
-        path = cache_path("gen", {"ensemble": ensemble, **bounds})
-        raise UsageError(f"corrupt cache entry {path}: {fault}; delete the file or pass --no-cache")
+        raise _corrupt(cache_path("gen", {"ensemble": ensemble, **bounds}), fault)
     return Table(bound_values, entries)
 
 
@@ -606,7 +592,7 @@ def suite_crosscheck(args) -> list[CheckRecord]:
 
     from .recursions import gauss_genus_coefficients, half_binomial_series
     from .residues import exp_mean_moments, two_point_series
-    from .spectral import a_row_series, s_series, w30_basis_coefficient
+    from .spectral import a_row_series, s_pair_series, w30_basis_coefficient
     from .wick import (MomentPoly, complex_wishart_moment, connected_moments, genus_extract,
                        gue_moment)
 
@@ -654,12 +640,12 @@ def suite_crosscheck(args) -> list[CheckRecord]:
     # W11: s_{1,1} + 2 s_{1,0} and the expansion of the g = 1 a-row, through
     # x^-7, vs the closed form x^-4 (1 - 4/x)^(-5/2)
     closed = [0] * 4 + half_binomial_series(-5, 3)
-    s_form = [a + 2 * b for a, b in zip(s_series(1, 1, 7), s_series(1, 0, 7))]
     a_row = a_row_series(load_table("vk", {"gmax": 1}, args.cache).row(1), 1, 7)
     comparisons += [
         (f"W11[{name}-vs-closed]", "W11", (route, "closed"),
          [(f"x^-{e}", v, c) for e, (v, c) in enumerate(zip(series, closed))])
-        for name, route, series in (("s", "s-basis", s_form), ("arow", "a-row", a_row))]
+        for name, route, series in (("s", "s-basis", s_pair_series(1, 7)),
+                                    ("arow", "a-row", a_row))]
     return judge(comparisons)
 
 

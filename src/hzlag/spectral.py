@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .recursions import half_binomial_series
 
-__all__ = ["vk_series", "s_series", "a_row_series", "w30_basis_coefficient"]
+__all__ = ["vk_series", "s_series", "s_pair_series", "a_row_series", "w30_basis_coefficient"]
 
 
 def vk_series(k: int, order: int) -> list[int]:
@@ -50,6 +50,13 @@ def s_series(k: int, beta: int, order: int) -> list[int]:
     return [0] * lead + c
 
 
+def s_pair_series(k: int, order: int) -> list[int]:
+    """The coefficients of x^0 .. x^-order of s_{k,1} + 2 s_{k,0}, the
+    s-basis form of "W11" (k = 1) and the one-variable factor of "W30"
+    (k = 0)."""
+    return [a + 2 * b for a, b in zip(s_series(k, 1, order), s_series(k, 0, order))]
+
+
 def a_row_series(row: dict[int, Fraction], g: int, order: int) -> list[Fraction]:
     """The coefficients of x^0 .. x^-order of sum_k a_k v_k (plus the
     constant 1/2 when g = 0) for one a-row.
@@ -68,11 +75,6 @@ def a_row_series(row: dict[int, Fraction], g: int, order: int) -> list[Fraction]
     return [Fraction(t, den) for t in total]
 
 
-def _s_pair_sum(k: int, order: int) -> list[int]:
-    """The coefficients of x^0 .. x^-order of s_{k,1} + 2 s_{k,0}."""
-    return [a + 2 * b for a, b in zip(s_series(k, 1, order), s_series(k, 0, order))]
-
-
 def w30_basis_coefficient(m1: int, m2: int, m3: int) -> int:
     """The coefficient of prod x_i^(-m_i-1) in prod (s_{0,1} + 2 s_{0,0}),
     the basis side of "W30".
@@ -85,5 +87,5 @@ def w30_basis_coefficient(m1: int, m2: int, m3: int) -> int:
     if min(m1, m2, m3) < 1:
         raise ValueError("trace exponents must be positive")
     order = max(m1, m2, m3) + 1
-    t = _s_pair_sum(0, order)
+    t = s_pair_series(0, order)
     return t[m1 + 1] * t[m2 + 1] * t[m3 + 1]

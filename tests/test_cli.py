@@ -73,7 +73,8 @@ def run_cli(args, cache_dir):
     anything inherited from the caller's environment. Only `HZLAG_CACHE_DIR`
     and `PYTHONPATH` set to the package's source root (the directory holding
     the `hzlag` imported here, absolute so the tests run from any directory)
-    are passed, besides an empty `PATH`.
+    are passed, besides an empty `PATH`, and `PYTHONDONTWRITEBYTECODE` when
+    this process writes no bytecode.
     """
     return subprocess.run([sys.executable, "-m", "hzlag.cli", *args],
                           capture_output=True, env=_child_env(cache_dir))
@@ -81,7 +82,10 @@ def run_cli(args, cache_dir):
 
 def _child_env(cache_dir) -> dict:
     src_root = pathlib.Path(hzlag.__file__).resolve().parent.parent
-    return {"PATH": "", "PYTHONPATH": str(src_root), "HZLAG_CACHE_DIR": str(cache_dir)}
+    env = {"PATH": "", "PYTHONPATH": str(src_root), "HZLAG_CACHE_DIR": str(cache_dir)}
+    if sys.dont_write_bytecode:  # PYTHONDONTWRITEBYTECODE or -B: nor does the child
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
 
 
 # modules outside hzlag that the probe reports: decimal, which only the
@@ -242,6 +246,30 @@ def test_truncated_cache_entry_is_named_corrupt(cache, tmp_path, capsys):
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("cut", [
+    pytest.param(lambda body: body[:body.rindex(b"}")], id="last-line-missing"),
+    pytest.param(lambda body: body[:body.rindex(b"  ],\n")], id="closing-lines-missing"),
+    pytest.param(lambda body: body[:body.index(b"    },\n", 2000) + 7], id="after-an-entry"),
+    pytest.param(lambda body: body[:body.index(b"    {\n", 2000) + 6], id="inside-an-entry"),
+    pytest.param(lambda body: body[:body.index(b'"entries"')], id="in-the-header"),
+])
+def test_entry_list_cut_under_its_digest_is_named_corrupt(cache, capsys, cut):
+    # a cut entry under its own digest: only reading the entry list can tell,
+    # and both a CSV gen and a table read name it as corrupt (a CSV gen may
+    # have written the rows before the cut)
+    csv = ["gen", "laguerre", "--gmax", "3", "--nmax", "10", "--format", "csv"]
+    verify = ["verify", "--suite", "constraints", "--gmax", "1"]
+    assert main(verify) == 0
+    capsys.readouterr()
+    path = cache_path("gen", {"ensemble": "laguerre", "gmax": 3, "nmax": 10})
+    path.write_bytes(_with_digest(cut(path.read_bytes().split(b"\n", 1)[1])))
+    for argv in (csv, verify):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"error: corrupt cache entry {path}: its entry list does not open and close as gen "
+            "writes it; delete the file or pass --no-cache\n"), argv
+
+
 VK1 = ["vk", "--gmax", "1"]
 VK2 = ["vk", "--gmax", "2"]
 # --out placeholders that test_bad_input_exits_2 replaces by paths under its
@@ -346,8 +374,8 @@ def test_entry_of_the_previous_cache_format_is_recomputed(cache, capsys):
 
 @pytest.mark.parametrize("piece", [1, 60, 300])
 def test_csv_is_converted_piece_by_piece(cache, capsys, monkeypatch, piece):
-    # 1: every piece is one byte; 60: the first piece ends inside the JSON
-    # header; 300: a few entries each
+    # a readlines hint of 1: every read is one line; 60: the first read ends
+    # inside the JSON header; 300: a few entries each
     monkeypatch.setattr(cli, "_BUF", piece)
     for argv, name in TABLE_GOLDENS[len(JSON_GOLDENS):]:
         header = (GOLDEN.parent / name.replace(".csv", ".json")).read_bytes()
@@ -358,14 +386,20 @@ def test_csv_is_converted_piece_by_piece(cache, capsys, monkeypatch, piece):
 
 
 class _ReadLog:
-    """A file that passes every call on to f and logs the size of each read."""
+    """A file that passes every call on to f and logs the size of each read
+    and the hint of each readlines, as ("read", size) and ("readlines",
+    hint)."""
 
     def __init__(self, f, sizes: list):
         self.f, self.sizes = f, sizes
 
     def read(self, *size):
-        self.sizes.append(size[0] if size else None)
+        self.sizes.append(("read", size[0] if size else None))
         return self.f.read(*size)
+
+    def readlines(self, *hint):
+        self.sizes.append(("readlines", hint[0] if hint else None))
+        return self.f.readlines(*hint)
 
     def __getattr__(self, name):
         return getattr(self.f, name)
@@ -392,10 +426,17 @@ def test_warm_gen_reads_its_entry_in_bounded_pieces(cache, capsys, monkeypatch):
             golden = (GOLDEN.parent / name).read_text()
             assert capsys.readouterr().out == golden, name
             # the digest line, the JSON hashed buf bytes at a time, then the
-            # JSON served (as JSON or CSV) buf bytes at a time; each pass
-            # ends at an empty read
-            size = len((GOLDEN.parent / name.replace(".csv", ".json")).read_bytes())
-            assert sizes == [65, *[buf] * (2 * (-(-size // buf) + 1))], (buf, name)
+            # JSON served buf bytes at a time, or as CSV by readlines(buf),
+            # whose lines run on to the end of the line that reaches buf
+            # bytes; each pass ends at an empty read
+            data = (GOLDEN.parent / name.replace(".csv", ".json")).read_bytes()
+            hashed = [("read", buf)] * (-(-len(data) // buf) + 1)
+            served = hashed
+            if name.endswith(".csv"):
+                src = io.BufferedReader(io.BytesIO(data))  # a file's readlines, not BytesIO's
+                chunks = list(iter(lambda: src.readlines(buf), []))
+                served = [("readlines", buf)] * (len(chunks) + 1)
+            assert sizes == [("read", 65), *hashed, *served], (buf, name)
 
 
 def test_cold_gen_serves_its_new_entry_without_reading_it_back(cache, capsys, monkeypatch):
@@ -413,7 +454,8 @@ def test_cold_gen_serves_its_new_entry_without_reading_it_back(cache, capsys, mo
         assert sizes == [], name
         assert main(["gen", *argv]) == 0  # a hit still checks the digest first
         assert capsys.readouterr().out == (GOLDEN.parent / name).read_text(), name
-        assert sizes[0] == 65, name
+        assert sizes[0] == ("read", 65), name
+        assert all(size <= cli._BUF for _, size in sizes), name
 
 
 @pytest.mark.parametrize("edit", [
@@ -517,17 +559,27 @@ def _json_bytes(payload: dict) -> bytes:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("block", [4096, 500, 1])
+def _entries_of_a_write(b: bytes, row_key: str) -> list[int]:
+    """The row index of each entry in one entries write of the gen JSON,
+    which must hold whole entries: it starts at an entry's "{" (after the
+    ",\n" that ends the entry before, if any) and ends at an entry's "}"."""
+    assert b.startswith((b"    {", b",\n    {")) and b.endswith(b"\n    }"), b[:20] + b[-20:]
+    rows = [int(i) for i in re.findall(rb'\n      "%s": (-?\d+),\n' % row_key.encode(), b)]
+    assert len(rows) == b.count(b'"value": '), b[:200]
+    return rows
+
+
+@pytest.mark.parametrize("entries", [64, 7, 1])
 @pytest.mark.parametrize("ensemble,bounds", [
     ("laguerre", {"gmax": 4, "nmax": 12}),
     ("gauss", {"gmax": 8}),
     ("vk", {"gmax": 4}),
     ("glag-k1", {"rmax2": 6, "nmax": 10}),
 ])
-def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, block):
-    # 4096 bytes: gauss and vk in one block, laguerre and glag-k1 in two; 500:
-    # a few entries per block; 1: one entry per block
-    monkeypatch.setattr(cli, "_BUF", block)
+def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, entries):
+    # 64 entries: each row in one write; 7: a row of 13 entries (laguerre)
+    # in two, 11 (glag-k1) in two, 17 (vk) in three; 1: one entry per write
+    monkeypatch.setattr(cli, "_SLICE", entries)
     streamed = table_payload(ensemble, bounds)
     # the entries are an iterator that can be read once; take them as a list
     # once, to render and count them several times
@@ -538,37 +590,35 @@ def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, block
     sink = _RecordingSink()
     payload_to_json(payload, sink)
     assert b"".join(sink.writes) == want
-    # the header, one block of entries per write, then the footer
-    head, *blocks, foot = sink.writes
+    # the header, the entries a slice of a row per write, then the footer
+    head, *slices, foot = sink.writes
     assert head.endswith(b'"entries": [\n') and foot.startswith(b"\n  ]")
     assert b'"value": ' not in head + foot
-    assert sum(b.count(b'"value": ') for b in blocks) == sum(len(v) for _, _, v in payload["entries"])
-    # a block ends at the first slice of a row that brings it to `block`
-    # bytes, and a slice is sized to the room left in its block at the
-    # length of the entry before it: every block but the last reaches
-    # `block`, and none runs two entries past it (the ",\n" before an entry
-    # counts as the entry's)
-    longest = max(map(len, b"".join(blocks).split(b",\n"))) + 2
-    for i, b in enumerate(blocks):
-        assert b.startswith(b",\n    {" if i else b"    {") and b.endswith(b"\n    }")
-        assert len(b) >= block or i == len(blocks) - 1
-        assert len(b) < block + 2 * longest, (len(b), longest)
+    # each write holds whole entries of one row, _SLICE of them but at a
+    # row's end, where it holds the rest of the row
+    rows = [_entries_of_a_write(b, ENSEMBLES[ensemble].keys[0]) for b in slices]
+    assert [b.startswith(b",\n") for b in slices] == [False] + [True] * (len(slices) - 1)
+    assert [len(set(r)) for r in rows] == [1] * len(slices)
+    assert [len(r) for r in rows] == [min(entries, len(values) - a)
+                                      for _, _, values in payload["entries"]
+                                      for a in range(0, len(values), entries)]
 
 
 def test_a_long_row_is_written_in_slices():
     # a laguerre row runs to 1.3 MB of JSON at nmax 2000; it is rendered and
-    # written a slice at a time, each write near _BUF bytes (the first rows'
-    # entries grow from 58 to 1,275 bytes, so a slice sized from the entry
-    # before it overshoots its room by up to about a quarter)
+    # written a slice of _SLICE entries at a time (the first rows' entries
+    # grow from 58 to 1,275 bytes)
     payload = table_payload("laguerre", {"gmax": 2, "nmax": 2000})
     payload["entries"] = list(payload["entries"])
     sink = _RecordingSink()
     payload_to_json(payload, sink)
     assert b"".join(sink.writes) == _json_reference(payload)
-    head, *blocks, foot = sink.writes
-    assert len(blocks) > 3 * 1_000_000 // cli._BUF
-    assert all(len(b) < 1.5 * cli._BUF for b in blocks)
-    assert all(len(b) >= cli._BUF for b in blocks[:-1])
+    head, *slices, foot = sink.writes
+    rows = [_entries_of_a_write(b, "g") for b in slices]
+    assert len(slices) == 3 * -(-2001 // cli._SLICE)
+    assert all(len(set(r)) == 1 and len(r) <= cli._SLICE for r in rows)
+    longest = max(map(len, b"".join(slices).split(b",\n    {"))) + 7  # with its ",\n    {"
+    assert max(map(len, slices)) <= cli._SLICE * longest
 
 
 def test_table_payload_holds_no_strings():
@@ -597,12 +647,11 @@ class _CountingSink:
     ("glag-k1", {"rmax2": 60, "nmax": 120}),
     ("gauss", {"gmax": 80}),
 ])
-def test_gen_json_is_made_holding_only_a_few_rows(monkeypatch, ensemble, bounds):
+def test_gen_json_is_made_holding_only_a_few_rows(ensemble, bounds):
     # the engine yields its table a row at a time and keeps only the rows its
     # relation reads, so the Python objects alive at once stay far below the
     # bytes written (whole tables held as ints took 1.0 to 1.8 times them);
     # hzlag.recursions is imported with this file, so its import is not traced
-    monkeypatch.setattr(cli, "_BUF", 4096)
     sink = _CountingSink()
     tracemalloc.start()
     try:
@@ -657,7 +706,8 @@ def test_table_writers_on_generated_entries(ensemble, rows, shaped):
     # load_table reads ints, and Fractions only where there is a denominator
     table = {(a, b): int(v) if v.denominator == 1 else Fraction(v)
              for a, b0, values in rows for b, v in enumerate(values, b0)}
-    # whole in one read, and in reads of 7 bytes, which cut entries anywhere
+    # whole in one read, and in readlines of a line or two, which leave every
+    # place in an entry at the end of a read
     for buf in (cli._BUF, 7):
         with (mock.patch.object(cli, "_BUF", buf), tempfile.TemporaryDirectory() as d,
               mock.patch.dict(os.environ, {"HZLAG_CACHE_DIR": d})):
@@ -1487,8 +1537,8 @@ def test_cache_write_that_fails_midway_leaves_nothing(cache):
 
 
 def test_gen_streams_a_table_into_its_cache_entry(cache, monkeypatch, capsys):
-    # gen writes the table into the entry in blocks, and serves the entry
-    monkeypatch.setattr(cli, "_BUF", 300)
+    # gen writes the table into the entry in slices, and serves the entry
+    monkeypatch.setattr(cli, "_SLICE", 3)
     assert main(["gen", "vk", "--gmax", "2"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
     path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
@@ -1499,9 +1549,10 @@ def test_gen_streams_a_table_into_its_cache_entry(cache, monkeypatch, capsys):
 @pytest.mark.parametrize("no_cache", [False, True], ids=["cached", "no-cache"])
 def test_engine_error_in_a_late_row_serves_nothing(cache, tmp_path, capsys, monkeypatch,
                                                     no_cache):
-    # blocks of the early rows are written before row 8 fails its exact
-    # division; the error still comes before any byte is served
-    monkeypatch.setattr(cli, "_BUF", 300)
+    # slices of the early rows (13 entries: four slices of at most 4) are
+    # written before row 8 fails its exact division; the error still comes
+    # before any byte is served
+    monkeypatch.setattr(cli, "_SLICE", 4)
     true_div = engines._exact_div
 
     def failing(num, den, anchor, i, j):

@@ -48,6 +48,9 @@ def test_bare_import_loads_no_submodule():
     r = subprocess.run(
         [sys.executable, "-c",
          f"import sys, hzlag; print({loaded}); print(hzlag.wick.__name__, {loaded})"],
-        capture_output=True, env={"PATH": "", "PYTHONPATH": str(src_root)})
+        capture_output=True,
+        # PYTHONDONTWRITEBYTECODE or -B here: the child writes no bytecode either
+        env={"PATH": "", "PYTHONPATH": str(src_root),
+             **({"PYTHONDONTWRITEBYTECODE": "1"} if sys.dont_write_bytecode else {})})
     assert r.returncode == 0, r.stderr
     assert r.stdout.decode().splitlines() == ["[]", "hzlag.wick ['hzlag.exact', 'hzlag.wick']"]
