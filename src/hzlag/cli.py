@@ -265,8 +265,8 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # peaked at 19.8-20.4 MB VmHWM as a cold JSON gen, 1.8-2.4 MB over its
 # import floor, and at 19.3-19.5 MB, 1.3-1.5 MB over it, as a warm CSV gen,
 # as scripts/bench.py measures, with cached bytecode (2-vCPU VM, Python
-# 3.11.7, medians of 5).  There the benchmark tables read 0.7-1.5 MB over
-# it cold, 0.8-1.4 MB warm CSV.
+# 3.11.7, medians of 5).  There the benchmark tables read 0.6-1.4 MB over
+# it cold, 1.0-1.3 MB warm CSV (medians of 10).
 GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
