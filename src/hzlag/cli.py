@@ -85,6 +85,15 @@ def cache_path(kind: str, args: dict) -> Path:
 # with warm gen times within noise of each other
 _BUF = 1 << 16
 
+# the lines of the gen JSON that open its entry list, empty or not, and
+# the first of the three that close it after the last entry; _END, the
+# other two, and _ENDS, the two ways a gen JSON ends
+_SCHEMA = "hzlag-table/1"
+_OPEN, _EMPTY, _CLOSE = b'  "entries": [\n', b'  "entries": [],\n', b"  ],\n"
+_END = f'  "schema": "{_SCHEMA}"\n}}\n'.encode()
+_ENDS = (_CLOSE + _END, _EMPTY + _END)
+_LIST_FAULT = "its entry list does not open and close as gen writes it"
+
 
 def _corrupt(path, fault: str) -> UsageError:
     """The usage error that names the cache entry at path as corrupt."""
@@ -96,8 +105,10 @@ def _read_entry(path: Path):
     against its digest line and positioned just after that line, or None
     when there is no entry.
 
-    The bytes after the digest line are hashed _BUF at a time; on a
-    mismatch the entry is named as corrupt before any of it is served."""
+    The bytes after the digest line are hashed _BUF at a time, and must
+    end as gen ends its JSON; on a mismatch, or an entry cut under a
+    digest rewritten to match, the entry is named as corrupt before any of
+    it is served."""
     try:
         f = open(path, "rb")
     except (FileNotFoundError, NotADirectoryError):  # no entry yet
@@ -105,11 +116,15 @@ def _read_entry(path: Path):
     except OSError as e:  # a directory or an unreadable file in its place
         raise UsageError(f"cannot use cache entry {path} ({e.strerror}); pass --no-cache") from e
     try:
-        line, sha = f.read(65), hashlib.sha256()
+        line, sha, end = f.read(65), hashlib.sha256(), b""
+        n = max(map(len, _ENDS))
         while chunk := f.read(_BUF):
             sha.update(chunk)
+            end = (end + chunk[-n:])[-n:]
         if line != sha.hexdigest().encode() + b"\n":
             raise _corrupt(path, "it does not begin with the sha256 digest of the rest")
+        if not end.endswith(_ENDS):
+            raise _corrupt(path, _LIST_FAULT)
         # the bytes served are read through the same descriptor after the
         # check; an entry is only ever replaced by os.replace, never
         # rewritten in place, so they are the bytes just hashed
@@ -286,7 +301,7 @@ def table_payload(ensemble: str, bounds: dict) -> dict:
     iterator over rows ``(i, j0, values)`` (a value is an int, an integral
     Decimal or a Fraction), made as they are read."""
     spec = ENSEMBLES[ensemble]
-    return {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds,
+    return {"schema": _SCHEMA, "ensemble": ensemble, "bounds": bounds,
             "entries": spec.items(*(bounds[name] for name in spec.bounds))}
 
 
@@ -404,11 +419,6 @@ def _open_out(out: str | None):
                 f.close()
 
 
-# the lines of the gen JSON that open its entry list, empty or not, and
-# the first of the three that close it after the last entry
-_OPEN, _EMPTY, _CLOSE = b'  "entries": [\n', b'  "entries": [],\n', b"  ],\n"
-
-
 def _entry_groups(src):
     """The entries of the gen JSON read from the binary file src, as lists
     of lines, each holding whole entries of five lines: src is read by
@@ -427,7 +437,7 @@ def _entry_groups(src):
     if not opened:  # an empty list opens and closes on the first of the last three lines
         held = held[-3:]
     if len(held) != 3 or held[0] != (_CLOSE if opened else _EMPTY):
-        raise _corrupt(src.name, "its entry list does not open and close as gen writes it")
+        raise _corrupt(src.name, _LIST_FAULT)
 
 
 def _entry_fields(lines: list, keys: tuple[str, str]) -> list:

@@ -1,20 +1,18 @@
 """Exact arithmetic substrate: Laurent polynomials in one variable.
 
-Everything is built over ``int`` and ``fractions.Fraction``; there is no
-floating point anywhere in this package.  ``Laurent`` is the one ring both
-routes stand on: ``WLaurent``, a Laurent polynomial in w = u - 1, carries
-the residue route, and ``wick.MomentPoly``, one in the dimension N, the Wick
-oracles.  A Taylor series at u = 0 is a plain list of coefficients, as are
-the spectral bases, so no series type is needed.
+A polynomial's coefficients are ``int``, and its value at a rational point
+is a ``fractions.Fraction``; there is no floating point anywhere in this
+package.  ``Laurent`` is the one ring both routes stand on: ``WLaurent``, a
+Laurent polynomial in w = u - 1, carries the residue route, and
+``wick.MomentPoly``, one in the dimension N, the Wick oracles.  A Taylor
+series at u = 0 is a plain list of coefficients, as are the spectral bases,
+so no series type is needed.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
-
-Scalar = Union[Fraction, int]
 
 __all__ = [
     "Laurent",
@@ -28,40 +26,25 @@ def rat_str_explicit(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _exact(c) -> Scalar:
-    """``c`` as an int when it is integral, else as a Fraction."""
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class Laurent:
-    """A Laurent polynomial in the variable ``var`` with exact coefficients.
+    """A Laurent polynomial in the variable ``var`` with int coefficients.
 
-    ``terms`` maps each exponent to its nonzero coefficient, an int where it
-    is integral and a Fraction elsewhere, so "identically zero" is the
-    structural test ``not terms``.  Instances are immutable.  Arithmetic
-    mixes an instance with an int, a Fraction or an instance of its own
-    class, never with another subclass; a constant equals and hashes like
-    the number it is.  Calling an instance evaluates it at a value of its
-    variable.
+    ``terms`` maps each exponent to its nonzero coefficient, kept as it is
+    given, so "identically zero" is the structural test ``not terms``
+    (``f == 0``).
+    Instances are immutable.  Arithmetic mixes an instance with an int or
+    an instance of its own class, never with another subclass; a constant
+    equals and hashes like the int it is.  Calling an instance evaluates it
+    at a rational value of its variable.
     """
 
     __slots__ = ("terms",)
     var = "x"
 
     def __init__(self, terms: dict | None = None):
-        self.terms = {e: c if type(c) is int else _exact(c)
-                      for e, c in (terms or {}).items() if c}
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
 
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, e: int) -> Scalar:
+    def coefficient(self, e: int) -> int:
         return self.terms.get(e, 0)
 
     def shift_exponent(self, d: int):
@@ -73,7 +56,7 @@ class Laurent:
         if type(other) is type(self):
             for e, c in other.terms.items():
                 out[e] = out.get(e, 0) + c
-        elif isinstance(other, (int, Fraction)):
+        elif isinstance(other, int):
             out[0] = out.get(0, 0) + other
         else:
             return NotImplemented
@@ -85,7 +68,7 @@ class Laurent:
         return type(self)({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if type(other) is type(self) or isinstance(other, (int, Fraction)):
+        if type(other) is type(self) or isinstance(other, int):
             return self + -other
         return NotImplemented
 
@@ -98,7 +81,7 @@ class Laurent:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        elif isinstance(other, (int, Fraction)):
+        elif isinstance(other, int):
             out = {e: c * other for e, c in self.terms.items()}
         else:
             return NotImplemented
@@ -115,23 +98,23 @@ class Laurent:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.terms == ({0: other} if other else {})
         if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        # a constant hashes like the number it equals (the zero polynomial like 0)
+        # a constant hashes like the int it equals (the zero polynomial like 0)
         if self.terms.keys() <= {0}:
             return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         """The value at var = x, by Horner's rule over the integers: with
-        x = p/q and L the lcm of the coefficient denominators, the sum over e
-        of (L c_e) p^(e-lo) q^(hi-e) is f(x) L q^hi / p^lo, so one Fraction
-        (one gcd) is made at the end instead of one per term."""
+        x = p/q, the sum over e of c_e p^(e-lo) q^(hi-e) is f(x) q^hi / p^lo,
+        so one Fraction (one gcd) is made at the end instead of one per
+        term."""
         x = Fraction(x)
         if not self.terms:
             return Fraction(0)
@@ -139,18 +122,15 @@ class Laurent:
         p, q = x.numerator, x.denominator
         if p == 0 and lo < 0:
             raise ZeroDivisionError("evaluation at a pole")
-        scale = math.lcm(*(c.denominator for c in self.terms.values()))
         acc, qpow, prev = 0, 1, hi
         for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
             if e != prev:
                 acc *= p ** (prev - e)
                 qpow *= q ** (prev - e)
                 prev = e
-            acc += c.numerator * (scale // c.denominator) * qpow
-        num = acc * p ** max(lo, 0) * q ** max(-hi, 0)
-        den = scale * q ** max(hi, 0) * p ** max(-lo, 0)
-        return Fraction(num, den)
+            acc += self.terms[e] * qpow
+        return Fraction(acc * p ** max(lo, 0) * q ** max(-hi, 0),
+                        q ** max(hi, 0) * p ** max(-lo, 0))
 
     def __repr__(self):
         return f"{type(self).__name__}({dict(sorted(self.terms.items()))!r})"
@@ -174,7 +154,7 @@ class WLaurent(Laurent):
     def derivative(self) -> "WLaurent":
         return WLaurent({e - 1: e * c for e, c in self.terms.items()})
 
-    def __call__(self, point: Scalar) -> Fraction:
+    def __call__(self, point: int | Fraction) -> Fraction:
         """f at u = point, that is at w = point - 1."""
         return super().__call__(Fraction(point) - 1)
 
@@ -233,7 +213,7 @@ class WLaurent(Laurent):
 
 def _poly_str(var: str, terms: dict) -> str:
     """The Laurent polynomial {exponent: coefficient} in var, written from
-    the highest power down, e.g. "-2*u^2 + u - 3/4" or "14*N + 10*N^-1"."""
+    the highest power down, e.g. "-2*u^2 + u - 3" or "14*N + 10*N^-1"."""
     parts = []
     for k in sorted(terms, reverse=True):
         c = terms[k]

@@ -299,7 +299,7 @@ ODE_TAGS = tuple(_ODES)
 
 
 def identity_residuals(
-    which: str, amax: int = 10, bmax: int = 10, nmax: int = 10
+    which: str, amax: int, bmax: int, nmax: int
 ) -> list[tuple[str, WLaurent]]:
     """The residuals of one of the f_{A,B} identities over a range of small
     indices, each with its check id: A, B up to amax, bmax for an (A, B)

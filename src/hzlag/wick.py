@@ -11,11 +11,12 @@ trace of length 0 is a closed loop.  Each histogram is memoized on the
 sorted pattern, so a query costs one step per smaller pattern instead of
 one per contraction, and each Wishart moment is memoized too; connected
 moments come from them by the moment-cumulant recursion.  A moment is a
-``MomentPoly``, the ``exact.Laurent`` ring in the dimension N; that
-arithmetic layer is the only module imported.  No step uses the
-recursions, residues or spectral curves, so these oracles are independent
-of every piece of algebra they are used to check; tests/test_wick.py pins
-them to plain enumerations of every bijection, pairing and set partition.
+``MomentPoly``, the integer ``exact.Laurent`` ring in the dimension N, and
+a matrix dimension is a string, "N", "N+k" or "N-k"; that arithmetic layer
+is the only module imported.  No step uses the recursions, residues or
+spectral curves, so these oracles are independent of every piece of
+algebra they are used to check; tests/test_wick.py pins them to plain
+enumerations of every bijection, pairing and set partition.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 from .exact import Laurent
 
@@ -61,7 +61,7 @@ class GradingError(ValueError):
 
 
 class MomentPoly(Laurent):
-    """Laurent polynomial in the dimension symbol N with exact coefficients."""
+    """Laurent polynomial in the dimension symbol N with int coefficients."""
 
     __slots__ = ()
     var = "N"
@@ -70,38 +70,14 @@ class MomentPoly(Laurent):
     def symbol(cls) -> "MomentPoly":
         return cls({1: 1})
 
-    @classmethod
-    def parse(cls, text: str) -> "MomentPoly":
-        """Inverse of str(); accepts e.g. "14*N + 10*N^-1"."""
-        terms: dict = {}
-        guarded = text.replace(" ", "").replace("^-", "^m")  # keep exponent signs intact
-        for piece in re.findall(r"[+-]?[^+-]+", guarded):
-            sign = -1 if piece.startswith("-") else 1
-            piece = piece.lstrip("+-")
-            if "N" in piece:
-                coef, _, tail = piece.partition("N")
-                coef = coef.rstrip("*") or "1"
-                exp = int(tail.lstrip("^").replace("m", "-")) if tail else 1
-            else:
-                coef, exp = piece, 0
-            terms[exp] = terms.get(exp, 0) + sign * Fraction(coef)
-        return cls(terms)
 
-
-Dimension = Union[int, str, MomentPoly]
-
-
-def parse_dimension(spec: Dimension) -> MomentPoly:
-    """Turn a dimension spec ("N", "N+1", an int, a MomentPoly) into a polynomial in N."""
-    if isinstance(spec, MomentPoly):
-        return spec
-    if isinstance(spec, int):
-        return MomentPoly.const(spec)
+def parse_dimension(spec: str) -> MomentPoly:
+    """Turn a dimension spec, "N", "N+k" or "N-k", into a polynomial in N."""
     m = re.fullmatch(r"\s*N\s*(?:([+-])\s*([0-9]+))?\s*", spec)
     if not m:
         raise ValueError(f"cannot parse dimension spec {spec!r}")
     k = int(m.group(2) or 0) * (-1 if m.group(1) == "-" else 1)
-    return MomentPoly({1: 1, 0: k}) if k else MomentPoly.symbol()
+    return MomentPoly({1: 1, 0: k})
 
 
 def _pattern(rest: list[int], *parts: int) -> tuple[int, ...]:
@@ -159,9 +135,10 @@ def _loop_counts(pattern: tuple[int, ...], d: int) -> tuple[tuple[int, int, int]
 
 
 def complex_wishart_moment(
-    pattern: Sequence[int], rows: Dimension = "N", cols: Dimension = "N"
+    pattern: Sequence[int], rows: str = "N", cols: str = "N"
 ) -> MomentPoly:
-    """Exact <prod_i tr (B B†)^{m_i}> for complex Gaussian B of shape rows x cols.
+    """Exact <prod_i tr (B B†)^{m_i}> for complex Gaussian B of shape rows x cols,
+    each dimension "N", "N+k" or "N-k".
 
     Every entry has second moment 1/N; each of the m! Wick bijections
     contributes N^-m * rows^(#row loops) * cols^(#column loops).  The result
@@ -177,22 +154,17 @@ def complex_wishart_moment(
     return _wishart_moment(pattern, rows, cols)
 
 
-# typed: an int ``rows`` is a numeric dimension, so 3 and MomentPoly.const(3),
-# which compare equal, must not share an entry; 256 entries hold one connected
-# query, which reads every sub-pattern: at most 224 at degree <= 24 (1^6 2^3 3 4 5)
-@lru_cache(maxsize=256, typed=True)
-def _wishart_moment(pattern: tuple[int, ...], rows: Dimension, cols: Dimension) -> MomentPoly:
-    m = sum(pattern)
+# 256 entries hold one connected query, which reads every sub-pattern: at
+# most 224 at degree <= 24 (1^6 2^3 3 4 5)
+@lru_cache(maxsize=256)
+def _wishart_moment(pattern: tuple[int, ...], rows: str, cols: str) -> MomentPoly:
     # sum of count * rows^r * cols^c by Horner's rule in cols for each r,
     # then in rows, one multiplication by a one- or two-term polynomial a step
     col_poly = parse_dimension(cols)
     by_rows = itertools.groupby(_loop_counts(pattern, 1), key=lambda t: t[0])
     total = _horner({r: _horner({c: n for _, c, n in hist}, col_poly) for r, hist in by_rows},
                     parse_dimension(rows))
-    if isinstance(rows, int):
-        # numeric dimensions: the weight parameter N equals the row count
-        return total * Fraction(1, rows**m)
-    return total.shift_exponent(-m)
+    return total.shift_exponent(-sum(pattern))
 
 
 def _horner(coefficients: dict, x: MomentPoly) -> MomentPoly:
@@ -204,7 +176,7 @@ def _horner(coefficients: dict, x: MomentPoly) -> MomentPoly:
 
 
 def connected_moments(
-    pattern: Sequence[int], rows: Dimension = "N", cols: Dimension = "N"
+    pattern: Sequence[int], rows: str = "N", cols: str = "N"
 ) -> MomentPoly:
     """Connected (cumulant) moment <prod_i tr (B B†)^{m_i}>_c, by the
     moment-cumulant recursion k(S) = m(S) - sum_{B ∋ s, B ⊊ S} k(B) m(S - B)
@@ -248,13 +220,13 @@ def gue_moment(m: int) -> MomentPoly:
     return MomentPoly({loops - m // 2: n for loops, _, n in _loop_counts((m,), 2)})
 
 
-def genus_extract(p: MomentPoly, s: int) -> dict[int, int | Fraction]:
+def genus_extract(p: MomentPoly, s: int) -> dict[int, int]:
     """Read off the genus expansion: g -> coefficient of N^(2-2g-s).
 
     Raises GradingError if any exponent sits off the grading (which would
     signal a normalization bug upstream).
     """
-    out: dict[int, int | Fraction] = {}
+    out: dict[int, int] = {}
     for e, c in p.terms.items():
         num = 2 - s - e
         if num % 2 or num < 0:

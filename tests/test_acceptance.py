@@ -83,7 +83,7 @@ def test_criterion_03_fab_identities():
     def work():
         for tag in IDENTITY_TAGS:
             residuals = identity_residuals(tag, amax=10, bmax=10, nmax=10)
-            bad = [check_id for check_id, r in residuals if not r.is_zero]
+            bad = [check_id for check_id, r in residuals if r != 0]
             assert residuals and not bad, f"{tag}: {bad[:3]}"
 
     _gate("criterion-03 [feat-1 .. k2-second-derivative]", 60.0, work)
@@ -94,11 +94,11 @@ def test_criterion_04_odes_and_reflection():
         for which, top in (("DN", 10), ("K1", 8), ("K2", 6)):
             for N in range(1, top + 1):
                 res = ode_residual(which, N)
-                assert res.is_zero, f"{which} N={N}: {res}"
+                assert res == 0, f"{which} N={N}: {res}"
         for N in range(1, 7):
             for k in range(3):
                 res = t1_residual(N, k)
-                assert res.is_zero, f"T-1 N={N} k={k}: {res}"
+                assert res == 0, f"T-1 N={N} k={k}: {res}"
 
     _gate("criterion-04 [DN, K1, K2, T-1]", 120.0, work)
 

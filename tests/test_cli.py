@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hzlag
-from hzlag import cli, engines, recursions, residues, spectral
+from hzlag import cli, engines, exact, recursions, residues, spectral, wick
 from hzlag.cli import (
     ENSEMBLES,
     cache_path,
@@ -253,21 +253,25 @@ def test_truncated_cache_entry_is_named_corrupt(cache, tmp_path, capsys):
     pytest.param(lambda body: body[:body.index(b"    {\n", 2000) + 6], id="inside-an-entry"),
     pytest.param(lambda body: body[:body.index(b'"entries"')], id="in-the-header"),
 ])
-def test_entry_list_cut_under_its_digest_is_named_corrupt(cache, capsys, cut):
-    # a cut entry under its own digest: only reading the entry list can tell,
-    # and both a CSV gen and a table read name it as corrupt (a CSV gen may
-    # have written the rows before the cut)
-    csv = ["gen", "laguerre", "--gmax", "3", "--nmax", "10", "--format", "csv"]
+def test_entry_list_cut_under_its_digest_is_named_corrupt(cache, tmp_path, capsys, cut):
+    # a cut entry under its own digest: its end tells, and a JSON gen, a CSV
+    # gen and a table read name it as corrupt before serving a byte of it
+    gen = ["gen", "laguerre", "--gmax", "3", "--nmax", "10"]
+    csv = [*gen, "--format", "csv"]
+    out = tmp_path / "t.csv"
+    out.write_bytes(b"kept\n")
     verify = ["verify", "--suite", "constraints", "--gmax", "1"]
     assert main(verify) == 0
     capsys.readouterr()
     path = cache_path("gen", {"ensemble": "laguerre", "gmax": 3, "nmax": 10})
     path.write_bytes(_with_digest(cut(path.read_bytes().split(b"\n", 1)[1])))
-    for argv in (csv, verify):
+    for argv in (gen, csv, [*csv, "--out", str(out)], verify):
+        # what _assert_named_corrupt checks, with the fault named in full
         assert main(argv) == 2, argv
-        assert capsys.readouterr().err == (
+        assert capsys.readouterr() == ("", (
             f"error: corrupt cache entry {path}: its entry list does not open and close as gen "
-            "writes it; delete the file or pass --no-cache\n"), argv
+            "writes it; delete the file or pass --no-cache\n")), argv
+    assert out.read_bytes() == b"kept\n"
 
 
 VK1 = ["vk", "--gmax", "1"]
@@ -954,6 +958,29 @@ def test_eval_fab_matches_golden(cache, capsys):
         "(-2*u^4 + 2*u^3 - 3*u^2) / (u^4 - 4*u^3 + 6*u^2 - 4*u + 1)\n")
 
 
+def test_commands_build_laurent_polynomials_over_int_only(cache, monkeypatch, capsys):
+    # hzlag.exact's ring takes the coefficients it is given as they are:
+    # every one the commands give it must be an int, memos cleared so that
+    # every polynomial is built afresh
+    for memo in (residues.fab, wick.gue_moment, wick._wishart_moment):
+        memo.cache_clear()
+    seen = []
+    init = exact.Laurent.__init__
+
+    def recording_init(self, terms=None):
+        seen.extend(c for c in (terms or {}).values() if type(c) is not int)
+        init(self, terms)
+
+    monkeypatch.setattr(exact.Laurent, "__init__", recording_init)
+    for argv in (["verify", "--suite", "all", "--no-cache"],
+                 ["oracle", "--mu", "1,1,2,3", "--connected", "--cols", "N+1"],
+                 ["oracle", "--mu", "3,3", "--connected", "--rows", "N-7", "--cols", "N+5"],
+                 ["eval-fab", "--a", "40", "--b", "37", "--at=-7/3"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert seen == []
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--mu", "0"],
     ["oracle", "--mu", str(WISHART_DEGREE_LIMIT + 1)],
@@ -1491,11 +1518,12 @@ def _served(args: dict, compute, use_cache: bool = True) -> bytes:
 
 def test_cache_write_is_atomic(cache, monkeypatch):
     calls = []
+    payload = b"payload\n" + cli._ENDS[0]  # an entry is served when it ends as gen JSON does
 
     def compute(f):
         calls.append(1)
         f.write(b"pay")
-        f.write(b"load")
+        f.write(payload[3:])
 
     def fail(src, dst):
         raise OSError("simulated failure")
@@ -1507,12 +1535,12 @@ def test_cache_write_is_atomic(cache, monkeypatch):
             _served(args, compute)
     assert not cache_path("gen", args).exists()
     assert list(cache.iterdir()) == []  # no temporary file is left behind
-    assert _served(args, compute) == b"payload"
+    assert _served(args, compute) == payload
     assert len(calls) == 2  # the failed write cached nothing
-    assert cache_path("gen", args).read_bytes() == _with_digest(b"payload")
-    assert _served(args, compute) == b"payload"
+    assert cache_path("gen", args).read_bytes() == _with_digest(payload)
+    assert _served(args, compute) == payload
     assert len(calls) == 2
-    assert _served(args, compute, False) == b"payload"
+    assert _served(args, compute, False) == payload
     assert len(calls) == 3  # --no-cache computes into a temporary file
     assert [f.name for f in cache.iterdir()] == [cache_path("gen", args).name]
 

@@ -11,7 +11,6 @@ from hzlag.exact import WLaurent, rat_str_explicit
 from hzlag.wick import MomentPoly
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
-small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 # -- rational string forms --------------------------------------------------
@@ -66,7 +65,7 @@ def test_w_laurent_matches_rational_function(f, g):
         assert (f - 3)(x) == at(f, x) - 3
         if max(f.terms, default=0) <= 0:
             assert f.compose_inverse()(x) == at(f, 1 / x)
-    assert f.is_zero == all(at(f, x) == 0 for x in POINTS)
+    assert (f == 0) == all(at(f, x) == 0 for x in POINTS)
     # d/du is fixed by linearity, the product rule and d/du w = 1
     w = WLaurent({1: 1})
     assert w.derivative() == 1
@@ -119,12 +118,11 @@ def test_w_laurent_series_is_exact():
 
 
 @given(st.dictionaries(st.integers(min_value=-40, max_value=40),
-                       st.one_of(st.integers(-10**30, 10**30), small_rationals),
-                       max_size=12),
+                       st.integers(-10**30, 10**30), max_size=12),
        st.fractions(max_denominator=10**20))
 def test_w_laurent_call_matches_termwise_sum(terms, x):
     # Horner's rule over integers against the sum of Fraction terms: sparse
-    # and negative exponents, int and Fraction coefficients, the zero
+    # and negative exponents, big int coefficients, the zero
     # polynomial, and the pole, unless no exponent is negative; the shared
     # code evaluates a WLaurent at u = w + 1 (pole u = 1) and a MomentPoly
     # at N itself (pole N = 0)
@@ -156,9 +154,6 @@ def test_w_laurent_constant_hashes_like_its_value():
     # equal objects hash equal, so a constant and its number are one key
     assert len({WLaurent({0: 3}), 3}) == 1
     assert WLaurent({}) in {0} and hash(WLaurent({})) == hash(0)
-    assert WLaurent({0: Fraction(1, 2)}) in {Fraction(1, 2)}
-    two = WLaurent({0: Fraction(6, 3)})
-    assert two in {2: 1} and type(two.coefficient(0)) is int
 
 
 def test_w_laurent_and_moment_poly_do_not_mix():
@@ -168,4 +163,9 @@ def test_w_laurent_and_moment_poly_do_not_mix():
             with pytest.raises(TypeError):
                 op(a, b)
     assert not n == w and n != w
-    assert not MomentPoly.const(3) == WLaurent({0: 3})
+    assert not MomentPoly({0: 3}) == WLaurent({0: 3})
+    # nor with a Fraction: the ring's coefficients are ints
+    for op in (operator.add, operator.sub, operator.mul):
+        for a, b in ((n, Fraction(1, 2)), (Fraction(1, 2), w)):
+            with pytest.raises(TypeError):
+                op(a, b)

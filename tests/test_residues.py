@@ -23,8 +23,8 @@ from hzlag.wick import complex_wishart_moment, connected_moments
 
 
 def test_fab_trivial_cases():
-    assert fab(0, 0).is_zero
-    assert fab(3, 0).is_zero  # no pole at z = 0 without the B factor
+    assert fab(0, 0) == 0
+    assert fab(3, 0) == 0  # no pole at z = 0 without the B factor
     assert fab(2, 2)(Fraction(1, 2)) == 6
     with pytest.raises(ZeroDivisionError):
         fab(2, 2)(1)  # the only pole of f_{A,B} is at u = 1
@@ -91,7 +91,7 @@ def test_two_point_truncation_guard():
 def test_identities_small_window(tag):
     residuals = identity_residuals(tag, amax=12, bmax=12, nmax=12)
     assert residuals, tag
-    bad = [(check_id, str(r)) for check_id, r in residuals if not r.is_zero]
+    bad = [(check_id, str(r)) for check_id, r in residuals if r != 0]
     assert not bad, bad
 
 
@@ -99,12 +99,12 @@ def test_identities_small_window(tag):
 def test_odes_structurally_zero(which, nmax):
     for N in range(1, nmax + 1):
         res = ode_residual(which, N)
-        assert res.is_zero, (N, str(res))
+        assert res == 0, (N, str(res))
 
 
 def test_unknown_tags_raise():
     with pytest.raises(ValueError, match="unknown identity tag 'nope'"):
-        identity_residuals("nope")
+        identity_residuals("nope", 1, 1, 1)
     with pytest.raises(ValueError, match="unknown ODE tag 'nope'"):
         ode_residual("nope", 1)
 
@@ -113,7 +113,7 @@ def test_unknown_tags_raise():
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_t1_rectangular_reflection(N, k):
     res = t1_residual(N, k)
-    assert res.is_zero, str(res)
+    assert res == 0, str(res)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -212,10 +212,10 @@ def test_mutated_fab_fails_every_check(monkeypatch):
 
     for tag in IDENTITY_TAGS:
         residuals = identity_residuals(tag, amax=4, bmax=4, nmax=4)
-        assert any(not r.is_zero for _, r in residuals), tag
+        assert any(r != 0 for _, r in residuals), tag
     for res in (ode_residual("DN", 3), ode_residual("K1", 2), ode_residual("K2", 1),
                 t1_residual(3, 0), t1_residual(2, 1), t1_residual(1, 2)):
-        assert not res.is_zero
+        assert res != 0
 
 
 def test_exp_mean_moments_needs_f_to_vanish_at_zero(monkeypatch):

@@ -24,29 +24,21 @@ from hzlag.wick import (
     gue_moment,
     parse_dimension,
 )
-from hzlag.wick import _loop_counts, _wishart_moment
+from hzlag.wick import _loop_counts
 
 
 def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-# -- MomentPoly algebra and string round trip -------------------------------
+# -- MomentPoly algebra ------------------------------------------------------
 
 
 def moment_polys():
     return st.dictionaries(
-        st.integers(min_value=-4, max_value=4),
-        st.fractions(min_value=-99, max_value=99, max_denominator=7).filter(
-            lambda q: q != 0
-        ),
+        st.integers(min_value=-4, max_value=4), st.integers(min_value=-99, max_value=99),
         max_size=5,
     ).map(MomentPoly)
-
-
-@given(moment_polys())
-def test_moment_poly_str_parse_round_trip(p):
-    assert MomentPoly.parse(str(p)) == p
 
 
 @given(moment_polys(), moment_polys(), moment_polys())
@@ -61,30 +53,27 @@ def test_moment_poly_evaluation_homomorphism(p, n):
 
 
 def test_coefficients_are_int_unless_fractional():
-    p = MomentPoly({2: Fraction(4, 2), 1: Fraction(1, 3), 0: 5})
-    assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+    p = MomentPoly({2: 2, 1: 0, 0: 5})
+    assert p.terms == {2: 2, 0: 5}
     assert p.coefficient(-7) == 0 and type(p.coefficient(-7)) is int
-    assert all(type(c) is int for c in (gue_moment(8) * MomentPoly.parse("N - 3")).terms.values())
-    assert all(type(c) is int for c in MomentPoly.parse("14*N + 10*N^-1").terms.values())
-    assert complex_wishart_moment((3,), 3, 3) == MomentPoly.const(Fraction(46, 3))
-    q = MomentPoly.parse("1/2*N + 1/2*N")
-    assert q == MomentPoly.symbol() and type(q.coefficient(1)) is int
-    assert hash(q) == hash(MomentPoly({1: Fraction(1)}))
+    assert all(type(c) is int for c in (gue_moment(8) * MomentPoly({1: 1, 0: -3})).terms.values())
+    # a coefficient is kept as given, so a fractional table entry (a
+    # corrupt one) makes a moment that differs from the oracle's
+    q = MomentPoly({1: Fraction(7, 8)})
+    assert type(q.coefficient(1)) is Fraction and q != MomentPoly.symbol()
 
 
 def test_constant_hashes_like_its_value():
     # equal objects hash equal, so a constant and its number are one key
-    assert len({MomentPoly.const(3), 3}) == 1
-    assert MomentPoly.const(3) in {3: 1}
-    assert MomentPoly.const(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert len({MomentPoly({0: 3}), 3}) == 1
+    assert MomentPoly({0: 3}) in {3: 1}
     assert hash(MomentPoly()) == hash(0) and MomentPoly() in {0}
-    assert hash(MomentPoly.parse("6/3")) == hash(2)
 
 
 def test_parse_dimension():
     assert parse_dimension("N")(3) == 3
     assert parse_dimension("N+1")(3) == 4
-    assert parse_dimension(5)(3) == 5
+    assert parse_dimension(" N - 2 ")(3) == 1
     with pytest.raises(ValueError):
         parse_dimension("M+1")
 
@@ -274,15 +263,15 @@ def test_gue_moment_matches_cycle_traversal(m):
 
 
 def test_gue_moment_small_values():
-    assert gue_moment(0) == MomentPoly.parse("N")
-    assert gue_moment(1).is_zero
-    assert gue_moment(3).is_zero
-    assert gue_moment(2) == MomentPoly.parse("N")
-    assert gue_moment(4) == MomentPoly.parse("2*N + N^-1")
-    assert gue_moment(6) == MomentPoly.parse("5*N + 10*N^-1")
-    assert gue_moment(8) == MomentPoly.parse("14*N + 70*N^-1 + 21*N^-3")
-    assert gue_moment(10) == MomentPoly.parse("42*N + 420*N^-1 + 483*N^-3")
-    assert gue_moment(12) == MomentPoly.parse("132*N + 2310*N^-1 + 6468*N^-3 + 1485*N^-5")
+    assert gue_moment(0) == MomentPoly({1: 1})
+    assert gue_moment(1) == 0
+    assert gue_moment(3) == 0
+    assert gue_moment(2) == MomentPoly({1: 1})
+    assert gue_moment(4) == MomentPoly({1: 2, -1: 1})
+    assert gue_moment(6) == MomentPoly({1: 5, -1: 10})
+    assert gue_moment(8) == MomentPoly({1: 14, -1: 70, -3: 21})
+    assert gue_moment(10) == MomentPoly({1: 42, -1: 420, -3: 483})
+    assert gue_moment(12) == MomentPoly({1: 132, -1: 2310, -3: 6468, -5: 1485})
 
 
 def test_gue_moment_planar_part_is_catalan():
@@ -297,7 +286,7 @@ def test_gue_moment_total_count():
 
 
 def test_gue_moment_14():
-    assert gue_moment(14) == MomentPoly.parse("429*N + 12012*N^-1 + 66066*N^-3 + 56628*N^-5")
+    assert gue_moment(14) == MomentPoly({1: 429, -1: 12012, -3: 66066, -5: 56628})
 
 
 def test_gue_moment_matches_harer_zagier_to_the_limit():
@@ -315,7 +304,7 @@ def test_gue_moment_matches_harer_zagier_to_the_limit():
 
 
 def test_gue_degree_limit():
-    assert gue_moment(GUE_DEGREE_LIMIT + 1).is_zero  # odd: zero at any degree
+    assert gue_moment(GUE_DEGREE_LIMIT + 1) == 0  # odd: zero at any degree
     with pytest.raises(DegreeLimitError):
         gue_moment(GUE_DEGREE_LIMIT + 2)
 
@@ -324,18 +313,16 @@ def test_gue_degree_limit():
 
 
 def test_wishart_square_small_values():
-    assert complex_wishart_moment((1,), "N", "N") == MomentPoly.parse("N")
-    assert complex_wishart_moment((2,), "N", "N") == MomentPoly.parse("2*N")
-    assert complex_wishart_moment((3,), "N", "N") == MomentPoly.parse("5*N + N^-1")
-    assert complex_wishart_moment((4,), "N", "N") == MomentPoly.parse("14*N + 10*N^-1")
+    assert complex_wishart_moment((1,), "N", "N") == MomentPoly({1: 1})
+    assert complex_wishart_moment((2,), "N", "N") == MomentPoly({1: 2})
+    assert complex_wishart_moment((3,), "N", "N") == MomentPoly({1: 5, -1: 1})
+    assert complex_wishart_moment((4,), "N", "N") == MomentPoly({1: 14, -1: 10})
 
 
 def test_wishart_gamma_collapse():
-    # at rows = cols = 1 the trace moment is m!
+    # at rows = cols = N = 1 the trace moment is m!
     for m in range(1, WISHART_DEGREE_LIMIT + 1):
-        assert complex_wishart_moment((m,), 1, 1) == MomentPoly.const(
-            Fraction(math.factorial(m))
-        )
+        assert complex_wishart_moment((m,), "N", "N")(1) == math.factorial(m)
 
 
 def test_wishart_planar_catalan():
@@ -358,7 +345,7 @@ def test_wishart_matches_recursion_tables_to_the_limit():
 
 def test_wishart_rectangular():
     got = complex_wishart_moment((3,), "N", "N+1")
-    assert got == MomentPoly.parse("5*N + 10 + 7*N^-1 + 2*N^-2")
+    assert got == MomentPoly({1: 5, 0: 10, -1: 7, -2: 2})
     assert got(1) == 24  # Gamma(3 + 1 + 1) / Gamma(2) at N = 1, cols = 2
 
 
@@ -369,29 +356,9 @@ def test_wishart_degree_limit():
         complex_wishart_moment((4, WISHART_DEGREE_LIMIT - 3), "N", "N")
 
 
-def test_wishart_numeric_rows_match_symbolic():
-    for m in range(1, 6):
-        sym = complex_wishart_moment((m,), "N", "N")
-        for n in (1, 2, 3):
-            assert complex_wishart_moment((m,), n, n) == MomentPoly.const(sym(n))
-
-
 def test_wishart_memo():
     assert complex_wishart_moment((2, 1)) == complex_wishart_moment((1, 2))
     assert complex_wishart_moment([1, 2]) is complex_wishart_moment((2, 1))
-    # an int dimension is numeric (N = rows); a constant polynomial is a
-    # symbolic dimension that does not scale with N, and the two compare
-    # equal and hash equal, so they must not share a memo entry, whichever
-    # comes first, and only a typed memo keeps them apart
-    assert _wishart_moment.cache_parameters()["typed"]
-    three = MomentPoly.const(3)
-    for first in (3, three):
-        _wishart_moment.cache_clear()
-        complex_wishart_moment((2, 1), first, first)
-        assert complex_wishart_moment((2, 1), 3, 3) == MomentPoly.const(22)
-        assert complex_wishart_moment((2, 1), three, three) == MomentPoly.parse("594*N^-3")
-        assert complex_wishart_moment((3,), 3, 3) == MomentPoly.const(Fraction(46, 3))
-        assert complex_wishart_moment((3,), three, three) == MomentPoly.parse("414*N^-3")
 
 
 def test_wishart_memo_result_is_not_changed_by_later_calls():
@@ -401,7 +368,7 @@ def test_wishart_memo_result_is_not_changed_by_later_calls():
     connected_moments((2, 1), "N", "N+1")
     complex_wishart_moment((1, 2), "N", "N+1").shift_exponent(2)
     assert (str(p), p.terms) == before
-    assert complex_wishart_moment((2, 1), "N", "N+1") == MomentPoly.parse(before[0])
+    assert complex_wishart_moment((2, 1), "N", "N+1") == MomentPoly(before[1])
 
 
 # -- connected moments --------------------------------------------------------
@@ -439,7 +406,7 @@ def reference_connected_moments(pattern, rows, cols) -> MomentPoly:
     sum over partitions P of (-1)^(|P|-1) (|P|-1)! prod_{blocks} <block>."""
     total = MomentPoly()
     for part in _set_partitions(list(range(len(pattern)))):
-        prod = MomentPoly.const((-1) ** (len(part) - 1) * math.factorial(len(part) - 1))
+        prod = (-1) ** (len(part) - 1) * math.factorial(len(part) - 1)
         for block in part:
             prod = prod * complex_wishart_moment([pattern[i] for i in block], rows, cols)
         total = total + prod
@@ -447,7 +414,8 @@ def reference_connected_moments(pattern, rows, cols) -> MomentPoly:
 
 
 @pytest.mark.parametrize("rows,cols", [("N", "N"), ("N", "N+1"), ("N", "N-1"),
-                                       (1, 1), (2, 2), (3, 3)], ids=str)
+                                       ("N+1", "N+1"), ("N-1", "N+2"), ("N+3", "N-2")],
+                         ids=str)
 def test_connected_matches_moebius_sum(rows, cols):
     for pattern in SMALL_PATTERNS:
         if len(pattern) <= 7:
@@ -468,8 +436,8 @@ def test_connected_moments_lie_on_the_genus_grading(pattern):
 
 
 def test_connected_small_values():
-    assert connected_moments((1, 1)) == MomentPoly.const(Fraction(1))
-    assert connected_moments((1, 1, 1)) == MomentPoly.parse("2*N^-1")
+    assert connected_moments((1, 1)) == 1
+    assert connected_moments((1, 1, 1)) == MomentPoly({-1: 2})
 
 
 def test_connected_cumulant_identity_two_traces():
@@ -489,9 +457,9 @@ def test_connected_cumulant_identity_two_traces():
 
 
 def test_genus_extract_gue():
-    assert genus_extract(gue_moment(8), 1) == {0: Fraction(14), 1: Fraction(70), 2: Fraction(21)}
+    assert genus_extract(gue_moment(8), 1) == {0: 14, 1: 70, 2: 21}
 
 
 def test_genus_extract_rejects_wrong_parity():
     with pytest.raises(GradingError):
-        genus_extract(MomentPoly.parse("N + 1"), 1)
+        genus_extract(MomentPoly({1: 1, 0: 1}), 1)
