@@ -44,7 +44,8 @@ alternating from round to round.  The file names the commit checked out
 (HEAD, with ``dirty`` set when the working tree differs from it) and holds,
 for each tree and metric, the samples, their median and n, and the host's
 nproc, Python version and platform.  A nonzero exit of any run stops the
-script with exit 1.
+script with exit 1.  SIGTERM stops it with exit 143, after the run in
+progress is killed and the temporary directory removed.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import os
 import platform
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -184,6 +186,9 @@ class Tree:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # SIGTERM as SystemExit, so that the temporary directory is removed: a
+    # run in progress is killed and waited for, then the with block exits
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--against", metavar="REV", help="also measure this commit's tree")
     p.add_argument("--runs", type=int, default=10, help="timed runs of each workload (default 10)")

@@ -69,11 +69,13 @@ def cache_dir() -> Path:
 CACHE_FORMAT = 2
 
 
+def _key_path(key: dict) -> Path:
+    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:32]
+    return cache_dir() / f"{key['kind']}-{digest}.json"
+
+
 def cache_path(kind: str, args: dict) -> Path:
-    key = json.dumps({"tool": __version__, "format": CACHE_FORMAT, "kind": kind, "args": args},
-                     sort_keys=True)
-    digest = hashlib.sha256(key.encode()).hexdigest()[:32]
-    return cache_dir() / f"{kind}-{digest}.json"
+    return _key_path({"tool": __version__, "format": CACHE_FORMAT, "kind": kind, "args": args})
 
 
 # bytes per read of a cache entry: to hash it, to copy it out, and as the
@@ -158,7 +160,8 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
     corrupt otherwise.  On a miss, compute streams into the entry's
     temporary file, hashed as it is written; that file is renamed into place
     and served through the descriptor that wrote it, so its bytes are not
-    read back to be hashed again.  With the cache off, compute streams into
+    read back to be hashed again, and the same table's entry of the
+    pre-digest layout is removed.  With the cache off, compute streams into
     an anonymous temporary file.  No path holds the bytes in memory.
     (perfbench/tracer.py counts cache hits and misses by this name, and by
     whether compute runs inside the call.)"""
@@ -200,6 +203,10 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
         f.close()
         os.unlink(tmp)
         raise
+    # the same table's entry of the layout before the digest line, whose key
+    # had no "format", is never read; failing to remove it fails no request
+    with contextlib.suppress(OSError):
+        _key_path({"tool": __version__, "kind": kind, "args": args}).unlink(missing_ok=True)
     return f
 
 
@@ -210,27 +217,22 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
 class Ensemble:
     """How `gen` bounds, generates and serializes one ensemble's table."""
 
-    __slots__ = ("bounds", "keys", "engine", "shape", "low", "size", "base10")
+    __slots__ = ("bounds", "keys", "engine", "shape", "low", "size")
 
     def __init__(self, bounds: dict[str, int], keys: tuple[str, str], engine: str, shape,
-                 low: int = 0, size=None, base10: bool = False):
+                 low: int = 0, size=None):
         self.bounds = bounds  # gen option -> its largest value, in engine and Table.bounds order
         self.keys = keys  # the index names of a table entry
         self.engine = engine  # bound values -> the table's items, one row at a time
         self.shape = shape  # bound values -> {i: range of j}, the keys of every entry
         self.low = low  # smallest value every bound accepts
         self.size = size  # bound values -> about the bytes of the gen JSON, or None
-        self.base10 = base10  # the engine runs over exact Decimal (one=Decimal(1)), not int
 
     def items(self, *bounds):
         """The table's rows ``(i, j0, values)`` in sorted key order, as an iterator."""
         # by its full name: ``from . import engines`` would go through
         # hzlag.__getattr__, which lists the package directory
-        engine = getattr(importlib.import_module(".engines", __package__), self.engine)
-        if not self.base10:
-            return engine(*bounds)
-        from decimal import Decimal
-        return engine(*bounds, one=Decimal(1))
+        return getattr(importlib.import_module(".engines", __package__), self.engine)(*bounds)
 
 
 def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
@@ -264,13 +266,12 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # readlines(_BUF) at a time, so no table is ever held whole, and time, not
 # memory, bounds each request.
 #
-# base10 engines run over exact Decimal: a laguerre or gauss entry runs to
-# a thousand digits and more, and str() of an int is quadratic in its
-# digits, str() of a Decimal linear.  In-process, the engine plus str() of
-# every entry took 0.16 s over Decimal against 0.31 s over int at laguerre
-# 150/300, and 0.09 against 0.26 s at gauss 200 (medians of 5).  glag-k1
-# stays on int: its "8-t" entries are shorter, and over Decimal it took
-# 0.21 s against 0.16 s at 120/240; vk's entries are Fractions.
+# Each engine fixes its number type (see hzlag.engines): the laguerre and
+# gauss engines run over exact Decimal.  In-process, the engine plus str()
+# of every entry took 0.16 s over Decimal against 0.31 s over int at
+# laguerre 150/300, and 0.09 against 0.26 s at gauss 200 (medians of 5).
+# glag-k1 stays on int: its "8-t" entries are shorter, and over Decimal it
+# took 0.21 s against 0.16 s at 120/240; vk's entries are Fractions.
 #
 # A laguerre table's time and size follow its digits, not its bounds, so its
 # request is bounded by the estimated size of its JSON, GEN_BYTES; its option
@@ -286,9 +287,9 @@ GEN_BYTES = 60_000_000
 ENSEMBLES = {
     "laguerre": Ensemble({"gmax": 1000, "nmax": 2000}, ("g", "n"), "do_norbury_items",
                          lambda gmax, nmax: {g: range(nmax + 1) for g in range(gmax + 1)},
-                         size=_laguerre_json_bytes, base10=True),
+                         size=_laguerre_json_bytes),
     "gauss": Ensemble({"gmax": 300}, ("g", "k"), "gauss_hz_items",
-                      lambda gmax: {g: range(g) for g in range(1, gmax + 1)}, low=1, base10=True),
+                      lambda gmax: {g: range(g) for g in range(1, gmax + 1)}, low=1),
     "vk": Ensemble({"gmax": 150}, ("g", "k"), "vk_items",
                    lambda gmax: {g: range(-3 * g, g + 1) for g in range(gmax + 1)}),
     "glag-k1": Ensemble({"rmax2": 240, "nmax": 480}, ("r2", "n"), "glag_k1_items",

@@ -5,24 +5,37 @@ recursion ("3-t"), the Gaussian recursion ("recurrence"), the v_k recursion
 
 Each engine yields its table a row at a time, as ``(i, j0, values)``: the
 entries (i, j0), (i, j0 + 1), ... in sorted key order.  Every entry is an
-exact integer quotient, checked by _exact_div as it is made.  "3-t" and
-"recurrence" run over the ring of a unit they are given: int by default, or
-decimal.Decimal(1), whose entries are made in base-10 limbs so that str() of
-one is linear in its digits (str() of an int is quadratic).  "3-t",
-"recurrence" and "8-t" compute their relation's coefficients once per call,
-in the ring they run over, so no entry converts an int to a Decimal.  A
-Decimal row is made in the context _EXACT, where an operation that would
-round raises.
+exact integer quotient, checked by _exact_div as it is made.  Each engine
+fixes its own number type.  "3-t" and "recurrence" run over exact
+decimal.Decimal, whose entries are made in base-10 limbs: a laguerre or
+gauss entry runs to a thousand digits and more, and str() of a Decimal is
+linear in its digits where str() of an int is quadratic.  They make each row
+in the context _EXACT, where an operation that would round raises.  "8-t"
+runs over int (its entries are shorter), and "rec-v2" over int on the
+scaled rows, yielding Fractions.  "3-t", "recurrence" and "8-t" compute
+their relation's coefficients once per call, in the number type they run
+over, so no entry converts an int to a Decimal.
 
-This module imports only ``decimal`` (``fractions`` inside the function
-that needs it), so a process that only generates tables loads none of the
-verifiers and oracles that ``hzlag.recursions`` holds; that module
-re-exports the names here.
+This module imports only ``decimal`` (``fractions`` inside the functions
+that need it), so a process that only generates tables loads none of the
+verifiers and oracles that ``hzlag.recursions`` holds.
 """
 
 from __future__ import annotations
 
 import decimal
+from decimal import Decimal
+
+__all__ = [
+    "ConstraintError",
+    "IntegralityError",
+    "do_norbury_items",
+    "gauss_hz_items",
+    "vk_items",
+    "glag_k1_items",
+    "consistency_form",
+    "asym_first_nonzero",
+]
 
 
 class ConstraintError(ValueError):
@@ -46,17 +59,18 @@ def _exact_div(num, den, anchor: str, i: int, j: int):
     return q
 
 
-# the context a Decimal engine row is made in: every digit of an entry is
-# kept (MAX_PREC digits), and an operation that would round or fail raises
-# instead, so a Decimal entry is exact or is not made
+# the context a "3-t" or "recurrence" row is made in: every digit of an
+# entry is kept (MAX_PREC digits), and an operation that would round or fail
+# raises instead, so a Decimal entry is exact or is not made
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
                          traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
                                 decimal.DivisionByZero])
+_ONE, _ZERO = Decimal(1), Decimal(0)
 
 
-def do_norbury_items(gmax: int, nmax: int, one=1):
-    """Yield the rows (g, 0, [C_0^(g), .., C_nmax^(g)]) for g = 0..gmax, over
-    the ring of ``one`` (int, or an exact Decimal) via "3-t":
+def do_norbury_items(gmax: int, nmax: int):
+    """Yield the rows (g, 0, [C_0^(g), .., C_nmax^(g)]) for g = 0..gmax, as
+    exact Decimals, via "3-t":
     (n+2g+1) C_n^(g) = (n+2g-2)(n+2g-1)^2 C_n^(g-1) + 2(2n+4g-1) C_{n-1}^(g)
     with C_0^(0) = 1 and C_0^(g) = 0 for g >= 1.
 
@@ -67,17 +81,15 @@ def do_norbury_items(gmax: int, nmax: int, one=1):
     """
     if gmax < 0 or nmax < 0:
         raise ValueError("need gmax, nmax >= 0")
-    with decimal.localcontext(_EXACT):
-        # the relation's coefficients at s = n + 2g, as ring elements
-        s_top = range(nmax + 2 * gmax + 1)
-        ca = [one * ((s - 2) * (s - 1) ** 2) for s in s_top]
-        cb = [one * (2 * (2 * s - 1)) for s in s_top]
-        cd = [one * (s + 1) for s in s_top]
-        zero = 0 * one
-    prev = [zero] * (nmax + 1)  # row g - 1; row -1 vanishes
+    # the relation's coefficients at s = n + 2g
+    s_top = range(nmax + 2 * gmax + 1)
+    ca = [Decimal((s - 2) * (s - 1) ** 2) for s in s_top]
+    cb = [Decimal(2 * (2 * s - 1)) for s in s_top]
+    cd = [Decimal(s + 1) for s in s_top]
+    prev = [_ZERO] * (nmax + 1)  # row g - 1; row -1 vanishes
     for g in range(gmax + 1):
         with decimal.localcontext(_EXACT):
-            c = one if g == 0 else zero  # the row's previous entry
+            c = _ONE if g == 0 else _ZERO  # the row's previous entry
             row = [c]
             s = 2 * g + 1
             for n, p, a, b, d in zip(range(1, nmax + 1), prev[1:], ca[s:], cb[s:], cd[s:]):
@@ -87,9 +99,9 @@ def do_norbury_items(gmax: int, nmax: int, one=1):
         prev = row
 
 
-def gauss_hz_items(gmax: int, one=1):
-    """Yield the rows (g, 0, [b_0^(g), .., b_(g-1)^(g)]) for g = 1..gmax,
-    over the ring of ``one`` (int, or an exact Decimal) ("recurrence").
+def gauss_hz_items(gmax: int):
+    """Yield the rows (g, 0, [b_0^(g), .., b_(g-1)^(g)]) for g = 1..gmax, as
+    exact Decimals ("recurrence").
 
     Seed b_k^(1) = delta_{k,0}; then
     (4g+2k+6) b_k^(g+1)
@@ -100,22 +112,19 @@ def gauss_hz_items(gmax: int, one=1):
     """
     if gmax < 1:
         raise ValueError("need gmax >= 1")
-    with decimal.localcontext(_EXACT):
-        # the relation's coefficients at s = 4g + 2k, as ring elements
-        # indexed by s / 2
-        s_top = range(0, 6 * gmax + 1, 2)
-        ca = [one * ((s + 1) * (s + 3) * (s + 2)) for s in s_top]
-        cb = [one * (4 * (s + 1) * (s + 3) * (s - 1)) for s in s_top]
-        cd = [one * (s + 6) for s in s_top]
-        zero = 0 * one
-    row = [one]  # row g = 1
+    # the relation's coefficients at s = 4g + 2k, indexed by s / 2
+    s_top = range(0, 6 * gmax + 1, 2)
+    ca = [Decimal((s + 1) * (s + 3) * (s + 2)) for s in s_top]
+    cb = [Decimal(4 * (s + 1) * (s + 3) * (s - 1)) for s in s_top]
+    cd = [Decimal(s + 6) for s in s_top]
+    row = [_ONE]  # row g = 1
     yield 1, 0, row
     for g in range(1, gmax):
         prev, row = row, []
         with decimal.localcontext(_EXACT):
-            left = zero  # b_(k-1)^(g), from b_(-1)^(g) = 0
+            left = _ZERO  # b_(k-1)^(g), from b_(-1)^(g) = 0
             # b_g^(g) = 0 ends the previous row
-            for k, right, a, b, d in zip(range(g + 1), [*prev, zero], ca[2 * g:], cb[2 * g:],
+            for k, right, a, b, d in zip(range(g + 1), [*prev, _ZERO], ca[2 * g:], cb[2 * g:],
                                          cd[2 * g:]):
                 row.append(_exact_div(a * right + b * left, d, "recurrence", g + 1, k))
                 left = right

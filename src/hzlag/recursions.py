@@ -1,17 +1,17 @@
 """Genus-graded moment tables and the values the table checks compare.
 
 The four table engines ("3-t", "recurrence", "rec-v2" and "8-t") live in
-hzlag.engines, which yields each table a row at a time; this module
-re-exports them and their error classes, and builds a whole Table from
-their rows.  Also here: the n = 1 closed form ("C1g"), the operator
-equations "int-2" and "W1", which re-derive the tables independently of the
-table-filling code paths, the Gaussian genus reconstruction, and
-half_binomial_series, the int kernel for (1-4t)^(s/2) that the Gaussian
-genus reconstruction and the spectral bases share.  The operator equations
-return their collected coefficients, not verdicts: the constraints suite of
-hzlag.cli judges them and makes the check records.  Nothing here reads the
-Wick oracles: the crosscheck suite of hzlag.cli compares the tables with
-them.
+hzlag.engines, which yields each table a row at a time; hzlag.cli streams
+the rows into the gen JSON, and cli.load_table reads a Table back from it.
+Here: the Table the checks read, the n = 1 closed form ("C1g"), the
+operator equations "int-2" and "W1", which re-derive the tables
+independently of the table-filling code paths, the Gaussian genus
+reconstruction, and half_binomial_series, the int kernel for (1-4t)^(s/2)
+that the Gaussian genus reconstruction and the spectral bases share.  The
+operator equations return their collected coefficients, not verdicts: the
+constraints suite of hzlag.cli judges them and makes the check records.
+Nothing here reads the Wick oracles: the crosscheck suite of hzlag.cli
+compares the tables with them.
 """
 
 from __future__ import annotations
@@ -20,23 +20,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .engines import (ConstraintError, IntegralityError, _exact_div, do_norbury_items,
-                      gauss_hz_items, glag_k1_items, vk_items)
+from .engines import _exact_div
 
 __all__ = [
-    "ConstraintError",
-    "IntegralityError",
     "Table",
     "integrality_violations",
-    "do_norbury_items",
-    "do_norbury_table",
     "c1_closed_form",
-    "gauss_hz_items",
-    "gauss_hz_table",
-    "vk_items",
-    "vk_table",
-    "glag_k1_items",
-    "glag_k1_table",
     "int2_residuals",
     "w1_slots",
     "half_binomial_series",
@@ -81,36 +70,6 @@ class Table(namedtuple("Table", "bounds entries")):
 def integrality_violations(entries: dict) -> list[tuple[int, int]]:
     """The keys, sorted, whose value is not a positive integer."""
     return sorted(k for k, v in entries.items() if v.denominator != 1 or v <= 0)
-
-
-# ---------------------------------------------------------------------------
-# table builders
-# ---------------------------------------------------------------------------
-
-
-def _entries(rows) -> dict:
-    """The entries {(i, j): value} of an engine's rows (i, j0, values)."""
-    return {(i, j): v for i, j0, values in rows for j, v in enumerate(values, j0)}
-
-
-def do_norbury_table(gmax: int, nmax: int) -> Table:
-    """The table of do_norbury_items(gmax, nmax)."""
-    return Table((gmax, nmax), _entries(do_norbury_items(gmax, nmax)))
-
-
-def gauss_hz_table(gmax: int) -> Table:
-    """The table of gauss_hz_items(gmax)."""
-    return Table((gmax,), _entries(gauss_hz_items(gmax)))
-
-
-def vk_table(gmax: int) -> Table:
-    """The table of vk_items(gmax)."""
-    return Table((gmax,), _entries(vk_items(gmax)))
-
-
-def glag_k1_table(r2max: int, nmax: int) -> Table:
-    """The table of glag_k1_items(r2max, nmax)."""
-    return Table((r2max, nmax), _entries(glag_k1_items(r2max, nmax)))
 
 
 def c1_closed_form(g: int) -> int:

@@ -8,16 +8,12 @@ import pathlib
 import time
 from fractions import Fraction
 
-from hzlag.cli import payload_to_json, table_payload
+from hzlag.cli import load_table, payload_to_json, table_payload
 from hzlag.engines import consistency_form
 from hzlag.recursions import (
     c1_closed_form,
-    do_norbury_table,
     gauss_genus_coefficients,
-    gauss_hz_table,
-    glag_k1_table,
     half_binomial_series,
-    vk_table,
     w1_slots,
 )
 from hzlag.residues import (
@@ -68,7 +64,7 @@ def test_criterion_01_vk_table_golden():
 
 def test_criterion_02_laguerre_table_structure():
     def work():
-        table = do_norbury_table(12, 30)
+        table = load_table("laguerre", {"gmax": 12, "nmax": 30}, use_cache=False)
         for g in range(13):
             assert table.value(g, 1) == c1_closed_form(g), f"C1g at g={g}"
         for g in range(9):
@@ -105,7 +101,7 @@ def test_criterion_04_odes_and_reflection():
 
 def test_criterion_05_one_point_oracle_equivalence():
     def work():
-        dn = do_norbury_table(3, 6)
+        dn = load_table("laguerre", {"gmax": 3, "nmax": 6}, use_cache=False)
         for N in range(1, 6):
             moms = exp_mean_moments(N, 6)
             assert moms[0] == N
@@ -147,7 +143,7 @@ def test_criterion_06_two_point_oracle_equivalence():
 
 def test_criterion_07_fractional_genus_branch():
     def work():
-        table = glag_k1_table(8, 12)
+        table = load_table("glag-k1", {"rmax2": 8, "nmax": 12}, use_cache=False)
         expected = {
             2: {0: 1, 1: 1},
             3: {0: 2, 1: 3, 2: 1},
@@ -172,7 +168,7 @@ def test_criterion_07_fractional_genus_branch():
 
 def test_criterion_08_gaussian_branch():
     def work():
-        table = gauss_hz_table(6)
+        table = load_table("gauss", {"gmax": 6}, use_cache=False)
         assert [table.value(2, k) for k in range(2)] == [21, 105], "genus-2 row"
         assert genus_extract(gue_moment(8), 1)[2] == 21, "eps_2(8)"
         for g in range(1, 7):
@@ -186,7 +182,7 @@ def test_criterion_08_gaussian_branch():
 
 def test_criterion_09_constraint_families():
     def work():
-        table = vk_table(6)
+        table = load_table("vk", {"gmax": 6}, use_cache=False)
         for g in range(7):
             assert consistency_form(table.row(g)) == 0, f"consistency at g={g}"
         for g in range(1, 7):
@@ -195,7 +191,7 @@ def test_criterion_09_constraint_families():
                 s = sum(Fraction(k**r if k or r == 0 else 0) * a
                         for k, a in row.items())
                 assert s == 0, f"asym-{r} at g={g}: {s}"
-        dn = do_norbury_table(5, 20)
+        dn = load_table("laguerre", {"gmax": 5, "nmax": 20}, use_cache=False)
         for g in range(6):
             # x^0 .. x^-2g cancel, and C_n^(g) is the coefficient of x^(-1-2g-n)
             got = a_row_series(table.row(g), g, 21 + 2 * g)
@@ -217,7 +213,7 @@ def test_criterion_10_closed_form_checks():
         closed = [0] * 4 + half_binomial_series(-5, 3)
         s_form = [a + 2 * b for a, b in zip(s_series(1, 1, 7), s_series(1, 0, 7))]
         assert s_form == closed, f"W11[s-vs-closed]: {s_form}"
-        a_row = a_row_series(vk_table(1).row(1), 1, 7)
+        a_row = a_row_series(load_table("vk", {"gmax": 1}, use_cache=False).row(1), 1, 7)
         assert a_row == closed, f"W11[arow-vs-closed]: {a_row}"
 
     _gate("criterion-10 [W30, W11]", 30.0, work)
@@ -226,12 +222,12 @@ def test_criterion_10_closed_form_checks():
 def test_performance_gate_large_tables():
     def work():
         t0 = time.perf_counter()
-        dn = do_norbury_table(200, 30)
+        dn = load_table("laguerre", {"gmax": 200, "nmax": 30}, use_cache=False)
         dt_dn = time.perf_counter() - t0
         assert dn.value(0, 2) == 2 and dn.value(200, 0) == 0
         assert dt_dn < 10.0, f"3-t table g<=200 took {dt_dn:.2f}s"
         t0 = time.perf_counter()
-        gb = gauss_hz_table(200)
+        gb = load_table("gauss", {"gmax": 200}, use_cache=False)
         dt_g = time.perf_counter() - t0
         assert gb.value(2, 1) == 105
         assert dt_g < 10.0, f"recurrence table g<=200 took {dt_g:.2f}s"

@@ -12,9 +12,11 @@ import json
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -35,7 +37,8 @@ from hzlag.cli import (
     table_payload,
 )
 from hzlag.exact import WLaurent, rat_str_explicit
-from hzlag.recursions import IntegralityError, c1_closed_form
+from hzlag.engines import IntegralityError
+from hzlag.recursions import c1_closed_form
 from hzlag.residues import IDENTITY_TAGS, ODE_TAGS
 from hzlag.wick import WISHART_DEGREE_LIMIT
 
@@ -178,9 +181,15 @@ def test_gen_integer_tables_match_golden(cache, capsys, argv, name):
     assert capsys.readouterr().out == golden * 2
 
 
-# the gen requests of the two ensembles whose engines run over Decimal
-DECIMAL_GOLDENS = [(argv, name) for argv, name in JSON_GOLDENS
-                   if ENSEMBLES[argv[0]].base10]
+def _engine_yields_decimals(argv) -> bool:
+    """Whether the engine of the gen request ``argv`` (an ensemble, then its
+    bound flags in ENSEMBLES order) yields Decimal values."""
+    _, _, values = next(ENSEMBLES[argv[0]].items(*map(int, argv[2::2])))
+    return type(values[0]) is decimal.Decimal
+
+
+# the gen requests of the ensembles whose engines run over Decimal
+DECIMAL_GOLDENS = [(argv, name) for argv, name in JSON_GOLDENS if _engine_yields_decimals(argv)]
 
 
 def test_decimal_engines_are_the_laguerre_and_gauss_ones():
@@ -355,25 +364,45 @@ def test_entry_that_does_not_match_its_digest_line_is_named_corrupt(cache, tmp_p
     assert capsys.readouterr().out == want
 
 
-def test_entry_of_the_previous_cache_format_is_recomputed(cache, capsys):
-    # before the digest line, an entry was the JSON alone, under a key
-    # without the format field; it is never read
-    args = {"ensemble": "vk", "gmax": 2}
+def _pre_digest_path(cache, args: dict) -> pathlib.Path:
+    """Where a gen entry of the layout before the digest line was: the JSON
+    alone, under a key without the format field."""
     key = json.dumps({"tool": hzlag.__version__, "kind": "gen", "args": args}, sort_keys=True)
-    old = cache / f"gen-{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
+    return cache / f"gen-{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
+
+
+def test_entry_of_the_previous_cache_format_is_recomputed(cache, capsys):
+    # an entry of the layout before the digest line is never read, and is
+    # removed when the same table's entry is written
+    args = {"ensemble": "vk", "gmax": 2}
+    old = _pre_digest_path(cache, args)
     stale = GOLDEN.read_text().replace('"value": "-1/2"', '"value": "-3/2"', 1)
     assert stale != GOLDEN.read_text()
     cache.mkdir()
     old.write_text(stale)
     csv = ["gen", "vk", "--gmax", "2", "--format", "csv"]
     assert main([*csv, "--no-cache"]) == 0
+    assert old.read_text() == stale  # --no-cache touches no cache entry
     want = GOLDEN.read_text() + capsys.readouterr().out
     assert main(["gen", "vk", "--gmax", "2"]) == 0
     assert main(csv) == 0
     assert capsys.readouterr().out == want
     assert cache_path("gen", args) != old
     assert cache_path("gen", args).read_bytes() == _with_digest(GOLDEN.read_bytes())
+    assert not old.exists()  # removed once its table's new entry is written
+    old.write_text(stale)
+    assert main(["gen", "vk", "--gmax", "2"]) == 0  # a hit writes and removes nothing
     assert old.read_text() == stale
+
+
+def test_previous_cache_format_entry_that_cannot_be_removed_is_left(cache, capsys):
+    # a directory under the pre-digest entry's name: gen serves the table
+    # and leaves it there
+    old = _pre_digest_path(cache, {"ensemble": "vk", "gmax": 2})
+    old.mkdir(parents=True)
+    assert main(["gen", "vk", "--gmax", "2"]) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text()
+    assert old.is_dir()
 
 
 @pytest.mark.parametrize("piece", [1, 60, 300])
@@ -793,6 +822,31 @@ def test_bench_script_workloads_are_valid_requests():
             assert all(getattr(args, b) <= top for b, top in spec.bounds.items()), argv
     # the oracle queries include one at the digit limit of the shifts
     assert max(shifts) == cli.GEN_LIMITS["at_digits"], shifts
+
+
+def test_bench_script_removes_its_directory_on_sigterm(tmp_path):
+    # scripts/bench.py keeps exported trees, bytecode and warm caches (tens
+    # of MB) in a hzlag-bench-* temporary directory; stopped by SIGTERM
+    # while a workload runs, it kills that run and removes the directory
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    proc = subprocess.Popen([sys.executable, str(ROOT / "scripts" / "bench.py"), "--runs", "1"],
+                            env={**os.environ, "TMPDIR": str(tmp)}, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(tmp.glob("hzlag-bench-*")):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "no hzlag-bench-* directory after 60 s"
+            time.sleep(0.01)
+        time.sleep(0.2)  # into the first workload's run
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM, proc.stderr.read()
+    finally:
+        proc.kill()  # a no-op once it has exited
+        proc.wait()
+        proc.stderr.close()
+    assert list(tmp.iterdir()) == []
 
 
 def test_gen_peaks_near_its_import_floor(tmp_path):
@@ -1254,15 +1308,19 @@ def test_verify_constraints_cache_round_trip(cache, capsys):
 
 
 @pytest.mark.parametrize("use_cache", [True, False], ids=["cache", "no-cache"])
-@pytest.mark.parametrize("ensemble,bounds,build", [
-    ("laguerre", {"gmax": 3, "nmax": 10}, recursions.do_norbury_table),
-    ("gauss", {"gmax": 6}, recursions.gauss_hz_table),
-    ("vk", {"gmax": 4}, recursions.vk_table),
+@pytest.mark.parametrize("ensemble,bounds", [
+    ("laguerre", {"gmax": 3, "nmax": 10}),
+    ("gauss", {"gmax": 6}),
+    ("vk", {"gmax": 4}),
     # rmax2 != nmax, and the header lists the bounds sorted, nmax first
-    ("glag-k1", {"rmax2": 5, "nmax": 8}, recursions.glag_k1_table),
+    ("glag-k1", {"rmax2": 5, "nmax": 8}),
 ], ids=["laguerre", "gauss", "vk", "glag-k1"])
-def test_load_table_equals_the_builders_table(cache, ensemble, bounds, build, use_cache):
-    want = build(*bounds.values())
+def test_load_table_equals_the_builders_table(cache, ensemble, bounds, use_cache):
+    # the table is built by the ensemble's engine: its rows, flattened, are
+    # the entries read back, a Decimal value equal to the int read
+    rows = ENSEMBLES[ensemble].items(*bounds.values())
+    want = recursions.Table(tuple(bounds.values()), {
+        (i, j): v for i, j0, values in rows for j, v in enumerate(values, j0)})
     assert cli.load_table(ensemble, bounds, use_cache) == want
     assert cli.load_table(ensemble, bounds, use_cache) == want  # a hit, when cached
     assert any(cache.iterdir()) if use_cache else not cache.exists()

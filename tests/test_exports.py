@@ -29,9 +29,14 @@ def test_exports_resolve():
     for name, mods in owners.items():
         assert len(mods) == 1, f"{name!r} is exported by {[m.__name__ for m in mods]}"
         assert getattr(hzlag, name) is getattr(mods[0], name), f"hzlag.{name}"
-    from hzlag import fab, vk_table
+    from hzlag import IntegralityError, fab, int2_residuals, vk_items
 
-    assert fab is hzlag.residues.fab and vk_table is hzlag.recursions.vk_table
+    assert fab is hzlag.residues.fab and int2_residuals is hzlag.recursions.int2_residuals
+    # the engines' names resolve to hzlag.engines, which alone exports them
+    assert vk_items is hzlag.engines.vk_items
+    assert IntegralityError is hzlag.engines.IntegralityError
+    assert {"do_norbury_items", "gauss_hz_items", "vk_items", "glag_k1_items",
+            "ConstraintError", "IntegralityError"} <= set(hzlag.engines.__all__)
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "_private", "__wrapped__", "lag_moment"])

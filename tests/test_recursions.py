@@ -2,39 +2,37 @@
 
 import decimal
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hzlag import engines, recursions
-from hzlag.engines import asym_first_nonzero, consistency_form
-from hzlag.recursions import (
+from hzlag import cli, engines, recursions
+from hzlag.engines import (
     ConstraintError,
     IntegralityError,
+    asym_first_nonzero,
+    consistency_form,
+    do_norbury_items,
+    gauss_hz_items,
+    glag_k1_items,
+    vk_items,
+)
+from hzlag.recursions import (
     Table,
     asym_moments,
     c1_closed_form,
-    do_norbury_items,
-    do_norbury_table,
     gauss_genus_coefficients,
-    gauss_hz_items,
-    gauss_hz_table,
-    glag_k1_items,
-    glag_k1_table,
     int2_residuals,
     integrality_violations,
-    vk_items,
-    vk_table,
     w1_slots,
 )
 from hzlag.wick import MomentPoly, complex_wishart_moment, genus_extract, gue_moment
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
-ONE = Decimal(1)  # the unit of the Decimal runs of "3-t" and "recurrence"
 
 
 def _flat(rows):
@@ -42,39 +40,43 @@ def _flat(rows):
     return [((i, j), v) for i, j0, values in rows for j, v in enumerate(values, j0)]
 
 
+def _table(ensemble: str, *bounds) -> Table:
+    """The Table that verify reads: the ensemble's gen JSON at these bound
+    values, in ENSEMBLES order, read back with the cache off."""
+    spec = cli.ENSEMBLES[ensemble]
+    return cli.load_table(ensemble, dict(zip(spec.bounds, bounds)), use_cache=False)
+
+
 @pytest.fixture(scope="module")
 def dn():
-    return do_norbury_table(8, 30)
+    return _table("laguerre", 8, 30)
 
 
 @pytest.fixture(scope="module")
 def gauss():
-    return gauss_hz_table(8)
+    return _table("gauss", 8)
 
 
 @pytest.fixture(scope="module")
 def vk():
-    return vk_table(6)
+    return _table("vk", 6)
 
 
 @pytest.fixture(scope="module")
 def glag():
-    return glag_k1_table(8, 12)
+    return _table("glag-k1", 8, 12)
 
 
 # -- engines: rows yielded in sorted key order -------------------------------
 
 
-@pytest.mark.parametrize("items,table,bounds", [
-    (do_norbury_items, do_norbury_table, [(0, 0), (0, 7), (5, 0), (6, 11), (11, 4)]),
-    (gauss_hz_items, gauss_hz_table, [(1,), (2,), (9,)]),
-    (vk_items, vk_table, [(0,), (1,), (7,)]),
-    (glag_k1_items, glag_k1_table, [(0, 0), (0, 6), (5, 0), (3, 2), (9, 12)]),
-    (partial(do_norbury_items, one=ONE), do_norbury_table,
-     [(0, 0), (0, 7), (5, 0), (6, 11), (11, 4)]),
-    (partial(gauss_hz_items, one=ONE), gauss_hz_table, [(1,), (2,), (9,)]),
-], ids=["3-t", "recurrence", "rec-v2", "8-t", "3-t-Decimal", "recurrence-Decimal"])
-def test_engine_yields_its_table_in_sorted_key_order(items, table, bounds):
+@pytest.mark.parametrize("items,ensemble,bounds", [
+    (do_norbury_items, "laguerre", [(0, 0), (0, 7), (5, 0), (6, 11), (11, 4)]),
+    (gauss_hz_items, "gauss", [(1,), (2,), (9,)]),
+    (vk_items, "vk", [(0,), (1,), (7,)]),
+    (glag_k1_items, "glag-k1", [(0, 0), (0, 6), (5, 0), (3, 2), (9, 12)]),
+], ids=["3-t", "recurrence", "rec-v2", "8-t"])
+def test_engine_yields_its_table_in_sorted_key_order(items, ensemble, bounds):
     for b in bounds:
         rows = list(items(*b))
         # one nonempty list per row, the rows in increasing order
@@ -82,7 +84,7 @@ def test_engine_yields_its_table_in_sorted_key_order(items, table, bounds):
         assert [i for i, _, _ in rows] == sorted({i for i, _, _ in rows}), b
         keys = [k for k, _ in _flat(rows)]
         assert all(a < c for a, c in zip(keys, keys[1:])), b  # strictly increasing
-        assert dict(_flat(items(*b))) == table(*b).entries, b
+        assert dict(_flat(items(*b))) == _table(ensemble, *b).entries, b
 
 
 def test_engine_rows_start_at_their_least_second_index():
@@ -98,26 +100,29 @@ def test_engine_rows_start_at_their_least_second_index():
 # -- Table reads: a missing key is 0 unless an index is above its bound ------
 
 
-_READS = [  # (builder, its bounds, method, index, the read: a value or KeyError)
-    (do_norbury_table, (8, 30), "value", (3, -1), 0),
-    (do_norbury_table, (8, 30), "value", (9, 0), KeyError),
-    (do_norbury_table, (8, 30), "value", (0, 31), KeyError),
-    (do_norbury_table, (8, 30), "value", (9, -1), KeyError),  # was 0
-    (gauss_hz_table, (8,), "value", (3, -1), 0),
-    (gauss_hz_table, (8,), "value", (3, 3), 0),  # k >= g vanishes
-    (gauss_hz_table, (8,), "value", (9, 9), KeyError),  # was 0
-    (vk_table, (6,), "row", (7,), KeyError),
-    (vk_table, (6,), "value", (-1, 0), 0),  # was KeyError
-    (glag_k1_table, (8, 12), "value", (0, -1), 0),
-    (glag_k1_table, (8, 12), "value", (-1, 0), 0),
-    (glag_k1_table, (8, 12), "value", (-1, 13), KeyError),  # was 0
+# the name each ensemble's table has in the ids of the reads below
+_TABLE_IDS = {"laguerre": "do_norbury_table", "gauss": "gauss_hz_table", "vk": "vk_table",
+              "glag-k1": "glag_k1_table"}
+_READS = [  # (ensemble, its bounds, method, index, the read: a value or KeyError)
+    ("laguerre", (8, 30), "value", (3, -1), 0),
+    ("laguerre", (8, 30), "value", (9, 0), KeyError),
+    ("laguerre", (8, 30), "value", (0, 31), KeyError),
+    ("laguerre", (8, 30), "value", (9, -1), KeyError),  # was 0
+    ("gauss", (8,), "value", (3, -1), 0),
+    ("gauss", (8,), "value", (3, 3), 0),  # k >= g vanishes
+    ("gauss", (8,), "value", (9, 9), KeyError),  # was 0
+    ("vk", (6,), "row", (7,), KeyError),
+    ("vk", (6,), "value", (-1, 0), 0),  # was KeyError
+    ("glag-k1", (8, 12), "value", (0, -1), 0),
+    ("glag-k1", (8, 12), "value", (-1, 0), 0),
+    ("glag-k1", (8, 12), "value", (-1, 13), KeyError),  # was 0
 ]
 
 
-@pytest.mark.parametrize("table,bounds,read,index,want", _READS, ids=[
-    f"{t.__name__}.{read}({','.join(map(str, index))})" for t, _, read, index, _ in _READS])
-def test_table_reads_outside_the_entries(table, bounds, read, index, want):
-    t = table(*bounds)
+@pytest.mark.parametrize("ensemble,bounds,read,index,want", _READS, ids=[
+    f"{_TABLE_IDS[e]}.{read}({','.join(map(str, index))})" for e, _, read, index, _ in _READS])
+def test_table_reads_outside_the_entries(ensemble, bounds, read, index, want):
+    t = _table(ensemble, *bounds)
     assert t.bounds == bounds
     assert index not in t.entries
     if want is KeyError:
@@ -131,38 +136,39 @@ def test_table_reads_outside_the_entries(table, bounds, read, index, want):
 
 
 def test_integer_engines_build_ints(dn, gauss, glag):
+    # verify reads them with int values, whatever number type the engine runs over
     for table in (dn, gauss, glag):
         assert table.entries
         assert all(type(v) is int for v in table.entries.values())
 
 
-def _assert_same_run(int_items, decimal_items):
-    """The two runs yield the same keys and, entry by entry, the same str();
-    the int run's strings have no exponent and no signed zero, so neither
-    has the Decimal run's."""
-    a, b = _flat(int_items), _flat(decimal_items)
-    assert [k for k, _ in a] == [k for k, _ in b]
-    assert [str(v) for _, v in a] == [str(v) for _, v in b]
-    assert all(type(v) is int for _, v in a) and all(type(v) is Decimal for _, v in b)
+# what str() of an int gives: no exponent, no signed zero
+_INT_TEXT = re.compile("0|-?[1-9][0-9]*")
+
+
+def _assert_written_as_ints(rows):
+    """Every value of the rows is a Decimal whose str(), which gen writes,
+    is the text of an int."""
+    for key, v in _flat(rows):
+        assert type(v) is Decimal and _INT_TEXT.fullmatch(str(v)), (key, v)
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 5, 40])
 @pytest.mark.parametrize("gmax", [0, 1, 2, 7])
 def test_3t_decimal_run_matches_int_run(gmax, nmax):
-    _assert_same_run(do_norbury_items(gmax, nmax), do_norbury_items(gmax, nmax, one=ONE))
+    _assert_written_as_ints(do_norbury_items(gmax, nmax))
 
 
 def test_recurrence_decimal_run_matches_int_run():
     for gmax in range(1, 41):
-        _assert_same_run(gauss_hz_items(gmax), gauss_hz_items(gmax, one=ONE))
+        _assert_written_as_ints(gauss_hz_items(gmax))
 
 
-@pytest.mark.parametrize("one", [1, ONE], ids=["int", "Decimal"])
 @pytest.mark.parametrize("items,bounds", [(do_norbury_items, (4, 6)), (gauss_hz_items, (6,))],
-                         ids=["3-t", "recurrence"])
-def test_engine_leaves_the_callers_context_current_between_rows(items, bounds, one):
+                         ids=["3-t-Decimal", "recurrence-Decimal"])
+def test_engine_leaves_the_callers_context_current_between_rows(items, bounds):
     with decimal.localcontext(decimal.Context(prec=5, traps=[])) as caller:
-        rows = items(*bounds, one=one)
+        rows = items(*bounds)
         for _ in rows:
             assert decimal.getcontext() is caller
             assert caller.prec == 5 and not any(caller.traps.values())
@@ -170,26 +176,26 @@ def test_engine_leaves_the_callers_context_current_between_rows(items, bounds, o
 
 def test_3t_decimal_run_names_a_non_integer_entry(monkeypatch):
     # one more than the true numerator of C_3^(2), whose divisor is n + 2g + 1 = 8
-    want = Fraction(8 * do_norbury_table(2, 3).value(2, 3) + 1, 8)
+    want = Fraction(8 * _table("laguerre", 2, 3).value(2, 3) + 1, 8)
     true_div = engines._exact_div
     monkeypatch.setattr(engines, "_exact_div", lambda num, den, anchor, i, j:
                         true_div(num + ((i, j) == (2, 3)), den, anchor, i, j))
     with pytest.raises(IntegralityError,
                        match=rf"^3-t entry \(2, 3\) = {want} is not an integer$"):
-        list(do_norbury_items(2, 3, one=ONE))
+        list(do_norbury_items(2, 3))
 
 
 def test_8t_wrong_seed_raises_integrality_error(monkeypatch):
     monkeypatch.setitem(engines._8T_RHS, (0, 0), 3)  # true seed 2
     with pytest.raises(IntegralityError, match=r"^8-t entry \(0, 0\) = 3/2 "):
-        glag_k1_table(2, 3)
+        list(glag_k1_items(2, 3))
 
 
 def test_rec_v2_perturbed_relation_raises_integrality_error(monkeypatch):
     true_rhs = engines._rec_v2_rhs
     monkeypatch.setattr(engines, "_rec_v2_rhs", lambda prev, k: true_rhs(prev, k) + 1)
     with pytest.raises(IntegralityError, match=r"^rec-v2 entry \(1, "):
-        vk_table(2)
+        list(vk_items(2))
 
 
 def test_vk_asym_violation_names_first_nonzero_moment(monkeypatch):
@@ -199,11 +205,11 @@ def test_vk_asym_violation_names_first_nonzero_moment(monkeypatch):
     monkeypatch.setattr(engines, "_rec_v2_rhs", lambda prev, k: true_rhs(prev, k) + k)
     monkeypatch.setattr(engines, "consistency_form", lambda row: 0)
     with pytest.raises(ConstraintError, match=r"^asym-r moment r=1 nonzero at g=1$"):
-        vk_table(2)
+        list(vk_items(2))
 
 
 def test_vk_denominators_divide_scale():
-    for (g, _), v in vk_table(12).entries.items():
+    for (g, _), v in _flat(vk_items(12)):
         assert 2 ** (8 * g + 1) % v.denominator == 0
 
 
@@ -229,7 +235,7 @@ def test_dn_c0_vanishes_positive_genus(dn):
 
 
 def test_dn_c1_closed_form():
-    table = do_norbury_table(12, 1)
+    table = _table("laguerre", 12, 1)
     for g in range(13):
         assert table.value(g, 1) == c1_closed_form(g)
     assert type(c1_closed_form(40)) is int
@@ -246,11 +252,10 @@ def test_dn_positive_integers(dn):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=30))
-def test_dn_three_term_relation(g, n):
-    t = do_norbury_table(8, 30)
-    lhs = (n + 2 * g + 1) * t.value(g, n)
-    rhs = (n + 2 * g - 2) * (n + 2 * g - 1) ** 2 * t.value(g - 1, n)
-    rhs += 2 * (2 * n + 4 * g - 1) * t.value(g, n - 1)
+def test_dn_three_term_relation(dn, g, n):
+    lhs = (n + 2 * g + 1) * dn.value(g, n)
+    rhs = (n + 2 * g - 2) * (n + 2 * g - 1) ** 2 * dn.value(g - 1, n)
+    rhs += 2 * (2 * n + 4 * g - 1) * dn.value(g, n - 1)
     assert lhs == rhs
 
 
@@ -304,7 +309,7 @@ def test_gauss_known_rows(gauss):
 
 
 def test_gauss_top_entry_g6():
-    t = gauss_hz_table(6)
+    t = _table("gauss", 6)
     assert t.value(6, 5) == 386078943500250
 
 
@@ -314,13 +319,12 @@ def test_gauss_positive_integers(gauss):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=7), st.integers(min_value=0, max_value=7))
-def test_gauss_five_factor_relation(g, k):
-    t = gauss_hz_table(8)
+def test_gauss_five_factor_relation(gauss, g, k):
     if k > g:
         return
     s = 4 * g + 2 * k
-    lhs = (s + 6) * t.value(g + 1, k)
-    rhs = (s + 1) * (s + 3) * ((s + 2) * t.value(g, k) + 4 * (s - 1) * t.value(g, k - 1))
+    lhs = (s + 6) * gauss.value(g + 1, k)
+    rhs = (s + 1) * (s + 3) * ((s + 2) * gauss.value(g, k) + 4 * (s - 1) * gauss.value(g, k - 1))
     assert lhs == rhs
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hzlag.recursions import do_norbury_table, glag_k1_table
+from hzlag.cli import load_table
 from hzlag.wick import (
     GUE_DEGREE_LIMIT,
     WISHART_DEGREE_LIMIT,
@@ -334,8 +334,8 @@ def test_wishart_matches_recursion_tables_to_the_limit():
     # square: the "3-t" table, <tr H^m> = sum_g C_{m-2g}^(g) N^(1-2g);
     # N x (N+1): the "8-t" table, <tr H^m> = sum_q C_{m-q}^(q/2) N^(1-q)
     m_top = WISHART_DEGREE_LIMIT
-    dn = do_norbury_table(m_top // 2, m_top)
-    glag = glag_k1_table(m_top, m_top)
+    dn = load_table("laguerre", {"gmax": m_top // 2, "nmax": m_top}, use_cache=False)
+    glag = load_table("glag-k1", {"rmax2": m_top, "nmax": m_top}, use_cache=False)
     for m in range(1, m_top + 1):
         square = MomentPoly({1 - 2 * g: dn.value(g, m - 2 * g) for g in range(m // 2 + 1)})
         rectangular = MomentPoly({1 - q: glag.value(q, m - q) for q in range(m + 1)})
