@@ -5,6 +5,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -70,12 +71,24 @@ def glag():
 # -- engines: rows yielded in sorted key order -------------------------------
 
 
+def _in_narrow_context(items, *bounds):
+    """The rows of items(*bounds), each drawn under a caller context of 5
+    digits with no traps."""
+    with decimal.localcontext(decimal.Context(prec=5, traps=[])):
+        yield from items(*bounds)
+
+
 @pytest.mark.parametrize("items,ensemble,bounds", [
     (do_norbury_items, "laguerre", [(0, 0), (0, 7), (5, 0), (6, 11), (11, 4)]),
     (gauss_hz_items, "gauss", [(1,), (2,), (9,)]),
     (vk_items, "vk", [(0,), (1,), (7,)]),
     (glag_k1_items, "glag-k1", [(0, 0), (0, 6), (5, 0), (3, 2), (9, 12)]),
-], ids=["3-t", "recurrence", "rec-v2", "8-t"])
+    # the Decimal engines again, under a caller context of 5 digits and no
+    # traps: their entries are exact whatever context the caller holds
+    (partial(_in_narrow_context, do_norbury_items), "laguerre",
+     [(0, 0), (0, 7), (5, 0), (6, 11), (11, 4)]),
+    (partial(_in_narrow_context, gauss_hz_items), "gauss", [(1,), (2,), (9,)]),
+], ids=["3-t", "recurrence", "rec-v2", "8-t", "3-t-Decimal", "recurrence-Decimal"])
 def test_engine_yields_its_table_in_sorted_key_order(items, ensemble, bounds):
     for b in bounds:
         rows = list(items(*b))
