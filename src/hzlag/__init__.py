@@ -28,6 +28,8 @@ def __getattr__(name: str):
     if name in submodules:
         return importlib.import_module(f"{__name__}.{name}")
     for sub in submodules:
+        if sub == "cli":  # it exports nothing: loading it would only cost time
+            continue
         mod = importlib.import_module(f"{__name__}.{sub}")
         if name in getattr(mod, "__all__", ()):
             return getattr(mod, name)

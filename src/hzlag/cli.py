@@ -456,7 +456,7 @@ def payload_to_csv(src, ensemble: str, out: str | None) -> None:
     """Write the gen JSON of one table, read from the binary file src a
     list of _entry_groups at a time, as CSV rows to the file ``out`` (None:
     stdout): the keys in the ensemble's order, then the value with an
-    explicit denominator, ``rat_str_explicit(Fraction(v))``."""
+    explicit denominator, "p/q" in lowest terms with q >= 1 ("10/1")."""
     keys = ENSEMBLES[ensemble].keys
     with _open_out(out) as f:
         f.write(f"{keys[0]},{keys[1]},value\n".encode())
@@ -609,9 +609,10 @@ def suite_crosscheck(args) -> list[CheckRecord]:
 
     mmax, fact = args.mmax, math.factorial
     wick = {m: complex_wishart_moment((m,)) for m in range(1, mmax + 1)}
-    comparisons = [  # one point: residue route vs Wick oracle
+    # one point: residue route vs Wick oracle, as E tr W^m for W = B B† = N H
+    comparisons = [
         (f"rep-N-wick[N={N},m={m}]", "rep-N", ("residue", "wick"),
-         [("", mom[m], wick[m](N) if m else Fraction(N))])
+         [("", mom[m], wick[m].shift_exponent(m)(N) if m else N)])
         for N in range(1, 6) for mom in [exp_mean_moments(N, mmax)] for m in range(mmax + 1)]
     # genus grading of the symbolic oracle vs the recursion table
     dn = load_table("laguerre", {"gmax": 3, "nmax": mmax}, args.cache)
@@ -622,12 +623,13 @@ def suite_crosscheck(args) -> list[CheckRecord]:
               for g, c in genus_extract(wick[m], 1).items()]),
             (f"gamma-collapse[m={m}]", "rep-N", ("sum", "m!"),
              [("", sum(dn.value(g, m - 2 * g) for g in range(m // 2 + 1)), fact(m))])]
-    # two-point: residue route vs connected Wick oracle (0 where an m is 0)
+    # two-point: residue route vs connected Wick oracle, as the connected
+    # E tr W^m1 tr W^m2 (0 where an m is 0)
     pairs = [(m1, m2) for m1 in range(6) for m2 in range(6 - m1) if m1 or m2]
     comparisons += [
         (f"W2-wick[N={N}]", "W2", ("residue", "wick"),
-         [(f"m1={m1},m2={m2}", tp.coefficient(m1, m2),
-           connected_moments((m1, m2))(N) / (fact(m1) * fact(m2)) if m1 and m2 else 0)
+         [(f"m1={m1},m2={m2}", fact(m1) * fact(m2) * tp[m1, m2],
+           connected_moments((m1, m2)).shift_exponent(m1 + m2)(N) if m1 and m2 else 0)
           for m1, m2 in pairs])
         for N in range(1, 4) for tp in [two_point_series(N, 5)]]
     # Gaussian branch vs pairing oracle, genus by genus, for m <= 12

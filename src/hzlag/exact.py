@@ -17,13 +17,7 @@ from fractions import Fraction
 __all__ = [
     "Laurent",
     "WLaurent",
-    "rat_str_explicit",
 ]
-
-
-def rat_str_explicit(q: Fraction) -> str:
-    """Rational string with an explicit denominator, e.g. "10/1" (CSV cells)."""
-    return f"{q.numerator}/{q.denominator}"
 
 
 class Laurent:

@@ -114,7 +114,7 @@ def half_binomial_series(s: int, n: int) -> list[int]:
     return c
 
 
-def gauss_genus_coefficients(table: Table, g: int, mmax: int) -> dict[int, Fraction]:
+def gauss_genus_coefficients(table: Table, g: int, mmax: int) -> dict[int, int]:
     """x-series coefficients of sum_k b_k^(g) (x^2-4)^(-(4g+2k+1)/2).
 
     Returns {m: coefficient of x^(-m-1)} for m <= mmax; these are the

@@ -15,20 +15,19 @@ residuals; the identities and odes suites of hzlag.cli judge them, and make
 the check records.  ``fab`` returns that Laurent
 polynomial itself, and the moments are read off its Taylor coefficients at
 u = 0.  The iterated two-point residues are expanded as integer double
-series, divided by N^(m1+m2) once per entry.
+series.  The contour variables couple to W = B B† = N H, so the moments
+and the two-point coefficients are those of W: integers, never divided by
+N^m.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import WLaurent
 
 __all__ = [
-    "TwoPointValue",
     "fab",
     "fab_generalized",
     "weighted_residue",
@@ -101,41 +100,29 @@ def fab_generalized(N: int, k: int) -> WLaurent:
     return WLaurent(terms)
 
 
-def exp_mean_moments(N: int, mmax: int) -> list[Fraction]:
-    """Exact <tr H^m> for m = 0..mmax.
+def exp_mean_moments(N: int, mmax: int) -> list[int]:
+    """Exact E tr W^m for m = 0..mmax, W = B B† with B square N x N.
 
-    The contour variable couples to N*H, so the coefficient of u^(m+1) in
-    f_{N,N}(u) is N^m <tr H^m> / m!; its constant term must vanish.
+    The coefficient of u^(m+1) in f_{N,N}(u) is E tr W^m / m!; its
+    constant term must vanish.
     """
     s = fab(N, N).series_at_zero(mmax + 1)
     if s[0] != 0:
         raise ValueError(f"f_{{{N},{N}}} does not vanish at u = 0")
-    return [math.factorial(m) * s[m + 1] / Fraction(N) ** m for m in range(mmax + 1)]
+    return [math.factorial(m) * s[m + 1] for m in range(mmax + 1)]
 
 
-class TwoPointValue(namedtuple("TwoPointValue", "N total_order value")):
-    """Connected <tr e^{u1 H} tr e^{u2 H}> as a bivariate series, truncated
-    at the given total order in (u1, u2); ``value`` maps (m1, m2) to the
-    nonzero coefficient of u1^m1 u2^m2."""
-
-    __slots__ = ()
-
-    def coefficient(self, m1: int, m2: int) -> Fraction:
-        if m1 + m2 > self.total_order:
-            raise IndexError(f"total degree {m1 + m2} beyond truncation {self.total_order}")
-        return self.value.get((m1, m2), Fraction(0))
-
-
-def two_point_series(N: int, order: int) -> TwoPointValue:
-    """Connected two-trace exponential mean through total (u1,u2)-order `order`.
+def two_point_series(N: int, order: int) -> dict[tuple[int, int], int]:
+    """Connected E tr e^{u1 W} tr e^{u2 W} through total (u1,u2)-order `order`.
 
     The double contour term is evaluated by iterated residues at z2=0 then
     z1=0 (nested contours, |z1| > |z2|); the cross factor
     1/((z1-z2+u1)(z1-z2-u2)) is expanded with u1, u2 formal, all its poles
     kept outside the contours.  With this convention the double residue by
     itself is the connected correlator; no compensator term is needed.  The
-    contour variables couple to N*H, so the raw coefficient of u1^m1 u2^m2
-    is divided by N^(m1+m2) to give <tr H^m1 tr H^m2>_conn / (m1! m2!).
+    result maps every (m1, m2) with m1 + m2 <= order to the coefficient of
+    u1^m1 u2^m2, E tr W^m1 tr W^m2 (connected) / (m1! m2!), an integer; a
+    key beyond the truncation is a KeyError.
     """
     if N < 1 or order < 1:
         raise ValueError("need N >= 1, order >= 1")
@@ -155,7 +142,7 @@ def two_point_series(N: int, order: int) -> TwoPointValue:
             c = math.comb(N, t) * (-1) ** t
             p[(i + t, a)] = p.get((i + t, a), 0) + c * v
 
-    data: dict[tuple[int, int], Fraction] = {}
+    data: dict[tuple[int, int], int] = {}
     for a1 in range(order + 1):
         for a2 in range(order + 1 - a1):
             total = 0
@@ -170,10 +157,8 @@ def two_point_series(N: int, order: int) -> TwoPointValue:
                         if outer == 0:
                             continue
                         total += (-1) ** m1 * math.comb(big_m - 1 + j, j) * inner * outer
-            if total:
-                data[(a1, a2)] = Fraction(total, N ** (a1 + a2))
-
-    return TwoPointValue(N, order, data)
+            data[(a1, a2)] = total
+    return data
 
 
 # ---------------------------------------------------------------------------

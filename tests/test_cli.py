@@ -36,7 +36,7 @@ from hzlag.cli import (
     payload_to_json,
     table_payload,
 )
-from hzlag.exact import WLaurent, rat_str_explicit
+from hzlag.exact import WLaurent
 from hzlag.engines import IntegralityError
 from hzlag.recursions import c1_closed_form
 from hzlag.residues import IDENTITY_TAGS, ODE_TAGS
@@ -49,7 +49,7 @@ EVAL_FAB_GOLDEN = pathlib.Path(__file__).parent / "golden" / "eval_fab_ab12.json
 SKB_GOLDEN = pathlib.Path(__file__).parent / "golden" / "series_skb_k3_beta1_order40.json"
 # gen JSON of the four integer engines, recorded when they still computed
 # over Fraction, then their CSV, recorded when each CSV cell was still made
-# by rat_str_explicit(Fraction(value))
+# from Fraction(value) as f"{q.numerator}/{q.denominator}"
 JSON_GOLDENS = [
     (["laguerre", "--gmax", "4", "--nmax", "12"], "laguerre_g4_n12.json"),
     (["gauss", "--gmax", "8"], "gauss_g8.json"),
@@ -733,8 +733,8 @@ def test_table_writers_on_generated_entries(ensemble, rows, shaped):
     payload = {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds, "entries": rows}
     data = _json_bytes(payload)
     assert data == _json_reference(payload)
-    want = "".join(f"{a},{b},{rat_str_explicit(Fraction(v))}\n"
-                   for a, b0, values in rows for b, v in enumerate(values, b0))
+    want = "".join(f"{a},{b},{q.numerator}/{q.denominator}\n"
+                   for a, b0, values in rows for b, q in enumerate(map(Fraction, values), b0))
     keys = sorted((a, b) for a, b0, values in rows for b in range(b0, b0 + len(values)))
     # load_table reads ints, and Fractions only where there is a denominator
     table = {(a, b): int(v) if v.denominator == 1 else Fraction(v)
@@ -1388,14 +1388,16 @@ def test_crosscheck_reads_its_3t_table_through_the_cache(cache, capsys):
 
 
 @pytest.mark.parametrize("owner,name,wrap,want", [
-    # <tr H^3> at N = 2 one too large on the residue route
+    # E tr W^3 at N = 2 one too large on the residue route
     (residues, "exp_mean_moments",
      lambda f: lambda N, mmax: [v + (N == 2 and m == 3) for m, v in enumerate(f(N, mmax))],
-     {"rep-N-wick[N=2,m=3]": "residue 23/2 wick 21/2"}),
-    # two cells of N = 3 one too large: the detail names the first
-    (residues.TwoPointValue, "coefficient",
-     lambda f: lambda tp, m1, m2: f(tp, m1, m2) + (tp.N == 3 and (m1, m2) in {(1, 2), (2, 2)}),
-     {"W2-wick[N=3]": "m1=1,m2=2: residue 3 wick 2"}),
+     {"rep-N-wick[N=2,m=3]": "residue 85 wick 84"}),
+    # two coefficients of N = 3 one too large: the detail names the first,
+    # times m1! m2!
+    (residues, "two_point_series",
+     lambda f: lambda N, order: {k: v + (N == 3 and k in {(1, 2), (2, 2)})
+                                 for k, v in f(N, order).items()},
+     {"W2-wick[N=3]": "m1=1,m2=2: residue 110 wick 108"}),
     (spectral, "w30_basis_coefficient",
      lambda f: lambda *t: f(*t) * (3 if t == (2, 1, 1) else 1),
      {"W30[constant-ratio]": "m=(2, 1, 1): ratio 2/3 expected 2"}),

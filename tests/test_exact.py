@@ -7,24 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hzlag.exact import WLaurent, rat_str_explicit
+from hzlag.exact import WLaurent
 from hzlag.wick import MomentPoly
-
-rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
-
-
-# -- rational string forms --------------------------------------------------
-
-
-@given(rationals)
-def test_rat_str_round_trip(q):
-    assert Fraction(rat_str_explicit(q)) == q
-    assert "/" in rat_str_explicit(q)
-
-
-def test_rat_str_forms():
-    assert rat_str_explicit(Fraction(10)) == "10/1"
-    assert rat_str_explicit(Fraction(-3, 4)) == "-3/4"
 
 
 # -- Laurent polynomials in w = u - 1 ---------------------------------------

@@ -46,16 +46,27 @@ def test_unknown_name_raises(name):
     assert not hasattr(hzlag, name)
 
 
-def test_bare_import_loads_no_submodule():
-    # and naming a submodule loads that one and what it imports alone
+def _fresh_process_lines(code: str) -> list[str]:
+    """The stdout lines of code run in a fresh interpreter that imports the
+    package from this tree; ``loaded()`` is the sorted list of the package's
+    submodules it has loaded."""
     src_root = pathlib.Path(hzlag.__file__).resolve().parent.parent
-    loaded = "sorted(m for m in sys.modules if m.startswith('hzlag.'))"
+    loaded = "def loaded(): return sorted(m for m in sys.modules if m.startswith('hzlag.'))\n"
     r = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, hzlag; print({loaded}); print(hzlag.wick.__name__, {loaded})"],
+        [sys.executable, "-c", f"import sys\n{loaded}{code}"],
         capture_output=True,
         # PYTHONDONTWRITEBYTECODE or -B here: the child writes no bytecode either
         env={"PATH": "", "PYTHONPATH": str(src_root),
              **({"PYTHONDONTWRITEBYTECODE": "1"} if sys.dont_write_bytecode else {})})
     assert r.returncode == 0, r.stderr
-    assert r.stdout.decode().splitlines() == ["[]", "hzlag.wick ['hzlag.exact', 'hzlag.wick']"]
+    return r.stdout.decode().splitlines()
+
+
+def test_bare_import_loads_no_submodule():
+    # and naming a submodule loads that one and what it imports alone
+    assert _fresh_process_lines(
+        "import hzlag; print(loaded()); print(hzlag.wick.__name__, loaded())"
+    ) == ["[]", "hzlag.wick ['hzlag.exact', 'hzlag.wick']"]
+    # an exported name loads the submodules scanned up to its owner, never cli
+    assert _fresh_process_lines("from hzlag import vk_items; print(loaded())") == [
+        "['hzlag.engines']"]

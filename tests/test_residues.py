@@ -38,13 +38,13 @@ def test_fab_symmetric_small():
 
 
 def test_exp_mean_series_scaling():
-    # the raw u-coefficient carries N^m: m! * [u^(m+1)] f_{N,N} = N^m <tr H^m>
+    # m! * [u^(m+1)] f_{N,N} = E tr W^m = N^m <tr H^m>, W = B B† = N H
     N = 3
     s = fab(N, N).series_at_zero(6)
     moms = exp_mean_moments(N, 5)
     assert s[0] == 0
-    for m in range(6):
-        assert math.factorial(m) * s[m + 1] == Fraction(N) ** m * moms[m]
+    assert moms == [math.factorial(m) * s[m + 1] for m in range(6)]
+    assert moms[1:] == [N**m * complex_wishart_moment((m,), "N", "N")(N) for m in range(1, 6)]
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
@@ -52,12 +52,20 @@ def test_moments_match_wick_oracle(N):
     moms = exp_mean_moments(N, 6)
     assert moms[0] == N
     for m in range(1, 7):
-        assert moms[m] == complex_wishart_moment((m,), "N", "N")(N)
+        assert moms[m] == complex_wishart_moment((m,), "N", "N").shift_exponent(m)(N)
 
 
 def test_moments_gamma_collapse():
-    moms = exp_mean_moments(1, 6)
-    assert moms == [Fraction(math.factorial(m)) for m in range(7)]
+    assert exp_mean_moments(1, 6) == [math.factorial(m) for m in range(7)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_residue_route_returns_ints(N):
+    # E tr W^m and the two-point coefficients are integers, held as int
+    assert all(type(v) is int for v in exp_mean_moments(N, 6))
+    tp = two_point_series(N, 5)
+    assert sorted(tp) == [(m1, m2) for m1 in range(6) for m2 in range(6 - m1)]
+    assert all(type(v) is int for v in tp.values())
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -67,24 +75,23 @@ def test_two_point_matches_connected_wick(N):
         for m2 in range(6 - m1):
             if m1 == 0 and m2 == 0:
                 continue
-            got = tp.coefficient(m1, m2)
+            got = math.factorial(m1) * math.factorial(m2) * tp[m1, m2]
             if min(m1, m2) == 0:
                 assert got == 0  # connected part against tr(1) vanishes
             else:
-                want = connected_moments((m1, m2))(N)
-                want /= math.factorial(m1) * math.factorial(m2)
-                assert got == want
+                assert got == connected_moments((m1, m2)).shift_exponent(m1 + m2)(N)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_two_point_u1u2_universal(N):
-    assert two_point_series(N, 2).coefficient(1, 1) == 1
+    # the connected E (tr W)^2 is the variance N^2 of a sum of N^2 unit exponentials
+    assert two_point_series(N, 2)[1, 1] == N * N
 
 
 def test_two_point_truncation_guard():
     tp = two_point_series(2, 3)
-    with pytest.raises(IndexError):
-        tp.coefficient(2, 2)
+    with pytest.raises(KeyError):
+        tp[2, 2]
 
 
 @pytest.mark.parametrize("tag", IDENTITY_TAGS)
