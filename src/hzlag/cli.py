@@ -87,13 +87,12 @@ def cache_path(kind: str, args: dict) -> Path:
 # with warm gen times within noise of each other
 _BUF = 1 << 16
 
-# the lines of the gen JSON that open its entry list, empty or not, and
-# the first of the three that close it after the last entry; _END, the
-# other two, and _ENDS, the two ways a gen JSON ends
+# the line of the gen JSON that opens its entry list, which is never empty,
+# the first of the three that close it after the last entry, and _ENDING,
+# all three, the one way a gen JSON ends
 _SCHEMA = "hzlag-table/1"
-_OPEN, _EMPTY, _CLOSE = b'  "entries": [\n', b'  "entries": [],\n', b"  ],\n"
-_END = f'  "schema": "{_SCHEMA}"\n}}\n'.encode()
-_ENDS = (_CLOSE + _END, _EMPTY + _END)
+_OPEN, _CLOSE = b'  "entries": [\n', b"  ],\n"
+_ENDING = _CLOSE + f'  "schema": "{_SCHEMA}"\n}}\n'.encode()
 _LIST_FAULT = "its entry list does not open and close as gen writes it"
 
 
@@ -108,9 +107,9 @@ def _read_entry(path: Path):
     when there is no entry.
 
     The bytes after the digest line are hashed _BUF at a time, and must
-    end as gen ends its JSON; on a mismatch, or an entry cut under a
-    digest rewritten to match, the entry is named as corrupt before any of
-    it is served."""
+    end as gen ends its JSON, with _ENDING; on a mismatch, or an entry cut
+    or emptied under a digest rewritten to match, the entry is named as
+    corrupt before any of it is served."""
     try:
         f = open(path, "rb")
     except (FileNotFoundError, NotADirectoryError):  # no entry yet
@@ -119,13 +118,13 @@ def _read_entry(path: Path):
         raise UsageError(f"cannot use cache entry {path} ({e.strerror}); pass --no-cache") from e
     try:
         line, sha, end = f.read(65), hashlib.sha256(), b""
-        n = max(map(len, _ENDS))
+        n = len(_ENDING)
         while chunk := f.read(_BUF):
             sha.update(chunk)
             end = (end + chunk[-n:])[-n:]
         if line != sha.hexdigest().encode() + b"\n":
             raise _corrupt(path, "it does not begin with the sha256 digest of the rest")
-        if not end.endswith(_ENDS):
+        if end != _ENDING:
             raise _corrupt(path, _LIST_FAULT)
         # the bytes served are read through the same descriptor after the
         # check; an entry is only ever replaced by os.replace, never
@@ -326,7 +325,8 @@ def payload_to_json(payload: dict, f) -> None:
     the row's constant text between j and the value, and str(v); a constant
     suffix closes the slice.  The rows are a list or an iterator, read once;
     a value is an int, an integral Decimal (str gives its digits, without an
-    exponent) or a Fraction, whose str JSON quoting leaves as it is."""
+    exponent) or a Fraction, whose str JSON quoting leaves as it is.  Every
+    gen table has an entry; the list opens before the first row is read."""
     head, tail = json.dumps({**payload, "entries": []}, sort_keys=True,
                             indent=2).split('"entries": []')
     k1, k2 = ENSEMBLES[payload["ensemble"]].keys
@@ -334,14 +334,13 @@ def payload_to_json(payload: dict, f) -> None:
     # place of the row index i and \0 in place of j
     form = "    {\n" + "".join('      "%s": %s,\n' % (k, "\1" if k == k1 else "\0")
                                for k in sorted((k1, k2))) + '      "value": "'
-    sep = ""  # what comes before the next entry: "" until the list opens
+    f.write(f'{head}"entries": [\n'.encode())
+    sep = ""  # what comes before the next entry: "" before the first
     for i, j0, values in payload["entries"]:
         # an entry is start + str(j) + middle + str(v) + '"\n    }'
         start, middle = form.replace("\1", str(i)).split("\0")
         glue = '"\n    },\n' + start
         for a in range(0, len(values), _SLICE):
-            if not sep:
-                f.write(f'{head}"entries": [\n'.encode())
             part = values[a:a + _SLICE]
             pieces = [glue, "", middle, ""] * len(part)
             pieces[0] = sep + start
@@ -350,7 +349,7 @@ def payload_to_json(payload: dict, f) -> None:
             pieces.append('"\n    }')
             f.write("".join(pieces).encode())
             sep = ",\n"
-    f.write((f"\n  ]{tail}\n" if sep else f'{head}"entries": []{tail}\n').encode())
+    f.write(f"\n  ]{tail}\n".encode())
 
 
 def _open_file(out: str, mode: str):
@@ -435,9 +434,7 @@ def _entry_groups(src):
         if opened and (n := (len(held) - 3) // 5 * 5) > 0:
             yield held[:n]
             del held[:n]
-    if not opened:  # an empty list opens and closes on the first of the last three lines
-        held = held[-3:]
-    if len(held) != 3 or held[0] != (_CLOSE if opened else _EMPTY):
+    if not opened or len(held) != 3 or held[0] != _CLOSE:
         raise _corrupt(src.name, _LIST_FAULT)
 
 
@@ -581,26 +578,28 @@ def _zero(check_id: str, anchor: str, what: str, value):
 
 
 def suite_identities(args) -> list[CheckRecord]:
-    from .residues import IDENTITY_TAGS, identity_residuals
+    from .residues import AB_IDENTITIES, N_IDENTITIES
 
-    return judge([_zero(check_id, tag, "residual", res) for tag in IDENTITY_TAGS
-                  for check_id, res in identity_residuals(tag, args.amax, args.bmax, args.nmax)])
+    return judge([_zero(f"{tag}[A={A},B={B}{suffix}]", tag, "residual", res)
+                  for tag, (low, residuals) in AB_IDENTITIES.items()
+                  for A in range(low, args.amax + 1) for B in range(low, args.bmax + 1)
+                  for suffix, res in residuals(A, B)]
+                 + [_zero(f"{tag}[N={N}]", tag, "residual", residual(N))
+                    for tag, residual in N_IDENTITIES.items() for N in range(1, args.nmax + 1)])
 
 
 def suite_odes(args) -> list[CheckRecord]:
-    from .residues import ODE_TAGS, ode_residual, t1_residual
+    from .residues import ODES, t1_residual
 
     ns = range(1, args.nmax + 1)
-    return judge([_zero(f"ode-{tag}[N={N}]", tag, "residual", ode_residual(tag, N))
-                  for N in ns for tag in ODE_TAGS]
+    return judge([_zero(f"ode-{tag}[N={N}]", tag, "residual", ode(N))
+                  for N in ns for tag, ode in ODES.items()]
                  + [_zero(f"T-1[N={N},k={k}]", "T-1", "residual", t1_residual(N, k))
                     for N in ns for k in range(3)])
 
 
 def suite_crosscheck(args) -> list[CheckRecord]:
     """Where the routes meet: one list of comparisons (see judge)."""
-    from fractions import Fraction
-
     from .recursions import gauss_genus_coefficients, half_binomial_series
     from .residues import exp_mean_moments, two_point_series
     from .spectral import a_row_series, s_pair_series, w30_basis_coefficient
@@ -645,10 +644,10 @@ def suite_crosscheck(args) -> list[CheckRecord]:
          [("", MomentPoly({1 - q: ht.value(q, m - q) for q in range(m + 1)}),
            complex_wishart_moment((m,), "N", "N+1"))])
         for m in range(1, 6)]
-    # W30: the oracle's leading connected three-trace coefficient over the basis product's
+    # W30: the oracle's leading connected three-trace coefficient is twice the basis product's
     comparisons.append(
-        ("W30[constant-ratio]", "W30", ("ratio", "expected"),
-         [(f"m={t}", Fraction(connected_moments(t).coefficient(-1), w30_basis_coefficient(*t)), 2)
+        ("W30[constant-ratio]", "W30", ("oracle", "2*basis"),
+         [(f"m={t}", connected_moments(t).coefficient(-1), 2 * w30_basis_coefficient(*t))
           for t in ((1, 1, 1), (2, 1, 1), (2, 2, 1))]))
     # W11: s_{1,1} + 2 s_{1,0} and the expansion of the g = 1 a-row, through
     # x^-7, vs the closed form x^-4 (1 - 4/x)^(-5/2)

@@ -11,13 +11,13 @@ rectangular-ensemble integral is expanded the same way.  The identity, ODE
 and reflection residuals are multiplied through by their known denominators,
 so every residual is again a Laurent polynomial in w, zero exactly when it
 has no terms: no step takes a polynomial gcd.  This module returns the
-residuals; the identities and odes suites of hzlag.cli judge them, and make
-the check records.  ``fab`` returns that Laurent
-polynomial itself, and the moments are read off its Taylor coefficients at
-u = 0.  The iterated two-point residues are expanded as integer double
-series.  The contour variables couple to W = B B† = N H, so the moments
-and the two-point coefficients are those of W: integers, never divided by
-N^m.
+residuals, in registries keyed by tag; the identities and odes suites of
+hzlag.cli walk them, judge each residual and name its check.  ``fab``
+returns that Laurent polynomial itself, and the moments are read off its
+Taylor coefficients at u = 0.  The iterated two-point residues are expanded
+as integer double series.  The contour variables couple to W = B B† = N H,
+so the moments and the two-point coefficients are those of W: integers,
+never divided by N^m.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ __all__ = [
     "weighted_residue",
     "two_point_series",
     "exp_mean_moments",
-    "identity_residuals",
-    "ode_residual",
     "t1_residual",
-    "IDENTITY_TAGS",
-    "ODE_TAGS",
+    "AB_IDENTITIES",
+    "N_IDENTITIES",
+    "ODES",
 ]
 
 _W = WLaurent({1: 1})  # w = u - 1
@@ -166,10 +165,12 @@ def two_point_series(N: int, order: int) -> dict[tuple[int, int], int]:
 # ---------------------------------------------------------------------------
 
 
-# The (A, B) identities map their tag to the least A and B and to the
-# residuals at (A, B), each with the suffix of its check id; the N identities
-# and the ODEs map their tag to the residual at N.  A comment names the
-# denominator a residual is multiplied through by, where it is not 1.
+# The registries that the identities and odes suites of hzlag.cli walk:
+# AB_IDENTITIES maps a tag to the least A and B and to the residuals at
+# (A, B), each with the suffix of its check id; N_IDENTITIES and ODES map a
+# tag to the residual at N.  A residual is its identity or ODE multiplied
+# through by a known denominator (a product of u, u + 1, u - 1, 2 and
+# (N+1) u - 1), which a comment names where it is not 1.
 
 
 def _fab_der(A: int, B: int):
@@ -196,7 +197,7 @@ def _fab_der_der(A: int, B: int):
             (",form=rational", u * (u + 1) * w * d2 - A * B * frac))
 
 
-_AB_IDENTITIES = {
+AB_IDENTITIES = {
     "feat-1": (0, lambda A, B: (("", fab(A, B) - fab(B, A) - (A - B)),)),
     "fAB-der": (1, _fab_der),
     "fAB-der-der": (1, _fab_der_der),
@@ -215,7 +216,7 @@ def _k2_second_derivative(N: int) -> WLaurent:
         + (2 * (N + 1) * u - 2) * f.derivative()
 
 
-_N_IDENTITIES = {
+N_IDENTITIES = {
     # times u (u + 1) (u - 1)
     "der-3": lambda N: _U * (_U + 1) * _W * fab(N, N).derivative().derivative() - N * N * (
         _W * (2 * fab(N, N - 1) - 1) + (_U + 1) * (2 * fab(N, N + 1) + 1) - 4 * _U * fab(N, N)),
@@ -230,8 +231,6 @@ _N_IDENTITIES = {
         + (N + 1) * _U * (_U + 1) * fab(N + 2, N) - (N + 2) * _U,
     "k2-second-derivative": _k2_second_derivative,
 }
-
-IDENTITY_TAGS = (*_AB_IDENTITIES, *_N_IDENTITIES)
 
 
 def _ode_dn(N: int) -> WLaurent:
@@ -278,42 +277,7 @@ def _ode_k2(N: int) -> WLaurent:
     )
 
 
-_ODES = {"DN": _ode_dn, "K1": _ode_k1, "K2": _ode_k2}
-
-ODE_TAGS = tuple(_ODES)
-
-
-def identity_residuals(
-    which: str, amax: int, bmax: int, nmax: int
-) -> list[tuple[str, WLaurent]]:
-    """The residuals of one of the f_{A,B} identities over a range of small
-    indices, each with its check id: A, B up to amax, bmax for an (A, B)
-    identity, N up to nmax for an N one.
-
-    Every residual is the identity multiplied through by its known
-    denominator (a product of u, u + 1, u - 1 and 2), so it is a Laurent
-    polynomial in w = u - 1, and the identity holds exactly when it is
-    structurally zero; no numerical tolerance is involved anywhere.
-    """
-    if which in _AB_IDENTITIES:
-        low, residuals = _AB_IDENTITIES[which]
-        return [(f"{which}[A={A},B={B}{suffix}]", res)
-                for A in range(low, amax + 1) for B in range(low, bmax + 1)
-                for suffix, res in residuals(A, B)]
-    if which in _N_IDENTITIES:
-        residual = _N_IDENTITIES[which]
-        return [(f"{which}[N={N}]", residual(N)) for N in range(1, nmax + 1)]
-    raise ValueError(f"unknown identity tag {which!r}")
-
-
-def ode_residual(which: str, N: int) -> WLaurent:
-    """The residual of an exact f_{A,B} with its derivatives substituted
-    into one of the ODEs, multiplied through by its known denominator (a
-    product of u, u + 1, u - 1, 2 and (N+1) u - 1): structurally zero
-    exactly when the ODE holds."""
-    if which not in _ODES:
-        raise ValueError(f"unknown ODE tag {which!r}")
-    return _ODES[which](N)
+ODES = {"DN": _ode_dn, "K1": _ode_k1, "K2": _ode_k2}
 
 
 def t1_residual(N: int, k: int) -> WLaurent:

@@ -17,10 +17,10 @@ from hzlag.recursions import (
     w1_slots,
 )
 from hzlag.residues import (
-    IDENTITY_TAGS,
+    AB_IDENTITIES,
+    N_IDENTITIES,
+    ODES,
     exp_mean_moments,
-    identity_residuals,
-    ode_residual,
     t1_residual,
     two_point_series,
 )
@@ -77,9 +77,14 @@ def test_criterion_02_laguerre_table_structure():
 
 def test_criterion_03_fab_identities():
     def work():
-        for tag in IDENTITY_TAGS:
-            residuals = identity_residuals(tag, amax=10, bmax=10, nmax=10)
-            bad = [check_id for check_id, r in residuals if r != 0]
+        # (tag, [(indices, residual)]): A, B up to 10 from the least, N up to 10
+        walks = [(tag, [((A, B, suffix), r) for A in range(low, 11) for B in range(low, 11)
+                        for suffix, r in residuals(A, B)])
+                 for tag, (low, residuals) in AB_IDENTITIES.items()]
+        walks += [(tag, [(N, residual(N)) for N in range(1, 11)])
+                  for tag, residual in N_IDENTITIES.items()]
+        for tag, residuals in walks:
+            bad = [where for where, r in residuals if r != 0]
             assert residuals and not bad, f"{tag}: {bad[:3]}"
 
     _gate("criterion-03 [feat-1 .. k2-second-derivative]", 60.0, work)
@@ -89,7 +94,7 @@ def test_criterion_04_odes_and_reflection():
     def work():
         for which, top in (("DN", 10), ("K1", 8), ("K2", 6)):
             for N in range(1, top + 1):
-                res = ode_residual(which, N)
+                res = ODES[which](N)
                 assert res == 0, f"{which} N={N}: {res}"
         for N in range(1, 7):
             for k in range(3):

@@ -12,6 +12,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -39,7 +40,7 @@ from hzlag.cli import (
 from hzlag.exact import WLaurent
 from hzlag.engines import IntegralityError
 from hzlag.recursions import c1_closed_form
-from hzlag.residues import IDENTITY_TAGS, ODE_TAGS
+from hzlag.residues import AB_IDENTITIES, N_IDENTITIES, ODES
 from hzlag.wick import WISHART_DEGREE_LIMIT
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -281,6 +282,29 @@ def test_entry_list_cut_under_its_digest_is_named_corrupt(cache, tmp_path, capsy
             f"error: corrupt cache entry {path}: its entry list does not open and close as gen "
             "writes it; delete the file or pass --no-cache\n")), argv
     assert out.read_bytes() == b"kept\n"
+
+
+def test_empty_entry_list_under_its_digest_is_named_corrupt(cache, tmp_path, capsys):
+    # gen never writes an empty entry list (every table has an entry), so a
+    # vk --gmax 1 entry emptied under a digest rewritten to match ends as no
+    # gen JSON does: a JSON gen, a CSV gen and a table read name it as
+    # corrupt, and nothing is written to stdout or --out
+    gen = ["gen", "vk", "--gmax", "1"]
+    csv = [*gen, "--format", "csv"]
+    outs = tmp_path / "t.json", tmp_path / "t.csv"
+    verify = ["verify", "--suite", "constraints", "--gmax", "1"]
+    assert main(verify) == 0
+    capsys.readouterr()
+    path = cache_path("gen", {"ensemble": "vk", "gmax": 1})
+    payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
+    body = json.dumps({**payload, "entries": []}, sort_keys=True, indent=2) + "\n"
+    path.write_bytes(_with_digest(body.encode()))
+    for argv in (gen, [*gen, "--out", str(outs[0])], csv, [*csv, "--out", str(outs[1])], verify):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", (
+            f"error: corrupt cache entry {path}: its entry list does not open and close as gen "
+            "writes it; delete the file or pass --no-cache\n")), argv
+    assert not any(out.exists() for out in outs)
 
 
 VK1 = ["vk", "--gmax", "1"]
@@ -732,10 +756,16 @@ def test_table_writers_on_generated_entries(ensemble, rows, shaped):
         rows = [(i, js.start, [next(values, 0) for _ in js]) for i, js in shape.items()]
     payload = {"schema": "hzlag-table/1", "ensemble": ensemble, "bounds": bounds, "entries": rows}
     data = _json_bytes(payload)
+    keys = sorted((a, b) for a, b0, values in rows for b in range(b0, b0 + len(values)))
+    if not keys:  # every gen table has an entry, and no reader serves an empty list
+        with tempfile.TemporaryFile() as src, pytest.raises(cli.UsageError, match=cli._LIST_FAULT):
+            src.write(data)
+            src.seek(0)
+            payload_to_csv(src, ensemble, os.devnull)
+        return
     assert data == _json_reference(payload)
     want = "".join(f"{a},{b},{q.numerator}/{q.denominator}\n"
                    for a, b0, values in rows for b, q in enumerate(map(Fraction, values), b0))
-    keys = sorted((a, b) for a, b0, values in rows for b in range(b0, b0 + len(values)))
     # load_table reads ints, and Fractions only where there is a denominator
     table = {(a, b): int(v) if v.denominator == 1 else Fraction(v)
              for a, b0, values in rows for b, v in enumerate(values, b0)}
@@ -827,10 +857,22 @@ def test_bench_script_workloads_are_valid_requests():
 def test_bench_script_removes_its_directory_on_sigterm(tmp_path):
     # scripts/bench.py keeps exported trees, bytecode and warm caches (tens
     # of MB) in a hzlag-bench-* temporary directory; stopped by SIGTERM
-    # while a workload runs, it kills that run and removes the directory
+    # while a workload runs, it kills that run and removes the directory.
+    # It names the commit it measures, so it runs from a copy of what it
+    # reads (itself, perfbench/run.py and src/) committed to a git
+    # repository of its own: this tree need not be a git checkout
+    repo = tmp_path / "repo"
+    shutil.copytree(ROOT / "src", repo / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    for part in ("scripts/bench.py", "perfbench/run.py"):
+        (repo / part).parent.mkdir()
+        shutil.copy(ROOT / part, repo / part)
+    git = ["git", "-C", str(repo), "-c", "user.name=hzlag", "-c", "user.email=hzlag@localhost",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "bench.py under test"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
     tmp = tmp_path / "tmp"
     tmp.mkdir()
-    proc = subprocess.Popen([sys.executable, str(ROOT / "scripts" / "bench.py"), "--runs", "1"],
+    proc = subprocess.Popen([sys.executable, str(repo / "scripts" / "bench.py"), "--runs", "1"],
                             env={**os.environ, "TMPDIR": str(tmp)}, stdout=subprocess.DEVNULL,
                             stderr=subprocess.PIPE)
     try:
@@ -1279,8 +1321,8 @@ def test_verify_odes_suite(cache, capsys):
 def test_suites_emit_exactly_the_registered_tags():
     # the identities and odes suites run each registered check and no other
     args = argparse.Namespace(amax=1, bmax=1, nmax=1)
-    assert {c.anchor for c in cli.suite_identities(args)} == set(IDENTITY_TAGS)
-    assert {c.anchor for c in cli.suite_odes(args)} == {*ODE_TAGS, "T-1"}
+    assert {c.anchor for c in cli.suite_identities(args)} == {*AB_IDENTITIES, *N_IDENTITIES}
+    assert {c.anchor for c in cli.suite_odes(args)} == {*ODES, "T-1"}
 
 
 def test_verify_report_out(cache, tmp_path, capsys):
@@ -1398,10 +1440,15 @@ def test_crosscheck_reads_its_3t_table_through_the_cache(cache, capsys):
      lambda f: lambda N, order: {k: v + (N == 3 and k in {(1, 2), (2, 2)})
                                  for k, v in f(N, order).items()},
      {"W2-wick[N=3]": "m1=1,m2=2: residue 110 wick 108"}),
+    # W30 compares the oracle's coefficient with twice the basis product's,
+    # in integers: a zero basis coefficient fails the check, and divides nothing
     (spectral, "w30_basis_coefficient",
      lambda f: lambda *t: f(*t) * (3 if t == (2, 1, 1) else 1),
-     {"W30[constant-ratio]": "m=(2, 1, 1): ratio 2/3 expected 2"}),
-], ids=["rep-N-wick", "W2-wick", "W30"])
+     {"W30[constant-ratio]": "m=(2, 1, 1): oracle 12 2*basis 36"}),
+    (spectral, "w30_basis_coefficient",
+     lambda f: lambda *t: f(*t) * (t != (2, 1, 1)),
+     {"W30[constant-ratio]": "m=(2, 1, 1): oracle 12 2*basis 0"}),
+], ids=["rep-N-wick", "W2-wick", "W30", "W30-zero-basis"])
 def test_crosscheck_names_the_first_differing_cell(cache, capsys, monkeypatch, owner, name, wrap,
                                                    want):
     # the suite imports the route functions when it runs, so it sees the patch
@@ -1437,19 +1484,20 @@ def test_cached_a_row_that_does_not_cancel_fails_its_checks(cache, capsys):
 
 
 # one wrong value in each kind of comparison: (verify arguments, owner and
-# name of the value function the suite imports, a wrapper making one value
-# wrong, {id: detail} of the one failing check)
+# name of the value function the suite imports, a module and a function's
+# name or a residue registry and a tag, a wrapper making one value wrong,
+# {id: detail} of the one failing check)
 _WRONG_VALUES = {
     "identities": (
         ["--suite", "identities", "--amax", "2", "--bmax", "2", "--nmax", "2"],
-        residues, "identity_residuals",
-        lambda f: lambda tag, *bounds: [
-            (i, r + WLaurent({-1: 1}) if i == "fAB-quad[A=2,B=1]" else r)
-            for i, r in f(tag, *bounds)],
+        residues.AB_IDENTITIES, "fAB-quad",
+        lambda entry: (entry[0], lambda A, B: [
+            (suffix, r + WLaurent({-1: 1}) if (A, B) == (2, 1) else r)
+            for suffix, r in entry[1](A, B)]),
         {"fAB-quad[A=2,B=1]": "residual (1) / (u - 1) expected 0"}),
     "odes": (
-        ["--suite", "odes", "--nmax", "2"], residues, "ode_residual",
-        lambda f: lambda tag, N: f(tag, N) + 3 * ((tag, N) == ("K1", 2)),
+        ["--suite", "odes", "--nmax", "2"], residues.ODES, "K1",
+        lambda f: lambda N: f(N) + 3 * (N == 2),
         {"ode-K1[N=2]": "residual 3 expected 0"}),
     "T-1": (
         ["--suite", "odes", "--nmax", "2"], residues, "t1_residual",
@@ -1488,7 +1536,10 @@ def test_every_suite_names_the_first_differing_cell(cache, capsys, monkeypatch, 
     argv, owner, name, wrap, want = _WRONG_VALUES[kind]
     assert main(["verify", *argv]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    if isinstance(owner, dict):  # a registry of hzlag.residues
+        monkeypatch.setitem(owner, name, wrap(owner[name]))
+    else:
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
     assert _failures(argv, capsys) == want
 
 
@@ -1578,7 +1629,7 @@ def _served(args: dict, compute, use_cache: bool = True) -> bytes:
 
 def test_cache_write_is_atomic(cache, monkeypatch):
     calls = []
-    payload = b"payload\n" + cli._ENDS[0]  # an entry is served when it ends as gen JSON does
+    payload = b"payload\n" + cli._ENDING  # an entry is served when it ends as gen JSON does
 
     def compute(f):
         calls.append(1)

@@ -9,12 +9,12 @@ import pytest
 import hzlag.residues as residues
 from hzlag.exact import WLaurent
 from hzlag.residues import (
-    IDENTITY_TAGS,
+    AB_IDENTITIES,
+    N_IDENTITIES,
+    ODES,
     exp_mean_moments,
     fab,
     fab_generalized,
-    identity_residuals,
-    ode_residual,
     t1_residual,
     two_point_series,
     weighted_residue,
@@ -94,26 +94,30 @@ def test_two_point_truncation_guard():
         tp[2, 2]
 
 
-@pytest.mark.parametrize("tag", IDENTITY_TAGS)
+def _identity_residuals(tag: str, top: int) -> list:
+    """(indices, residual) of one registered identity, as the identities
+    suite walks it: A and B from the identity's least up to top, or N from 1
+    to top."""
+    if tag in AB_IDENTITIES:
+        low, residuals = AB_IDENTITIES[tag]
+        return [((A, B, suffix), r) for A in range(low, top + 1) for B in range(low, top + 1)
+                for suffix, r in residuals(A, B)]
+    return [(N, N_IDENTITIES[tag](N)) for N in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("tag", [*AB_IDENTITIES, *N_IDENTITIES])
 def test_identities_small_window(tag):
-    residuals = identity_residuals(tag, amax=12, bmax=12, nmax=12)
+    residuals = _identity_residuals(tag, 12)
     assert residuals, tag
-    bad = [(check_id, str(r)) for check_id, r in residuals if r != 0]
+    bad = [(where, str(r)) for where, r in residuals if r != 0]
     assert not bad, bad
 
 
 @pytest.mark.parametrize("which,nmax", [("DN", 5), ("K1", 5), ("K2", 4)])
 def test_odes_structurally_zero(which, nmax):
     for N in range(1, nmax + 1):
-        res = ode_residual(which, N)
+        res = ODES[which](N)
         assert res == 0, (N, str(res))
-
-
-def test_unknown_tags_raise():
-    with pytest.raises(ValueError, match="unknown identity tag 'nope'"):
-        identity_residuals("nope", 1, 1, 1)
-    with pytest.raises(ValueError, match="unknown ODE tag 'nope'"):
-        ode_residual("nope", 1)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -217,10 +221,9 @@ def test_mutated_fab_fails_every_check(monkeypatch):
 
     monkeypatch.setattr(residues, "fab", mutated)
 
-    for tag in IDENTITY_TAGS:
-        residuals = identity_residuals(tag, amax=4, bmax=4, nmax=4)
-        assert any(r != 0 for _, r in residuals), tag
-    for res in (ode_residual("DN", 3), ode_residual("K1", 2), ode_residual("K2", 1),
+    for tag in [*AB_IDENTITIES, *N_IDENTITIES]:
+        assert any(r != 0 for _, r in _identity_residuals(tag, 4)), tag
+    for res in (ODES["DN"](3), ODES["K1"](2), ODES["K2"](1),
                 t1_residual(3, 0), t1_residual(2, 1), t1_residual(1, 2)):
         assert res != 0
 
