@@ -41,18 +41,22 @@ With ``--against REV``, REV's tree is exported (``git archive``) into a
 temporary directory and measured alongside this checkout's working tree:
 each round runs every workload on both trees, the tree that goes first
 alternating from round to round.  The file names the commit checked out
-(HEAD, with ``dirty`` set when the working tree differs from it) and holds,
-for each tree and metric, the samples, their median and n, and the host's
-nproc, Python version and platform.  A nonzero exit of any run stops the
-script with exit 1.  SIGTERM stops it with exit 143, after the run in
-progress is killed and the temporary directory removed.
+(HEAD) and holds, for each tree and metric, the samples, their median and
+n, and the host's nproc, Python version and platform.  Its ``dirty`` flag
+is set when the tracked files under ``src/``, the source measured, differ
+from HEAD's before the first run or after the last; an edit made and
+reverted between those two readings is not seen, and edits elsewhere (a
+document, a test) do not count.  A nonzero exit of any run, or of a git
+command (outside a git checkout, say, before any run starts), stops the
+script with exit 1 and one ``error:`` line.  SIGTERM stops it with exit
+143, after the run in progress is killed and the temporary directory
+removed.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import io
 import json
 import os
 import platform
@@ -147,15 +151,29 @@ def measure(argv: list[str], src: Path, cache: Path, pycache: Path) -> dict:
 
 
 def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
-                          text=True).stdout.strip()
+    """The stdout of ``git -C ROOT args``, stripped; a git that fails or
+    cannot start raises RuntimeError with a one-line message."""
+    try:
+        r = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
+                           errors="replace")
+    except OSError as e:
+        raise RuntimeError(f"cannot run git: {e.strerror}") from e
+    if r.returncode:
+        raise RuntimeError(f"git {' '.join(args)} exited {r.returncode}: "
+                           + " ".join(r.stderr.split()))
+    return r.stdout.strip()
+
+
+def src_changed() -> bool:
+    """Whether the tracked files under src/ differ from HEAD's."""
+    return bool(git("status", "--porcelain", "--untracked-files=no", "--", "src"))
 
 
 def export(rev: str, into: Path) -> None:
     """Write the tree of commit rev into the directory into."""
-    data = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
-                          capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+    tar_path = into.with_suffix(".tar")
+    git("archive", "-o", str(tar_path), rev)
+    with tarfile.open(tar_path) as tar:
         if hasattr(tarfile, "data_filter"):
             tar.extractall(into, filter="data")
         else:  # Python before 3.11.4, 3.10.12
@@ -197,6 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         p.error("--runs must be 1 or more")
     sha = git("rev-parse", "--short", "HEAD")
     against = git("rev-parse", "--short", f"{args.against}^{{commit}}") if args.against else None
+    dirty = src_changed()
     with tempfile.TemporaryDirectory(prefix="hzlag-bench-") as d:
         trees = {"commit": Tree(ROOT / "src", Path(d) / "commit")}
         if against:
@@ -213,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "schema": "hzlag-bench/1",
         "commit": sha,
-        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "dirty": src_changed() or dirty,
         "against": against,
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "platform": platform.platform()},

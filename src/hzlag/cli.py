@@ -220,7 +220,7 @@ class Ensemble:
 
     def __init__(self, bounds: dict[str, int], keys: tuple[str, str], engine: str, shape,
                  low: int = 0, size=None):
-        self.bounds = bounds  # gen option -> its largest value, in engine and Table.bounds order
+        self.bounds = bounds  # gen option -> its largest value, in the engine's argument order
         self.keys = keys  # the index names of a table entry
         self.engine = engine  # bound values -> the table's items, one row at a time
         self.shape = shape  # bound values -> {i: range of j}, the keys of every entry
@@ -472,49 +472,52 @@ def table_bytes(ensemble: str, bounds: dict, use_cache: bool):
                         lambda f: payload_to_json(table_payload(ensemble, bounds), f), use_cache)
 
 
-def _shape_fault(shape: dict, entries: dict, count: int) -> str | None:
-    """Why the keys of entries, parsed from count entries, are not those of
-    shape ({i: range of j}), each once, or None when they are."""
-    for key in entries:
-        if key[1] not in shape.get(key[0], ()):
-            return f"its key {key} is out of range"
-    if count > len(entries):
+def _shape_fault(shape: dict, rows: dict, count: int) -> str | None:
+    """Why the keys of rows {i: {j: value}}, parsed from count entries, are
+    not those of shape ({i: range of j}), each once, or None when they are."""
+    for i, row in rows.items():
+        js = shape.get(i, ())
+        for j in row:
+            if j not in js:
+                return f"its key {(i, j)} is out of range"
+    size = sum(map(len, rows.values()))
+    if count > size:
         return "its entries repeat a key"
-    if len(entries) < sum(map(len, shape.values())):
-        key = next((i, j) for i, js in shape.items() for j in js if (i, j) not in entries)
+    if size < sum(map(len, shape.values())):
+        key = next((i, j) for i, js in shape.items() for j in js if j not in rows.get(i, ()))
         return f"its key {key} is missing"
     return None
 
 
-def load_table(ensemble: str, bounds: dict, use_cache: bool):
-    """The recursions.Table of one table, read from its gen JSON (see
-    table_bytes) a list of _entry_groups at a time, with int values, and a
-    Fraction where a value has a denominator.  The values are not re-checked:
-    the verify suites re-check constraints on whatever the entry holds.  A
-    cache entry whose keys or values do not parse as numbers, or whose keys
-    are not those of the ensemble's shape, each once, is named as corrupt."""
+def load_table(ensemble: str, bounds: dict, use_cache: bool) -> dict:
+    """The rows {i: {j: value}} of one table, filled as its gen JSON (see
+    table_bytes) is read a list of _entry_groups at a time, with int values,
+    and a Fraction where a value has a denominator.  The values are not
+    re-checked: the verify suites re-check constraints on whatever the entry
+    holds.  A cache entry whose keys or values do not parse as numbers, or
+    whose keys are not those of the ensemble's shape, each once, is named as
+    corrupt."""
     from fractions import Fraction
 
-    from .recursions import Table
-
     spec = ENSEMBLES[ensemble]
-    bound_values = tuple(bounds[name] for name in spec.bounds)
-    entries, count = {}, 0
+    rows, count = {}, 0
     with table_bytes(ensemble, bounds, use_cache) as f:
         try:
             for lines in _entry_groups(f):
                 for i, j, v in zip(*_entry_fields(lines, spec.keys)):
-                    entries[int(i), int(j)] = Fraction(v.decode()) if b"/" in v else int(v)
+                    rows.setdefault(int(i), {})[int(j)] = (
+                        Fraction(v.decode()) if b"/" in v else int(v))
                     count += 1
         except (ValueError, ZeroDivisionError) as e:
             if not use_cache or isinstance(e, UsageError):  # one named by _entry_groups
                 raise
             fault = f"its entries do not parse as numbers ({e})"
         else:  # with --no-cache the table is the engine's own
-            fault = use_cache and _shape_fault(spec.shape(*bound_values), entries, count)
+            fault = use_cache and _shape_fault(
+                spec.shape(*(bounds[name] for name in spec.bounds)), rows, count)
     if fault:
         raise _corrupt(cache_path("gen", {"ensemble": ensemble, **bounds}), fault)
-    return Table(bound_values, entries)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +621,9 @@ def suite_crosscheck(args) -> list[CheckRecord]:
     for m in range(1, mmax + 1):
         comparisons += [
             (f"3-t-wick[m={m}]", "3-t", ("table", "wick"),
-             [(f"g={g}", dn.value(g, m - 2 * g), c)
-              for g, c in genus_extract(wick[m], 1).items()]),
+             [(f"g={g}", dn[g][m - 2 * g], c) for g, c in genus_extract(wick[m], 1).items()]),
             (f"gamma-collapse[m={m}]", "rep-N", ("sum", "m!"),
-             [("", sum(dn.value(g, m - 2 * g) for g in range(m // 2 + 1)), fact(m))])]
+             [("", sum(dn[g][m - 2 * g] for g in range(m // 2 + 1)), fact(m))])]
     # two-point: residue route vs connected Wick oracle, as the connected
     # E tr W^m1 tr W^m2 (0 where an m is 0)
     pairs = [(m1, m2) for m1 in range(6) for m2 in range(6 - m1) if m1 or m2]
@@ -636,12 +638,12 @@ def suite_crosscheck(args) -> list[CheckRecord]:
     comparisons += [
         (f"recurrence-gue[g={g}]", "recurrence", ("table", "oracle"),
          [(f"m={m}", series[m], gue_moment(m).coefficient(1 - 2 * g)) for m in range(13)])
-        for g in range(1, 4) for series in [gauss_genus_coefficients(gt, g, 12)]]
+        for g in range(1, 4) for series in [gauss_genus_coefficients(gt[g], g, 12)]]
     # rectangular k = 1 branch vs Wick oracle: <tr H^m> = sum_q C_{m-q}^(q/2) N^(1-q)
     ht = load_table("glag-k1", {"rmax2": 5, "nmax": 8}, args.cache)
     comparisons += [
         (f"8-t-wick[m={m}]", "8-t", ("table", "wick"),
-         [("", MomentPoly({1 - q: ht.value(q, m - q) for q in range(m + 1)}),
+         [("", MomentPoly({1 - q: ht[q][m - q] for q in range(m + 1)}),
            complex_wishart_moment((m,), "N", "N+1"))])
         for m in range(1, 6)]
     # W30: the oracle's leading connected three-trace coefficient is twice the basis product's
@@ -652,7 +654,7 @@ def suite_crosscheck(args) -> list[CheckRecord]:
     # W11: s_{1,1} + 2 s_{1,0} and the expansion of the g = 1 a-row, through
     # x^-7, vs the closed form x^-4 (1 - 4/x)^(-5/2)
     closed = [0] * 4 + half_binomial_series(-5, 3)
-    a_row = a_row_series(load_table("vk", {"gmax": 1}, args.cache).row(1), 1, 7)
+    a_row = a_row_series(load_table("vk", {"gmax": 1}, args.cache)[1], 1, 7)
     comparisons += [
         (f"W11[{name}-vs-closed]", "W11", (route, "closed"),
          [(f"x^-{e}", v, c) for e, (v, c) in enumerate(zip(series, closed))])
@@ -667,18 +669,18 @@ def suite_constraints(args) -> list[CheckRecord]:
     from .spectral import a_row_series
 
     vt = load_table("vk", {"gmax": args.gmax}, args.cache)
-    comparisons = [_zero(f"consistency[g={g}]", "consistency", "form", consistency_form(vt.row(g)))
+    comparisons = [_zero(f"consistency[g={g}]", "consistency", "form", consistency_form(vt[g]))
                    for g in range(args.gmax + 1)]
     comparisons += [_zero(f"asym-r[g={g},r={r}]", "asym-r", "moment", s)
                     for g in range(1, args.gmax + 1)
-                    for r, s in enumerate(asym_moments(vt.row(g), 2 * g + 1))]
+                    for r, s in enumerate(asym_moments(vt[g], 2 * g + 1))]
     # a-row expansion vs three-term recursion table: the coefficients of x^0
     # .. x^-2g cancel, and C_n^(g) is that of x^(-1-2g-n)
     dn = load_table("laguerre", {"gmax": 5, "nmax": 20}, args.cache)
     comparisons += [
         (f"a-to-C[g={g}]", "rec-v2", ("a-row", "table"),
-         [(f"x^-{e}", v, dn.value(g, e - 1 - 2 * g) if e > 2 * g else 0)
-          for e, v in enumerate(a_row_series(vt.row(g), g, 21 + 2 * g))])
+         [(f"x^-{e}", v, dn[g][e - 1 - 2 * g] if e > 2 * g else 0)
+          for e, v in enumerate(a_row_series(vt[g], g, 21 + 2 * g))])
         for g in range(min(args.gmax, 5) + 1)]
     # operator equations
     int2 = int2_residuals(load_table("laguerre", {"gmax": 3, "nmax": 10}, args.cache))
@@ -688,13 +690,13 @@ def suite_constraints(args) -> list[CheckRecord]:
     comparisons += [(f"W1[q={q},e={e}]", "W1", ("collected", "expected"), [("", got, want)])
                     for (q, e), (got, want) in w1.items()]
     # integrality expectations
-    for name, entries in (
+    for name, violations in (
         # the n = 0 column is the seed C_0^(g) = (1, 0, 0, ...), not a count, so it is exempt
-        ("laguerre", {key: v for key, v in dn.entries.items() if key[1] >= 1}),
-        ("gauss", load_table("gauss", {"gmax": args.gmax}, args.cache).entries),
+        ("laguerre", [key for key in integrality_violations(dn) if key[1] >= 1]),
+        ("gauss", integrality_violations(load_table("gauss", {"gmax": args.gmax}, args.cache))),
     ):
         comparisons.append((f"integrality[{name}]", "C1g", ("violations", "expected"),
-                            [("", integrality_violations(entries)[:5], [])]))
+                            [("", violations[:5], [])]))
     return judge(comparisons)
 
 

@@ -2,12 +2,13 @@
 
 The four table engines ("3-t", "recurrence", "rec-v2" and "8-t") live in
 hzlag.engines, which yields each table a row at a time; hzlag.cli streams
-the rows into the gen JSON, and cli.load_table reads a Table back from it.
-Here: the Table the checks read, the n = 1 closed form ("C1g"), the
-operator equations "int-2" and "W1", which re-derive the tables
-independently of the table-filling code paths, the Gaussian genus
-reconstruction, and half_binomial_series, the int kernel for (1-4t)^(s/2)
-that the Gaussian genus reconstruction and the spectral bases share.  The
+the rows into the gen JSON, and cli.load_table reads the table back from
+it as its rows, {i: {j: value}}, which the checks here take.  Here: the
+n = 1 closed form ("C1g"), the operator equations "int-2" and "W1", which
+re-derive the tables independently of the table-filling code paths, the
+Gaussian genus reconstruction, and half_binomial_series, the int kernel
+for (1-4t)^(s/2) that the Gaussian genus reconstruction and the spectral
+bases share.  The
 operator equations return their collected coefficients, not verdicts: the
 constraints suite of hzlag.cli judges them and makes the check records.
 Nothing here reads the Wick oracles: the crosscheck suite of hzlag.cli
@@ -17,13 +18,11 @@ compares the tables with them.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from .engines import _exact_div
 
 __all__ = [
-    "Table",
     "integrality_violations",
     "c1_closed_form",
     "int2_residuals",
@@ -38,38 +37,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class Table(namedtuple("Table", "bounds entries")):
-    """An exact recursion table (i, j) -> value.
-
-    ``bounds`` holds the largest value of each bounded index, in index order
-    (the Gaussian and v_k tables bound only the first); ``entries`` is the
-    dict of values.  A key with no entry reads as 0 when no index is above
-    its bound, and raises KeyError when one is: the entries are made through
-    the bounds, so a missing key inside them lies outside the relation's
-    support.
-    """
-
-    __slots__ = ()
-
-    def value(self, i: int, j: int):
-        try:
-            return self.entries[(i, j)]
-        except KeyError:
-            if any(x > b for x, b in zip((i, j), self.bounds)):
-                raise KeyError(f"({i}, {j}) outside table bounds {self.bounds}") from None
-            return 0
-
-    def row(self, i: int) -> dict:
-        """{j: value} of the entries with first index i."""
-        row = {j: v for (ii, j), v in self.entries.items() if ii == i}
-        if not row:
-            raise KeyError(f"no row {i} in the table")
-        return row
-
-
-def integrality_violations(entries: dict) -> list[tuple[int, int]]:
-    """The keys, sorted, whose value is not a positive integer."""
-    return sorted(k for k, v in entries.items() if v.denominator != 1 or v <= 0)
+def integrality_violations(rows: dict) -> list[tuple[int, int]]:
+    """The keys (i, j), sorted, of the rows {i: {j: value}} whose value is
+    not a positive integer."""
+    return sorted((i, j) for i, row in rows.items() for j, v in row.items()
+                  if v.denominator != 1 or v <= 0)
 
 
 def c1_closed_form(g: int) -> int:
@@ -114,15 +86,15 @@ def half_binomial_series(s: int, n: int) -> list[int]:
     return c
 
 
-def gauss_genus_coefficients(table: Table, g: int, mmax: int) -> dict[int, int]:
-    """x-series coefficients of sum_k b_k^(g) (x^2-4)^(-(4g+2k+1)/2).
+def gauss_genus_coefficients(row: dict, g: int, mmax: int) -> dict[int, int]:
+    """x-series coefficients of sum_k b_k^(g) (x^2-4)^(-(4g+2k+1)/2), row
+    the genus-g row {k: b_k^(g)}.
 
     Returns {m: coefficient of x^(-m-1)} for m <= mmax; these are the
     genus-g coefficients of the Gaussian moments.
     """
     out = {m: 0 for m in range(mmax + 1)}
-    for k in range(g):
-        b = table.value(g, k)
+    for k, b in row.items():
         j = 4 * g + 2 * k + 1  # (x^2-4)^(-j/2) = x^-j (1 - 4/x^2)^(-j/2)
         if b == 0 or j > mmax + 1:
             continue
@@ -171,35 +143,34 @@ def _collect(terms, blocks) -> dict[tuple[int, int], int]:
     return acc
 
 
-def int2_residuals(table: Table) -> dict[tuple[int, int], int]:
-    """{(g, n): residual} for g, n within the table's bounds: the collected
+def int2_residuals(rows: dict) -> dict[tuple[int, int], int]:
+    """{(g, n): residual} at each key of the rows {g: {n: C_n^(g)}}: the collected
     coefficient of N^(1-2g) x^-(1+2g+n) of the two operator blocks of
     "int-2" applied to the series W_1' = -sum N^(-2g) C_n^(g) (n+2g+1)
     x^(-2-2g-n).  Each vanishes when the table satisfies the equation; this
     re-derives "3-t" independently of the table filler.
     """
     acc = _collect(((2 * g, 2 + 2 * g + n, -cval * (n + 2 * g + 1))
-                    for (g, n), cval in table.entries.items()), _INT2_BLOCKS)
-    gmax, nmax = table.bounds
-    return {(g, n): acc.get((2 * g - 1, 1 + 2 * g + n), 0)
-            for g in range(gmax + 1) for n in range(nmax + 1)}
+                    for g, row in rows.items() for n, cval in row.items()), _INT2_BLOCKS)
+    return {(g, n): acc.get((2 * g - 1, 1 + 2 * g + n), 0) for g, row in rows.items() for n in row}
 
 
-def w1_slots(table: Table) -> dict[tuple[int, int], tuple[int, int]]:
+def w1_slots(rows: dict) -> dict[tuple[int, int], tuple[int, int]]:
     """{(Q, E): (collected, expected)} of the five N-graded operator blocks
     of "W1" applied to the double series W_1 = sum_q N^(-q) C_n^(q/2)
-    x^(-1-q-n), against the inhomogeneity 2N^2 + N + (2N+2)/x, at every slot
-    (N^-Q, x^-E) that the table determines."""
-    acc = _collect(((q, 1 + q + n, cval) for (q, n), cval in table.entries.items()),
+    x^(-1-q-n), rows {q: {n: C_n^(q/2)}} from q = 0 and n = 0, against the
+    inhomogeneity 2N^2 + N + (2N+2)/x, at every slot (N^-Q, x^-E) that the
+    rows determine."""
+    acc = _collect(((q, 1 + q + n, cval) for q, row in rows.items() for n, cval in row.items()),
                    _W1_BLOCKS)
-    r2max, nmax = table.bounds
+    r2max, nmax = max(rows), max(rows[0])
 
     def determined(Q: int, E: int) -> bool:
         # every in-range source feeding slot (Q, E) must lie inside the table
         for dq, de, _ in _W1_BLOCKS:
             q, e = Q - dq, E - de
             n = e - 1 - q
-            if q >= 0 and n >= 0 and (q > r2max or n > nmax):
+            if q >= 0 and n >= 0 and n not in rows.get(q, ()):
                 return False
         return True
 

@@ -66,10 +66,10 @@ def test_criterion_02_laguerre_table_structure():
     def work():
         table = load_table("laguerre", {"gmax": 12, "nmax": 30}, use_cache=False)
         for g in range(13):
-            assert table.value(g, 1) == c1_closed_form(g), f"C1g at g={g}"
+            assert table[g][1] == c1_closed_form(g), f"C1g at g={g}"
         for g in range(9):
             for n in range(1, 31):
-                v = table.value(g, n)
+                v = table[g][n]
                 assert v.denominator == 1 and v > 0, f"({g},{n}) -> {v}"
 
     _gate("criterion-02 [3-t, C1g]", 5.0, work)
@@ -117,9 +117,9 @@ def test_criterion_05_one_point_oracle_equivalence():
                     assert moms[m] == math.factorial(m), f"collapse m={m}"
                 ge = genus_extract(oracle, 1)
                 for g, c in ge.items():
-                    assert dn.value(g, m - 2 * g) == c, f"genus m={m} g={g}"
+                    assert dn[g][m - 2 * g] == c, f"genus m={m} g={g}"
                 # <tr H^m> = sum_g C_{m-2g}^(g) N^(1-2g)
-                table = MomentPoly({1 - 2 * g: dn.value(g, m - 2 * g)
+                table = MomentPoly({1 - 2 * g: dn[g][m - 2 * g]
                                     for g in range(m // 2 + 1)})
                 assert table == oracle, f"table m={m}"
 
@@ -154,14 +154,14 @@ def test_criterion_07_fractional_genus_branch():
             4: {0: 5, 1: 10, 2: 7, 3: 2},
             5: {0: 14, 1: 35, 2: 40, 3: 25, 4: 6},
         }
-        # the coefficient of x^-e N^-q is C_{e-1-q}^(q/2)
+        # the coefficient of x^-e N^-q is C_{e-1-q}^(q/2), and 0 where e - 1 - q < 0
         for e, coeffs in expected.items():
-            got = [table.value(q, e - 1 - q) for q in range(6)]
+            got = [table[q].get(e - 1 - q, 0) for q in range(6)]
             assert got == [coeffs.get(q, 0) for q in range(6)], f"x^-{e}"
             assert sum(got) == math.factorial(e), f"x^-{e} at N=1"
         # <tr H^m> = sum_q C_{m-q}^(q/2) N^(1-q)
         for m in range(1, 6):
-            assert MomentPoly({1 - q: table.value(q, m - q) for q in range(m + 1)}) == (
+            assert MomentPoly({1 - q: table[q][m - q] for q in range(m + 1)}) == (
                 complex_wishart_moment((m,), "N", "N+1")), f"moment m={m}"
         slots = w1_slots(table)
         bad = [slot for slot, (got, want) in slots.items() if got != want]
@@ -173,10 +173,10 @@ def test_criterion_07_fractional_genus_branch():
 def test_criterion_08_gaussian_branch():
     def work():
         table = load_table("gauss", {"gmax": 6}, use_cache=False)
-        assert [table.value(2, k) for k in range(2)] == [21, 105], "genus-2 row"
+        assert [table[2][k] for k in range(2)] == [21, 105], "genus-2 row"
         assert genus_extract(gue_moment(8), 1)[2] == 21, "eps_2(8)"
         for g in range(1, 7):
-            series = gauss_genus_coefficients(table, g, 12)
+            series = gauss_genus_coefficients(table[g], g, 12)
             for m in range(13):
                 want = gue_moment(m).coefficient(1 - 2 * g)
                 assert series[m] == want, f"recurrence-gue g={g} m={m}"
@@ -188,9 +188,9 @@ def test_criterion_09_constraint_families():
     def work():
         table = load_table("vk", {"gmax": 6}, use_cache=False)
         for g in range(7):
-            assert consistency_form(table.row(g)) == 0, f"consistency at g={g}"
+            assert consistency_form(table[g]) == 0, f"consistency at g={g}"
         for g in range(1, 7):
-            row = table.row(g)
+            row = table[g]
             for r in range(2 * g + 2):
                 s = sum(Fraction(k**r if k or r == 0 else 0) * a
                         for k, a in row.items())
@@ -198,8 +198,8 @@ def test_criterion_09_constraint_families():
         dn = load_table("laguerre", {"gmax": 5, "nmax": 20}, use_cache=False)
         for g in range(6):
             # x^0 .. x^-2g cancel, and C_n^(g) is the coefficient of x^(-1-2g-n)
-            got = a_row_series(table.row(g), g, 21 + 2 * g)
-            want = [0] * (2 * g + 1) + [dn.value(g, n) for n in range(21)]
+            got = a_row_series(table[g], g, 21 + 2 * g)
+            want = [0] * (2 * g + 1) + [dn[g][n] for n in range(21)]
             assert got == want, f"a-to-C at g={g}"
 
     _gate("criterion-09 [asym, consistency, a-to-C]", 30.0, work)
@@ -217,7 +217,7 @@ def test_criterion_10_closed_form_checks():
         closed = [0] * 4 + half_binomial_series(-5, 3)
         s_form = [a + 2 * b for a, b in zip(s_series(1, 1, 7), s_series(1, 0, 7))]
         assert s_form == closed, f"W11[s-vs-closed]: {s_form}"
-        a_row = a_row_series(load_table("vk", {"gmax": 1}, use_cache=False).row(1), 1, 7)
+        a_row = a_row_series(load_table("vk", {"gmax": 1}, use_cache=False)[1], 1, 7)
         assert a_row == closed, f"W11[arow-vs-closed]: {a_row}"
 
     _gate("criterion-10 [W30, W11]", 30.0, work)
@@ -228,12 +228,12 @@ def test_performance_gate_large_tables():
         t0 = time.perf_counter()
         dn = load_table("laguerre", {"gmax": 200, "nmax": 30}, use_cache=False)
         dt_dn = time.perf_counter() - t0
-        assert dn.value(0, 2) == 2 and dn.value(200, 0) == 0
+        assert dn[0][2] == 2 and dn[200][0] == 0
         assert dt_dn < 10.0, f"3-t table g<=200 took {dt_dn:.2f}s"
         t0 = time.perf_counter()
         gb = load_table("gauss", {"gmax": 200}, use_cache=False)
         dt_g = time.perf_counter() - t0
-        assert gb.value(2, 1) == 105
+        assert gb[2][1] == 105
         assert dt_g < 10.0, f"recurrence table g<=200 took {dt_g:.2f}s"
 
     _gate("performance [3-t, recurrence @ g<=200]", 25.0, work)

@@ -3,6 +3,7 @@ serialization formats, and the table cache."""
 
 import argparse
 import ast
+import contextlib
 import decimal
 import gc
 import hashlib
@@ -767,8 +768,10 @@ def test_table_writers_on_generated_entries(ensemble, rows, shaped):
     want = "".join(f"{a},{b},{q.numerator}/{q.denominator}\n"
                    for a, b0, values in rows for b, q in enumerate(map(Fraction, values), b0))
     # load_table reads ints, and Fractions only where there is a denominator
-    table = {(a, b): int(v) if v.denominator == 1 else Fraction(v)
-             for a, b0, values in rows for b, v in enumerate(values, b0)}
+    table = {}
+    for a, b0, values in rows:
+        table.setdefault(a, {}).update(
+            (b, int(v) if v.denominator == 1 else Fraction(v)) for b, v in enumerate(values, b0))
     # whole in one read, and in readlines of a line or two, which leave every
     # place in an entry at the end of a read
     for buf in (cli._BUF, 7):
@@ -784,8 +787,9 @@ def test_table_writers_on_generated_entries(ensemble, rows, shaped):
                     cli.load_table(ensemble, bounds, True)
                 continue
             got = cli.load_table(ensemble, bounds, True)
-        assert got.bounds == tuple(bounds.values()) and got.entries == table
-        assert [type(v) for v in got.entries.values()] == [type(v) for v in table.values()]
+        assert got == table
+        assert [type(v) for row in got.values() for v in row.values()] == \
+            [type(v) for row in table.values() for v in row.values()]
 
 
 def test_load_table_holds_little_besides_the_table(cache):
@@ -801,7 +805,7 @@ def test_load_table_holds_little_besides_the_table(cache):
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(table.entries) == 61 * 121
+    assert sum(map(len, table.values())) == 61 * 121
     assert peak - size <= 8 * cli._BUF, (peak, size)
 
 
@@ -854,22 +858,92 @@ def test_bench_script_workloads_are_valid_requests():
     assert max(shifts) == cli.GEN_LIMITS["at_digits"], shifts
 
 
-def test_bench_script_removes_its_directory_on_sigterm(tmp_path):
-    # scripts/bench.py keeps exported trees, bytecode and warm caches (tens
-    # of MB) in a hzlag-bench-* temporary directory; stopped by SIGTERM
-    # while a workload runs, it kills that run and removes the directory.
-    # It names the commit it measures, so it runs from a copy of what it
-    # reads (itself, perfbench/run.py and src/) committed to a git
-    # repository of its own: this tree need not be a git checkout
+def _bench_copy(tmp_path, commit: bool = True) -> pathlib.Path:
+    """tmp_path / "repo": a copy of what scripts/bench.py reads (itself,
+    perfbench/run.py and src/) and a README, committed to a git repository
+    of its own unless commit is false.  bench.py names the commit it
+    measures, so it runs from such a copy: this tree need not be a git
+    checkout."""
     repo = tmp_path / "repo"
     shutil.copytree(ROOT / "src", repo / "src", ignore=shutil.ignore_patterns("__pycache__"))
     for part in ("scripts/bench.py", "perfbench/run.py"):
         (repo / part).parent.mkdir()
         shutil.copy(ROOT / part, repo / part)
-    git = ["git", "-C", str(repo), "-c", "user.name=hzlag", "-c", "user.email=hzlag@localhost",
-           "-c", "commit.gpgsign=false"]
-    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "bench.py under test"]):
-        subprocess.run([*git, *args], check=True, capture_output=True)
+    (repo / "README.md").write_text("hzlag\n")
+    if commit:
+        git = ["git", "-C", str(repo), "-c", "user.name=hzlag", "-c",
+               "user.email=hzlag@localhost", "-c", "commit.gpgsign=false"]
+        for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "bench.py under test"]):
+            subprocess.run([*git, *args], check=True, capture_output=True)
+    return repo
+
+
+def _bench_dirty(repo: pathlib.Path, edit, when: str) -> bool:
+    """The dirty flag of a one-run report of the copy's scripts/bench.py
+    over one short workload, with edit() called before the first run
+    (when="before") or just after it (when="during")."""
+    spec = importlib.util.spec_from_file_location("bench_copy", repo / "scripts" / "bench.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.WORKLOADS = {"oracle": (["oracle", "--mu", "1"], "cold")}
+    measure = script.measure
+
+    def measure_then_edit(*args):
+        sample = measure(*args)
+        if when == "during" and not runs:
+            edit()
+        runs.append(args)
+        return sample
+
+    runs, script.measure = [], measure_then_edit
+    if when == "before":
+        edit()
+    handler = signal.getsignal(signal.SIGTERM)  # main() installs its own
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert script.main(["--runs", "1"]) == 0
+    finally:
+        signal.signal(signal.SIGTERM, handler)
+    assert len(runs) == 2  # the untimed run and the timed one
+    (report,) = repo.glob("BENCH_*.json")
+    return json.loads(report.read_text())["dirty"]
+
+
+def _append(path: pathlib.Path, text: str) -> None:
+    with open(path, "a") as f:
+        f.write(text)
+
+
+@pytest.mark.parametrize("edit,when,dirty", [
+    (lambda repo: _append(repo / "README.md", "edited\n"), "before", False),
+    (lambda repo: _append(repo / "src" / "hzlag" / "wick.py", "# edited\n"), "before", True),
+    (lambda repo: _append(repo / "src" / "hzlag" / "wick.py", "# edited\n"), "during", True),
+], ids=["README", "src", "src-during-the-runs"])
+def test_bench_script_marks_dirty_only_an_edited_src(tmp_path, edit, when, dirty):
+    # git is read before the first run and after the last, over src/ only
+    repo = _bench_copy(tmp_path)
+    assert _bench_dirty(repo, lambda: edit(repo), when) is dirty
+
+
+def test_bench_script_outside_a_git_checkout_exits_1_before_any_run(tmp_path):
+    repo = _bench_copy(tmp_path, commit=False)
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    # GIT_CEILING_DIRECTORIES: git looks for a repository in the copy alone
+    r = subprocess.run([sys.executable, str(repo / "scripts" / "bench.py"), "--runs", "1"],
+                       env={**os.environ, "TMPDIR": str(tmp),
+                            "GIT_CEILING_DIRECTORIES": str(tmp_path)},
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error: git rev-parse ") and r.stderr.count("\n") == 1, r.stderr
+    assert r.stdout == "" and list(tmp.iterdir()) == []  # no run started
+
+
+def test_bench_script_removes_its_directory_on_sigterm(tmp_path):
+    # scripts/bench.py keeps exported trees, bytecode and warm caches (tens
+    # of MB) in a hzlag-bench-* temporary directory; stopped by SIGTERM
+    # while a workload runs, it kills that run and removes the directory
+    repo = _bench_copy(tmp_path)
     tmp = tmp_path / "tmp"
     tmp.mkdir()
     proc = subprocess.Popen([sys.executable, str(repo / "scripts" / "bench.py"), "--runs", "1"],
@@ -1249,6 +1323,20 @@ def test_verify_window_options(cache, capsys, monkeypatch, flag, default, cap, s
         assert capsys.readouterr().err == EMPTY_SUITE_ERRORS[name]
 
 
+def test_table_reading_suites_run_at_every_window_value(cache, capsys):
+    # the suites index the rows of their tables directly, so a read outside a
+    # table would be a KeyError (exit 3): every value of their window options
+    # stays within the tables they load
+    for suite, flag, values in (("crosscheck", "mmax", range(7)),
+                                ("constraints", "gmax", range(1, 9))):
+        for v in values:
+            rc = main(["verify", "--suite", suite, "--no-cache", f"--{flag}", str(v)])
+            out, err = capsys.readouterr()
+            assert (rc, err) == (0, ""), (flag, v, err)
+            assert re.fullmatch(rf"suite {suite}: \d+ checks, 0 failures\n", out), (flag, v, out)
+    assert not cache.exists()
+
+
 def test_verify_constraints_follows_gmax(cache, tmp_path, capsys):
     # the vk table of the constraints suite follows --gmax to its cap
     out = tmp_path / "report.json"
@@ -1358,11 +1446,10 @@ def test_verify_constraints_cache_round_trip(cache, capsys):
     ("glag-k1", {"rmax2": 5, "nmax": 8}),
 ], ids=["laguerre", "gauss", "vk", "glag-k1"])
 def test_load_table_equals_the_builders_table(cache, ensemble, bounds, use_cache):
-    # the table is built by the ensemble's engine: its rows, flattened, are
-    # the entries read back, a Decimal value equal to the int read
-    rows = ENSEMBLES[ensemble].items(*bounds.values())
-    want = recursions.Table(tuple(bounds.values()), {
-        (i, j): v for i, j0, values in rows for j, v in enumerate(values, j0)})
+    # the table is built by the ensemble's engine: its rows are the rows
+    # read back, a Decimal value equal to the int read
+    want = {i: dict(enumerate(values, j0))
+            for i, j0, values in ENSEMBLES[ensemble].items(*bounds.values())}
     assert cli.load_table(ensemble, bounds, use_cache) == want
     assert cli.load_table(ensemble, bounds, use_cache) == want  # a hit, when cached
     assert any(cache.iterdir()) if use_cache else not cache.exists()
@@ -1510,11 +1597,11 @@ _WRONG_VALUES = {
         {"a-to-C[g=2]": "x^-9: a-row 20791 table 20790"}),
     "int-2": (
         ["--suite", "constraints"], recursions, "int2_residuals",
-        lambda f: lambda table: {**f(table), (1, 3): 5},
+        lambda f: lambda rows: {**f(rows), (1, 3): 5},
         {"int-2[g=1,n=3]": "residual 5 expected 0"}),
     "W1": (
         ["--suite", "constraints"], recursions, "w1_slots",
-        lambda f: lambda table: {**f(table), (-1, 1): (3, 2)},
+        lambda f: lambda rows: {**f(rows), (-1, 1): (3, 2)},
         {"W1[q=-1,e=1]": "collected 3 expected 2"}),
     "consistency": (
         ["--suite", "constraints"], engines, "consistency_form",

@@ -23,7 +23,6 @@ from hzlag.engines import (
     vk_items,
 )
 from hzlag.recursions import (
-    Table,
     asym_moments,
     c1_closed_form,
     gauss_genus_coefficients,
@@ -41,9 +40,9 @@ def _flat(rows):
     return [((i, j), v) for i, j0, values in rows for j, v in enumerate(values, j0)]
 
 
-def _table(ensemble: str, *bounds) -> Table:
-    """The Table that verify reads: the ensemble's gen JSON at these bound
-    values, in ENSEMBLES order, read back with the cache off."""
+def _table(ensemble: str, *bounds) -> dict:
+    """The rows {i: {j: value}} that verify reads: the ensemble's gen JSON at
+    these bound values, in ENSEMBLES order, read back with the cache off."""
     spec = cli.ENSEMBLES[ensemble]
     return cli.load_table(ensemble, dict(zip(spec.bounds, bounds)), use_cache=False)
 
@@ -97,7 +96,8 @@ def test_engine_yields_its_table_in_sorted_key_order(items, ensemble, bounds):
         assert [i for i, _, _ in rows] == sorted({i for i, _, _ in rows}), b
         keys = [k for k, _ in _flat(rows)]
         assert all(a < c for a, c in zip(keys, keys[1:])), b  # strictly increasing
-        assert dict(_flat(items(*b))) == _table(ensemble, *b).entries, b
+        assert {i: dict(enumerate(values, j0)) for i, j0, values in rows} == \
+            _table(ensemble, *b), b
 
 
 def test_engine_rows_start_at_their_least_second_index():
@@ -110,49 +110,14 @@ def test_engine_rows_start_at_their_least_second_index():
     assert [(i, j0, len(v)) for i, j0, v in glag_k1_items(1, 2)] == [(0, 0, 3), (1, 0, 3)]
 
 
-# -- Table reads: a missing key is 0 unless an index is above its bound ------
-
-
-# the name each ensemble's table has in the ids of the reads below
-_TABLE_IDS = {"laguerre": "do_norbury_table", "gauss": "gauss_hz_table", "vk": "vk_table",
-              "glag-k1": "glag_k1_table"}
-_READS = [  # (ensemble, its bounds, method, index, the read: a value or KeyError)
-    ("laguerre", (8, 30), "value", (3, -1), 0),
-    ("laguerre", (8, 30), "value", (9, 0), KeyError),
-    ("laguerre", (8, 30), "value", (0, 31), KeyError),
-    ("laguerre", (8, 30), "value", (9, -1), KeyError),  # was 0
-    ("gauss", (8,), "value", (3, -1), 0),
-    ("gauss", (8,), "value", (3, 3), 0),  # k >= g vanishes
-    ("gauss", (8,), "value", (9, 9), KeyError),  # was 0
-    ("vk", (6,), "row", (7,), KeyError),
-    ("vk", (6,), "value", (-1, 0), 0),  # was KeyError
-    ("glag-k1", (8, 12), "value", (0, -1), 0),
-    ("glag-k1", (8, 12), "value", (-1, 0), 0),
-    ("glag-k1", (8, 12), "value", (-1, 13), KeyError),  # was 0
-]
-
-
-@pytest.mark.parametrize("ensemble,bounds,read,index,want", _READS, ids=[
-    f"{_TABLE_IDS[e]}.{read}({','.join(map(str, index))})" for e, _, read, index, _ in _READS])
-def test_table_reads_outside_the_entries(ensemble, bounds, read, index, want):
-    t = _table(ensemble, *bounds)
-    assert t.bounds == bounds
-    assert index not in t.entries
-    if want is KeyError:
-        with pytest.raises(KeyError):
-            getattr(t, read)(*index)
-    else:
-        assert getattr(t, read)(*index) == want
-
-
 # -- integer engines ("3-t", "recurrence", "8-t") ----------------------------
 
 
 def test_integer_engines_build_ints(dn, gauss, glag):
     # verify reads them with int values, whatever number type the engine runs over
     for table in (dn, gauss, glag):
-        assert table.entries
-        assert all(type(v) is int for v in table.entries.values())
+        assert table
+        assert all(type(v) is int for row in table.values() for v in row.values())
 
 
 # what str() of an int gives: no exponent, no signed zero
@@ -189,7 +154,7 @@ def test_engine_leaves_the_callers_context_current_between_rows(items, bounds):
 
 def test_3t_decimal_run_names_a_non_integer_entry(monkeypatch):
     # one more than the true numerator of C_3^(2), whose divisor is n + 2g + 1 = 8
-    want = Fraction(8 * _table("laguerre", 2, 3).value(2, 3) + 1, 8)
+    want = Fraction(8 * _table("laguerre", 2, 3)[2][3] + 1, 8)
     true_div = engines._exact_div
     monkeypatch.setattr(engines, "_exact_div", lambda num, den, anchor, i, j:
                         true_div(num + ((i, j) == (2, 3)), den, anchor, i, j))
@@ -231,26 +196,26 @@ def test_vk_denominators_divide_scale():
 
 def test_dn_genus_zero_is_catalan(dn):
     for n in range(10):
-        assert dn.value(0, n) == CATALAN[n]
+        assert dn[0][n] == CATALAN[n]
 
 
 def test_dn_known_genus_one_values(dn):
-    assert dn.value(1, 0) == 0
-    assert dn.value(1, 1) == 1
-    assert dn.value(1, 2) == 10
-    assert dn.value(1, 3) == 70
-    assert dn.value(1, 4) == 420
+    assert dn[1][0] == 0
+    assert dn[1][1] == 1
+    assert dn[1][2] == 10
+    assert dn[1][3] == 70
+    assert dn[1][4] == 420
 
 
 def test_dn_c0_vanishes_positive_genus(dn):
     for g in range(1, 9):
-        assert dn.value(g, 0) == 0
+        assert dn[g][0] == 0
 
 
 def test_dn_c1_closed_form():
     table = _table("laguerre", 12, 1)
     for g in range(13):
-        assert table.value(g, 1) == c1_closed_form(g)
+        assert table[g][1] == c1_closed_form(g)
     assert type(c1_closed_form(40)) is int
     assert c1_closed_form(0) == 1
     assert c1_closed_form(1) == 1
@@ -260,22 +225,22 @@ def test_dn_c1_closed_form():
 
 def test_dn_positive_integers(dn):
     # the n = 0 column is the seed (1, 0, 0, ...)
-    assert integrality_violations({k: v for k, v in dn.entries.items() if k[1] >= 1}) == []
+    assert [k for k in integrality_violations(dn) if k[1] >= 1] == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=30))
 def test_dn_three_term_relation(dn, g, n):
-    lhs = (n + 2 * g + 1) * dn.value(g, n)
-    rhs = (n + 2 * g - 2) * (n + 2 * g - 1) ** 2 * dn.value(g - 1, n)
-    rhs += 2 * (2 * n + 4 * g - 1) * dn.value(g, n - 1)
+    lhs = (n + 2 * g + 1) * dn[g][n]
+    rhs = (n + 2 * g - 2) * (n + 2 * g - 1) ** 2 * dn[g - 1][n]
+    rhs += 2 * (2 * n + 4 * g - 1) * dn[g][n - 1]
     assert lhs == rhs
 
 
 def test_lag_moments_match_wick(dn):
     # <tr H^m> = sum_g C_{m-2g}^(g) N^(1-2g)
     for m in range(1, 7):
-        table = MomentPoly({1 - 2 * g: dn.value(g, m - 2 * g) for g in range(m // 2 + 1)})
+        table = MomentPoly({1 - 2 * g: dn[g][m - 2 * g] for g in range(m // 2 + 1)})
         assert table == complex_wishart_moment((m,), "N", "N")
 
 
@@ -283,51 +248,49 @@ def test_lag_genus_extract_matches_table(dn):
     for m in range(1, 7):
         ge = genus_extract(complex_wishart_moment((m,), "N", "N"), 1)
         for g, c in ge.items():
-            assert dn.value(g, m - 2 * g) == c
+            assert dn[g][m - 2 * g] == c
 
 
 def test_laguerre_ode_check_passes(dn):
     residuals = int2_residuals(dn)
-    gmax, nmax = dn.bounds
-    assert set(residuals) == {(g, n) for g in range(gmax + 1) for n in range(nmax + 1)}
+    assert set(residuals) == {(g, n) for g in range(9) for n in range(31)}  # the bounds 8/30
     assert all(r == 0 for r in residuals.values())
 
 
 def test_laguerre_ode_check_detects_corruption(dn):
-    bad = dict(dn.entries)
-    bad[(1, 2)] = Fraction(11)  # true value 10
-    residuals = int2_residuals(Table(dn.bounds, bad))
+    bad = {g: dict(row) for g, row in dn.items()}
+    bad[1][2] = Fraction(11)  # true value 10
+    residuals = int2_residuals(bad)
     assert any(r != 0 for r in residuals.values())
 
 
 def test_integrality_violations_surface():
-    entries = {(0, 0): Fraction(1), (0, 1): Fraction(1), (0, 2): Fraction(2),
-               (1, 0): Fraction(0), (1, 1): Fraction(0), (1, 2): Fraction(21, 2)}
-    assert integrality_violations(entries) == [(1, 0), (1, 1), (1, 2)]
+    rows = {0: {0: Fraction(1), 1: Fraction(1), 2: Fraction(2)},
+            1: {0: Fraction(0), 1: Fraction(0), 2: Fraction(21, 2)}}
+    assert integrality_violations(rows) == [(1, 0), (1, 1), (1, 2)]
     # as the constraints suite reads a laguerre table: the seed column n = 0 is exempt
-    assert integrality_violations({k: v for k, v in entries.items() if k[1] >= 1}) == [
-        (1, 1), (1, 2)]
+    assert [k for k in integrality_violations(rows) if k[1] >= 1] == [(1, 1), (1, 2)]
 
 
 # -- Gaussian table (anchor "recurrence") -------------------------------------
 
 
 def test_gauss_known_rows(gauss):
-    assert gauss.value(1, 0) == 1
-    assert [gauss.value(2, k) for k in range(2)] == [21, 105]
-    assert [gauss.value(3, k) for k in range(3)] == [1485, 18018, 50050]
-    assert [gauss.value(4, k) for k in range(4)] == [
+    assert gauss[1][0] == 1
+    assert [gauss[2][k] for k in range(2)] == [21, 105]
+    assert [gauss[3][k] for k in range(3)] == [1485, 18018, 50050]
+    assert [gauss[4][k] for k in range(4)] == [
         225225, 4660227, 29099070, 56581525
     ]
 
 
 def test_gauss_top_entry_g6():
     t = _table("gauss", 6)
-    assert t.value(6, 5) == 386078943500250
+    assert t[6][5] == 386078943500250
 
 
 def test_gauss_positive_integers(gauss):
-    assert integrality_violations(gauss.entries) == []
+    assert integrality_violations(gauss) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -336,16 +299,18 @@ def test_gauss_five_factor_relation(gauss, g, k):
     if k > g:
         return
     s = 4 * g + 2 * k
-    lhs = (s + 6) * gauss.value(g + 1, k)
-    rhs = (s + 1) * (s + 3) * ((s + 2) * gauss.value(g, k) + 4 * (s - 1) * gauss.value(g, k - 1))
+    # b_k^(g) is 0 outside the row's 0 <= k < g
+    lhs = (s + 6) * gauss[g + 1][k]
+    rhs = (s + 1) * (s + 3) * ((s + 2) * gauss[g].get(k, 0)
+                               + 4 * (s - 1) * gauss[g].get(k - 1, 0))
     assert lhs == rhs
 
 
-def _gue_mismatches(table: Table, gmax: int, mmax: int) -> list[tuple[int, int]]:
+def _gue_mismatches(table: dict, gmax: int, mmax: int) -> list[tuple[int, int]]:
     """The (g, m) whose genus-g reconstruction from the table differs from
     the pairing oracle's coefficient of N^(1-2g) in <tr H^m>."""
     return [(g, m) for g in range(1, gmax + 1)
-            for m, c in gauss_genus_coefficients(table, g, mmax).items()
+            for m, c in gauss_genus_coefficients(table[g], g, mmax).items()
             if c != gue_moment(m).coefficient(1 - 2 * g)]
 
 
@@ -356,9 +321,9 @@ def test_gauss_genus_coefficients_match_gue(gauss):
 def test_gauss_genus_coefficients_see_corruption(gauss):
     # b_1^(2) = 105 feeds x^-(4g+2k+1) = x^-11 and below, the coefficients
     # x^-(m+1) of m = 10 and 12
-    bad = dict(gauss.entries)
-    bad[(2, 1)] = Fraction(147)
-    assert _gue_mismatches(Table(gauss.bounds, bad), 6, 12) == [(2, 10), (2, 12)]
+    bad = {g: dict(row) for g, row in gauss.items()}
+    bad[2][1] = Fraction(147)
+    assert _gue_mismatches(bad, 6, 12) == [(2, 10), (2, 12)]
 
 
 def test_gauss_binomial_series_is_exact():
@@ -379,7 +344,7 @@ def test_gauss_genus_coefficients_match_pairings(gauss):
         ge = genus_extract(gue_moment(m), 1)
         for g in range(2, m // 2 + 1):
             if g in ge:
-                got = gauss_genus_coefficients(gauss, g, m)
+                got = gauss_genus_coefficients(gauss[g], g, m)
                 assert got.get(m, Fraction(0)) == ge[g]
 
 
@@ -387,31 +352,31 @@ def test_gauss_genus_coefficients_match_pairings(gauss):
 
 
 def test_vk_known_rows(vk):
-    assert vk.row(0) == {0: Fraction(-1, 2)}
-    assert vk.row(1) == {
+    assert vk[0] == {0: Fraction(-1, 2)}
+    assert vk[1] == {
         -3: Fraction(1, 256), -2: Fraction(-1, 64), -1: Fraction(3, 128),
         0: Fraction(-1, 64), 1: Fraction(1, 256),
     }
     want2 = [105, -616, 1500, -1944, 1430, -600, 156, -40, 9]
-    assert vk.row(2) == {
+    assert vk[2] == {
         k: Fraction(c, 65536) for k, c in zip(range(-6, 3), want2)
     }
 
 
 def test_vk_row_bounds(vk):
     for g in range(7):
-        ks = sorted(vk.row(g).keys())
+        ks = sorted(vk[g].keys())
         assert min(ks) >= -3 * g and max(ks) <= g
 
 
 def test_vk_consistency_form(vk):
     for g in range(7):
-        assert consistency_form(vk.row(g)) == 0
+        assert consistency_form(vk[g]) == 0
 
 
 def test_vk_asym_sums_vanish(vk):
     for g in range(1, 7):
-        row = vk.row(g)
+        row = vk[g]
         for r in range(2 * g + 2):
             assert sum(Fraction(k) ** r * a if k or r == 0 else Fraction(0)
                        for k, a in row.items()) == 0, (g, r)
@@ -436,7 +401,7 @@ def test_asym_first_nonzero_matches_moments(p, low, rmax):
 
 def test_vk_row_sum_zero_positive_genus(vk):
     for g in range(1, 7):
-        assert sum(vk.row(g).values()) == 0
+        assert sum(vk[g].values()) == 0
 
 
 # -- fractional-genus table (anchor "8-t") ------------------------------------
@@ -445,13 +410,13 @@ def test_vk_row_sum_zero_positive_genus(vk):
 def test_glag_moments_match_rectangular_wick(glag):
     # <tr H^m> = sum_q C_{m-q}^(q/2) N^(1-q)
     for m in range(1, 6):
-        table = MomentPoly({1 - q: glag.value(q, m - q) for q in range(m + 1)})
+        table = MomentPoly({1 - q: glag[q][m - q] for q in range(m + 1)})
         assert table == complex_wishart_moment((m,), "N", "N+1")
 
 
 def test_glag_series_x5_coefficient(glag):
     # the coefficient of x^-5 N^-q is C_{4-q}^(q/2)
-    c = {q: glag.value(q, 4 - q) for q in range(5)}
+    c = {q: glag[q][4 - q] for q in range(5)}
     assert c == {0: 14, 1: 35, 2: 40, 3: 25, 4: 6}
     assert sum(c.values()) == 120  # N = 1 collapse: Gamma(5)
 
@@ -463,9 +428,8 @@ def test_glag_w1_ode_check_passes(glag):
 
 
 def test_glag_w1_ode_check_detects_corruption(glag):
-    bad = dict(glag.entries)
-    key = (2, 1)
-    assert key in bad
-    bad[key] = bad[key] + 1
-    slots = w1_slots(Table(glag.bounds, bad))
+    bad = {q: dict(row) for q, row in glag.items()}
+    assert 1 in bad[2]
+    bad[2][1] += 1
+    slots = w1_slots(bad)
     assert any(got != want for got, want in slots.values())

@@ -49,7 +49,7 @@ def test_s_series_input_validation():
 
 def test_a_to_C_genus_zero_gives_catalan():
     # 1/2 + a-row of g = 0: the coefficient of x^-(1+n) is Catalan(n)
-    row = load_table("vk", {"gmax": 0}, use_cache=False).row(0)
+    row = load_table("vk", {"gmax": 0}, use_cache=False)[0]
     assert a_row_series(row, 0, 8) == [0] + [Fraction(c) for c in CATALAN]
 
 
@@ -58,12 +58,12 @@ def test_a_to_C_matches_three_term_table(g):
     # x^0 .. x^-2g cancel, and C_n^(g) is the coefficient of x^(-1-2g-n)
     table = load_table("vk", {"gmax": g}, use_cache=False)
     dn = load_table("laguerre", {"gmax": g, "nmax": 12}, use_cache=False)
-    got = a_row_series(table.row(g), g, 13 + 2 * g)
-    assert got == [0] * (2 * g + 1) + [dn.value(g, n) for n in range(13)]
+    got = a_row_series(table[g], g, 13 + 2 * g)
+    assert got == [0] * (2 * g + 1) + [dn[g][n] for n in range(13)]
 
 
 def test_a_to_C_detects_non_cancellation():
-    row = dict(load_table("vk", {"gmax": 1}, use_cache=False).row(1))
+    row = dict(load_table("vk", {"gmax": 1}, use_cache=False)[1])
     row[0] += Fraction(1, 512)
     assert a_row_series(row, 1, 5)[:3] != [0, 0, 0]
 
@@ -77,7 +77,7 @@ def _w11_sides():
 def test_w11_check_passes():
     s_form, closed = _w11_sides()
     assert s_form == closed
-    assert a_row_series(load_table("vk", {"gmax": 1}, use_cache=False).row(1), 1, 7) == closed
+    assert a_row_series(load_table("vk", {"gmax": 1}, use_cache=False)[1], 1, 7) == closed
     # the closed form expands to 1, 10, 70, 420 at x^-4 .. x^-7
     assert closed == [0, 0, 0, 0, 1, 10, 70, 420]
 
@@ -86,7 +86,7 @@ def test_w11_check_fails_a_wrong_row():
     # a row that expands, but to the wrong series, and one whose expansion
     # does not cancel: a_{-3}^(1) = 1/256 as 7/8 leaves 223/256 at x^0
     _, closed = _w11_sides()
-    row = dict(load_table("vk", {"gmax": 1}, use_cache=False).row(1))
+    row = dict(load_table("vk", {"gmax": 1}, use_cache=False)[1])
     scaled = {k: 2 * a for k, a in row.items()}
     assert a_row_series(scaled, 1, 7) == [2 * c for c in closed] != closed
     row[-3] = Fraction(7, 8)
@@ -114,7 +114,7 @@ def test_consistency_identity_check():
     # the "consistency" form vanishes on every a-row through g = 6, and not
     # on a row with one coefficient changed
     table = load_table("vk", {"gmax": 6}, use_cache=False)
-    assert all(consistency_form(table.row(g)) == 0 for g in range(7))
-    row = dict(table.row(3))
+    assert all(consistency_form(table[g]) == 0 for g in range(7))
+    row = dict(table[3])
     row[3] += 1
     assert consistency_form(row) == 105

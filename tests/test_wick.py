@@ -337,8 +337,8 @@ def test_wishart_matches_recursion_tables_to_the_limit():
     dn = load_table("laguerre", {"gmax": m_top // 2, "nmax": m_top}, use_cache=False)
     glag = load_table("glag-k1", {"rmax2": m_top, "nmax": m_top}, use_cache=False)
     for m in range(1, m_top + 1):
-        square = MomentPoly({1 - 2 * g: dn.value(g, m - 2 * g) for g in range(m // 2 + 1)})
-        rectangular = MomentPoly({1 - q: glag.value(q, m - q) for q in range(m + 1)})
+        square = MomentPoly({1 - 2 * g: dn[g][m - 2 * g] for g in range(m // 2 + 1)})
+        rectangular = MomentPoly({1 - q: glag[q][m - q] for q in range(m + 1)})
         assert complex_wishart_moment((m,), "N", "N") == square, m
         assert complex_wishart_moment((m,), "N", "N+1") == rectangular, m
 
