@@ -878,15 +878,19 @@ def _bench_copy(tmp_path, commit: bool = True) -> pathlib.Path:
     return repo
 
 
-def _bench_dirty(repo: pathlib.Path, edit, when: str) -> bool:
+def _bench_dirty(repo: pathlib.Path, path: str, when: str) -> bool:
     """The dirty flag of a one-run report of the copy's scripts/bench.py
-    over one short workload, with edit() called before the first run
-    (when="before") or just after it (when="during")."""
+    over one short workload, with a line appended to the copy's file path
+    before the first run (when="before") or just after it (when="during")."""
     spec = importlib.util.spec_from_file_location("bench_copy", repo / "scripts" / "bench.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     script.WORKLOADS = {"oracle": (["oracle", "--mu", "1"], "cold")}
-    measure = script.measure
+    measure, runs = script.measure, []
+
+    def edit():
+        with open(repo / path, "a") as f:
+            f.write("# edited\n")
 
     def measure_then_edit(*args):
         sample = measure(*args)
@@ -895,7 +899,7 @@ def _bench_dirty(repo: pathlib.Path, edit, when: str) -> bool:
         runs.append(args)
         return sample
 
-    runs, script.measure = [], measure_then_edit
+    script.measure = measure_then_edit
     if when == "before":
         edit()
     handler = signal.getsignal(signal.SIGTERM)  # main() installs its own
@@ -909,20 +913,14 @@ def _bench_dirty(repo: pathlib.Path, edit, when: str) -> bool:
     return json.loads(report.read_text())["dirty"]
 
 
-def _append(path: pathlib.Path, text: str) -> None:
-    with open(path, "a") as f:
-        f.write(text)
-
-
-@pytest.mark.parametrize("edit,when,dirty", [
-    (lambda repo: _append(repo / "README.md", "edited\n"), "before", False),
-    (lambda repo: _append(repo / "src" / "hzlag" / "wick.py", "# edited\n"), "before", True),
-    (lambda repo: _append(repo / "src" / "hzlag" / "wick.py", "# edited\n"), "during", True),
+@pytest.mark.parametrize("path,when,dirty", [
+    ("README.md", "before", False),
+    ("src/hzlag/wick.py", "before", True),
+    ("src/hzlag/wick.py", "during", True),
 ], ids=["README", "src", "src-during-the-runs"])
-def test_bench_script_marks_dirty_only_an_edited_src(tmp_path, edit, when, dirty):
+def test_bench_script_marks_dirty_only_an_edited_src(tmp_path, path, when, dirty):
     # git is read before the first run and after the last, over src/ only
-    repo = _bench_copy(tmp_path)
-    assert _bench_dirty(repo, lambda: edit(repo), when) is dirty
+    assert _bench_dirty(_bench_copy(tmp_path), path, when) is dirty
 
 
 def test_bench_script_outside_a_git_checkout_exits_1_before_any_run(tmp_path):
