@@ -16,7 +16,10 @@ from it: each table of its GEN_JOBS as a cold JSON gen (on an empty cache),
 a warm JSON gen and a warm CSV gen, and its verify-all run, VERIFY_ARGS.
 
 Each run (``measure``) is a child ``python -c _CHILD ARGV`` that imports
-``decimal``, ``hzlag.cli`` and ``hzlag.engines``, reads its own VmHWM (the
+``decimal``, ``hzlag.cli`` and ``hzlag.engines``, and ``hzlag.verify``
+where the tree has that module (a tree from before the suites left
+``hzlag.cli`` holds them in it), so that both trees of ``--against`` count
+the same code in the floor; it then reads its own VmHWM (the
 high-water RSS in /proc/self/status; the import floor), runs
 ``hzlag.cli.entry()`` as ``python -m hzlag.cli ARGV`` does, and reads its
 VmHWM again (the peak).  Its stdout goes to /dev/null, its working
@@ -27,8 +30,9 @@ filled before the first run of a warm one) and its bytecode under one
 PYTHONPYCACHEPREFIX per tree, written by an untimed run of each workload
 first.  wall_s is the time from start to exit as this script sees it;
 cpu_s is the child's user plus system time; floor_mb and peak_mb are the
-two VmHWM readings, in MB of 2^20 bytes.  The up-front imports add about
-2 ms to a warm gen, which loads neither module otherwise.
+two VmHWM readings, in MB of 2^20 bytes.  The up-front imports add a
+few ms to a warm gen, which otherwise loads none of decimal, hzlag.engines
+and hzlag.verify.
 
 The ``ru_maxrss`` that ``wait4`` reports is no use for memory here: exec
 keeps the high-water RSS of the image it replaces, and a child spawned
@@ -119,7 +123,9 @@ def vmhwm():
         pass
     return None
 
-import decimal, hzlag.cli, hzlag.engines
+import decimal, importlib.util, hzlag.cli, hzlag.engines
+if importlib.util.find_spec("hzlag.verify"):
+    import hzlag.verify
 floor = vmhwm()
 try:
     sys.exit(hzlag.cli.entry())

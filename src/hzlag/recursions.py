@@ -1,17 +1,17 @@
 """Genus-graded moment tables and the values the table checks compare.
 
 The four table engines ("3-t", "recurrence", "rec-v2" and "8-t") live in
-hzlag.engines, which yields each table a row at a time; hzlag.cli streams
-the rows into the gen JSON, and cli.load_table reads the table back from
-it as its rows, {i: {j: value}}, which the checks here take.  Here: the
+hzlag.engines, which yields each table a row at a time; hzlag.tables
+streams the rows into the gen JSON, and its load_table reads the table back
+as its rows, {i: {j: value}}, which the checks here take.  Here: the
 n = 1 closed form ("C1g"), the operator equations "int-2" and "W1", which
 re-derive the tables independently of the table-filling code paths, the
 Gaussian genus reconstruction, and half_binomial_series, the int kernel
 for (1-4t)^(s/2) that the Gaussian genus reconstruction and the spectral
 bases share.  The
 operator equations return their collected coefficients, not verdicts: the
-constraints suite of hzlag.cli judges them and makes the check records.
-Nothing here reads the Wick oracles: the crosscheck suite of hzlag.cli
+constraints suite of hzlag.verify judges them and makes the check records.
+Nothing here reads the Wick oracles: the crosscheck suite of hzlag.verify
 compares the tables with them.
 """
 

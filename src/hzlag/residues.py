@@ -12,7 +12,7 @@ and reflection residuals are multiplied through by their known denominators,
 so every residual is again a Laurent polynomial in w, zero exactly when it
 has no terms: no step takes a polynomial gcd.  This module returns the
 residuals, in registries keyed by tag; the identities and odes suites of
-hzlag.cli walk them, judge each residual and name its check.  ``fab``
+hzlag.verify walk them, judge each residual and name its check.  ``fab``
 returns that Laurent polynomial itself, and the moments are read off its
 Taylor coefficients at u = 0.  The iterated two-point residues are expanded
 as integer double series.  The contour variables couple to W = B B† = N H,
@@ -165,7 +165,7 @@ def two_point_series(N: int, order: int) -> dict[tuple[int, int], int]:
 # ---------------------------------------------------------------------------
 
 
-# The registries that the identities and odes suites of hzlag.cli walk:
+# The registries that the identities and odes suites of hzlag.verify walk:
 # AB_IDENTITIES maps a tag to the least A and B and to the residuals at
 # (A, B), each with the suffix of its check id; N_IDENTITIES and ODES map a
 # tag to the residual at N.  A residual is its identity or ODE multiplied

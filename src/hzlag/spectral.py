@@ -5,7 +5,7 @@ plain list of the coefficients of x^0, x^-1, .. x^-order: the v_k basis
 ((x-4)/x)^(k+1/2), the s_{k,beta} basis (x-2)^beta (x^2-4x)^(-(2k+3)/2),
 the expansion of an a_k^(g) row in the v_k basis, whose coefficients are
 the C_n^(g), and the basis side of "W30".  The checks that read these
-series ("a-to-C", "W11" and "W30") are comparisons of hzlag.cli's suites.
+series ("a-to-C", "W11" and "W30") are comparisons of hzlag.verify's suites.
 Half-integer powers never require algebraic extensions: every object
 handled is x^(-a) (x-4)^(-b) with a+b an integer, hence a genuine Laurent
 series in 1/x.  Each basis series is (1 - 4/x)^(s/2) for an odd s, times a

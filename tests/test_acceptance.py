@@ -8,7 +8,7 @@ import pathlib
 import time
 from fractions import Fraction
 
-from hzlag.cli import load_table, payload_to_json, table_payload
+from hzlag.tables import load_table, payload_to_json, table_payload
 from hzlag.engines import consistency_form
 from hzlag.recursions import (
     c1_closed_form,

@@ -28,12 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hzlag
-from hzlag import cli, engines, exact, recursions, residues, spectral, wick
-from hzlag.cli import (
+from hzlag import cli, engines, exact, recursions, residues, spectral, tables, verify, wick
+from hzlag.cli import main
+from hzlag.tables import (
     ENSEMBLES,
     cache_path,
     cached_bytes,
-    main,
     payload_to_csv,
     payload_to_json,
     table_payload,
@@ -308,6 +308,45 @@ def test_empty_entry_list_under_its_digest_is_named_corrupt(cache, tmp_path, cap
     assert not any(out.exists() for out in outs)
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda body: body, id="as-gen-writes-it"),
+    pytest.param(lambda body: body[:body.index(b'"entries"')], id="in-the-header"),
+    pytest.param(lambda body: body.replace(b'  "entries": [\n', b'  "entries": [ \n'),
+                 id="list-never-opens"),
+    # joined to the line before, which leaves a JSON of 5k + 3 lines
+    pytest.param(lambda body: body.replace(b'",\n  "entries": [\n', b'",  "entries": [\n'),
+                 id="list-opens-mid-line"),
+    pytest.param(lambda body: body.replace(b"    }\n  ],", b"    }  ],"),
+                 id="close-on-the-last-entry-line"),
+    pytest.param(lambda body: body[:body.rindex(b"}")], id="last-line-missing"),
+    pytest.param(lambda body: body.replace(b'"\n}\n', b'"\n}\n\n'), id="line-after-the-end"),
+    pytest.param(lambda body: body[:body.rindex(b"  ],\n")], id="closing-lines-missing"),
+    pytest.param(lambda body: body[:body.rindex(b"    },\n") + 7] + tables._ENDING,
+                 id="comma-after-the-last-entry"),
+    pytest.param(lambda body: body.replace(b'      "k": -3,\n', b"", 1), id="entry-line-missing"),
+    pytest.param(lambda body: body[:body.index(b"[\n") + 2] + b"\n" + tables._ENDING,
+                 id="empty-as-payload-to-json-writes-it"),
+    pytest.param(lambda body: body[:body.index(b"[\n") + 2] + tables._ENDING, id="empty"),
+])
+@pytest.mark.parametrize("buf", [7, 1 << 16])
+def test_entry_reader_names_a_list_that_does_not_open_and_close_as_gen_writes_it(buf, edit):
+    # the reader's own check, which a cache entry's end and digest pass
+    # before it, and which alone guards a --no-cache table
+    body = edit(GOLDEN.read_bytes())
+    with tempfile.TemporaryFile() as src, mock.patch.object(tables, "_BUF", buf):
+        src.write(body)
+        src.seek(0)
+        if body == GOLDEN.read_bytes():
+            pieces = list(tables._entry_texts(src, ("g", "k")))
+            assert len(pieces) > 1
+            assert [sum(texts, []) for texts in zip(*pieces)] == [
+                [str(e[k]).encode() for e in json.loads(body)["entries"]]
+                for k in ("g", "k", "value")]
+        else:
+            with pytest.raises(tables.UsageError, match=tables._LIST_FAULT):
+                list(tables._entry_texts(src, ("g", "k")))
+
+
 VK1 = ["vk", "--gmax", "1"]
 VK2 = ["vk", "--gmax", "2"]
 # --out placeholders that test_bad_input_exits_2 replaces by paths under its
@@ -432,9 +471,9 @@ def test_previous_cache_format_entry_that_cannot_be_removed_is_left(cache, capsy
 
 @pytest.mark.parametrize("piece", [1, 60, 300])
 def test_csv_is_converted_piece_by_piece(cache, capsys, monkeypatch, piece):
-    # a readlines hint of 1: every read is one line; 60: the first read ends
+    # reads of 1 byte: every entry takes many reads; 60: the first read ends
     # inside the JSON header; 300: a few entries each
-    monkeypatch.setattr(cli, "_BUF", piece)
+    monkeypatch.setattr(tables, "_BUF", piece)
     for argv, name in TABLE_GOLDENS[len(JSON_GOLDENS):]:
         header = (GOLDEN.parent / name.replace(".csv", ".json")).read_bytes()
         assert piece == 300 or header.index(b'"entries": [') + 14 > piece
@@ -444,9 +483,8 @@ def test_csv_is_converted_piece_by_piece(cache, capsys, monkeypatch, piece):
 
 
 class _ReadLog:
-    """A file that passes every call on to f and logs the size of each read
-    and the hint of each readlines, as ("read", size) and ("readlines",
-    hint)."""
+    """A file that passes every call on to f and logs the size of each
+    read, as ("read", size)."""
 
     def __init__(self, f, sizes: list):
         self.f, self.sizes = f, sizes
@@ -454,10 +492,6 @@ class _ReadLog:
     def read(self, *size):
         self.sizes.append(("read", size[0] if size else None))
         return self.f.read(*size)
-
-    def readlines(self, *hint):
-        self.sizes.append(("readlines", hint[0] if hint else None))
-        return self.f.readlines(*hint)
 
     def __getattr__(self, name):
         return getattr(self.f, name)
@@ -474,34 +508,28 @@ def test_warm_gen_reads_its_entry_in_bounded_pieces(cache, capsys, monkeypatch):
         assert main(["gen", *argv]) == 0  # computed into the cache
     capsys.readouterr()
     sizes = []
-    monkeypatch.setattr(cli, "open", lambda *a, **k: _ReadLog(open(*a, **k), sizes),
+    monkeypatch.setattr(tables, "open", lambda *a, **k: _ReadLog(open(*a, **k), sizes),
                         raising=False)
     for buf in (100, 128):
-        monkeypatch.setattr(cli, "_BUF", buf)
+        monkeypatch.setattr(tables, "_BUF", buf)
         for argv, name in TABLE_GOLDENS:
             sizes.clear()
             assert main(["gen", *argv]) == 0
             golden = (GOLDEN.parent / name).read_text()
             assert capsys.readouterr().out == golden, name
             # the digest line, the JSON hashed buf bytes at a time, then the
-            # JSON served buf bytes at a time, or as CSV by readlines(buf),
-            # whose lines run on to the end of the line that reaches buf
-            # bytes; each pass ends at an empty read
+            # JSON served buf bytes at a time, as JSON or as CSV; each pass
+            # ends at an empty read
             data = (GOLDEN.parent / name.replace(".csv", ".json")).read_bytes()
-            hashed = [("read", buf)] * (-(-len(data) // buf) + 1)
-            served = hashed
-            if name.endswith(".csv"):
-                src = io.BufferedReader(io.BytesIO(data))  # a file's readlines, not BytesIO's
-                chunks = list(iter(lambda: src.readlines(buf), []))
-                served = [("readlines", buf)] * (len(chunks) + 1)
-            assert sizes == [("read", 65), *hashed, *served], (buf, name)
+            reads = [("read", buf)] * (-(-len(data) // buf) + 1)
+            assert sizes == [("read", 65), *reads, *reads], (buf, name)
 
 
 def test_cold_gen_serves_its_new_entry_without_reading_it_back(cache, capsys, monkeypatch):
     # a miss hashes the bytes as they are written and serves them through the
     # descriptor that wrote them: _read_entry opens no entry to read it back
     sizes = []
-    monkeypatch.setattr(cli, "open", lambda *a, **k: _ReadLog(open(*a, **k), sizes),
+    monkeypatch.setattr(tables, "open", lambda *a, **k: _ReadLog(open(*a, **k), sizes),
                         raising=False)
     for argv, name in TABLE_GOLDENS:
         for f in cache.glob("*"):
@@ -513,7 +541,7 @@ def test_cold_gen_serves_its_new_entry_without_reading_it_back(cache, capsys, mo
         assert main(["gen", *argv]) == 0  # a hit still checks the digest first
         assert capsys.readouterr().out == (GOLDEN.parent / name).read_text(), name
         assert sizes[0] == ("read", 65), name
-        assert all(size <= cli._BUF for _, size in sizes), name
+        assert all(size <= tables._BUF for _, size in sizes), name
 
 
 @pytest.mark.parametrize("edit", [
@@ -524,7 +552,7 @@ def test_cold_gen_serves_its_new_entry_without_reading_it_back(cache, capsys, mo
 ])
 def test_entry_of_several_chunks_that_fails_its_digest_writes_nothing(cache, tmp_path, capsys,
                                                                       monkeypatch, edit):
-    monkeypatch.setattr(cli, "_BUF", 128)
+    monkeypatch.setattr(tables, "_BUF", 128)
     argv = ["gen", "vk", "--gmax", "8"]
     assert main(argv) == 0
     capsys.readouterr()
@@ -637,7 +665,7 @@ def _entries_of_a_write(b: bytes, row_key: str) -> list[int]:
 def test_payload_to_json_matches_json_dumps(monkeypatch, ensemble, bounds, entries):
     # 64 entries: each row in one write; 7: a row of 13 entries (laguerre)
     # in two, 11 (glag-k1) in two, 17 (vk) in three; 1: one entry per write
-    monkeypatch.setattr(cli, "_SLICE", entries)
+    monkeypatch.setattr(tables, "_SLICE", entries)
     streamed = table_payload(ensemble, bounds)
     # the entries are an iterator that can be read once; take them as a list
     # once, to render and count them several times
@@ -673,10 +701,10 @@ def test_a_long_row_is_written_in_slices():
     assert b"".join(sink.writes) == _json_reference(payload)
     head, *slices, foot = sink.writes
     rows = [_entries_of_a_write(b, "g") for b in slices]
-    assert len(slices) == 3 * -(-2001 // cli._SLICE)
-    assert all(len(set(r)) == 1 and len(r) <= cli._SLICE for r in rows)
+    assert len(slices) == 3 * -(-2001 // tables._SLICE)
+    assert all(len(set(r)) == 1 and len(r) <= tables._SLICE for r in rows)
     longest = max(map(len, b"".join(slices).split(b",\n    {"))) + 7  # with its ",\n    {"
-    assert max(map(len, slices)) <= cli._SLICE * longest
+    assert max(map(len, slices)) <= tables._SLICE * longest
 
 
 def test_table_payload_holds_no_strings():
@@ -759,7 +787,8 @@ def test_table_writers_on_generated_entries(ensemble, rows, shaped):
     data = _json_bytes(payload)
     keys = sorted((a, b) for a, b0, values in rows for b in range(b0, b0 + len(values)))
     if not keys:  # every gen table has an entry, and no reader serves an empty list
-        with tempfile.TemporaryFile() as src, pytest.raises(cli.UsageError, match=cli._LIST_FAULT):
+        with (tempfile.TemporaryFile() as src,
+              pytest.raises(tables.UsageError, match=tables._LIST_FAULT)):
             src.write(data)
             src.seek(0)
             payload_to_csv(src, ensemble, os.devnull)
@@ -772,10 +801,10 @@ def test_table_writers_on_generated_entries(ensemble, rows, shaped):
     for a, b0, values in rows:
         table.setdefault(a, {}).update(
             (b, int(v) if v.denominator == 1 else Fraction(v)) for b, v in enumerate(values, b0))
-    # whole in one read, and in readlines of a line or two, which leave every
-    # place in an entry at the end of a read
-    for buf in (cli._BUF, 7):
-        with (mock.patch.object(cli, "_BUF", buf), tempfile.TemporaryDirectory() as d,
+    # whole in one read, and in reads of 7 bytes, which end at every place
+    # in an entry over a few entries
+    for buf in (tables._BUF, 7):
+        with (mock.patch.object(tables, "_BUF", buf), tempfile.TemporaryDirectory() as d,
               mock.patch.dict(os.environ, {"HZLAG_CACHE_DIR": d})):
             out = os.path.join(d, "t.csv")
             payload_to_csv(io.BytesIO(data), ensemble, out)
@@ -783,10 +812,10 @@ def test_table_writers_on_generated_entries(ensemble, rows, shaped):
             cache_path("gen", {"ensemble": ensemble, **bounds}).write_bytes(_with_digest(data))
             # an entry is read only when it holds each key of the bounds' shape once
             if keys != sorted((i, j) for i, js in shape.items() for j in js):
-                with pytest.raises(cli.UsageError, match=_SHAPE_FAULT):
-                    cli.load_table(ensemble, bounds, True)
+                with pytest.raises(tables.UsageError, match=_SHAPE_FAULT):
+                    tables.load_table(ensemble, bounds, True)
                 continue
-            got = cli.load_table(ensemble, bounds, True)
+            got = tables.load_table(ensemble, bounds, True)
         assert got == table
         assert [type(v) for row in got.values() for v in row.values()] == \
             [type(v) for row in table.values() for v in row.values()]
@@ -797,16 +826,16 @@ def test_load_table_holds_little_besides_the_table(cache):
     # a few pieces of the table returned, where a parse of the whole entry
     # would hold several times its size
     bounds = {"gmax": 60, "nmax": 120}
-    cli.table_bytes("laguerre", bounds, True).close()
+    tables.table_bytes("laguerre", bounds, True).close()
     assert cache_path("gen", {"ensemble": "laguerre", **bounds}).stat().st_size > 1_500_000
     tracemalloc.start()
     try:
-        table = cli.load_table("laguerre", bounds, True)
+        table = tables.load_table("laguerre", bounds, True)
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert sum(map(len, table.values())) == 61 * 121
-    assert peak - size <= 8 * cli._BUF, (peak, size)
+    assert peak - size <= 8 * tables._BUF, (peak, size)
 
 
 def test_gen_all_tables_script_matches_gen(cache, tmp_path, capsys):
@@ -963,12 +992,33 @@ def test_bench_script_removes_its_directory_on_sigterm(tmp_path):
     assert list(tmp.iterdir()) == []
 
 
+@pytest.mark.parametrize("has_verify", [True, False], ids=["split", "before-the-split"])
+def test_bench_child_imports_the_suites_before_its_floor(tmp_path, has_verify):
+    # the floor counts the same code on both trees of --against: a tree with
+    # hzlag.verify imports it before the first VmHWM reading, and a tree
+    # from before the split, whose hzlag.cli holds the suites, has none
+    repo = _bench_copy(tmp_path, commit=False)
+    verify = repo / "src" / "hzlag" / "verify.py"
+    if has_verify:  # its import leaves a mark in the child's cache directory
+        verify.write_text(verify.read_text() + "\nimport os\nopen(os.path.join("
+                          "os.environ['HZLAG_CACHE_DIR'], 'verify'), 'w').close()\n")
+    else:
+        verify.unlink()
+    spec = importlib.util.spec_from_file_location("bench_copy", repo / "scripts" / "bench.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    script.measure(["--version"], repo / "src", cache, tmp_path / "pycache")
+    assert [p.name for p in cache.iterdir()] == (["verify"] if has_verify else [])
+
+
 def test_gen_peaks_near_its_import_floor(tmp_path):
     # a cold gen and a warm CSV gen of a 7 MB table, each in a fresh child
-    # of scripts/bench.py that reads its own VmHWM after importing hzlag.cli
-    # and the engines and at the end: the table is never held whole, and the
-    # pipe's buffers stay small (with 1 MiB and 256 KiB buffers both peaked
-    # 3-4 MB over the floor).  The wait4 ru_maxrss of a child starts at its
+    # of scripts/bench.py that reads its own VmHWM after importing hzlag.cli,
+    # the engines and the suites and at the end: the table is never held
+    # whole, and the pipe's buffers stay small (with 1 MiB and 256 KiB
+    # buffers both peaked 3-4 MB over the floor).  The wait4 ru_maxrss of a child starts at its
     # parent's RSS, so it cannot show this.
     # Both children read their bytecode from one cache that an untimed first
     # run fills, as bench.py does: cached bytecode lowers the floor, not the
@@ -1199,7 +1249,7 @@ def test_commands_build_laurent_polynomials_over_int_only(cache, monkeypatch, ca
      "--at", "1/" + "3" * (cli.GEN_LIMITS["at_digits"] + 1)],
     ["eval-fab", "--a", "300", "--b", "300",
      "--at=-" + "7" * (cli.GEN_LIMITS["at_digits"] + 1) + "/3"],
-    # within the laguerre option bounds, but over cli.GEN_BYTES: refused
+    # within the laguerre option bounds, but over tables.GEN_BYTES: refused
     # before the table is built (200/432 is accepted)
     ["gen", "laguerre", "--gmax", "1000", "--nmax", "2000"],
     ["gen", "laguerre", "--gmax", "200", "--nmax", "433", "--format", "csv"],
@@ -1237,11 +1287,12 @@ def test_laguerre_size_estimate(cache, capsys):
     # within 6% of the bytes gen writes, and 200/432 is the largest table
     # gen laguerre writes at gmax 200
     for bounds in ({"gmax": 20, "nmax": 40}, {"gmax": 800, "nmax": 1}, {"gmax": 60, "nmax": 2}):
-        with cli.table_bytes("laguerre", bounds, False) as f:
+        with tables.table_bytes("laguerre", bounds, False) as f:
             size = len(f.read())
-        assert abs(cli._laguerre_json_bytes(*bounds.values()) - size) < 0.06 * size, bounds
-    assert cli._laguerre_json_bytes(200, 432) <= cli.GEN_BYTES < cli._laguerre_json_bytes(200, 433)
-    assert cli._laguerre_json_bytes(150, 300) <= cli.GEN_BYTES
+        assert abs(tables._laguerre_json_bytes(*bounds.values()) - size) < 0.06 * size, bounds
+    estimate = tables._laguerre_json_bytes
+    assert estimate(200, 432) <= tables.GEN_BYTES < estimate(200, 433)
+    assert tables._laguerre_json_bytes(150, 300) <= tables.GEN_BYTES
 
 
 def test_limits_are_inclusive(cache, capsys):
@@ -1300,8 +1351,8 @@ def test_verify_window_options(cache, capsys, monkeypatch, flag, default, cap, s
     # the range check alone decides: each suite is a stub with one passing check
     ran = []
     for name in cli.SUITES:
-        monkeypatch.setitem(cli.SUITES, name, lambda args, name=name: ran.append(name) or [
-            cli.CheckRecord(f"stub[{name}]", "stub", "pass")])
+        monkeypatch.setattr(verify, cli.SUITES[name], lambda args, name=name: ran.append(name) or [
+            verify.CheckRecord(f"stub[{name}]", "stub", "pass")])
     assert main(["verify", f"--{flag}", str(cap)]) == 0
     assert ran == list(cli.SUITES)
     capsys.readouterr()
@@ -1316,7 +1367,7 @@ def test_verify_window_options(cache, capsys, monkeypatch, flag, default, cap, s
     assert shown.endswith(f", 0 to {cap} (default {default})"), shown
     # a suite that runs no checks names its window options
     for name in suites:
-        monkeypatch.setitem(cli.SUITES, name, lambda args: [])
+        monkeypatch.setattr(verify, cli.SUITES[name], lambda args: [])
         assert main(["verify", "--suite", name]) == 2
         assert capsys.readouterr().err == EMPTY_SUITE_ERRORS[name]
 
@@ -1353,7 +1404,7 @@ def test_verify_out_fails_before_any_suite_runs(cache, tmp_path, capsys, monkeyp
     ran = []
     bad = tmp_path / "missing" / "r.json"
     with monkeypatch.context() as m:
-        m.setitem(cli.SUITES, "odes", lambda args: ran.append(args))
+        m.setattr(verify, cli.SUITES["odes"], lambda args: ran.append(args))
         for suite in ("odes", "all"):
             assert main(["verify", "--suite", suite, "--out", str(bad)]) == 2
             err = capsys.readouterr().err
@@ -1407,8 +1458,8 @@ def test_verify_odes_suite(cache, capsys):
 def test_suites_emit_exactly_the_registered_tags():
     # the identities and odes suites run each registered check and no other
     args = argparse.Namespace(amax=1, bmax=1, nmax=1)
-    assert {c.anchor for c in cli.suite_identities(args)} == {*AB_IDENTITIES, *N_IDENTITIES}
-    assert {c.anchor for c in cli.suite_odes(args)} == {*ODES, "T-1"}
+    assert {c.anchor for c in verify.suite_identities(args)} == {*AB_IDENTITIES, *N_IDENTITIES}
+    assert {c.anchor for c in verify.suite_odes(args)} == {*ODES, "T-1"}
 
 
 def test_verify_report_out(cache, tmp_path, capsys):
@@ -1448,8 +1499,8 @@ def test_load_table_equals_the_builders_table(cache, ensemble, bounds, use_cache
     # read back, a Decimal value equal to the int read
     want = {i: dict(enumerate(values, j0))
             for i, j0, values in ENSEMBLES[ensemble].items(*bounds.values())}
-    assert cli.load_table(ensemble, bounds, use_cache) == want
-    assert cli.load_table(ensemble, bounds, use_cache) == want  # a hit, when cached
+    assert tables.load_table(ensemble, bounds, use_cache) == want
+    assert tables.load_table(ensemble, bounds, use_cache) == want  # a hit, when cached
     assert any(cache.iterdir()) if use_cache else not cache.exists()
 
 
@@ -1614,7 +1665,7 @@ _WRONG_VALUES = {
 
 @pytest.mark.parametrize("kind", _WRONG_VALUES)
 def test_every_suite_names_the_first_differing_cell(cache, capsys, monkeypatch, kind):
-    # the suites hand their comparisons to cli.judge; a wrong value from the
+    # the suites hand their comparisons to verify.judge; a wrong value from the
     # function a suite imports fails exactly its own check, with the loop's
     # detail.  The cache is filled first: the vk engine calls
     # consistency_form too.
@@ -1714,7 +1765,7 @@ def _served(args: dict, compute, use_cache: bool = True) -> bytes:
 
 def test_cache_write_is_atomic(cache, monkeypatch):
     calls = []
-    payload = b"payload\n" + cli._ENDING  # an entry is served when it ends as gen JSON does
+    payload = b"payload\n" + tables._ENDING  # an entry is served when it ends as gen JSON does
 
     def compute(f):
         calls.append(1)
@@ -1762,7 +1813,7 @@ def test_cache_write_that_fails_midway_leaves_nothing(cache):
 
 def test_gen_streams_a_table_into_its_cache_entry(cache, monkeypatch, capsys):
     # gen writes the table into the entry in slices, and serves the entry
-    monkeypatch.setattr(cli, "_SLICE", 3)
+    monkeypatch.setattr(tables, "_SLICE", 3)
     assert main(["gen", "vk", "--gmax", "2"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
     path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
@@ -1776,7 +1827,7 @@ def test_engine_error_in_a_late_row_serves_nothing(cache, tmp_path, capsys, monk
     # slices of the early rows (13 entries: four slices of at most 4) are
     # written before row 8 fails its exact division; the error still comes
     # before any byte is served
-    monkeypatch.setattr(cli, "_SLICE", 4)
+    monkeypatch.setattr(tables, "_SLICE", 4)
     true_div = engines._exact_div
 
     def failing(num, den, anchor, i, j):
@@ -1786,7 +1837,7 @@ def test_engine_error_in_a_late_row_serves_nothing(cache, tmp_path, capsys, monk
 
     monkeypatch.setattr(engines, "_exact_div", failing)
     written = []  # the size of each write the JSON made before the error
-    true_to_json = cli.payload_to_json
+    true_to_json = tables.payload_to_json
 
     class _Counted:
         def __init__(self, f):
@@ -1796,7 +1847,8 @@ def test_engine_error_in_a_late_row_serves_nothing(cache, tmp_path, capsys, monk
             written.append(len(b))
             return self.f.write(b)
 
-    monkeypatch.setattr(cli, "payload_to_json", lambda payload, f: true_to_json(payload, _Counted(f)))
+    monkeypatch.setattr(tables, "payload_to_json",
+                        lambda payload, f: true_to_json(payload, _Counted(f)))
     temporaries = []  # the files --no-cache computes into
     true_temporary = tempfile.TemporaryFile
     monkeypatch.setattr(tempfile, "TemporaryFile",
@@ -1826,7 +1878,7 @@ def test_unreadable_cache_entry_exits_2(cache, tmp_path, capsys, monkeypatch, ho
             if pathlib.Path(file) == path:
                 raise PermissionError(13, "Permission denied", str(file))
             return open(file, *args, **kwargs)
-        monkeypatch.setattr(cli, "open", guarded_open, raising=False)
+        monkeypatch.setattr(tables, "open", guarded_open, raising=False)
     report = tmp_path / "report.json"
     out = tmp_path / "t.out"
     gen = ["gen", *VK1]
@@ -1942,20 +1994,22 @@ def test_stdout_on_a_full_device_exits_2(cache, argv, buffered):
 
 def test_processes_import_only_what_they_run(cache):
     # a warm gen and --version load no engine and not decimal: only the cli
-    # module itself; a cold gen loads the engines and decimal alone, none of
-    # the verifiers, oracles, arithmetic or check records, and only vk loads
-    # fractions; no process loads dataclasses, inspect or pkgutil
+    # module and the table pipe; a cold gen adds the engines and decimal
+    # alone, none of the suites, verifiers, oracles, arithmetic or check
+    # records, and only vk loads fractions; no process loads dataclasses,
+    # inspect or pkgutil
     never = {"dataclasses", "inspect", "pkgutil"}
-    assert loaded_modules(["--version"], cache) == {"hzlag.cli"}
+    front = {"hzlag.cli", "hzlag.tables"}
+    assert loaded_modules(["--version"], cache) == front
     for job in (["gen", "vk", "--gmax", "2"], ["gen", *LAGUERRE_5_20], ["gen", "gauss", "--gmax", "5"],
                 ["gen", "glag-k1", "--rmax2", "3", "--nmax", "4"]):
         cold = loaded_modules(job, cache)
-        assert cold - {"fractions"} == {"hzlag.cli", "hzlag.engines", "decimal"}, (job, cold)
+        assert cold - {"fractions"} == {*front, "hzlag.engines", "decimal"}, (job, cold)
         assert ("fractions" in cold) == (job[1] == "vk"), (job, cold)
         for fmt in ("json", "csv"):
-            assert loaded_modules([*job, "--format", fmt], cache) == {"hzlag.cli"}, (job, fmt)
+            assert loaded_modules([*job, "--format", fmt], cache) == front, (job, fmt)
     checks = loaded_modules(["verify", "--suite", "constraints"], cache)
-    assert "hzlag.recursions" in checks and not checks & never, checks
+    assert {"hzlag.verify", "hzlag.recursions"} <= checks and not checks & never, checks
     # the Wick oracles and their arithmetic are for the crosscheck and
     # oracle commands alone
     series = loaded_modules(["series", "vk", "--k", "2", "--order", "5"], cache)

@@ -1,6 +1,7 @@
 """The package's export lists name only what exists, and the package
 resolves each of them lazily to the submodule's object."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -67,6 +68,10 @@ def test_bare_import_loads_no_submodule():
     assert _fresh_process_lines(
         "import hzlag; print(loaded()); print(hzlag.wick.__name__, loaded())"
     ) == ["[]", "hzlag.wick ['hzlag.exact', 'hzlag.wick']"]
-    # an exported name loads the submodules scanned up to its owner, never cli
+    # an exported name loads the submodules scanned up to its owner, never
+    # cli, tables or verify, which export nothing
     assert _fresh_process_lines("from hzlag import vk_items; print(loaded())") == [
         "['hzlag.engines']"]
+    (line,) = _fresh_process_lines("from hzlag import gue_moment; print(loaded())")
+    loaded = set(ast.literal_eval(line))
+    assert "hzlag.wick" in loaded and not {"hzlag.cli", "hzlag.tables", "hzlag.verify"} & loaded

@@ -85,14 +85,18 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["2: os", "7: json"]
 
 
-# The package graph of the modules below cli: the three routes (residues,
-# recursions with their spectral series, and the Wick oracles) import none
-# of each other, so they meet only in cli's crosscheck suite; the residue
-# route and the oracles share only the arithmetic layer ``exact``, and the
-# table engines import no other module of the package.  The routes return
-# values and import no check records: only cli judges them.  A new edge
-# between routes has to be made here on purpose.
+# The package graph: the three routes (residues, recursions with their
+# spectral series, and the Wick oracles) import none of each other, so they
+# meet only in verify's crosscheck suite; the residue route and the oracles
+# share only the arithmetic layer ``exact``, and the table engines import no
+# other module of the package.  The routes return values and import no
+# check records: only verify judges them.  tables serves the gen tables and
+# reads them back for verify; cli, the parser and its handlers, loads the
+# rest.  A new edge between routes has to be made here on purpose.
 PACKAGE_GRAPH = {
+    "cli": {"tables", "verify", "residues", "spectral", "wick"},
+    "tables": {"engines"},
+    "verify": {"tables", "engines", "residues", "recursions", "spectral", "wick"},
     "engines": set(),
     "exact": set(),
     "residues": {"exact"},
@@ -104,22 +108,33 @@ PACKAGE_GRAPH = {
 
 def package_imports(source: str) -> set[str]:
     """The package modules a source imports, at module level or inside
-    functions, relatively or by the name hzlag."""
+    functions, relatively or by the name hzlag, by an import statement or by
+    ``import_module`` of a constant name."""
     out = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("hzlag")):
             path = node.module.split(".") if node.module else []
             path = path if node.level else path[1:]
-            out |= {path[0]} if path else {a.name for a in node.names}
+            # ``from . import __version__`` reads the package, not a module
+            out |= {path[0]} if path else {a.name for a in node.names if a.name[:2] != "__"}
         elif isinstance(node, ast.Import):
             out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("hzlag.")}
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "import_module"
+              and isinstance(node.args[0], ast.Constant)):
+            name = node.args[0].value
+            if name.startswith((".", "hzlag.")):
+                out.add(name.split(".")[1])
     return out
 
 
 def test_package_import_graph():
     src = ROOT / "src" / "hzlag"
+    assert set(PACKAGE_GRAPH) == {p.stem for p in src.glob("*.py")} - {"__init__"}
     graph = {name: package_imports((src / f"{name}.py").read_text()) for name in PACKAGE_GRAPH}
     assert graph == PACKAGE_GRAPH
+    # no module imports cli: under ``python -m hzlag.cli`` that import would
+    # compile and run cli.py a second time, as a module of another name
+    assert not any("cli" in imported for imported in graph.values())
 
 
 def test_package_imports_are_found():
@@ -128,8 +143,11 @@ def test_package_imports_are_found():
         "from . import engines\n"
         "import hzlag.wick\n"
         "from hzlag.spectral import a_row_series\n"
+        "from . import __version__\n"
         "def f():\n"
         "    from .residues import fab\n"
-        "    return fab\n"
+        "    return fab, importlib.import_module('.tables', __package__)\n"
+        "verify = importlib.import_module('hzlag.verify')\n"
     )
-    assert package_imports(source) == {"exact", "engines", "wick", "spectral", "residues"}
+    assert package_imports(source) == {"exact", "engines", "wick", "spectral", "residues",
+                                       "tables", "verify"}

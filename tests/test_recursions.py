@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hzlag import cli, engines, recursions
+from hzlag import engines, recursions, tables
 from hzlag.engines import (
     ConstraintError,
     IntegralityError,
@@ -43,8 +43,8 @@ def _flat(rows):
 def _table(ensemble: str, *bounds) -> dict:
     """The rows {i: {j: value}} that verify reads: the ensemble's gen JSON at
     these bound values, in ENSEMBLES order, read back with the cache off."""
-    spec = cli.ENSEMBLES[ensemble]
-    return cli.load_table(ensemble, dict(zip(spec.bounds, bounds)), use_cache=False)
+    spec = tables.ENSEMBLES[ensemble]
+    return tables.load_table(ensemble, dict(zip(spec.bounds, bounds)), use_cache=False)
 
 
 @pytest.fixture(scope="module")

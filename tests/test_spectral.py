@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hzlag.cli import load_table
+from hzlag.tables import load_table
 from hzlag.engines import consistency_form
 from hzlag.recursions import half_binomial_series
 from hzlag.spectral import a_row_series, s_series, vk_series, w30_basis_coefficient

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hzlag.cli import load_table
+from hzlag.tables import load_table
 from hzlag.wick import (
     GUE_DEGREE_LIMIT,
     WISHART_DEGREE_LIMIT,
