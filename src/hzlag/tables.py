@@ -247,7 +247,7 @@ def _laguerre_json_bytes(gmax: int, nmax: int) -> int:
 # 150, gauss 300, glag-k1 240/480, laguerre 100/962, 200/432, 400/138 and
 # 1000/21; 39-64 MB written) took 0.24-1.04 s (README gives each) and
 # peaked at 19.8-20.4 MB VmHWM as a cold JSON gen, 1.8-2.4 MB over its
-# import floor, and at 19.3-19.5 MB, 1.3-1.5 MB over it, as a warm CSV gen,
+# import floor, and at 19.3-19.5 MB, 1.3-1.4 MB over it, as a warm CSV gen,
 # as scripts/bench.py measures, with cached bytecode (2-vCPU VM, Python
 # 3.11.7, medians of 5).  There the benchmark tables read 0.6-1.4 MB over
 # it cold, 1.0-1.3 MB warm CSV (medians of 10).
