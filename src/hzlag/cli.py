@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
-    from .spectral import s_series, vk_series
+    from .recursions import s_series, vk_series
 
     _check_range("k", args.k, hi=GEN_LIMITS["k"])
     _check_range("order", args.order, hi=GEN_LIMITS["order"])

@@ -42,11 +42,12 @@ CACHE_FORMAT = 2
 
 def _key_path(key: dict) -> Path:
     digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:32]
-    return cache_dir() / f"{key['kind']}-{digest}.json"
+    return cache_dir() / f"gen-{digest}.json"
 
 
-def cache_path(kind: str, args: dict) -> Path:
-    return _key_path({"tool": __version__, "format": CACHE_FORMAT, "kind": kind, "args": args})
+def cache_path(args: dict) -> Path:
+    # "kind" stays in the key, so that no entry's name changes
+    return _key_path({"tool": __version__, "format": CACHE_FORMAT, "kind": "gen", "args": args})
 
 
 # bytes per read of a cache entry: to hash it, to copy it out, and to serve
@@ -120,7 +121,7 @@ class _HashingSink:
         return self.f.write(b)
 
 
-def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
+def cached_bytes(args: dict, compute, use_cache: bool):
     """The bytes compute(sink) writes to a binary sink, through the cache
     when enabled, as an open binary file positioned at their start, for the
     caller to read and close (``with cached_bytes(...) as f``).
@@ -148,7 +149,7 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
             f.close()
             raise
         return f
-    path = cache_path(kind, args)
+    path = cache_path(args)
     f = _read_entry(path)
     if f is not None:
         return f
@@ -176,7 +177,7 @@ def cached_bytes(kind: str, args: dict, compute, use_cache: bool):
     # the same table's entry of the layout before the digest line, whose key
     # had no "format", is never read; failing to remove it fails no request
     with contextlib.suppress(OSError):
-        _key_path({"tool": __version__, "kind": kind, "args": args}).unlink(missing_ok=True)
+        _key_path({"tool": __version__, "kind": "gen", "args": args}).unlink(missing_ok=True)
     return f
 
 
@@ -372,9 +373,15 @@ class _Sink:
 
 
 @contextlib.contextmanager
-def _open_out(out: str | None):
+def _open_out(out: str | None, src=None):
     """The ``--out`` file opened for binary writing, or stdout's byte stream
-    (flushed when done, never closed), as a _Sink."""
+    (flushed when done, never closed), as a _Sink.  An ``--out`` that is the
+    file src, the binary file the bytes are read from (a cache entry), is a
+    usage error: opening it for writing would empty it first."""
+    if out is not None and src is not None:
+        with contextlib.suppress(OSError):  # nothing at out, or src is not a file
+            if os.path.samestat(os.stat(out), os.fstat(src.fileno())):
+                raise UsageError(f"--out {out} is the cache entry the table is read from")
     f = _open_file(out, "wb") if out is not None else sys.stdout.buffer
     sink = _Sink(f, out)
     try:
@@ -395,7 +402,7 @@ def _write_out(data: bytes, out: str | None) -> None:
 
 def _copy_out(src, out: str | None) -> None:
     """Copy the binary file src to ``out`` (None: stdout), _BUF bytes at a time."""
-    with _open_out(out) as f:
+    with _open_out(out, src) as f:
         while chunk := src.read(_BUF):
             f.write(chunk)
 
@@ -440,7 +447,7 @@ def payload_to_csv(src, ensemble: str, out: str | None) -> None:
     stdout): the keys in the ensemble's order, then the value with an
     explicit denominator, "p/q" in lowest terms with q >= 1 ("10/1")."""
     keys = ENSEMBLES[ensemble].keys
-    with _open_out(out) as f:
+    with _open_out(out, src) as f:
         f.write(f"{keys[0]},{keys[1]},value\n".encode())
         for i, j, values in _entry_texts(src, keys):
             row = [b","] * (6 * len(values))  # i, j, the value and the line's end
@@ -452,7 +459,7 @@ def payload_to_csv(src, ensemble: str, out: str | None) -> None:
 def table_bytes(ensemble: str, bounds: dict, use_cache: bool):
     """The gen JSON of one table, through the cache when enabled, as an open
     binary file (see cached_bytes)."""
-    return cached_bytes("gen", {"ensemble": ensemble, **bounds},
+    return cached_bytes({"ensemble": ensemble, **bounds},
                         lambda f: payload_to_json(table_payload(ensemble, bounds), f), use_cache)
 
 
@@ -500,5 +507,5 @@ def load_table(ensemble: str, bounds: dict, use_cache: bool) -> dict:
             fault = use_cache and _shape_fault(
                 spec.shape(*(bounds[name] for name in spec.bounds)), rows, count)
     if fault:
-        raise _corrupt(cache_path("gen", {"ensemble": ensemble, **bounds}), fault)
+        raise _corrupt(cache_path({"ensemble": ensemble, **bounds}), fault)
     return rows

@@ -70,9 +70,9 @@ def suite_odes(args) -> list[CheckRecord]:
 
 def suite_crosscheck(args) -> list[CheckRecord]:
     """Where the routes meet: one list of comparisons (see judge)."""
-    from .recursions import gauss_genus_coefficients, half_binomial_series
+    from .recursions import (a_row_series, gauss_genus_coefficients, half_binomial_series,
+                             s_pair_series, w30_basis_coefficient)
     from .residues import exp_mean_moments, two_point_series
-    from .spectral import a_row_series, s_pair_series, w30_basis_coefficient
     from .wick import (MomentPoly, complex_wishart_moment, connected_moments, genus_extract,
                        gue_moment)
 
@@ -132,8 +132,8 @@ def suite_crosscheck(args) -> list[CheckRecord]:
 
 def suite_constraints(args) -> list[CheckRecord]:
     from .engines import consistency_form
-    from .recursions import asym_moments, int2_residuals, integrality_violations, w1_slots
-    from .spectral import a_row_series
+    from .recursions import (a_row_series, asym_moments, int2_residuals, integrality_violations,
+                             w1_slots)
 
     vt = load_table("vk", {"gmax": args.gmax}, args.cache)
     comparisons = [_zero(f"consistency[g={g}]", "consistency", "form", consistency_form(vt[g]))

@@ -11,10 +11,13 @@ from fractions import Fraction
 from hzlag.tables import load_table, payload_to_json, table_payload
 from hzlag.engines import consistency_form
 from hzlag.recursions import (
+    a_row_series,
     c1_closed_form,
     gauss_genus_coefficients,
     half_binomial_series,
+    s_series,
     w1_slots,
+    w30_basis_coefficient,
 )
 from hzlag.residues import (
     AB_IDENTITIES,
@@ -24,7 +27,6 @@ from hzlag.residues import (
     t1_residual,
     two_point_series,
 )
-from hzlag.spectral import a_row_series, s_series, w30_basis_coefficient
 from hzlag.wick import (
     MomentPoly,
     complex_wishart_moment,

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hzlag
-from hzlag import cli, engines, exact, recursions, residues, spectral, tables, verify, wick
+from hzlag import cli, engines, exact, recursions, residues, tables, verify, wick
 from hzlag.cli import main
 from hzlag.tables import (
     ENSEMBLES,
@@ -231,7 +231,7 @@ def test_gen_csv_names_corrupt_cache_entry(cache, tmp_path, capsys, bad):
     argv = ["gen", "vk", "--gmax", "2", "--format", "csv"]
     assert main(argv) == 0
     want = capsys.readouterr().out
-    path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
+    path = cache_path({"ensemble": "vk", "gmax": 2})
     _rewrite_body(path, _with_entries(lambda entries: entries[3].update(value=bad)))
     out = tmp_path / "t.csv"
     _assert_named_corrupt(path, (argv, [*argv, "--out", str(out)]), capsys)
@@ -249,7 +249,7 @@ def test_truncated_cache_entry_is_named_corrupt(cache, tmp_path, capsys):
     assert main(verify) == 0  # loads the same entry through the cache
     capsys.readouterr()
     report.unlink()
-    path = cache_path("gen", {"ensemble": "vk", "gmax": 1})
+    path = cache_path({"ensemble": "vk", "gmax": 1})
     path.write_bytes(path.read_bytes()[:100])
     _assert_named_corrupt(path, (argv, [*argv, "--format", "csv"], verify), capsys)
     assert not report.exists()
@@ -274,7 +274,7 @@ def test_entry_list_cut_under_its_digest_is_named_corrupt(cache, tmp_path, capsy
     verify = ["verify", "--suite", "constraints", "--gmax", "1"]
     assert main(verify) == 0
     capsys.readouterr()
-    path = cache_path("gen", {"ensemble": "laguerre", "gmax": 3, "nmax": 10})
+    path = cache_path({"ensemble": "laguerre", "gmax": 3, "nmax": 10})
     path.write_bytes(_with_digest(cut(path.read_bytes().split(b"\n", 1)[1])))
     for argv in (gen, csv, [*csv, "--out", str(out)], verify):
         # what _assert_named_corrupt checks, with the fault named in full
@@ -296,7 +296,7 @@ def test_empty_entry_list_under_its_digest_is_named_corrupt(cache, tmp_path, cap
     verify = ["verify", "--suite", "constraints", "--gmax", "1"]
     assert main(verify) == 0
     capsys.readouterr()
-    path = cache_path("gen", {"ensemble": "vk", "gmax": 1})
+    path = cache_path({"ensemble": "vk", "gmax": 1})
     payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
     body = json.dumps({**payload, "entries": []}, sort_keys=True, indent=2) + "\n"
     path.write_bytes(_with_digest(body.encode()))
@@ -379,7 +379,7 @@ def test_cache_entry_that_is_not_a_gen_payload_is_named_corrupt(cache, tmp_path,
     assert main(argv) == 0
     want = capsys.readouterr().out
     bounds = {job[i][2:]: int(job[i + 1]) for i in range(1, len(job), 2)}
-    path = cache_path("gen", {"ensemble": job[0], **bounds})
+    path = cache_path({"ensemble": job[0], **bounds})
     _rewrite_body(path, corrupt)
     _assert_named_corrupt(path, (argv, [*argv, "--out", str(tmp_path / "t.csv")], verify), capsys)
     assert not report.exists() and not (tmp_path / "t.csv").exists()
@@ -393,7 +393,7 @@ def test_gen_json_names_cache_entry_with_foreign_ends(cache, capsys):
     argv = ["gen", "vk", "--gmax", "2"]
     assert main(argv) == 0
     capsys.readouterr()
-    path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
+    path = cache_path({"ensemble": "vk", "gmax": 2})
     for edit in (lambda text: json.dumps(json.loads(text)),
                  lambda text: GOLDEN.read_text().replace('"gmax": 2', '"gmax": 3')):
         _rewrite_body(path, edit)
@@ -418,7 +418,7 @@ def test_entry_that_does_not_match_its_digest_line_is_named_corrupt(cache, tmp_p
     verify = ["verify", "--suite", "constraints", "--gmax", "1", "--out", str(report)]
     assert main(argv) == 0
     want = capsys.readouterr().out
-    path = cache_path("gen", {"ensemble": "vk", "gmax": 1})
+    path = cache_path({"ensemble": "vk", "gmax": 1})
     path.write_bytes(edit(*path.read_bytes().split(b"\n", 1)))
     out = tmp_path / "t.out"
     _assert_named_corrupt(path, (argv, [*argv, "--out", str(out)], [*argv, "--format", "csv"],
@@ -451,8 +451,8 @@ def test_entry_of_the_previous_cache_format_is_recomputed(cache, capsys):
     assert main(["gen", "vk", "--gmax", "2"]) == 0
     assert main(csv) == 0
     assert capsys.readouterr().out == want
-    assert cache_path("gen", args) != old
-    assert cache_path("gen", args).read_bytes() == _with_digest(GOLDEN.read_bytes())
+    assert cache_path(args) != old
+    assert cache_path(args).read_bytes() == _with_digest(GOLDEN.read_bytes())
     assert not old.exists()  # removed once its table's new entry is written
     old.write_text(stale)
     assert main(["gen", "vk", "--gmax", "2"]) == 0  # a hit writes and removes nothing
@@ -556,7 +556,7 @@ def test_entry_of_several_chunks_that_fails_its_digest_writes_nothing(cache, tmp
     argv = ["gen", "vk", "--gmax", "8"]
     assert main(argv) == 0
     capsys.readouterr()
-    path = cache_path("gen", {"ensemble": "vk", "gmax": 8})
+    path = cache_path({"ensemble": "vk", "gmax": 8})
     entry = path.read_bytes()
     assert len(entry) > 100 * 128
     path.write_bytes(edit(entry))
@@ -809,7 +809,7 @@ def test_table_writers_on_generated_entries(ensemble, rows, shaped):
             out = os.path.join(d, "t.csv")
             payload_to_csv(io.BytesIO(data), ensemble, out)
             assert pathlib.Path(out).read_text() == f"{k1},{k2},value\n{want}"
-            cache_path("gen", {"ensemble": ensemble, **bounds}).write_bytes(_with_digest(data))
+            cache_path({"ensemble": ensemble, **bounds}).write_bytes(_with_digest(data))
             # an entry is read only when it holds each key of the bounds' shape once
             if keys != sorted((i, j) for i, js in shape.items() for j in js):
                 with pytest.raises(tables.UsageError, match=_SHAPE_FAULT):
@@ -827,7 +827,7 @@ def test_load_table_holds_little_besides_the_table(cache):
     # would hold several times its size
     bounds = {"gmax": 60, "nmax": 120}
     tables.table_bytes("laguerre", bounds, True).close()
-    assert cache_path("gen", {"ensemble": "laguerre", **bounds}).stat().st_size > 1_500_000
+    assert cache_path({"ensemble": "laguerre", **bounds}).stat().st_size > 1_500_000
     tracemalloc.start()
     try:
         table = tables.load_table("laguerre", bounds, True)
@@ -1039,6 +1039,37 @@ def test_gen_peaks_near_its_import_floor(tmp_path):
         assert m["peak_mb"] - m["floor_mb"] <= 1.5, (name, m)  # MiB
 
 
+# the largest accepted vk and laguerre requests, and the most each may peak
+# over its import floor, in MiB, as a cold JSON gen and as a warm CSV gen.
+# Measured (scripts/bench.py's measure, cached bytecode, 2-vCPU VM, Python
+# 3.11.7): +2.34-2.95 cold at vk 150, +2.37-2.41 cold at laguerre 100/962
+# and +1.26-1.30 warm CSV at both.  Each bound leaves at least 0.25 MB over
+# the largest reading, about as much as VmHWM drifts with unrelated edits
+_LARGEST_GENS = {
+    "vk-150": (["gen", "vk", "--gmax", "150"], 3.25, 1.6),
+    "laguerre-100-962": (["gen", "laguerre", "--gmax", "100", "--nmax", "962"], 2.75, 1.6),
+}
+
+
+@pytest.mark.parametrize("name", _LARGEST_GENS)
+def test_largest_gens_peak_near_their_import_floor(tmp_path, name):
+    # as test_gen_peaks_near_its_import_floor, at the largest requests gen
+    # accepts for these two tables (39 and 60 MB of JSON)
+    job, cold_bound, warm_bound = _LARGEST_GENS[name]
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    src, cache, pycache = ROOT / "src", tmp_path / "cache", tmp_path / "pycache"
+    if script.measure(["gen", "vk", "--gmax", "1"], src, tmp_path / "prime",
+                      pycache)["peak_mb"] is None:
+        pytest.skip("no VmHWM in /proc/self/status")
+    cold = script.measure(job, src, cache, pycache)
+    warm = script.measure([*job, "--format", "csv"], src, cache, pycache)
+    shutil.rmtree(cache)  # tens of MB
+    assert cold["peak_mb"] - cold["floor_mb"] <= cold_bound, cold
+    assert warm["peak_mb"] - warm["floor_mb"] <= warm_bound, warm
+
+
 def test_benchmark_pins_hold(cache, tmp_path):
     # every output the benchmark checks, made in-process from its own
     # arguments (each gen table cold as JSON, then from its cache as CSV),
@@ -1094,6 +1125,29 @@ def test_gen_out_file(cache, tmp_path, capsys):
     assert main(["gen", "vk", "--gmax", "2", "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_text() == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_gen_out_refuses_the_cache_entry_it_serves(cache, capsys, fmt):
+    # opening --out for writing would empty the entry before it is read:
+    # a warm gen (the entry exists) and a cold one (the entry is renamed
+    # into place at --out) both fail with one error line, and the entry
+    # keeps its bytes
+    gen = ["gen", "vk", "--gmax", "2", "--format", fmt]
+    path = cache_path({"ensemble": "vk", "gmax": 2})
+    entry = _with_digest(GOLDEN.read_bytes())
+    err = f"error: --out {path} is the cache entry the table is read from\n"
+    for warm in (True, False):
+        if warm:
+            assert main(["gen", "vk", "--gmax", "2"]) == 0
+        else:
+            path.unlink()
+        capsys.readouterr()
+        assert main([*gen, "--out", str(path)]) == 2
+        assert capsys.readouterr() == ("", err)
+        assert path.read_bytes() == entry
+    assert main(gen) == 0  # the entry is served as before
+    assert capsys.readouterr().err == ""
 
 
 def test_oracle_outputs(cache, capsys):
@@ -1541,7 +1595,7 @@ def _cache_wrong_table(ensemble: str, bounds: dict, values: dict):
     assert values.keys() <= {(entry[i], entry[j]) for entry in payload["entries"]}
     for entry in payload["entries"]:
         entry["value"] = values.get((entry[i], entry[j]), entry["value"])
-    path = cache_path("gen", {"ensemble": ensemble, **bounds})
+    path = cache_path({"ensemble": ensemble, **bounds})
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(_with_digest((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()))
     return path
@@ -1578,10 +1632,10 @@ def test_crosscheck_reads_its_3t_table_through_the_cache(cache, capsys):
      {"W2-wick[N=3]": "m1=1,m2=2: residue 110 wick 108"}),
     # W30 compares the oracle's coefficient with twice the basis product's,
     # in integers: a zero basis coefficient fails the check, and divides nothing
-    (spectral, "w30_basis_coefficient",
+    (recursions, "w30_basis_coefficient",
      lambda f: lambda *t: f(*t) * (3 if t == (2, 1, 1) else 1),
      {"W30[constant-ratio]": "m=(2, 1, 1): oracle 12 2*basis 36"}),
-    (spectral, "w30_basis_coefficient",
+    (recursions, "w30_basis_coefficient",
      lambda f: lambda *t: f(*t) * (t != (2, 1, 1)),
      {"W30[constant-ratio]": "m=(2, 1, 1): oracle 12 2*basis 0"}),
 ], ids=["rep-N-wick", "W2-wick", "W30", "W30-zero-basis"])
@@ -1640,7 +1694,7 @@ _WRONG_VALUES = {
         lambda f: lambda N, k: f(N, k) - WLaurent({1: 2}) * ((N, k) == (1, 2)),
         {"T-1[N=1,k=2]": "residual -2*u + 2 expected 0"}),
     "a-to-C": (
-        ["--suite", "constraints"], spectral, "a_row_series",
+        ["--suite", "constraints"], recursions, "a_row_series",
         lambda f: lambda row, g, order: [v + (g == 2 and e == 9)
                                          for e, v in enumerate(f(row, g, order))],
         {"a-to-C[g=2]": "x^-9: a-row 20791 table 20790"}),
@@ -1657,7 +1711,7 @@ _WRONG_VALUES = {
         lambda f: lambda row: f(row) + (min(row) == -6),
         {"consistency[g=2]": "form 1 expected 0"}),
     "W11": (
-        ["--suite", "crosscheck"], spectral, "a_row_series",
+        ["--suite", "crosscheck"], recursions, "a_row_series",
         lambda f: lambda row, g, order: [v + (e == 5) for e, v in enumerate(f(row, g, order))],
         {"W11[arow-vs-closed]": "x^-5: a-row 11 closed 10"}),
 }
@@ -1715,7 +1769,7 @@ _SHAPE_MUTATIONS = {
 
 def test_verify_all_reads_the_entries_of_the_mutation_matrix(cache, capsys):
     assert main(["verify"]) == 0
-    assert set(cache.iterdir()) == {cache_path("gen", {"ensemble": ensemble, **bounds})
+    assert set(cache.iterdir()) == {cache_path({"ensemble": ensemble, **bounds})
                                     for _, ensemble, bounds in VERIFY_ALL_ENTRIES}
 
 
@@ -1730,7 +1784,7 @@ def test_mutated_cache_entry_fails_checks_or_is_named_corrupt(cache, capsys, sui
     verify = ["verify", "--suite", suite]
     assert main(verify) == 0
     capsys.readouterr()
-    path = cache_path("gen", {"ensemble": ensemble, **bounds})
+    path = cache_path({"ensemble": ensemble, **bounds})
     payload = json.loads(path.read_bytes().split(b"\n", 1)[1])
     entries, (i, j) = payload["entries"], ENSEMBLES[ensemble].keys
     m = len(entries) // 2
@@ -1759,7 +1813,7 @@ def test_mutated_cache_entry_fails_checks_or_is_named_corrupt(cache, capsys, sui
 
 def _served(args: dict, compute, use_cache: bool = True) -> bytes:
     """The bytes cached_bytes serves for a gen entry keyed by args."""
-    with cached_bytes("gen", args, compute, use_cache) as f:
+    with cached_bytes(args, compute, use_cache) as f:
         return f.read()
 
 
@@ -1780,16 +1834,16 @@ def test_cache_write_is_atomic(cache, monkeypatch):
         m.setattr(os, "replace", fail)
         with pytest.raises(OSError):
             _served(args, compute)
-    assert not cache_path("gen", args).exists()
+    assert not cache_path(args).exists()
     assert list(cache.iterdir()) == []  # no temporary file is left behind
     assert _served(args, compute) == payload
     assert len(calls) == 2  # the failed write cached nothing
-    assert cache_path("gen", args).read_bytes() == _with_digest(payload)
+    assert cache_path(args).read_bytes() == _with_digest(payload)
     assert _served(args, compute) == payload
     assert len(calls) == 2
     assert _served(args, compute, False) == payload
     assert len(calls) == 3  # --no-cache computes into a temporary file
-    assert [f.name for f in cache.iterdir()] == [cache_path("gen", args).name]
+    assert [f.name for f in cache.iterdir()] == [cache_path(args).name]
 
 
 def test_cache_write_that_fails_midway_leaves_nothing(cache):
@@ -1808,7 +1862,7 @@ def test_cache_write_that_fails_midway_leaves_nothing(cache):
         assert list(cache.iterdir()) == []
     assert len(calls) == 2
     assert _served(args, lambda f: f.write(b"payload")) == b"payload"
-    assert cache_path("gen", args).read_bytes() == _with_digest(b"payload")
+    assert cache_path(args).read_bytes() == _with_digest(b"payload")
 
 
 def test_gen_streams_a_table_into_its_cache_entry(cache, monkeypatch, capsys):
@@ -1816,7 +1870,7 @@ def test_gen_streams_a_table_into_its_cache_entry(cache, monkeypatch, capsys):
     monkeypatch.setattr(tables, "_SLICE", 3)
     assert main(["gen", "vk", "--gmax", "2"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
-    path = cache_path("gen", {"ensemble": "vk", "gmax": 2})
+    path = cache_path({"ensemble": "vk", "gmax": 2})
     assert path.read_bytes() == _with_digest(GOLDEN.read_bytes())
     assert [f.name for f in cache.iterdir()] == [path.name]
 
@@ -1871,7 +1925,7 @@ def test_engine_error_in_a_late_row_serves_nothing(cache, tmp_path, capsys, monk
 
 @pytest.mark.parametrize("how", ["directory", "permission"])
 def test_unreadable_cache_entry_exits_2(cache, tmp_path, capsys, monkeypatch, how):
-    path = cache_path("gen", {"ensemble": "vk", "gmax": 1})
+    path = cache_path({"ensemble": "vk", "gmax": 1})
     path.mkdir(parents=True)  # a directory where the entry belongs
     if how == "permission":  # file modes do not stop a superuser, so the refusal is simulated
         def guarded_open(file, *args, **kwargs):
@@ -2014,5 +2068,5 @@ def test_processes_import_only_what_they_run(cache):
     # oracle commands alone
     series = loaded_modules(["series", "vk", "--k", "2", "--order", "5"], cache)
     for loaded in (checks, series):
-        assert "hzlag.spectral" in loaded, loaded
+        assert "hzlag.recursions" in loaded, loaded
         assert not loaded & {"hzlag.wick", "hzlag.exact"}, loaded

@@ -85,23 +85,22 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["2: os", "7: json"]
 
 
-# The package graph: the three routes (residues, recursions with their
-# spectral series, and the Wick oracles) import none of each other, so they
-# meet only in verify's crosscheck suite; the residue route and the oracles
-# share only the arithmetic layer ``exact``, and the table engines import no
-# other module of the package.  The routes return values and import no
+# The package graph: the three routes (residues, recursions and the Wick
+# oracles) import none of each other, so they meet only in verify's
+# crosscheck suite; the residue route and the oracles share only the
+# arithmetic layer ``exact``, and the table engines import no other module
+# of the package.  The routes return values and import no
 # check records: only verify judges them.  tables serves the gen tables and
 # reads them back for verify; cli, the parser and its handlers, loads the
 # rest.  A new edge between routes has to be made here on purpose.
 PACKAGE_GRAPH = {
-    "cli": {"tables", "verify", "residues", "spectral", "wick"},
+    "cli": {"tables", "verify", "residues", "recursions", "wick"},
     "tables": {"engines"},
-    "verify": {"tables", "engines", "residues", "recursions", "spectral", "wick"},
+    "verify": {"tables", "engines", "residues", "recursions", "wick"},
     "engines": set(),
     "exact": set(),
     "residues": {"exact"},
     "recursions": {"engines"},
-    "spectral": {"recursions"},
     "wick": {"exact"},
 }
 
@@ -142,12 +141,12 @@ def test_package_imports_are_found():
         "from .exact import Laurent\n"
         "from . import engines\n"
         "import hzlag.wick\n"
-        "from hzlag.spectral import a_row_series\n"
+        "from hzlag.recursions import a_row_series\n"
         "from . import __version__\n"
         "def f():\n"
         "    from .residues import fab\n"
         "    return fab, importlib.import_module('.tables', __package__)\n"
         "verify = importlib.import_module('hzlag.verify')\n"
     )
-    assert package_imports(source) == {"exact", "engines", "wick", "spectral", "residues",
+    assert package_imports(source) == {"exact", "engines", "wick", "recursions", "residues",
                                        "tables", "verify"}

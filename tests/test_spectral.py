@@ -6,8 +6,8 @@ import pytest
 
 from hzlag.tables import load_table
 from hzlag.engines import consistency_form
-from hzlag.recursions import half_binomial_series
-from hzlag.spectral import a_row_series, s_series, vk_series, w30_basis_coefficient
+from hzlag.recursions import (a_row_series, half_binomial_series, s_series, vk_series,
+                              w30_basis_coefficient)
 from hzlag.wick import connected_moments
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
