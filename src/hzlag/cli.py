@@ -84,7 +84,7 @@ def cmd_gen(args) -> int:
         flags = " ".join(f"--{name} {v}" for name, v in bounds.items())
         raise UsageError(f"gen {ensemble} {flags} would write about {size // 10**6} MB, "
                          f"over the {GEN_BYTES // 10**6} MB limit")
-    _check_out(args.out)
+    _check_out(args.out, {"ensemble": ensemble, **bounds})
     with table_bytes(ensemble, bounds, not args.no_cache) as src:
         if args.format == "csv":
             payload_to_csv(src, ensemble, args.out)

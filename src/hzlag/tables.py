@@ -11,8 +11,8 @@ import importlib
 import itertools
 import json
 import os
+import re
 import sys
-import tempfile
 from operator import itemgetter
 from pathlib import Path
 
@@ -40,14 +40,11 @@ def cache_dir() -> Path:
 CACHE_FORMAT = 2
 
 
-def _key_path(key: dict) -> Path:
-    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:32]
-    return cache_dir() / f"gen-{digest}.json"
-
-
 def cache_path(args: dict) -> Path:
     # "kind" stays in the key, so that no entry's name changes
-    return _key_path({"tool": __version__, "format": CACHE_FORMAT, "kind": "gen", "args": args})
+    key = {"tool": __version__, "format": CACHE_FORMAT, "kind": "gen", "args": args}
+    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()[:32]
+    return cache_dir() / f"gen-{digest}.json"
 
 
 # bytes per read of a cache entry: to hash it, to copy it out, and to serve
@@ -131,11 +128,17 @@ def cached_bytes(args: dict, compute, use_cache: bool):
     corrupt otherwise.  On a miss, compute streams into the entry's
     temporary file, hashed as it is written; that file is renamed into place
     and served through the descriptor that wrote it, so its bytes are not
-    read back to be hashed again, and the same table's entry of the
-    pre-digest layout is removed.  With the cache off, compute streams into
-    an anonymous temporary file.  No path holds the bytes in memory.
+    read back to be hashed again; no entry is ever removed.  With the cache
+    off, compute streams into an anonymous temporary file.  No path holds the
+    bytes in memory.
     (perfbench/tracer.py counts cache hits and misses by this name, and by
     whether compute runs inside the call.)"""
+    if use_cache:
+        path = cache_path(args)
+        f = _read_entry(path)
+        if f is not None:
+            return f
+    import tempfile  # here, on a miss: a warm gen and --version never load it
     if not use_cache:
         try:
             f = tempfile.TemporaryFile()
@@ -148,10 +151,6 @@ def cached_bytes(args: dict, compute, use_cache: bool):
         except BaseException:
             f.close()
             raise
-        return f
-    path = cache_path(args)
-    f = _read_entry(path)
-    if f is not None:
         return f
     # write a temporary file next to the entry and rename it into place, so
     # the entry is either absent or complete, never partly written
@@ -174,10 +173,6 @@ def cached_bytes(args: dict, compute, use_cache: bool):
         f.close()
         os.unlink(tmp)
         raise
-    # the same table's entry of the layout before the digest line, whose key
-    # had no "format", is never read; failing to remove it fails no request
-    with contextlib.suppress(OSError):
-        _key_path({"tool": __version__, "kind": "gen", "args": args}).unlink(missing_ok=True)
     return f
 
 
@@ -330,15 +325,25 @@ def _open_file(out: str, mode: str):
         raise UsageError(f"cannot write --out {out} ({e.strerror})") from e
 
 
-def _check_out(out: str | None) -> None:
-    """Raise the usage error of _open_file when ``--out`` cannot be opened
-    for writing, before any work starts.  The probe opens it for appending,
-    so an existing file is left as it was, and removes a file it created."""
-    if out is not None:
-        existed = os.path.lexists(out)
-        _open_file(out, "ab").close()
-        if not existed:
-            os.unlink(out)
+def _check_out(out: str | None, table: dict | None = None) -> None:
+    """Raise a usage error, before any work, when ``--out`` is a cache entry
+    (its real path is in the real cache directory under an entry's name, or
+    it is the file of the entry of the gen table keyed by table), compared
+    before the probe makes anything, or cannot be opened for writing.  The
+    probe appends, leaving an existing file as it was, and removes one it made."""
+    if out is None:
+        return
+    real = os.path.realpath(out)
+    with contextlib.suppress(RuntimeError, OSError):  # no home directory; no file to compare
+        if (os.path.dirname(real) == os.path.realpath(cache_dir())
+                and re.fullmatch(r"gen-[0-9a-f]{32}\.json", os.path.basename(real))
+                or table is not None
+                and os.path.samestat(os.stat(out), os.stat(cache_path(table)))):
+            raise UsageError(f"--out {out} is a cache entry")
+    existed = os.path.lexists(out)
+    _open_file(out, "ab").close()
+    if not existed:
+        os.unlink(out)
 
 
 class _Sink:
@@ -373,15 +378,10 @@ class _Sink:
 
 
 @contextlib.contextmanager
-def _open_out(out: str | None, src=None):
-    """The ``--out`` file opened for binary writing, or stdout's byte stream
-    (flushed when done, never closed), as a _Sink.  An ``--out`` that is the
-    file src, the binary file the bytes are read from (a cache entry), is a
-    usage error: opening it for writing would empty it first."""
-    if out is not None and src is not None:
-        with contextlib.suppress(OSError):  # nothing at out, or src is not a file
-            if os.path.samestat(os.stat(out), os.fstat(src.fileno())):
-                raise UsageError(f"--out {out} is the cache entry the table is read from")
+def _open_out(out: str | None):
+    """The ``--out`` file, which has passed _check_out, opened for binary
+    writing, or stdout's byte stream (flushed when done, never closed), as a
+    _Sink."""
     f = _open_file(out, "wb") if out is not None else sys.stdout.buffer
     sink = _Sink(f, out)
     try:
@@ -402,7 +402,7 @@ def _write_out(data: bytes, out: str | None) -> None:
 
 def _copy_out(src, out: str | None) -> None:
     """Copy the binary file src to ``out`` (None: stdout), _BUF bytes at a time."""
-    with _open_out(out, src) as f:
+    with _open_out(out) as f:
         while chunk := src.read(_BUF):
             f.write(chunk)
 
@@ -447,12 +447,13 @@ def payload_to_csv(src, ensemble: str, out: str | None) -> None:
     stdout): the keys in the ensemble's order, then the value with an
     explicit denominator, "p/q" in lowest terms with q >= 1 ("10/1")."""
     keys = ENSEMBLES[ensemble].keys
-    with _open_out(out, src) as f:
+    with _open_out(out) as f:
         f.write(f"{keys[0]},{keys[1]},value\n".encode())
         for i, j, values in _entry_texts(src, keys):
             row = [b","] * (6 * len(values))  # i, j, the value and the line's end
             row[0::6], row[2::6], row[4::6] = i, j, values
-            row[5::6] = [b"\n" if b"/" in v else b"/1\n" for v in values]
+            row[5::6] = ([b"/1\n"] * len(values) if b"/" not in b"".join(values)  # integers
+                         else [b"\n" if b"/" in v else b"/1\n" for v in values])  # vk
             f.write(b"".join(row))
 
 
@@ -466,11 +467,9 @@ def table_bytes(ensemble: str, bounds: dict, use_cache: bool):
 def _shape_fault(shape: dict, rows: dict, count: int) -> str | None:
     """Why the keys of rows {i: {j: value}}, parsed from count entries, are
     not those of shape ({i: range of j}), each once, or None when they are."""
-    for i, row in rows.items():
-        js = shape.get(i, ())
-        for j in row:
-            if j not in js:
-                return f"its key {(i, j)} is out of range"
+    key = next(((i, j) for i, row in rows.items() for j in row if j not in shape.get(i, ())), None)
+    if key is not None:
+        return f"its key {key} is out of range"
     size = sum(map(len, rows.values()))
     if count > size:
         return "its entries repeat a key"

@@ -436,8 +436,9 @@ def _pre_digest_path(cache, args: dict) -> pathlib.Path:
 
 
 def test_entry_of_the_previous_cache_format_is_recomputed(cache, capsys):
-    # an entry of the layout before the digest line is never read, and is
-    # removed when the same table's entry is written
+    # an entry of the layout before the digest line is never read: its
+    # table is recomputed into a new entry, and it is left on disk, as
+    # entries of other tool versions are
     args = {"ensemble": "vk", "gmax": 2}
     old = _pre_digest_path(cache, args)
     stale = GOLDEN.read_text().replace('"value": "-1/2"', '"value": "-3/2"', 1)
@@ -453,20 +454,7 @@ def test_entry_of_the_previous_cache_format_is_recomputed(cache, capsys):
     assert capsys.readouterr().out == want
     assert cache_path(args) != old
     assert cache_path(args).read_bytes() == _with_digest(GOLDEN.read_bytes())
-    assert not old.exists()  # removed once its table's new entry is written
-    old.write_text(stale)
-    assert main(["gen", "vk", "--gmax", "2"]) == 0  # a hit writes and removes nothing
-    assert old.read_text() == stale
-
-
-def test_previous_cache_format_entry_that_cannot_be_removed_is_left(cache, capsys):
-    # a directory under the pre-digest entry's name: gen serves the table
-    # and leaves it there
-    old = _pre_digest_path(cache, {"ensemble": "vk", "gmax": 2})
-    old.mkdir(parents=True)
-    assert main(["gen", "vk", "--gmax", "2"]) == 0
-    assert capsys.readouterr().out == GOLDEN.read_text()
-    assert old.is_dir()
+    assert old.read_text() == stale  # writing the new entry removes nothing
 
 
 @pytest.mark.parametrize("piece", [1, 60, 300])
@@ -821,6 +809,28 @@ def test_table_writers_on_generated_entries(ensemble, rows, shaped):
             [type(v) for row in table.values() for v in row.values()]
 
 
+@pytest.mark.parametrize("buf", [tables._BUF, 120])
+def test_csv_suffix_follows_each_run_of_entries(tmp_path, monkeypatch, buf):
+    # payload_to_csv gives a whole run of entries "/1" when none of its
+    # values has a denominator, and chooses value by value otherwise; the
+    # goldens hold runs of integers only, or (vk) of p/q only.  Read whole,
+    # the one run mixes both; at 120-byte reads, one run mixes p/q and
+    # integers and another holds integers only
+    payload = {"schema": "hzlag-table/1", "ensemble": "vk", "bounds": {"gmax": 1},
+               "entries": [(0, 0, [Fraction(1, 2), 3, Fraction(-5, 4)]),
+                           (1, -3, [4, -5, 6, 0, 7])]}
+    data = _json_bytes(payload)
+    monkeypatch.setattr(tables, "_BUF", buf)
+    runs = {tuple(b"/" in v for v in values)
+            for _, _, values in tables._entry_texts(io.BytesIO(data), ("g", "k"))}
+    assert any(len(set(run)) == 2 for run in runs)  # mixed
+    assert buf == tables._BUF or any(not any(run) for run in runs)  # integers only
+    out = tmp_path / "t.csv"
+    payload_to_csv(io.BytesIO(data), "vk", str(out))
+    assert out.read_bytes() == (b"g,k,value\n0,0,1/2\n0,1,3/1\n0,2,-5/4\n"
+                                b"1,-3,4/1\n1,-2,-5/1\n1,-1,6/1\n1,0,0/1\n1,1,7/1\n")
+
+
 def test_load_table_holds_little_besides_the_table(cache):
     # the entry (1.56 MB) is read a piece at a time, so the peak stays within
     # a few pieces of the table returned, where a parse of the whole entry
@@ -1127,27 +1137,67 @@ def test_gen_out_file(cache, tmp_path, capsys):
     assert out.read_text() == GOLDEN.read_text()
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_gen_out_refuses_the_cache_entry_it_serves(cache, capsys, fmt):
-    # opening --out for writing would empty the entry before it is read:
-    # a warm gen (the entry exists) and a cold one (the entry is renamed
-    # into place at --out) both fail with one error line, and the entry
-    # keeps its bytes
-    gen = ["gen", "vk", "--gmax", "2", "--format", fmt]
-    path = cache_path({"ensemble": "vk", "gmax": 2})
-    entry = _with_digest(GOLDEN.read_bytes())
-    err = f"error: --out {path} is the cache entry the table is read from\n"
-    for warm in (True, False):
-        if warm:
-            assert main(["gen", "vk", "--gmax", "2"]) == 0
-        else:
-            path.unlink()
-        capsys.readouterr()
-        assert main([*gen, "--out", str(path)]) == 2
-        assert capsys.readouterr() == ("", err)
-        assert path.read_bytes() == entry
-    assert main(gen) == 0  # the entry is served as before
-    assert capsys.readouterr().err == ""
+# --out cases that are a cache entry: (command, how the entry is there, what
+# --out is); the entry is vk 2's, "warm" when it exists, "cold" when only
+# the cache directory does
+OUT_IS_AN_ENTRY = {
+    **{f"gen-{fmt}-{mode}": (["gen", "vk", "--gmax", "2", "--format", fmt,
+                              *(["--no-cache"] if mode == "no-cache" else [])],
+                             "cold" if mode == "cold" else "warm", "entry")
+       for fmt in ("json", "csv") for mode in ("warm", "cold", "no-cache")},
+    "gen-hard-link": (["gen", "vk", "--gmax", "2"], "warm", "hard link"),
+    "gen-symlink": (["gen", "vk", "--gmax", "2", "--format", "csv"], "warm", "symlink"),
+    "gen-dangling-symlink": (["gen", "vk", "--gmax", "2"], "cold", "symlink"),
+    "verify": (["verify", "--suite", "constraints", "--gmax", "2"], "warm", "entry"),
+    "series": (["series", "vk", "--k", "1", "--order", "3"], "warm", "entry"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_IS_AN_ENTRY)
+def test_out_that_is_a_cache_entry_exits_2_before_any_work(cache, tmp_path, capsys, monkeypatch,
+                                                           case):
+    # opening --out for writing would empty or overwrite the entry: gen in
+    # every cache mode, verify and series refuse it before anything runs,
+    # with one error line, and the entry keeps its bytes (or stays absent)
+    argv, state, kind = OUT_IS_AN_ENTRY[case]
+    entry = cache_path({"ensemble": "vk", "gmax": 2})
+    if state == "warm":
+        assert main(["gen", "vk", "--gmax", "2"]) == 0
+    else:
+        cache.mkdir()
+    out = {"entry": entry, "hard link": tmp_path / "link.json",
+           "symlink": tmp_path / "sym.json"}[kind]
+    if kind == "hard link":
+        os.link(entry, out)
+    elif kind == "symlink":
+        out.symlink_to(entry)
+    ran = []
+    monkeypatch.setattr(engines, "vk_items", lambda *a: ran.append(a) or iter(()))
+    monkeypatch.setattr(verify, cli.SUITES["constraints"], lambda args: ran.append(args) or [])
+    monkeypatch.setattr(recursions, "vk_series", lambda *a: ran.append(a) or [])
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: --out {out} is a cache entry\n")
+    assert ran == []
+    assert sorted(tmp_path.rglob("*")) == files  # no entry, temporary file or --out made
+    if state == "warm":
+        assert entry.read_bytes() == _with_digest(GOLDEN.read_bytes())
+    else:
+        assert not entry.exists() and not os.path.lexists(entry)
+
+
+def test_out_guard_without_a_home_directory(tmp_path, capsys, monkeypatch):
+    # with no cache directory to be found, the --out guard has no entry to
+    # compare, and commands that need no cache run as before
+    monkeypatch.delenv("HZLAG_CACHE_DIR", raising=False)
+    monkeypatch.setattr(pathlib.Path, "home", mock.Mock(side_effect=RuntimeError("no home")))
+    out = tmp_path / "out.json"
+    for argv in (["series", "vk", "--k", "1", "--order", "3"],
+                 ["gen", "vk", "--gmax", "2", "--no-cache"]):
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+    assert out.read_text() == GOLDEN.read_text()
 
 
 def test_oracle_outputs(cache, capsys):
@@ -2070,3 +2120,35 @@ def test_processes_import_only_what_they_run(cache):
     for loaded in (checks, series):
         assert "hzlag.recursions" in loaded, loaded
         assert not loaded & {"hzlag.wick", "hzlag.exact"}, loaded
+
+
+# runs cli.main(ARGV) without site and writes, as the last line of stderr,
+# whether the process loaded tempfile
+_LOADS_TEMPFILE = """
+import sys
+import hzlag.cli
+try:
+    rc = hzlag.cli.main(sys.argv[1:])
+except SystemExit as e:
+    rc = e.code
+print("tempfile" in sys.modules, file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def test_tempfile_is_loaded_only_to_compute_a_table(cache):
+    # run with -S, so that no site .pth file imports tempfile first: a warm
+    # gen and --version never load it; a gen that computes its table, into
+    # a cache entry or a --no-cache temporary file, does
+    def loads_tempfile(args) -> bool:
+        r = subprocess.run([sys.executable, "-S", "-c", _LOADS_TEMPFILE, *args],
+                           capture_output=True, env=_child_env(cache))
+        assert r.returncode == 0, r.stderr
+        return r.stderr.decode().splitlines()[-1] == "True"
+
+    gen = ["gen", "vk", "--gmax", "2", "--out", os.devnull]
+    assert not loads_tempfile(["--version"])
+    assert loads_tempfile(gen)  # cold
+    assert not loads_tempfile(gen)  # warm
+    assert not loads_tempfile([*gen, "--format", "csv"])
+    assert loads_tempfile([*gen, "--no-cache"])
